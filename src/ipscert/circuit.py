@@ -38,6 +38,7 @@ from .poly import (
     TERM_GUARD,
     UnassignedVariableError,
     Var,
+    _Accumulator,
     format_frac,
     frac_mod,
     parse_frac,
@@ -253,10 +254,10 @@ def expand(c: Circuit, guard: int = TERM_GUARD) -> SparsePoly:
         elif g.op == CONST:
             polys[i] = SparsePoly.constant(g.const)
         elif g.op == ADD:
-            acc = polys[g.args[0]]
-            for a in g.args[1:]:
-                acc = acc + polys[a]
-            polys[i] = acc
+            acc = _Accumulator()
+            for a in g.args:
+                acc.add(polys[a])
+            polys[i] = acc.result()
         else:
             acc = polys[g.args[0]]
             for a in g.args[1:]:

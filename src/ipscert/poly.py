@@ -1,25 +1,51 @@
 """Exact sparse multivariate polynomials over arbitrary-precision rationals.
 
-A polynomial is a map from monomials to nonzero Fraction coefficients.  A
-monomial is a tuple of (Var, exponent) pairs sorted by variable order with
-all exponents positive; the empty tuple is the constant monomial.  Two
+A polynomial is a map from monomials to nonzero exact coefficients.  Two
 polynomials are equal iff their term maps are equal, so canonical form is
 the equality test.  All values are immutable after construction and every
-operation is a pure function, which makes sharing across workers safe.
+operation is a pure function.
 
-Coefficients are fractions.Fraction, never floats: the certificate
+Packed monomials.  Inside SparsePoly a monomial is one Python int holding
+its exponent vector (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Each Var is given
+a slot the first time it enters a polynomial; slot s owns the bit field
+[16 s, 16 s + 16) and the exponent of the variable sits in that field, so
+the product of two monomials is the sum of their ints and the constant
+monomial is 0.  The slot table is process-wide, which keeps equal
+polynomials equal dicts; packed keys mean nothing in another process, so
+only the text form and the tuple view below may cross one.  The top bit of
+every field is a guard bit that a stored monomial never sets: exponents
+are at most 2**15 - 1.  A product that would carry an exponent past that
+raises ResourceLimitError, so no field ever carries into the next
+variable.
+
+Coefficients are exact rationals, never floats: the certificate
 constructions need the exact constants 1/2 and powers of two, and every
-identity in this package is checked with tolerance-free equality.
+identity in this package is checked with tolerance-free equality.  An
+integral coefficient is stored as an int, any other as a
+fractions.Fraction.  Products and sums are formed on integer numerators
+over a common denominator and divided out once at the end.
+
+The public surface speaks tuple monomials: a tuple of (Var, exponent) pairs
+sorted by variable order with all exponents positive, the empty tuple being
+the constant monomial.  The `terms` view, the constructor, mono_from_pairs,
+mono_mul and mono_key use that form, and `terms`, `constant_term` and
+`evaluate` give Fraction values.  The decoded view is built once per
+polynomial, when first asked for.
 
 Variables live in fixed namespaces with a structured integer/string index,
 e.g. x1, u3, v_1_2_4, y_5_0, w_1_4_top.  The induced order (namespace,
 index) is total and stable across runs, so serialized output is
-reproducible byte for byte.
+reproducible byte for byte, and every variable's name parses back to it.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -32,7 +58,8 @@ TERM_GUARD = 1 << 24
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed the dense-size guard (2**24 terms)."""
+    """An operation would exceed the dense-size guard (2**24 terms) or the
+    largest exponent a packed monomial holds (2**15 - 1)."""
 
 
 class UnassignedVariableError(ValueError):
@@ -46,14 +73,29 @@ def _elem_key(e):
     return (1, 0, str(e))
 
 
+def _check_index_element(ns: str, idx: tuple, e) -> None:
+    """Reject index elements whose variable name would not parse back."""
+    if isinstance(e, int):
+        if e < 0:
+            raise ValueError(f"negative index element {e!r} in {ns}{idx}")
+    elif isinstance(e, str):
+        if not (e.isascii() and e.isalnum() and e[0].isalpha()):
+            raise ValueError(
+                f"index element {e!r} in {ns}{idx} must be ASCII letters and digits, "
+                "starting with a letter")
+    else:
+        raise ValueError(f"bad index element {e!r} in {ns}{idx}")
+
+
 class Var:
     """An interned variable: namespace plus structured index tuple.
 
-    Index elements are ints or short strings (e.g. ("w", (1, 4, "top"))).
-    Instances are interned, so equality is cheap and hashing is precomputed.
+    Index elements are nonnegative ints or short ASCII identifiers (e.g.
+    ("w", (1, 4, "top"))), so that parse_var(v.name) is v.  Instances are
+    interned, so equality is cheap and hashing is precomputed.
     """
 
-    __slots__ = ("ns", "idx", "name", "_key", "_hash")
+    __slots__ = ("ns", "idx", "name", "_key", "_hash", "_off")
     _cache: dict = {}
 
     def __new__(cls, ns: str, *idx):
@@ -66,8 +108,8 @@ class Var:
         if not idx:
             raise ValueError("variable index must be nonempty")
         for e in idx:
-            if not isinstance(e, (int, str)):
-                raise ValueError(f"bad index element {e!r} in {ns}{idx}")
+            _check_index_element(ns, idx, e)
+        idx = tuple(int(e) if isinstance(e, int) else e for e in idx)  # True is 1
         self = object.__new__(cls)
         self.ns = ns
         self.idx = idx
@@ -77,6 +119,7 @@ class Var:
             self.name = ns + "_" + "_".join(str(e) for e in idx)
         self._key = (ns, tuple(_elem_key(e) for e in idx))
         self._hash = hash(self._key)
+        self._off = None  # bit offset of the packed exponent field, once assigned
         cls._cache[cache_key] = self
         return self
 
@@ -108,18 +151,25 @@ class Var:
 
 
 def parse_var(name: str) -> Var:
-    """Parse a variable name produced by Var.name back into a Var."""
+    """Parse a variable name produced by Var.name back into that Var."""
     for ns in NAMESPACES:
         if not name.startswith(ns):
             continue
         rest = name[len(ns):]
-        if rest.isdigit():
-            return Var(ns, int(rest))
-        if rest.startswith("_") and len(rest) > 1:
-            parts = rest[1:].split("_")
-            idx = tuple(int(p) if p.isdigit() or (p.startswith("-") and p[1:].isdigit()) else p
-                        for p in parts)
-            return Var(ns, *idx)
+        if rest.isascii() and rest.isdigit():
+            idx = (int(rest),)
+        elif rest.startswith("_") and len(rest) > 1:
+            idx = tuple(int(p) if p.isascii() and p.isdigit() else p
+                        for p in rest[1:].split("_"))
+        else:
+            continue
+        try:
+            v = Var(ns, *idx)
+        except ValueError:
+            break
+        if v.name == name:
+            return v
+        break
     raise ValueError(f"cannot parse variable name {name!r}")
 
 
@@ -144,30 +194,8 @@ def mono_from_pairs(pairs: Iterable[tuple]) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two canonical monomials (merge of sorted pair lists)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va is vb or va._key == vb._key:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va._key < vb._key:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    """Product of two canonical monomials."""
+    return mono_from_pairs(a + b)
 
 
 def mono_key(m: Monomial):
@@ -175,35 +203,223 @@ def mono_key(m: Monomial):
     return tuple((v._key, e) for v, e in m)
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+# ---------------------------------------------------------------------------
+# Packed exponent vectors.
+
+_FIELD = 16                              # bits per variable slot
+_FIELD_MASK = (1 << _FIELD) - 1
+_EXP_MAX = (1 << (_FIELD - 1)) - 1       # the top bit of a field is its guard bit
+
+
+class _SlotTable:
+    """Process-wide slot assignment, plus masks covering every assigned slot.
+
+    Slots and masks only grow, and a Var's offset is published after the
+    masks cover it, so a reader never sees a monomial its masks miss.
+    """
+
+    def __init__(self):
+        self.vars: list = []   # slot -> Var
+        self.fill = 0          # _EXP_MAX in every field
+        self.guard = 0         # the guard bit of every field
+        self._lock = threading.Lock()
+
+    def offset(self, v: Var) -> int:
+        off = v._off
+        if off is None:
+            with self._lock:
+                off = v._off
+                if off is None:
+                    off = len(self.vars) * _FIELD
+                    self.vars.append(v)
+                    self.fill |= _EXP_MAX << off
+                    self.guard |= 1 << (off + _FIELD - 1)
+                    v._off = off
+        return off
+
+
+_SLOTS = _SlotTable()
+
+
+def _pack(pairs) -> int:
+    """The packed monomial of (Var, exponent) pairs; repeated variables add."""
+    m = 0
+    for v, e in mono_from_pairs(pairs):
+        if e > _EXP_MAX:
+            raise ResourceLimitError(
+                f"exponent {e} of {v.name} exceeds the packed maximum {_EXP_MAX}")
+        m |= e << _SLOTS.offset(v)
+    return m
+
+
+def _fields(m: int) -> list:
+    """(offset, exponent) of every variable in a packed monomial."""
+    out = []
+    while m:
+        low = (m & -m).bit_length() - 1
+        off = low - low % _FIELD
+        e = (m >> off) & _FIELD_MASK
+        out.append((off, e))
+        m -= e << off
+    return out
+
+
+def _decode(m: int) -> Monomial:
+    slot_vars = _SLOTS.vars
+    pairs = [(slot_vars[off // _FIELD], e) for off, e in _fields(m)]
+    pairs.sort(key=lambda ve: ve[0]._key)
+    return tuple(pairs)
+
+
+def _check_exponents(a: dict, b: dict) -> None:
+    """Raise ResourceLimitError if some product monomial of a and b would
+    carry an exponent past _EXP_MAX."""
+    # The bitwise or of a polynomial's monomials bounds every exponent in
+    # it field by field, and adding two such bounds sets a guard bit only
+    # if an exponent might overflow; then the true maxima decide.
+    if not (reduce(or_, a, 0) + reduce(or_, b, 0)) & _SLOTS.guard:
+        return
+    top_a, top_b = _max_exponents(a), _max_exponents(b)
+    for off in top_a.keys() & top_b.keys():
+        if top_a[off] + top_b[off] > _EXP_MAX:
+            v = _SLOTS.vars[off // _FIELD]
+            raise ResourceLimitError(
+                f"exponent of {v.name} in a product would exceed {_EXP_MAX}")
+
+
+def _max_exponents(t: dict) -> dict:
+    top: dict = {}
+    for m in t:
+        for off, e in _fields(m):
+            if e > top.get(off, 0):
+                top[off] = e
+    return top
+
+
+# ---------------------------------------------------------------------------
+# Coefficients: int when integral, Fraction otherwise.
+
+def _coerce(value):
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-class SparsePoly:
-    """Immutable sparse polynomial: dict from Monomial to nonzero Fraction."""
+def _clean(t: dict) -> dict:
+    """Drop zero coefficients and store integral ones as int."""
+    return {m: (c if type(c) is int or c.denominator != 1 else c.numerator)
+            for m, c in t.items() if c}
 
-    __slots__ = ("_t",)
+
+def _numerators(t: dict) -> tuple:
+    """(d, num) with t[m] == num[m] / d, d the lcm of t's denominators."""
+    d = 1
+    for c in t.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, t
+    return d, {m: c.numerator * (d // c.denominator) for m, c in t.items()}
+
+
+def _from_numerators(num: dict, d: int) -> dict:
+    if d == 1:
+        return {m: n for m, n in num.items() if n}
+    return {m: (Fraction(n, d) if n % d else n // d) for m, n in num.items() if n}
+
+
+class _Accumulator:
+    """A running sum of polynomials and of products of polynomials.
+
+    Everything is summed in place into one dict of integer numerators over
+    a common denominator, so no partial sum is copied and no Fraction is
+    built until result().  Zero entries stay until then.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self):
+        self.num: dict = {}
+        self.den = 1
+
+    def _factor(self, d: int) -> int:
+        """Make den a multiple of d and return den // d."""
+        den = self.den
+        if den % d:
+            new = lcm(den, d)
+            k = new // den
+            self.num = {m: n * k for m, n in self.num.items()}
+            self.den = den = new
+        return den // d
+
+    def add(self, p: "SparsePoly") -> None:
+        d, items = _numerators(p._t)
+        k = self._factor(d)
+        num = self.num
+        if not num and k == 1:
+            num.update(items)
+            return
+        get = num.get
+        for m, n in items.items():
+            num[m] = get(m, 0) + n * k
+        if len(num) > TERM_GUARD:
+            raise ResourceLimitError("sum would exceed the dense-size guard")
+
+    def add_product(self, p: "SparsePoly", q: "SparsePoly") -> None:
+        a, b = p._t, q._t
+        if not a or not b:
+            return
+        if len(a) * len(b) > TERM_GUARD:
+            raise ResourceLimitError(
+                f"product projects to {len(a)}*{len(b)} terms, over the dense-size guard")
+        _check_exponents(a, b)
+        da, a = _numerators(a)
+        db, b = _numerators(b)
+        if len(a) > len(b):
+            a, b = b, a
+        k = self._factor(da * db)
+        if k != 1:
+            a = {m: n * k for m, n in a.items()}
+        num = self.num
+        get = num.get
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                num[m] = get(m, 0) + ca * cb
+        if len(num) > TERM_GUARD:
+            raise ResourceLimitError("sum would exceed the dense-size guard")
+
+    def result(self) -> "SparsePoly":
+        return SparsePoly._raw(_from_numerators(self.num, self.den))
+
+
+class SparsePoly:
+    """Immutable sparse polynomial: dict from packed monomial to nonzero
+    int or Fraction coefficient."""
+
+    __slots__ = ("_t", "_view")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         t: dict = {}
         if terms:
-            for m, c in terms.items():
+            for mono, c in terms.items():
                 c = _coerce(c)
                 if c:
-                    t[m] = t.get(m, Fraction(0)) + c
-                    if not t[m]:
-                        del t[m]
-        self._t = t
+                    m = _pack(mono)
+                    t[m] = t.get(m, 0) + c
+        self._t = _clean(t)
+        self._view = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "SparsePoly":
         # Internal: terms already canonical, adopt without copying.
         self = object.__new__(cls)
         self._t = terms
+        self._view = None
         return self
 
     @classmethod
@@ -213,15 +429,19 @@ class SparsePoly:
     @classmethod
     def constant(cls, value) -> "SparsePoly":
         c = _coerce(value)
-        return cls._raw({CONST_MONO: c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def variable(cls, v: Var) -> "SparsePoly":
-        return cls._raw({((v, 1),): Fraction(1)})
+        return cls._raw({1 << _SLOTS.offset(v): 1})
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return MappingProxyType(self._t)
+        view = self._view
+        if view is None:
+            view = self._view = MappingProxyType(
+                {_decode(m): Fraction(c) for m, c in self._t.items()})
+        return view
 
     def __len__(self):
         return len(self._t)
@@ -248,19 +468,24 @@ class SparsePoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self._t) + len(other._t) > TERM_GUARD:
+        a, b = self._t, other._t
+        if len(a) + len(b) > TERM_GUARD:
             raise ResourceLimitError("sum would exceed the dense-size guard")
-        out = dict(self._t)
-        for m, c in other._t.items():
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for m, c in b.items():
             s = out.get(m)
             if s is None:
                 out[m] = c
             else:
                 s = s + c
-                if s:
+                if not s:
+                    del out[m]
+                elif type(s) is int or s.denominator != 1:
                     out[m] = s
                 else:
-                    del out[m]
+                    out[m] = s.numerator
         return SparsePoly._raw(out)
 
     __radd__ = __add__
@@ -284,28 +509,9 @@ class SparsePoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._t, other._t
-        if not a or not b:
-            return SparsePoly.zero()
-        if len(a) * len(b) > TERM_GUARD:
-            raise ResourceLimitError(
-                f"product projects to {len(a)}*{len(b)} terms, over the dense-size guard")
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                s = out.get(m)
-                if s is None:
-                    out[m] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return SparsePoly._raw(out)
+        acc = _Accumulator()
+        acc.add_product(self, other)
+        return acc.result()
 
     __rmul__ = __mul__
 
@@ -315,7 +521,7 @@ class SparsePoly:
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
         inv = Fraction(1, 1) / other
-        return SparsePoly._raw({m: c * inv for m, c in self._t.items()})
+        return SparsePoly._raw(_clean({m: c * inv for m, c in self._t.items()}))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -332,35 +538,33 @@ class SparsePoly:
         return result
 
     def variables(self) -> tuple:
-        seen = set()
-        for m in self._t:
-            for v, _ in m:
-                seen.add(v)
-        return tuple(sorted(seen, key=lambda v: v._key))
+        slot_vars = _SLOTS.vars
+        found = [slot_vars[off // _FIELD] for off, _ in _fields(reduce(or_, self._t, 0))]
+        return tuple(sorted(found, key=lambda v: v._key))
 
     def degree_in(self, v: Var) -> int:
-        d = 0
-        for m in self._t:
-            for mv, e in m:
-                if mv == v and e > d:
-                    d = e
-        return d
+        off = v._off
+        if off is None or not self._t:
+            return 0
+        return max((m >> off) & _FIELD_MASK for m in self._t)
 
     def total_degree(self) -> int:
         if not self._t:
             return 0
-        return max(sum(e for _, e in m) for m in self._t)
+        return max(sum(e for _, e in _fields(m)) for m in self._t)
 
     def is_multilinear(self) -> bool:
-        return all(e == 1 for m in self._t for _, e in m)
+        # A field above 1 has a value bit set above the lowest bit of the field.
+        high = _SLOTS.fill - (_SLOTS.guard >> (_FIELD - 1))
+        return not any(m & high for m in self._t)
 
     def constant_term(self) -> Fraction:
-        return self._t.get(CONST_MONO, Fraction(0))
+        return Fraction(self._t.get(0, 0))
 
     def evaluate(self, assignment: Mapping[Var, object]) -> Fraction:
         """Exact value at a total assignment of this polynomial's variables."""
         total = Fraction(0)
-        for m, c in self._t.items():
+        for m, c in self.terms.items():
             acc = c
             for v, e in m:
                 if v not in assignment:
@@ -372,7 +576,7 @@ class SparsePoly:
     def evaluate_mod(self, assignment: Mapping[Var, int], prime: int) -> int:
         """Value at an assignment over GF(prime); p/q maps to p * q^-1 mod prime."""
         total = 0
-        for m, c in self._t.items():
+        for m, c in self.terms.items():
             acc = frac_mod(c, prime)
             for v, e in m:
                 if v not in assignment:
@@ -383,58 +587,67 @@ class SparsePoly:
 
     def restrict(self, v: Var, value) -> "SparsePoly":
         """Substitute a single variable by a rational constant."""
-        value = Fraction(value)
+        off = v._off
+        if off is None:
+            return self
+        value = _coerce(Fraction(value))
         out: dict = {}
+        get = out.get
         for m, c in self._t.items():
-            rest = []
-            coeff = c
-            for mv, e in m:
-                if mv == v:
-                    coeff = coeff * value ** e
-                else:
-                    rest.append((mv, e))
-            if not coeff:
-                continue
-            key = tuple(rest)
-            s = out.get(key)
-            if s is None:
-                out[key] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return SparsePoly._raw(out)
+            e = (m >> off) & _FIELD_MASK
+            if e:
+                if not value:
+                    continue
+                if value != 1:
+                    c = c * value ** e
+                m -= e << off
+            out[m] = get(m, 0) + c
+        return SparsePoly._raw(_clean(out))
 
     def substitute(self, mapping: Mapping[Var, "SparsePoly"]) -> "SparsePoly":
         """Substitute variables by polynomials (unmapped variables unchanged)."""
-        result = SparsePoly.zero()
-        for m, c in self._t.items():
+        acc = _Accumulator()
+        for mono, c in self.terms.items():
             term = SparsePoly.constant(c)
-            for v, e in m:
+            for v, e in mono:
                 image = mapping.get(v)
                 if image is None:
                     image = SparsePoly.variable(v)
                 term = term * image ** e
-            result = result + term
-        return result
+            acc.add(term)
+        return acc.result()
 
     def multilinear_reduce(self) -> "SparsePoly":
         """Clamp every exponent to 1; agrees with self on Boolean points."""
+        # Adding _EXP_MAX to a field sets its guard bit iff the field is
+        # nonzero, and never carries out of the field.
+        fill, guard, shift = _SLOTS.fill, _SLOTS.guard, _FIELD - 1
+        d, num = _numerators(self._t)
         out: dict = {}
+        get = out.get
+        for m, n in num.items():
+            key = ((m + fill) & guard) >> shift
+            out[key] = get(key, 0) + n
+        return SparsePoly._raw(_from_numerators(out, d))
+
+    def subset_masks(self, vars_) -> dict:
+        """Coefficients keyed by the set of positions in vars_ of each term's
+        variables, as a bitmask; the polynomial must be multilinear over
+        variables drawn from vars_."""
+        unit_pos = {1 << _SLOTS.offset(v): k for k, v in enumerate(vars_)}
+        out = {}
         for m, c in self._t.items():
-            key = tuple((v, 1) for v, _ in m)
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return SparsePoly._raw(out)
+            mask = 0
+            while m:
+                low = m & -m
+                k = unit_pos.get(low)
+                if k is None:
+                    raise ValueError(
+                        "subset_masks needs a multilinear polynomial over the given variables")
+                mask |= 1 << k
+                m ^= low
+            out[mask] = Fraction(c)
+        return out
 
 
 def _as_poly(x):
@@ -482,8 +695,9 @@ def format_poly(p: SparsePoly) -> str:
     if not p:
         return "0"
     parts = []
-    for m in sorted(p._t, key=mono_key):
-        toks = [format_frac(p._t[m])]
+    for m, c in sorted(((_decode(m), c) for m, c in p._t.items()),
+                       key=lambda mc: mono_key(mc[0])):
+        toks = [format_frac(c)]
         for v, e in m:
             toks.append(v.name if e == 1 else f"{v.name}^{e}")
         parts.append(" * ".join(toks))
@@ -513,4 +727,4 @@ def parse_poly(text: str) -> SparsePoly:
 
 def boolean_axiom(v: Var) -> SparsePoly:
     """The Boolean axiom v^2 - v."""
-    return SparsePoly({((v, 2),): Fraction(1), ((v, 1),): Fraction(-1)})
+    return SparsePoly({((v, 2),): 1, ((v, 1),): -1})

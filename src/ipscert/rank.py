@@ -85,21 +85,15 @@ def rank_matrix(f: SparsePoly, p: Partition) -> RankMatrix:
     """The partition coefficient matrix of a multilinear polynomial."""
     if not f.is_multilinear():
         raise ValueError("rank matrix requires a multilinear polynomial")
-    y_pos = {v: k for k, v in enumerate(p.y_side)}
-    z_pos = {v: k for k, v in enumerate(p.z_side)}
+    outside = [v for v in f.variables() if v not in p.y_side and v not in p.z_side]
+    if outside:
+        raise ValueError(
+            f"variable {outside[0].name} is outside the partition; substitute it first")
     n = len(p.y_side)
+    row_mask = (1 << n) - 1
     entries = [[Fraction(0)] * (1 << n) for _ in range(1 << n)]
-    for m, c in f.terms.items():
-        row = col = 0
-        for v, _ in m:
-            if v in y_pos:
-                row |= 1 << y_pos[v]
-            elif v in z_pos:
-                col |= 1 << z_pos[v]
-            else:
-                raise ValueError(
-                    f"variable {v.name} is outside the partition; substitute it first")
-        entries[row][col] = c
+    for mask, c in f.subset_masks(p.y_side + p.z_side).items():
+        entries[mask & row_mask][mask >> n] = c
     return RankMatrix(row_monos=_side_monomials(p.y_side),
                       col_monos=_side_monomials(p.z_side),
                       entries=entries)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .circuit import Circuit, compile_evaluator, eval_circuit_mod, expand
-from .poly import SparsePoly
+from .poly import SparsePoly, _Accumulator
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
@@ -110,12 +110,9 @@ class VerifyReport:
         return doc
 
 
-def _axiom_poly(ax) -> SparsePoly:
-    return expand(ax) if isinstance(ax, Circuit) else ax
-
-
-def _cofactor_poly(cf) -> SparsePoly:
-    return expand(cf) if isinstance(cf, Circuit) else cf
+def _expanded(x) -> SparsePoly:
+    """The polynomial of an axiom or cofactor given as a circuit or a polynomial."""
+    return expand(x) if isinstance(x, Circuit) else x
 
 
 def _nonzero_witness(p: SparsePoly) -> dict:
@@ -144,18 +141,19 @@ def verify_exact(axioms: Sequence, cofactors: Sequence) -> VerifyReport:
     if len(axioms) != len(cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     expansions = 0
-    total = SparsePoly.zero()
+    total = _Accumulator()
     for (label, ax), cf in zip(axioms, cofactors):
-        ax_p = _axiom_poly(ax)
-        cf_p = _cofactor_poly(cf)
+        ax_p = _expanded(ax)
+        cf_p = _expanded(cf)
         expansions += 2
         for v in cf_p.variables():
             if v.ns == PLACEHOLDER_NS:
                 return VerifyReport(
                     "error",
                     detail=f"cofactor of {label} mentions placeholder variable {v.name}")
-        total = total + cf_p * ax_p
-    residual = total - 1
+        total.add_product(cf_p, ax_p)
+    total.add(SparsePoly.constant(-1))
+    residual = total.result()
     if residual.is_zero():
         return VerifyReport("verified-exact", work={"expansions": expansions})
     witness = _nonzero_witness(residual)
