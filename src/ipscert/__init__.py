@@ -6,10 +6,8 @@ from .poly import (
     SparsePoly,
     UnassignedVariableError,
     Var,
-    arith,
     boolean_axiom,
     format_poly,
-    multilinear_reduce,
     parse_poly,
     parse_var,
 )

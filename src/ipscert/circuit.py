@@ -166,6 +166,11 @@ class CircuitBuilder:
     def mul(self, args: Iterable[int]) -> int:
         return self._push(Gate(MUL, args=tuple(args)))
 
+    def complement(self, v: Var) -> int:
+        """1 - v as ADD(CONST 1, MUL(CONST -1, VAR v)), in fresh gates."""
+        one = self.const(1)
+        return self.add([one, self.mul([self.const(-1), self.var(v)])])
+
     def inline(self, c: Circuit) -> int:
         """Copy another circuit into this builder; returns its output id."""
         offset = len(self._gates)
@@ -280,86 +285,81 @@ def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
     return Circuit(gates, c.output)
 
 
-def eval_circuit(c: Circuit, assignment: Mapping[Var, object]) -> Fraction:
-    """Exact evaluation at a total assignment of the circuit's variables."""
-    vals: list = [None] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        if g.op == VAR:
-            if g.var not in assignment:
-                raise UnassignedVariableError(f"no value assigned to {g.var.name}")
-            vals[i] = Fraction(assignment[g.var])
-        elif g.op == CONST:
-            vals[i] = g.const
-        elif g.op == ADD:
-            vals[i] = sum(vals[a] for a in g.args)
-        else:
-            acc = vals[g.args[0]]
-            for a in g.args[1:]:
-                acc = acc * vals[a]
-            vals[i] = acc
-    return Fraction(vals[c.output])
-
-
 def compile_evaluator(c: Circuit):
-    """Precompute a fast evaluator: assignment -> value (int when exact).
+    """Compile the gate table once; returns run(assignment, prime=None).
 
-    Uses plain int arithmetic when every constant is an integer and the
-    assignment is integral, which is the hot path for Boolean image scans.
+    run evaluates the circuit at a total assignment of its variables.  With
+    prime None the value is exact: a plain int when every constant and every
+    assigned value is an integer (the hot path of Boolean image scans), and
+    otherwise a Fraction, with each non-int value taken through Fraction().
+    With a prime the value lies in GF(prime): assigned values are reduced mod
+    prime and rational constants are transported by frac_mod, once per prime.
+    A variable missing from the assignment raises UnassignedVariableError in
+    both rings.
     """
-    ops = []
+    leaves = []     # (gate id, variable) per VAR gate
+    consts = []     # (gate id, rational) per CONST gate
+    internal = []   # (gate id, is ADD, children) per ADD or MUL gate
     for i, g in enumerate(c.gates):
         if g.op == VAR:
-            ops.append((VAR, g.var, None))
+            leaves.append((i, g.var))
         elif g.op == CONST:
-            val = int(g.const) if g.const.denominator == 1 else g.const
-            ops.append((CONST, val, None))
+            consts.append((i, g.const))
         else:
-            ops.append((g.op, None, g.args))
+            internal.append((i, g.op == ADD, g.args))
+
+    def table(convert) -> list:
+        # The initial value table: constants in place, zeros elsewhere.
+        vals = [0] * len(c.gates)
+        for i, q in consts:
+            vals[i] = convert(q)
+        return vals
+
+    exact = table(lambda q: int(q) if q.denominator == 1 else q)
+    transported: dict = {}
     out = c.output
 
-    def run(assignment: Mapping[Var, object]):
-        vals = [0] * len(ops)
-        for i, (op, payload, args) in enumerate(ops):
-            if op == VAR:
-                vals[i] = assignment[payload]
-            elif op == CONST:
-                vals[i] = payload
-            elif op == ADD:
+    def run(assignment: Mapping[Var, object], prime: int | None = None):
+        if prime is None:
+            vals = exact[:]
+        else:
+            start = transported.get(prime)
+            if start is None:
+                start = transported[prime] = table(lambda q: frac_mod(q, prime))
+            vals = start[:]
+        for i, v in leaves:
+            try:
+                x = assignment[v]
+            except KeyError:
+                raise UnassignedVariableError(f"no value assigned to {v.name}") from None
+            if prime is not None:
+                x %= prime
+            elif type(x) is not int:
+                x = Fraction(x)
+            vals[i] = x
+        for i, is_add, args in internal:
+            if is_add:
                 acc = 0
                 for a in args:
                     acc += vals[a]
-                vals[i] = acc
             else:
                 acc = 1
                 for a in args:
                     acc *= vals[a]
-                vals[i] = acc
+            vals[i] = acc if prime is None else acc % prime
         return vals[out]
 
     return run
 
 
+def eval_circuit(c: Circuit, assignment: Mapping[Var, object]) -> Fraction:
+    """Exact evaluation at a total assignment of the circuit's variables."""
+    return Fraction(compile_evaluator(c)(assignment))
+
+
 def eval_circuit_mod(c: Circuit, assignment: Mapping[Var, int], prime: int) -> int:
     """Evaluation over GF(prime); rational constants transported exactly."""
-    vals = [0] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        if g.op == VAR:
-            if g.var not in assignment:
-                raise UnassignedVariableError(f"no value assigned to {g.var.name}")
-            vals[i] = assignment[g.var] % prime
-        elif g.op == CONST:
-            vals[i] = frac_mod(g.const, prime)
-        elif g.op == ADD:
-            acc = 0
-            for a in g.args:
-                acc += vals[a]
-            vals[i] = acc % prime
-        else:
-            acc = 1
-            for a in g.args:
-                acc = acc * vals[a] % prime
-            vals[i] = acc
-    return vals[c.output]
+    return compile_evaluator(c)(assignment, prime)
 
 
 def normalize_layered(c: Circuit) -> Circuit:
@@ -467,13 +467,10 @@ def cscale(value, c: Circuit) -> Circuit:
     return cmul(cconst(value), c)
 
 
-def cneg(c: Circuit) -> Circuit:
-    return cscale(-1, c)
-
-
 def affine_complement(v: Var) -> Circuit:
-    """The affine factor 1 - v, as ADD(CONST 1, MUL(CONST -1, VAR v))."""
-    return cadd(cconst(1), cneg(cvar(v)))
+    """The affine factor 1 - v as a standalone circuit."""
+    b = CircuitBuilder()
+    return b.build(b.complement(v))
 
 
 def cprod(factors: Sequence[Circuit]) -> Circuit:
@@ -559,7 +556,10 @@ def parse_circuit(text: str) -> Circuit:
             if line.startswith("OUTPUT"):
                 if output is not None:
                     raise ValueError("multiple OUTPUT lines")
-                output = gate_ref(line.split()[1])
+                toks = line.split()
+                if len(toks) < 2:
+                    raise ValueError("OUTPUT line names no gate")
+                output = gate_ref(toks[1])
                 continue
             lhs, rhs = line.split("=", 1)
             lhs = lhs.strip()
@@ -568,10 +568,14 @@ def parse_circuit(text: str) -> Circuit:
             if lhs[1:] in id_map:
                 raise ValueError(f"gate {lhs} defined twice")
             toks = rhs.split()
+            if not toks:
+                raise ValueError(f"gate {lhs} has no kind")
             kind = toks[0]
-            if kind == "VAR":
+            if kind in (VAR, CONST) and len(toks) < 2:
+                raise ValueError(f"{kind} gate {lhs} has no operand")
+            if kind == VAR:
                 g = Gate(VAR, var=parse_var(toks[1]))
-            elif kind == "CONST":
+            elif kind == CONST:
                 g = Gate(CONST, const=parse_frac(toks[1]))
             elif kind in (ADD, MUL):
                 g = Gate(kind, args=tuple(gate_ref(t) for t in toks[1:]))

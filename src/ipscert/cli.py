@@ -4,8 +4,6 @@ Subcommands: parse, normalize, transform, refute, verify, image, instance,
 rank, funcref.  Exit codes follow the verifier convention: 0 verified/ok,
 1 refuted, 2 usage or internal error.  All randomness flows from --seed;
 identical invocations on identical inputs produce byte-identical outputs.
-The --jobs flag bounds worker parallelism (execution is sequential, which
-respects any bound, and output ordering never depends on it).
 """
 
 from __future__ import annotations
@@ -124,15 +122,27 @@ def cmd_image(args) -> int:
     return 0
 
 
+def _bundle(args) -> ins.InstanceBundle:
+    beta = None if args.beta is None else Fraction(args.beta)
+    return ins.FAMILIES[args.family](args.n, beta)
+
+
+def _as_circuit(x) -> ci.Circuit:
+    return x if isinstance(x, ci.Circuit) else ci.poly_to_circuit(x)
+
+
 def cmd_instance(args) -> int:
-    fam = args.family
-    sidecar: dict
-    if fam == "ry":
-        c = ins.ry_circuit(args.n)
-        _write(args.out + ".circ", ci.format_circuit(c))
+    if args.family in ins.FAMILIES:
+        bundle = _bundle(args)
+        _write(args.out + ".instance.circ", ci.format_circuit(_as_circuit(bundle.instance)))
+        _write(args.out + ".refutation.circ", ci.format_circuit(_as_circuit(bundle.refutation)))
+        sidecar = {"generator": bundle.name, "params": bundle.params,
+                   "provenance": bundle.provenance}
+    elif args.family == "ry":
+        _write(args.out + ".circ", ci.format_circuit(ins.ry_circuit(args.n)))
         sidecar = {"generator": "ry", "n": args.n,
                    "split_convention": "even-length subintervals only"}
-    elif fam == "gadgeted-ry":
+    else:
         c, wsets = ins.gadgeted_ry_circuit(args.n)
         _write(args.out + ".circ", ci.format_circuit(c))
         sidecar = {"generator": "gadgeted-ry", "n": args.n,
@@ -140,25 +150,6 @@ def cmd_instance(args) -> int:
                                   "w_top": w.w_top.name, "w_leaf": w.w_leaf.name,
                                   "address_vars": [v.name for v in w.address_vars]}
                                  for w in wsets]}
-    else:
-        if fam == "mnc":
-            bundle = ins.mnc_instance(args.n)
-        elif fam == "subset-sum":
-            beta = Fraction(args.beta) if args.beta is not None else Fraction(args.n + 1)
-            bundle = ins.subset_sum(args.n, beta)
-        elif fam == "lifted-subset-sum":
-            beta = Fraction(args.beta) if args.beta is not None else None
-            bundle = ins.lifted_subset_sum(args.n, beta)
-        else:
-            raise ValueError(f"unknown family {fam!r}")
-        inst = bundle.instance if isinstance(bundle.instance, ci.Circuit) \
-            else ci.poly_to_circuit(bundle.instance)
-        refu = bundle.refutation if isinstance(bundle.refutation, ci.Circuit) \
-            else ci.poly_to_circuit(bundle.refutation)
-        _write(args.out + ".instance.circ", ci.format_circuit(inst))
-        _write(args.out + ".refutation.circ", ci.format_circuit(refu))
-        sidecar = {"generator": bundle.name, "params": bundle.params,
-                   "provenance": bundle.provenance}
     _write(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
     return 0
 
@@ -188,16 +179,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_funcref(args) -> int:
-    if args.family == "mnc":
-        bundle = ins.mnc_instance(args.n)
-    elif args.family == "subset-sum":
-        beta = Fraction(args.beta) if args.beta is not None else Fraction(args.n + 1)
-        bundle = ins.subset_sum(args.n, beta)
-    elif args.family == "lifted-subset-sum":
-        beta = Fraction(args.beta) if args.beta is not None else None
-        bundle = ins.lifted_subset_sum(args.n, beta)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    bundle = _bundle(args)
     ok = ins.functional_identity_holds(bundle)
     _print_json({"family": bundle.name, "params": bundle.params,
                  "identity": "reduce(refutation * instance) == 1",
@@ -208,8 +190,6 @@ def cmd_funcref(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ipscert",
                                   description="circuit transforms and refutation certificates")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="upper bound on worker parallelism (default 1)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and canonicalize a circuit file")
@@ -254,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instance", help="emit a hard-instance family member")
     p.add_argument("--family", required=True,
-                   choices=("ry", "gadgeted-ry", "mnc", "subset-sum", "lifted-subset-sum"))
+                   choices=("ry", "gadgeted-ry", *ins.FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta")
     p.add_argument("--out", required=True, help="output path prefix")
@@ -263,13 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="partition rank of the gadgeted family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--partition", default="all", help="'u1,u3|u2,u4' or 'all'")
-    p.add_argument("--witness", default="auto", choices=("auto",))
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("funcref", help="check a functional refutation identity")
-    p.add_argument("--family", required=True,
-                   choices=("mnc", "subset-sum", "lifted-subset-sum"))
+    p.add_argument("--family", required=True, choices=tuple(ins.FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta")
     p.set_defaults(func=cmd_funcref)
@@ -283,9 +261,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -237,17 +237,10 @@ def gadgetize(c: Circuit) -> tuple:
         for j, a in enumerate(g.args):
             child = rec(a)
             gadget = AddressingGadget.build(n, j, yvars)
-            factor_ids = []
-            for bit in range(t + 1):
-                before = len(b._gates)
-                if bit in gadget.one_bits:
-                    fid = b.var(yvars[bit])
-                else:
-                    one = b.const(1)
-                    neg = b.mul([b.const(-1), b.var(yvars[bit])])
-                    fid = b.add([one, neg])
-                factor_ids.append(fid)
-                internal.update(range(before, len(b._gates)))
+            before = len(b._gates)
+            factor_ids = [b.var(y) if bit in gadget.one_bits else b.complement(y)
+                          for bit, y in enumerate(yvars)]
+            internal.update(range(before, len(b._gates)))
             summand = b.mul([child] + factor_ids)
             summands.append(summand)
             children.append(GadgetChild(address=j, child=child, summand=summand))

@@ -145,10 +145,6 @@ def gadgeted_ry_circuit(n: int) -> tuple:
             leaves[v] = b.var(v)
         return leaves[v]
 
-    def complement(v: Var) -> int:
-        # 1 - v, as ADD(CONST 1, MUL(CONST -1, VAR v)); fresh gates per use.
-        return b.add([b.const(1), b.mul([b.const(-1), b.var(v)])])
-
     memo: dict = {}
 
     def gate(i: int, j: int):
@@ -160,10 +156,10 @@ def gadgeted_ry_circuit(n: int) -> tuple:
         w_top = wvar(i, j, "top")
         w_leaf = wvar(i, j, "leaf")
         # (1 - w_leaf) + w_leaf * u_i * u_j
-        leaf_factor = b.add([complement(w_leaf),
+        leaf_factor = b.add([b.complement(w_leaf),
                              b.mul([b.var(w_leaf), leaf(uvar(i)), leaf(uvar(j))])])
         inner = gate(i + 1, j - 1)
-        factors = [complement(w_top), leaf_factor]
+        factors = [b.complement(w_top), leaf_factor]
         if inner is not None:
             factors.append(inner)
         branch_leaf = b.mul(factors)
@@ -177,7 +173,7 @@ def gadgeted_ry_circuit(n: int) -> tuple:
                 fac = []
                 for bit in range(gd.t + 1):
                     fac.append(b.var(avars[bit]) if bit in gd.one_bits
-                               else complement(avars[bit]))
+                               else b.complement(avars[bit]))
                 terms.append(b.mul(fac + [gate(i, r), gate(r + 1, j)]))
             sum_gate = terms[0] if len(terms) == 1 else b.add(terms)
             branch_split = b.mul([b.var(w_top), sum_gate])
@@ -192,17 +188,6 @@ def gadgeted_ry_circuit(n: int) -> tuple:
     root = gate(1, 2 * n)
     wsets.sort(key=lambda ws: (ws.j - ws.i, ws.i))
     return b.build(root), tuple(wsets)
-
-
-def gadget_w_vars(n: int) -> tuple:
-    """All control variables of the gadgeted family at parameter n."""
-    _, wsets = gadgeted_ry_circuit(n)
-    out = []
-    for ws in wsets:
-        out.append(ws.w_top)
-        out.append(ws.w_leaf)
-        out.extend(ws.address_vars)
-    return tuple(out)
 
 
 def mnc_instance(n: int) -> InstanceBundle:
@@ -263,11 +248,14 @@ def _subset_sum_over(vars_: tuple, beta: Fraction, name: str, params: dict) -> I
     )
 
 
-def subset_sum(n_vars: int, beta) -> InstanceBundle:
-    """Instance z_1 + ... + z_n - beta with its multilinear refutation."""
+def subset_sum(n_vars: int, beta=None) -> InstanceBundle:
+    """Instance z_1 + ... + z_n - beta with its multilinear refutation.
+
+    beta defaults to n_vars + 1, just past the largest achievable sum.
+    """
     if n_vars < 1:
         raise ValueError("n_vars must be at least 1")
-    beta = Fraction(beta)
+    beta = Fraction(n_vars + 1) if beta is None else Fraction(beta)
     if beta.denominator == 1 and 0 <= beta <= n_vars:
         raise ValueError(f"beta = {beta} is an achievable subset sum; instance satisfiable")
     zvars = tuple(Var("z", i) for i in range(1, n_vars + 1))
@@ -299,6 +287,17 @@ def lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
     flat.refutation = refutation
     flat.provenance["lift"] = "z_ij -> z_ij * x_i * x_j, then multilinearized"
     return flat
+
+
+# The families with a functional refutation, by name: builder(n, beta) ->
+# InstanceBundle, where beta is the subset-sum target (None for the default)
+# and mnc takes none.  The builders are looked up at call time, so a wrapper
+# installed on the module function (as perfbench's tracer does) sees them.
+FAMILIES = {
+    "mnc": lambda n, beta: mnc_instance(n),
+    "subset-sum": lambda n, beta: subset_sum(n, beta),
+    "lifted-subset-sum": lambda n, beta: lifted_subset_sum(n, beta),
+}
 
 
 def extract_clique_component(g: SparsePoly, n: int, ell: int) -> SparsePoly:

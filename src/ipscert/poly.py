@@ -658,21 +658,6 @@ def _as_poly(x):
     return NotImplemented
 
 
-def arith(p: SparsePoly, q: SparsePoly, op: str) -> SparsePoly:
-    """Exact ring arithmetic by operation name: add, sub, or mul."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def multilinear_reduce(p: SparsePoly) -> SparsePoly:
-    return p.multilinear_reduce()
-
-
 def frac_mod(q: Fraction, prime: int) -> int:
     """Transport p/q into GF(prime); errors if the denominator vanishes mod prime."""
     den = q.denominator % prime
@@ -687,7 +672,10 @@ def format_frac(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_poly(p: SparsePoly) -> str:

@@ -332,23 +332,33 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _field(obj, key: str, name: str = ""):
+    """obj[key], or a ValueError naming the missing field (as `name` if given)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"certificate document: missing field {name or key}")
+    return obj[key]
+
+
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
     doc = json.loads(text)
-    if doc.get("format") != "nullstellensatz-cert/1":
+    if not isinstance(doc, dict) or doc.get("format") != "nullstellensatz-cert/1":
         raise ValueError("not a certificate document")
     axioms = []
-    for ax in doc["axioms"]:
+    for k, ax in enumerate(_field(doc, "axioms")):
+        label = _field(ax, "label", f"axioms[{k}].label")
         if "circuit" in ax:
-            axioms.append((ax["label"], parse_circuit("\n".join(ax["circuit"]))))
+            axioms.append((label, parse_circuit("\n".join(ax["circuit"]))))
         else:
-            axioms.append((ax["label"], parse_poly(ax["poly"])))
-    cofactors = tuple(parse_circuit("\n".join(lines)) for lines in doc["cofactors"])
-    metrics = tuple(Metrics(size=m["size"], depth=m["depth"]) for m in doc["metrics"])
+            axioms.append((label, parse_poly(_field(ax, "poly", f"axioms[{k}].poly"))))
+    cofactors = tuple(parse_circuit("\n".join(lines)) for lines in _field(doc, "cofactors"))
+    metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size"),
+                            depth=_field(m, "depth", f"metrics[{k}].depth"))
+                    for k, m in enumerate(_field(doc, "metrics")))
     return NullstellensatzCertificate(
         axioms=tuple(axioms),
         cofactors=cofactors,
         claimed_metrics=metrics,
-        instance_sha256=doc["instance_sha256"],
-        shift=Fraction(doc["shift"]),
+        instance_sha256=_field(doc, "instance_sha256"),
+        shift=Fraction(_field(doc, "shift")),
         builder=doc.get("builder", BUILDER_TAG),
     )

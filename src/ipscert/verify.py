@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, compile_evaluator, eval_circuit_mod, expand
+from .circuit import Circuit, compile_evaluator, expand
 from .poly import SparsePoly, _Accumulator
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
@@ -164,6 +164,11 @@ def verify_exact(axioms: Sequence, cofactors: Sequence) -> VerifyReport:
         work={"expansions": expansions})
 
 
+def _evaluator(x):
+    """run(assignment, prime) for an axiom or cofactor circuit or polynomial."""
+    return compile_evaluator(x) if isinstance(x, Circuit) else x.evaluate_mod
+
+
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"pit:{seed}:{trial}")
 
@@ -177,21 +182,16 @@ def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig
         vars_seen.update(ax.variables() if isinstance(ax, (Circuit, SparsePoly)) else ())
         vars_seen.update(cf.variables())
     ordered = sorted(vars_seen, key=lambda v: v._key)
+    pairs = [(_evaluator(ax), _evaluator(cf)) for (_, ax), cf in zip(axioms, cofactors)]
     evaluations = 0
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         point = {v: rng.randrange(cfg.prime) for v in ordered}
         total = 0
         try:
-            for (label, ax), cf in zip(axioms, cofactors):
-                if isinstance(ax, Circuit):
-                    av = eval_circuit_mod(ax, point, cfg.prime)
-                else:
-                    av = ax.evaluate_mod(point, cfg.prime)
-                if isinstance(cf, Circuit):
-                    cv = eval_circuit_mod(cf, point, cfg.prime)
-                else:
-                    cv = cf.evaluate_mod(point, cfg.prime)
+            for ax_run, cf_run in pairs:
+                av = ax_run(point, cfg.prime)
+                cv = cf_run(point, cfg.prime)
                 evaluations += 2
                 total = (total + av * cv) % cfg.prime
         except ZeroDivisionError as exc:
@@ -206,15 +206,6 @@ def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig
         "verified-probabilistic",
         detail=f"{cfg.trials} trials mod {cfg.prime}",
         work={"evaluations": evaluations, "trials": cfg.trials})
-
-
-def verify_certificate(cert, mode: str = "exact", cfg: PitConfig | None = None) -> VerifyReport:
-    """Verify a NullstellensatzCertificate in the given mode."""
-    if mode == "exact":
-        return verify_exact(cert.axioms, cert.cofactors)
-    if mode == "pit":
-        return verify_pit(cert.axioms, cert.cofactors, cfg or PitConfig())
-    return VerifyReport("error", detail=f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,19 @@ def test_parse_rejects_undefined_ids():
         parse_circuit("g0 = ADD g1 g2\nOUTPUT g0\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("OUTPUT\n", 1),
+    ("g0 = VAR x1\nOUTPUT\n", 2),
+    ("g0 =\nOUTPUT g0\n", 1),
+    ("g0 = VAR\nOUTPUT g0\n", 1),
+    ("g0 = CONST\nOUTPUT g0\n", 1),
+    ("g0 = CONST 1/0\nOUTPUT g0\n", 1),
+])
+def test_parse_rejects_truncated_lines(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        parse_circuit(text)
+
+
 def test_parse_rejects_missing_output():
     with pytest.raises(ValueError, match="OUTPUT"):
         parse_circuit("g0 = VAR x1\n")

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from helpers import build_corpus, mutate_certificate
 
 from ipscert.circuit import cadd, cmul, cvar, format_circuit, normalize_layered, parse_circuit
@@ -174,8 +176,25 @@ def test_rank_command_csv(tmp_path, capsys):
 
 
 def test_jobs_flag_validation(capsys):
-    assert main(["--jobs", "0", "funcref", "--family", "mnc", "--n", "1"]) == 2
-    assert main(["--jobs", "4", "funcref", "--family", "mnc", "--n", "1"]) == 0
+    # --jobs is gone: like any unknown option it is a usage error.
+    assert main(["--jobs", "4", "funcref", "--family", "mnc", "--n", "1"]) == 2
+    assert "ipscert: error:" in capsys.readouterr().err
+    assert main(["funcref", "--family", "mnc", "--n", "1"]) == 0
+
+
+def test_removed_rank_witness_option_is_a_usage_error():
+    assert main(["rank", "--n", "1", "--partition", "u1|u2", "--witness", "auto"]) == 2
+
+
+@pytest.mark.parametrize("field", ["axioms", "cofactors", "metrics", "instance_sha256", "shift"])
+def test_verify_incomplete_certificate_exits_2(tmp_path, capsys, field):
+    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    del doc[field]
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -5,9 +5,13 @@ from math import comb
 
 import pytest
 
+from helpers import random_dag_circuit, random_layered_formula
+
 from ipscert.circuit import (
     compile_evaluator,
+    cvar,
     eval_circuit,
+    eval_circuit_mod,
     expand,
     is_syntactically_multilinear,
     partial_evaluate,
@@ -26,8 +30,8 @@ from ipscert.instances import (
     vvar,
     wvar,
 )
-from ipscert.poly import SparsePoly, Var, mono_from_pairs
-from ipscert.verify import boolean_image, boolean_image_poly
+from ipscert.poly import SparsePoly, UnassignedVariableError, Var, mono_from_pairs
+from ipscert.verify import DEFAULT_PIT_PRIME, boolean_image, boolean_image_poly
 
 U = {i: SparsePoly.variable(uvar(i)) for i in range(1, 9)}
 
@@ -236,3 +240,34 @@ def test_instance_sampling_evaluator_consistency():
     for _ in range(50):
         a = {v: rng.randrange(2) for v in vars_}
         assert Fraction(run(a)) == eval_circuit(c, a)
+
+    # Differential check of the one compiled evaluator against exact
+    # expansion, over Q and over GF(p), on random formulas and DAGs.
+    pool = (0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))
+    circuits = [c]
+    circuits += [random_layered_formula(rng, max_nodes=25, const_pool=pool) for _ in range(25)]
+    circuits += [random_dag_circuit(rng, n_gates=14) for _ in range(25)]
+    for c in circuits:
+        run = compile_evaluator(c)
+        p = expand(c)
+        vars_ = c.variables()
+        integral = all(q.denominator == 1 for q in c.constants())
+        for _ in range(4):
+            bits = {v: rng.randrange(2) for v in vars_}
+            ints = {v: rng.randint(-5, 5) for v in vars_}
+            fracs = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in vars_}
+            for a in (bits, ints, fracs):
+                assert Fraction(run(a)) == p.evaluate(a) == eval_circuit(c, a)
+            assert run({v: str(q) for v, q in fracs.items()}) == run(fracs)
+            assert type(run(ints)) is int or not integral
+            big = {v: rng.randint(-10 ** 30, 10 ** 30) for v in vars_}
+            for prime in (DEFAULT_PIT_PRIME, 101):
+                assert run(big, prime) == p.evaluate_mod(big, prime) \
+                    == eval_circuit_mod(c, big, prime)
+        missing = dict(bits)
+        del missing[vars_[0]]
+        for prime in (None, 101):
+            with pytest.raises(UnassignedVariableError, match=vars_[0].name):
+                run(missing, prime)
+    x1 = Var("x", 1)
+    assert compile_evaluator(cvar(x1))({x1: -5}, 101) == 96

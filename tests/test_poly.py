@@ -11,7 +11,6 @@ from ipscert.poly import (
     SparsePoly,
     UnassignedVariableError,
     Var,
-    arith,
     boolean_axiom,
     format_poly,
     mono_from_pairs,
@@ -30,15 +29,6 @@ def V(v):
 
 def test_difference_of_squares():
     assert (V(X1) + 1) * (V(X1) - 1) == V(X1) ** 2 - 1
-
-
-def test_arith_dispatcher():
-    p, q = V(X1) + 1, V(X2)
-    assert arith(p, q, "add") == p + q
-    assert arith(p, q, "sub") == p - q
-    assert arith(p, q, "mul") == p * q
-    with pytest.raises(ValueError, match="unknown"):
-        arith(p, q, "div")
 
 
 def test_additive_identity():

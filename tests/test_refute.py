@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -262,3 +264,20 @@ def test_certificate_json_round_trip():
     assert certificate_to_json(again) == text
     assert verify_exact(again.axioms, again.cofactors).verdict == "verified-exact"
     assert again.instance_sha256 == cert.instance_sha256
+
+
+@pytest.mark.parametrize("path", [
+    ("axioms",), ("cofactors",), ("metrics",), ("instance_sha256",), ("shift",),
+    ("axioms", 0, "label"), ("axioms", 1, "label"), ("axioms", 1, "poly"),
+    ("metrics", 0, "size"),
+])
+def test_certificate_from_json_names_a_missing_field(path):
+    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    name = path[0] if len(path) == 1 else f"{path[0]}[{path[1]}].{path[2]}"
+    with pytest.raises(ValueError, match=re.escape(f"missing field {name}")):
+        certificate_from_json(json.dumps(doc))
