@@ -145,10 +145,16 @@ class Circuit:
 
 
 class CircuitBuilder:
-    """Accumulates gates with sequential deterministic ids."""
+    """Accumulates gates with sequential deterministic ids.
 
-    def __init__(self):
-        self._gates: list = []
+    A builder may start from a circuit's gates (the starting gates, which
+    keep their ids); gates added later are composed gates, shared by id.
+    """
+
+    def __init__(self, gates: Sequence[Gate] = ()):
+        self._gates: list = list(gates)
+        self._start = len(self._gates)
+        self._subcircuits: dict = {}   # starting gate id -> subcircuit
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -181,11 +187,58 @@ class CircuitBuilder:
                 self._gates.append(Gate(g.op, args=tuple(a + offset for a in g.args)))
         return c.output + offset
 
+    def prod(self, ids: Iterable[int]) -> int:
+        """Flat product folding literal 1s; a literal 0 collapses to CONST 0.
+
+        (Only CONST gates carry a `const`, so `const == 0` means a literal 0.)
+        """
+        kept = []
+        for i in ids:
+            if self._gates[i].const == 0:
+                return i
+            if self._gates[i].const != 1:
+                kept.append(i)
+        if not kept:
+            return self.const(1)
+        return kept[0] if len(kept) == 1 else self.mul(kept)
+
+    def sum(self, ids: Iterable[int]) -> int:
+        """Flat sum dropping literal 0s; the empty sum is CONST 0."""
+        kept = [i for i in ids if self._gates[i].const != 0]
+        if not kept:
+            return self.const(0)
+        return kept[0] if len(kept) == 1 else self.add(kept)
+
     def gate(self, i: int) -> Gate:
         return self._gates[i]
 
     def build(self, output: int) -> Circuit:
         return Circuit(self._gates, output)
+
+    def formula(self, root: int) -> Circuit:
+        """root laid out as a standalone formula, without recursion.
+
+        A composed gate is copied at each use, children first in argument
+        order.  A starting gate brings its subcircuit (see subcircuit): the
+        starting gates it reaches, in id order.
+        """
+        gates, start, new = self._gates, self._start, CircuitBuilder()
+        done: list = []          # new ids of the laid-out children, in order
+        todo = [root]            # gate ids to lay out; ~i closes composed gate i
+        while todo:
+            i = todo.pop()
+            if i >= start and gates[i].args:
+                todo += [~i, *reversed(gates[i].args)]
+            elif i < 0:
+                n = len(gates[~i].args)
+                done[-n:] = [new._push(Gate(gates[~i].op, args=done[-n:]))]
+            elif i < start:
+                if i not in self._subcircuits:
+                    self._subcircuits[i] = _compact(gates[:i + 1], i)
+                done.append(new.inline(self._subcircuits[i]))
+            else:
+                done.append(new._push(gates[i]))
+        return new.build(done[0])
 
 
 def _compact(gates: Sequence[Gate], output: int) -> Circuit:
@@ -433,9 +486,10 @@ def has_zero_one_leaves(c: Circuit) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Functional composition helpers.  Each returns a fresh standalone circuit;
-# cprod and csum fold literal 0/1 constant factors so generated cofactor
-# circuits stay free of trivial units.
+# Functional composition of standalone circuits.  Each helper copies its
+# parts whole into a fresh builder and returns a fresh standalone circuit;
+# cprod and csum fold literal 0/1 parts by CircuitBuilder.prod and .sum.
+# Certificates are composed by gate id in one builder instead (see refute).
 
 def cvar(v: Var) -> Circuit:
     return Circuit([Gate(VAR, var=v)], 0)
@@ -445,21 +499,18 @@ def cconst(value) -> Circuit:
     return Circuit([Gate(CONST, const=Fraction(value))], 0)
 
 
-def _is_const_circuit(c: Circuit, value) -> bool:
-    g = c.gates[c.output]
-    return g.op == CONST and g.const == value
+def _compose(parts: Sequence[Circuit], combine) -> Circuit:
+    b = CircuitBuilder()
+    root = combine(b, [b.inline(p) for p in parts])
+    return _compact(b._gates, root)
 
 
 def cadd(*parts: Circuit) -> Circuit:
-    b = CircuitBuilder()
-    ids = [b.inline(p) for p in parts]
-    return b.build(b.add(ids))
+    return _compose(parts, CircuitBuilder.add)
 
 
 def cmul(*parts: Circuit) -> Circuit:
-    b = CircuitBuilder()
-    ids = [b.inline(p) for p in parts]
-    return b.build(b.mul(ids))
+    return _compose(parts, CircuitBuilder.mul)
 
 
 def cscale(value, c: Circuit) -> Circuit:
@@ -467,57 +518,32 @@ def cscale(value, c: Circuit) -> Circuit:
     return cmul(cconst(value), c)
 
 
-def affine_complement(v: Var) -> Circuit:
-    """The affine factor 1 - v as a standalone circuit."""
-    b = CircuitBuilder()
-    return b.build(b.complement(v))
-
-
 def cprod(factors: Sequence[Circuit]) -> Circuit:
     """Flat product folding literal 1s; a literal 0 collapses to CONST 0."""
-    kept = []
-    for f in factors:
-        if _is_const_circuit(f, 0):
-            return cconst(0)
-        if _is_const_circuit(f, 1):
-            continue
-        kept.append(f)
-    if not kept:
-        return cconst(1)
-    if len(kept) == 1:
-        return kept[0]
-    return cmul(*kept)
+    return _compose(factors, CircuitBuilder.prod)
 
 
 def csum(terms: Sequence[Circuit]) -> Circuit:
     """Flat sum dropping literal 0s; the empty sum is CONST 0."""
-    kept = [t for t in terms if not _is_const_circuit(t, 0)]
-    if not kept:
-        return cconst(0)
-    if len(kept) == 1:
-        return kept[0]
-    return cadd(*kept)
+    return _compose(terms, CircuitBuilder.sum)
 
 
 def poly_to_circuit(p: SparsePoly) -> Circuit:
     """Sum-of-products circuit for a polynomial (terms in canonical order)."""
     from .poly import mono_key
 
-    if not p:
-        return cconst(0)
+    b = CircuitBuilder()
     terms = []
     for m in sorted(p.terms, key=mono_key):
         c = p.terms[m]
-        factors = []
-        for v, e in m:
-            factors.extend([cvar(v)] * e)
+        factors = [b.var(v) for v, e in m for _ in range(e)]
         if not factors:
-            terms.append(cconst(c))
+            terms.append(b.const(c))
         elif c == 1:
-            terms.append(cprod(factors))
+            terms.append(b.prod(factors))
         else:
-            terms.append(cmul(cconst(c), *factors))
-    return csum(terms)
+            terms.append(b.mul([b.const(c)] + factors))
+    return b.formula(b.sum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +583,8 @@ def parse_circuit(text: str) -> Circuit:
                 if output is not None:
                     raise ValueError("multiple OUTPUT lines")
                 toks = line.split()
-                if len(toks) < 2:
-                    raise ValueError("OUTPUT line names no gate")
+                if len(toks) != 2:
+                    raise ValueError("OUTPUT line must name exactly one gate")
                 output = gate_ref(toks[1])
                 continue
             lhs, rhs = line.split("=", 1)
@@ -571,8 +597,8 @@ def parse_circuit(text: str) -> Circuit:
             if not toks:
                 raise ValueError(f"gate {lhs} has no kind")
             kind = toks[0]
-            if kind in (VAR, CONST) and len(toks) < 2:
-                raise ValueError(f"{kind} gate {lhs} has no operand")
+            if kind in (VAR, CONST) and len(toks) != 2:
+                raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
             if kind == VAR:
                 g = Gate(VAR, var=parse_var(toks[1]))
             elif kind == CONST:

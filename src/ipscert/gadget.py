@@ -27,15 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .circuit import (
-    ADD,
-    Circuit,
-    CircuitBuilder,
-    MUL,
-    affine_complement,
-    cprod,
-    cvar,
-)
+from .circuit import ADD, Circuit, CircuitBuilder, MUL
 from .poly import SparsePoly, Var, parse_var
 
 
@@ -72,16 +64,14 @@ class AddressingGadget:
         zero = frozenset(range(t + 1)) - one
         return cls(n=n, j=j, t=t, zero_bits=zero, one_bits=one, vars=tuple(vars))
 
-    def factor_circuits(self) -> list:
-        """One circuit per bit position, in bit order: y_b or (1 - y_b)."""
-        out = []
-        for b in range(self.t + 1):
-            v = self.vars[b]
-            out.append(cvar(v) if b in self.one_bits else affine_complement(v))
-        return out
+    def factors(self, b: CircuitBuilder) -> list:
+        """Fresh gates in b, one id per bit position in bit order: y_b or 1 - y_b."""
+        return [b.var(v) if bit in self.one_bits else b.complement(v)
+                for bit, v in enumerate(self.vars)]
 
     def as_circuit(self) -> Circuit:
-        return cprod(self.factor_circuits())
+        b = CircuitBuilder()
+        return b.formula(b.prod(self.factors(b)))
 
     def polynomial(self) -> SparsePoly:
         p = SparsePoly.constant(1)
@@ -238,8 +228,7 @@ def gadgetize(c: Circuit) -> tuple:
             child = rec(a)
             gadget = AddressingGadget.build(n, j, yvars)
             before = len(b._gates)
-            factor_ids = [b.var(y) if bit in gadget.one_bits else b.complement(y)
-                          for bit, y in enumerate(yvars)]
+            factor_ids = gadget.factors(b)
             internal.update(range(before, len(b._gates)))
             summand = b.mul([child] + factor_ids)
             summands.append(summand)

@@ -289,12 +289,19 @@ def lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
     return flat
 
 
+def _mnc(n: int, beta) -> InstanceBundle:
+    """The registry's mnc builder: mnc has no target, so a beta is an error."""
+    if beta is not None:
+        raise ValueError("family mnc takes no --beta")
+    return mnc_instance(n)
+
+
 # The families with a functional refutation, by name: builder(n, beta) ->
 # InstanceBundle, where beta is the subset-sum target (None for the default)
 # and mnc takes none.  The builders are looked up at call time, so a wrapper
 # installed on the module function (as perfbench's tracer does) sees them.
 FAMILIES = {
-    "mnc": lambda n, beta: mnc_instance(n),
+    "mnc": _mnc,
     "subset-sum": lambda n, beta: subset_sum(n, beta),
     "lifted-subset-sum": lambda n, beta: lifted_subset_sum(n, beta),
 }

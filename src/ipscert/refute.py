@@ -11,13 +11,16 @@ by induction on the formula:
 
         g^2 - g = sum_l (prod_{t<l} g_t) (prod_{t>l} g_t^2) (g_l^2 - g_l)
 
-    pushes the children's certificates through per-index products H_l,
-    built without cross-index sharing.
+    pushes the children's certificates through per-index products H_l.
   * transformed sum gates g = sum_l g_l A_l: expanding the square leaves
     three groups of terms: children squares against A_l^2 (induction), the
     gadget squares A_l^2 - A_l (address_square_decomposition), and the
     cross products A_l A_l' for distinct addresses, which are divisible by
     y (1 - y) at any separating bit (address_product_decomposition).
+
+All cofactors are composed by gate id in one CircuitBuilder that starts
+from the formula's gates, and each is laid out as a standalone formula
+once.  Gates are certified in ascending id order, without recursion.
 
 The assembled refutation of the unsatisfiable instance f' - 2 uses the
 cofactors -(f'+1)/2 on the instance and +E/2, +F/2 on the Boolean axioms,
@@ -27,29 +30,26 @@ for which sum(cofactor * axiom) = 1 holds as an exact polynomial identity.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .circuit import (
     ADD,
     CONST,
     Circuit,
+    CircuitBuilder,
     MUL,
     Metrics,
     VAR,
-    cadd,
-    cconst,
     circuit_sha256,
-    cprod,
-    cscale,
-    csum,
     format_circuit,
     measure,
     parse_circuit,
-    subcircuit,
 )
 from .gadget import AddressingGadget, GadgetLedger
-from .poly import Var, boolean_axiom, format_poly, parse_poly
+from .poly import boolean_axiom, format_poly, parse_frac, parse_poly
 
 BUILDER_TAG = "ipscert-refute/1"
 
@@ -72,6 +72,16 @@ class BooleanIdealCertificate:
             yield v, self.F[v]
 
 
+def _squared(ids) -> list:
+    """Each id twice in a row: the factors of the product of their squares."""
+    return [i for i in ids for _ in (0, 1)]
+
+
+def _square_cofactors(b: CircuitBuilder, factors: list) -> list:
+    """Ids of C_bit with A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit), A = prod(factors)."""
+    return [b.prod(factors[:k] + _squared(factors[k + 1:])) for k in range(len(factors))]
+
+
 def address_square_decomposition(gadget: AddressingGadget) -> dict:
     """Cofactors C_bit with A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit).
 
@@ -79,14 +89,20 @@ def address_square_decomposition(gadget: AddressingGadget) -> dict:
     L^2 - L = y^2 - y, so the cofactor for the factor at position k is
     prod_{i<k} L_i * prod_{i>k} L_i^2.
     """
-    factors = gadget.factor_circuits()
-    out = {}
-    for k in range(gadget.t + 1):
-        parts = list(factors[:k])
-        for f in factors[k + 1:]:
-            parts.extend((f, f))
-        out[k] = cprod(parts)
-    return out
+    b = CircuitBuilder()
+    return {k: b.formula(cof) for k, cof in enumerate(_square_cofactors(b, gadget.factors(b)))}
+
+
+def _product_cofactor(b: CircuitBuilder, a: AddressingGadget, fa: list,
+                      a2: AddressingGadget, fa2: list) -> tuple:
+    """(j, id of C) with A * A' = C * (y_j^2 - y_j), given both gadgets' factor ids."""
+    if a.vars != a2.vars:
+        raise ValueError("gadgets do not share control variables")
+    if a.j == a2.j:
+        raise ValueError("equal addresses have no separating bit")
+    j = min((a.one_bits & a2.zero_bits) | (a.zero_bits & a2.one_bits))
+    rest = [f for k, f in enumerate(fa) if k != j] + [f for k, f in enumerate(fa2) if k != j]
+    return j, b.prod([b.const(-1)] + rest)
 
 
 def address_product_decomposition(a: AddressingGadget, b: AddressingGadget) -> tuple:
@@ -96,16 +112,9 @@ def address_product_decomposition(a: AddressingGadget, b: AddressingGadget) -> t
     address; at any bit where one has y and the other (1 - y) the product
     carries the factor y (1 - y) = -(y^2 - y).
     """
-    if a.vars != b.vars:
-        raise ValueError("gadgets do not share control variables")
-    if a.j == b.j:
-        raise ValueError("equal addresses have no separating bit")
-    differing = sorted((a.one_bits & b.zero_bits) | (a.zero_bits & b.one_bits))
-    j = differing[0]
-    fa = a.factor_circuits()
-    fb = b.factor_circuits()
-    rest = [f for k, f in enumerate(fa) if k != j] + [f for k, f in enumerate(fb) if k != j]
-    return j, cprod([cconst(-1)] + rest)
+    bl = CircuitBuilder()
+    j, cof = _product_cofactor(bl, a, a.factors(bl), b, b.factors(bl))
+    return j, bl.formula(cof)
 
 
 def _is_affine_complement(c: Circuit, i: int):
@@ -123,52 +132,55 @@ def _is_affine_complement(c: Circuit, i: int):
     return None
 
 
-def _is_zero_circuit(c: Circuit) -> bool:
-    g = c.gates[c.output]
-    return g.op == CONST and g.const == 0
+def _summed(b: CircuitBuilder, acc: dict) -> dict:
+    """{v: sum of v's terms}, without the variables whose sum is literal 0."""
+    sums = {v: b.sum(terms) for v, terms in acc.items()}
+    return {v: s for v, s in sums.items() if b.gate(s).const != 0}
 
 
-def _put(cert_map: dict, v: Var, term: Circuit) -> None:
-    if not _is_zero_circuit(term):
-        cert_map.setdefault(v, []).append(term)
+def _certify(c: Circuit, ledger: GadgetLedger, gids) -> tuple:
+    """(builder, {gate id: {v: cofactor id}}) for gids and the gates they use.
 
-
-def _finish(acc: dict) -> dict:
-    return {v: csum(terms) for v, terms in acc.items() if terms}
-
-
-def _certify(c: Circuit, ledger: GadgetLedger, memo: dict, i: int) -> BooleanIdealCertificate:
-    if i in memo:
-        return memo[i]
-
-    def rec(k: int) -> BooleanIdealCertificate:
-        return _certify(c, ledger, memo, k)
-
-    g = c.gates[i]
-    if g.op == CONST:
-        if g.const not in (0, 1):
-            raise ValueError(
-                f"g{i}: constant leaf {g.const} outside {{0,1}}; "
-                "c^2 - c is not in the Boolean ideal")
-        cert = BooleanIdealCertificate(gate=i, E={}, F={})
-    elif g.op == VAR:
-        cert = BooleanIdealCertificate(gate=i, E={}, F={})
-        target = cert.F if g.var.ns == "y" else cert.E
-        target[g.var] = cconst(1)
-    elif i in ledger.by_gate:
-        cert = _sum_gate_certificate(c, ledger.by_gate[i], rec)
-    elif g.op == ADD:
-        v = _is_affine_complement(c, i)
-        if v is None:
-            raise ValueError(
-                f"g{i}: addition gate without a gadget; transform the circuit first")
-        cert = BooleanIdealCertificate(gate=i, E={}, F={})
-        target = cert.F if v.ns == "y" else cert.E
-        target[v] = cconst(1)
-    else:
-        cert = _product_gate_certificate(c, i, rec)
-    memo[i] = cert
-    return cert
+    The builder starts from c's gates.  One reverse pass marks what the
+    requested certificates need (the ledger children of a transformed sum,
+    the arguments of a product); those are certified in ascending id order.
+    """
+    gates = c.gates
+    need = set(gids)
+    for i in range(len(gates) - 1, -1, -1):
+        if i not in need or gates[i].is_leaf():
+            continue
+        if i in ledger.by_gate:
+            kids = [ch.child for ch in ledger.by_gate[i].children]
+            if not all(0 <= k < i for k in kids):
+                raise ValueError(f"g{i}: ledger child outside g0..g{i - 1}")
+            need.update(kids)
+        elif gates[i].op == MUL:
+            need.update(gates[i].args)
+    b = CircuitBuilder(gates)
+    one = b.const(1)
+    certs: dict = {}
+    for i in sorted(need):
+        g = gates[i]
+        if g.op == CONST:
+            if g.const not in (0, 1):
+                raise ValueError(
+                    f"g{i}: constant leaf {g.const} outside {{0,1}}; "
+                    "c^2 - c is not in the Boolean ideal")
+            certs[i] = {}
+        elif g.op == VAR:
+            certs[i] = {g.var: one}
+        elif i in ledger.by_gate:
+            certs[i] = _sum_rule(b, ledger.by_gate[i], certs)
+        elif g.op == ADD:
+            v = _is_affine_complement(c, i)
+            if v is None:
+                raise ValueError(
+                    f"g{i}: addition gate without a gadget; transform the circuit first")
+            certs[i] = {v: one}   # (1 - v)^2 - (1 - v) = v^2 - v
+        else:
+            certs[i] = _product_rule(b, g.args, certs)
+    return b, certs
 
 
 def gate_square_certificate(c: Circuit, gid: int, ledger: GadgetLedger) -> BooleanIdealCertificate:
@@ -178,67 +190,49 @@ def gate_square_certificate(c: Circuit, gid: int, ledger: GadgetLedger) -> Boole
     already transformed (they appear in the ledger), and leaves outside the
     gadget factors carry variables or the constants 0/1.
     """
-    return _certify(c, ledger, {}, gid)
+    return gate_square_certificates(c, [gid], ledger)[gid]
 
 
 def gate_square_certificates(c: Circuit, gids, ledger: GadgetLedger) -> dict:
-    """Certificates for many gates of one circuit, sharing the recursion."""
-    memo: dict = {}
-    return {gid: _certify(c, ledger, memo, gid) for gid in gids}
+    """Certificates for many gates of one circuit, composed in one builder."""
+    gids = list(gids)
+    b, certs = _certify(c, ledger, gids)
+
+    def laid_out(cert: dict, gadget: bool) -> dict:
+        return {v: b.formula(i) for v, i in cert.items() if (v.ns == "y") == gadget}
+    return {gid: BooleanIdealCertificate(gid, laid_out(certs[gid], False),
+                                         laid_out(certs[gid], True)) for gid in gids}
 
 
-def _product_gate_certificate(c: Circuit, i: int, rec) -> BooleanIdealCertificate:
-    args = c.gates[i].args
-    certs = [rec(a) for a in args]
-    trees = [subcircuit(c, a) for a in args]
-    acc_e: dict = {}
-    acc_f: dict = {}
-    for ell, sub in enumerate(certs):
-        if not sub.E and not sub.F:
-            continue
-        parts = list(trees[:ell])
-        for t in trees[ell + 1:]:
-            parts.extend((t, t))
-        h = cprod(parts)
-        for v, circ in sub.E.items():
-            _put(acc_e, v, cprod([h, circ]))
-        for v, circ in sub.F.items():
-            _put(acc_f, v, cprod([h, circ]))
-    return BooleanIdealCertificate(gate=i, E=_finish(acc_e), F=_finish(acc_f))
+def _product_rule(b: CircuitBuilder, args: tuple, certs: dict) -> dict:
+    acc = defaultdict(list)
+    for ell, a in enumerate(args):
+        if certs[a]:
+            h = b.prod(list(args[:ell]) + _squared(args[ell + 1:]))
+            for v, cof in certs[a].items():
+                acc[v].append(b.prod([h, cof]))
+    return _summed(b, acc)
 
 
-def _sum_gate_certificate(c: Circuit, entry, rec) -> BooleanIdealCertificate:
-    children = entry.children
-    certs = [rec(ch.child) for ch in children]
-    trees = [subcircuit(c, ch.child) for ch in children]
-    gadgets = [entry.gadget(ch.address) for ch in children]
-    squares = []
-    for gd in gadgets:
-        parts = []
-        for f in gd.factor_circuits():
-            parts.extend((f, f))
-        squares.append(cprod(parts))
-    acc_e: dict = {}
-    acc_f: dict = {}
+def _sum_rule(b: CircuitBuilder, entry, certs: dict) -> dict:
+    trees = [ch.child for ch in entry.children]
+    gadgets = [entry.gadget(ch.address) for ch in entry.children]
+    factors = [gd.factors(b) for gd in gadgets]
+    acc = defaultdict(list)
     # (I) children's certificates against the squared gadgets.
-    for ell, sub in enumerate(certs):
-        for v, circ in sub.E.items():
-            _put(acc_e, v, cprod([squares[ell], circ]))
-        for v, circ in sub.F.items():
-            _put(acc_f, v, cprod([squares[ell], circ]))
+    for tree, fs in zip(trees, factors):
+        square = b.prod(_squared(fs))
+        for v, cof in certs[tree].items():
+            acc[v].append(b.prod([square, cof]))
     # (II) gadget squares against the children themselves.
-    for ell, gd in enumerate(gadgets):
-        square_cofs = address_square_decomposition(gd)
-        for bit in range(entry.t + 1):
-            _put(acc_f, entry.vars[bit], cprod([trees[ell], square_cofs[bit]]))
+    for tree, fs in zip(trees, factors):
+        for bit, cof in enumerate(_square_cofactors(b, fs)):
+            acc[entry.vars[bit]].append(b.prod([tree, cof]))
     # (III) cross products of distinct addresses.
-    for ell in range(len(children)):
-        for ell2 in range(len(children)):
-            if ell == ell2:
-                continue
-            bit, cof = address_product_decomposition(gadgets[ell], gadgets[ell2])
-            _put(acc_f, entry.vars[bit], cprod([trees[ell], trees[ell2], cof]))
-    return BooleanIdealCertificate(gate=entry.gate, E=_finish(acc_e), F=_finish(acc_f))
+    for ell, ell2 in permutations(range(len(trees)), 2):
+        bit, cof = _product_cofactor(b, gadgets[ell], factors[ell], gadgets[ell2], factors[ell2])
+        acc[entry.vars[bit]].append(b.prod([trees[ell], trees[ell2], cof]))
+    return _summed(b, acc)
 
 
 @dataclass
@@ -290,20 +284,22 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     if shift in (0, -1):
         raise ValueError(f"shift {shift} leaves the instance satisfiable over the cube")
     _validate_leaves(cprime, ledger)
-    cert = gate_square_certificate(cprime, cprime.output, ledger)
-    fprime = subcircuit(cprime, cprime.output)
+    out = cprime.output
+    b, certs = _certify(cprime, ledger, [out])
     c1 = Fraction(-1) / (shift * (shift + 1))
     c0 = Fraction(1) / shift
-    instance = cadd(fprime, cconst(shift))
+    instance = b.formula(b.add([out, b.const(shift)]))
     axioms = [("f", instance)]
-    cofactors = [cscale(c1, cadd(fprime, cconst(c0 / c1)))]
-    for v, circ in cert.items():
+    roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
+    cert = certs[out]
+    for v in sorted(cert, key=lambda v: (v.ns == "y", v._key)):   # E, then F
         axioms.append((f"{v.name}^2-{v.name}", boolean_axiom(v)))
-        cofactors.append(cscale(-c1, circ))
+        roots.append(b.mul([b.const(-c1), cert[v]]))
+    cofactors = tuple(b.formula(r) for r in roots)
     metrics = tuple(measure(cf) for cf in cofactors)
     return NullstellensatzCertificate(
         axioms=tuple(axioms),
-        cofactors=tuple(cofactors),
+        cofactors=cofactors,
         claimed_metrics=metrics,
         instance_sha256=circuit_sha256(instance),
         shift=shift,
@@ -332,11 +328,26 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _field(obj, key: str, name: str = ""):
-    """obj[key], or a ValueError naming the missing field (as `name` if given)."""
+_KINDS = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _field(obj, key: str, name: str = "", kind: type | None = None):
+    """obj[key], or a ValueError naming the field (as `name` if given) when it
+    is missing or, with a kind, not a JSON value of that kind."""
+    name = name or key
     if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"certificate document: missing field {name or key}")
-    return obj[key]
+        raise ValueError(f"certificate document: missing field {name}")
+    value = obj[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ValueError(f"certificate document: field {name} is not {_KINDS[kind]}")
+    return value
+
+
+def _circuit(lines, name: str) -> Circuit:
+    """The circuit whose text lines a field holds, or a ValueError naming it."""
+    if not isinstance(lines, list) or not all(isinstance(s, str) for s in lines):
+        raise ValueError(f"certificate document: field {name} is not a list of strings")
+    return parse_circuit("\n".join(lines))
 
 
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
@@ -344,21 +355,27 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
     if not isinstance(doc, dict) or doc.get("format") != "nullstellensatz-cert/1":
         raise ValueError("not a certificate document")
     axioms = []
-    for k, ax in enumerate(_field(doc, "axioms")):
-        label = _field(ax, "label", f"axioms[{k}].label")
+    for k, ax in enumerate(_field(doc, "axioms", kind=list)):
+        label = _field(ax, "label", f"axioms[{k}].label", str)
         if "circuit" in ax:
-            axioms.append((label, parse_circuit("\n".join(ax["circuit"]))))
+            axioms.append((label, _circuit(ax["circuit"], f"axioms[{k}].circuit")))
         else:
-            axioms.append((label, parse_poly(_field(ax, "poly", f"axioms[{k}].poly"))))
-    cofactors = tuple(parse_circuit("\n".join(lines)) for lines in _field(doc, "cofactors"))
-    metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size"),
-                            depth=_field(m, "depth", f"metrics[{k}].depth"))
-                    for k, m in enumerate(_field(doc, "metrics")))
+            axioms.append((label, parse_poly(_field(ax, "poly", f"axioms[{k}].poly", str))))
+    cofactors = tuple(_circuit(lines, f"cofactors[{k}]")
+                      for k, lines in enumerate(_field(doc, "cofactors", kind=list)))
+    metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size", int),
+                            depth=_field(m, "depth", f"metrics[{k}].depth", int))
+                    for k, m in enumerate(_field(doc, "metrics", kind=list)))
+    shift = _field(doc, "shift", kind=str)
+    try:
+        shift = parse_frac(shift)
+    except ValueError:
+        raise ValueError(f"certificate document: field shift is not a rational: {shift!r}") from None
     return NullstellensatzCertificate(
         axioms=tuple(axioms),
         cofactors=cofactors,
         claimed_metrics=metrics,
-        instance_sha256=_field(doc, "instance_sha256"),
-        shift=Fraction(_field(doc, "shift")),
+        instance_sha256=_field(doc, "instance_sha256", kind=str),
+        shift=shift,
         builder=doc.get("builder", BUILDER_TAG),
     )

@@ -16,6 +16,7 @@ from ipscert.circuit import (
     _compact,
     eval_circuit_mod,
 )
+from ipscert.gadget import GadgetChild, GadgetLedger, LedgerEntry
 from ipscert.poly import SparsePoly, Var, mono_from_pairs
 from ipscert.refute import NullstellensatzCertificate
 
@@ -117,6 +118,46 @@ def random_dag_circuit(rng: random.Random, n_gates: int = 20, vars_=None) -> Cir
     roots = [i for i in range(len(b._gates)) if i not in used]
     out = roots[0] if len(roots) == 1 else b.add(roots)
     return b.build(out)
+
+
+def shuffled_topological(rng: random.Random, c: Circuit, ledger: GadgetLedger) -> tuple:
+    """c with its gates renumbered in a random topological order, and the ledger to match."""
+    users = [[] for _ in c.gates]
+    waiting = [len(g.args) for g in c.gates]
+    for i, g in enumerate(c.gates):
+        for a in g.args:
+            users[a].append(i)
+    ready = [i for i, n in enumerate(waiting) if n == 0]
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(i)
+        for u in users[i]:
+            waiting[u] -= 1
+            if waiting[u] == 0:
+                ready.append(u)
+    new = {old: k for k, old in enumerate(order)}
+    gates = [g if g.is_leaf() else Gate(g.op, args=tuple(new[a] for a in g.args))
+             for g in (c.gates[i] for i in order)]
+    entries = [LedgerEntry(gate=new[e.gate], source_gate=e.source_gate, t=e.t, vars=e.vars,
+                           children=tuple(GadgetChild(ch.address, new[ch.child], new[ch.summand])
+                                          for ch in e.children),
+                           internal=frozenset(new[i] for i in e.internal))
+               for e in ledger.entries]
+    return Circuit(gates, new[c.output]), GadgetLedger(entries)
+
+
+def random_product_dag(rng: random.Random, n_gates: int) -> Circuit:
+    """A ledger-free DAG of MUL gates over x1..x3 and CONST 0/1 whose gates share children."""
+    b = CircuitBuilder()
+    ids = [b.var(Var("x", i)) for i in (1, 2, 3)] + [b.const(1)]
+    if rng.random() < 0.3:
+        ids.append(b.const(0))
+    while len(b._gates) < n_gates:
+        ids.append(b.mul(rng.sample(ids, rng.randint(2, 3))))
+    used = {a for g in b._gates for a in g.args}
+    roots = [i for i in ids if i not in used]
+    return b.build(roots[0] if len(roots) == 1 else b.mul(roots))
 
 
 def _semantically_differs(a: Circuit, b: Circuit, seed: int) -> bool:

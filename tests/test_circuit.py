@@ -180,6 +180,9 @@ def test_parse_rejects_undefined_ids():
     ("g0 = VAR\nOUTPUT g0\n", 1),
     ("g0 = CONST\nOUTPUT g0\n", 1),
     ("g0 = CONST 1/0\nOUTPUT g0\n", 1),
+    ("g0 = VAR x1 x2\nOUTPUT g0\n", 1),
+    ("g0 = VAR x1\ng1 = CONST 3 junk\ng2 = MUL g0 g1\nOUTPUT g2\n", 2),
+    ("g0 = VAR x1\ng1 = VAR x2\ng2 = MUL g0 g1\nOUTPUT g2 g0\n", 4),
 ])
 def test_parse_rejects_truncated_lines(text, lineno):
     with pytest.raises(ValueError, match=f"^line {lineno}: "):
@@ -211,6 +214,32 @@ def test_formula_flag():
     x = b.var(X1)
     m = b.mul([x, x])
     assert not b.build(m).is_formula
+
+
+def test_builder_prod_and_sum_fold_literal_units():
+    b = CircuitBuilder()
+    x, one, zero = b.var(X1), b.const(1), b.const(0)
+    assert b.prod([one, x, one]) == x
+    assert b.prod([x, zero, x]) == zero
+    assert b.gate(b.prod([one])).const == 1
+    assert b.gate(b.prod([x, x])).args == (x, x)
+    assert b.sum([zero, x, zero]) == x
+    assert b.gate(b.sum([zero])).const == 0
+    assert b.gate(b.sum([x, one])).args == (x, one)
+
+
+def test_formula_copies_composed_gates_and_keeps_starting_subcircuits():
+    start = parse_circuit("g0 = VAR x2\ng1 = VAR x1\ng2 = VAR x3\ng3 = MUL g1 g0\n"
+                          "g4 = ADD g3 g2\nOUTPUT g4\n")
+    b = CircuitBuilder(start.gates)
+    shared = b.mul([3, b.const(2)])
+    laid = b.formula(b.add([shared, shared]))
+    # g3's subcircuit keeps its id order (x2 before x1) at each of the two uses.
+    assert format_circuit(laid) == (
+        "g0 = VAR x2\ng1 = VAR x1\ng2 = MUL g1 g0\ng3 = CONST 2/1\ng4 = MUL g2 g3\n"
+        "g5 = VAR x2\ng6 = VAR x1\ng7 = MUL g6 g5\ng8 = CONST 2/1\ng9 = MUL g7 g8\n"
+        "g10 = ADD g4 g9\nOUTPUT g10\n")
+    assert format_circuit(b.formula(4)) == format_circuit(start)
 
 
 def test_subcircuit_extraction():

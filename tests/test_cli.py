@@ -197,6 +197,41 @@ def test_verify_incomplete_certificate_exits_2(tmp_path, capsys, field):
     assert field in capsys.readouterr().err
 
 
+def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
+    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    doc["cofactors"] = [5]
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert "cofactors[0]" in capsys.readouterr().err
+
+
+def test_refute_and_verify_a_3000_deep_chain(tmp_path, capsys):
+    # g = MUL(g, CONST 1), 3,000 times over x1: deeper than Python's recursion limit.
+    lines = ["g0 = VAR x1"]
+    g = 0
+    for _ in range(3000):
+        lines += [f"g{g + 1} = CONST 1", f"g{g + 2} = MUL g{g} g{g + 1}"]
+        g += 2
+    src, cert = tmp_path / "chain.circ", tmp_path / "cert.json"
+    write(src, "\n".join(lines) + f"\nOUTPUT g{g}\n")
+    assert main(["refute", "--input", str(src), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(cert), "--mode", "exact"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "verified-exact"
+
+
+@pytest.mark.parametrize("command", ["instance", "funcref"])
+def test_mnc_rejects_beta(tmp_path, capsys, command):
+    argv = [command, "--family", "mnc", "--n", "1", "--beta", "3"]
+    if command == "instance":
+        argv += ["--out", str(tmp_path / "mnc1")]
+    assert main(argv) == 2
+    assert "mnc takes no --beta" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "ipscert.cli", "funcref",
                            "--family", "subset-sum", "--n", "3"],

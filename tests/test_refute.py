@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus
+from helpers import build_corpus, random_product_dag, shuffled_topological
 
 from ipscert.circuit import (
     CONST,
@@ -15,11 +16,13 @@ from ipscert.circuit import (
     cmul,
     cvar,
     expand,
+    format_circuit,
     measure,
     normalize_layered,
+    parse_circuit,
     subcircuit,
 )
-from ipscert.gadget import AddressingGadget, GadgetLedger, gadgetize
+from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
 from ipscert.poly import SparsePoly, Var, boolean_axiom
 from ipscert.refute import (
     address_product_decomposition,
@@ -32,6 +35,11 @@ from ipscert.refute import (
 from ipscert.verify import verify_exact
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
+
+# SHA-256 of certificate documents as written before cofactors were composed
+# by gate id in one builder: every cofactor must keep its gate layout.
+SHUFFLED_FORMULAS_SHA256 = "77c4f7c0a60c6e62b7554c512e25555241db9d27d3327f5751e517044fe4ff10"
+PRODUCT_DAGS_SHA256 = "b5d47202aedcdfa3819437a4802039b4b9b6df0c6de2c12d5d431796f1622e30"
 
 
 def yvars(t, tag=0):
@@ -221,6 +229,17 @@ def test_assembly_rejects_bad_leaf():
         assemble_refutation(cp, ledger)
 
 
+def test_assembly_rejects_a_ledger_child_that_is_not_an_earlier_gate():
+    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+    e = ledger.entries[0]
+    for child in (e.gate, len(cp.gates) + 3):
+        children = (GadgetChild(0, child, e.children[0].summand),) + e.children[1:]
+        bad = GadgetLedger([LedgerEntry(gate=e.gate, source_gate=e.source_gate, t=e.t,
+                                        vars=e.vars, children=children, internal=e.internal)])
+        with pytest.raises(ValueError, match="ledger child outside"):
+            assemble_refutation(cp, bad)
+
+
 def test_instance_cofactor_degree():
     for c in build_corpus(771, 10):
         cp, ledger = gadgetize(normalize_layered(c))
@@ -256,6 +275,32 @@ def test_assembled_certificates_on_small_corpus():
         assert cert.claimed_metrics == tuple(measure(cf) for cf in cert.cofactors)
 
 
+def test_layout_of_reparsed_shuffled_formulas_is_pinned():
+    # Gate lines out of post-order: each formula gate brings its subcircuit in id order.
+    rng = random.Random(4104)
+    h = hashlib.sha256()
+    for c in build_corpus(4104, 12):
+        cp, ledger = gadgetize(normalize_layered(c))
+        shuffled, shuffled_ledger = shuffled_topological(rng, cp, ledger)
+        text = format_circuit(shuffled)
+        assert text != format_circuit(cp)
+        cert = assemble_refutation(parse_circuit(text),
+                                   GadgetLedger.from_json(shuffled_ledger.to_json()))
+        h.update(certificate_to_json(cert).encode())
+    assert h.hexdigest() == SHUFFLED_FORMULAS_SHA256
+
+
+def test_layout_of_product_dags_is_pinned():
+    # Products whose gates share children: a shared subcircuit is copied per use.
+    rng = random.Random(4105)
+    h = hashlib.sha256()
+    for _ in range(10):
+        dag = random_product_dag(rng, rng.randint(6, 11))
+        assert not dag.is_formula
+        h.update(certificate_to_json(assemble_refutation(dag, GadgetLedger(()))).encode())
+    assert h.hexdigest() == PRODUCT_DAGS_SHA256
+
+
 def test_certificate_json_round_trip():
     cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
     cert = assemble_refutation(cp, ledger)
@@ -280,4 +325,29 @@ def test_certificate_from_json_names_a_missing_field(path):
     del holder[path[-1]]
     name = path[0] if len(path) == 1 else f"{path[0]}[{path[1]}].{path[2]}"
     with pytest.raises(ValueError, match=re.escape(f"missing field {name}")):
+        certificate_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value, name", [
+    (("axioms",), 5, "axioms"),
+    (("cofactors",), [5], "cofactors[0]"),
+    (("cofactors",), 5, "cofactors"),
+    (("shift",), None, "shift"),
+    (("shift",), "1/0", "shift"),
+    (("instance_sha256",), 5, "instance_sha256"),
+    (("axioms", 0, "circuit"), 7, "axioms[0].circuit"),
+    (("axioms", 1, "poly"), 7, "axioms[1].poly"),
+    (("axioms", 1, "label"), None, "axioms[1].label"),
+    (("metrics",), {}, "metrics"),
+    (("metrics", 0, "size"), "3", "metrics[0].size"),
+    (("metrics", 0, "depth"), True, "metrics[0].depth"),
+])
+def test_certificate_from_json_names_a_wrongly_typed_field(path, value, name):
+    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(f"field {name} is not")):
         certificate_from_json(json.dumps(doc))
