@@ -234,30 +234,38 @@ class CircuitBuilder:
                 done[-n:] = [new._push(Gate(gates[~i].op, args=done[-n:]))]
             elif i < start:
                 if i not in self._subcircuits:
-                    self._subcircuits[i] = _compact(gates[:i + 1], i)
+                    self._subcircuits[i] = _compact(gates, i)
                 done.append(new.inline(self._subcircuits[i]))
             else:
                 done.append(new._push(gates[i]))
         return new.build(done[0])
 
 
+def _postorder(gates: Sequence[Gate], root: int):
+    """Yield each gate root reaches once, after its arguments, in argument order:
+    the order in which a recursive walk completes them, without recursing."""
+    seen: set = set()
+    todo = [root]            # ~i yields gate i
+    while todo:
+        i = todo.pop()
+        if i < 0:
+            yield ~i
+        elif i not in seen:
+            seen.add(i)
+            todo += [~i, *reversed(gates[i].args)]
+
+
 def _compact(gates: Sequence[Gate], output: int) -> Circuit:
     """Drop gates unreachable from output, renumbering in stable id order."""
-    reach = [False] * len(gates)
-    reach[output] = True
-    for i in range(len(gates) - 1, -1, -1):
-        if reach[i]:
-            for a in gates[i].args:
-                reach[a] = True
     remap = {}
     kept = []
-    for i, g in enumerate(gates):
-        if reach[i]:
-            remap[i] = len(kept)
-            if g.is_leaf():
-                kept.append(g)
-            else:
-                kept.append(Gate(g.op, args=tuple(remap[a] for a in g.args)))
+    for i in sorted(_postorder(gates, output)):
+        g = gates[i]
+        remap[i] = len(kept)
+        if g.is_leaf():
+            kept.append(g)
+        else:
+            kept.append(Gate(g.op, args=tuple(remap[a] for a in g.args)))
     return Circuit(kept, remap[output])
 
 
@@ -422,30 +430,21 @@ def normalize_layered(c: Circuit) -> Circuit:
     computes the same polynomial.  A MUL root is wrapped under a fan-in-1
     ADD; a leaf root is left alone.  Formulas stay formulas.
     """
-    gates = list(c.gates)
     new = CircuitBuilder()
-    memo: dict = {}
-
-    def rec(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        g = gates[i]
-        if g.is_leaf():
-            nid = new._push(g)
-        else:
+    nid: dict = {}           # old gate id -> new gate id
+    for i in _postorder(c.gates, c.output):
+        g = c.gates[i]
+        if not g.is_leaf():
             children = []
             for a in g.args:
-                ca = rec(a)
-                cg = new.gate(ca)
+                cg = new.gate(nid[a])
                 if cg.op == g.op:
                     children.extend(cg.args)
                 else:
-                    children.append(ca)
-            nid = new._push(Gate(g.op, args=tuple(children)))
-        memo[i] = nid
-        return nid
-
-    root = rec(c.output)
+                    children.append(nid[a])
+            g = Gate(g.op, args=children)
+        nid[i] = new._push(g)
+    root = nid[c.output]
     if new.gate(root).op == MUL:
         root = new.add([root])
     return _compact(new._gates, root)
@@ -599,6 +598,8 @@ def parse_circuit(text: str) -> Circuit:
             kind = toks[0]
             if kind in (VAR, CONST) and len(toks) != 2:
                 raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
+            if kind in (ADD, MUL) and len(toks) == 1:
+                raise ValueError(f"{kind} gate {lhs} has no children")
             if kind == VAR:
                 g = Gate(VAR, var=parse_var(toks[1]))
             elif kind == CONST:

@@ -25,9 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
-from .circuit import ADD, Circuit, CircuitBuilder, MUL
+from .circuit import ADD, Circuit, CircuitBuilder, MUL, _postorder
 from .poly import SparsePoly, Var, parse_var
 
 
@@ -35,10 +36,7 @@ def t_for(n: int) -> int:
     """Smallest t with 2^t > n."""
     if n < 0:
         raise ValueError("arity parameter must be nonnegative")
-    t = 0
-    while (1 << t) <= n:
-        t += 1
-    return t
+    return n.bit_length()
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,30 @@ class LedgerEntry:
         return AddressingGadget.build(self.arity_param, address, self.vars)
 
 
+_KINDS = {str: "a string", int: "an integer", list: "a list"}
+
+
+def json_field(doc: str, obj, key: str, name: str = "", kind: type = list,
+               item: type | None = None):
+    """obj[key] from a `doc` JSON document, or a ValueError naming the field
+    (as `name` if given) when it is missing, not a JSON value of `kind`, or,
+    given an item kind, not a list of such values (element k is `name[k]`)."""
+    name = name or key
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{doc}: missing field {name}")
+    value = obj[key]
+    checks = [(name, value, kind)]
+    if item and isinstance(value, list):
+        checks += [(f"{name}[{k}]", v, item) for k, v in enumerate(value)]
+    for at, v, want in checks:
+        if not isinstance(v, want) or isinstance(v, bool):   # a JSON bool is no integer
+            raise ValueError(f"{doc}: field {at} is not {_KINDS[want]}")
+    return value
+
+
+_field = partial(json_field, "ledger document")
+
+
 class GadgetLedger:
     """All transformed addition gates of one circuit, keyed by new gate id."""
 
@@ -133,16 +155,10 @@ class GadgetLedger:
         self.by_gate = {e.gate: e for e in self.entries}
 
     def fresh_vars(self) -> tuple:
-        out = []
-        for e in self.entries:
-            out.extend(e.vars)
-        return tuple(out)
+        return tuple(v for e in self.entries for v in e.vars)
 
     def internal_gates(self) -> frozenset:
-        ids: set = set()
-        for e in self.entries:
-            ids |= e.internal
-        return frozenset(ids)
+        return frozenset().union(*(e.internal for e in self.entries))
 
     def __len__(self):
         return len(self.entries)
@@ -170,17 +186,21 @@ class GadgetLedger:
     @classmethod
     def from_json(cls, text: str) -> "GadgetLedger":
         doc = json.loads(text)
-        if doc.get("format") != "gadget-ledger/1":
+        if not isinstance(doc, dict) or doc.get("format") != "gadget-ledger/1":
             raise ValueError("not a gadget ledger document")
         entries = []
-        for e in doc["entries"]:
+        for k, e in enumerate(_field(doc, "entries", kind=list)):
+            at = f"entries[{k}]"
             entries.append(LedgerEntry(
-                gate=e["gate"],
-                source_gate=e["source_gate"],
-                t=e["t"],
-                vars=tuple(parse_var(n) for n in e["vars"]),
-                children=tuple(GadgetChild(**ch) for ch in e["children"]),
-                internal=frozenset(e["internal"]),
+                gate=_field(e, "gate", f"{at}.gate", int),
+                source_gate=_field(e, "source_gate", f"{at}.source_gate", int),
+                t=_field(e, "t", f"{at}.t", int),
+                vars=tuple(parse_var(n) for n in _field(e, "vars", f"{at}.vars", item=str)),
+                children=tuple(
+                    GadgetChild(*(_field(ch, key, f"{at}.children[{m}].{key}", int)
+                                  for key in ("address", "child", "summand")))
+                    for m, ch in enumerate(_field(e, "children", f"{at}.children", list))),
+                internal=frozenset(_field(e, "internal", f"{at}.internal", item=int)),
             ))
         return cls(entries)
 
@@ -210,36 +230,34 @@ def gadgetize(c: Circuit) -> tuple:
     _check_gadgetize_input(c)
     b = CircuitBuilder()
     entries = []
-
-    def rec(i: int) -> int:
+    new: dict = {}           # gate id -> id of its transformed gate
+    gadget_of: dict = {}     # child of an ADD gate -> the gadget of its summand
+    summand_of: dict = {}    # child of an ADD gate -> its GadgetChild
+    for i, g in enumerate(c.gates):
+        if g.op == ADD:
+            n = len(g.args) - 1
+            yvars = tuple(Var("y", i, bit) for bit in range(t_for(n) + 1))
+            gadget_of.update((a, AddressingGadget.build(n, j, yvars)) for j, a in enumerate(g.args))
+    for i in _postorder(c.gates, c.output):
         g = c.gates[i]
-        if g.is_leaf():
-            return b._push(g)
-        if g.op == MUL:
-            return b.mul([rec(a) for a in g.args])
-        r = len(g.args)
-        n = r - 1
-        t = t_for(n)
-        yvars = tuple(Var("y", i, bit) for bit in range(t + 1))
-        children = []
-        internal: set = set()
-        summands = []
-        for j, a in enumerate(g.args):
-            child = rec(a)
-            gadget = AddressingGadget.build(n, j, yvars)
-            before = len(b._gates)
-            factor_ids = gadget.factors(b)
-            internal.update(range(before, len(b._gates)))
-            summand = b.mul([child] + factor_ids)
-            summands.append(summand)
-            children.append(GadgetChild(address=j, child=child, summand=summand))
-        gate = b.add(summands)
-        entries.append(LedgerEntry(gate=gate, source_gate=i, t=t, vars=yvars,
-                                   children=tuple(children), internal=frozenset(internal)))
-        return gate
-
-    root = rec(c.output)
-    return b.build(root), GadgetLedger(entries)
+        if g.op == ADD:
+            children = tuple(summand_of.pop(a) for a in g.args)
+            new[i] = b.add([ch.summand for ch in children])
+            gadget = gadget_of[g.args[0]]
+            # Each summand's gadget factors lie between its child and its MUL.
+            internal = frozenset(k for ch in children for k in range(ch.child + 1, ch.summand))
+            entries.append(LedgerEntry(gate=new[i], source_gate=i, t=gadget.t, vars=gadget.vars,
+                                       children=children, internal=internal))
+        elif g.op == MUL:
+            new[i] = b.mul([new[a] for a in g.args])
+        else:
+            new[i] = b._push(g)
+        if i in gadget_of:
+            # The summand follows its child's subtree: gadget factors, then the MUL.
+            factor_ids = gadget_of[i].factors(b)
+            summand_of[i] = GadgetChild(address=gadget_of[i].j, child=new[i],
+                                        summand=b.mul([new[i]] + factor_ids))
+    return b.build(new[c.output]), GadgetLedger(entries)
 
 
 def retrieval_assignment(ledger: GadgetLedger) -> dict:

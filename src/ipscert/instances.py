@@ -170,11 +170,7 @@ def gadgeted_ry_circuit(n: int) -> tuple:
             terms = []
             for idx, r in enumerate(splits):
                 gd = AddressingGadget.build(len(splits) - 1, idx, avars)
-                fac = []
-                for bit in range(gd.t + 1):
-                    fac.append(b.var(avars[bit]) if bit in gd.one_bits
-                               else b.complement(avars[bit]))
-                terms.append(b.mul(fac + [gate(i, r), gate(r + 1, j)]))
+                terms.append(b.mul(gd.factors(b) + [gate(i, r), gate(r + 1, j)]))
             sum_gate = terms[0] if len(terms) == 1 else b.add(terms)
             branch_split = b.mul([b.var(w_top), sum_gate])
             node = b.add([branch_leaf, branch_split])

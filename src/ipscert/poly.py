@@ -28,10 +28,10 @@ over a common denominator and divided out once at the end.
 
 The public surface speaks tuple monomials: a tuple of (Var, exponent) pairs
 sorted by variable order with all exponents positive, the empty tuple being
-the constant monomial.  The `terms` view, the constructor, mono_from_pairs,
-mono_mul and mono_key use that form, and `terms`, `constant_term` and
-`evaluate` give Fraction values.  The decoded view is built once per
-polynomial, when first asked for.
+the constant monomial.  The `terms` view, the constructor, mono_from_pairs
+and mono_key use that form, and `terms`, `constant_term` and `evaluate`
+give Fraction values.  The decoded view is built once per polynomial, when
+first asked for.
 
 Variables live in fixed namespaces with a structured integer/string index,
 e.g. x1, u3, v_1_2_4, y_5_0, w_1_4_top.  The induced order (namespace,
@@ -191,11 +191,6 @@ def mono_from_pairs(pairs: Iterable[tuple]) -> Monomial:
             raise ValueError(f"negative exponent for {v}")
     items.sort(key=lambda ve: ve[0]._key)
     return tuple(items)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two canonical monomials."""
-    return mono_from_pairs(a + b)
 
 
 def mono_key(m: Monomial):

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .gadget import AddressingGadget
 from .instances import gadgeted_ry_circuit, uvar, valid_splits, wvar
 from .poly import SparsePoly, Var, mono_from_pairs, parse_var
 
@@ -196,9 +197,9 @@ def fullrank_witness(n: int, p: Partition) -> dict:
         idx, r = chosen
         assignment[wvar(i, j, "top")] = Fraction(1)
         ws = next(w for w in wsets if (w.i, w.j) == (i, j))
-        code = idx + (1 << (len(ws.address_vars) - 1))
-        for bit, v in enumerate(ws.address_vars):
-            assignment[v] = Fraction(code >> bit & 1)
+        gd = AddressingGadget.build(len(splits) - 1, idx, ws.address_vars)
+        for v, bit in gd.selected_point().items():
+            assignment[v] = Fraction(bit)
         rec(i, r)
         rec(r + 1, j)
 

@@ -33,6 +33,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 from .circuit import (
@@ -48,7 +49,7 @@ from .circuit import (
     measure,
     parse_circuit,
 )
-from .gadget import AddressingGadget, GadgetLedger
+from .gadget import AddressingGadget, GadgetLedger, json_field
 from .poly import boolean_axiom, format_poly, parse_frac, parse_poly
 
 BUILDER_TAG = "ipscert-refute/1"
@@ -328,19 +329,7 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_KINDS = {str: "a string", int: "an integer", list: "a list"}
-
-
-def _field(obj, key: str, name: str = "", kind: type | None = None):
-    """obj[key], or a ValueError naming the field (as `name` if given) when it
-    is missing or, with a kind, not a JSON value of that kind."""
-    name = name or key
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"certificate document: missing field {name}")
-    value = obj[key]
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ValueError(f"certificate document: field {name} is not {_KINDS[kind]}")
-    return value
+_field = partial(json_field, "certificate document")
 
 
 def _circuit(lines, name: str) -> Circuit:

@@ -179,7 +179,7 @@ def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     vars_seen: set = set()
     for (label, ax), cf in zip(axioms, cofactors):
-        vars_seen.update(ax.variables() if isinstance(ax, (Circuit, SparsePoly)) else ())
+        vars_seen.update(ax.variables())
         vars_seen.update(cf.variables())
     ordered = sorted(vars_seen, key=lambda v: v._key)
     pairs = [(_evaluator(ax), _evaluator(cf)) for (_, ax), cf in zip(axioms, cofactors)]

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_dag_circuit
+from helpers import random_dag_circuit, shuffled_topological
 
 from ipscert.circuit import (
     Circuit,
@@ -29,10 +30,15 @@ from ipscert.circuit import (
     poly_to_circuit,
     subcircuit,
 )
+from ipscert.gadget import GadgetLedger
 from ipscert.poly import SparsePoly, Var
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 Y1 = Var("y", 1)
+
+# SHA-256 of normalize_layered output as written while it recursed on the
+# Python stack: the walk must keep each gate's place in the layout.
+NORMALIZED_DAGS_SHA256 = "caf69bb6b10741c0ecb81daba5f82ed93c762092dbef2ffdd09cfe80e1516d1d"
 
 
 def test_measure_single_leaf():
@@ -151,6 +157,17 @@ def test_normalize_preserves_expansion_and_formula_flag():
                 assert n.gates[a].op != g.op or g.op in ("VAR", "CONST")
 
 
+def test_normalize_layout_of_dags_is_pinned():
+    # Shared gates come at their first completion; shuffled ids are not in post-order.
+    rng = random.Random(5106)
+    h = hashlib.sha256()
+    for _ in range(30):
+        dag = random_dag_circuit(rng, n_gates=rng.randint(8, 30))
+        for c in (dag, shuffled_topological(rng, dag, GadgetLedger(()))[0]):
+            h.update(format_circuit(normalize_layered(c)).encode())
+    assert h.hexdigest() == NORMALIZED_DAGS_SHA256
+
+
 def test_normalize_idempotent_on_layered_input():
     c = cadd(cmul(cvar(X1), cvar(X2)), cvar(X3))
     n1 = normalize_layered(c)
@@ -183,6 +200,7 @@ def test_parse_rejects_undefined_ids():
     ("g0 = VAR x1 x2\nOUTPUT g0\n", 1),
     ("g0 = VAR x1\ng1 = CONST 3 junk\ng2 = MUL g0 g1\nOUTPUT g2\n", 2),
     ("g0 = VAR x1\ng1 = VAR x2\ng2 = MUL g0 g1\nOUTPUT g2 g0\n", 4),
+    ("g0 = VAR x1\ng1 = ADD\nOUTPUT g1\n", 2),
 ])
 def test_parse_rejects_truncated_lines(text, lineno):
     with pytest.raises(ValueError, match=f"^line {lineno}: "):

@@ -7,9 +7,17 @@ import pytest
 
 from helpers import build_corpus, mutate_certificate
 
-from ipscert.circuit import cadd, cmul, cvar, format_circuit, normalize_layered, parse_circuit
+from ipscert.circuit import (
+    cadd,
+    cmul,
+    cvar,
+    format_circuit,
+    measure,
+    normalize_layered,
+    parse_circuit,
+)
 from ipscert.cli import main
-from ipscert.gadget import gadgetize
+from ipscert.gadget import GadgetLedger, gadgetize
 from ipscert.poly import Var
 from ipscert.refute import assemble_refutation, certificate_to_json
 
@@ -220,6 +228,36 @@ def test_refute_and_verify_a_3000_deep_chain(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--cert", str(cert), "--mode", "exact"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "verified-exact"
+
+
+def test_normalize_and_transform_a_3000_level_alternating_chain(tmp_path):
+    # MUL and ADD alternate 3,000 times, each with a fresh leaf: no flattening,
+    # and deeper than Python's recursion limit.  refute is not run: the
+    # certificate of such a chain grows with its depth.
+    lines = ["g0 = VAR x1"]
+    for k in range(1, 3001):
+        op = "MUL" if k % 2 else "ADD"
+        lines += [f"g{2 * k - 1} = VAR x{k % 3 + 1}", f"g{2 * k} = {op} g{2 * k - 2} g{2 * k - 1}"]
+    src, layered, cp, ledger = (tmp_path / n for n in ("c.circ", "n.circ", "cp.circ", "l.json"))
+    write(src, "\n".join(lines) + "\nOUTPUT g6000\n")
+    assert main(["normalize", "--input", str(src), "--out", str(layered)]) == 0
+    assert main(["transform", "--input", str(layered), "--out", str(cp),
+                 "--ledger", str(ledger)]) == 0
+    assert measure(parse_circuit(layered.read_text())).depth == 3000
+    assert len(GadgetLedger.from_json(ledger.read_text())) == 1500
+    parse_circuit(cp.read_text())
+
+
+def test_refute_with_a_malformed_ledger_exits_2(tmp_path, capsys):
+    src, ledger = tmp_path / "cp.circ", tmp_path / "l.json"
+    cp, good = gadgetize(cadd(cvar(X1), cvar(X2)))
+    write(src, format_circuit(cp))
+    doc = json.loads(good.to_json())
+    doc["entries"][0] = {}
+    write(ledger, json.dumps(doc))
+    assert main(["refute", "--input", str(src), "--ledger", str(ledger),
+                 "--out", str(tmp_path / "cert.json")]) == 2
+    assert "entries[0].gate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["instance", "funcref"])

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus
+from helpers import build_corpus, shuffled_topological
 
 from ipscert.circuit import (
     cadd,
@@ -14,6 +17,7 @@ from ipscert.circuit import (
     cvar,
     eval_circuit,
     expand,
+    format_circuit,
     measure,
     normalize_layered,
     partial_evaluate,
@@ -30,6 +34,11 @@ from ipscert.poly import SparsePoly, Var
 from ipscert.verify import boolean_image
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
+
+# SHA-256 of normalize_layered and gadgetize output (circuit text, then ledger
+# JSON) as written while both recursed on the Python stack.
+NORMALIZED_FORMULAS_SHA256 = "08670596ac8d0371348576cf179fdf1a1507420c6af809e18c3687600f960103"
+GADGETIZED_FORMULAS_SHA256 = "4f61ad9c32f40b7b5a3f0007b2ab75421377f0886314c7bd41a415a4ce3ad63a"
 
 
 def yvars(t):
@@ -201,3 +210,47 @@ def test_ledger_json_round_trip():
     assert ledger.to_json() == again.to_json()
     assert [e.gate for e in again.entries] == [e.gate for e in ledger.entries]
     assert again.fresh_vars() == ledger.fresh_vars()
+
+
+def test_layouts_of_shuffled_formulas_are_pinned():
+    # Nested sums and products of corpus formulas, gates renumbered out of
+    # post-order before each pass: gates and ledger ids must not move.
+    rng = random.Random(5105)
+    normalized, gadgetized = hashlib.sha256(), hashlib.sha256()
+    corpus = build_corpus(5105, 40, const_pool=(-1, 0, 1))
+    for k, (a, b) in enumerate(zip(corpus[::2], corpus[1::2])):
+        c = shuffled_topological(rng, (cadd if k % 2 else cmul)(a, b), GadgetLedger(()))[0]
+        layered = normalize_layered(c)
+        normalized.update(format_circuit(layered).encode())
+        cp, ledger = gadgetize(shuffled_topological(rng, layered, GadgetLedger(()))[0])
+        gadgetized.update((format_circuit(cp) + ledger.to_json()).encode())
+    assert normalized.hexdigest() == NORMALIZED_FORMULAS_SHA256
+    assert gadgetized.hexdigest() == GADGETIZED_FORMULAS_SHA256
+
+
+def _ledger_doc():
+    _, ledger = gadgetize(normalize_layered(cadd(cvar(X1), cmul(cvar(X2), cvar(X3)))))
+    return json.loads(ledger.to_json())
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("entries", 0), {}, "missing field entries[0].gate"),
+    (("entries", 0, "children", 0), {"address": 0}, "missing field entries[0].children[0].child"),
+    (("entries",), 5, "field entries is not a list"),
+    (("entries", 0, "vars"), [3], "field entries[0].vars[0] is not a string"),
+    (("entries", 0, "internal"), [True], "field entries[0].internal[0] is not an integer"),
+    (("entries", 0, "t"), "1", "field entries[0].t is not an integer"),
+])
+def test_ledger_from_json_names_a_bad_field(path, value, message):
+    doc = _ledger_doc()
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GadgetLedger.from_json(json.dumps(doc))
+
+
+def test_ledger_from_json_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ValueError, match="not a gadget ledger document"):
+        GadgetLedger.from_json(json.dumps([_ledger_doc()]))
