@@ -155,6 +155,7 @@ class CircuitBuilder:
         self._gates: list = list(gates)
         self._start = len(self._gates)
         self._subcircuits: dict = {}   # starting gate id -> subcircuit
+        self._shared: dict = {}        # structural key -> id of a shared gate
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -186,6 +187,29 @@ class CircuitBuilder:
             else:
                 self._gates.append(Gate(g.op, args=tuple(a + offset for a in g.args)))
         return c.output + offset
+
+    def share(self, c: Circuit) -> int:
+        """Copy c in, reusing every structurally equal gate shared before
+        (hash-consing); returns the id of c's output.
+
+        A leaf is keyed by its variable or its exact value (the numerator
+        and denominator in lowest terms), an ADD or MUL gate by its kind and
+        the shared ids of its arguments, in order.
+        """
+        shared, nid = self._shared, []
+        for g in c.gates:
+            op = g.op
+            if op == VAR:
+                key = (op, g.var)
+            elif op == CONST:
+                key = (op, g.const.numerator, g.const.denominator)
+            else:
+                key = (op, tuple([nid[a] for a in g.args]))
+            i = shared.get(key)
+            if i is None:
+                i = shared[key] = self._push(g if g.is_leaf() else Gate(op, args=key[1]))
+            nid.append(i)
+        return nid[c.output]
 
     def prod(self, ids: Iterable[int]) -> int:
         """Flat product folding literal 1s; a literal 0 collapses to CONST 0.
@@ -354,9 +378,9 @@ def compile_evaluator(c: Circuit):
     assigned value is an integer (the hot path of Boolean image scans), and
     otherwise a Fraction, with each non-int value taken through Fraction().
     With a prime the value lies in GF(prime): assigned values are reduced mod
-    prime and rational constants are transported by frac_mod, once per prime.
-    A variable missing from the assignment raises UnassignedVariableError in
-    both rings.
+    prime and rational constants are transported by frac_mod.  Each ring's
+    constant table is built on its first run.  A variable missing from the
+    assignment raises UnassignedVariableError in both rings.
     """
     leaves = []     # (gate id, variable) per VAR gate
     consts = []     # (gate id, rational) per CONST gate
@@ -369,25 +393,20 @@ def compile_evaluator(c: Circuit):
         else:
             internal.append((i, g.op == ADD, g.args))
 
-    def table(convert) -> list:
-        # The initial value table: constants in place, zeros elsewhere.
-        vals = [0] * len(c.gates)
-        for i, q in consts:
-            vals[i] = convert(q)
-        return vals
-
-    exact = table(lambda q: int(q) if q.denominator == 1 else q)
-    transported: dict = {}
+    tables: dict = {}   # prime (None: exact) -> constants in place, zeros elsewhere
     out = c.output
 
     def run(assignment: Mapping[Var, object], prime: int | None = None):
-        if prime is None:
-            vals = exact[:]
-        else:
-            start = transported.get(prime)
-            if start is None:
-                start = transported[prime] = table(lambda q: frac_mod(q, prime))
-            vals = start[:]
+        start = tables.get(prime)
+        if start is None:
+            start = [0] * len(c.gates)
+            for i, q in consts:
+                if prime is not None:
+                    start[i] = frac_mod(q, prime)
+                else:
+                    start[i] = int(q) if q.denominator == 1 else q
+            tables[prime] = start   # only once complete: frac_mod may raise
+        vals = start[:]
         for i, v in leaves:
             try:
                 x = assignment[v]
@@ -563,15 +582,21 @@ def format_circuit(c: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-based format; ids must be defined before use."""
-    id_map: dict = {}
+    """Parse the line-based format; ids must be defined before use.
+
+    A leaf is parsed once per distinct right-hand side: every line that
+    repeats it shares its gate.
+    """
+    id_map: dict = {}        # gate id token -> position
     gates: list = []
+    leaves: dict = {}        # right-hand side text -> VAR or CONST gate
     output = None
 
-    def gate_ref(tok: str) -> int:
-        if not tok.startswith("g") or tok[1:] not in id_map:
-            raise ValueError(f"reference to undefined gate {tok!r}")
-        return id_map[tok[1:]]
+    def refs(toks: list) -> tuple:
+        try:
+            return tuple([id_map[t] for t in toks])
+        except KeyError as exc:
+            raise ValueError(f"reference to undefined gate {exc.args[0]!r}") from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -584,31 +609,31 @@ def parse_circuit(text: str) -> Circuit:
                 toks = line.split()
                 if len(toks) != 2:
                     raise ValueError("OUTPUT line must name exactly one gate")
-                output = gate_ref(toks[1])
+                output = refs(toks[1:])[0]
                 continue
             lhs, rhs = line.split("=", 1)
             lhs = lhs.strip()
             if not lhs.startswith("g") or not lhs[1:].isdigit():
                 raise ValueError(f"bad gate id {lhs!r}")
-            if lhs[1:] in id_map:
+            if lhs in id_map:
                 raise ValueError(f"gate {lhs} defined twice")
-            toks = rhs.split()
-            if not toks:
-                raise ValueError(f"gate {lhs} has no kind")
-            kind = toks[0]
-            if kind in (VAR, CONST) and len(toks) != 2:
-                raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
-            if kind in (ADD, MUL) and len(toks) == 1:
-                raise ValueError(f"{kind} gate {lhs} has no children")
-            if kind == VAR:
-                g = Gate(VAR, var=parse_var(toks[1]))
-            elif kind == CONST:
-                g = Gate(CONST, const=parse_frac(toks[1]))
-            elif kind in (ADD, MUL):
-                g = Gate(kind, args=tuple(gate_ref(t) for t in toks[1:]))
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-            id_map[lhs[1:]] = len(gates)
+            g = leaves.get(rhs)
+            if g is None:
+                kind, *ops = rhs.split() or (None,)
+                if kind == ADD or kind == MUL:
+                    if not ops:
+                        raise ValueError(f"{kind} gate {lhs} has no children")
+                    g = Gate(kind, args=refs(ops))
+                elif kind == VAR or kind == CONST:
+                    if len(ops) != 1:
+                        raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
+                    g = leaves[rhs] = (Gate(VAR, var=parse_var(ops[0])) if kind == VAR
+                                       else Gate(CONST, const=parse_frac(ops[0])))
+                elif kind is None:
+                    raise ValueError(f"gate {lhs} has no kind")
+                else:
+                    raise ValueError(f"unknown gate kind {kind!r}")
+            id_map[lhs] = len(gates)
             gates.append(g)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None

@@ -127,10 +127,15 @@ _KINDS = {str: "a string", int: "an integer", list: "a list"}
 
 
 def json_field(doc: str, obj, key: str, name: str = "", kind: type = list,
-               item: type | None = None):
+               item: type | None = None, parse=None):
     """obj[key] from a `doc` JSON document, or a ValueError naming the field
     (as `name` if given) when it is missing, not a JSON value of `kind`, or,
-    given an item kind, not a list of such values (element k is `name[k]`)."""
+    given an item kind, not a list of such values (element k is `name[k]`).
+
+    With parse, the value is parse(obj[key]), or given an item kind the list
+    of parse(element); a ValueError from parse is raised again naming the
+    field or element.
+    """
     name = name or key
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{doc}: missing field {name}")
@@ -141,7 +146,15 @@ def json_field(doc: str, obj, key: str, name: str = "", kind: type = list,
     for at, v, want in checks:
         if not isinstance(v, want) or isinstance(v, bool):   # a JSON bool is no integer
             raise ValueError(f"{doc}: field {at} is not {_KINDS[want]}")
-    return value
+    if parse is None:
+        return value
+    out = []
+    for at, v, _ in checks[1:] if item else checks:
+        try:
+            out.append(parse(v))
+        except ValueError as exc:
+            raise ValueError(f"{doc}: field {at}: {exc}") from None
+    return out if item else out[0]
 
 
 _field = partial(json_field, "ledger document")
@@ -195,7 +208,7 @@ class GadgetLedger:
                 gate=_field(e, "gate", f"{at}.gate", int),
                 source_gate=_field(e, "source_gate", f"{at}.source_gate", int),
                 t=_field(e, "t", f"{at}.t", int),
-                vars=tuple(parse_var(n) for n in _field(e, "vars", f"{at}.vars", item=str)),
+                vars=tuple(_field(e, "vars", f"{at}.vars", item=str, parse=parse_var)),
                 children=tuple(
                     GadgetChild(*(_field(ch, key, f"{at}.children[{m}].{key}", int)
                                   for key in ("address", "child", "summand")))

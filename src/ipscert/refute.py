@@ -332,10 +332,10 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
 _field = partial(json_field, "certificate document")
 
 
-def _circuit(lines, name: str) -> Circuit:
-    """The circuit whose text lines a field holds, or a ValueError naming it."""
-    if not isinstance(lines, list) or not all(isinstance(s, str) for s in lines):
-        raise ValueError(f"certificate document: field {name} is not a list of strings")
+def _circuit(lines: list) -> Circuit:
+    """The circuit whose text lines a JSON list holds."""
+    if not all(isinstance(s, str) for s in lines):
+        raise ValueError("not a list of strings")
     return parse_circuit("\n".join(lines))
 
 
@@ -347,11 +347,12 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
     for k, ax in enumerate(_field(doc, "axioms", kind=list)):
         label = _field(ax, "label", f"axioms[{k}].label", str)
         if "circuit" in ax:
-            axioms.append((label, _circuit(ax["circuit"], f"axioms[{k}].circuit")))
+            axioms.append((label, _field(ax, "circuit", f"axioms[{k}].circuit", list,
+                                         parse=_circuit)))
         else:
-            axioms.append((label, parse_poly(_field(ax, "poly", f"axioms[{k}].poly", str))))
-    cofactors = tuple(_circuit(lines, f"cofactors[{k}]")
-                      for k, lines in enumerate(_field(doc, "cofactors", kind=list)))
+            axioms.append((label, _field(ax, "poly", f"axioms[{k}].poly", str,
+                                         parse=parse_poly)))
+    cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=_circuit))
     metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size", int),
                             depth=_field(m, "depth", f"metrics[{k}].depth", int))
                     for k, m in enumerate(_field(doc, "metrics", kind=list)))

@@ -9,9 +9,12 @@ is linear in every placeholder.
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
 happens with probability at most total-degree/prime per trial; a genuinely
-valid certificate is never rejected.  Trial points are derived from
-(seed, trial index), so parallel and serial runs agree and identical
-configurations produce identical reports.
+valid certificate is never rejected.  The identity is one circuit,
+ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...), over a single
+gate table into which every axiom and cofactor is hash-consed, so a gate
+shared by many cofactors is evaluated once per trial.  Trial points are
+derived from (seed, trial index), so identical configurations produce
+identical reports.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, compile_evaluator, expand
+from .circuit import Circuit, CircuitBuilder, compile_evaluator, expand, poly_to_circuit
 from .poly import SparsePoly, _Accumulator
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
@@ -164,38 +167,34 @@ def verify_exact(axioms: Sequence, cofactors: Sequence) -> VerifyReport:
         work={"expansions": expansions})
 
 
-def _evaluator(x):
-    """run(assignment, prime) for an axiom or cofactor circuit or polynomial."""
-    return compile_evaluator(x) if isinstance(x, Circuit) else x.evaluate_mod
-
-
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"pit:{seed}:{trial}")
 
 
 def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig()) -> VerifyReport:
-    """Probabilistic identity check at cfg.trials seeded points mod cfg.prime."""
+    """Probabilistic identity check at cfg.trials seeded points mod cfg.prime.
+
+    The identity circuit is compiled once and run once per trial; work still
+    counts two evaluations (axiom and cofactor) per pair and trial.
+    """
     if len(axioms) != len(cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
-    vars_seen: set = set()
-    for (label, ax), cf in zip(axioms, cofactors):
-        vars_seen.update(ax.variables())
-        vars_seen.update(cf.variables())
-    ordered = sorted(vars_seen, key=lambda v: v._key)
-    pairs = [(_evaluator(ax), _evaluator(cf)) for (_, ax), cf in zip(axioms, cofactors)]
+    b = CircuitBuilder()
+    ids = [b.share(x if isinstance(x, Circuit) else poly_to_circuit(x))
+           for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
+    products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
+    identity = b.build(b.add(products) if products else b.const(0))
+    run = compile_evaluator(identity)
+    ordered = identity.variables()
     evaluations = 0
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         point = {v: rng.randrange(cfg.prime) for v in ordered}
-        total = 0
         try:
-            for ax_run, cf_run in pairs:
-                av = ax_run(point, cfg.prime)
-                cv = cf_run(point, cfg.prime)
-                evaluations += 2
-                total = (total + av * cv) % cfg.prime
+            total = run(point, cfg.prime)
         except ZeroDivisionError as exc:
             return VerifyReport("error", detail=str(exc))
+        evaluations += len(ids)
         if total != 1 % cfg.prime:
             return VerifyReport(
                 "refuted",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_dag_circuit, shuffled_topological
 
@@ -11,6 +13,7 @@ from ipscert.circuit import (
     CircuitBuilder,
     Gate,
     Metrics,
+    _compact,
     cadd,
     cconst,
     circuit_sha256,
@@ -280,6 +283,50 @@ def test_syntactic_multilinearity():
     assert not is_syntactically_multilinear(cmul(cvar(X1), cvar(X1)))
 
 
+def test_share_gives_equal_subtrees_across_circuits_one_id():
+    b = CircuitBuilder()
+    s = cadd(cvar(X1), cvar(X2))
+    top = b.share(cmul(s, cvar(X3)))
+    size = len(b._gates)
+    assert b.share(s) == b.gate(top).args[0]
+    assert b.share(cmul(s, cvar(X3))) == top
+    assert b.share(cadd(cmul(s, cvar(X3)), cvar(X1))) == len(b._gates) - 1 == size
+    twice = b.share(cadd(cmul(cvar(X1), cvar(X2)), cmul(cvar(X1), cvar(X2))))
+    m = b.gate(twice).args[0]
+    assert b.gate(twice).args == (m, m)
+
+
+def test_share_never_merges_different_leaves_or_gates():
+    b = CircuitBuilder()
+    leaves = [cvar(X1), cvar(X2), cvar(Y1), cvar(Var("x", 1, 2)), cconst(1), cconst(-1),
+              cconst(2), cconst(Fraction(1, 2)), cconst(0)]
+    leaf_ids = [b.share(c) for c in leaves]
+    assert len(set(leaf_ids)) == len(leaves)
+    gates = [cadd(cvar(X1), cvar(X2)), cadd(cvar(X2), cvar(X1)), cmul(cvar(X1), cvar(X2)),
+             cadd(cvar(X1), cvar(X2), cvar(X1)), cadd(cvar(X1), cconst(1))]
+    gate_ids = [b.share(c) for c in gates]
+    assert len(set(gate_ids)) == len(gates)
+    for i, c in zip(leaf_ids + gate_ids, leaves + gates):
+        assert expand(_compact(b._gates, i)) == expand(c)
+
+
+def test_share_keys_constants_by_exact_value():
+    b = CircuitBuilder()
+    half = b.share(parse_circuit("g0 = CONST 2/4\nOUTPUT g0\n"))
+    assert b.share(cconst(Fraction(1, 2))) == half
+    assert b.share(cconst(Fraction(-1, 2))) != half
+
+
+def test_shared_copies_compute_the_same_polynomials():
+    rng = random.Random(83)
+    b = CircuitBuilder()
+    circuits = [random_dag_circuit(rng, n_gates=rng.randint(5, 25)) for _ in range(40)]
+    ids = [b.share(c) for c in circuits]
+    assert len(b._gates) < sum(len(c) for c in circuits)
+    for c, i in zip(circuits, ids):
+        assert expand(_compact(b._gates, i)) == expand(c)
+
+
 def test_poly_to_circuit_round_trip():
     rng = random.Random(37)
     from helpers import random_poly
@@ -287,3 +334,51 @@ def test_poly_to_circuit_round_trip():
     for _ in range(15):
         p = random_poly(rng, [X1, X2, Y1])
         assert expand(poly_to_circuit(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# Parse/format round trip of circuit text with many repeated leaf operands.
+
+ROUND_TRIP = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+LEAF_TEXTS = ([f"VAR {v.name}" for v in (X1, X2, Y1, Var("x", 1, 2), Var("y", 3, 0))]
+              + [f"CONST {q}" for q in ("0/1", "1/1", "-1/1", "1/2", "-7/3", "12345678901/2")])
+BAD_LEAVES = {"VAR": ("q7", "x", "x01", "y_3_"), "CONST": ("1/0", "x1", "1//2", "--1")}
+
+
+@st.composite
+def circuit_texts(draw):
+    """Canonical circuit text: leaves drawn from a small pool, so most repeat."""
+    lines, used = [], set()
+    for i in range(draw(st.integers(1, 30))):
+        if i == 0 or draw(st.booleans()):
+            lines.append(f"g{i} = {draw(st.sampled_from(LEAF_TEXTS))}")
+        else:
+            args = draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=4))
+            used.update(args)
+            kind = draw(st.sampled_from(["ADD", "MUL"]))
+            lines.append(f"g{i} = {kind} " + " ".join(f"g{a}" for a in args))
+    roots = [i for i in range(len(lines)) if i not in used]
+    if len(roots) > 1:
+        lines.append(f"g{len(lines)} = ADD " + " ".join(f"g{a}" for a in roots))
+    lines.append(f"OUTPUT g{len(lines) - 1 if len(roots) > 1 else roots[0]}")
+    return "\n".join(lines) + "\n"
+
+
+@ROUND_TRIP
+@given(circuit_texts())
+def test_format_parse_round_trip_with_repeated_leaves(text):
+    assert format_circuit(parse_circuit(text)) == text
+
+
+@ROUND_TRIP
+@given(circuit_texts(), st.sampled_from(sorted(BAD_LEAVES)), st.data())
+def test_malformed_leaf_after_a_well_formed_one_names_its_line(text, kind, data):
+    lines = text.splitlines()
+    if not any(line.split()[2] == kind for line in lines[:-1]):
+        lines.insert(0, f"g900 = {kind} {'x1' if kind == 'VAR' else '1/2'}")
+    first = next(k for k, line in enumerate(lines) if line.split()[2] == kind)
+    at = data.draw(st.integers(first + 1, len(lines) - 1))
+    bad = data.draw(st.sampled_from(BAD_LEAVES[kind]))
+    lines.insert(at, f"g901 = {kind} {bad}")
+    with pytest.raises(ValueError, match=f"^line {at + 1}: "):
+        parse_circuit("\n".join(lines) + "\n")

@@ -215,6 +215,16 @@ def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
     assert "cofactors[0]" in capsys.readouterr().err
 
 
+def test_verify_unparsable_cofactor_exits_2_naming_it(tmp_path, capsys):
+    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    doc["cofactors"][1] = ["g0 = ADD", "OUTPUT g0"]
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    assert main(["verify", "--cert", str(path), "--mode", "pit"]) == 2
+    assert "field cofactors[1]: line 1: ADD gate g0 has no children" in capsys.readouterr().err
+
+
 def test_refute_and_verify_a_3000_deep_chain(tmp_path, capsys):
     # g = MUL(g, CONST 1), 3,000 times over x1: deeper than Python's recursion limit.
     lines = ["g0 = VAR x1"]

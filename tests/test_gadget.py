@@ -240,6 +240,8 @@ def _ledger_doc():
     (("entries", 0, "vars"), [3], "field entries[0].vars[0] is not a string"),
     (("entries", 0, "internal"), [True], "field entries[0].internal[0] is not an integer"),
     (("entries", 0, "t"), "1", "field entries[0].t is not an integer"),
+    (("entries", 0, "vars"), ["y_2_0", "q7"],
+     "field entries[0].vars[1]: cannot parse variable name 'q7'"),
 ])
 def test_ledger_from_json_names_a_bad_field(path, value, message):
     doc = _ledger_doc()

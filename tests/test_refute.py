@@ -328,6 +328,28 @@ def test_certificate_from_json_names_a_missing_field(path):
         certificate_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("cofactors", 1), ["g0 = ADD", "OUTPUT g0"],
+     "field cofactors[1]: line 1: ADD gate g0 has no children"),
+    (("cofactors", 0), ["g0 = VAR x1", "g1 = VAR x2", "OUTPUT g1"],
+     "field cofactors[0]: gates unreachable from output: [0]"),
+    (("cofactors", 2), [5], "field cofactors[2]: not a list of strings"),
+    (("axioms", 0, "circuit"), ["g0 = CONST 1/0", "OUTPUT g0"],
+     "field axioms[0].circuit: line 1: zero denominator in '1/0'"),
+    (("axioms", 1, "poly"), "x1 +* 2", "field axioms[1].poly: Invalid literal for Fraction"),
+    (("axioms", 2, "poly"), "1/1 * q7", "field axioms[2].poly: cannot parse variable name 'q7'"),
+])
+def test_certificate_from_json_names_a_field_whose_text_does_not_parse(path, value, message):
+    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(f"certificate document: {message}")):
+        certificate_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("path, value, name", [
     (("axioms",), 5, "axioms"),
     (("cofactors",), [5], "cofactors[0]"),

@@ -7,11 +7,13 @@ import pytest
 from helpers import build_corpus, mutate_certificate
 
 from ipscert.circuit import (
+    Circuit,
     cadd,
     cconst,
     cmul,
     cscale,
     cvar,
+    compile_evaluator,
     eval_circuit,
     expand,
     normalize_layered,
@@ -22,6 +24,7 @@ from ipscert.refute import assemble_refutation
 from ipscert.verify import (
     DEFAULT_PIT_PRIME,
     PitConfig,
+    VerifyReport,
     boolean_image,
     boolean_image_poly,
     is_probable_prime,
@@ -129,6 +132,74 @@ def test_pit_denominator_divisible_by_prime():
     report = verify_pit(axioms, cofactors, PitConfig(prime=3, trials=1))
     assert report.verdict == "error"
     assert "denominator" in report.detail and "3" in report.detail
+
+
+def reference_pit(axioms, cofactors, cfg):
+    """verify_pit pair by pair: each axiom and cofactor compiled on its own
+    and evaluated separately at every trial (the per-copy algorithm)."""
+    if len(axioms) != len(cofactors):
+        return VerifyReport("error", detail="axiom/cofactor list length mismatch")
+    vars_seen: set = set()
+    for (_, ax), cf in zip(axioms, cofactors):
+        vars_seen.update(ax.variables())
+        vars_seen.update(cf.variables())
+    ordered = sorted(vars_seen, key=lambda v: v._key)
+    runs = [compile_evaluator(x) if isinstance(x, Circuit) else x.evaluate_mod
+            for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
+    evaluations = 0
+    for trial in range(cfg.trials):
+        rng = random.Random(f"pit:{cfg.seed}:{trial}")
+        point = {v: rng.randrange(cfg.prime) for v in ordered}
+        total = 0
+        try:
+            for ax_run, cf_run in zip(runs[::2], runs[1::2]):
+                av = ax_run(point, cfg.prime)
+                cv = cf_run(point, cfg.prime)
+                evaluations += 2
+                total = (total + av * cv) % cfg.prime
+        except ZeroDivisionError as exc:
+            return VerifyReport("error", detail=str(exc))
+        if total != 1 % cfg.prime:
+            return VerifyReport(
+                "refuted", detail=f"identity failed at trial {trial} mod {cfg.prime}",
+                witness=dict(point), work={"evaluations": evaluations, "trials": trial + 1})
+    return VerifyReport(
+        "verified-probabilistic", detail=f"{cfg.trials} trials mod {cfg.prime}",
+        work={"evaluations": evaluations, "trials": cfg.trials})
+
+
+def assert_pit_matches_reference(axioms, cofactors, cfg):
+    report = verify_pit(axioms, cofactors, cfg)
+    assert report.to_jsonable() == reference_pit(axioms, cofactors, cfg).to_jsonable()
+    return report
+
+
+def test_pit_matches_the_per_pair_reference_on_corpus_certificates(transformed01):
+    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    assert len(certs) == 20
+    for k, cert in enumerate(certs):
+        report = assert_pit_matches_reference(cert.axioms, cert.cofactors,
+                                              PitConfig(trials=5, seed=k))
+        assert report.verdict == "verified-probabilistic"
+    rng = random.Random(17)
+    verdicts = set()
+    for i in range(30):
+        mutated = mutate_certificate(rng, certs[i % len(certs)], seed=i)
+        for cfg in (PitConfig(trials=20, seed=i), PitConfig(prime=101, trials=20, seed=i)):
+            verdicts.add(assert_pit_matches_reference(mutated.axioms, mutated.cofactors,
+                                                      cfg).verdict)
+    assert "refuted" in verdicts
+
+
+@pytest.mark.parametrize("axioms, cofactors, prime", [
+    ((("f", SparsePoly.constant(Fraction(1, 3))),), (cconst(3),), 3),
+    ((("f", cconst(1)), ("g", cconst(Fraction(1, 5)))), (cconst(Fraction(1, 7)), cconst(2)), 7),
+    ((("f", cconst(1)),), (cconst(2),), 11),
+    ((), (), 11),
+    ((("f", cconst(1)),), (), 11),
+])
+def test_pit_matches_the_per_pair_reference_on_edge_cases(axioms, cofactors, prime):
+    assert_pit_matches_reference(axioms, cofactors, PitConfig(prime=prime, trials=3))
 
 
 def test_verify_invariant_under_restructuring():
