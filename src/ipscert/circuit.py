@@ -564,6 +564,11 @@ def poly_to_circuit(p: SparsePoly) -> Circuit:
     return b.formula(b.sum(terms))
 
 
+def as_circuit(x) -> Circuit:
+    """x if it is a circuit, otherwise the circuit of polynomial x."""
+    return x if isinstance(x, Circuit) else poly_to_circuit(x)
+
+
 # ---------------------------------------------------------------------------
 # Circuit file format.
 

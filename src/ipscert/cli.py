@@ -127,15 +127,11 @@ def _bundle(args) -> ins.InstanceBundle:
     return ins.FAMILIES[args.family](args.n, beta)
 
 
-def _as_circuit(x) -> ci.Circuit:
-    return x if isinstance(x, ci.Circuit) else ci.poly_to_circuit(x)
-
-
 def cmd_instance(args) -> int:
     if args.family in ins.FAMILIES:
         bundle = _bundle(args)
-        _write(args.out + ".instance.circ", ci.format_circuit(_as_circuit(bundle.instance)))
-        _write(args.out + ".refutation.circ", ci.format_circuit(_as_circuit(bundle.refutation)))
+        _write(args.out + ".instance.circ", ci.format_circuit(ci.as_circuit(bundle.instance)))
+        _write(args.out + ".refutation.circ", ci.format_circuit(ci.as_circuit(bundle.refutation)))
         sidecar = {"generator": bundle.name, "params": bundle.params,
                    "provenance": bundle.provenance}
     elif args.family == "ry":

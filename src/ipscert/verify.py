@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, CircuitBuilder, compile_evaluator, expand, poly_to_circuit
+from .circuit import Circuit, CircuitBuilder, as_circuit, compile_evaluator, expand
 from .poly import SparsePoly, _Accumulator
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
@@ -180,8 +180,7 @@ def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig
     if len(axioms) != len(cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     b = CircuitBuilder()
-    ids = [b.share(x if isinstance(x, Circuit) else poly_to_circuit(x))
-           for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
+    ids = [b.share(as_circuit(x)) for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
     products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
     identity = b.build(b.add(products) if products else b.const(0))
     run = compile_evaluator(identity)

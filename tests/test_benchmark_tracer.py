@@ -48,6 +48,7 @@ def test_tracer_wraps_every_target_where_it_is_bound_and_restores_it():
             for key in bound:
                 assert during[key] is not fn, f"{'.'.join(key)} was not wrapped"
 
+        # Imported after install(), so verify_pit is the traced binding.
         from ipscert.refute import assemble_refutation
         from ipscert.circuit import cvar
         from ipscert.gadget import GadgetLedger
