@@ -75,6 +75,26 @@ class WVarSet:
     address_vars: tuple
 
 
+def interval_wvarsets(n: int) -> tuple:
+    """The control variables of gadgeted_ry_circuit(n), one WVarSet per interval.
+
+    Every even-length interval of [1, 2n] is reached by the recursion, so
+    this lists them directly, by length and then left end, without building
+    the circuit.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    wsets = []
+    for length in range(2, 2 * n + 1, 2):
+        for i in range(1, 2 * n - length + 2):
+            j = i + length - 1
+            splits = valid_splits(i, j)
+            bits = range(t_for(len(splits) - 1) + 1) if splits else ()
+            wsets.append(WVarSet(i=i, j=j, w_top=wvar(i, j, "top"), w_leaf=wvar(i, j, "leaf"),
+                                 address_vars=tuple(wvar(i, j, bit) for bit in bits)))
+    return tuple(wsets)
+
+
 @dataclass
 class InstanceBundle:
     """An unsatisfiable instance paired with its functional refutation."""
@@ -134,11 +154,10 @@ def ry_circuit(n: int) -> Circuit:
 
 def gadgeted_ry_circuit(n: int) -> tuple:
     """The Boolean-valued gadgeted variant; returns (circuit, interval vars)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    wsets = interval_wvarsets(n)
+    by_interval = {(ws.i, ws.j): ws for ws in wsets}
     b = CircuitBuilder()
     leaves: dict = {}
-    wsets: list = []
 
     def leaf(v: Var) -> int:
         if v not in leaves:
@@ -153,8 +172,8 @@ def gadgeted_ry_circuit(n: int) -> tuple:
         key = (i, j)
         if key in memo:
             return memo[key]
-        w_top = wvar(i, j, "top")
-        w_leaf = wvar(i, j, "leaf")
+        ws = by_interval[key]
+        w_top, w_leaf = ws.w_top, ws.w_leaf
         # (1 - w_leaf) + w_leaf * u_i * u_j
         leaf_factor = b.add([b.complement(w_leaf),
                              b.mul([b.var(w_leaf), leaf(uvar(i)), leaf(uvar(j))])])
@@ -165,25 +184,19 @@ def gadgeted_ry_circuit(n: int) -> tuple:
         branch_leaf = b.mul(factors)
         splits = valid_splits(i, j)
         if splits:
-            t = t_for(len(splits) - 1)
-            avars = tuple(wvar(i, j, bit) for bit in range(t + 1))
             terms = []
             for idx, r in enumerate(splits):
-                gd = AddressingGadget.build(len(splits) - 1, idx, avars)
+                gd = AddressingGadget.build(len(splits) - 1, idx, ws.address_vars)
                 terms.append(b.mul(gd.factors(b) + [gate(i, r), gate(r + 1, j)]))
             sum_gate = terms[0] if len(terms) == 1 else b.add(terms)
             branch_split = b.mul([b.var(w_top), sum_gate])
             node = b.add([branch_leaf, branch_split])
         else:
-            avars = ()
             node = branch_leaf
-        wsets.append(WVarSet(i=i, j=j, w_top=w_top, w_leaf=w_leaf, address_vars=avars))
         memo[key] = node
         return node
 
-    root = gate(1, 2 * n)
-    wsets.sort(key=lambda ws: (ws.j - ws.i, ws.i))
-    return b.build(root), tuple(wsets)
+    return b.build(gate(1, 2 * n)), wsets
 
 
 def mnc_instance(n: int) -> InstanceBundle:

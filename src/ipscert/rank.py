@@ -4,8 +4,9 @@ For a multilinear polynomial f over 2n variables split into two sides of
 size n, the partition matrix has rows indexed by multilinear monomials in
 the row side and columns by monomials in the column side; its (m_y, m_z)
 entry is the coefficient of m_y * m_z in f.  Rank is computed exactly over
-the rationals by clearing denominators row by row and running
-fraction-free (Bareiss) elimination over integers.
+the rationals by sparse fraction-free row echelon: each row keeps only its
+nonzero entries, with denominators cleared row by row, and is reduced over
+the integers against a basis keyed by leading column.
 
 fullrank_witness reproduces the recursive control assignment that makes
 the gadgeted interval polynomial full rank for any balanced partition:
@@ -23,11 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .gadget import AddressingGadget
-from .instances import gadgeted_ry_circuit, uvar, valid_splits, wvar
+from .instances import interval_wvarsets, uvar, valid_splits, wvar
 from .poly import SparsePoly, Var, mono_from_pairs, parse_var
 
 
@@ -100,44 +101,57 @@ def rank_matrix(f: SparsePoly, p: Partition) -> RankMatrix:
                       entries=entries)
 
 
-def exact_rank(m) -> int:
-    """Exact rank over the rationals by fraction-free elimination.
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {c: v // g for c, v in row.items()}
 
-    Accepts a RankMatrix or a plain list of rows of rationals.  Rows are
-    scaled to integers (rank-preserving), then eliminated Bareiss-style so
-    every intermediate value stays an exact integer.
+
+def _integer_row(row) -> dict:
+    """The nonzero entries of a row of rationals as {column: int}, scaled to
+    a primitive integer vector (rank-preserving)."""
+    nz = {c: Fraction(x) for c, x in enumerate(row) if x}
+    den = lcm(*(q.denominator for q in nz.values()))
+    return _primitive({c: q.numerator * (den // q.denominator) for c, q in nz.items()})
+
+
+def _echelon(rows) -> dict:
+    """A row echelon basis of the rows' span, as {leading column: row}.
+
+    Each row is reduced against the basis row with its leading column,
+    r <- b_lead*r - r_lead*b, and made primitive, until its leading column
+    is free (it joins the basis) or it vanishes (it was dependent).
     """
-    rows = m.entries if isinstance(m, RankMatrix) else m
-    a = []
+    basis: dict = {}
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in fr)) if fr else 1
-        a.append([int(x * scale) for x in fr])
-    if not a or not a[0]:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                num = a[r][c] * a[row][col] - a[r][col] * a[row][c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                a[r][c] = q
-            a[r][col] = 0
-        prev = a[row][col]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+        r = _integer_row(row)
+        while r:
+            lead = min(r)
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = r
+                break
+            bl, rl = b[lead], r[lead]
+            out = {c: v * bl for c, v in r.items()}
+            for c, v in b.items():
+                w = out.get(c, 0) - rl * v
+                if w:
+                    out[c] = w
+                else:
+                    out.pop(c, None)
+            r = _primitive(out)
+    return basis
+
+
+def exact_rank(m) -> int:
+    """Exact rank over the rationals by sparse fraction-free row echelon.
+
+    Accepts a RankMatrix or a plain list of rows of rationals.  Only nonzero
+    entries are stored and converted, every intermediate value is an exact
+    integer, and a row is reduced only at pivot columns where it is nonzero;
+    the rank is the number of rows in the echelon basis.
+    """
+    return len(_echelon(m.entries if isinstance(m, RankMatrix) else m))
 
 
 def balanced_partitions(uvars: Sequence[Var]):
@@ -163,9 +177,9 @@ def fullrank_witness(n: int, p: Partition) -> dict:
     expected = tuple(sorted((uvar(k) for k in range(1, 2 * n + 1))))
     if tuple(sorted(p.y_side + p.z_side)) != expected:
         raise ValueError(f"partition must cover exactly u1..u{2 * n}")
-    _, wsets = gadgeted_ry_circuit(n)
+    wsets = {(ws.i, ws.j): ws for ws in interval_wvarsets(n)}
     assignment = {}
-    for ws in wsets:
+    for ws in wsets.values():
         assignment[ws.w_top] = Fraction(0)
         assignment[ws.w_leaf] = Fraction(0)
         for v in ws.address_vars:
@@ -196,8 +210,7 @@ def fullrank_witness(n: int, p: Partition) -> dict:
                 "this contradicts the full-rank recursion")
         idx, r = chosen
         assignment[wvar(i, j, "top")] = Fraction(1)
-        ws = next(w for w in wsets if (w.i, w.j) == (i, j))
-        gd = AddressingGadget.build(len(splits) - 1, idx, ws.address_vars)
+        gd = AddressingGadget.build(len(splits) - 1, idx, wsets[i, j].address_vars)
         for v, bit in gd.selected_point().items():
             assignment[v] = Fraction(bit)
         rec(i, r)

@@ -18,7 +18,9 @@ identical reports.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
-otherwise.
+otherwise.  The exhaustive image is a zeta transform of the multilinear
+coefficients: the value at the point with support S is the sum of the
+coefficients of the monomials inside S.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .circuit import Circuit, CircuitBuilder, as_circuit, compile_evaluator, expand
-from .poly import SparsePoly, _Accumulator
+from .poly import TERM_GUARD, SparsePoly, _Accumulator
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
@@ -228,20 +232,39 @@ class ImageReport:
 
 
 def boolean_image_poly(p: SparsePoly) -> frozenset:
-    """Exact value set of a polynomial over all Boolean assignments."""
+    """Exact value set of a polynomial over all Boolean assignments.
+
+    With the k variables of the multilinear reduction as bits, the value
+    at the point with support S is a[S] = sum of c_T over T inside S.  The
+    coefficients are scaled to integers over one common denominator, and
+    the zeta transform fills all 2^k sums in place, one pass per variable:
+    each pass adds the half of every block with the variable at 0 into the
+    half with it at 1.  Raises ValueError if 2^k exceeds TERM_GUARD.
+    """
     reduced = p.multilinear_reduce()
-    values: set = set()
-
-    def split(q: SparsePoly, vs: tuple):
-        if not vs:
-            values.add(q.constant_term())
-            return
-        v, rest = vs[0], vs[1:]
-        split(q.restrict(v, 0), rest)
-        split(q.restrict(v, 1), rest)
-
-    split(reduced, reduced.variables())
-    return frozenset(values)
+    vars_ = reduced.variables()
+    size = 1 << len(vars_)
+    if size > TERM_GUARD:
+        raise ValueError(f"exhaustive Boolean image over {len(vars_)} variables "
+                         f"needs 2^{len(vars_)} values, over the 2^24 guard")
+    coeffs = reduced.subset_masks(vars_)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    a = [0] * size
+    for mask, c in coeffs.items():
+        a[mask] = c.numerator * (den // c.denominator)
+    step = 1
+    while step < size:
+        span = 2 * step
+        if span * step >= size:
+            # Few wide blocks: one slice per block.
+            for lo in range(0, size, span):
+                a[lo + step:lo + span] = map(add, a[lo + step:lo + span], a[lo:lo + step])
+        else:
+            # Many narrow blocks: one strided slice per offset in the block.
+            for off in range(step):
+                a[step + off::span] = map(add, a[step + off::span], a[off::span])
+        step = span
+    return frozenset(Fraction(v, den) for v in set(a))
 
 
 def boolean_image(c: Circuit, target: frozenset | None = None,

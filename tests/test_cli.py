@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from ipscert.circuit import (
     normalize_layered,
     parse_circuit,
 )
+from ipscert import cli
 from ipscert.cli import main
 from ipscert.gadget import GadgetLedger, gadgetize
 from ipscert.poly import Var
@@ -127,6 +131,39 @@ def test_image_command_csv(tmp_path, capsys):
     # additive circuit escapes {0,1}
     write(src, format_circuit(cadd(cvar(X1), cvar(X2))))
     assert main(["image", "--input", str(src), "--target", "0,1"]) == 1
+
+
+def test_image_over_too_many_variables_exits_2_at_once(tmp_path, capsys):
+    src = tmp_path / "sum.circ"
+    write(src, format_circuit(cadd(*(cvar(Var("x", i)) for i in range(1, 26)))))
+    started = time.perf_counter()
+    assert main(["image", "--input", str(src), "--exhaustive-limit", "30"]) == 2
+    assert time.perf_counter() - started < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "25 variables" in captured.err
+
+
+def test_one_parser_serves_every_call_of_main(monkeypatch):
+    argv_list = [["rank", "--n"],
+                 ["--help"],
+                 ["funcref", "--family", "mnc", "--n", "1"],
+                 ["rank", "--n", "2", "--partition", "u1,u3|u2,u4"]]
+
+    def run_all():
+        outs = []
+        for argv in argv_list:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            outs.append((rc, out.getvalue(), err.getvalue()))
+        return outs
+
+    shared = run_all()
+    assert cli._parser() is cli._parser()
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0]
+    assert "expected one argument" in shared[0][2] and "usage: ipscert" in shared[1][1]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == shared
 
 
 def test_instance_and_funcref_commands(tmp_path, capsys):

@@ -20,6 +20,7 @@ from ipscert.instances import (
     extract_clique_component,
     functional_identity_holds,
     gadgeted_ry_circuit,
+    interval_wvarsets,
     lifted_subset_sum,
     mnc_instance,
     ry_circuit,
@@ -75,6 +76,19 @@ def test_gadgeted_wvar_blocks_disjoint():
     blocks = [{ws.w_top, ws.w_leaf, *ws.address_vars} for ws in wsets]
     for a, b in itertools.combinations(blocks, 2):
         assert not (a & b)
+
+
+def test_interval_wvarsets_lists_exactly_the_control_variables_of_the_circuit():
+    for n in range(1, 7):
+        c, wsets = gadgeted_ry_circuit(n)
+        listed = interval_wvarsets(n)
+        assert listed == wsets
+        assert [(ws.i, ws.j) for ws in listed] == sorted(
+            ((ws.i, ws.j) for ws in listed), key=lambda ij: (ij[1] - ij[0], ij[0]))
+        controls = {v for ws in listed for v in (ws.w_top, ws.w_leaf, *ws.address_vars)}
+        assert controls == {v for v in c.variables() if v.ns == "w"}
+    with pytest.raises(ValueError, match="at least 1"):
+        interval_wvarsets(0)
 
 
 def test_gadgeted_address_block_sizes():

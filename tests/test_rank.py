@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from ipscert.instances import gadgeted_ry_circuit, uvar
 from ipscert.poly import SparsePoly, Var, mono_from_pairs
 from ipscert.rank import (
     Partition,
+    _echelon,
     balanced_partitions,
     exact_rank,
     fullrank_witness,
@@ -140,6 +142,85 @@ def test_exact_rank_against_rational_elimination_oracle():
             scale = Fraction(rng.randint(-3, 3))
             m[dst] = [scale * x for x in m[src]]
         assert exact_rank(m) == rank_by_rational_elimination(m)
+
+
+def random_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+
+def sparse_test_matrix(rng, n_rows, n_cols, density):
+    """A random rational matrix with planted zero rows, zero columns and
+    dependent rows that are rational combinations of several other rows."""
+    m = [[random_rational(rng) if rng.random() < density else Fraction(0)
+          for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(rng.randint(0, 2)):
+        m[rng.randrange(n_rows)] = [Fraction(0)] * n_cols
+    for _ in range(rng.randint(0, 2)):
+        col = rng.randrange(n_cols)
+        for row in m:
+            row[col] = Fraction(0)
+    for _ in range(rng.randint(0, n_rows // 3)):
+        if n_rows < 3:
+            break
+        dst, *srcs = rng.sample(range(n_rows), rng.randint(3, min(4, n_rows)))
+        m[dst] = [sum((random_rational(rng) * m[s][c] for s in srcs), Fraction(0))
+                  for c in range(n_cols)]
+    return m
+
+
+def test_exact_rank_sparse_shapes_against_rational_elimination_oracle():
+    rng = random.Random(73)
+    ranks = set()
+    for trial in range(160):
+        shape = rng.choice(("square", "wide", "tall"))
+        a, b = rng.randint(1, 24), rng.randint(1, 24)
+        if shape == "square":
+            b = a
+        elif (shape == "wide") == (a > b):
+            a, b = b, a
+        density = rng.choice((0.02, 0.05, 0.1, 0.3, 0.6, 1.0))
+        m = sparse_test_matrix(rng, a, b, density)
+        r = exact_rank(m)
+        assert r == rank_by_rational_elimination(m), (shape, a, b, density)
+        ranks.add(r)
+    assert len(ranks) > 10
+
+
+def test_exact_rank_of_permutation_matrices_with_rational_entries():
+    rng = random.Random(79)
+    for size in (1, 2, 5, 16, 24):
+        for _ in range(4):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            m = [[Fraction(0)] * size for _ in range(size)]
+            for i, j in enumerate(perm):
+                m[i][j] = random_rational(rng)
+            assert exact_rank(m) == size
+            zeroed = rng.sample(range(size), rng.randint(0, size))
+            for i in zeroed:
+                m[i][perm[i]] = Fraction(0)
+            assert exact_rank(m) == size - len(zeroed) == rank_by_rational_elimination(m)
+            # a repeated row, rescaled, adds nothing
+            if size - len(zeroed):
+                live = next(i for i in range(size) if i not in zeroed)
+                m.append([x * Fraction(-3, 5) for x in m[live]])
+                assert exact_rank(m) == size - len(zeroed)
+
+
+def test_echelon_rows_are_primitive_with_distinct_leading_columns():
+    rng = random.Random(83)
+    for _ in range(60):
+        m = sparse_test_matrix(rng, rng.randint(1, 12), rng.randint(1, 12),
+                               rng.choice((0.1, 0.5, 1.0)))
+        basis = _echelon(m)
+        for lead, row in basis.items():
+            assert lead == min(row) and all(row.values())
+            assert math.gcd(*row.values()) == 1
+        # the basis spans the rows: appending it leaves the rank unchanged
+        combined = m + [[Fraction(row.get(c, 0)) for c in range(len(m[0]))]
+                        for row in basis.values()]
+        assert rank_by_rational_elimination(combined) == len(basis) == \
+            rank_by_rational_elimination(m)
 
 
 def test_witness_base_case():

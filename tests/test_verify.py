@@ -6,8 +6,10 @@ import pytest
 
 from helpers import build_corpus, mutate_certificate
 
+from ipscert import verify as verify_module
 from ipscert.circuit import (
     Circuit,
+    CircuitBuilder,
     cadd,
     cconst,
     cmul,
@@ -235,6 +237,73 @@ def test_boolean_image_poly_oracle_agreement():
     p = SparsePoly.variable(X1) * 2 - SparsePoly.variable(X2)
     assert boolean_image_poly(p) == frozenset(
         (Fraction(0), Fraction(2), Fraction(-1), Fraction(1)))
+
+
+def random_expanded_formula(rng, vars_, depth):
+    """A random formula over vars_ with negative and rational constants."""
+    b = CircuitBuilder()
+    consts = (-3, -1, 2, Fraction(-1, 3), Fraction(5, 2), Fraction(7, 4))
+
+    def node(d):
+        if d == 0 or rng.random() < 0.2:
+            if rng.random() < 0.3:
+                return b.const(rng.choice(consts))
+            return b.var(rng.choice(vars_))
+        kids = [node(d - 1) for _ in range(rng.randint(2, 3))]
+        return b.add(kids) if rng.random() < 0.5 else b.mul(kids)
+
+    return b.build(node(depth))
+
+
+def image_by_evaluation(c):
+    """The value set of c from compile_evaluator at every point of its cube."""
+    run = compile_evaluator(c)
+    vars_ = c.variables()
+    return frozenset(Fraction(run(dict(zip(vars_, bits))))
+                     for bits in itertools.product((0, 1), repeat=len(vars_)))
+
+
+def test_boolean_image_poly_matches_compiled_evaluation_at_every_cube_point():
+    rng = random.Random(89)
+    pool = [Var("x", i) for i in range(1, 10)]
+    sizes = set()
+    for _ in range(60):
+        c = random_expanded_formula(rng, rng.sample(pool, rng.randint(1, 9)), rng.randint(1, 4))
+        image = boolean_image_poly(expand(c))
+        assert image == image_by_evaluation(c)
+        sizes.add(len(image))
+    assert len(sizes) > 10
+
+
+@pytest.mark.parametrize("build, image", [
+    # the zero polynomial
+    (lambda b: b.add([b.var(X1), b.mul([b.const(-1), b.var(X1)])]), {0}),
+    # a constant, with and without variables in the circuit
+    (lambda b: b.const(Fraction(-7, 3)), {Fraction(-7, 3)}),
+    (lambda b: b.add([b.const(Fraction(-7, 3)), b.mul([b.const(0), b.var(X2)])]),
+     {Fraction(-7, 3)}),
+    # x1^2 - x1 vanishes on the cube, so only x3 is left of x1, x2, x3
+    (lambda b: b.add([b.mul([b.var(X1), b.var(X1)]), b.mul([b.const(-1), b.var(X1)]),
+                      b.mul([b.const(Fraction(5, 2)), b.var(Var("x", 3))]),
+                      b.mul([b.var(X2), b.const(0)])]),
+     {0, Fraction(5, 2)}),
+])
+def test_boolean_image_poly_edge_cases(build, image):
+    b = CircuitBuilder()
+    c = b.build(build(b))
+    p = expand(c)
+    assert len(p.multilinear_reduce().variables()) < len(c.variables()) or not c.variables()
+    assert boolean_image_poly(p) == frozenset(Fraction(v) for v in image) == image_by_evaluation(c)
+
+
+def test_boolean_image_poly_guards_the_cube_size(monkeypatch):
+    xs = [SparsePoly.variable(Var("x", i)) for i in range(1, 26)]
+    with pytest.raises(ValueError, match="25 variables"):
+        boolean_image_poly(sum(xs, SparsePoly.zero()))
+    monkeypatch.setattr(verify_module, "TERM_GUARD", 1 << 4)
+    assert boolean_image_poly(sum(xs[:4], SparsePoly.zero())) == frozenset(range(5))
+    with pytest.raises(ValueError, match="5 variables"):
+        boolean_image_poly(sum(xs[:5], SparsePoly.zero()))
 
 
 def test_boolean_image_sampling_mode():
