@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .poly import (
@@ -41,6 +42,7 @@ from .poly import (
     _Accumulator,
     format_frac,
     frac_mod,
+    mono_key,
     parse_frac,
     parse_var,
 )
@@ -145,17 +147,24 @@ class Circuit:
 
 
 class CircuitBuilder:
-    """Accumulates gates with sequential deterministic ids.
+    """Accumulates gates with sequential deterministic ids: a gate table.
 
     A builder may start from a circuit's gates (the starting gates, which
     keep their ids); gates added later are composed gates, shared by id.
+    keep() adds more starting gates; intern(), share() and take() add
+    composed gates hash-consed (Filliatre & Conchon, ML 2006): one id per
+    structure.  A root id is laid out as a standalone formula by formula()
+    and lines(), and measured and expanded without laying it out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
         self._gates: list = list(gates)
-        self._start = len(self._gates)
+        self._starting: set = set(range(len(self._gates)))
         self._subcircuits: dict = {}   # starting gate id -> subcircuit
         self._shared: dict = {}        # structural key -> id of a shared gate
+        self._leaf_ids: dict = {}      # leaf gate object -> its hash-consed id
+        self._measured: dict = {}      # gate id -> (size, depth) of its layout
+        self._leaf_texts: dict = {}    # leaf gate -> its text after the gate id
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -178,38 +187,83 @@ class CircuitBuilder:
         one = self.const(1)
         return self.add([one, self.mul([self.const(-1), self.var(v)])])
 
-    def inline(self, c: Circuit) -> int:
-        """Copy another circuit into this builder; returns its output id."""
+    def keep(self, c: Circuit) -> int:
+        """Copy c in as starting gates, as it stands; returns its output's id."""
         offset = len(self._gates)
         for g in c.gates:
-            if g.is_leaf():
-                self._gates.append(g)
-            else:
-                self._gates.append(Gate(g.op, args=tuple(a + offset for a in g.args)))
+            self._gates.append(g if g.is_leaf() else
+                               Gate(g.op, args=tuple(a + offset for a in g.args)))
+        self._starting.update(range(offset, len(self._gates)))
         return c.output + offset
 
-    def share(self, c: Circuit) -> int:
-        """Copy c in, reusing every structurally equal gate shared before
-        (hash-consing); returns the id of c's output.
+    def intern(self, key: tuple, leaf: Gate | None = None) -> int:
+        """The id of the hash-consed gate with this key, added if new.
 
-        A leaf is keyed by its variable or its exact value (the numerator
-        and denominator in lowest terms), an ADD or MUL gate by its kind and
-        the shared ids of its arguments, in order.
+        A leaf's key is _leaf_key(leaf); an ADD or MUL gate's key is its kind
+        and the hash-consed ids of its arguments, in order.
         """
-        shared, nid = self._shared, []
+        i = self._shared.get(key)
+        if i is None:
+            i = self._shared[key] = self._push(leaf if leaf is not None
+                                               else Gate(key[0], args=key[1]))
+        return i
+
+    def share(self, c: Circuit) -> int:
+        """Copy c in, reusing every structurally equal gate hash-consed
+        before; returns the id of c's output."""
+        nid: list = []
         for g in c.gates:
-            op = g.op
-            if op == VAR:
-                key = (op, g.var)
-            elif op == CONST:
-                key = (op, g.const.numerator, g.const.denominator)
+            if g.is_leaf():
+                nid.append(self.intern(_leaf_key(g), g))
             else:
-                key = (op, tuple([nid[a] for a in g.args]))
-            i = shared.get(key)
-            if i is None:
-                i = shared[key] = self._push(g if g.is_leaf() else Gate(op, args=key[1]))
-            nid.append(i)
+                nid.append(self.intern((g.op, tuple([nid[a] for a in g.args]))))
         return nid[c.output]
+
+    def take(self, c: Circuit) -> int:
+        """c's output id, laid out again exactly as c: c hash-consed when it
+        is a formula written in post-order, and otherwise kept."""
+        items = [(g, None) if g.is_leaf() else (g.op, list(g.args)) for g in c.gates]
+        i = self._intern_formula(items + [(None, c.output)])
+        return self.keep(c) if i is None else i
+
+    def read(self, lines: Sequence[str], leaves: dict, known: dict) -> int:
+        """The id of the circuit whose text lines are given, read like
+        parse_circuit (same errors) and laid out again as the same text: a
+        formula written in post-order is hash-consed, any other circuit
+        kept.  leaves and known are the caches of _gate_lines, kept across
+        the circuits of one document."""
+        i = self._intern_formula(_gate_lines(lines, leaves, known))
+        return self.keep(_parse_lines(lines, leaves)) if i is None else i
+
+    def _intern_formula(self, items) -> int | None:
+        """Hash-cons a circuit given as _gate_lines items and return its
+        output's id, if it is a formula written in post-order: the arguments
+        of each gate are, in order, the last gates written that no gate has
+        used yet, and the output is the one gate left unused at the end.
+        Its formula layout is then the circuit itself.  Otherwise None."""
+        leaf_id, get = self._leaf_ids.get, self._shared.get
+        ids: list = []       # position in the circuit -> id
+        unused: list = []    # positions no gate has used yet, in order
+        keep, push = ids.append, unused.append
+        for g, args in items:
+            if args is None:
+                i = leaf_id(g)
+                if i is None:
+                    i = self._leaf_ids[g] = self.intern(_leaf_key(g), g)
+            elif g is None:
+                return ids[args] if unused == [args] else None
+            else:
+                k = -len(args)
+                if unused[k:] != args:
+                    return None
+                del unused[k:]
+                key = g, tuple([ids[a] for a in args])
+                i = get(key)
+                if i is None:
+                    i = self.intern(key)
+            push(len(ids))
+            keep(i)
+        return None
 
     def prod(self, ids: Iterable[int]) -> int:
         """Flat product folding literal 1s; a literal 0 collapses to CONST 0.
@@ -233,36 +287,142 @@ class CircuitBuilder:
             return self.const(0)
         return kept[0] if len(kept) == 1 else self.add(kept)
 
+    def poly(self, p: SparsePoly) -> int:
+        """Sum-of-products gates for a polynomial (terms in canonical order)."""
+        terms = []
+        for m in sorted(p.terms, key=mono_key):
+            c = p.terms[m]
+            factors = [self.var(v) for v, e in m for _ in range(e)]
+            if not factors:
+                terms.append(self.const(c))
+            elif c == 1:
+                terms.append(self.prod(factors))
+            else:
+                terms.append(self.mul([self.const(c)] + factors))
+        return self.sum(terms)
+
     def gate(self, i: int) -> Gate:
         return self._gates[i]
 
     def build(self, output: int) -> Circuit:
         return Circuit(self._gates, output)
 
-    def formula(self, root: int) -> Circuit:
-        """root laid out as a standalone formula, without recursion.
+    def copy(self) -> CircuitBuilder:
+        """A builder starting from this table's gates (which keep their ids)."""
+        return CircuitBuilder(self._gates)
+
+    def subcircuit(self, root: int) -> Circuit:
+        """The gates root reaches as a standalone circuit, each gate once."""
+        return _compact(self._gates, root)
+
+    def _subcircuit(self, i: int) -> Circuit:
+        """Starting gate i's subcircuit (cached)."""
+        if i not in self._subcircuits:
+            self._subcircuits[i] = _compact(self._gates, i)
+        return self._subcircuits[i]
+
+    def _layout(self, root: int, item, memo: dict | None = None) -> list:
+        """root laid out as a standalone formula, without recursion: the
+        list of item(position, gate, argument positions) for its gates, in
+        order, a position counting the gates before.
 
         A composed gate is copied at each use, children first in argument
         order.  A starting gate brings its subcircuit (see subcircuit): the
         starting gates it reaches, in id order.
+
+        memo, kept across the roots of one table with one item function,
+        maps (gate id, position) to the list and end of a layout made
+        before: a gate laid out again at the same position takes that slice.
         """
-        gates, start, new = self._gates, self._start, CircuitBuilder()
-        done: list = []          # new ids of the laid-out children, in order
+        gates, starting = self._gates, self._starting
+        out: list = []
+        done: list = []          # positions of the laid-out children, in order
+        opened: list = []        # positions where the open composed gates start
         todo = [root]            # gate ids to lay out; ~i closes composed gate i
         while todo:
             i = todo.pop()
-            if i >= start and gates[i].args:
-                todo += [~i, *reversed(gates[i].args)]
-            elif i < 0:
-                n = len(gates[~i].args)
-                done[-n:] = [new._push(Gate(gates[~i].op, args=done[-n:]))]
-            elif i < start:
-                if i not in self._subcircuits:
-                    self._subcircuits[i] = _compact(gates, i)
-                done.append(new.inline(self._subcircuits[i]))
+            n = len(out)
+            if i < 0:
+                g = gates[~i]
+                k = len(g.args)
+                out.append(item(n, g, done[-k:]))
+                done[-k:] = [n]
+                start = opened.pop()
+                if memo is not None:
+                    memo[~i, start] = out, n + 1
+                continue
+            if memo is not None:
+                hit = memo.get((i, n))
+                if hit is not None:
+                    out += hit[0][n:hit[1]]
+                    done.append(hit[1] - 1)
+                    continue
+            if i in starting:
+                out += [item(n + j, g, [n + a for a in g.args] if g.args else ())
+                        for j, g in enumerate(self._subcircuit(i).gates)]
+                done.append(len(out) - 1)
+                if memo is not None:
+                    memo[i, n] = out, len(out)
+            elif gates[i].args:
+                opened.append(n)
+                todo.append(~i)
+                todo.extend(reversed(gates[i].args))
             else:
-                done.append(new._push(gates[i]))
-        return new.build(done[0])
+                out.append(item(n, gates[i], ()))
+                done.append(n)
+        return out
+
+    def formula(self, root: int) -> Circuit:
+        """root laid out as a standalone formula (see _layout)."""
+        gates = self._layout(root, lambda n, g, args: Gate(g.op, args=args) if args else g)
+        return Circuit(gates, len(gates) - 1)
+
+    def lines(self, root: int, memo: dict | None = None) -> list:
+        """The text lines of format_circuit(self.formula(root)), straight
+        from the layout; memo as in _layout, for the lines of one table."""
+        out = self._layout(root, partial(_line, self._leaf_texts), memo)
+        out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
+        return out
+
+    def metrics(self, root: int) -> Metrics:
+        """measure(self.formula(root)), by dynamic programming over the table:
+        every gate is measured once however often it is copied, a starting
+        gate by its subcircuit."""
+        gates, starting, memo = self._gates, self._starting, self._measured
+        todo = [root]            # ~i measures gate i from its arguments
+        while todo:
+            i = todo.pop()
+            if i < 0:
+                g = gates[~i]
+                other = _is_scaled_wire(gates, g)
+                if other is not None:
+                    memo[~i] = memo[other]
+                else:
+                    memo[~i] = (len(g.args) + sum([memo[a][0] for a in g.args]),
+                                1 + max([memo[a][1] for a in g.args]))
+            elif i in memo:
+                continue
+            elif i in starting:
+                m = measure(self._subcircuit(i))
+                memo[i] = (m.size, m.depth)
+            elif not gates[i].args:
+                memo[i] = (0, 0)
+            else:
+                todo.append(~i)
+                todo.extend(gates[i].args)
+        return Metrics(*memo[root])
+
+    def expand(self, root: int, guard: int = TERM_GUARD) -> SparsePoly:
+        """The polynomial of root, expanding each gate it reaches once."""
+        return _expand(self._gates, _postorder(self._gates, root), root, guard, {})
+
+
+def _leaf_key(g: Gate) -> tuple:
+    """A leaf's hash-consing key: its variable, or its exact value (the
+    numerator and denominator in lowest terms), never its hash alone."""
+    if g.op == VAR:
+        return (VAR, g.var)
+    return (CONST, g.const.numerator, g.const.denominator)
 
 
 def _postorder(gates: Sequence[Gate], root: int):
@@ -337,8 +497,15 @@ def measure(c: Circuit, fold_scalars: bool = True) -> Metrics:
 
 def expand(c: Circuit, guard: int = TERM_GUARD) -> SparsePoly:
     """The polynomial computed by the circuit, by bottom-up expansion."""
-    polys: list = [None] * len(c.gates)
-    for i, g in enumerate(c.gates):
+    return _expand(c.gates, range(len(c.gates)), c.output, guard, [None] * len(c.gates))
+
+
+def _expand(gates: Sequence[Gate], order: Iterable[int], output: int, guard: int,
+            polys) -> SparsePoly:
+    """The polynomial of gate output, expanding the gates in order (arguments
+    first) into polys, a list or dict by gate id."""
+    for i in order:
+        g = gates[i]
         if g.op == VAR:
             polys[i] = SparsePoly.variable(g.var)
         elif g.op == CONST:
@@ -356,7 +523,7 @@ def expand(c: Circuit, guard: int = TERM_GUARD) -> SparsePoly:
                         f"expansion of g{i} projects over the dense-size guard")
                 acc = acc * polys[a]
             polys[i] = acc
-    return polys[c.output]
+    return polys[output]
 
 
 def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
@@ -519,7 +686,7 @@ def cconst(value) -> Circuit:
 
 def _compose(parts: Sequence[Circuit], combine) -> Circuit:
     b = CircuitBuilder()
-    root = combine(b, [b.inline(p) for p in parts])
+    root = combine(b, [b.keep(p) for p in parts])
     return _compact(b._gates, root)
 
 
@@ -548,20 +715,8 @@ def csum(terms: Sequence[Circuit]) -> Circuit:
 
 def poly_to_circuit(p: SparsePoly) -> Circuit:
     """Sum-of-products circuit for a polynomial (terms in canonical order)."""
-    from .poly import mono_key
-
     b = CircuitBuilder()
-    terms = []
-    for m in sorted(p.terms, key=mono_key):
-        c = p.terms[m]
-        factors = [b.var(v) for v, e in m for _ in range(e)]
-        if not factors:
-            terms.append(b.const(c))
-        elif c == 1:
-            terms.append(b.prod(factors))
-        else:
-            terms.append(b.mul([b.const(c)] + factors))
-    return b.formula(b.sum(terms))
+    return b.formula(b.poly(p))
 
 
 def as_circuit(x) -> Circuit:
@@ -574,16 +729,24 @@ def as_circuit(x) -> Circuit:
 
 def format_circuit(c: Circuit) -> str:
     """Canonical line-based text form (one gate per line, then OUTPUT)."""
-    lines = []
-    for i, g in enumerate(c.gates):
-        if g.op == VAR:
-            lines.append(f"g{i} = VAR {g.var.name}")
-        elif g.op == CONST:
-            lines.append(f"g{i} = CONST {format_frac(g.const)}")
-        else:
-            lines.append(f"g{i} = {g.op} " + " ".join(f"g{a}" for a in g.args))
+    texts: dict = {}
+    lines = [_line(texts, i, g, g.args) for i, g in enumerate(c.gates)]
     lines.append(f"OUTPUT g{c.output}")
     return "\n".join(lines) + "\n"
+
+
+def _line(leaf_texts: dict, n: int, g: Gate, args) -> str:
+    """The text line of gate g at position n with these argument positions;
+    leaf_texts keeps the text after the gate id of each leaf formatted."""
+    if args:
+        if len(args) == 2:
+            return f"g{n} = {g.op} g{args[0]} g{args[1]}"
+        return f"g{n} = {g.op} g" + " g".join(map(str, args))
+    text = leaf_texts.get(g)
+    if text is None:
+        text = leaf_texts[g] = (f" = VAR {g.var.name}" if g.op == VAR
+                                else f" = CONST {format_frac(g.const)}")
+    return f"g{n}{text}"
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -592,19 +755,53 @@ def parse_circuit(text: str) -> Circuit:
     A leaf is parsed once per distinct right-hand side: every line that
     repeats it shares its gate.
     """
-    id_map: dict = {}        # gate id token -> position
-    gates: list = []
-    leaves: dict = {}        # right-hand side text -> VAR or CONST gate
-    output = None
+    return _parse_lines(text.splitlines(), {})
 
-    def refs(toks: list) -> tuple:
+
+def _parse_lines(lines: Sequence[str], leaves: dict) -> Circuit:
+    """The circuit of these text lines, its gates in text order."""
+    gates: list = []
+    for g, args in _gate_lines(lines, leaves):
+        if args is None:
+            gates.append(g)
+        elif g is None:
+            return Circuit(gates, args)
+        else:
+            gates.append(Gate(g, args=args))
+
+
+def _gate_lines(lines: Sequence[str], leaves: dict, known: dict | None = None):
+    """The one line parser of circuit text.
+
+    Yields (leaf gate, None) or (ADD or MUL, argument positions) per gate
+    line, a position counting the gate lines before, and last (None,
+    position of the output).  leaves maps each leaf right-hand side parsed
+    before to its gate; a line repeating one shares that gate.  Raises
+    ValueError naming the line of the first malformed line.
+
+    Given known, a dict kept across the texts of one document, a gate line
+    written as gK at position K, after only such lines, is parsed once:
+    known maps its text to its position, id token and item.
+    """
+    id_map: dict = {}        # gate id token -> position
+    output = None
+    canonical = known is not None
+    cached = known.get if canonical else None
+
+    def refs(toks: list) -> list:
         try:
-            return tuple([id_map[t] for t in toks])
+            return [id_map[t] for t in toks]
         except KeyError as exc:
             raise ValueError(f"reference to undefined gate {exc.args[0]!r}") from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(lines, start=1):
+        if canonical:
+            hit = cached(raw)
+            if hit is not None and hit[0] == len(id_map):
+                id_map[hit[1]] = hit[0]
+                yield hit[2:]
+                continue
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         try:
@@ -618,33 +815,42 @@ def parse_circuit(text: str) -> Circuit:
                 continue
             lhs, rhs = line.split("=", 1)
             lhs = lhs.strip()
-            if not lhs.startswith("g") or not lhs[1:].isdigit():
+            num = lhs[1:]
+            if not lhs.startswith("g") or not (num.isascii() and num.isdigit()):
                 raise ValueError(f"bad gate id {lhs!r}")
             if lhs in id_map:
                 raise ValueError(f"gate {lhs} defined twice")
             g = leaves.get(rhs)
-            if g is None:
+            if g is not None:
+                item = g, None
+            else:
                 kind, *ops = rhs.split() or (None,)
                 if kind == ADD or kind == MUL:
                     if not ops:
                         raise ValueError(f"{kind} gate {lhs} has no children")
-                    g = Gate(kind, args=refs(ops))
+                    item = kind, refs(ops)
                 elif kind == VAR or kind == CONST:
                     if len(ops) != 1:
                         raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
                     g = leaves[rhs] = (Gate(VAR, var=parse_var(ops[0])) if kind == VAR
                                        else Gate(CONST, const=parse_frac(ops[0])))
+                    item = g, None
                 elif kind is None:
                     raise ValueError(f"gate {lhs} has no kind")
                 else:
                     raise ValueError(f"unknown gate kind {kind!r}")
-            id_map[lhs] = len(gates)
-            gates.append(g)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        pos = id_map[lhs] = len(id_map)
+        if canonical:
+            if num == str(pos):
+                known[raw] = pos, lhs, *item
+            else:
+                canonical = False
+        yield item
     if output is None:
         raise ValueError("missing OUTPUT line")
-    return Circuit(gates, output)
+    yield None, output
 
 
 def circuit_sha256(c: Circuit) -> str:

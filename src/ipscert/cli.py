@@ -89,10 +89,10 @@ def cmd_refute(args) -> int:
 def cmd_verify(args) -> int:
     cert = rf.certificate_from_json(_read(args.cert))
     if args.mode == "exact":
-        report = vf.verify_exact(cert.axioms, cert.cofactors)
+        report = vf.verify_exact(cert)
     else:
         cfg = vf.PitConfig(prime=args.prime, trials=args.trials, seed=args.seed)
-        report = vf.verify_pit(cert.axioms, cert.cofactors, cfg)
+        report = vf.verify_pit(cert, cfg)
     _print_json(report.to_jsonable())
     return report.exit_code()
 

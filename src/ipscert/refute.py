@@ -19,8 +19,16 @@ by induction on the formula:
     y (1 - y) at any separating bit (address_product_decomposition).
 
 All cofactors are composed by gate id in one CircuitBuilder that starts
-from the formula's gates, and each is laid out as a standalone formula
-once.  Gates are certified in ascending id order, without recursion.
+from the formula's gates, without recursion, certifying gates in ascending
+id order.  That builder is the certificate's gate table: the certificate
+holds a root id per cofactor and for the instance, and no cofactor is laid
+out in memory.  Its claimed size and depth come from dynamic programming
+over the table, equal to the measure of each laid-out formula.
+
+The nullstellensatz-cert/1 document writes each root as the text lines of
+its standalone formula, straight from the table, and reads every circuit
+back line by line into one hash-consed table, which lays each out again as
+the same text.
 
 The assembled refutation of the unsatisfiable instance f' - 2 uses the
 cofactors -(f'+1)/2 on the instance and +E/2, +F/2 on the Boolean axioms,
@@ -29,12 +37,14 @@ for which sum(cofactor * axiom) = 1 holds as an exact polynomial identity.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
+from json.encoder import encode_basestring_ascii as _str
 
 from .circuit import (
     ADD,
@@ -44,13 +54,10 @@ from .circuit import (
     MUL,
     Metrics,
     VAR,
-    circuit_sha256,
-    format_circuit,
-    measure,
-    parse_circuit,
+    as_circuit,
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
-from .poly import boolean_axiom, format_poly, parse_frac, parse_poly
+from .poly import SparsePoly, boolean_axiom, format_poly, parse_frac, parse_poly
 
 BUILDER_TAG = "ipscert-refute/1"
 
@@ -238,21 +245,41 @@ def _sum_rule(b: CircuitBuilder, entry, certs: dict) -> dict:
 
 @dataclass
 class NullstellensatzCertificate:
-    """Axioms paired with cofactor circuits with sum(cofactor * axiom) = 1.
+    """Axioms paired with cofactors with sum(cofactor * axiom) = 1, held as
+    root ids in one gate table.
 
     The first axiom is the instance (a circuit); the rest are Boolean axioms
-    v^2 - v held as polynomials.  Cofactors never mention the verifier's
-    placeholder namespace, so the induced substitution circuit
-    sum_k placeholder_k * cofactor_k has individual degree 1 in every
-    placeholder and vanishes when all placeholders are zero.
+    v^2 - v held as polynomials.  Each circuit is a root id in `table`, which
+    lays it out as its standalone formula (CircuitBuilder.formula, .lines).
+    Cofactors never mention the verifier's placeholder namespace, so the
+    induced substitution circuit sum_k placeholder_k * cofactor_k has
+    individual degree 1 in every placeholder and vanishes when all
+    placeholders are zero.
     """
 
-    axioms: tuple           # ((label, SparsePoly | Circuit), ...)
-    cofactors: tuple        # (Circuit, ...)
+    table: CircuitBuilder
+    axioms: tuple           # ((label, root id | SparsePoly), ...)
+    cofactors: tuple        # (root id, ...)
     claimed_metrics: tuple  # (Metrics, ...)
     instance_sha256: str
     shift: Fraction
     builder: str = BUILDER_TAG
+
+    @classmethod
+    def of(cls, axioms, cofactors, claimed_metrics=None, instance_sha256: str = "",
+           shift=Fraction(-2), builder: str = BUILDER_TAG) -> NullstellensatzCertificate:
+        """A certificate of (label, Circuit | SparsePoly) axioms and Circuit
+        (or SparsePoly) cofactors, taken into a fresh table, where each lays
+        out again as given (CircuitBuilder.take).  The claimed metrics
+        default to each cofactor's measure."""
+        table = CircuitBuilder()
+        axioms = tuple((label, ax if isinstance(ax, SparsePoly) else table.take(ax))
+                       for label, ax in axioms)
+        cofactors = tuple(table.take(as_circuit(cf)) for cf in cofactors)
+        if claimed_metrics is None:
+            claimed_metrics = tuple(table.metrics(r) for r in cofactors)
+        return cls(table, axioms, cofactors, tuple(claimed_metrics), instance_sha256,
+                   Fraction(shift), builder)
 
     @property
     def total_size(self) -> int:
@@ -280,6 +307,9 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     c1 = -1/(shift*(shift+1)) and c0 = 1/shift, and every Boolean axiom
     v^2 - v gets the cofactor -c1 times the gate certificate.  At the
     default shift this is the familiar -(f'+1)/2, E/2, F/2 split.
+
+    The certificate's table is the builder that composed the cofactors;
+    nothing is laid out but the instance's text lines, for its hash.
     """
     shift = Fraction(shift)
     if shift in (0, -1):
@@ -289,20 +319,20 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     b, certs = _certify(cprime, ledger, [out])
     c1 = Fraction(-1) / (shift * (shift + 1))
     c0 = Fraction(1) / shift
-    instance = b.formula(b.add([out, b.const(shift)]))
+    instance = b.add([out, b.const(shift)])
     axioms = [("f", instance)]
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
     cert = certs[out]
     for v in sorted(cert, key=lambda v: (v.ns == "y", v._key)):   # E, then F
         axioms.append((f"{v.name}^2-{v.name}", boolean_axiom(v)))
         roots.append(b.mul([b.const(-c1), cert[v]]))
-    cofactors = tuple(b.formula(r) for r in roots)
-    metrics = tuple(measure(cf) for cf in cofactors)
+    text = "\n".join(b.lines(instance)) + "\n"
     return NullstellensatzCertificate(
+        table=b,
         axioms=tuple(axioms),
-        cofactors=cofactors,
-        claimed_metrics=metrics,
-        instance_sha256=circuit_sha256(instance),
+        cofactors=tuple(roots),
+        claimed_metrics=tuple(b.metrics(r) for r in roots),
+        instance_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         shift=shift,
     )
 
@@ -310,62 +340,97 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
 # ---------------------------------------------------------------------------
 # Certificate document (JSON).
 
+def _json_list(items: list, pad: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    it out at indentation pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_object(pairs: list, pad: str) -> str:
+    """A JSON object of (key, encoded value) pairs, as _json_list."""
+    inner = "\n" + pad + "  "
+    return ("{" + inner + ("," + inner).join(f"{_str(k)}: {v}" for k, v in pairs)
+            + "\n" + pad + "}")
+
+
 def certificate_to_json(cert: NullstellensatzCertificate) -> str:
-    axioms = []
-    for label, ax in cert.axioms:
-        if isinstance(ax, Circuit):
-            axioms.append({"label": label, "circuit": format_circuit(ax).splitlines()})
-        else:
-            axioms.append({"label": label, "poly": format_poly(ax)})
-    doc = {
-        "format": "nullstellensatz-cert/1",
-        "builder": cert.builder,
-        "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
-        "instance_sha256": cert.instance_sha256,
-        "axioms": axioms,
-        "cofactors": [format_circuit(cf).splitlines() for cf in cert.cofactors],
-        "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The nullstellensatz-cert/1 document, byte for byte as json.dumps(doc,
+    indent=2) writes it, each circuit written straight from the table."""
+    table, memo = cert.table, {}
+
+    def circuit(root: int, pad: str) -> str:
+        return _json_list(list(map(_str, table.lines(root, memo))), pad)
+
+    axioms = [_json_object([("label", _str(label)),
+                            ("poly", _str(format_poly(ax))) if isinstance(ax, SparsePoly)
+                            else ("circuit", circuit(ax, "      "))], "    ")
+              for label, ax in cert.axioms]
+    metrics = [_json_object([("size", str(m.size)), ("depth", str(m.depth))], "    ")
+               for m in cert.claimed_metrics]
+    return _json_object([
+        ("format", _str("nullstellensatz-cert/1")),
+        ("builder", _str(cert.builder)),
+        ("shift", _str(f"{cert.shift.numerator}/{cert.shift.denominator}")),
+        ("instance_sha256", _str(cert.instance_sha256)),
+        ("axioms", _json_list(axioms, "  ")),
+        ("cofactors", _json_list([circuit(r, "    ") for r in cert.cofactors], "  ")),
+        ("metrics", _json_list(metrics, "  ")),
+    ], "") + "\n"
 
 
 _field = partial(json_field, "certificate document")
 
 
-def _circuit(lines: list) -> Circuit:
-    """The circuit whose text lines a JSON list holds."""
+def _text_lines(lines: list) -> list:
+    """The text lines of the circuit whose lines a JSON list holds: the list
+    itself unless some string holds a line break."""
     if not all(isinstance(s, str) for s in lines):
         raise ValueError("not a list of strings")
-    return parse_circuit("\n".join(lines))
+    split = "\n".join(lines).splitlines()
+    return lines if split == lines else split
 
 
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
+    """Read a nullstellensatz-cert/1 document: every circuit is read line by
+    line into one hash-consed table (CircuitBuilder.read)."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "nullstellensatz-cert/1":
         raise ValueError("not a certificate document")
+    table, leaves, known = CircuitBuilder(), {}, {}
+
+    def read(lines: list) -> int:
+        return table.read(_text_lines(lines), leaves, known)
+
     axioms = []
     for k, ax in enumerate(_field(doc, "axioms", kind=list)):
         label = _field(ax, "label", f"axioms[{k}].label", str)
         if "circuit" in ax:
             axioms.append((label, _field(ax, "circuit", f"axioms[{k}].circuit", list,
-                                         parse=_circuit)))
+                                         parse=read)))
         else:
             axioms.append((label, _field(ax, "poly", f"axioms[{k}].poly", str,
                                          parse=parse_poly)))
-    cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=_circuit))
+    cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=read))
     metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size", int),
                             depth=_field(m, "depth", f"metrics[{k}].depth", int))
                     for k, m in enumerate(_field(doc, "metrics", kind=list)))
+    if len(metrics) != len(cofactors):
+        raise ValueError(f"certificate document: field metrics has {len(metrics)} "
+                         f"entries for {len(cofactors)} cofactors")
     shift = _field(doc, "shift", kind=str)
     try:
         shift = parse_frac(shift)
     except ValueError:
         raise ValueError(f"certificate document: field shift is not a rational: {shift!r}") from None
     return NullstellensatzCertificate(
+        table=table,
         axioms=tuple(axioms),
         cofactors=cofactors,
         claimed_metrics=metrics,
         instance_sha256=_field(doc, "instance_sha256", kind=str),
         shift=shift,
-        builder=doc.get("builder", BUILDER_TAG),
+        builder=_field(doc, "builder", kind=str) if "builder" in doc else BUILDER_TAG,
     )

@@ -1,18 +1,24 @@
 """Certificate verification: exact, probabilistic, and Boolean-image checks.
 
+Both verifiers take a NullstellensatzCertificate: one gate table with a
+root id per circuit axiom and cofactor (see refute).
+
 verify_exact expands every cofactor and checks sum(cofactor * axiom) = 1 as
 a polynomial identity, plus the placeholder discipline: cofactors may not
 mention the reserved placeholder namespace, so the induced substitution
 circuit sum_k placeholder_k * cofactor_k vanishes at placeholder zero and
-is linear in every placeholder.
+is linear in every placeholder.  Each root is expanded on its own, every
+gate it reaches once; nothing is kept from one root to the next.
 
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
 happens with probability at most total-degree/prime per trial; a genuinely
 valid certificate is never rejected.  The identity is one circuit,
-ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...), over a single
-gate table into which every axiom and cofactor is hash-consed, so a gate
-shared by many cofactors is evaluated once per trial.  Trial points are
+ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...), over the
+certificate's gate table (hash-consed when read from a document), so a
+gate shared by many cofactors is evaluated once per trial.  A constant
+whose denominator vanishes mod the prime is named as the first such in the
+written order of the axioms and cofactors, pair by pair.  Trial points are
 derived from (seed, trial index), so identical configurations produce
 identical reports.
 
@@ -30,10 +36,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Sequence
 
-from .circuit import Circuit, CircuitBuilder, as_circuit, compile_evaluator, expand
-from .poly import TERM_GUARD, SparsePoly, _Accumulator
+from .circuit import CONST, Circuit, compile_evaluator, expand, poly_to_circuit
+from .poly import TERM_GUARD, SparsePoly, _Accumulator, frac_mod
+from .refute import NullstellensatzCertificate
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
@@ -117,11 +123,6 @@ class VerifyReport:
         return doc
 
 
-def _expanded(x) -> SparsePoly:
-    """The polynomial of an axiom or cofactor given as a circuit or a polynomial."""
-    return expand(x) if isinstance(x, Circuit) else x
-
-
 def _nonzero_witness(p: SparsePoly) -> dict:
     """A rational point where the nonzero polynomial p does not vanish.
 
@@ -143,15 +144,16 @@ def _nonzero_witness(p: SparsePoly) -> dict:
     return point
 
 
-def verify_exact(axioms: Sequence, cofactors: Sequence) -> VerifyReport:
-    """Check sum(cofactor * axiom) = 1 by exact expansion."""
-    if len(axioms) != len(cofactors):
+def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
+    """Check sum(cofactor * axiom) = 1 by exact expansion, root by root."""
+    if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
+    table = cert.table
     expansions = 0
     total = _Accumulator()
-    for (label, ax), cf in zip(axioms, cofactors):
-        ax_p = _expanded(ax)
-        cf_p = _expanded(cf)
+    for (label, ax), cf in zip(cert.axioms, cert.cofactors):
+        ax_p = ax if isinstance(ax, SparsePoly) else table.expand(ax)
+        cf_p = table.expand(cf)
         expansions += 2
         for v in cf_p.variables():
             if v.ns == PLACEHOLDER_NS:
@@ -175,18 +177,25 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"pit:{seed}:{trial}")
 
 
-def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig()) -> VerifyReport:
+def _pairs(cert: NullstellensatzCertificate):
+    """Each axiom, then its cofactor, as a polynomial or a root id."""
+    for (_, ax), cf in zip(cert.axioms, cert.cofactors):
+        yield ax
+        yield cf
+
+
+def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -> VerifyReport:
     """Probabilistic identity check at cfg.trials seeded points mod cfg.prime.
 
     The identity circuit is compiled once and run once per trial; work still
     counts two evaluations (axiom and cofactor) per pair and trial.
     """
-    if len(axioms) != len(cofactors):
+    if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
-    b = CircuitBuilder()
-    ids = [b.share(as_circuit(x)) for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
+    b = cert.table.copy()
+    ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
     products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
-    identity = b.build(b.add(products) if products else b.const(0))
+    identity = b.subcircuit(b.add(products) if products else b.const(0))
     run = compile_evaluator(identity)
     ordered = identity.variables()
     evaluations = 0
@@ -195,8 +204,8 @@ def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig
         point = {v: rng.randrange(cfg.prime) for v in ordered}
         try:
             total = run(point, cfg.prime)
-        except ZeroDivisionError as exc:
-            return VerifyReport("error", detail=str(exc))
+        except ZeroDivisionError:
+            return VerifyReport("error", detail=_bad_constant(cert, cfg.prime))
         evaluations += len(ids)
         if total != 1 % cfg.prime:
             return VerifyReport(
@@ -208,6 +217,20 @@ def verify_pit(axioms: Sequence, cofactors: Sequence, cfg: PitConfig = PitConfig
         "verified-probabilistic",
         detail=f"{cfg.trials} trials mod {cfg.prime}",
         work={"evaluations": evaluations, "trials": cfg.trials})
+
+
+def _bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
+    """The error of the first constant, in the written order of the axioms
+    and cofactors pair by pair, whose denominator vanishes mod prime."""
+    for x in _pairs(cert):
+        c = poly_to_circuit(x) if isinstance(x, SparsePoly) else cert.table.formula(x)
+        for g in c.gates:
+            if g.op == CONST:
+                try:
+                    frac_mod(g.const, prime)
+                except ZeroDivisionError as exc:
+                    return str(exc)
+    raise AssertionError("no constant's denominator vanishes mod the prime")
 
 
 # ---------------------------------------------------------------------------

@@ -192,22 +192,29 @@ def _mutate_circuit(rng: random.Random, c: Circuit) -> Circuit:
     return _compact(gates, c.output)
 
 
+def laid_out(cert: NullstellensatzCertificate) -> tuple:
+    """(axioms, cofactors) of a certificate, each root laid out as its formula."""
+    table = cert.table
+    axioms = [(label, ax if isinstance(ax, SparsePoly) else table.formula(ax))
+              for label, ax in cert.axioms]
+    return axioms, [table.formula(cf) for cf in cert.cofactors]
+
+
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
                        seed: int) -> NullstellensatzCertificate:
     """One single-site, semantics-changing mutation of a random cofactor."""
+    axioms, cofactors = laid_out(cert)
     for attempt in range(200):
-        k = rng.randrange(len(cert.cofactors))
-        original = cert.cofactors[k]
+        k = rng.randrange(len(cofactors))
+        original = cofactors[k]
         try:
             mutated = _mutate_circuit(rng, original)
         except ValueError:
             continue
         if _semantically_differs(original, mutated, seed * 1000 + attempt):
-            cofactors = list(cert.cofactors)
             cofactors[k] = mutated
-            return NullstellensatzCertificate(
-                axioms=cert.axioms,
-                cofactors=tuple(cofactors),
+            return NullstellensatzCertificate.of(
+                axioms, cofactors,
                 claimed_metrics=cert.claimed_metrics,
                 instance_sha256=cert.instance_sha256,
                 shift=cert.shift,

@@ -146,7 +146,7 @@ def test_criterion_4_certificate_identities(transformed01):
             assert g * g - g == rhs
             gates_checked += 1
         cert = assemble_refutation(cprime, ledger)
-        assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
+        assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cprime)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
         assert cert.total_depth <= 2 * m.depth + 2
@@ -173,13 +173,13 @@ def test_criterion_5_pit_soundness_surrogate(base_certificates):
     for i in range(1000):
         cert = base_certificates[i % len(base_certificates)]
         mutated = mutate_certificate(rng, cert, seed=i)
-        rep = verify_pit(mutated.axioms, mutated.cofactors, PitConfig(trials=20, seed=i))
+        rep = verify_pit(mutated, PitConfig(trials=20, seed=i))
         assert rep.verdict == "refuted"
         rejected += 1
     accepted = 0
     for seed in range(100):
         for cert in base_certificates:
-            rep = verify_pit(cert.axioms, cert.cofactors, PitConfig(trials=20, seed=seed))
+            rep = verify_pit(cert, PitConfig(trials=20, seed=seed))
             assert rep.verdict == "verified-probabilistic"
             accepted += 1
     report(5, f"{rejected} single-site mutations rejected; "

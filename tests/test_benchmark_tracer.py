@@ -57,7 +57,7 @@ def test_tracer_wraps_every_target_where_it_is_bound_and_restores_it():
 
         cert = assemble_refutation(cvar(Var("x", 1)), GadgetLedger(()))
         tracer.current_op = 0
-        assert verify_pit(cert.axioms, cert.cofactors, PitConfig(trials=3)).ok
+        assert verify_pit(cert, PitConfig(trials=3)).ok
         calls, _, _ = tracer.summary()
         assert calls["verify.verify_pit"] == 1
         assert calls["circuit.compiled_eval"] == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dag_circuit, shuffled_topological
+from helpers import random_dag_circuit, random_layered_formula, shuffled_topological
 
 from ipscert.circuit import (
     Circuit,
@@ -382,3 +382,159 @@ def test_malformed_leaf_after_a_well_formed_one_names_its_line(text, kind, data)
     lines.insert(at, f"g901 = {kind} {bad}")
     with pytest.raises(ValueError, match=f"^line {at + 1}: "):
         parse_circuit("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Reading circuit text into a hash-consed table, and laying roots out again.
+
+@pytest.mark.parametrize("lhs", ["g²", "g١", "g1²", "g１"])
+def test_gate_ids_are_ascii_digits(lhs):
+    text = f"{lhs} = VAR x1\nOUTPUT {lhs}\n"
+    with pytest.raises(ValueError, match=f"^line 1: bad gate id '{lhs}'$"):
+        parse_circuit(text)
+    with pytest.raises(ValueError, match=f"^line 1: bad gate id '{lhs}'$"):
+        CircuitBuilder().read(text.splitlines(), {}, {})
+
+
+def mangled(rng: random.Random, text: str) -> str:
+    """text with zero to two random edits; most break it, some keep it valid."""
+    lines = text.splitlines()
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        k = rng.randrange(len(lines))
+        toks = lines[k].split()
+        edit = rng.randrange(14)
+        if edit == 0:
+            del lines[k]
+        elif edit == 1:
+            j = rng.randrange(len(lines))
+            lines[j], lines[k] = lines[k], lines[j]
+        elif edit == 2:
+            lines.insert(k, lines[k])
+        elif edit == 3 and toks:
+            toks[0] = rng.choice(("g0", "g1", f"g0{k}", "g١", "x1", "g", f"g{k + 1}"))
+        elif edit == 4 and len(toks) > 3:
+            toks[rng.randrange(3, len(toks))] = rng.choice(("g99", "g0", f"g{k}", "g-1", "1"))
+        elif edit == 5 and toks:
+            del toks[rng.randrange(len(toks))]
+        elif edit == 6:
+            toks.insert(rng.randrange(len(toks) + 1), rng.choice(("junk", "=", "ADD", "#")))
+        elif edit == 7 and len(toks) > 2:
+            toks[2] = rng.choice(("XOR", "add", "OUTPUT", "VAR", "CONST", "MUL"))
+        elif edit == 8:
+            lines[k] = lines[k].replace("=", " ", 1)
+        elif edit == 9:
+            lines.insert(k, rng.choice(("", "# note", "   ", "OUTPUT g0", "OUTPUT")))
+        elif edit == 10:
+            lines[k] = rng.choice(("  ", "\t")) + lines[k] + rng.choice(("", " # c", "  "))
+        elif edit == 11 and len(toks) > 3 and toks[2] in ("VAR", "CONST"):
+            toks[3] = rng.choice(("q7", "x01", "1/0", "--1", "y_3_", "2/4", "x2"))
+        elif edit == 12:
+            lines = [line for line in lines if not line.startswith("OUTPUT")]
+        elif edit == 13 and len(toks) > 3 and toks[2] in ("ADD", "MUL"):
+            toks[3:] = reversed(toks[3:])
+        if edit in (3, 4, 5, 6, 7, 11, 13):
+            lines[k] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def parsed_outcome(text: str) -> tuple:
+    try:
+        return "ok", format_circuit(parse_circuit(text))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def read_outcome(b: CircuitBuilder, leaves: dict, known: dict, text: str) -> tuple:
+    try:
+        i = b.read(text.splitlines(), leaves, known)
+    except ValueError as exc:
+        return "error", str(exc)
+    text = "\n".join(b.lines(i)) + "\n"
+    assert format_circuit(b.formula(i)) == text
+    return "ok", text
+
+
+def test_read_and_parse_circuit_agree_on_malformed_texts():
+    # Groups of texts share one table and its caches, so lines read before
+    # (canonical formula lines above all) are read again from the cache.
+    rng = random.Random(9107)
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(200):
+        b, leaves, known = CircuitBuilder(), {}, {}
+        for _ in range(10):
+            pick = rng.random()
+            if pick < 0.6:
+                c = random_layered_formula(rng, max_nodes=rng.randint(3, 20), n_vars=3)
+            elif pick < 0.8:
+                c = random_dag_circuit(rng, n_gates=rng.randint(4, 14))
+            else:
+                c, _ = shuffled_topological(rng, random_dag_circuit(rng, n_gates=10),
+                                            GadgetLedger(()))
+            text = mangled(rng, format_circuit(c))
+            want = parsed_outcome(text)
+            assert read_outcome(b, leaves, known, text) == want, text
+            outcomes[want[0]] += 1
+    assert outcomes["ok"] > 500 and outcomes["error"] > 500
+
+
+def test_read_hash_conses_post_order_formulas_and_keeps_other_circuits():
+    b, leaves, known = CircuitBuilder(), {}, {}
+    tree = "g0 = VAR x1\ng1 = CONST 2/4\ng2 = MUL g0 g1\ng3 = VAR x1\ng4 = ADD g2 g3\nOUTPUT g4\n"
+    dag = "g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\ng3 = ADD g2 g2\nOUTPUT g3\n"
+    shuffled = "g0 = CONST 1/2\ng1 = VAR x1\ng2 = MUL g1 g0\nOUTPUT g2\n"
+    t = b.read(tree.splitlines(), leaves, known)
+    size = len(b._gates)
+    assert size == 4                                  # x1 once, 1/2 once
+    assert b.read(tree.splitlines(), leaves, known) == t and len(b._gates) == size
+    sub = b.read("g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\nOUTPUT g2\n".splitlines(),
+                 leaves, known)
+    assert sub == b.gate(t).args[0] and len(b._gates) == size
+    for text in (tree, dag, shuffled):
+        i = b.read(text.splitlines(), leaves, known)
+        assert "\n".join(b.lines(i)) + "\n" == format_circuit(parse_circuit(text))
+    assert len(b._gates) == size + 4 + 3              # the DAG and the shuffled text kept
+
+
+def chain(depth: int) -> Circuit:
+    b = CircuitBuilder()
+    g = b.var(X1)
+    for _ in range(depth):
+        g = b.mul([g, b.var(X2)])
+    return b.build(g)
+
+
+def test_metrics_by_dp_equal_the_measure_of_the_layout():
+    rng = random.Random(5021)
+    for _ in range(40):
+        start = random_dag_circuit(rng, n_gates=rng.randint(4, 16))
+        b = CircuitBuilder(start.gates)
+        ids = list(range(len(start.gates)))
+        for _ in range(rng.randint(1, 12)):
+            pick = rng.random()
+            if pick < 0.3:
+                ids.append(b.const(rng.choice((-1, 2, Fraction(1, 3)))))
+            elif pick < 0.4:
+                ids.append(b.var(X3))
+            else:
+                kids = [rng.choice(ids) for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.3:
+                    kids = [b.const(-1), kids[0]]       # a scaled wire
+                ids.append(b.add(kids) if rng.random() < 0.5 else b.mul(kids))
+        for i in ids:
+            assert b.metrics(i) == measure(b.formula(i))
+            assert b.expand(i) == expand(b.formula(i))
+            assert format_circuit(b.formula(i)) == "\n".join(b.lines(i)) + "\n"
+
+
+def test_metrics_and_layout_of_a_3000_deep_chain_do_not_recurse():
+    deep = chain(3000)
+    b = CircuitBuilder(deep.gates)
+    root = b.mul([b.const(2), b.add([deep.output, b.const(1)])])
+    top = b.mul([root, root])
+    for i in (root, top):
+        assert b.metrics(i) == measure(b.formula(i))
+    assert measure(b.formula(root)).depth == 3001
+    t, leaves, known = CircuitBuilder(), {}, {}
+    i = t.read(b.lines(top), leaves, known)
+    assert t.metrics(i) == b.metrics(top) and t.lines(i) == b.lines(top)
+    assert t.expand(i) == expand(b.formula(top))

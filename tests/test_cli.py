@@ -323,3 +323,30 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verified-exact" in proc.stdout
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["cofactors"][1].__setitem__(0, "g² = VAR x1"),
+     "field cofactors[1]: line 1: bad gate id 'g²'"),
+    (lambda doc: doc["axioms"][0]["circuit"].__setitem__(0, "g١ = VAR x1"),
+     "field axioms[0].circuit: line 1: bad gate id 'g١'"),
+    (lambda doc: doc.__setitem__("builder", 5), "field builder is not a string"),
+    (lambda doc: doc["metrics"].pop(), "field metrics has 4 entries for 5 cofactors"),
+])
+def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
+    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    assert len(doc["cofactors"]) == 5
+    edit(doc)
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    for mode in ("exact", "pit"):
+        assert main(["verify", "--cert", str(path), "--mode", mode]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_parse_rejects_a_gate_id_with_non_ascii_digits(tmp_path, capsys):
+    src = tmp_path / "c.circ"
+    write(src, "g² = VAR x1\nOUTPUT g²\n")
+    assert main(["parse", "--input", str(src)]) == 2
+    assert "line 1: bad gate id 'g²'" in capsys.readouterr().err

@@ -23,10 +23,10 @@ from ipscert.poly import (
     parse_poly,
     parse_var,
 )
-from ipscert.refute import assemble_refutation
+from ipscert.refute import NullstellensatzCertificate, assemble_refutation
 from ipscert.verify import verify_exact
 
-from helpers import random_layered_formula
+from helpers import laid_out, random_layered_formula
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -291,12 +291,12 @@ def test_parse_var_rejects_non_canonical_names(name):
 def test_verify_exact_refutes_a_corrupted_cofactor_with_a_witness():
     cprime, ledger = gadgetize(random_layered_formula(random.Random(5), max_nodes=14))
     cert = assemble_refutation(cprime, ledger)
-    assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
-    cofactors = list(cert.cofactors)
+    assert verify_exact(cert).verdict == "verified-exact"
+    axioms, cofactors = laid_out(cert)
     cofactors[-1] = cadd(cofactors[-1], cconst(1))
-    report = verify_exact(cert.axioms, cofactors)
+    report = verify_exact(NullstellensatzCertificate.of(axioms, cofactors))
     assert report.verdict == "refuted"
     residual = SparsePoly.constant(-1)
-    for (_, ax), cf in zip(cert.axioms, cofactors):
+    for (_, ax), cf in zip(axioms, cofactors):
         residual = residual + expand(cf) * (expand(ax) if isinstance(ax, Circuit) else ax)
     assert residual.evaluate(report.witness) != 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, random_product_dag, shuffled_topological
+from helpers import build_corpus, laid_out, random_product_dag, shuffled_topological
 
 from ipscert.circuit import (
     CONST,
@@ -23,8 +23,9 @@ from ipscert.circuit import (
     subcircuit,
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
-from ipscert.poly import SparsePoly, Var, boolean_axiom
+from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly
 from ipscert.refute import (
+    NullstellensatzCertificate,
     address_product_decomposition,
     address_square_decomposition,
     assemble_refutation,
@@ -193,21 +194,21 @@ def test_assembly_hand_example_leaf():
     c = cvar(X1)
     cert = assemble_refutation(c, GadgetLedger(()))
     x1 = SparsePoly.variable(X1)
-    assert expand(cert.cofactors[0]) == -(x1 + 1) / 2
-    assert expand(cert.cofactors[1]) == Fraction(1, 2)
-    assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
+    assert expand(cert.table.formula(cert.cofactors[0])) == -(x1 + 1) / 2
+    assert expand(cert.table.formula(cert.cofactors[1])) == Fraction(1, 2)
+    assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_constant_instance():
     cert = assemble_refutation(cconst(1), GadgetLedger(()))
     assert len(cert.axioms) == 1
-    assert expand(cert.cofactors[0]) == -1
-    assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
+    assert expand(cert.table.formula(cert.cofactors[0])) == -1
+    assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_product_instance():
     cert = assemble_refutation(cmul(cvar(X1), cvar(X2)), GadgetLedger(()))
-    assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
+    assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_rejects_satisfiable_shift():
@@ -219,7 +220,7 @@ def test_assembly_rejects_satisfiable_shift():
 def test_assembly_alternate_shift():
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
     cert = assemble_refutation(cp, ledger, shift=Fraction(1))
-    assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
+    assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_rejects_bad_leaf():
@@ -245,7 +246,7 @@ def test_instance_cofactor_degree():
         cp, ledger = gadgetize(normalize_layered(c))
         cert = assemble_refutation(cp, ledger)
         fprime = expand(cp)
-        assert expand(cert.cofactors[0]).total_degree() <= fprime.total_degree() + 1
+        assert expand(cert.table.formula(cert.cofactors[0])).total_degree() <= fprime.total_degree() + 1
 
 
 def test_gate_identities_and_ledger_bounds_small_corpus():
@@ -268,11 +269,11 @@ def test_assembled_certificates_on_small_corpus():
     for c in build_corpus(773, 10):
         cp, ledger = gadgetize(normalize_layered(c))
         cert = assemble_refutation(cp, ledger)
-        assert verify_exact(cert.axioms, cert.cofactors).verdict == "verified-exact"
+        assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cp)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
         assert cert.total_depth <= 2 * m.depth + 2
-        assert cert.claimed_metrics == tuple(measure(cf) for cf in cert.cofactors)
+        assert cert.claimed_metrics == tuple(measure(cf) for cf in laid_out(cert)[1])
 
 
 def test_layout_of_reparsed_shuffled_formulas_is_pinned():
@@ -307,7 +308,7 @@ def test_certificate_json_round_trip():
     text = certificate_to_json(cert)
     again = certificate_from_json(text)
     assert certificate_to_json(again) == text
-    assert verify_exact(again.axioms, again.cofactors).verdict == "verified-exact"
+    assert verify_exact(again).verdict == "verified-exact"
     assert again.instance_sha256 == cert.instance_sha256
 
 
@@ -372,4 +373,97 @@ def test_certificate_from_json_names_a_wrongly_typed_field(path, value, name):
         holder = holder[key]
     holder[path[-1]] = value
     with pytest.raises(ValueError, match=re.escape(f"field {name} is not")):
+        certificate_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# One gate table from refute to verify.
+
+def parent_json(cert) -> str:
+    """The document as json.dumps writes it from formula circuits."""
+    axioms, cofactors = laid_out(cert)
+    doc = {
+        "format": "nullstellensatz-cert/1",
+        "builder": cert.builder,
+        "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
+        "instance_sha256": cert.instance_sha256,
+        "axioms": [{"label": label, "poly": format_poly(ax)} if isinstance(ax, SparsePoly)
+                   else {"label": label, "circuit": format_circuit(ax).splitlines()}
+                   for label, ax in axioms],
+        "cofactors": [format_circuit(cf).splitlines() for cf in cofactors],
+        "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def pinned_certificates():
+    """The certificates of the two pinned layout tests above."""
+    rng = random.Random(4104)
+    for c in build_corpus(4104, 12):
+        cp, ledger = gadgetize(normalize_layered(c))
+        shuffled, shuffled_ledger = shuffled_topological(rng, cp, ledger)
+        yield assemble_refutation(parse_circuit(format_circuit(shuffled)),
+                                  GadgetLedger.from_json(shuffled_ledger.to_json()))
+    rng = random.Random(4105)
+    for _ in range(10):
+        yield assemble_refutation(random_product_dag(rng, rng.randint(6, 11)), GadgetLedger(()))
+
+
+def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed01):
+    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01]
+    certs += list(pinned_certificates())
+    for cert in certs:
+        text = certificate_to_json(cert)
+        assert text == parent_json(cert)
+        again = certificate_from_json(text)
+        assert certificate_to_json(again) == text
+        assert again.instance_sha256 == hashlib.sha256(
+            format_circuit(again.table.formula(again.axioms[0][1])).encode()).hexdigest()
+        for table, roots in ((cert.table, cert.cofactors), (again.table, again.cofactors)):
+            assert tuple(table.metrics(r) for r in roots) == cert.claimed_metrics == tuple(
+                measure(table.formula(r)) for r in roots)
+
+
+def test_certificate_json_of_empty_lists_and_escaped_labels():
+    for cert in (NullstellensatzCertificate.of((), ()),
+                 NullstellensatzCertificate.of([('é "q"\n\\', boolean_axiom(X1)), ("t\x01", cvar(X2))],
+                                               [cconst(1), cmul(cvar(X1), cvar(X1))],
+                                               instance_sha256="0" * 64, shift=Fraction(3, 7),
+                                               builder="b\u2028")):
+        text = certificate_to_json(cert)
+        assert text == parent_json(cert)
+        assert certificate_to_json(certificate_from_json(text)) == text
+
+
+def test_certificate_of_lays_every_circuit_out_as_given():
+    rng = random.Random(6607)
+    circuits = [random_product_dag(rng, 9), cmul(cvar(X1), cvar(X2)), cconst(0)]
+    circuits.append(shuffled_topological(rng, circuits[0], GadgetLedger(()))[0])
+    cert = NullstellensatzCertificate.of([("f", c) for c in circuits], circuits)
+    axioms, cofactors = laid_out(cert)
+    assert [format_circuit(c) for c in cofactors] == [format_circuit(c) for c in circuits]
+    assert [format_circuit(c) for _, c in axioms] == [format_circuit(c) for c in circuits]
+    assert cert.claimed_metrics == tuple(measure(c) for c in circuits)
+
+
+def test_certificate_from_json_requires_a_string_builder():
+    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    for value in (5, None, ["ipscert-refute/1"]):
+        doc["builder"] = value
+        with pytest.raises(ValueError, match=re.escape("field builder is not a string")):
+            certificate_from_json(json.dumps(doc))
+    del doc["builder"]
+    assert certificate_from_json(json.dumps(doc)).builder == "ipscert-refute/1"
+
+
+@pytest.mark.parametrize("keep", [0, 1, 5])
+def test_certificate_from_json_requires_one_metric_per_cofactor(keep):
+    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    cofactors = len(doc["cofactors"])
+    doc["metrics"] = (doc["metrics"] * 5)[:keep]
+    assert keep != cofactors
+    with pytest.raises(ValueError, match=re.escape(
+            f"field metrics has {keep} entries for {cofactors} cofactors")):
         certificate_from_json(json.dumps(doc))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, mutate_certificate
+from helpers import build_corpus, laid_out, mutate_certificate
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -22,7 +22,12 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import gadgetize
 from ipscert.poly import SparsePoly, Var
-from ipscert.refute import assemble_refutation
+from ipscert.refute import (
+    NullstellensatzCertificate,
+    assemble_refutation,
+    certificate_from_json,
+    certificate_to_json,
+)
 from ipscert.verify import (
     DEFAULT_PIT_PRIME,
     PitConfig,
@@ -60,20 +65,19 @@ def test_pit_config_validation():
 
 def test_verify_exact_hand_example():
     cert = leaf_certificate()
-    report = verify_exact(cert.axioms, cert.cofactors)
+    report = verify_exact(cert)
     assert report.verdict == "verified-exact"
     assert report.ok and report.exit_code() == 0
 
 
 def test_verify_exact_flipped_sign_refuted_with_witness():
-    cert = leaf_certificate()
-    cofactors = list(cert.cofactors)
+    axioms, cofactors = laid_out(leaf_certificate())
     cofactors[1] = cscale(-1, cofactors[1])
-    report = verify_exact(cert.axioms, cofactors)
+    report = verify_exact(NullstellensatzCertificate.of(axioms, cofactors))
     assert report.verdict == "refuted"
     assert report.witness is not None
     residual = SparsePoly.zero() - 1
-    for (_, ax), cf in zip(cert.axioms, cofactors):
+    for (_, ax), cf in zip(axioms, cofactors):
         axp = ax if isinstance(ax, SparsePoly) else expand(ax)
         residual = residual + expand(cf) * axp
     assert residual.evaluate(report.witness) != 0
@@ -82,33 +86,33 @@ def test_verify_exact_flipped_sign_refuted_with_witness():
 def test_verify_exact_trivial_certificate():
     axioms = (("one", SparsePoly.constant(1)),)
     cofactors = (cconst(1),)
-    assert verify_exact(axioms, cofactors).verdict == "verified-exact"
+    assert verify_exact(NullstellensatzCertificate.of(axioms, cofactors)).verdict == "verified-exact"
 
 
 def test_verify_exact_rejects_placeholder_use():
     axioms = (("one", SparsePoly.constant(1)),)
     cofactors = (cadd(cconst(1), cvar(Var("fresh", 1))),)
-    report = verify_exact(axioms, cofactors)
+    report = verify_exact(NullstellensatzCertificate.of(axioms, cofactors))
     assert report.verdict == "error"
     assert "placeholder" in report.detail
 
 
 def test_verify_exact_length_mismatch():
-    assert verify_exact((), (cconst(1),)).verdict == "error"
+    assert verify_exact(NullstellensatzCertificate.of((), (cconst(1),))).verdict == "error"
 
 
 def test_pit_accepts_valid_certificate_many_seeds():
     cert = leaf_certificate()
     for seed in range(100):
         cfg = PitConfig(trials=5, seed=seed)
-        assert verify_pit(cert.axioms, cert.cofactors, cfg).verdict == "verified-probabilistic"
+        assert verify_pit(cert, cfg).verdict == "verified-probabilistic"
 
 
 def test_pit_determinism():
     cert = leaf_certificate()
     cfg = PitConfig(trials=7, seed=42)
-    r1 = verify_pit(cert.axioms, cert.cofactors, cfg)
-    r2 = verify_pit(cert.axioms, cert.cofactors, cfg)
+    r1 = verify_pit(cert, cfg)
+    r2 = verify_pit(cert, cfg)
     assert r1.to_jsonable() == r2.to_jsonable()
 
 
@@ -123,7 +127,7 @@ def test_pit_rejects_mutations():
         cert = certs[i % len(certs)]
         mutated = mutate_certificate(rng, cert, seed=i)
         cfg = PitConfig(trials=20, seed=i)
-        report = verify_pit(mutated.axioms, mutated.cofactors, cfg)
+        report = verify_pit(mutated, cfg)
         assert report.verdict == "refuted"
         assert report.witness is not None
 
@@ -131,7 +135,7 @@ def test_pit_rejects_mutations():
 def test_pit_denominator_divisible_by_prime():
     axioms = (("f", SparsePoly.constant(Fraction(1, 3))),)
     cofactors = (cconst(3),)
-    report = verify_pit(axioms, cofactors, PitConfig(prime=3, trials=1))
+    report = verify_pit(NullstellensatzCertificate.of(axioms, cofactors), PitConfig(prime=3, trials=1))
     assert report.verdict == "error"
     assert "denominator" in report.detail and "3" in report.detail
 
@@ -170,9 +174,9 @@ def reference_pit(axioms, cofactors, cfg):
         work={"evaluations": evaluations, "trials": cfg.trials})
 
 
-def assert_pit_matches_reference(axioms, cofactors, cfg):
-    report = verify_pit(axioms, cofactors, cfg)
-    assert report.to_jsonable() == reference_pit(axioms, cofactors, cfg).to_jsonable()
+def assert_pit_matches_reference(cert, cfg):
+    report = verify_pit(cert, cfg)
+    assert report.to_jsonable() == reference_pit(*laid_out(cert), cfg).to_jsonable()
     return report
 
 
@@ -180,16 +184,16 @@ def test_pit_matches_the_per_pair_reference_on_corpus_certificates(transformed01
     certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
     assert len(certs) == 20
     for k, cert in enumerate(certs):
-        report = assert_pit_matches_reference(cert.axioms, cert.cofactors,
-                                              PitConfig(trials=5, seed=k))
+        report = assert_pit_matches_reference(cert, PitConfig(trials=5, seed=k))
         assert report.verdict == "verified-probabilistic"
+        assert_pit_matches_reference(certificate_from_json(certificate_to_json(cert)),
+                                     PitConfig(trials=5, seed=k))
     rng = random.Random(17)
     verdicts = set()
     for i in range(30):
         mutated = mutate_certificate(rng, certs[i % len(certs)], seed=i)
         for cfg in (PitConfig(trials=20, seed=i), PitConfig(prime=101, trials=20, seed=i)):
-            verdicts.add(assert_pit_matches_reference(mutated.axioms, mutated.cofactors,
-                                                      cfg).verdict)
+            verdicts.add(assert_pit_matches_reference(mutated, cfg).verdict)
     assert "refuted" in verdicts
 
 
@@ -199,17 +203,23 @@ def test_pit_matches_the_per_pair_reference_on_corpus_certificates(transformed01
     ((("f", cconst(1)),), (cconst(2),), 11),
     ((), (), 11),
     ((("f", cconst(1)),), (), 11),
+    ((("f", cconst(1)), ("g", cconst(Fraction(1, 14)))), (cconst(Fraction(1, 7)), cconst(2)), 7),
 ])
 def test_pit_matches_the_per_pair_reference_on_edge_cases(axioms, cofactors, prime):
-    assert_pit_matches_reference(axioms, cofactors, PitConfig(prime=prime, trials=3))
+    cert = NullstellensatzCertificate.of(axioms, cofactors)
+    assert_pit_matches_reference(cert, PitConfig(prime=prime, trials=3))
+    # Read back, the axioms come before the cofactors in the table.
+    assert_pit_matches_reference(certificate_from_json(certificate_to_json(cert)),
+                                 PitConfig(prime=prime, trials=3))
 
 
 def test_verify_invariant_under_restructuring():
     c = cadd(cvar(X1), cmul(cvar(X2), cvar(X1)))
     cp, ledger = gadgetize(normalize_layered(c))
     cert = assemble_refutation(cp, ledger)
-    restructured = tuple(normalize_layered(cf) for cf in cert.cofactors)
-    assert verify_exact(cert.axioms, restructured).verdict == "verified-exact"
+    axioms, cofactors = laid_out(cert)
+    restructured = [normalize_layered(cf) for cf in cofactors]
+    assert verify_exact(NullstellensatzCertificate.of(axioms, restructured)).verdict == "verified-exact"
 
 
 def test_boolean_image_product():
