@@ -31,6 +31,9 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from math import prod
+from operator import add, mod, mul
 from typing import Iterable, Mapping, Sequence
 
 from .poly import (
@@ -537,76 +540,103 @@ def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
     return Circuit(gates, c.output)
 
 
-def compile_evaluator(c: Circuit):
-    """Compile the gate table once; returns run(assignment, prime=None).
+# Widest gate whose children are folded by nested maps; a wider gate sums or
+# multiplies a zip of its children, which keeps the iterator chain shallow.
+_NESTED_FANIN = 8
 
-    run evaluates the circuit at a total assignment of its variables.  With
-    prime None the value is exact: a plain int when every constant and every
-    assigned value is an integer (the hot path of Boolean image scans), and
-    otherwise a Fraction, with each non-int value taken through Fraction().
-    With a prime the value lies in GF(prime): assigned values are reduced mod
-    prime and rational constants are transported by frac_mod.  Each ring's
-    constant table is built on its first run.  A variable missing from the
-    assignment raises UnassignedVariableError in both rings.
+
+def compile_evaluator(c: Circuit):
+    """Compile the gate table once; returns run(columns, count, prime=None).
+
+    run evaluates the circuit at a batch of count points, given as one column
+    per variable: columns[v][k] is v's value at point k, and every column
+    holds count values.  It returns the list of the count values of the
+    output.  One loop walks the gates in id order; each gate's values over
+    the whole batch are one list, built by map over its children's lists,
+    and a list is dropped after its last reader.
+
+    With prime None the values are exact: plain ints when every constant and
+    every assigned value is an integer (the hot path of Boolean image scans;
+    a bytes column holds ints and is read as is), and otherwise Fractions,
+    with each non-int value taken through Fraction().  With a prime they lie
+    in GF(prime): assigned values are reduced mod prime, each gate's values
+    are reduced once, and rational constants are transported by frac_mod.
+    Each ring's constants are converted on its first run.  A variable missing
+    from columns raises UnassignedVariableError in both rings.
     """
     leaves = []     # (gate id, variable) per VAR gate
     consts = []     # (gate id, rational) per CONST gate
-    internal = []   # (gate id, is ADD, children) per ADD or MUL gate
+    internal = []   # (gate id, operator, fold over a zip, children, ids read last here)
+    released: dict = {}   # gate id -> the ids it reads last (never the output's)
+    last_reader = {a: i for i, g in enumerate(c.gates) for a in g.args}
+    for a, i in last_reader.items():
+        released.setdefault(i, []).append(a)
     for i, g in enumerate(c.gates):
         if g.op == VAR:
             leaves.append((i, g.var))
         elif g.op == CONST:
             consts.append((i, g.const))
         else:
-            internal.append((i, g.op == ADD, g.args))
+            is_add = g.op == ADD
+            internal.append((i, add if is_add else mul,
+                             (sum if is_add else prod) if len(g.args) > _NESTED_FANIN else None,
+                             g.args, tuple(released.get(i, ()))))
 
-    tables: dict = {}   # prime (None: exact) -> constants in place, zeros elsewhere
-    out = c.output
+    tables: dict = {}   # prime (None: exact) -> ((gate id, constant in the ring), ...)
+    size, out = len(c.gates), c.output
 
-    def run(assignment: Mapping[Var, object], prime: int | None = None):
-        start = tables.get(prime)
-        if start is None:
-            start = [0] * len(c.gates)
-            for i, q in consts:
-                if prime is not None:
-                    start[i] = frac_mod(q, prime)
-                else:
-                    start[i] = int(q) if q.denominator == 1 else q
-            tables[prime] = start   # only once complete: frac_mod may raise
-        vals = start[:]
+    def run(columns: Mapping[Var, Sequence], count: int, prime: int | None = None) -> list:
+        table = tables.get(prime)
+        if table is None:
+            table = tuple((i, frac_mod(q, prime) if prime is not None
+                           else int(q) if q.denominator == 1 else q) for i, q in consts)
+            tables[prime] = table   # only once complete: frac_mod may raise
+        vals: list = [None] * size
+        moduli = repeat(prime)
+        for i, q in table:
+            vals[i] = [q] * count
         for i, v in leaves:
             try:
-                x = assignment[v]
+                col = columns[v]
             except KeyError:
                 raise UnassignedVariableError(f"no value assigned to {v.name}") from None
+            if len(col) != count:
+                raise ValueError(f"{v.name} has {len(col)} values for {count} points")
             if prime is not None:
-                x %= prime
-            elif type(x) is not int:
-                x = Fraction(x)
-            vals[i] = x
-        for i, is_add, args in internal:
-            if is_add:
-                acc = 0
-                for a in args:
-                    acc += vals[a]
+                col = [x % prime for x in col]
+            elif type(col) is not bytes and not all(type(x) is int for x in col):
+                col = [x if type(x) is int else Fraction(x) for x in col]
+            vals[i] = col
+        for i, op, fold, args, dead in internal:
+            if fold is not None:
+                acc = map(fold, zip(*[vals[a] for a in args]))
             else:
-                acc = 1
-                for a in args:
-                    acc *= vals[a]
-            vals[i] = acc if prime is None else acc % prime
-        return vals[out]
+                acc = iter(vals[args[0]])
+                for a in args[1:]:
+                    acc = map(op, acc, vals[a])
+            if prime is not None:
+                acc = map(mod, acc, moduli)
+            vals[i] = list(acc)
+            for a in dead:
+                vals[a] = None
+        return list(vals[out])
 
     return run
 
 
 def eval_circuit(c: Circuit, assignment: Mapping[Var, object]) -> Fraction:
     """Exact evaluation at a total assignment of the circuit's variables."""
-    return Fraction(compile_evaluator(c)(assignment))
+    return Fraction(compile_evaluator(c)(_one_point(assignment), 1)[0])
 
 
 def eval_circuit_mod(c: Circuit, assignment: Mapping[Var, int], prime: int) -> int:
     """Evaluation over GF(prime); rational constants transported exactly."""
-    return compile_evaluator(c)(assignment, prime)
+    return compile_evaluator(c)(_one_point(assignment), 1, prime)[0]
+
+
+def _one_point(assignment: Mapping[Var, object]) -> dict:
+    """An assignment as the columns of a batch of one point."""
+    return {v: (x,) for v, x in assignment.items()}
 
 
 def normalize_layered(c: Circuit) -> Circuit:

@@ -88,9 +88,10 @@ def cmd_refute(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = rf.certificate_from_json(_read(args.cert))
-    if args.mode == "exact":
+    report = vf.check_boolean_axioms(cert)
+    if report is None and args.mode == "exact":
         report = vf.verify_exact(cert)
-    else:
+    elif report is None:
         cfg = vf.PitConfig(prime=args.prime, trials=args.trials, seed=args.seed)
         report = vf.verify_pit(cert, cfg)
     _print_json(report.to_jsonable())

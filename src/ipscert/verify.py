@@ -15,18 +15,24 @@ large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
 happens with probability at most total-degree/prime per trial; a genuinely
 valid certificate is never rejected.  The identity is one circuit,
 ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...), over the
-certificate's gate table (hash-consed when read from a document), so a
-gate shared by many cofactors is evaluated once per trial.  A constant
-whose denominator vanishes mod the prime is named as the first such in the
-written order of the axioms and cofactors, pair by pair.  Trial points are
-derived from (seed, trial index), so identical configurations produce
-identical reports.
+certificate's gate table (hash-consed when read from a document), run
+once over all trials as one batch, so a gate shared by many cofactors is
+evaluated once.  A constant whose denominator vanishes mod the prime is
+named as the first such in the written order of the axioms and cofactors,
+pair by pair.  Trial points are derived from (seed, trial index), so
+identical configurations produce identical reports.
+
+check_boolean_axioms checks what a certificate document claims of its
+axioms after the instance: each is the Boolean axiom v^2 - v of the
+variable its label names, and no variable has two.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
 otherwise.  The exhaustive image is a zeta transform of the multilinear
 coefficients: the value at the point with support S is the sum of the
-coefficients of the monomials inside S.
+coefficients of the monomials inside S.  The sampled image keeps the points
+of rng.randrange(2) drawn per point and variable, but draws them in bulk
+from whole Mersenne Twister words and evaluates them in fixed-size batches.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from math import lcm
 from operator import add
 
 from .circuit import CONST, Circuit, compile_evaluator, expand, poly_to_circuit
-from .poly import TERM_GUARD, SparsePoly, _Accumulator, frac_mod
+from .poly import TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, frac_mod, parse_var
 from .refute import NullstellensatzCertificate
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
@@ -173,6 +179,31 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         work={"expansions": expansions})
 
 
+def check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | None:
+    """An error report for the first axiom after the instance that is not
+    the Boolean axiom v^2 - v of the variable v its label "v^2-v" names, or
+    that names a variable an earlier axiom named; None when there is none.
+    The detail names the field, axioms[k].label or axioms[k].poly."""
+    seen: set = set()
+    for k, (label, ax) in enumerate(cert.axioms[1:], start=1):
+        name, sep, rest = label.partition("^2-")
+        try:
+            v = parse_var(name)
+        except ValueError:
+            v = None
+        if v is None or not sep or rest != name:
+            return VerifyReport("error", detail=f"axioms[{k}].label: {label!r} does not "
+                                                "name a Boolean axiom v^2-v")
+        if v in seen:
+            return VerifyReport("error", detail=f"axioms[{k}].label: a second Boolean "
+                                                f"axiom of {v.name}")
+        seen.add(v)
+        if not isinstance(ax, SparsePoly) or ax != boolean_axiom(v):
+            return VerifyReport("error", detail=f"axioms[{k}].poly: not the Boolean "
+                                                f"axiom {label}")
+    return None
+
+
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"pit:{seed}:{trial}")
 
@@ -187,8 +218,9 @@ def _pairs(cert: NullstellensatzCertificate):
 def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -> VerifyReport:
     """Probabilistic identity check at cfg.trials seeded points mod cfg.prime.
 
-    The identity circuit is compiled once and run once per trial; work still
-    counts two evaluations (axiom and cofactor) per pair and trial.
+    The identity circuit is compiled once and run once, over all trials as
+    one batch; the report names the first failing trial, and work still
+    counts two evaluations (axiom and cofactor) per pair and trial up to it.
     """
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
@@ -196,27 +228,27 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
     ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
     products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
     identity = b.subcircuit(b.add(products) if products else b.const(0))
-    run = compile_evaluator(identity)
     ordered = identity.variables()
-    evaluations = 0
+    points = []
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
-        point = {v: rng.randrange(cfg.prime) for v in ordered}
-        try:
-            total = run(point, cfg.prime)
-        except ZeroDivisionError:
-            return VerifyReport("error", detail=_bad_constant(cert, cfg.prime))
-        evaluations += len(ids)
+        points.append([rng.randrange(cfg.prime) for _ in ordered])
+    try:
+        totals = compile_evaluator(identity)(
+            dict(zip(ordered, zip(*points))), cfg.trials, cfg.prime)
+    except ZeroDivisionError:
+        return VerifyReport("error", detail=_bad_constant(cert, cfg.prime))
+    for trial, total in enumerate(totals):
         if total != 1 % cfg.prime:
             return VerifyReport(
                 "refuted",
                 detail=f"identity failed at trial {trial} mod {cfg.prime}",
-                witness=dict(point),
-                work={"evaluations": evaluations, "trials": trial + 1})
+                witness=dict(zip(ordered, points[trial])),
+                work={"evaluations": len(ids) * (trial + 1), "trials": trial + 1})
     return VerifyReport(
         "verified-probabilistic",
         detail=f"{cfg.trials} trials mod {cfg.prime}",
-        work={"evaluations": evaluations, "trials": cfg.trials})
+        work={"evaluations": len(ids) * cfg.trials, "trials": cfg.trials})
 
 
 def _bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
@@ -290,26 +322,62 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
     return frozenset(Fraction(v, den) for v in set(a))
 
 
+# Points per batch of the sampled image: one list per live gate of this
+# many values, whatever the sample count.
+_IMAGE_CHUNK = 1024
+# rng.randrange(2) is getrandbits(2) with rejection: it takes one 32-bit
+# word per try, rejects it when bit 31 is set and otherwise returns bit 30.
+# getrandbits(32 * m) is m such words, lowest first, so in its little-endian
+# bytes every fourth byte from byte 3 is the top byte of a word.
+_TOP_BYTE_BIT = bytes(b >> 6 for b in range(256))
+_REJECTED = bytes(range(128, 256))
+
+
+def _sampled_bits(rng: random.Random, width: int, samples: int):
+    """The Boolean points rng.randrange(2) would draw one coordinate at a
+    time, width coordinates per point, as (count, bits) chunks of at most
+    _IMAGE_CHUNK points: bits holds the count points one after another.
+    Words are drawn in bulk; accepted bits left over from one chunk start
+    the next, so the stream is never resynced."""
+    pool = b""
+    for start in range(0, samples, _IMAGE_CHUNK):
+        count = min(_IMAGE_CHUNK, samples - start)
+        want = count * width
+        while len(pool) < want:
+            words = 2 * (want - len(pool)) + 64   # half the words are accepted
+            data = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            pool += data[3::4].translate(_TOP_BYTE_BIT, _REJECTED)
+        yield count, pool[:want]
+        pool = pool[want:]
+
+
 def boolean_image(c: Circuit, target: frozenset | None = None,
                   exhaustive_limit: int = 16, samples: int = 20000,
                   seed: int = 0) -> ImageReport:
     """Value set of the circuit over Boolean inputs.
 
     Exhaustive when the circuit has at most exhaustive_limit variables,
-    otherwise sampled at `samples` seeded uniform Boolean points.
+    otherwise sampled at `samples` seeded uniform Boolean points: the
+    points of rng.randrange(2) drawn per variable and point, evaluated in
+    batches of _IMAGE_CHUNK points.  Raises ValueError when samples < 1 or
+    exhaustive_limit < 0.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
+    if exhaustive_limit < 0:
+        raise ValueError(f"exhaustive_limit must be at least 0, not {exhaustive_limit}")
     vars_ = c.variables()
     if len(vars_) <= exhaustive_limit:
         values = boolean_image_poly(expand(c))
         report = ImageReport(values=values, exhaustive=True, points=1 << len(vars_))
     else:
-        rng = random.Random(f"image:{seed}")
         run = compile_evaluator(c)
+        width = len(vars_)
         seen: set = set()
-        for _ in range(samples):
-            point = {v: rng.randrange(2) for v in vars_}
-            seen.add(Fraction(run(point)))
-        report = ImageReport(values=frozenset(seen), exhaustive=False, points=samples)
+        for count, bits in _sampled_bits(random.Random(f"image:{seed}"), width, samples):
+            seen.update(run({v: bits[j::width] for j, v in enumerate(vars_)}, count))
+        report = ImageReport(values=frozenset(map(Fraction, seen)), exhaustive=False,
+                             points=samples)
     if target is not None:
         report.contained = report.values <= frozenset(Fraction(t) for t in target)
     return report

@@ -14,6 +14,7 @@ from ipscert.circuit import (
     MUL,
     VAR,
     _compact,
+    compile_evaluator,
     eval_circuit_mod,
 )
 from ipscert.gadget import GadgetChild, GadgetLedger, LedgerEntry
@@ -158,6 +159,14 @@ def random_product_dag(rng: random.Random, n_gates: int) -> Circuit:
     used = {a for g in b._gates for a in g.args}
     roots = [i for i in ids if i not in used]
     return b.build(roots[0] if len(roots) == 1 else b.mul(roots))
+
+
+def pointwise(c: Circuit):
+    """compile_evaluator(c) as a function of one point: run(assignment,
+    prime=None), the value of c there, from a batch of one point."""
+    run = compile_evaluator(c)
+    return lambda assignment, prime=None: run(
+        {v: (x,) for v, x in assignment.items()}, 1, prime)[0]
 
 
 def _semantically_differs(a: Circuit, b: Circuit, seed: int) -> bool:

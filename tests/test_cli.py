@@ -350,3 +350,66 @@ def test_parse_rejects_a_gate_id_with_non_ascii_digits(tmp_path, capsys):
     write(src, "g² = VAR x1\nOUTPUT g²\n")
     assert main(["parse", "--input", str(src)]) == 2
     assert "line 1: bad gate id 'g²'" in capsys.readouterr().err
+
+
+# A satisfiable instance x1 - 1 "refuted" through a forged axiom: the poly of
+# the axiom labelled x1^2-x1 is 1, so 0 * (x1 - 1) + 1 * 1 = 1 holds.
+FORGED_AXIOM_CERT = {
+    "format": "nullstellensatz-cert/1",
+    "builder": "ipscert-refute/1",
+    "shift": "-1/1",
+    "instance_sha256": "deadbeef",
+    "axioms": [
+        {"label": "f", "circuit": ["g0 = VAR x1", "g1 = CONST -1/1", "g2 = ADD g0 g1",
+                                   "OUTPUT g2"]},
+        {"label": "x1^2-x1", "poly": "1/1"},
+    ],
+    "cofactors": [["g0 = CONST 0/1", "OUTPUT g0"], ["g0 = CONST 1/1", "OUTPUT g0"]],
+    "metrics": [{"size": 999, "depth": 0}, {"size": 999, "depth": 0}],
+}
+
+
+def _duplicate_axiom(doc):
+    doc["axioms"].append(dict(doc["axioms"][1]))
+    doc["cofactors"].append(["g0 = CONST 0/1", "OUTPUT g0"])
+    doc["metrics"].append({"size": 0, "depth": 0})
+
+
+@pytest.mark.parametrize("edit, field", [
+    (None, "axioms[1].poly"),
+    (lambda doc: doc["axioms"][1].__setitem__("label", "x1^2-x2"), "axioms[1].label"),
+    (lambda doc: doc["axioms"][1].__setitem__("label", "x1"), "axioms[1].label"),
+    (lambda doc: doc["axioms"][2].__setitem__("poly", "-1/1 * x1 + 1/1 * x1^2"),
+     "axioms[2].poly"),
+    (_duplicate_axiom, "axioms[5].label"),
+])
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mode):
+    # Every variant but the swapped poly still satisfies the identity; the
+    # axiom check must reject each before the identity check runs.
+    if edit is None:
+        doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
+    else:
+        cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+        doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+        edit(doc)
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    assert main(["verify", "--cert", str(path), "--mode", mode]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "error"
+    assert report["detail"].startswith(field + ":")
+
+
+@pytest.mark.parametrize("option, value, name", [
+    ("--samples", "-5", "samples"),
+    ("--samples", "0", "samples"),
+    ("--exhaustive-limit", "-1", "exhaustive_limit"),
+])
+def test_image_rejects_a_bad_sample_count(tmp_path, capsys, option, value, name):
+    src = tmp_path / "c.circ"
+    write(src, format_circuit(cadd(cvar(X1), cvar(X2))))
+    assert main(["image", "--input", str(src), option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err

@@ -5,10 +5,9 @@ from math import comb
 
 import pytest
 
-from helpers import random_dag_circuit, random_layered_formula
+from helpers import pointwise, random_dag_circuit, random_layered_formula
 
 from ipscert.circuit import (
-    compile_evaluator,
     cvar,
     eval_circuit,
     eval_circuit_mod,
@@ -248,7 +247,7 @@ def test_clique_component_trivial_cases():
 
 def test_instance_sampling_evaluator_consistency():
     c, _ = gadgeted_ry_circuit(2)
-    run = compile_evaluator(c)
+    run = pointwise(c)
     rng = random.Random(9)
     vars_ = c.variables()
     for _ in range(50):
@@ -262,7 +261,7 @@ def test_instance_sampling_evaluator_consistency():
     circuits += [random_layered_formula(rng, max_nodes=25, const_pool=pool) for _ in range(25)]
     circuits += [random_dag_circuit(rng, n_gates=14) for _ in range(25)]
     for c in circuits:
-        run = compile_evaluator(c)
+        run = pointwise(c)
         p = expand(c)
         vars_ = c.variables()
         integral = all(q.denominator == 1 for q in c.constants())
@@ -284,4 +283,4 @@ def test_instance_sampling_evaluator_consistency():
             with pytest.raises(UnassignedVariableError, match=vars_[0].name):
                 run(missing, prime)
     x1 = Var("x", 1)
-    assert compile_evaluator(cvar(x1))({x1: -5}, 101) == 96
+    assert pointwise(cvar(x1))({x1: -5}, 101) == 96

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, laid_out, mutate_certificate
+from helpers import build_corpus, laid_out, mutate_certificate, pointwise
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -150,7 +150,7 @@ def reference_pit(axioms, cofactors, cfg):
         vars_seen.update(ax.variables())
         vars_seen.update(cf.variables())
     ordered = sorted(vars_seen, key=lambda v: v._key)
-    runs = [compile_evaluator(x) if isinstance(x, Circuit) else x.evaluate_mod
+    runs = [pointwise(x) if isinstance(x, Circuit) else x.evaluate_mod
             for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
     evaluations = 0
     for trial in range(cfg.trials):
@@ -266,11 +266,11 @@ def random_expanded_formula(rng, vars_, depth):
 
 
 def image_by_evaluation(c):
-    """The value set of c from compile_evaluator at every point of its cube."""
-    run = compile_evaluator(c)
+    """The value set of c from compile_evaluator at every point of its cube,
+    evaluated as one batch."""
     vars_ = c.variables()
-    return frozenset(Fraction(run(dict(zip(vars_, bits))))
-                     for bits in itertools.product((0, 1), repeat=len(vars_)))
+    cube = list(itertools.product((0, 1), repeat=len(vars_)))
+    return frozenset(map(Fraction, compile_evaluator(c)(dict(zip(vars_, zip(*cube))), len(cube))))
 
 
 def test_boolean_image_poly_matches_compiled_evaluation_at_every_cube_point():
@@ -333,3 +333,85 @@ def test_boolean_image_containment_verdict():
     assert report.contained is True
     report = boolean_image(cadd(cvar(X1), cvar(X2)), target=frozenset((0, 1)))
     assert report.contained is False
+
+
+CHUNK = verify_module._IMAGE_CHUNK
+
+
+def reference_points(seed, width, samples):
+    """The sampled image's points drawn one coordinate at a time by
+    rng.randrange(2): the reference for the bulk draw."""
+    rng = random.Random(f"image:{seed}")
+    return [[rng.randrange(2) for _ in range(width)] for _ in range(samples)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 13, 17, 29, 31, 32, 33, 40])
+def test_sampled_bits_are_the_points_of_randrange(width):
+    longest = 2 * CHUNK + 5
+    for seed in (0, 20260810):
+        expected = bytes(b for point in reference_points(seed, width, longest) for b in point)
+        for samples in (1, CHUNK - 1, CHUNK, CHUNK + 1, longest):
+            rng = random.Random(f"image:{seed}")
+            chunks = list(verify_module._sampled_bits(rng, width, samples))
+            assert [count for count, _ in chunks] == \
+                [min(CHUNK, samples - s) for s in range(0, samples, CHUNK)]
+            assert all(len(bits) == count * width for count, bits in chunks)
+            assert b"".join(bits for _, bits in chunks) == expected[:samples * width]
+
+
+@pytest.mark.parametrize("n_vars, samples, seed", [
+    (17, 300, 0), (20, CHUNK, 3), (24, CHUNK + 3, 11), (40, 2 * CHUNK + 1, 5)])
+def test_sampled_image_is_the_set_of_reference_points(n_vars, samples, seed):
+    # sum_j 2^j x_j: the value of the circuit is its point, written in binary.
+    weight = {Var("x", j): 1 << j for j in range(n_vars)}
+    b = CircuitBuilder()
+    c = b.build(b.add([b.mul([b.const(w), b.var(v)]) for v, w in weight.items()]))
+    report = boolean_image(c, samples=samples, seed=seed)
+    assert not report.exhaustive and report.points == samples
+    assert report.values == frozenset(
+        Fraction(sum(weight[v] * bit for v, bit in zip(c.variables(), point)))
+        for point in reference_points(seed, n_vars, samples))
+
+
+def test_sampled_image_of_a_constant_circuit():
+    # 0 * x1 * ... * x20 + 5 is 5 at every point of its 2^20 cube.
+    b = CircuitBuilder()
+    product = b.mul([b.const(0)] + [b.var(Var("x", j)) for j in range(1, 21)])
+    c = b.build(b.add([product, b.const(5)]))
+    report = boolean_image(c, target=frozenset((5,)), samples=CHUNK + 7, seed=2)
+    assert not report.exhaustive and report.points == CHUNK + 7
+    assert report.values == frozenset((Fraction(5),))
+    assert report.contained is True
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"samples": 0}, "samples"), ({"samples": -5}, "samples"),
+    ({"exhaustive_limit": -1}, "exhaustive_limit")])
+def test_boolean_image_rejects_bad_sample_counts(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        boolean_image(cadd(cvar(X1), cvar(X2)), **kwargs)
+
+
+def test_batch_evaluation_agrees_with_expansion_at_every_point():
+    rng = random.Random(53)
+    xs = [Var("x", j) for j in range(1, 13)]
+    b = CircuitBuilder()
+    leaves = [b.var(v) for v in xs] + [b.const(Fraction(1, 3)), b.const(-2)]
+    # Fan-ins on both sides of the nested-map limit, and a fan-in-1 gate.
+    wide = b.add([b.mul(rng.sample(leaves, k)) for k in (1, 2, 3, 8, 9, 14)])
+    c = b.build(b.mul([wide, b.add(leaves[:11]), b.add([leaves[0]])]))
+    run, poly = compile_evaluator(c), expand(c)
+    count = 25
+    for draw in (lambda: rng.randrange(2), lambda: rng.randint(-9, 9),
+                 lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))):
+        points = [{v: draw() for v in xs} for _ in range(count)]
+        columns = {v: [p[v] for p in points] for v in xs}
+        assert run(columns, count) == [poly.evaluate(p) for p in points]
+        integral = all(type(x) is int for p in points for x in p.values())
+        for prime in (101, DEFAULT_PIT_PRIME) if integral else ():
+            assert run(columns, count, prime) == [poly.evaluate_mod(p, prime) for p in points]
+    assert compile_evaluator(cvar(X1))({X1: bytes((0, 1, 1))}, 3) == [0, 1, 1]
+    assert compile_evaluator(cconst(Fraction(7, 2)))({}, 3) == [Fraction(7, 2)] * 3
+    assert compile_evaluator(cconst(Fraction(7, 2)))({}, 3, 11) == [9] * 3
+    with pytest.raises(ValueError, match="x1 has 2 values for 3 points"):
+        run({v: [0, 1] for v in xs}, 3)
