@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import circuit as ci
 from . import gadget as ga
 from . import instances as ins
+from . import poly as po
 from . import rank as rk
 from . import refute as rf
 from . import verify as vf
@@ -265,7 +266,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        with po.fresh_slots():
+            return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

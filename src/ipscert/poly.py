@@ -7,17 +7,21 @@ operation is a pure function.
 
 Packed monomials.  Inside SparsePoly a monomial is one Python int holding
 its exponent vector (Monagan & Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).  Each Var is given
-a slot the first time it enters a polynomial; slot s owns the bit field
-[16 s, 16 s + 16) and the exponent of the variable sits in that field, so
-the product of two monomials is the sum of their ints and the constant
-monomial is 0.  The slot table is process-wide, which keeps equal
-polynomials equal dicts; packed keys mean nothing in another process, so
-only the text form and the tuple view below may cross one.  The top bit of
-every field is a guard bit that a stored monomial never sets: exponents
-are at most 2**15 - 1.  A product that would carry an exponent past that
-raises ResourceLimitError, so no field ever carries into the next
-variable.
+arrays, heaps, and packed exponent vectors", CASC 2007).  A slot table gives
+each Var a slot the first time it enters a polynomial packed in that table;
+slot s owns the bit field [16 s, 16 s + 16) and the exponent of the variable
+sits in that field, so the product of two monomials is the sum of their
+ints and the constant monomial is 0.  Every polynomial records the table
+its keys are packed in, and keys mean nothing outside it.  New polynomials
+are packed in the current table: one process table unless a block runs
+under fresh_slots(), which gives it a new, empty table, so a key is only as
+wide as the variables that block has met.  An operation on polynomials from
+two tables re-packs the other operand into the receiver's table, which
+keeps equal polynomials equal dicts.  The text form and the tuple view
+below are the same in every table.  The top bit of every field is a guard bit that a
+stored monomial never sets: exponents are at most 2**15 - 1.  A product
+that would carry an exponent past that raises ResourceLimitError, so no
+field ever carries into the next variable.
 
 Coefficients are exact rationals, never floats: the certificate
 constructions need the exact constants 1/2 and powers of two, and every
@@ -41,7 +45,9 @@ reproducible byte for byte, and every variable's name parses back to it.
 
 from __future__ import annotations
 
+import contextvars
 import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -95,7 +101,7 @@ class Var:
     interned, so equality is cheap and hashing is precomputed.
     """
 
-    __slots__ = ("ns", "idx", "name", "_key", "_hash", "_off")
+    __slots__ = ("ns", "idx", "name", "_key", "_hash")
     _cache: dict = {}
 
     def __new__(cls, ns: str, *idx):
@@ -119,7 +125,6 @@ class Var:
             self.name = ns + "_" + "_".join(str(e) for e in idx)
         self._key = (ns, tuple(_elem_key(e) for e in idx))
         self._hash = hash(self._key)
-        self._off = None  # bit offset of the packed exponent field, once assigned
         cls._cache[cache_key] = self
         return self
 
@@ -207,43 +212,59 @@ _EXP_MAX = (1 << (_FIELD - 1)) - 1       # the top bit of a field is its guard b
 
 
 class _SlotTable:
-    """Process-wide slot assignment, plus masks covering every assigned slot.
+    """Slot assignment of one run, plus masks covering every assigned slot.
 
     Slots and masks only grow, and a Var's offset is published after the
     masks cover it, so a reader never sees a monomial its masks miss.
     """
 
     def __init__(self):
-        self.vars: list = []   # slot -> Var
-        self.fill = 0          # _EXP_MAX in every field
-        self.guard = 0         # the guard bit of every field
+        self.vars: list = []     # slot -> Var
+        self.offsets: dict = {}  # Var -> bit offset of its field
+        self.fill = 0            # _EXP_MAX in every field
+        self.guard = 0           # the guard bit of every field
         self._lock = threading.Lock()
 
     def offset(self, v: Var) -> int:
-        off = v._off
+        off = self.offsets.get(v)
         if off is None:
             with self._lock:
-                off = v._off
+                off = self.offsets.get(v)
                 if off is None:
                     off = len(self.vars) * _FIELD
                     self.vars.append(v)
                     self.fill |= _EXP_MAX << off
                     self.guard |= 1 << (off + _FIELD - 1)
-                    v._off = off
+                    self.offsets[v] = off
         return off
 
 
-_SLOTS = _SlotTable()
+_PROCESS_SLOTS = _SlotTable()
+_CURRENT_SLOTS = contextvars.ContextVar("ipscert_slots", default=_PROCESS_SLOTS)
 
 
-def _pack(pairs) -> int:
+@contextmanager
+def fresh_slots():
+    """Pack the polynomials a block creates in a new, empty slot table.
+
+    Polynomials made inside the block stay valid after it, and mix with
+    polynomials of any other table.
+    """
+    token = _CURRENT_SLOTS.set(_SlotTable())
+    try:
+        yield
+    finally:
+        _CURRENT_SLOTS.reset(token)
+
+
+def _pack(pairs, tab: _SlotTable) -> int:
     """The packed monomial of (Var, exponent) pairs; repeated variables add."""
     m = 0
     for v, e in mono_from_pairs(pairs):
         if e > _EXP_MAX:
             raise ResourceLimitError(
                 f"exponent {e} of {v.name} exceeds the packed maximum {_EXP_MAX}")
-        m |= e << _SLOTS.offset(v)
+        m |= e << tab.offset(v)
     return m
 
 
@@ -259,27 +280,40 @@ def _fields(m: int) -> list:
     return out
 
 
-def _decode(m: int) -> Monomial:
-    slot_vars = _SLOTS.vars
+def _decode(m: int, tab: _SlotTable) -> Monomial:
+    slot_vars = tab.vars
     pairs = [(slot_vars[off // _FIELD], e) for off, e in _fields(m)]
     pairs.sort(key=lambda ve: ve[0]._key)
     return tuple(pairs)
 
 
-def _check_exponents(a: dict, b: dict) -> None:
-    """Raise ResourceLimitError if some product monomial of a and b would
-    carry an exponent past _EXP_MAX."""
+def _repack(p: "SparsePoly", tab: _SlotTable) -> dict:
+    """The terms of p with their monomials packed in tab."""
+    slot_vars = p._tab.vars
+    out = {}
+    for m, c in p._t.items():
+        key = 0
+        for off, e in _fields(m):
+            key |= e << tab.offset(slot_vars[off // _FIELD])
+        out[key] = c
+    return out
+
+
+def _check_exponents(a: dict, b: dict, tab: _SlotTable) -> None:
+    """Raise ResourceLimitError if some product monomial of a and b, both
+    packed in tab, would carry an exponent past _EXP_MAX."""
     # The bitwise or of a polynomial's monomials bounds every exponent in
     # it field by field, and adding two such bounds sets a guard bit only
     # if an exponent might overflow; then the true maxima decide.
-    if not (reduce(or_, a, 0) + reduce(or_, b, 0)) & _SLOTS.guard:
+    if not (reduce(or_, a, 0) + reduce(or_, b, 0)) & tab.guard:
         return
     top_a, top_b = _max_exponents(a), _max_exponents(b)
-    for off in top_a.keys() & top_b.keys():
-        if top_a[off] + top_b[off] > _EXP_MAX:
-            v = _SLOTS.vars[off // _FIELD]
-            raise ResourceLimitError(
-                f"exponent of {v.name} in a product would exceed {_EXP_MAX}")
+    over = [tab.vars[off // _FIELD] for off in top_a.keys() & top_b.keys()
+            if top_a[off] + top_b[off] > _EXP_MAX]
+    if over:
+        v = min(over, key=lambda v: v._key)
+        raise ResourceLimitError(
+            f"exponent of {v.name} in a product would exceed {_EXP_MAX}")
 
 
 def _max_exponents(t: dict) -> dict:
@@ -332,14 +366,16 @@ class _Accumulator:
 
     Everything is summed in place into one dict of integer numerators over
     a common denominator, so no partial sum is copied and no Fraction is
-    built until result().  Zero entries stay until then.
+    built until result().  Zero entries stay until then.  The sum is packed
+    in tab, by default the current slot table.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "tab")
 
-    def __init__(self):
+    def __init__(self, tab: _SlotTable | None = None):
         self.num: dict = {}
         self.den = 1
+        self.tab = _CURRENT_SLOTS.get() if tab is None else tab
 
     def _factor(self, d: int) -> int:
         """Make den a multiple of d and return den // d."""
@@ -352,7 +388,8 @@ class _Accumulator:
         return den // d
 
     def add(self, p: "SparsePoly") -> None:
-        d, items = _numerators(p._t)
+        tab = self.tab
+        d, items = _numerators(p._t if p._tab is tab else _repack(p, tab))
         k = self._factor(d)
         num = self.num
         if not num and k == 1:
@@ -371,7 +408,12 @@ class _Accumulator:
         if len(a) * len(b) > TERM_GUARD:
             raise ResourceLimitError(
                 f"product projects to {len(a)}*{len(b)} terms, over the dense-size guard")
-        _check_exponents(a, b)
+        tab = self.tab
+        if p._tab is not tab:
+            a = _repack(p, tab)
+        if q._tab is not tab:
+            b = _repack(q, tab)
+        _check_exponents(a, b, tab)
         da, a = _numerators(a)
         db, b = _numerators(b)
         if len(a) > len(b):
@@ -389,53 +431,58 @@ class _Accumulator:
             raise ResourceLimitError("sum would exceed the dense-size guard")
 
     def result(self) -> "SparsePoly":
-        return SparsePoly._raw(_from_numerators(self.num, self.den))
+        return SparsePoly._raw(_from_numerators(self.num, self.den), self.tab)
 
 
 class SparsePoly:
-    """Immutable sparse polynomial: dict from packed monomial to nonzero
-    int or Fraction coefficient."""
+    """Immutable sparse polynomial: dict from monomial, packed in the slot
+    table _tab, to nonzero int or Fraction coefficient."""
 
-    __slots__ = ("_t", "_view")
+    __slots__ = ("_t", "_tab", "_view")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
+        tab = _CURRENT_SLOTS.get()
         t: dict = {}
         if terms:
             for mono, c in terms.items():
                 c = _coerce(c)
                 if c:
-                    m = _pack(mono)
+                    m = _pack(mono, tab)
                     t[m] = t.get(m, 0) + c
         self._t = _clean(t)
+        self._tab = tab
         self._view = None
 
     @classmethod
-    def _raw(cls, terms: dict) -> "SparsePoly":
-        # Internal: terms already canonical, adopt without copying.
+    def _raw(cls, terms: dict, tab: _SlotTable) -> "SparsePoly":
+        # Internal: terms already canonical and packed in tab, adopt without copying.
         self = object.__new__(cls)
         self._t = terms
+        self._tab = tab
         self._view = None
         return self
 
     @classmethod
     def zero(cls) -> "SparsePoly":
-        return cls._raw({})
+        return cls._raw({}, _CURRENT_SLOTS.get())
 
     @classmethod
     def constant(cls, value) -> "SparsePoly":
         c = _coerce(value)
-        return cls._raw({0: c} if c else {})
+        return cls._raw({0: c} if c else {}, _CURRENT_SLOTS.get())
 
     @classmethod
     def variable(cls, v: Var) -> "SparsePoly":
-        return cls._raw({1 << _SLOTS.offset(v): 1})
+        tab = _CURRENT_SLOTS.get()
+        return cls._raw({1 << tab.offset(v): 1}, tab)
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
         view = self._view
         if view is None:
+            tab = self._tab
             view = self._view = MappingProxyType(
-                {_decode(m): Fraction(c) for m, c in self._t.items()})
+                {_decode(m, tab): Fraction(c) for m, c in self._t.items()})
         return view
 
     def __len__(self):
@@ -449,7 +496,8 @@ class SparsePoly:
 
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
-            return self._t == other._t
+            tab = self._tab
+            return self._t == (other._t if other._tab is tab else _repack(other, tab))
         if isinstance(other, (int, Fraction)):
             return self._t == SparsePoly.constant(other)._t
         return NotImplemented
@@ -463,7 +511,9 @@ class SparsePoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._t, other._t
+        tab = self._tab
+        a = self._t
+        b = other._t if other._tab is tab else _repack(other, tab)
         if len(a) + len(b) > TERM_GUARD:
             raise ResourceLimitError("sum would exceed the dense-size guard")
         if len(a) < len(b):
@@ -481,12 +531,12 @@ class SparsePoly:
                     out[m] = s
                 else:
                     out[m] = s.numerator
-        return SparsePoly._raw(out)
+        return SparsePoly._raw(out, tab)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._raw({m: -c for m, c in self._t.items()})
+        return SparsePoly._raw({m: -c for m, c in self._t.items()}, self._tab)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -504,7 +554,7 @@ class SparsePoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = _Accumulator()
+        acc = _Accumulator(self._tab)
         acc.add_product(self, other)
         return acc.result()
 
@@ -516,12 +566,12 @@ class SparsePoly:
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
         inv = Fraction(1, 1) / other
-        return SparsePoly._raw(_clean({m: c * inv for m, c in self._t.items()}))
+        return SparsePoly._raw(_clean({m: c * inv for m, c in self._t.items()}), self._tab)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = SparsePoly.constant(1)
+        result = SparsePoly._raw({0: 1}, self._tab)
         base = self
         while n:
             if n & 1:
@@ -533,12 +583,12 @@ class SparsePoly:
         return result
 
     def variables(self) -> tuple:
-        slot_vars = _SLOTS.vars
+        slot_vars = self._tab.vars
         found = [slot_vars[off // _FIELD] for off, _ in _fields(reduce(or_, self._t, 0))]
         return tuple(sorted(found, key=lambda v: v._key))
 
     def degree_in(self, v: Var) -> int:
-        off = v._off
+        off = self._tab.offsets.get(v)
         if off is None or not self._t:
             return 0
         return max((m >> off) & _FIELD_MASK for m in self._t)
@@ -550,7 +600,8 @@ class SparsePoly:
 
     def is_multilinear(self) -> bool:
         # A field above 1 has a value bit set above the lowest bit of the field.
-        high = _SLOTS.fill - (_SLOTS.guard >> (_FIELD - 1))
+        tab = self._tab
+        high = tab.fill - (tab.guard >> (_FIELD - 1))
         return not any(m & high for m in self._t)
 
     def constant_term(self) -> Fraction:
@@ -582,7 +633,7 @@ class SparsePoly:
 
     def restrict(self, v: Var, value) -> "SparsePoly":
         """Substitute a single variable by a rational constant."""
-        off = v._off
+        off = self._tab.offsets.get(v)
         if off is None:
             return self
         value = _coerce(Fraction(value))
@@ -597,17 +648,18 @@ class SparsePoly:
                     c = c * value ** e
                 m -= e << off
             out[m] = get(m, 0) + c
-        return SparsePoly._raw(_clean(out))
+        return SparsePoly._raw(_clean(out), self._tab)
 
     def substitute(self, mapping: Mapping[Var, "SparsePoly"]) -> "SparsePoly":
         """Substitute variables by polynomials (unmapped variables unchanged)."""
-        acc = _Accumulator()
+        tab = self._tab
+        acc = _Accumulator(tab)
         for mono, c in self.terms.items():
-            term = SparsePoly.constant(c)
+            term = SparsePoly._raw({0: _coerce(c)}, tab)
             for v, e in mono:
                 image = mapping.get(v)
                 if image is None:
-                    image = SparsePoly.variable(v)
+                    image = SparsePoly._raw({1 << tab.offset(v): 1}, tab)
                 term = term * image ** e
             acc.add(term)
         return acc.result()
@@ -616,20 +668,22 @@ class SparsePoly:
         """Clamp every exponent to 1; agrees with self on Boolean points."""
         # Adding _EXP_MAX to a field sets its guard bit iff the field is
         # nonzero, and never carries out of the field.
-        fill, guard, shift = _SLOTS.fill, _SLOTS.guard, _FIELD - 1
+        tab = self._tab
+        fill, guard, shift = tab.fill, tab.guard, _FIELD - 1
         d, num = _numerators(self._t)
         out: dict = {}
         get = out.get
         for m, n in num.items():
             key = ((m + fill) & guard) >> shift
             out[key] = get(key, 0) + n
-        return SparsePoly._raw(_from_numerators(out, d))
+        return SparsePoly._raw(_from_numerators(out, d), tab)
 
     def subset_masks(self, vars_) -> dict:
         """Coefficients keyed by the set of positions in vars_ of each term's
         variables, as a bitmask; the polynomial must be multilinear over
         variables drawn from vars_."""
-        unit_pos = {1 << _SLOTS.offset(v): k for k, v in enumerate(vars_)}
+        offsets = self._tab.offsets
+        unit_pos = {1 << offsets[v]: k for k, v in enumerate(vars_) if v in offsets}
         out = {}
         for m, c in self._t.items():
             mask = 0
@@ -678,7 +732,8 @@ def format_poly(p: SparsePoly) -> str:
     if not p:
         return "0"
     parts = []
-    for m, c in sorted(((_decode(m), c) for m, c in p._t.items()),
+    tab = p._tab
+    for m, c in sorted(((_decode(m, tab), c) for m, c in p._t.items()),
                        key=lambda mc: mono_key(mc[0])):
         toks = [format_frac(c)]
         for v, e in m:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .gadget import AddressingGadget
 from .instances import interval_wvarsets, uvar, valid_splits, wvar
-from .poly import SparsePoly, Var, mono_from_pairs, parse_var
+from .poly import SparsePoly, Var, parse_var
 
 
 @dataclass(frozen=True)
@@ -67,20 +67,14 @@ class Partition:
 
 @dataclass
 class RankMatrix:
-    """2^n x 2^n coefficient matrix over a balanced partition."""
+    """2^n x 2^n coefficient matrix over a balanced partition.
 
-    row_monos: tuple
-    col_monos: tuple
-    entries: list  # list of rows of Fractions
+    entries is a dense list of rows: row and column indices are the subset
+    masks of the row-side and column-side monomials, an empty cell is the
+    int 0 and any other cell a Fraction.
+    """
 
-
-def _side_monomials(side: tuple) -> tuple:
-    """All multilinear monomials over a side, in subset-mask order."""
-    out = []
-    for mask in range(1 << len(side)):
-        pairs = [(side[k], 1) for k in range(len(side)) if mask >> k & 1]
-        out.append(mono_from_pairs(pairs))
-    return tuple(out)
+    entries: list
 
 
 def rank_matrix(f: SparsePoly, p: Partition) -> RankMatrix:
@@ -93,12 +87,10 @@ def rank_matrix(f: SparsePoly, p: Partition) -> RankMatrix:
             f"variable {outside[0].name} is outside the partition; substitute it first")
     n = len(p.y_side)
     row_mask = (1 << n) - 1
-    entries = [[Fraction(0)] * (1 << n) for _ in range(1 << n)]
+    entries = [[0] * (1 << n) for _ in range(1 << n)]
     for mask, c in f.subset_masks(p.y_side + p.z_side).items():
         entries[mask & row_mask][mask >> n] = c
-    return RankMatrix(row_monos=_side_monomials(p.y_side),
-                      col_monos=_side_monomials(p.z_side),
-                      entries=entries)
+    return RankMatrix(entries=entries)
 
 
 def _primitive(row: dict) -> dict:

@@ -4,6 +4,15 @@ from helpers import CORPUS_SEED, build_corpus
 
 from ipscert.circuit import normalize_layered
 from ipscert.gadget import gadgetize
+from ipscert.poly import fresh_slots
+
+
+@pytest.fixture(autouse=True)
+def _fresh_slot_table():
+    """Each test packs its polynomials in its own slot table, so tests share
+    no kernel state; polynomials built at import are re-packed into it."""
+    with fresh_slots():
+        yield
 
 
 @pytest.fixture(scope="session")

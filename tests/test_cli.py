@@ -19,7 +19,7 @@ from ipscert.circuit import (
     normalize_layered,
     parse_circuit,
 )
-from ipscert import cli
+from ipscert import cli, poly
 from ipscert.cli import main
 from ipscert.gadget import GadgetLedger, gadgetize
 from ipscert.poly import Var
@@ -110,6 +110,37 @@ def test_pipeline_determinism(tmp_path):
                      "--out", str(cert)]) == 0
         outs.append((cp.read_bytes(), led.read_bytes(), cert.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def _certify(tmp_path, c, tag):
+    """transform, refute and verify in both modes on c; every command must succeed."""
+    src, cp = tmp_path / f"{tag}.circ", tmp_path / f"{tag}_t.circ"
+    led, cert = tmp_path / f"{tag}.json", tmp_path / f"{tag}_cert.json"
+    write(src, format_circuit(c))
+    assert main(["parse", "--input", str(src)]) == 0
+    assert main(["transform", "--input", str(src), "--out", str(cp), "--ledger", str(led)]) == 0
+    assert main(["refute", "--input", str(cp), "--ledger", str(led), "--out", str(cert)]) == 0
+    assert main(["verify", "--cert", str(cert), "--mode", "exact"]) == 0
+    assert main(["verify", "--cert", str(cert), "--mode", "pit", "--seed", "3"]) == 0
+
+
+def test_commands_leave_the_callers_slot_tables_unchanged(tmp_path, capsys):
+    fresh = [Var("x", k) for k in (9101, 9102, 9103)]
+    tables = (poly._PROCESS_SLOTS, poly._CURRENT_SLOTS.get())
+    before = [list(t.vars) for t in tables]
+    _certify(tmp_path, cadd(cmul(cvar(fresh[0]), cvar(fresh[1])), cvar(fresh[2])), "f")
+    assert main(["funcref", "--family", "mnc", "--n", "1"]) == 0
+    assert main(["rank", "--n", "2"]) == 0
+    assert [t.vars for t in tables] == before
+    assert not set(fresh) & {v for t in tables for v in t.vars}
+
+
+def test_certify_chain_never_repacks_across_slot_tables(tmp_path, capsys, monkeypatch):
+    def refuse(p, tab):
+        raise AssertionError("a polynomial crossed slot tables")
+    monkeypatch.setattr(poly, "_repack", refuse)
+    for k, c in enumerate(build_corpus(4242, 3)):
+        _certify(tmp_path, c, f"c{k}")
 
 
 def test_normalize_command(tmp_path):

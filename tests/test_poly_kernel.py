@@ -18,8 +18,10 @@ from ipscert.poly import (
     ResourceLimitError,
     SparsePoly,
     Var,
+    _Accumulator,
     _EXP_MAX,
     format_poly,
+    fresh_slots,
     parse_poly,
     parse_var,
 )
@@ -212,6 +214,63 @@ def test_text_round_trip_is_byte_identical(a):
     s = format_poly(kernel(a))
     assert parse_poly(s) == kernel(a)
     assert format_poly(parse_poly(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Slot tables: operands packed in two tables give what one table gives.
+
+def _in_table(a: dict, first_use) -> SparsePoly:
+    """a packed in a fresh table whose first slots go to first_use, in order."""
+    with fresh_slots():
+        for v in first_use:
+            SparsePoly.variable(v)
+        return kernel(a)
+
+
+@KERNEL
+@given(poly_pairs(), st.data())
+def test_operands_from_two_tables_match_one_table(pair, data):
+    pool, a, b = pair
+    p, q = kernel(a), kernel(b)
+    p2, q2 = _in_table(a, pool), _in_table(b, pool[::-1])
+    assert p2._tab is not q2._tab
+    for left, right in ((p2, q2), (q2, p2), (p, q2), (p2, q)):
+        ab = (a, b) if left is p or left is p2 else (b, a)
+        total = left + right
+        assert dict(total.terms) == ref_add(*ab)
+        assert total == p + q and format_poly(total) == format_poly(p + q)
+        product = left * right
+        assert dict(product.terms) == ref_mul(*ab)
+        assert product == p * q and format_poly(product) == format_poly(p * q)
+    assert p2 == p and q2 == q and p == p2
+    assert (p2 == q2) == (a == b)
+    acc = _Accumulator()
+    acc.add(p2)
+    acc.add_product(p2, q2)
+    acc.add(q)
+    assert dict(acc.result().terms) == ref_add(ref_add(a, ref_mul(a, b)), b)
+    v = data.draw(st.sampled_from(pool))
+    value = data.draw(values)
+    assert dict(p2.restrict(v, value).terms) == ref_restrict(a, v, value)
+    assert p2.variables() == p.variables() == ref_variables(a)
+    for w in POOL:
+        assert p2.degree_in(w) == p.degree_in(w) == ref_degree_in(a, w)
+    reduced = p2.multilinear_reduce()
+    assert dict(reduced.terms) == ref_reduce(a)
+    assert reduced.subset_masks(pool) == p.multilinear_reduce().subset_masks(pool)
+    assert format_poly(p2) == format_poly(p)
+
+
+def test_overflow_names_the_least_variable_whatever_the_slot_order():
+    x1, x2 = Var("x", 1), Var("x", 2)
+    messages = []
+    for first_use in ((x1, x2), (x2, x1)):
+        p = _in_table({((x1, _EXP_MAX), (x2, _EXP_MAX)): 1}, first_use)
+        with pytest.raises(ResourceLimitError) as err:
+            p * p
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "exponent of x1 " in messages[0]
 
 
 # ---------------------------------------------------------------------------
