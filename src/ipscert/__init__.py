@@ -28,7 +28,6 @@ from .circuit import (
 from .gadget import (
     AddressingGadget,
     GadgetLedger,
-    addressing_gadget,
     gadgetize,
     retrieval_assignment,
     t_for,
@@ -41,7 +40,6 @@ from .refute import (
     assemble_refutation,
     certificate_from_json,
     certificate_to_json,
-    gate_square_certificate,
     gate_square_certificates,
 )
 from .verify import (

@@ -11,8 +11,7 @@ therefore show up as fan-in-2 MUL gates with a constant child.  The metrics
 treat such a gate as a coefficient riding on a wire (no wires or depth of
 its own; the edge into its parent is the parent's fan-in), matching the
 wire-count model in which linear-combination gates carry coefficients on
-their input wires; `measure(c, fold_scalars=False)` gives the plain
-sum-of-fan-ins count instead.
+their input wires.
 
 Line-based file format, one gate per line, ids defined before use:
 
@@ -154,10 +153,11 @@ class CircuitBuilder:
 
     A builder may start from a circuit's gates (the starting gates, which
     keep their ids); gates added later are composed gates, shared by id.
-    keep() adds more starting gates; intern(), share() and take() add
-    composed gates hash-consed (Filliatre & Conchon, ML 2006): one id per
-    structure.  A root id is laid out as a standalone formula by formula()
-    and lines(), and measured and expanded without laying it out.
+    keep() adds more starting gates; intern() adds composed gates
+    hash-consed (Filliatre & Conchon, ML 2006): one id per structure.
+    read() lays circuit text in, through one or the other.  A root id is
+    laid out as a standalone formula by formula() and lines(), and measured,
+    expanded and hashed without laying it out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -210,24 +210,6 @@ class CircuitBuilder:
             i = self._shared[key] = self._push(leaf if leaf is not None
                                                else Gate(key[0], args=key[1]))
         return i
-
-    def share(self, c: Circuit) -> int:
-        """Copy c in, reusing every structurally equal gate hash-consed
-        before; returns the id of c's output."""
-        nid: list = []
-        for g in c.gates:
-            if g.is_leaf():
-                nid.append(self.intern(_leaf_key(g), g))
-            else:
-                nid.append(self.intern((g.op, tuple([nid[a] for a in g.args]))))
-        return nid[c.output]
-
-    def take(self, c: Circuit) -> int:
-        """c's output id, laid out again exactly as c: c hash-consed when it
-        is a formula written in post-order, and otherwise kept."""
-        items = [(g, None) if g.is_leaf() else (g.op, list(g.args)) for g in c.gates]
-        i = self._intern_formula(items + [(None, c.output)])
-        return self.keep(c) if i is None else i
 
     def read(self, lines: Sequence[str], leaves: dict, known: dict) -> int:
         """The id of the circuit whose text lines are given, read like
@@ -387,6 +369,11 @@ class CircuitBuilder:
         out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
         return out
 
+    def sha256(self, root: int) -> str:
+        """circuit_sha256(self.formula(root)), straight from the layout."""
+        text = "\n".join(self.lines(root)) + "\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
     def metrics(self, root: int) -> Metrics:
         """measure(self.formula(root)), by dynamic programming over the table:
         every gate is measured once however often it is copied, a starting
@@ -473,26 +460,24 @@ def _is_scaled_wire(c_gates, g: Gate) -> int | None:
     return b if a_const else a
 
 
-def measure(c: Circuit, fold_scalars: bool = True) -> Metrics:
+def measure(c: Circuit) -> Metrics:
     """Wire count and depth.
 
-    With fold_scalars (the default), a fan-in-2 MUL with one constant child
-    is a coefficient riding on a wire: it contributes no wires of its own
-    (the edge into its parent is already counted by the parent's fan-in)
-    and no depth step.  This is the convention under which an affine factor
-    (1 - y) measures as size 2, depth 1.  With fold_scalars=False the size
-    is the plain sum of fan-ins and every internal gate adds a depth step.
+    A fan-in-2 MUL with one constant child is a coefficient riding on a
+    wire: it contributes no wires of its own (the edge into its parent is
+    already counted by the parent's fan-in) and no depth step.  This is the
+    convention under which an affine factor (1 - y) measures as size 2,
+    depth 1.  Every other internal gate adds its fan-in and a depth step.
     """
     depth = [0] * len(c.gates)
     size = 0
     for i, g in enumerate(c.gates):
         if g.is_leaf():
             continue
-        if fold_scalars:
-            other = _is_scaled_wire(c.gates, g)
-            if other is not None:
-                depth[i] = depth[other]
-                continue
+        other = _is_scaled_wire(c.gates, g)
+        if other is not None:
+            depth[i] = depth[other]
+            continue
         size += len(g.args)
         depth[i] = 1 + max(depth[a] for a in g.args)
     return Metrics(size=size, depth=depth[c.output])
@@ -701,10 +686,10 @@ def has_zero_one_leaves(c: Circuit) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Functional composition of standalone circuits.  Each helper copies its
-# parts whole into a fresh builder and returns a fresh standalone circuit;
-# cprod and csum fold literal 0/1 parts by CircuitBuilder.prod and .sum.
-# Certificates are composed by gate id in one builder instead (see refute).
+# Functional composition of standalone circuits, for callers outside the
+# library, which composes by gate id in one CircuitBuilder (see refute and
+# instances.mnc_instance).  Each helper copies its parts whole into a fresh
+# builder; cprod and csum fold literal 0/1 parts by CircuitBuilder.prod and .sum.
 
 def cvar(v: Var) -> Circuit:
     return Circuit([Gate(VAR, var=v)], 0)

@@ -89,7 +89,7 @@ def cmd_refute(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = rf.certificate_from_json(_read(args.cert))
-    report = vf.check_boolean_axioms(cert)
+    report = vf.check_claims(cert)
     if report is None and args.mode == "exact":
         report = vf.verify_exact(cert)
     elif report is None:

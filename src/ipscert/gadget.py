@@ -68,6 +68,7 @@ class AddressingGadget:
                 for bit, v in enumerate(self.vars)]
 
     def as_circuit(self) -> Circuit:
+        """Circuit form of A(n, j); every control variable is used exactly once."""
         b = CircuitBuilder()
         return b.formula(b.prod(self.factors(b)))
 
@@ -88,11 +89,6 @@ class AddressingGadget:
     def selected_point(self) -> dict:
         """The unique Boolean control point where the gadget evaluates to 1."""
         return {self.vars[b]: (1 if b in self.one_bits else 0) for b in range(self.t + 1)}
-
-
-def addressing_gadget(n: int, j: int, vars: Sequence[Var]) -> Circuit:
-    """Circuit form of A(n, j); every control variable is used exactly once."""
-    return AddressingGadget.build(n, j, vars).as_circuit()
 
 
 @dataclass(frozen=True)

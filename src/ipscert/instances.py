@@ -200,17 +200,18 @@ def gadgeted_ry_circuit(n: int) -> tuple:
 
 
 def mnc_instance(n: int) -> InstanceBundle:
-    """Instance 2 - P with functional refutation (1 + P)/2."""
-    from .circuit import cadd, cconst, cscale
-
+    """Instance 2 - P with functional refutation (1 + P)/2, constants first."""
     p, wsets = gadgeted_ry_circuit(n)
-    instance = cadd(cconst(2), cscale(-1, p))
-    refutation = cscale(Fraction(1, 2), cadd(cconst(1), p))
+    b = CircuitBuilder()
+    two, minus_one = b.const(2), b.const(-1)
+    instance = b.add([two, b.mul([minus_one, b.keep(p)])])
+    half, one = b.const(Fraction(1, 2)), b.const(1)
+    refutation = b.mul([half, b.add([one, b.keep(p)])])
     return InstanceBundle(
         name="mnc",
         params={"n": n},
-        instance=instance,
-        refutation=refutation,
+        instance=b.subcircuit(instance),
+        refutation=b.subcircuit(refutation),
         provenance={
             "generator": "mnc",
             "n": n,

@@ -182,8 +182,6 @@ def parse_var(name: str) -> Var:
 # variable order; () is the constant monomial.
 Monomial = tuple
 
-CONST_MONO: Monomial = ()
-
 
 def mono_from_pairs(pairs: Iterable[tuple]) -> Monomial:
     """Build a canonical monomial from (Var, exponent) pairs."""
@@ -511,27 +509,12 @@ class SparsePoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        tab = self._tab
-        a = self._t
-        b = other._t if other._tab is tab else _repack(other, tab)
-        if len(a) + len(b) > TERM_GUARD:
+        if len(self._t) + len(other._t) > TERM_GUARD:
             raise ResourceLimitError("sum would exceed the dense-size guard")
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if not s:
-                    del out[m]
-                elif type(s) is int or s.denominator != 1:
-                    out[m] = s
-                else:
-                    out[m] = s.numerator
-        return SparsePoly._raw(out, tab)
+        acc = _Accumulator(self._tab)
+        acc.add(self)
+        acc.add(other)
+        return acc.result()
 
     __radd__ = __add__
 

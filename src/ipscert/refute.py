@@ -37,7 +37,6 @@ for which sum(cofactor * axiom) = 1 holds as an exact polynomial identity.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ from .circuit import (
     Metrics,
     VAR,
     as_circuit,
+    format_circuit,
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
 from .poly import SparsePoly, boolean_axiom, format_poly, parse_frac, parse_poly
@@ -191,18 +191,13 @@ def _certify(c: Circuit, ledger: GadgetLedger, gids) -> tuple:
     return b, certs
 
 
-def gate_square_certificate(c: Circuit, gid: int, ledger: GadgetLedger) -> BooleanIdealCertificate:
-    """Cofactor circuits witnessing g^2 - g in the Boolean ideal at gate gid.
-
-    Preconditions: the formula is layered-alternating with addition gates
-    already transformed (they appear in the ledger), and leaves outside the
-    gadget factors carry variables or the constants 0/1.
-    """
-    return gate_square_certificates(c, [gid], ledger)[gid]
-
-
 def gate_square_certificates(c: Circuit, gids, ledger: GadgetLedger) -> dict:
-    """Certificates for many gates of one circuit, composed in one builder."""
+    """{gid: cofactor circuits witnessing g^2 - g in the Boolean ideal at
+    gate gid}, composed in one builder.  Preconditions: the formula is
+    layered-alternating with addition gates already transformed (they
+    appear in the ledger), and leaves outside the gadget factors carry
+    variables or the constants 0/1.
+    """
     gids = list(gids)
     b, certs = _certify(c, ledger, gids)
 
@@ -269,13 +264,18 @@ class NullstellensatzCertificate:
     def of(cls, axioms, cofactors, claimed_metrics=None, instance_sha256: str = "",
            shift=Fraction(-2), builder: str = BUILDER_TAG) -> NullstellensatzCertificate:
         """A certificate of (label, Circuit | SparsePoly) axioms and Circuit
-        (or SparsePoly) cofactors, taken into a fresh table, where each lays
-        out again as given (CircuitBuilder.take).  The claimed metrics
-        default to each cofactor's measure."""
-        table = CircuitBuilder()
-        axioms = tuple((label, ax if isinstance(ax, SparsePoly) else table.take(ax))
+        (or SparsePoly) cofactors, each circuit written as text and read into
+        a fresh table as certificate_from_json reads a document, so that it
+        lays out again as given.  The claimed metrics default to each
+        cofactor's measure."""
+        table, leaves, known = CircuitBuilder(), {}, {}
+
+        def read(c: Circuit) -> int:
+            return table.read(format_circuit(c).splitlines(), leaves, known)
+
+        axioms = tuple((label, ax if isinstance(ax, SparsePoly) else read(ax))
                        for label, ax in axioms)
-        cofactors = tuple(table.take(as_circuit(cf)) for cf in cofactors)
+        cofactors = tuple(read(as_circuit(cf)) for cf in cofactors)
         if claimed_metrics is None:
             claimed_metrics = tuple(table.metrics(r) for r in cofactors)
         return cls(table, axioms, cofactors, tuple(claimed_metrics), instance_sha256,
@@ -326,13 +326,12 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     for v in sorted(cert, key=lambda v: (v.ns == "y", v._key)):   # E, then F
         axioms.append((f"{v.name}^2-{v.name}", boolean_axiom(v)))
         roots.append(b.mul([b.const(-c1), cert[v]]))
-    text = "\n".join(b.lines(instance)) + "\n"
     return NullstellensatzCertificate(
         table=b,
         axioms=tuple(axioms),
         cofactors=tuple(roots),
         claimed_metrics=tuple(b.metrics(r) for r in roots),
-        instance_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        instance_sha256=b.sha256(instance),
         shift=shift,
     )
 

@@ -22,9 +22,13 @@ named as the first such in the written order of the axioms and cofactors,
 pair by pair.  Trial points are derived from (seed, trial index), so
 identical configurations produce identical reports.
 
-check_boolean_axioms checks what a certificate document claims of its
-axioms after the instance: each is the Boolean axiom v^2 - v of the
-variable its label names, and no variable has two.
+check_claims checks what a certificate document claims besides the
+identity: each axiom after the instance is the Boolean axiom v^2 - v of the
+variable its label names, and no variable has two; the instance is
+f' + shift, its root ADD(f', CONST shift), with the shift outside {0, -1};
+instance_sha256 is the hash of the instance's text; and every claimed size
+and depth is its cofactor's measure.  ipscert verify runs it first, in
+both modes; verify_exact and verify_pit check only the identity.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -43,8 +47,9 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .circuit import CONST, Circuit, compile_evaluator, expand, poly_to_circuit
-from .poly import TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, frac_mod, parse_var
+from .circuit import ADD, CONST, Circuit, compile_evaluator, expand, poly_to_circuit
+from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
+                   frac_mod, parse_var)
 from .refute import NullstellensatzCertificate
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
@@ -179,7 +184,7 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         work={"expansions": expansions})
 
 
-def check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | None:
+def _check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | None:
     """An error report for the first axiom after the instance that is not
     the Boolean axiom v^2 - v of the variable v its label "v^2-v" names, or
     that names a variable an earlier axiom named; None when there is none.
@@ -201,6 +206,48 @@ def check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | Non
         if not isinstance(ax, SparsePoly) or ax != boolean_axiom(v):
             return VerifyReport("error", detail=f"axioms[{k}].poly: not the Boolean "
                                                 f"axiom {label}")
+    return None
+
+
+def check_claims(cert: NullstellensatzCertificate) -> VerifyReport | None:
+    """An error report for the first claim of the certificate that does not
+    hold, in this order, or None when every claim holds.  The detail names
+    the field:
+      * the axioms after the instance, as _check_boolean_axioms:
+        axioms[k].label, axioms[k].poly;
+      * axiom 0 is a circuit whose root is ADD(f', CONST c):
+        axioms[0].circuit;
+      * c is the shift, which lies outside {0, -1}: shift;
+      * instance_sha256 is the SHA-256 of axiom 0's text: instance_sha256;
+      * each claimed metric is its cofactor's measure: metrics[k].size,
+        metrics[k].depth.
+    """
+    report = _check_boolean_axioms(cert)
+    if report is not None:
+        return report
+    table = cert.table
+    root = cert.axioms[0][1] if cert.axioms else None
+    g = None if root is None or isinstance(root, SparsePoly) else table.gate(root)
+    if g is None or g.op != ADD or len(g.args) != 2 or table.gate(g.args[1]).op != CONST:
+        return VerifyReport("error", detail="axioms[0].circuit: not an instance "
+                                            "ADD(f', CONST shift)")
+    c = table.gate(g.args[1]).const
+    if c != cert.shift:
+        return VerifyReport("error", detail=f"shift: {format_frac(cert.shift)} is not the "
+                                            f"constant {format_frac(c)} axiom 0 adds")
+    if c in (0, -1):
+        return VerifyReport("error", detail=f"shift: {format_frac(c)} leaves the instance "
+                                            "satisfiable over the cube")
+    if table.sha256(root) != cert.instance_sha256:
+        return VerifyReport("error", detail="instance_sha256: not the SHA-256 of the "
+                                            "text of axiom 0")
+    for k, (claimed, cf) in enumerate(zip(cert.claimed_metrics, cert.cofactors)):
+        measured = table.metrics(cf)
+        for name, got, want in (("size", claimed.size, measured.size),
+                                ("depth", claimed.depth, measured.depth)):
+            if got != want:
+                return VerifyReport("error", detail=f"metrics[{k}].{name}: claimed {got}, "
+                                                    f"measured {want}")
     return None
 
 

@@ -211,7 +211,10 @@ def laid_out(cert: NullstellensatzCertificate) -> tuple:
 
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
                        seed: int) -> NullstellensatzCertificate:
-    """One single-site, semantics-changing mutation of a random cofactor."""
+    """One single-site, semantics-changing mutation of a random cofactor.
+
+    The claimed metrics are measured again, so every claim of the document
+    but the identity still holds."""
     axioms, cofactors = laid_out(cert)
     for attempt in range(200):
         k = rng.randrange(len(cofactors))
@@ -224,7 +227,6 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
             cofactors[k] = mutated
             return NullstellensatzCertificate.of(
                 axioms, cofactors,
-                claimed_metrics=cert.claimed_metrics,
                 instance_sha256=cert.instance_sha256,
                 shift=cert.shift,
             )

@@ -61,11 +61,9 @@ def test_measure_scaled_wire_convention():
     # -x1 rides the wire: no size of its own, no depth step.
     neg = cscale(-1, cvar(X1))
     assert measure(neg) == Metrics(size=0, depth=0)
-    assert measure(neg, fold_scalars=False) == Metrics(size=2, depth=1)
     # the affine factor 1 - x1 measures (2, 1) under the convention
     aff = cadd(cconst(1), cscale(-1, cvar(X1)))
     assert measure(aff) == Metrics(size=2, depth=1)
-    assert measure(aff, fold_scalars=False) == Metrics(size=4, depth=2)
 
 
 def test_size_additivity_of_plain_gates():
@@ -75,7 +73,7 @@ def test_size_additivity_of_plain_gates():
     size_before = 2
     a = b.add([m, i3])
     c = b.build(a)
-    assert measure(c, fold_scalars=False).size == size_before + 2
+    assert measure(c).size == size_before + 2
 
 
 def test_expand_constant():
@@ -283,45 +281,57 @@ def test_syntactic_multilinearity():
     assert not is_syntactically_multilinear(cmul(cvar(X1), cvar(X1)))
 
 
-def test_share_gives_equal_subtrees_across_circuits_one_id():
+def reader(b: CircuitBuilder):
+    """Read circuits into b through their text, as one document's are read."""
+    leaves, known = {}, {}
+    return lambda c: b.read(format_circuit(c).splitlines(), leaves, known)
+
+
+def test_read_gives_equal_subtrees_across_circuits_one_id():
     b = CircuitBuilder()
+    read = reader(b)
     s = cadd(cvar(X1), cvar(X2))
-    top = b.share(cmul(s, cvar(X3)))
+    top = read(cmul(s, cvar(X3)))
     size = len(b._gates)
-    assert b.share(s) == b.gate(top).args[0]
-    assert b.share(cmul(s, cvar(X3))) == top
-    assert b.share(cadd(cmul(s, cvar(X3)), cvar(X1))) == len(b._gates) - 1 == size
-    twice = b.share(cadd(cmul(cvar(X1), cvar(X2)), cmul(cvar(X1), cvar(X2))))
+    assert read(s) == b.gate(top).args[0]
+    assert read(cmul(s, cvar(X3))) == top
+    assert read(cadd(cmul(s, cvar(X3)), cvar(X1))) == len(b._gates) - 1 == size
+    twice = read(cadd(cmul(cvar(X1), cvar(X2)), cmul(cvar(X1), cvar(X2))))
     m = b.gate(twice).args[0]
     assert b.gate(twice).args == (m, m)
 
 
-def test_share_never_merges_different_leaves_or_gates():
+def test_read_never_merges_different_leaves_or_gates():
     b = CircuitBuilder()
+    read = reader(b)
     leaves = [cvar(X1), cvar(X2), cvar(Y1), cvar(Var("x", 1, 2)), cconst(1), cconst(-1),
               cconst(2), cconst(Fraction(1, 2)), cconst(0)]
-    leaf_ids = [b.share(c) for c in leaves]
+    leaf_ids = [read(c) for c in leaves]
     assert len(set(leaf_ids)) == len(leaves)
     gates = [cadd(cvar(X1), cvar(X2)), cadd(cvar(X2), cvar(X1)), cmul(cvar(X1), cvar(X2)),
              cadd(cvar(X1), cvar(X2), cvar(X1)), cadd(cvar(X1), cconst(1))]
-    gate_ids = [b.share(c) for c in gates]
+    gate_ids = [read(c) for c in gates]
     assert len(set(gate_ids)) == len(gates)
     for i, c in zip(leaf_ids + gate_ids, leaves + gates):
         assert expand(_compact(b._gates, i)) == expand(c)
 
 
-def test_share_keys_constants_by_exact_value():
+def test_read_keys_constants_by_exact_value():
     b = CircuitBuilder()
-    half = b.share(parse_circuit("g0 = CONST 2/4\nOUTPUT g0\n"))
-    assert b.share(cconst(Fraction(1, 2))) == half
-    assert b.share(cconst(Fraction(-1, 2))) != half
+    read = reader(b)
+    half = b.read(["g0 = CONST 2/4", "OUTPUT g0"], {}, {})
+    assert read(cconst(Fraction(1, 2))) == half
+    assert read(cconst(Fraction(-1, 2))) != half
 
 
-def test_shared_copies_compute_the_same_polynomials():
+def test_read_copies_compute_the_same_polynomials():
+    # Formulas are hash-consed across circuits; DAGs are kept as they are.
     rng = random.Random(83)
     b = CircuitBuilder()
-    circuits = [random_dag_circuit(rng, n_gates=rng.randint(5, 25)) for _ in range(40)]
-    ids = [b.share(c) for c in circuits]
+    read = reader(b)
+    circuits = [random_dag_circuit(rng, n_gates=rng.randint(5, 25)) for _ in range(20)]
+    circuits += [random_layered_formula(rng, max_nodes=rng.randint(5, 25)) for _ in range(20)]
+    ids = [read(c) for c in circuits]
     assert len(b._gates) < sum(len(c) for c in circuits)
     for c, i in zip(circuits, ids):
         assert expand(_compact(b._gates, i)) == expand(c)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -22,8 +23,8 @@ from ipscert.circuit import (
 from ipscert import cli, poly
 from ipscert.cli import main
 from ipscert.gadget import GadgetLedger, gadgetize
-from ipscert.poly import Var
-from ipscert.refute import assemble_refutation, certificate_to_json
+from ipscert.poly import Var, format_poly
+from ipscert.refute import assemble_refutation, certificate_from_json, certificate_to_json
 
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -420,6 +421,68 @@ def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mo
     # axiom check must reject each before the identity check runs.
     if edit is None:
         doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
+    else:
+        cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+        doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+        edit(doc)
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    assert main(["verify", "--cert", str(path), "--mode", mode]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "error"
+    assert report["detail"].startswith(field + ":")
+
+
+# A document that refutes no instance: its one axiom is the circuit 1, its
+# cofactor is 1, and 1 * 1 = 1 holds; its hash and metrics are made up.
+ONE_AXIOM_CERT = {
+    "format": "nullstellensatz-cert/1",
+    "builder": "ipscert-refute/1",
+    "shift": "-2/1",
+    "instance_sha256": "deadbeef",
+    "axioms": [{"label": "f", "circuit": ["g0 = CONST 1/1", "OUTPUT g0"]}],
+    "cofactors": [["g0 = CONST 1/1", "OUTPUT g0"]],
+    "metrics": [{"size": 0, "depth": 0}],
+}
+
+
+def _text_sha256(lines):
+    return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+
+
+def _zero_shift(doc):
+    """The shift and the constant that axiom 0 adds both set to 0, with the
+    hash of the edited text: the instance f' + 0 is satisfiable."""
+    lines = doc["axioms"][0]["circuit"]
+    const = lines[-2].split()[-1]          # the root is ADD(f', CONST shift)
+    k = next(k for k, line in enumerate(lines) if line.startswith(const + " = CONST "))
+    lines[k] = f"{const} = CONST 0/1"
+    doc["shift"] = "0/1"
+    doc["instance_sha256"] = _text_sha256(lines)
+
+
+def _instance_as_poly(doc):
+    cert = certificate_from_json(json.dumps(doc))
+    doc["axioms"][0] = {"label": "f", "poly": format_poly(cert.table.expand(cert.axioms[0][1]))}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (None, "axioms[0].circuit"),
+    (lambda doc: doc.__setitem__("instance_sha256", "0" * 64), "instance_sha256"),
+    (lambda doc: doc.__setitem__("shift", "-3/1"), "shift"),
+    (_zero_shift, "shift"),
+    (lambda doc: doc["metrics"][1].__setitem__("size", doc["metrics"][1]["size"] + 1),
+     "metrics[1].size"),
+    (lambda doc: doc["metrics"][2].__setitem__("depth", doc["metrics"][2]["depth"] - 1),
+     "metrics[2].depth"),
+    (_instance_as_poly, "axioms[0].circuit"),
+])
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_verify_rejects_a_forged_claim(tmp_path, capsys, edit, field, mode):
+    # Each document but the zero shift still satisfies the identity; the
+    # claims check must reject each before the identity check runs.
+    if edit is None:
+        doc = json.loads(json.dumps(ONE_AXIOM_CERT))
     else:
         cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
         doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))

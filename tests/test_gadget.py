@@ -25,7 +25,6 @@ from ipscert.circuit import (
 from ipscert.gadget import (
     AddressingGadget,
     GadgetLedger,
-    addressing_gadget,
     gadgetize,
     retrieval_assignment,
     t_for,
@@ -51,7 +50,7 @@ def test_t_for():
 
 def test_gadget_n1_j0_shape():
     # j + 2^t = 2 = bits (0, 1) LSB-first: (1 - y0) * y1
-    g = addressing_gadget(1, 0, yvars(1))
+    g = AddressingGadget.build(1, 0, yvars(1)).as_circuit()
     y0, y1 = (SparsePoly.variable(v) for v in yvars(1))
     assert expand(g) == (1 - y0) * y1
 

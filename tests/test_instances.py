@@ -8,6 +8,7 @@ import pytest
 from helpers import pointwise, random_dag_circuit, random_layered_formula
 
 from ipscert.circuit import (
+    circuit_sha256,
     cvar,
     eval_circuit,
     eval_circuit_mod,
@@ -34,6 +35,17 @@ from ipscert.poly import SparsePoly, UnassignedVariableError, Var, mono_from_pai
 from ipscert.verify import DEFAULT_PIT_PRIME, boolean_image, boolean_image_poly
 
 U = {i: SparsePoly.variable(uvar(i)) for i in range(1, 9)}
+
+# SHA-256 of mnc's instance and refutation text as written when they were
+# composed by the value-style constructors (cadd, cconst, cscale).
+MNC_SHA256 = {
+    1: ("253aa9c96999de2fcd09787094a87d932e46a506e5f2e34aa4490798fb613099",
+        "cfc5b686fcfefc821429b5f6049baa12c121faf1aa6c3b32936967f01f3d0182"),
+    2: ("36be1b231a859c8ee932cd3e981000afd3ede2b766dfbb9f1f2461aadfead8e0",
+        "bbc4d8c2d1d948621dfaeb6a8b8b5d2ecc0439d6935e6e98133196d12164d218"),
+    3: ("dee79a0e9f9929766caa0dc0bba1a09eb7ceec444d0870d884c0a9aa06f7cd1f",
+        "bca501b29510a890c5709af3e724436b501e1586f336c6b64a81d766c6f619bd"),
+}
 
 
 def test_valid_splits_even_only():
@@ -284,3 +296,9 @@ def test_instance_sampling_evaluator_consistency():
                 run(missing, prime)
     x1 = Var("x", 1)
     assert pointwise(cvar(x1))({x1: -5}, 101) == 96
+
+
+@pytest.mark.parametrize("n", sorted(MNC_SHA256))
+def test_mnc_text_is_pinned(n):
+    bundle = mnc_instance(n)
+    assert (circuit_sha256(bundle.instance), circuit_sha256(bundle.refutation)) == MNC_SHA256[n]

@@ -31,7 +31,7 @@ from ipscert.refute import (
     assemble_refutation,
     certificate_from_json,
     certificate_to_json,
-    gate_square_certificate,
+    gate_square_certificates,
 )
 from ipscert.verify import verify_exact
 
@@ -48,7 +48,7 @@ def yvars(t, tag=0):
 
 
 def gate_identity_holds(cprime, gid, ledger):
-    cert = gate_square_certificate(cprime, gid, ledger)
+    cert = gate_square_certificates(cprime, [gid], ledger)[gid]
     g = expand(subcircuit(cprime, gid))
     rhs = SparsePoly.zero()
     for v, circ in cert.items():
@@ -73,7 +73,7 @@ def certifiable_gate_ids(c):
 
 def test_leaf_base_case():
     c = cvar(X1)
-    cert = gate_square_certificate(c, c.output, GadgetLedger(()))
+    cert = gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
     assert list(cert.F) == []
     assert list(cert.E) == [X1]
     assert expand(cert.E[X1]) == 1
@@ -82,26 +82,26 @@ def test_leaf_base_case():
 def test_const_base_cases():
     for value in (0, 1):
         c = cconst(value)
-        cert = gate_square_certificate(c, c.output, GadgetLedger(()))
+        cert = gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
         assert not cert.E and not cert.F
 
 
 def test_negative_constant_rejected():
     c = cconst(-1)
     with pytest.raises(ValueError, match="outside"):
-        gate_square_certificate(c, c.output, GadgetLedger(()))
+        gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
 
 
 def test_ungadgetized_add_rejected():
     c = cadd(cvar(X1), cvar(X2))
     with pytest.raises(ValueError, match="transform"):
-        gate_square_certificate(c, c.output, GadgetLedger(()))
+        gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
 
 
 def test_product_gate_telescoping():
     # g = g0*g1: E from (g0^2-g0)*g1^2 + g0*(g1^2-g1)
     c = cmul(cvar(X1), cvar(X2))
-    cert = gate_square_certificate(c, c.output, GadgetLedger(()))
+    cert = gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
     x1, x2 = SparsePoly.variable(X1), SparsePoly.variable(X2)
     assert expand(cert.E[X1]) == x2 * x2
     assert expand(cert.E[X2]) == x1
@@ -257,7 +257,7 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
         cp, ledger = gadgetize(cn)
         for gid in certifiable_gate_ids(cp):
             assert gate_identity_holds(cp, gid, ledger)
-            cert = gate_square_certificate(cp, gid, ledger)
+            cert = gate_square_certificates(cp, [gid], ledger)[gid]
             mg = measure(subcircuit(cp, gid))
             for v, circ in cert.items():
                 m = measure(circ)
