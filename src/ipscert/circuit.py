@@ -44,7 +44,6 @@ from .poly import (
     _Accumulator,
     format_frac,
     frac_mod,
-    mono_key,
     parse_frac,
     parse_var,
 )
@@ -275,8 +274,7 @@ class CircuitBuilder:
     def poly(self, p: SparsePoly) -> int:
         """Sum-of-products gates for a polynomial (terms in canonical order)."""
         terms = []
-        for m in sorted(p.terms, key=mono_key):
-            c = p.terms[m]
+        for m, c in p.items():
             factors = [self.var(v) for v, e in m for _ in range(e)]
             if not factors:
                 terms.append(self.const(c))

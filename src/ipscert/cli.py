@@ -89,7 +89,8 @@ def cmd_refute(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = rf.certificate_from_json(_read(args.cert))
-    report = vf.check_claims(cert)
+    instance = ci.parse_circuit(_read(args.instance)) if args.instance else None
+    report = vf.check_claims(cert, instance)
     if report is None and args.mode == "exact":
         report = vf.verify_exact(cert)
     elif report is None:
@@ -216,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a certificate document")
     p.add_argument("--cert", required=True)
+    p.add_argument("--instance", help="circuit file that axiom 0's f' must lay out as")
     p.add_argument("--mode", choices=("exact", "pit"), default="exact")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

@@ -34,14 +34,15 @@ increasing order of the cut point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .circuit import Circuit, CircuitBuilder, expand
 from .gadget import AddressingGadget, t_for
-from .poly import SparsePoly, Var, mono_from_pairs
+from .poly import SparsePoly, Var
 
 
 def uvar(i: int) -> Var:
@@ -234,16 +235,15 @@ def subset_sum_alphas(n_vars: int, beta: Fraction) -> list:
 
 
 def _subset_sum_over(vars_: tuple, beta: Fraction, name: str, params: dict) -> InstanceBundle:
-    instance = SparsePoly({mono_from_pairs([(v, 1)]): Fraction(1) for v in vars_})
-    instance = instance - beta
+    zs = [SparsePoly.variable(v) for v in vars_]
+    instance = sum(zs, SparsePoly.zero()) - beta
     alphas = subset_sum_alphas(len(vars_), beta)
-    terms: dict = {}
-    for k in range(len(vars_) + 1):
-        if not alphas[k]:
-            continue
-        for combo in itertools.combinations(vars_, k):
-            terms[mono_from_pairs([(v, 1) for v in combo])] = alphas[k]
-    refutation = SparsePoly(terms)
+    # e[k] is the elementary symmetric polynomial e_k of the variables so far.
+    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(vars_)
+    for j, z in enumerate(zs, start=1):
+        for k in range(j, 0, -1):
+            e[k] = e[k] + z * e[k - 1]
+    refutation = sum((a * ek for a, ek in zip(alphas, e)), SparsePoly.zero())
     return InstanceBundle(
         name=name,
         params=params,
@@ -289,8 +289,8 @@ def lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
     flat = _subset_sum_over(zvars, beta, "lifted-subset-sum", {"n": n})
     substitution = {}
     for (i, j), zv in zip(pairs, zvars):
-        substitution[zv] = SparsePoly({mono_from_pairs(
-            [(zv, 1), (Var("x", i), 1), (Var("x", j), 1)]): Fraction(1)})
+        substitution[zv] = (SparsePoly.variable(zv) * SparsePoly.variable(Var("x", i))
+                            * SparsePoly.variable(Var("x", j)))
     instance = flat.instance_poly().substitute(substitution).multilinear_reduce()
     refutation = flat.refutation_poly().substitute(substitution).multilinear_reduce()
     flat.instance = instance
@@ -327,15 +327,11 @@ def extract_clique_component(g: SparsePoly, n: int, ell: int) -> SparsePoly:
     if not g.is_multilinear():
         raise ValueError("clique extraction expects a multilinear polynomial")
     want_z = math.comb(ell, 2)
-    kept: dict = {}
-    for m, c in g.terms.items():
+    out, lead = SparsePoly.zero(), None
+    for m, c in g.items():
         zc = sum(1 for v, _ in m if v.ns == "z")
         xc = sum(1 for v, _ in m if v.ns == "x")
         if zc == want_z and xc == ell:
-            kept[m] = c
-    if not kept:
-        return SparsePoly.zero()
-    from .poly import mono_key
-
-    lead = kept[min(kept, key=mono_key)]
-    return SparsePoly({m: c / lead for m, c in kept.items()})
+            lead = c if lead is None else lead
+            out = out + reduce(mul, (SparsePoly.variable(v) for v, _ in m), c / lead)
+    return out

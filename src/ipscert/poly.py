@@ -17,11 +17,12 @@ are packed in the current table: one process table unless a block runs
 under fresh_slots(), which gives it a new, empty table, so a key is only as
 wide as the variables that block has met.  An operation on polynomials from
 two tables re-packs the other operand into the receiver's table, which
-keeps equal polynomials equal dicts.  The text form and the tuple view
-below are the same in every table.  The top bit of every field is a guard bit that a
+keeps equal polynomials equal dicts.  The text form and items() are the
+same in every table.  The top bit of every field is a guard bit that a
 stored monomial never sets: exponents are at most 2**15 - 1.  A product
-that would carry an exponent past that raises ResourceLimitError, so no
-field ever carries into the next variable.
+that would carry an exponent past that raises ResourceLimitError, and
+parse_poly rejects such an exponent with a ValueError, so no field ever
+carries into the next variable.
 
 Coefficients are exact rationals, never floats: the certificate
 constructions need the exact constants 1/2 and powers of two, and every
@@ -30,12 +31,11 @@ integral coefficient is stored as an int, any other as a
 fractions.Fraction.  Products and sums are formed on integer numerators
 over a common denominator and divided out once at the end.
 
-The public surface speaks tuple monomials: a tuple of (Var, exponent) pairs
-sorted by variable order with all exponents positive, the empty tuple being
-the constant monomial.  The `terms` view, the constructor, mono_from_pairs
-and mono_key use that form, and `terms`, `constant_term` and `evaluate`
-give Fraction values.  The decoded view is built once per polynomial, when
-first asked for.
+Only this module knows what a monomial is.  Polynomials are made by zero,
+constant, variable, the ring operations and parse_poly, and read back by
+items(): each term once, as its (Var, exponent) pairs in variable order
+with a Fraction coefficient, in the canonical order of the text form.  That
+order, lexicographic on the pairs, is the one sort rule of the package.
 
 Variables live in fixed namespaces with a structured integer/string index,
 e.g. x1, u3, v_1_2_4, y_5_0, w_1_4_top.  The induced order (namespace,
@@ -52,8 +52,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import or_
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
 # Variable namespaces: problem inputs (x, u, z), gadget controls (y, w),
 # split selectors (v), and verifier placeholders (fresh).
@@ -98,10 +97,11 @@ class Var:
 
     Index elements are nonnegative ints or short ASCII identifiers (e.g.
     ("w", (1, 4, "top"))), so that parse_var(v.name) is v.  Instances are
-    interned, so equality is cheap and hashing is precomputed.
+    interned and cannot be copied, so equality is identity and a Var hashes
+    by identity; _key gives the order.
     """
 
-    __slots__ = ("ns", "idx", "name", "_key", "_hash")
+    __slots__ = ("ns", "idx", "name", "_key")
     _cache: dict = {}
 
     def __new__(cls, ns: str, *idx):
@@ -124,7 +124,6 @@ class Var:
         else:
             self.name = ns + "_" + "_".join(str(e) for e in idx)
         self._key = (ns, tuple(_elem_key(e) for e in idx))
-        self._hash = hash(self._key)
         cls._cache[cache_key] = self
         return self
 
@@ -133,14 +132,6 @@ class Var:
 
     def __str__(self):
         return self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Var) and self._key == other._key
 
     def __lt__(self, other):
         return self._key < other._key
@@ -176,29 +167,6 @@ def parse_var(name: str) -> Var:
             return v
         break
     raise ValueError(f"cannot parse variable name {name!r}")
-
-
-# A monomial is a tuple of (Var, positive int exponent) pairs sorted by
-# variable order; () is the constant monomial.
-Monomial = tuple
-
-
-def mono_from_pairs(pairs: Iterable[tuple]) -> Monomial:
-    """Build a canonical monomial from (Var, exponent) pairs."""
-    acc: dict = {}
-    for v, e in pairs:
-        acc[v] = acc.get(v, 0) + e
-    items = [(v, e) for v, e in acc.items() if e != 0]
-    for v, e in items:
-        if e < 0:
-            raise ValueError(f"negative exponent for {v}")
-    items.sort(key=lambda ve: ve[0]._key)
-    return tuple(items)
-
-
-def mono_key(m: Monomial):
-    """Stable sort key for monomials (lex on the variable/exponent list)."""
-    return tuple((v._key, e) for v, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +223,6 @@ def fresh_slots():
         _CURRENT_SLOTS.reset(token)
 
 
-def _pack(pairs, tab: _SlotTable) -> int:
-    """The packed monomial of (Var, exponent) pairs; repeated variables add."""
-    m = 0
-    for v, e in mono_from_pairs(pairs):
-        if e > _EXP_MAX:
-            raise ResourceLimitError(
-                f"exponent {e} of {v.name} exceeds the packed maximum {_EXP_MAX}")
-        m |= e << tab.offset(v)
-    return m
-
-
 def _fields(m: int) -> list:
     """(offset, exponent) of every variable in a packed monomial."""
     out = []
@@ -276,13 +233,6 @@ def _fields(m: int) -> list:
         out.append((off, e))
         m -= e << off
     return out
-
-
-def _decode(m: int, tab: _SlotTable) -> Monomial:
-    slot_vars = tab.vars
-    pairs = [(slot_vars[off // _FIELD], e) for off, e in _fields(m)]
-    pairs.sort(key=lambda ve: ve[0]._key)
-    return tuple(pairs)
 
 
 def _repack(p: "SparsePoly", tab: _SlotTable) -> dict:
@@ -436,20 +386,11 @@ class SparsePoly:
     """Immutable sparse polynomial: dict from monomial, packed in the slot
     table _tab, to nonzero int or Fraction coefficient."""
 
-    __slots__ = ("_t", "_tab", "_view")
+    __slots__ = ("_t", "_tab")
 
-    def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        tab = _CURRENT_SLOTS.get()
-        t: dict = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce(c)
-                if c:
-                    m = _pack(mono, tab)
-                    t[m] = t.get(m, 0) + c
-        self._t = _clean(t)
-        self._tab = tab
-        self._view = None
+    def __init__(self):
+        raise TypeError("make a SparsePoly with zero, constant, variable, "
+                        "ring operations or parse_poly")
 
     @classmethod
     def _raw(cls, terms: dict, tab: _SlotTable) -> "SparsePoly":
@@ -457,7 +398,6 @@ class SparsePoly:
         self = object.__new__(cls)
         self._t = terms
         self._tab = tab
-        self._view = None
         return self
 
     @classmethod
@@ -474,14 +414,19 @@ class SparsePoly:
         tab = _CURRENT_SLOTS.get()
         return cls._raw({1 << tab.offset(v): 1}, tab)
 
-    @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        view = self._view
-        if view is None:
-            tab = self._tab
-            view = self._view = MappingProxyType(
-                {_decode(m, tab): Fraction(c) for m, c in self._t.items()})
-        return view
+    def items(self) -> Iterator[tuple]:
+        """Each term once as ((Var, exponent) pairs, Fraction), the pairs in
+        variable order, the terms in the canonical order of the text form:
+        lexicographic on the pairs, a variable by its order."""
+        slot_vars = self._tab.vars
+        keyed = []
+        for m, c in self._t.items():
+            pairs = sorted([(slot_vars[off // _FIELD], e) for off, e in _fields(m)],
+                           key=lambda ve: ve[0]._key)
+            keyed.append(([(v._key, e) for v, e in pairs], tuple(pairs), c))
+        keyed.sort(key=lambda kpc: kpc[0])
+        for _, pairs, c in keyed:
+            yield pairs, Fraction(c)
 
     def __len__(self):
         return len(self._t)
@@ -593,7 +538,7 @@ class SparsePoly:
     def evaluate(self, assignment: Mapping[Var, object]) -> Fraction:
         """Exact value at a total assignment of this polynomial's variables."""
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for m, c in self.items():
             acc = c
             for v, e in m:
                 if v not in assignment:
@@ -605,7 +550,7 @@ class SparsePoly:
     def evaluate_mod(self, assignment: Mapping[Var, int], prime: int) -> int:
         """Value at an assignment over GF(prime); p/q maps to p * q^-1 mod prime."""
         total = 0
-        for m, c in self.terms.items():
+        for m, c in self.items():
             acc = frac_mod(c, prime)
             for v, e in m:
                 if v not in assignment:
@@ -636,13 +581,14 @@ class SparsePoly:
     def substitute(self, mapping: Mapping[Var, "SparsePoly"]) -> "SparsePoly":
         """Substitute variables by polynomials (unmapped variables unchanged)."""
         tab = self._tab
+        slot_vars = tab.vars
         acc = _Accumulator(tab)
-        for mono, c in self.terms.items():
-            term = SparsePoly._raw({0: _coerce(c)}, tab)
-            for v, e in mono:
-                image = mapping.get(v)
+        for m, c in self._t.items():
+            term = SparsePoly._raw({0: c}, tab)
+            for off, e in _fields(m):
+                image = mapping.get(slot_vars[off // _FIELD])
                 if image is None:
-                    image = SparsePoly._raw({1 << tab.offset(v): 1}, tab)
+                    image = SparsePoly._raw({1 << off: 1}, tab)
                 term = term * image ** e
             acc.add(term)
         return acc.result()
@@ -715,9 +661,7 @@ def format_poly(p: SparsePoly) -> str:
     if not p:
         return "0"
     parts = []
-    tab = p._tab
-    for m, c in sorted(((_decode(m, tab), c) for m, c in p._t.items()),
-                       key=lambda mc: mono_key(mc[0])):
+    for m, c in p.items():
         toks = [format_frac(c)]
         for v, e in m:
             toks.append(v.name if e == 1 else f"{v.name}^{e}")
@@ -726,26 +670,32 @@ def format_poly(p: SparsePoly) -> str:
 
 
 def parse_poly(text: str) -> SparsePoly:
-    """Parse the canonical text form back into a polynomial."""
+    """Parse the canonical text form back into a polynomial.  A variable may
+    repeat within a term (its exponents add) and a monomial across terms."""
     text = text.strip()
     if text == "0":
         return SparsePoly.zero()
+    tab = _CURRENT_SLOTS.get()
     terms: dict = {}
     for chunk in text.split(" + "):
         toks = [t.strip() for t in chunk.split("*")]
-        coeff = parse_frac(toks[0])
-        pairs = []
+        coeff = _coerce(parse_frac(toks[0]))
+        m = 0
         for tok in toks[1:]:
-            if "^" in tok:
-                name, exp = tok.split("^")
-                pairs.append((parse_var(name.strip()), int(exp)))
-            else:
-                pairs.append((parse_var(tok), 1))
-        m = mono_from_pairs(pairs)
-        terms[m] = terms.get(m, Fraction(0)) + coeff
-    return SparsePoly(terms)
+            name, caret, exp = tok.partition("^")
+            exp = exp.strip() if caret else "1"
+            off = tab.offset(parse_var(name.strip()))
+            e = int(exp) if exp.isascii() and exp.isdigit() else -1
+            if not 0 <= e <= _EXP_MAX - ((m >> off) & _FIELD_MASK):
+                raise ValueError(f"bad exponent in {tok!r}: a term's exponent of a "
+                                 f"variable is an integer from 0 to {_EXP_MAX}")
+            m += e << off
+        terms[m] = terms.get(m, 0) + coeff
+    return SparsePoly._raw(_clean(terms), tab)
 
 
 def boolean_axiom(v: Var) -> SparsePoly:
     """The Boolean axiom v^2 - v."""
-    return SparsePoly({((v, 2),): 1, ((v, 1),): -1})
+    tab = _CURRENT_SLOTS.get()
+    off = tab.offset(v)
+    return SparsePoly._raw({2 << off: 1, 1 << off: -1}, tab)

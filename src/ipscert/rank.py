@@ -42,8 +42,8 @@ class Partition:
     def __post_init__(self):
         if not self.y_side or len(self.y_side) != len(self.z_side):
             raise ValueError("partition sides must be nonempty and of equal size")
-        if set(self.y_side) & set(self.z_side):
-            raise ValueError("partition sides must be disjoint")
+        if len(set(self.y_side + self.z_side)) != 2 * len(self.y_side):
+            raise ValueError("partition sides must be disjoint, with no variable repeated")
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

@@ -26,9 +26,11 @@ check_claims checks what a certificate document claims besides the
 identity: each axiom after the instance is the Boolean axiom v^2 - v of the
 variable its label names, and no variable has two; the instance is
 f' + shift, its root ADD(f', CONST shift), with the shift outside {0, -1};
-instance_sha256 is the hash of the instance's text; and every claimed size
-and depth is its cofactor's measure.  ipscert verify runs it first, in
-both modes; verify_exact and verify_pit check only the identity.
+instance_sha256 is the hash of the instance's text; given an instance
+circuit, f' lays out as that circuit; and every claimed size and depth is
+its cofactor's measure.  ipscert verify runs it first, in both modes
+(verify --instance FILE gives the circuit); verify_exact and verify_pit
+check only the identity.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -47,7 +49,8 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .circuit import ADD, CONST, Circuit, compile_evaluator, expand, poly_to_circuit
+from .circuit import (ADD, CONST, Circuit, circuit_sha256, compile_evaluator, expand,
+                      poly_to_circuit)
 from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
                    frac_mod, parse_var)
 from .refute import NullstellensatzCertificate
@@ -209,7 +212,8 @@ def _check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | No
     return None
 
 
-def check_claims(cert: NullstellensatzCertificate) -> VerifyReport | None:
+def check_claims(cert: NullstellensatzCertificate,
+                 instance: Circuit | None = None) -> VerifyReport | None:
     """An error report for the first claim of the certificate that does not
     hold, in this order, or None when every claim holds.  The detail names
     the field:
@@ -219,6 +223,7 @@ def check_claims(cert: NullstellensatzCertificate) -> VerifyReport | None:
         axioms[0].circuit;
       * c is the shift, which lies outside {0, -1}: shift;
       * instance_sha256 is the SHA-256 of axiom 0's text: instance_sha256;
+      * given an instance circuit, f' has its text: axioms[0].circuit;
       * each claimed metric is its cofactor's measure: metrics[k].size,
         metrics[k].depth.
     """
@@ -241,6 +246,9 @@ def check_claims(cert: NullstellensatzCertificate) -> VerifyReport | None:
     if table.sha256(root) != cert.instance_sha256:
         return VerifyReport("error", detail="instance_sha256: not the SHA-256 of the "
                                             "text of axiom 0")
+    if instance is not None and table.sha256(g.args[0]) != circuit_sha256(instance):
+        return VerifyReport("error", detail="axioms[0].circuit: f' is not the given "
+                                            "instance circuit")
     for k, (claimed, cf) in enumerate(zip(cert.claimed_metrics, cert.cofactors)):
         measured = table.metrics(cf)
         for name, got, want in (("size", claimed.size, measured.size),

@@ -18,7 +18,7 @@ from ipscert.circuit import (
     eval_circuit_mod,
 )
 from ipscert.gadget import GadgetChild, GadgetLedger, LedgerEntry
-from ipscert.poly import SparsePoly, Var, mono_from_pairs
+from ipscert.poly import SparsePoly, Var, _Accumulator
 from ipscert.refute import NullstellensatzCertificate
 
 CORPUS_SEED = 20260810
@@ -88,13 +88,34 @@ def build_corpus(seed: int, count: int, const_pool=(0, 1)) -> list:
     return [random_layered_formula(rng, max_nodes=s, const_pool=const_pool) for s in sizes]
 
 
+def mono(pairs) -> tuple:
+    """The monomial of (Var, exponent) pairs as SparsePoly.items() writes it:
+    repeated variables added, zero exponents dropped, pairs in variable order."""
+    exps: dict = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: ve[0]._key))
+
+
+def poly_of(terms: dict) -> SparsePoly:
+    """The polynomial of a {monomial: coefficient} dict, monomials as mono()
+    writes them, built by ring operations."""
+    acc = _Accumulator()
+    for m, c in terms.items():
+        term = SparsePoly.constant(c)
+        for v, e in m:
+            term = term * SparsePoly.variable(v) ** e
+        acc.add(term)
+    return acc.result()
+
+
 def random_poly(rng: random.Random, vars_, max_terms: int = 6, max_exp: int = 3) -> SparsePoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         k = rng.randint(0, min(3, len(vars_)))
-        mono = mono_from_pairs([(v, rng.randint(1, max_exp)) for v in rng.sample(list(vars_), k)])
-        terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return SparsePoly(terms)
+        m = mono([(v, rng.randint(1, max_exp)) for v in rng.sample(list(vars_), k)])
+        terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return poly_of(terms)
 
 
 def random_dag_circuit(rng: random.Random, n_gates: int = 20, vars_=None) -> Circuit:

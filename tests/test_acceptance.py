@@ -33,7 +33,7 @@ from ipscert.instances import (
     subset_sum,
     uvar,
 )
-from ipscert.poly import SparsePoly, Var, boolean_axiom, mono_from_pairs
+from ipscert.poly import SparsePoly, Var, boolean_axiom
 from ipscert.rank import balanced_partitions, exact_rank, fullrank_witness, rank_matrix
 from ipscert.refute import assemble_refutation, gate_square_certificates
 from ipscert.verify import PitConfig, boolean_image, verify_exact, verify_pit
@@ -237,8 +237,9 @@ def test_criterion_8_subset_sum():
     expected = SparsePoly.zero()
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            expected = expected + SparsePoly({mono_from_pairs(
-                [(Var("z", i, j), 1), (Var("x", i), 1), (Var("x", j), 1)]): Fraction(1)})
+            expected = expected + (SparsePoly.variable(Var("z", i, j))
+                                   * SparsePoly.variable(Var("x", i))
+                                   * SparsePoly.variable(Var("x", j)))
     assert comp == expected
     report(8, "subset-sum reduce(g*f)=1 for n<=10 at beta=n+1 and n^2+1; "
               "lifted n=3 exhaustive; clique component exact at n=4, l=2", started)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -349,6 +350,44 @@ def test_mnc_rejects_beta(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+# The certify chain in one process; prints the SHA-256 of every output.
+CHAIN = """
+import hashlib, io, os, sys, contextlib
+from ipscert.cli import main
+d = sys.argv[1]
+p = lambda name: os.path.join(d, name)
+h = hashlib.sha256()
+for argv in (["parse", "--input", p("c.circ"), "--out", p("canon.circ")],
+             ["normalize", "--input", p("canon.circ"), "--out", p("l.circ")],
+             ["transform", "--input", p("l.circ"), "--out", p("t.circ"), "--ledger", p("l.json")],
+             ["refute", "--input", p("t.circ"), "--ledger", p("l.json"), "--out", p("cert.json")],
+             ["verify", "--cert", p("cert.json"), "--instance", p("t.circ")],
+             ["verify", "--cert", p("cert.json"), "--mode", "pit"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    h.update(out.getvalue().encode())
+for name in ("canon.circ", "l.circ", "t.circ", "l.json", "cert.json"):
+    with open(p(name), "rb") as fh:
+        h.update(fh.read())
+print(h.hexdigest())
+"""
+
+
+def test_certify_chain_output_does_not_depend_on_the_hash_seed(tmp_path):
+    c = build_corpus(7, 10)[-1]
+    digests = []
+    for seed in ("1", "2"):
+        d = tmp_path / seed
+        d.mkdir()
+        write(d / "c.circ", format_circuit(c))
+        proc = subprocess.run([sys.executable, "-c", CHAIN, str(d)], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "ipscert.cli", "funcref",
                            "--family", "subset-sum", "--n", "3"],
@@ -364,6 +403,10 @@ def test_console_script_runs():
      "field axioms[0].circuit: line 1: bad gate id 'g١'"),
     (lambda doc: doc.__setitem__("builder", 5), "field builder is not a string"),
     (lambda doc: doc["metrics"].pop(), "field metrics has 4 entries for 5 cofactors"),
+    (lambda doc: doc["axioms"][1].__setitem__("poly", "1/1 * x1^99999 + -1/1 * x1"),
+     "field axioms[1].poly: bad exponent in 'x1^99999'"),
+    (lambda doc: doc["axioms"][1].__setitem__("poly", "1/1 * x1^2^3"),
+     "field axioms[1].poly: bad exponent in 'x1^2^3'"),
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
@@ -507,3 +550,18 @@ def test_image_rejects_a_bad_sample_count(tmp_path, capsys, option, value, name)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+@pytest.mark.parametrize("mode", ["exact", "pit"])
+def test_verify_ties_axiom_0_to_the_instance_file(tmp_path, capsys, mode):
+    f = cadd(cvar(X1), cvar(X2))
+    cp, ledger = gadgetize(f)
+    other, _ = gadgetize(cadd(cvar(X1), cvar(X3)))
+    cert, instance = tmp_path / "cert.json", tmp_path / "f.circ"
+    write(cert, certificate_to_json(assemble_refutation(cp, ledger)))
+    for c, code in ((cp, 0), (other, 2), (f, 2)):
+        write(instance, format_circuit(c))
+        assert main(["verify", "--cert", str(cert), "--instance", str(instance),
+                     "--mode", mode]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 or report["detail"].startswith("axioms[0].circuit:")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,15 +9,18 @@ import pytest
 from helpers import pointwise, random_dag_circuit, random_layered_formula
 
 from ipscert.circuit import (
+    as_circuit,
     circuit_sha256,
     cvar,
     eval_circuit,
     eval_circuit_mod,
     expand,
+    format_circuit,
     is_syntactically_multilinear,
     partial_evaluate,
 )
 from ipscert.instances import (
+    FAMILIES,
     extract_clique_component,
     functional_identity_holds,
     gadgeted_ry_circuit,
@@ -31,7 +35,7 @@ from ipscert.instances import (
     vvar,
     wvar,
 )
-from ipscert.poly import SparsePoly, UnassignedVariableError, Var, mono_from_pairs
+from ipscert.poly import SparsePoly, UnassignedVariableError, Var, format_poly
 from ipscert.verify import DEFAULT_PIT_PRIME, boolean_image, boolean_image_poly
 
 U = {i: SparsePoly.variable(uvar(i)) for i in range(1, 9)}
@@ -45,6 +49,20 @@ MNC_SHA256 = {
         "bbc4d8c2d1d948621dfaeb6a8b8b5d2ecc0439d6935e6e98133196d12164d218"),
     3: ("dee79a0e9f9929766caa0dc0bba1a09eb7ceec444d0870d884c0a9aa06f7cd1f",
         "bca501b29510a890c5709af3e724436b501e1586f336c6b64a81d766c6f619bd"),
+}
+
+# SHA-256 of the subset-sum families' instance and refutation text, over the
+# listed n: each polynomial's circuit text, then its format_poly text.  Taken
+# when the polynomials were built from tuple monomials.
+SUBSET_SUM_SHA256 = {
+    ("subset-sum", None, range(1, 9)):
+        "07608afe8533e5950307434341302c2070f3c30529b02a6232682690f7a1431a",
+    ("subset-sum", "-1", range(1, 9)):
+        "b2222c32cb836672b7c53ca20994c90ccfcc7bec68d177aa270b8d43aa5d376e",
+    ("subset-sum", "1/2", range(1, 9)):
+        "13d39bf999961544cc1918c3a242f54fbdba2ae8c94313879e5bcc5d5cb1bddc",
+    ("lifted-subset-sum", None, range(2, 6)):
+        "144441be322a2576da7621651fcd16b93e3cefbc13c2c38cf400e09dc0ecd70d",
 }
 
 
@@ -211,7 +229,7 @@ def test_lifted_subset_sum_n2():
     # one pair: instance z12*x1*x2 - 2 with the n_vars=1, beta=2 alphas
     z = Var("z", 1, 2)
     x1, x2 = Var("x", 1), Var("x", 2)
-    zm = SparsePoly({mono_from_pairs([(z, 1), (x1, 1), (x2, 1)]): Fraction(1)})
+    zm = SparsePoly.variable(z) * SparsePoly.variable(x1) * SparsePoly.variable(x2)
     assert b.instance_poly() == zm - 2
     assert b.refutation_poly() == -Fraction(1, 2) - zm * Fraction(1, 2)
     assert functional_identity_holds(b)
@@ -234,8 +252,9 @@ def test_clique_component_n4_ell2():
     expected = SparsePoly.zero()
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            expected = expected + SparsePoly({mono_from_pairs(
-                [(Var("z", i, j), 1), (Var("x", i), 1), (Var("x", j), 1)]): Fraction(1)})
+            expected = expected + (SparsePoly.variable(Var("z", i, j))
+                                   * SparsePoly.variable(Var("x", i))
+                                   * SparsePoly.variable(Var("x", j)))
     assert comp == expected
 
 
@@ -243,8 +262,8 @@ def test_clique_component_full_clique():
     b = lifted_subset_sum(4)
     comp = extract_clique_component(b.refutation_poly(), 4, 4)
     # single vertex set of size 4: all six edges and all four vertices
-    assert len(comp.terms) == 1
-    (mono, coeff), = comp.terms.items()
+    assert len(comp) == 1
+    (mono, coeff), = comp.items()
     assert coeff == 1
     assert sum(1 for v, _ in mono if v.ns == "z") == comb(4, 2)
     assert sum(1 for v, _ in mono if v.ns == "x") == 4
@@ -302,3 +321,13 @@ def test_instance_sampling_evaluator_consistency():
 def test_mnc_text_is_pinned(n):
     bundle = mnc_instance(n)
     assert (circuit_sha256(bundle.instance), circuit_sha256(bundle.refutation)) == MNC_SHA256[n]
+
+
+@pytest.mark.parametrize("family, beta, ns", sorted(SUBSET_SUM_SHA256, key=str))
+def test_subset_sum_text_is_pinned(family, beta, ns):
+    h = hashlib.sha256()
+    for n in ns:
+        b = FAMILIES[family](n, None if beta is None else Fraction(beta))
+        for x, p in ((b.instance, b.instance_poly()), (b.refutation, b.refutation_poly())):
+            h.update((format_circuit(as_circuit(x)) + format_poly(p) + "\n").encode())
+    assert h.hexdigest() == SUBSET_SUM_SHA256[family, beta, ns]

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly
+from helpers import poly_of, random_poly
 
 from ipscert.poly import (
     ResourceLimitError,
@@ -13,7 +14,6 @@ from ipscert.poly import (
     Var,
     boolean_axiom,
     format_poly,
-    mono_from_pairs,
     parse_poly,
     parse_var,
 )
@@ -111,6 +111,30 @@ def test_canonical_form_round_trip():
     assert parse_poly("0") == SparsePoly.zero()
 
 
+def test_items_read_terms_in_text_order():
+    x10 = Var("x", 10)
+    p = parse_poly("3/1 * x10 + 1/2 * x2^2 * u1 + -1/1 + 1/1 * x2 * x1^0")
+    assert list(p.items()) == [((), -1), (((U1, 1), (X2, 2)), Fraction(1, 2)),
+                               (((X2, 1),), 1), (((x10, 1),), 3)]
+    assert all(type(c) is Fraction for _, c in p.items())
+    assert format_poly(p) == "-1/1 + 1/2 * u1 * x2^2 + 1/1 * x2 + 3/1 * x10"
+    assert parse_poly("1/1 * x1 * x1^2 + 2/1 * x1^3") == 3 * V(X1) ** 3
+    with pytest.raises(TypeError):
+        SparsePoly()
+
+
+@pytest.mark.parametrize("text, token", [
+    ("1/1 * x1^-1", "x1^-1"),
+    ("1/1 * x1^2^3", "x1^2^3"),
+    ("1/1 * x1^", "x1^"),
+    ("1/1 * x1^32768", "x1^32768"),
+    ("1/1 * x1^32767 * x1", "x1"),
+])
+def test_parse_poly_names_a_bad_exponent(text, token):
+    with pytest.raises(ValueError, match=re.escape(f"bad exponent in {token!r}")):
+        parse_poly(text)
+
+
 def test_var_names_round_trip():
     for v in (X1, Var("w", 1, 4, "top"), Var("w", 2, 5, 0), Var("v", 1, 2, 4),
               Var("y", 10, 3), Var("fresh", 7)):
@@ -125,14 +149,14 @@ def test_var_order_is_numeric_not_textual():
 def test_zero_coefficients_never_stored():
     p = V(X1) - V(X1)
     assert p.is_zero()
-    assert len(p.terms) == 0
-    q = SparsePoly({mono_from_pairs([(X1, 1)]): Fraction(0)})
+    assert len(p) == 0
+    q = SparsePoly.constant(0) * V(X1)
     assert q.is_zero()
 
 
 def test_dense_size_guard_triggers():
-    big = SparsePoly({((X1, k),): Fraction(1) for k in range(1, 4200)})
-    other = SparsePoly({((X2, k),): Fraction(1) for k in range(1, 4200)})
+    big = poly_of({((X1, k),): Fraction(1) for k in range(1, 4200)})
+    other = poly_of({((X2, k),): Fraction(1) for k in range(1, 4200)})
     with pytest.raises(ResourceLimitError):
         big * other
 
@@ -140,7 +164,7 @@ def test_dense_size_guard_triggers():
 def test_substitute_monomial_image():
     z = Var("z", 1, 2)
     p = V(z) ** 2 + 1
-    image = SparsePoly({mono_from_pairs([(z, 1), (X1, 1), (X2, 1)]): Fraction(1)})
+    image = V(z) * V(X1) * V(X2)
     q = p.substitute({z: image})
     assert q == image ** 2 + 1
 

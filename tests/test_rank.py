@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import mono, poly_of
+
 from ipscert.circuit import expand, partial_evaluate
 from ipscert.instances import gadgeted_ry_circuit, uvar
-from ipscert.poly import SparsePoly, Var, mono_from_pairs
+from ipscert.poly import SparsePoly, Var
 from ipscert.rank import (
     Partition,
     _echelon,
@@ -34,6 +36,8 @@ def test_partition_parse_and_format():
 def test_partition_validation():
     with pytest.raises(ValueError, match="disjoint"):
         Partition(y_side=(uvar(1),), z_side=(uvar(1),))
+    with pytest.raises(ValueError, match="no variable repeated"):
+        Partition(y_side=(uvar(1), uvar(1)), z_side=(uvar(2), uvar(3)))
     with pytest.raises(ValueError, match="equal"):
         Partition(y_side=(uvar(1), uvar(2)), z_side=(uvar(3),))
 
@@ -281,8 +285,8 @@ def test_rank_bounded_by_full():
         terms = {}
         for _ in range(rng.randint(0, 12)):
             vs = rng.sample([uvar(k) for k in range(1, 5)], rng.randint(0, 4))
-            terms[mono_from_pairs([(v, 1) for v in vs])] = Fraction(rng.randint(-5, 5))
-        f = SparsePoly(terms)
+            terms[mono((v, 1) for v in vs)] = Fraction(rng.randint(-5, 5))
+        f = poly_of(terms)
         assert exact_rank(rank_matrix(f, p)) <= 4
 
 
@@ -296,8 +300,8 @@ def test_rank_multiplicative_on_disjoint_products():
             terms = {}
             for _ in range(rng.randint(1, 6)):
                 pick = rng.sample(vs, rng.randint(0, 2))
-                terms[mono_from_pairs([(v, 1) for v in pick])] = Fraction(rng.randint(-4, 4))
-            return SparsePoly(terms)
+                terms[mono((v, 1) for v in pick)] = Fraction(rng.randint(-4, 4))
+            return poly_of(terms)
 
         f = rand_ml([uvar(1), uvar(2)])
         g = rand_ml([uvar(3), uvar(4)])
@@ -315,8 +319,8 @@ def test_rank_subadditive():
             terms = {}
             for _ in range(rng.randint(0, 10)):
                 pick = rng.sample([uvar(k) for k in range(1, 5)], rng.randint(0, 4))
-                terms[mono_from_pairs([(v, 1) for v in pick])] = Fraction(rng.randint(-4, 4))
-            return SparsePoly(terms)
+                terms[mono((v, 1) for v in pick)] = Fraction(rng.randint(-4, 4))
+            return poly_of(terms)
 
         f, g = rand_ml(), rand_ml()
         assert exact_rank(rank_matrix(f + g, p)) <= \
