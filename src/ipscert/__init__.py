@@ -58,11 +58,11 @@ from .instances import (
     extract_clique_component,
     functional_identity_holds,
     gadgeted_ry_circuit,
+    inverse_differences,
     lifted_subset_sum,
     mnc_instance,
     ry_circuit,
     subset_sum,
-    subset_sum_alphas,
 )
 from .rank import (
     Partition,

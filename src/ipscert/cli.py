@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import io
 import json
 import sys
@@ -39,10 +40,28 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _print_csv(path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if path:
+        _write(path, buf.getvalue())
+    else:
+        print(buf.getvalue(), end="")
+
+
+def _rational(text: str) -> Fraction:
+    """The type of a number flag: argparse names the flag in its error."""
+    try:
+        return po.parse_frac(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_parse(args) -> int:
     c = ci.parse_circuit(_read(args.input))
+    text = ci.format_circuit(c)
     if args.out:
-        _write(args.out, ci.format_circuit(c))
+        _write(args.out, text)
     m = ci.measure(c)
     _print_json({
         "gates": len(c),
@@ -50,7 +69,7 @@ def cmd_parse(args) -> int:
         "depth": m.depth,
         "formula": c.is_formula,
         "variables": [v.name for v in c.variables()],
-        "sha256": ci.circuit_sha256(c),
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     })
     return 0
 
@@ -79,7 +98,7 @@ def cmd_refute(args) -> int:
         ledger = ga.GadgetLedger.from_json(_read(args.ledger))
     else:
         ledger = ga.GadgetLedger(())
-    cert = rf.assemble_refutation(cprime, ledger, shift=Fraction(args.shift))
+    cert = rf.assemble_refutation(cprime, ledger, shift=args.shift)
     _write(args.out, rf.certificate_to_json(cert))
     _print_json({"axioms": len(cert.axioms), "total_size": cert.total_size,
                  "total_depth": cert.total_depth,
@@ -102,33 +121,23 @@ def cmd_verify(args) -> int:
 
 def cmd_image(args) -> int:
     c = ci.parse_circuit(_read(args.input))
-    target = None
-    if args.target:
-        target = frozenset(Fraction(t.strip()) for t in args.target.split(","))
-    report = vf.boolean_image(c, target=target, exhaustive_limit=args.exhaustive_limit,
+    report = vf.boolean_image(c, target=args.target, exhaustive_limit=args.exhaustive_limit,
                               samples=args.samples, seed=args.seed)
     values = ";".join(str(v) for v in sorted(report.values))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "mode", "points", "values", "contained"])
-    writer.writerow([args.input,
-                     "exhaustive" if report.exhaustive else "sampled",
-                     report.points,
-                     values,
-                     "" if report.contained is None else str(report.contained).lower()])
-    text = buf.getvalue()
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text, end="")
+    _print_csv(args.out, [
+        ["source", "mode", "points", "values", "contained"],
+        [args.input,
+         "exhaustive" if report.exhaustive else "sampled",
+         report.points,
+         values,
+         "" if report.contained is None else str(report.contained).lower()]])
     if report.contained is False:
         return 1
     return 0
 
 
 def _bundle(args) -> ins.InstanceBundle:
-    beta = None if args.beta is None else Fraction(args.beta)
-    return ins.FAMILIES[args.family](args.n, beta)
+    return ins.FAMILIES[args.family](args.n, args.beta)
 
 
 def cmd_instance(args) -> int:
@@ -155,26 +164,20 @@ def cmd_instance(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    p_circ, _ = ins.gadgeted_ry_circuit(args.n)   # first: it rejects n < 1
     if args.partition == "all":
         parts = list(rk.balanced_partitions([ins.uvar(k) for k in range(1, 2 * args.n + 1)]))
     else:
         parts = [rk.Partition.parse(args.partition)]
-    p_circ, _ = ins.gadgeted_ry_circuit(args.n)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["partition", "rank", "witness"])
+    rows = [["partition", "rank", "witness"]]
     for part in parts:
         witness = rk.fullrank_witness(args.n, part)
         sub = ci.partial_evaluate(p_circ, witness)
         mat = rk.rank_matrix(ci.expand(sub), part)
         r = rk.exact_rank(mat)
         wtext = ";".join(f"{v.name}={val}" for v, val in sorted(witness.items()))
-        writer.writerow([part.format(), r, wtext])
-    text = buf.getvalue()
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text, end="")
+        rows.append([part.format(), r, wtext])
+    _print_csv(args.out, rows)
     return 0
 
 
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", help="build a Nullstellensatz certificate")
     p.add_argument("--input", required=True)
     p.add_argument("--ledger")
-    p.add_argument("--shift", default="-2")
+    p.add_argument("--shift", type=_rational, default="-2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refute)
 
@@ -226,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="Boolean image of a circuit")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", help="comma-separated values, e.g. '0,1'")
+    p.add_argument("--target", type=lambda text: frozenset(map(_rational, text.split(","))),
+                   help="comma-separated values, e.g. '0,1'")
     p.add_argument("--exhaustive-limit", type=int, default=16)
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("ry", "gadgeted-ry", *ins.FAMILIES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta")
+    p.add_argument("--beta", type=_rational)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_instance)
 
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("funcref", help="check a functional refutation identity")
     p.add_argument("--family", required=True, choices=tuple(ins.FAMILIES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta")
+    p.add_argument("--beta", type=_rational)
     p.set_defaults(func=cmd_funcref)
 
     return top

@@ -18,13 +18,16 @@ Three families:
     multilinear functional refutation.
 
   * subset-sum instances sum(z) - beta with beta outside the achievable
-    range.  The functional refutation is a combination of elementary
-    symmetric polynomials g = sum_k alpha_k e_k(z); on a point with k ones
-    the instance equals k - beta and e_j contributes binom(k, j), so the
-    alphas solve the triangular system
-    sum_{j<=k} alpha_j binom(k, j) = 1/(k - beta).  The lifted variant
+    range, refuted by g = sum_k alpha_k e_k(z).  The lifted variant
     substitutes z_e -> z_e x_i x_j and multilinearizes; its graded pieces
     contain the clique polynomials.
+
+Every functional refutation comes from one rule: if f takes values in
+{0..k} on the cube, f - beta is refuted by q(f) = sum_j D_j binom(f, j),
+D_j the forward differences of 1/(t - beta) at 0 (inverse_differences).
+On the cube binom(sum z, j) = e_j(z), so the alphas are the D_j, and a
+0/1-valued f has binom(f, 1) = f: k = 1 gives mnc's (1 + P)/2 and
+refute's instance cofactor.
 
 Addressing deviation: an interval of length L has (L-2)/2 valid splits and
 the address block is sized for exactly that many choices (the gadget's
@@ -203,11 +206,12 @@ def gadgeted_ry_circuit(n: int) -> tuple:
 def mnc_instance(n: int) -> InstanceBundle:
     """Instance 2 - P with functional refutation (1 + P)/2, constants first."""
     p, wsets = gadgeted_ry_circuit(n)
+    q0, q1 = inverse_differences(1, 2)   # P - 2 is refuted by q0 + q1*P
     b = CircuitBuilder()
-    two, minus_one = b.const(2), b.const(-1)
-    instance = b.add([two, b.mul([minus_one, b.keep(p)])])
-    half, one = b.const(Fraction(1, 2)), b.const(1)
-    refutation = b.mul([half, b.add([one, b.keep(p)])])
+    two, minus_one, half, one = (b.const(c) for c in (2, -1, -q1, q0 / q1))
+    pid = b.keep(p)
+    instance = b.add([two, b.mul([minus_one, pid])])
+    refutation = b.mul([half, b.add([one, pid])])
     return InstanceBundle(
         name="mnc",
         params={"n": n},
@@ -223,21 +227,26 @@ def mnc_instance(n: int) -> InstanceBundle:
     )
 
 
-def subset_sum_alphas(n_vars: int, beta: Fraction) -> list:
-    """Solve sum_{j<=k} alpha_j binom(k, j) = 1/(k - beta) for k = 0..n_vars."""
-    alphas: list = []
-    for k in range(n_vars + 1):
-        value = Fraction(1, 1) / (k - beta)
-        for j, a in enumerate(alphas):
-            value -= a * math.comb(k, j)
-        alphas.append(value)
-    return alphas
+def inverse_differences(k: int, beta) -> list:
+    """Forward differences D_0..D_k of 1/(t - beta) at 0, by one difference
+    table: sum_j D_j binom(t, j) interpolates 1/(t - beta) on {0..k}.  A
+    beta in {0..k} is a pole on the image: the instance is satisfiable."""
+    beta = Fraction(beta)
+    if beta.denominator == 1 and 0 <= beta <= k:
+        raise ValueError(f"beta = {beta} lies in the image {{0..{k}}}; instance satisfiable")
+    row = [1 / (t - beta) for t in range(k + 1)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return diffs
 
 
-def _subset_sum_over(vars_: tuple, beta: Fraction, name: str, params: dict) -> InstanceBundle:
+def _subset_sum_over(vars_: tuple, beta, name: str, params: dict) -> InstanceBundle:
+    beta = Fraction(len(vars_) + 1 if beta is None else beta)
+    alphas = inverse_differences(len(vars_), beta)
     zs = [SparsePoly.variable(v) for v in vars_]
     instance = sum(zs, SparsePoly.zero()) - beta
-    alphas = subset_sum_alphas(len(vars_), beta)
     # e[k] is the elementary symmetric polynomial e_k of the variables so far.
     e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(vars_)
     for j, z in enumerate(zs, start=1):
@@ -265,9 +274,6 @@ def subset_sum(n_vars: int, beta=None) -> InstanceBundle:
     """
     if n_vars < 1:
         raise ValueError("n_vars must be at least 1")
-    beta = Fraction(n_vars + 1) if beta is None else Fraction(beta)
-    if beta.denominator == 1 and 0 <= beta <= n_vars:
-        raise ValueError(f"beta = {beta} is an achievable subset sum; instance satisfiable")
     zvars = tuple(Var("z", i) for i in range(1, n_vars + 1))
     return _subset_sum_over(zvars, beta, "subset-sum", {"n_vars": n_vars})
 
@@ -281,20 +287,12 @@ def lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
     if n < 2:
         raise ValueError("n must be at least 2")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    m = len(pairs)
-    beta = Fraction(m + 1) if beta is None else Fraction(beta)
-    if beta.denominator == 1 and 0 <= beta <= m:
-        raise ValueError(f"beta = {beta} is an achievable sum; instance satisfiable")
     zvars = tuple(Var("z", i, j) for i, j in pairs)
     flat = _subset_sum_over(zvars, beta, "lifted-subset-sum", {"n": n})
-    substitution = {}
-    for (i, j), zv in zip(pairs, zvars):
-        substitution[zv] = (SparsePoly.variable(zv) * SparsePoly.variable(Var("x", i))
-                            * SparsePoly.variable(Var("x", j)))
-    instance = flat.instance_poly().substitute(substitution).multilinear_reduce()
-    refutation = flat.refutation_poly().substitute(substitution).multilinear_reduce()
-    flat.instance = instance
-    flat.refutation = refutation
+    x = {i: SparsePoly.variable(Var("x", i)) for i in range(1, n + 1)}
+    substitution = {zv: SparsePoly.variable(zv) * x[i] * x[j] for (i, j), zv in zip(pairs, zvars)}
+    flat.instance = flat.instance.substitute(substitution).multilinear_reduce()
+    flat.refutation = flat.refutation.substitute(substitution).multilinear_reduce()
     flat.provenance["lift"] = "z_ij -> z_ij * x_i * x_j, then multilinearized"
     return flat
 

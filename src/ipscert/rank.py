@@ -150,8 +150,8 @@ def balanced_partitions(uvars: Sequence[Var]):
     """All unordered balanced partitions, the first variable fixed to the row side."""
     uvars = tuple(uvars)
     n = len(uvars) // 2
-    if len(uvars) != 2 * n:
-        raise ValueError("balanced partitions need an even number of variables")
+    if not uvars or len(uvars) != 2 * n:
+        raise ValueError(f"balanced partitions need 2n variables with n >= 1, not {len(uvars)}")
     first, rest = uvars[0], uvars[1:]
     for combo in itertools.combinations(rest, n - 1):
         y = (first,) + combo

@@ -30,9 +30,11 @@ its standalone formula, straight from the table, and reads every circuit
 back line by line into one hash-consed table, which lays each out again as
 the same text.
 
-The assembled refutation of the unsatisfiable instance f' - 2 uses the
-cofactors -(f'+1)/2 on the instance and +E/2, +F/2 on the Boolean axioms,
-for which sum(cofactor * axiom) = 1 holds as an exact polynomial identity.
+The assembled refutation of f' + shift puts the functional refutation
+c0 + c1*f', c0, c1 = instances.inverse_differences(1, -shift), on the
+instance and -c1 times the gate certificate's E, F on the Boolean axioms:
+(c0 + c1*f')(f' + shift) = 1 + c1*(f'^2 - f'), so sum(cofactor * axiom) = 1
+exactly.  At the default shift -2 these are -(f'+1)/2, +E/2 and +F/2.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .circuit import (
     format_circuit,
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
+from .instances import inverse_differences
 from .poly import SparsePoly, boolean_axiom, format_poly, parse_frac, parse_poly
 
 BUILDER_TAG = "ipscert-refute/1"
@@ -300,25 +303,19 @@ def _validate_leaves(c: Circuit, ledger: GadgetLedger) -> None:
 
 def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
                         shift: Fraction = Fraction(-2)) -> NullstellensatzCertificate:
-    """Nullstellensatz refutation of f' + shift (default shift -2).
-
-    For a {0,1}-valued f' the instance f' + shift is unsatisfiable for any
-    shift outside {0, -1}; the instance cofactor is c1*f' + c0 with
-    c1 = -1/(shift*(shift+1)) and c0 = 1/shift, and every Boolean axiom
-    v^2 - v gets the cofactor -c1 times the gate certificate.  At the
-    default shift this is the familiar -(f'+1)/2, E/2, F/2 split.
+    """Nullstellensatz refutation of f' + shift (default shift -2), with the
+    cofactors of the module docstring.  For a {0,1}-valued f' the instance
+    is unsatisfiable for any shift outside {0, -1}; inverse_differences
+    rejects the other two.
 
     The certificate's table is the builder that composed the cofactors;
     nothing is laid out but the instance's text lines, for its hash.
     """
     shift = Fraction(shift)
-    if shift in (0, -1):
-        raise ValueError(f"shift {shift} leaves the instance satisfiable over the cube")
+    c0, c1 = inverse_differences(1, -shift)
     _validate_leaves(cprime, ledger)
     out = cprime.output
     b, certs = _certify(cprime, ledger, [out])
-    c1 = Fraction(-1) / (shift * (shift + 1))
-    c0 = Fraction(1) / shift
     instance = b.add([out, b.const(shift)])
     axioms = [("f", instance)]
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -86,6 +87,18 @@ def build_corpus(seed: int, count: int, const_pool=(0, 1)) -> list:
     rng = random.Random(seed)
     sizes = corpus_sizes(rng, count)
     return [random_layered_formula(rng, max_nodes=s, const_pool=const_pool) for s in sizes]
+
+
+def reference_inverse_differences(k: int, beta: Fraction) -> list:
+    """The alphas with sum_{j<=t} alpha_j binom(t, j) = 1/(t - beta) for
+    t = 0..k, by the triangular solve: an oracle for inverse_differences."""
+    alphas: list = []
+    for t in range(k + 1):
+        value = Fraction(1) / (t - beta)
+        for j, a in enumerate(alphas):
+            value -= a * math.comb(t, j)
+        alphas.append(value)
+    return alphas
 
 
 def mono(pairs) -> tuple:

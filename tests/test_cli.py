@@ -55,6 +55,14 @@ def test_parse_reports_metrics(tmp_path, capsys):
     assert doc["variables"] == ["x1", "x2"]
 
 
+def test_parse_hashes_the_text_it_writes(tmp_path, capsys):
+    src, out = tmp_path / "c.circ", tmp_path / "canon.circ"
+    write(src, format_circuit(cadd(cmul(cvar(X1), cvar(X2)), cvar(X3))))
+    assert main(["parse", "--input", str(src), "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_usage_error_exits_2(tmp_path, capsys):
     assert main(["parse"]) == 2
     assert main(["no-such-command"]) == 2
@@ -251,6 +259,15 @@ def test_rank_command_csv(tmp_path, capsys):
         rows = list(csvmod.reader(fh))
     assert len(rows) == 4  # header + 3 balanced partitions
     assert all(row[1] == "4" for row in rows[1:])
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_rank_rejects_n_below_1(capsys, n):
+    for partition in ("all", "u1|u2"):
+        assert main(["rank", "--n", n, "--partition", partition]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: n must be at least 1" in captured.err
 
 
 def test_jobs_flag_validation(capsys):
@@ -565,3 +582,32 @@ def test_verify_ties_axiom_0_to_the_instance_file(tmp_path, capsys, mode):
                      "--mode", mode]) == code
         report = json.loads(capsys.readouterr().out)
         assert code == 0 or report["detail"].startswith("axioms[0].circuit:")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("refute", "--shift"),
+    ("funcref", "--beta"),
+    ("instance", "--beta"),
+    ("image", "--target"),
+])
+@pytest.mark.parametrize("value, message", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("abc", "'abc'"),
+])
+def test_a_number_flag_that_does_not_parse_is_named(tmp_path, capsys, command, flag,
+                                                     value, message):
+    src, out = tmp_path / "c.circ", tmp_path / "out"
+    write(src, format_circuit(cvar(X1)))
+    argv = {
+        "refute": ["refute", "--input", str(src), "--out", str(out), "--shift", value],
+        "funcref": ["funcref", "--family", "subset-sum", "--n", "2", "--beta", value],
+        "instance": ["instance", "--family", "subset-sum", "--n", "2", "--out", str(out),
+                     "--beta", value],
+        "image": ["image", "--input", str(src), "--target", "0," + value],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
+    assert message in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.circ"]

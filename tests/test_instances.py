@@ -5,8 +5,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pointwise, random_dag_circuit, random_layered_formula
+from helpers import (
+    pointwise,
+    random_dag_circuit,
+    random_layered_formula,
+    reference_inverse_differences,
+)
 
 from ipscert.circuit import (
     as_circuit,
@@ -25,11 +32,11 @@ from ipscert.instances import (
     functional_identity_holds,
     gadgeted_ry_circuit,
     interval_wvarsets,
+    inverse_differences,
     lifted_subset_sum,
     mnc_instance,
     ry_circuit,
     subset_sum,
-    subset_sum_alphas,
     uvar,
     valid_splits,
     vvar,
@@ -191,8 +198,29 @@ def test_mnc_refutation_is_pointwise_inverse():
         assert inst.evaluate(a) * refu.evaluate(a) == 1
 
 
-def test_subset_sum_alphas_example():
-    assert subset_sum_alphas(1, Fraction(2)) == [Fraction(-1, 2), Fraction(-1, 2)]
+def test_inverse_differences_example():
+    assert inverse_differences(1, Fraction(2)) == [Fraction(-1, 2), Fraction(-1, 2)]
+
+
+# A target off {0..k}: negative, past the top, or fractional.
+_OFF_IMAGE = st.integers(0, 12).flatmap(lambda k: st.tuples(st.just(k), st.one_of(
+    st.integers(-50, -1).map(Fraction),
+    st.integers(k + 1, k + 50).map(Fraction),
+    st.fractions(-20, 20).filter(lambda b: b.denominator > 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OFF_IMAGE)
+def test_inverse_differences_match_the_triangular_solve(k_beta):
+    k, beta = k_beta
+    assert inverse_differences(k, beta) == reference_inverse_differences(k, beta)
+
+
+def test_inverse_differences_reject_every_target_in_the_image():
+    for k in range(13):
+        for beta in range(k + 1):
+            with pytest.raises(ValueError, match=f"beta = {beta} .*satisfiable"):
+                inverse_differences(k, Fraction(beta))
 
 
 def test_subset_sum_identity_small():

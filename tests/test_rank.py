@@ -278,6 +278,12 @@ def test_balanced_partition_count():
     assert len(list(balanced_partitions([uvar(k) for k in range(1, 5)]))) == 3
 
 
+def test_balanced_partitions_reject_an_empty_or_odd_list():
+    for count in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"not {count}"):
+            list(balanced_partitions([uvar(k) for k in range(1, count + 1)]))
+
+
 def test_rank_bounded_by_full():
     rng = random.Random(53)
     p = Partition.parse("u1,u2|u3,u4")

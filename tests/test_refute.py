@@ -41,6 +41,16 @@ X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 # by gate id in one builder: every cofactor must keep its gate layout.
 SHUFFLED_FORMULAS_SHA256 = "77c4f7c0a60c6e62b7554c512e25555241db9d27d3327f5751e517044fe4ff10"
 PRODUCT_DAGS_SHA256 = "b5d47202aedcdfa3819437a4802039b4b9b6df0c6de2c12d5d431796f1622e30"
+# SHA-256 of the certificate documents of 5 corpus formulas (build_corpus(4106, 5),
+# normalized and transformed) at each shift, taken when refute derived its
+# instance cofactor's constants by hand.
+SHIFT_SHA256 = {
+    "-2": "249ef9b6be16feb986c598fdfac4944c49c188d32727fdb79e13083049b41a39",
+    "1": "5c8941cbd09c6e531981dfe108289a3f60b5f071b128600604163cfbd1b3f9e8",
+    "1/2": "799ba65708bbf2b1a7c9527d0a3316f97d92271e411dd0eb7e6be5a533eac748",
+    "-3": "f269c17407c6e4feb75262df78dc7e6e36af235ea0dd96536a88c24326f39fde",
+    "2/3": "6651f93920e723aa233efaf76e0fdf983e1ca840692b5400fc1b8e93ac2a38c9",
+}
 
 
 def yvars(t, tag=0):
@@ -300,6 +310,15 @@ def test_layout_of_product_dags_is_pinned():
         assert not dag.is_formula
         h.update(certificate_to_json(assemble_refutation(dag, GadgetLedger(()))).encode())
     assert h.hexdigest() == PRODUCT_DAGS_SHA256
+
+
+@pytest.mark.parametrize("shift", sorted(SHIFT_SHA256))
+def test_certificates_at_each_shift_are_pinned(shift):
+    h = hashlib.sha256()
+    for c in build_corpus(4106, 5):
+        cp, ledger = gadgetize(normalize_layered(c))
+        h.update(certificate_to_json(assemble_refutation(cp, ledger, shift=Fraction(shift))).encode())
+    assert h.hexdigest() == SHIFT_SHA256[shift]
 
 
 def test_certificate_json_round_trip():
