@@ -66,7 +66,6 @@ from .instances import (
 )
 from .rank import (
     Partition,
-    RankMatrix,
     balanced_partitions,
     exact_rank,
     fullrank_witness,

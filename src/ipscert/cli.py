@@ -141,6 +141,8 @@ def _bundle(args) -> ins.InstanceBundle:
 
 
 def cmd_instance(args) -> int:
+    if args.family not in ins.FAMILIES:
+        ins.no_target(args.family, args.beta)
     if args.family in ins.FAMILIES:
         bundle = _bundle(args)
         _write(args.out + ".instance.circ", ci.format_circuit(ci.as_circuit(bundle.instance)))

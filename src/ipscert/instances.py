@@ -32,7 +32,7 @@ refute's instance cofactor.
 Addressing deviation: an interval of length L has (L-2)/2 valid splits and
 the address block is sized for exactly that many choices (the gadget's
 arity parameter is (L-2)/2 - 1), with addresses numbering valid splits in
-increasing order of the cut point.
+increasing order of the cut point (WVarSet.gadget).
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ class WVarSet:
     w_top: Var
     w_leaf: Var
     address_vars: tuple
+    splits: tuple    # valid_splits(i, j); address idx selects splits[idx]
+
+    def gadget(self, idx: int) -> AddressingGadget:
+        """The addressing gadget selecting splits[idx] through address_vars."""
+        return AddressingGadget.build(len(self.splits) - 1, idx, self.address_vars)
 
 
 def interval_wvarsets(n: int) -> tuple:
@@ -95,7 +100,8 @@ def interval_wvarsets(n: int) -> tuple:
             splits = valid_splits(i, j)
             bits = range(t_for(len(splits) - 1) + 1) if splits else ()
             wsets.append(WVarSet(i=i, j=j, w_top=wvar(i, j, "top"), w_leaf=wvar(i, j, "leaf"),
-                                 address_vars=tuple(wvar(i, j, bit) for bit in bits)))
+                                 address_vars=tuple(wvar(i, j, bit) for bit in bits),
+                                 splits=splits))
     return tuple(wsets)
 
 
@@ -122,85 +128,69 @@ def functional_identity_holds(bundle: InstanceBundle) -> bool:
     return product.multilinear_reduce() == SparsePoly.constant(1)
 
 
-def ry_circuit(n: int) -> Circuit:
-    """The interval-recursion polynomial over u_1..u_2n and split vars v."""
+def _interval_dag(n: int, node) -> Circuit:
+    """The interval recursion over [1, 2n], memoized, in one builder b.
+
+    node(b, leaf, gate, i, j) adds interval [i, j]'s gates and returns its
+    id; leaf(v) is the one VAR gate of a u or v variable, and gate(i, j) the
+    id of a subinterval, or None for the empty interval.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     b = CircuitBuilder()
     leaves: dict = {}
+    memo: dict = {}
 
     def leaf(v: Var) -> int:
         if v not in leaves:
             leaves[v] = b.var(v)
         return leaves[v]
 
-    memo: dict = {}
-
     def gate(i: int, j: int):
-        """Gate id for the interval polynomial, or None for the empty interval."""
         if j < i:
             return None
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        pair = b.add([b.const(1), b.mul([leaf(uvar(i)), leaf(uvar(j))])])
-        inner = gate(i + 1, j - 1)
-        branch = pair if inner is None else b.mul([pair, inner])
-        terms = [branch]
-        for r in valid_splits(i, j):
-            terms.append(b.mul([leaf(vvar(i, r, j)), gate(i, r), gate(r + 1, j)]))
-        node = terms[0] if len(terms) == 1 else b.add(terms)
-        memo[key] = node
-        return node
+        if (i, j) not in memo:
+            memo[i, j] = node(b, leaf, gate, i, j)
+        return memo[i, j]
 
     return b.build(gate(1, 2 * n))
+
+
+def ry_circuit(n: int) -> Circuit:
+    """The interval-recursion polynomial over u_1..u_2n and split vars v."""
+    def node(b, leaf, gate, i, j):
+        pair = b.add([b.const(1), b.mul([leaf(uvar(i)), leaf(uvar(j))])])
+        inner = gate(i + 1, j - 1)
+        terms = [pair if inner is None else b.mul([pair, inner])]
+        terms += [b.mul([leaf(vvar(i, r, j)), gate(i, r), gate(r + 1, j)])
+                  for r in valid_splits(i, j)]
+        return terms[0] if len(terms) == 1 else b.add(terms)
+
+    return _interval_dag(n, node)
 
 
 def gadgeted_ry_circuit(n: int) -> tuple:
     """The Boolean-valued gadgeted variant; returns (circuit, interval vars)."""
     wsets = interval_wvarsets(n)
     by_interval = {(ws.i, ws.j): ws for ws in wsets}
-    b = CircuitBuilder()
-    leaves: dict = {}
 
-    def leaf(v: Var) -> int:
-        if v not in leaves:
-            leaves[v] = b.var(v)
-        return leaves[v]
-
-    memo: dict = {}
-
-    def gate(i: int, j: int):
-        if j < i:
-            return None
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        ws = by_interval[key]
-        w_top, w_leaf = ws.w_top, ws.w_leaf
+    def node(b, leaf, gate, i, j):
+        ws = by_interval[i, j]
         # (1 - w_leaf) + w_leaf * u_i * u_j
-        leaf_factor = b.add([b.complement(w_leaf),
-                             b.mul([b.var(w_leaf), leaf(uvar(i)), leaf(uvar(j))])])
+        leaf_factor = b.add([b.complement(ws.w_leaf),
+                             b.mul([b.var(ws.w_leaf), leaf(uvar(i)), leaf(uvar(j))])])
         inner = gate(i + 1, j - 1)
-        factors = [b.complement(w_top), leaf_factor]
-        if inner is not None:
-            factors.append(inner)
-        branch_leaf = b.mul(factors)
-        splits = valid_splits(i, j)
-        if splits:
-            terms = []
-            for idx, r in enumerate(splits):
-                gd = AddressingGadget.build(len(splits) - 1, idx, ws.address_vars)
-                terms.append(b.mul(gd.factors(b) + [gate(i, r), gate(r + 1, j)]))
-            sum_gate = terms[0] if len(terms) == 1 else b.add(terms)
-            branch_split = b.mul([b.var(w_top), sum_gate])
-            node = b.add([branch_leaf, branch_split])
-        else:
-            node = branch_leaf
-        memo[key] = node
-        return node
+        # 1 - w_top comes after the inner interval's gates: the order is the text.
+        branch_leaf = b.mul([b.complement(ws.w_top), leaf_factor]
+                            + ([] if inner is None else [inner]))
+        if not ws.splits:
+            return branch_leaf
+        terms = [b.mul(ws.gadget(idx).factors(b) + [gate(i, r), gate(r + 1, j)])
+                 for idx, r in enumerate(ws.splits)]
+        sum_gate = terms[0] if len(terms) == 1 else b.add(terms)
+        return b.add([branch_leaf, b.mul([b.var(ws.w_top), sum_gate])])
 
-    return b.build(gate(1, 2 * n)), wsets
+    return _interval_dag(n, node), wsets
 
 
 def mnc_instance(n: int) -> InstanceBundle:
@@ -273,7 +263,7 @@ def subset_sum(n_vars: int, beta=None) -> InstanceBundle:
     beta defaults to n_vars + 1, just past the largest achievable sum.
     """
     if n_vars < 1:
-        raise ValueError("n_vars must be at least 1")
+        raise ValueError("n must be at least 1")
     zvars = tuple(Var("z", i) for i in range(1, n_vars + 1))
     return _subset_sum_over(zvars, beta, "subset-sum", {"n_vars": n_vars})
 
@@ -297,10 +287,15 @@ def lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
     return flat
 
 
-def _mnc(n: int, beta) -> InstanceBundle:
-    """The registry's mnc builder: mnc has no target, so a beta is an error."""
+def no_target(family: str, beta) -> None:
+    """Only the subset-sum families have a target: for any other, a beta is an error."""
     if beta is not None:
-        raise ValueError("family mnc takes no --beta")
+        raise ValueError(f"family {family} takes no --beta")
+
+
+def _mnc(n: int, beta) -> InstanceBundle:
+    """The registry's mnc builder: mnc has no target."""
+    no_target("mnc", beta)
     return mnc_instance(n)
 
 

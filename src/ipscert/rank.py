@@ -27,8 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .gadget import AddressingGadget
-from .instances import interval_wvarsets, uvar, valid_splits, wvar
+from .instances import interval_wvarsets, uvar
 from .poly import SparsePoly, Var, parse_var
 
 
@@ -65,20 +64,13 @@ class Partition:
         raise ValueError(f"{v.name} is in neither side of the partition")
 
 
-@dataclass
-class RankMatrix:
-    """2^n x 2^n coefficient matrix over a balanced partition.
+def rank_matrix(f: SparsePoly, p: Partition) -> list:
+    """The 2^n x 2^n partition coefficient matrix of a multilinear polynomial.
 
-    entries is a dense list of rows: row and column indices are the subset
-    masks of the row-side and column-side monomials, an empty cell is the
-    int 0 and any other cell a Fraction.
+    It is a dense list of rows: row and column indices are the subset masks
+    of the row-side and column-side monomials, an empty cell is the int 0
+    and any other cell a Fraction.
     """
-
-    entries: list
-
-
-def rank_matrix(f: SparsePoly, p: Partition) -> RankMatrix:
-    """The partition coefficient matrix of a multilinear polynomial."""
     if not f.is_multilinear():
         raise ValueError("rank matrix requires a multilinear polynomial")
     outside = [v for v in f.variables() if v not in p.y_side and v not in p.z_side]
@@ -90,7 +82,7 @@ def rank_matrix(f: SparsePoly, p: Partition) -> RankMatrix:
     entries = [[0] * (1 << n) for _ in range(1 << n)]
     for mask, c in f.subset_masks(p.y_side + p.z_side).items():
         entries[mask & row_mask][mask >> n] = c
-    return RankMatrix(entries=entries)
+    return entries
 
 
 def _primitive(row: dict) -> dict:
@@ -135,15 +127,15 @@ def _echelon(rows) -> dict:
     return basis
 
 
-def exact_rank(m) -> int:
+def exact_rank(rows) -> int:
     """Exact rank over the rationals by sparse fraction-free row echelon.
 
-    Accepts a RankMatrix or a plain list of rows of rationals.  Only nonzero
-    entries are stored and converted, every intermediate value is an exact
-    integer, and a row is reduced only at pivot columns where it is nonzero;
-    the rank is the number of rows in the echelon basis.
+    rows is a list of rows of rationals.  Only nonzero entries are stored
+    and converted, every intermediate value is an exact integer, and a row
+    is reduced only at pivot columns where it is nonzero; the rank is the
+    number of rows in the echelon basis.
     """
-    return len(_echelon(m.entries if isinstance(m, RankMatrix) else m))
+    return len(_echelon(rows))
 
 
 def balanced_partitions(uvars: Sequence[Var]):
@@ -170,12 +162,8 @@ def fullrank_witness(n: int, p: Partition) -> dict:
     if tuple(sorted(p.y_side + p.z_side)) != expected:
         raise ValueError(f"partition must cover exactly u1..u{2 * n}")
     wsets = {(ws.i, ws.j): ws for ws in interval_wvarsets(n)}
-    assignment = {}
-    for ws in wsets.values():
-        assignment[ws.w_top] = Fraction(0)
-        assignment[ws.w_leaf] = Fraction(0)
-        for v in ws.address_vars:
-            assignment[v] = Fraction(0)
+    assignment = {v: Fraction(0) for ws in wsets.values()
+                  for v in (ws.w_top, ws.w_leaf, *ws.address_vars)}
 
     def balance(i: int, j: int) -> int:
         return sum(1 if p.side_of(uvar(k)) == 0 else -1 for k in range(i, j + 1))
@@ -185,26 +173,20 @@ def fullrank_witness(n: int, p: Partition) -> dict:
             return
         if balance(i, j) != 0:
             raise RuntimeError(f"interval [{i},{j}] is not balanced under the partition")
+        ws = wsets[i, j]
         if p.side_of(uvar(i)) != p.side_of(uvar(j)):
-            assignment[wvar(i, j, "top")] = Fraction(0)
-            assignment[wvar(i, j, "leaf")] = Fraction(1, 2)
+            assignment[ws.w_leaf] = Fraction(1, 2)
             rec(i + 1, j - 1)
             return
-        splits = valid_splits(i, j)
-        chosen = None
-        for idx, r in enumerate(splits):
-            if balance(i, r) == 0:
-                chosen = (idx, r)
-                break
-        if chosen is None:
+        idx = next((idx for idx, r in enumerate(ws.splits) if balance(i, r) == 0), None)
+        if idx is None:
             raise RuntimeError(
                 f"no balancing split for same-side interval [{i},{j}]; "
                 "this contradicts the full-rank recursion")
-        idx, r = chosen
-        assignment[wvar(i, j, "top")] = Fraction(1)
-        gd = AddressingGadget.build(len(splits) - 1, idx, wsets[i, j].address_vars)
-        for v, bit in gd.selected_point().items():
+        assignment[ws.w_top] = Fraction(1)
+        for v, bit in ws.gadget(idx).selected_point().items():
             assignment[v] = Fraction(bit)
+        r = ws.splits[idx]
         rec(i, r)
         rec(r + 1, j)
 

@@ -357,13 +357,30 @@ def test_refute_with_a_malformed_ledger_exits_2(tmp_path, capsys):
     assert "entries[0].gate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["instance", "funcref"])
-def test_mnc_rejects_beta(tmp_path, capsys, command):
-    argv = [command, "--family", "mnc", "--n", "1", "--beta", "3"]
+@pytest.mark.parametrize("command, family", [
+    ("instance", "mnc"), ("funcref", "mnc"), ("instance", "ry"), ("instance", "gadgeted-ry"),
+], ids=["instance", "funcref", "instance-ry", "instance-gadgeted-ry"])
+def test_mnc_rejects_beta(tmp_path, capsys, command, family):
+    # Only the subset-sum families have a target; every other family refuses
+    # --beta before it writes anything.
+    argv = [command, "--family", family, "--n", "2", "--beta", "3"]
     if command == "instance":
-        argv += ["--out", str(tmp_path / "mnc1")]
+        argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert "mnc takes no --beta" in capsys.readouterr().err
+    assert f"error: family {family} takes no --beta" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family, n", [("subset-sum", "0"), ("lifted-subset-sum", "1")])
+def test_subset_sum_families_name_n_when_it_is_too_small(tmp_path, capsys, family, n):
+    for command in ("funcref", "instance"):
+        argv = [command, "--family", family, "--n", n]
+        if command == "instance":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: n must be at least" in captured.err
     assert not list(tmp_path.iterdir())
 
 

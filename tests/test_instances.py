@@ -72,6 +72,23 @@ SUBSET_SUM_SHA256 = {
         "144441be322a2576da7621651fcd16b93e3cefbc13c2c38cf400e09dc0ecd70d",
 }
 
+# SHA-256 of the interval families' circuit text, taken before ry_circuit and
+# gadgeted_ry_circuit were built by one shared interval walk.  The text pins
+# the gate order: each gate id is a position in it.
+RY_SHA256 = {
+    1: "9d3dfe903b05f420dc76fd6479ceac49beee646a929d8c24894c887c4465963c",
+    2: "4fde080cafff551f6569777bd97ac09633769f5c20d9c409e03638cf3a5f2dba",
+    3: "ff007b72cd91fe38e27db993b9a0d61faa51cf7ab51015be30471992e96f5352",
+    4: "50db3e8b8efc168160caf3f05be37b57f4dcb8d2bfa3f78ce770928663ef3719",
+    5: "5f168d15de8efafce177c5e80e6a338b4da58f81321822218ee0b0cf3b9aa5e0",
+    6: "d5ca50fc07e4a7096286f3cbda7c9df16e742049d2e59f6f01926fdbb19c6677",
+}
+GADGETED_RY_SHA256 = {
+    4: "639dee48884c7ba1256310a94a91607a310f76528ca014c78bce78161ec89251",
+    5: "b1743e2e554c22e39726847382a8e978dd1760ac5a65f34193a56ba9f309aa34",
+    6: "5acf36831fb3cab9e1993e0e6068f935ea456aba22a348ec2a608a22d9c5e297",
+}
+
 
 def test_valid_splits_even_only():
     assert valid_splits(1, 2) == ()
@@ -359,3 +376,14 @@ def test_subset_sum_text_is_pinned(family, beta, ns):
         for x, p in ((b.instance, b.instance_poly()), (b.refutation, b.refutation_poly())):
             h.update((format_circuit(as_circuit(x)) + format_poly(p) + "\n").encode())
     assert h.hexdigest() == SUBSET_SUM_SHA256[family, beta, ns]
+
+
+@pytest.mark.parametrize("n", sorted(RY_SHA256))
+def test_ry_text_is_pinned(n):
+    assert circuit_sha256(ry_circuit(n)) == RY_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(GADGETED_RY_SHA256))
+def test_gadgeted_ry_text_is_pinned(n):
+    c, _ = gadgeted_ry_circuit(n)
+    assert circuit_sha256(c) == GADGETED_RY_SHA256[n]

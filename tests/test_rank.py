@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,16 @@ from ipscert.rank import (
 )
 
 U = {i: SparsePoly.variable(uvar(i)) for i in range(1, 9)}
+
+# SHA-256 of fullrank_witness on every balanced partition, one line per
+# partition ("<partition><name>=<value>;..."), taken before the witness read
+# its splits and address gadgets from the interval's WVarSet.
+WITNESS_SHA256 = {
+    1: "1c06cea3bf9997a33f7016c921deb3d701978b89affe9a0f608c4e210024ca2d",
+    2: "5d759b0783de6cd6a85e014c5ab1e8dfc648b91d3b219084e1e14bbb648b4725",
+    3: "7280748bc44e7951f74a2e98c0634b65a713db292bc744c2eed382069d058239",
+    4: "79c683f8ba1992c8c09e1bdc55226209ac1ac5d4b72b23428514ad510071ea1a",
+}
 
 
 def substituted(n, witness):
@@ -45,7 +56,7 @@ def test_partition_validation():
 def test_rank_matrix_zero_polynomial():
     p = Partition.parse("u1|u2")
     m = rank_matrix(SparsePoly.zero(), p)
-    assert m.entries == [[0, 0], [0, 0]]
+    assert m == [[0, 0], [0, 0]]
     assert exact_rank(m) == 0
 
 
@@ -53,14 +64,14 @@ def test_rank_matrix_base_case():
     p = Partition.parse("u1|u2")
     f = (1 + U[1] * U[2]) * Fraction(1, 2)
     m = rank_matrix(f, p)
-    assert m.entries == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert m == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
     assert exact_rank(m) == 2
 
 
 def test_rank_matrix_sum_case():
     p = Partition.parse("u1|u2")
     m = rank_matrix(U[1] + U[2], p)
-    assert m.entries == [[0, 1], [1, 0]]
+    assert m == [[0, 1], [1, 0]]
     assert exact_rank(m) == 2
 
 
@@ -260,6 +271,16 @@ def test_witness_all_partitions_n_le_3():
             f = expand(partial_evaluate(c, w))
             assert f.variables() == tuple(sorted(p.y_side + p.z_side))
             assert exact_rank(rank_matrix(f, p)) == 2 ** n
+
+
+@pytest.mark.parametrize("n", sorted(WITNESS_SHA256))
+def test_witness_is_pinned(n):
+    h = hashlib.sha256()
+    for p in balanced_partitions([uvar(k) for k in range(1, 2 * n + 1)]):
+        w = fullrank_witness(n, p)
+        h.update((p.format() + ";".join(f"{v.name}={x}" for v, x in sorted(w.items()))
+                  + "\n").encode())
+    assert h.hexdigest() == WITNESS_SHA256[n]
 
 
 def test_witness_substitution_is_multilinear_in_u():
