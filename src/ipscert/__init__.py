@@ -1,7 +1,6 @@
 """Exact-arithmetic toolkit for algebraic circuits and refutation certificates."""
 
 from .poly import (
-    Fraction,
     ResourceLimitError,
     SparsePoly,
     UnassignedVariableError,
@@ -29,14 +28,10 @@ from .gadget import (
     AddressingGadget,
     GadgetLedger,
     gadgetize,
-    retrieval_assignment,
     t_for,
 )
 from .refute import (
-    BooleanIdealCertificate,
     NullstellensatzCertificate,
-    address_product_decomposition,
-    address_square_decomposition,
     assemble_refutation,
     certificate_from_json,
     certificate_to_json,

@@ -125,16 +125,11 @@ class Circuit:
     def __len__(self):
         return len(self.gates)
 
-    def fanouts(self) -> list:
-        out = [0] * len(self.gates)
-        for g in self.gates:
-            for a in g.args:
-                out[a] += 1
-        return out
-
     @property
     def is_formula(self) -> bool:
-        return all(f <= 1 for f in self.fanouts())
+        """True iff every gate fills at most one argument slot (fan-out 1)."""
+        args = [a for g in self.gates for a in g.args]
+        return len(args) == len(set(args))
 
     def variables(self) -> tuple:
         seen = {g.var for g in self.gates if g.op == VAR}
@@ -671,16 +666,6 @@ def is_syntactically_multilinear(c: Circuit) -> bool:
                     union |= varsets[a]
             varsets[i] = frozenset(union)
     return True
-
-
-def is_constant_free(c: Circuit) -> bool:
-    """All constant leaves drawn from {-1, 0, 1}."""
-    return all(g.const in (-1, 0, 1) for g in c.gates if g.op == CONST)
-
-
-def has_zero_one_leaves(c: Circuit) -> bool:
-    """All constant leaves drawn from {0, 1}."""
-    return all(g.const in (0, 1) for g in c.gates if g.op == CONST)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,6 @@ def _bundle(args) -> ins.InstanceBundle:
 
 
 def cmd_instance(args) -> int:
-    if args.family not in ins.FAMILIES:
-        ins.no_target(args.family, args.beta)
     if args.family in ins.FAMILIES:
         bundle = _bundle(args)
         _write(args.out + ".instance.circ", ci.format_circuit(ci.as_circuit(bundle.instance)))
@@ -150,10 +148,12 @@ def cmd_instance(args) -> int:
         sidecar = {"generator": bundle.name, "params": bundle.params,
                    "provenance": bundle.provenance}
     elif args.family == "ry":
+        ins.no_target(args.family, args.beta)
         _write(args.out + ".circ", ci.format_circuit(ins.ry_circuit(args.n)))
         sidecar = {"generator": "ry", "n": args.n,
                    "split_convention": "even-length subintervals only"}
     else:
+        ins.no_target(args.family, args.beta)
         c, wsets = ins.gadgeted_ry_circuit(args.n)
         _write(args.out + ".circ", ci.format_circuit(c))
         sidecar = {"generator": "gadgeted-ry", "n": args.n,

@@ -16,20 +16,18 @@ The transform rewrites every addition gate g = sum_j g_j of a layered
 alternating formula into sum_j g_j * A(fanin-1, j) over a fresh block of
 control variables y_{gate,bit}, leaving multiplication gates unchanged.
 The ledger records, per transformed gate, the fresh variables and the
-per-summand bookkeeping needed by the certificate builder and by the
-retrieval assignment.
+per-summand bookkeeping needed by the certificate builder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .circuit import ADD, Circuit, CircuitBuilder, MUL, _postorder
-from .poly import SparsePoly, Var, parse_var
+from .poly import Var, parse_var
 
 
 def t_for(n: int) -> int:
@@ -66,25 +64,6 @@ class AddressingGadget:
         """Fresh gates in b, one id per bit position in bit order: y_b or 1 - y_b."""
         return [b.var(v) if bit in self.one_bits else b.complement(v)
                 for bit, v in enumerate(self.vars)]
-
-    def as_circuit(self) -> Circuit:
-        """Circuit form of A(n, j); every control variable is used exactly once."""
-        b = CircuitBuilder()
-        return b.formula(b.prod(self.factors(b)))
-
-    def polynomial(self) -> SparsePoly:
-        p = SparsePoly.constant(1)
-        for b in range(self.t + 1):
-            v = SparsePoly.variable(self.vars[b])
-            p = p * (v if b in self.one_bits else 1 - v)
-        return p
-
-    def evaluate(self, assignment: Mapping[Var, object]) -> Fraction:
-        acc = Fraction(1)
-        for b in range(self.t + 1):
-            val = Fraction(assignment[self.vars[b]])
-            acc *= val if b in self.one_bits else 1 - val
-        return acc
 
     def selected_point(self) -> dict:
         """The unique Boolean control point where the gadget evaluates to 1."""
@@ -211,7 +190,28 @@ class GadgetLedger:
                     for m, ch in enumerate(_field(e, "children", f"{at}.children", list))),
                 internal=frozenset(_field(e, "internal", f"{at}.internal", item=int)),
             ))
+            _check_entry(at, entries[-1])
         return cls(entries)
+
+
+def _check_entry(at: str, e: LedgerEntry) -> None:
+    """ValueError naming the field of entry `at` whose gadget block cannot be built."""
+    def bad(field: str, why: str) -> ValueError:
+        return ValueError(f"ledger document: field {at}.{field} {why}")
+    if not e.children:
+        raise bad("children", "is empty")
+    n = len(e.children) - 1
+    if e.t != t_for(n):
+        raise bad("t", f"is {e.t}; {n + 1} children need t = {t_for(n)}")
+    if len(e.vars) != e.t + 1:
+        raise bad("vars", f"has {len(e.vars)} variables; t = {e.t} needs {e.t + 1}")
+    seen = set()
+    for m, ch in enumerate(e.children):
+        if not 0 <= ch.address <= n:
+            raise bad(f"children[{m}].address", f"{ch.address} is outside 0..{n}")
+        if ch.address in seen:
+            raise bad(f"children[{m}].address", f"{ch.address} repeats an earlier address")
+        seen.add(ch.address)
 
 
 def _check_gadgetize_input(c: Circuit) -> None:
@@ -268,12 +268,3 @@ def gadgetize(c: Circuit) -> tuple:
                                         summand=b.mul([new[i]] + factor_ids))
     return b.build(new[c.output]), GadgetLedger(entries)
 
-
-def retrieval_assignment(ledger: GadgetLedger) -> dict:
-    """Per gate: controls (1/2, ..., 1/2, 2^t); substitution recovers the sum."""
-    out: dict = {}
-    for e in ledger.entries:
-        for v in e.vars[:-1]:
-            out[v] = Fraction(1, 2)
-        out[e.vars[-1]] = Fraction(1 << e.t)
-    return out

@@ -46,6 +46,7 @@ reproducible byte for byte, and every variable's name parses back to it.
 from __future__ import annotations
 
 import contextvars
+import re
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
@@ -535,30 +536,6 @@ class SparsePoly:
     def constant_term(self) -> Fraction:
         return Fraction(self._t.get(0, 0))
 
-    def evaluate(self, assignment: Mapping[Var, object]) -> Fraction:
-        """Exact value at a total assignment of this polynomial's variables."""
-        total = Fraction(0)
-        for m, c in self.items():
-            acc = c
-            for v, e in m:
-                if v not in assignment:
-                    raise UnassignedVariableError(f"no value assigned to {v.name}")
-                acc = acc * Fraction(assignment[v]) ** e
-            total += acc
-        return total
-
-    def evaluate_mod(self, assignment: Mapping[Var, int], prime: int) -> int:
-        """Value at an assignment over GF(prime); p/q maps to p * q^-1 mod prime."""
-        total = 0
-        for m, c in self.items():
-            acc = frac_mod(c, prime)
-            for v, e in m:
-                if v not in assignment:
-                    raise UnassignedVariableError(f"no value assigned to {v.name}")
-                acc = acc * pow(assignment[v] % prime, e, prime) % prime
-            total = (total + acc) % prime
-        return total
-
     def restrict(self, v: Var, value) -> "SparsePoly":
         """Substitute a single variable by a rational constant."""
         off = self._tab.offsets.get(v)
@@ -650,10 +627,15 @@ def format_frac(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    """A rational written p/q, an integer or a decimal.  Exponent notation
+    is refused: Fraction would expand 10**e, however large e is."""
+    text = text.strip()
+    if re.search(r"[eE][-+]?\d", text):
+        raise ValueError(f"exponent notation in {text!r}: write p/q")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_poly(p: SparsePoly) -> str:

@@ -13,7 +13,7 @@ the gadgeted interval polynomial full rank for any balanced partition:
 if the interval endpoints lie on opposite sides, take the leaf branch at
 weight 1/2 (w_top = 0, w_leaf = 1/2) and recurse inward; if they lie on
 the same side, some valid split cuts the interval into two halves that are
-themselves balanced (an discrete intermediate-value argument guarantees
+themselves balanced (a discrete intermediate-value argument guarantees
 one exists), so select it through the address block (w_top = 1) and
 recurse into both halves.  Control variables off the recursion path are
 set to 0.  When several splits balance, the smallest cut point is chosen.

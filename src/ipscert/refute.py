@@ -14,9 +14,9 @@ by induction on the formula:
     pushes the children's certificates through per-index products H_l.
   * transformed sum gates g = sum_l g_l A_l: expanding the square leaves
     three groups of terms: children squares against A_l^2 (induction), the
-    gadget squares A_l^2 - A_l (address_square_decomposition), and the
+    gadget squares A_l^2 - A_l (_square_cofactors), and the
     cross products A_l A_l' for distinct addresses, which are divisible by
-    y (1 - y) at any separating bit (address_product_decomposition).
+    y (1 - y) at any separating bit (_product_cofactor).
 
 All cofactors are composed by gate id in one CircuitBuilder that starts
 from the formula's gates, without recursion, certifying gates in ascending
@@ -65,48 +65,21 @@ from .poly import SparsePoly, boolean_axiom, format_poly, parse_frac, parse_poly
 BUILDER_TAG = "ipscert-refute/1"
 
 
-@dataclass
-class BooleanIdealCertificate:
-    """Cofactors E (problem variables) and F (gadget variables) for one gate:
-
-    g^2 - g = sum_v E[v] * (v^2 - v) + sum_y F[y] * (y^2 - y).
-    """
-
-    gate: int
-    E: dict
-    F: dict
-
-    def items(self):
-        for v in sorted(self.E, key=lambda v: v._key):
-            yield v, self.E[v]
-        for v in sorted(self.F, key=lambda v: v._key):
-            yield v, self.F[v]
-
-
 def _squared(ids) -> list:
     """Each id twice in a row: the factors of the product of their squares."""
     return [i for i in ids for _ in (0, 1)]
 
 
 def _square_cofactors(b: CircuitBuilder, factors: list) -> list:
-    """Ids of C_bit with A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit), A = prod(factors)."""
+    """Ids of C_bit with A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit), A = prod(factors):
+    y and 1 - y both have L^2 - L = y^2 - y, so C_k = prod_{i<k} L_i prod_{i>k} L_i^2."""
     return [b.prod(factors[:k] + _squared(factors[k + 1:])) for k in range(len(factors))]
-
-
-def address_square_decomposition(gadget: AddressingGadget) -> dict:
-    """Cofactors C_bit with A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit).
-
-    Telescoping over the gadget's linear factors; both y and (1 - y) have
-    L^2 - L = y^2 - y, so the cofactor for the factor at position k is
-    prod_{i<k} L_i * prod_{i>k} L_i^2.
-    """
-    b = CircuitBuilder()
-    return {k: b.formula(cof) for k, cof in enumerate(_square_cofactors(b, gadget.factors(b)))}
 
 
 def _product_cofactor(b: CircuitBuilder, a: AddressingGadget, fa: list,
                       a2: AddressingGadget, fa2: list) -> tuple:
-    """(j, id of C) with A * A' = C * (y_j^2 - y_j), given both gadgets' factor ids."""
+    """(j, id of C) with A * A' = C * (y_j^2 - y_j), given both gadgets' factor ids:
+    at a bit j where one has y and the other 1 - y, y (1 - y) = -(y^2 - y)."""
     if a.vars != a2.vars:
         raise ValueError("gadgets do not share control variables")
     if a.j == a2.j:
@@ -114,18 +87,6 @@ def _product_cofactor(b: CircuitBuilder, a: AddressingGadget, fa: list,
     j = min((a.one_bits & a2.zero_bits) | (a.zero_bits & a2.one_bits))
     rest = [f for k, f in enumerate(fa) if k != j] + [f for k, f in enumerate(fa2) if k != j]
     return j, b.prod([b.const(-1)] + rest)
-
-
-def address_product_decomposition(a: AddressingGadget, b: AddressingGadget) -> tuple:
-    """Separating bit j and C with A * A' = C * (y_j^2 - y_j).
-
-    Requires the two gadgets to share control variables and differ in
-    address; at any bit where one has y and the other (1 - y) the product
-    carries the factor y (1 - y) = -(y^2 - y).
-    """
-    bl = CircuitBuilder()
-    j, cof = _product_cofactor(bl, a, a.factors(bl), b, b.factors(bl))
-    return j, bl.formula(cof)
 
 
 def _is_affine_complement(c: Circuit, i: int):
@@ -149,12 +110,13 @@ def _summed(b: CircuitBuilder, acc: dict) -> dict:
     return {v: s for v, s in sums.items() if b.gate(s).const != 0}
 
 
-def _certify(c: Circuit, ledger: GadgetLedger, gids) -> tuple:
-    """(builder, {gate id: {v: cofactor id}}) for gids and the gates they use.
-
-    The builder starts from c's gates.  One reverse pass marks what the
-    requested certificates need (the ledger children of a transformed sum,
-    the arguments of a product); those are certified in ascending id order.
+def gate_square_certificates(c: Circuit, gids, ledger: GadgetLedger) -> tuple:
+    """(builder, {gate id: {v: cofactor id}}) with g^2 - g = sum_v C_v * (v^2 - v)
+    for each gate g in gids and each gate their certificates use, every C_v
+    a root id in one builder that starts from c's gates.  One reverse pass
+    marks what the requested certificates need (the ledger children of a
+    transformed sum, the arguments of a product); those are certified in
+    ascending id order.
     """
     gates = c.gates
     need = set(gids)
@@ -192,22 +154,6 @@ def _certify(c: Circuit, ledger: GadgetLedger, gids) -> tuple:
         else:
             certs[i] = _product_rule(b, g.args, certs)
     return b, certs
-
-
-def gate_square_certificates(c: Circuit, gids, ledger: GadgetLedger) -> dict:
-    """{gid: cofactor circuits witnessing g^2 - g in the Boolean ideal at
-    gate gid}, composed in one builder.  Preconditions: the formula is
-    layered-alternating with addition gates already transformed (they
-    appear in the ledger), and leaves outside the gadget factors carry
-    variables or the constants 0/1.
-    """
-    gids = list(gids)
-    b, certs = _certify(c, ledger, gids)
-
-    def laid_out(cert: dict, gadget: bool) -> dict:
-        return {v: b.formula(i) for v, i in cert.items() if (v.ns == "y") == gadget}
-    return {gid: BooleanIdealCertificate(gid, laid_out(certs[gid], False),
-                                         laid_out(certs[gid], True)) for gid in gids}
 
 
 def _product_rule(b: CircuitBuilder, args: tuple, certs: dict) -> dict:
@@ -315,7 +261,7 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     c0, c1 = inverse_differences(1, -shift)
     _validate_leaves(cprime, ledger)
     out = cprime.output
-    b, certs = _certify(cprime, ledger, [out])
+    b, certs = gate_square_certificates(cprime, [out], ledger)
     instance = b.add([out, b.const(shift)])
     axioms = [("f", instance)]
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]

@@ -18,7 +18,7 @@ from ipscert.circuit import (
     compile_evaluator,
     eval_circuit_mod,
 )
-from ipscert.gadget import GadgetChild, GadgetLedger, LedgerEntry
+from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry
 from ipscert.poly import SparsePoly, Var, _Accumulator
 from ipscert.refute import NullstellensatzCertificate
 
@@ -120,6 +120,49 @@ def poly_of(terms: dict) -> SparsePoly:
             term = term * SparsePoly.variable(v) ** e
         acc.add(term)
     return acc.result()
+
+
+def ref_evaluate(a: dict, point: dict) -> Fraction:
+    """The value at point of a {monomial: coefficient} dict such as dict(p.items())."""
+    total = Fraction(0)
+    for m, c in a.items():
+        for v, e in m:
+            c = c * Fraction(point[v]) ** e
+        total += c
+    return total
+
+
+def ref_evaluate_mod(a: dict, point: dict, prime: int) -> int:
+    """ref_evaluate over GF(prime)."""
+    total = 0
+    for m, c in a.items():
+        acc = c.numerator * pow(c.denominator, -1, prime)
+        for v, e in m:
+            acc = acc * pow(point[v], e, prime)
+        total += acc
+    return total % prime
+
+
+def gadget_poly(g: AddressingGadget) -> SparsePoly:
+    """A(n, j) = prod_{B1} y_i * prod_{B0} (1 - y_i) by ring operations from
+    the gadget's bit sets: an oracle for AddressingGadget.factors."""
+    p = SparsePoly.constant(1)
+    for bit in sorted(g.one_bits):
+        p = p * SparsePoly.variable(g.vars[bit])
+    for bit in sorted(g.zero_bits):
+        p = p * (1 - SparsePoly.variable(g.vars[bit]))
+    return p
+
+
+def retrieval_point(ledger: GadgetLedger) -> dict:
+    """Controls (1/2, ..., 1/2, 2^t) for every gadget block: there each
+    gadget is 1, so partial evaluation recovers the untransformed sums."""
+    out: dict = {}
+    for e in ledger.entries:
+        for v in e.vars[:-1]:
+            out[v] = Fraction(1, 2)
+        out[e.vars[-1]] = Fraction(1 << e.t)
+    return out
 
 
 def random_poly(rng: random.Random, vars_, max_terms: int = 6, max_exp: int = 3) -> SparsePoly:

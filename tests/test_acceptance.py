@@ -13,18 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mutate_certificate
+from helpers import mutate_certificate, ref_evaluate, retrieval_point
 
 from ipscert.circuit import (
     CONST,
     MUL,
+    CircuitBuilder,
     eval_circuit,
     expand,
     measure,
     partial_evaluate,
     subcircuit,
 )
-from ipscert.gadget import AddressingGadget, retrieval_assignment, t_for
+from ipscert.gadget import AddressingGadget, t_for
 from ipscert.instances import (
     extract_clique_component,
     gadgeted_ry_circuit,
@@ -70,7 +71,8 @@ def test_criterion_1_gadget_truth_tables():
         retrieval[vs[-1]] = Fraction(1 << t)
         for j in range(n + 1):
             gadget = AddressingGadget.build(n, j, vs)
-            circ = gadget.as_circuit()
+            b = CircuitBuilder()
+            circ = b.formula(b.prod(gadget.factors(b)))
             code = j + (1 << t)
             expected = tuple(code >> b & 1 for b in range(t + 1))
             ones = []
@@ -80,7 +82,7 @@ def test_criterion_1_gadget_truth_tables():
                 if val == 1:
                     ones.append(bits)
             assert ones == [expected]
-            assert gadget.evaluate(retrieval) == 1
+            assert eval_circuit(circ, retrieval) == 1
             checked += 1
     report(1, f"{checked} gadget truth tables exhaustive, retrieval point exact", started)
 
@@ -89,8 +91,7 @@ def test_criterion_2_transform_correctness(transformed01):
     started = time.perf_counter()
     assert len(transformed01) == 200
     for c, cprime, ledger in transformed01:
-        b = retrieval_assignment(ledger)
-        assert expand(partial_evaluate(cprime, b)) == expand(c)
+        assert expand(partial_evaluate(cprime, retrieval_point(ledger))) == expand(c)
         m, mp = measure(c), measure(cprime)
         assert mp.depth <= 2 * m.depth + 2
         assert mp.size <= SIZE_LEDGER_K * max(m.size, 1) * math.log2(m.size + 2)
@@ -125,24 +126,16 @@ def test_criterion_4_certificate_identities(transformed01):
         internal = ledger.internal_gates()
         skipped = set(range(len(cprime.gates))) - set(gids)
         assert skipped <= internal  # only gadget negations are exempt
-        certs = gate_square_certificates(cprime, gids, ledger)
-        expansions = {}
-
-        def poly_at(gid):
-            if gid not in expansions:
-                expansions[gid] = expand(subcircuit(cprime, gid))
-            return expansions[gid]
-
+        b, certs = gate_square_certificates(cprime, gids, ledger)
         for gid in gids:
-            cert = certs[gid]
-            g = poly_at(gid)
+            g = expand(subcircuit(cprime, gid))
             rhs = SparsePoly.zero()
             mg = measure(subcircuit(cprime, gid))
-            for v, circ in cert.items():
-                m = measure(circ)
+            for v, cof in certs[gid].items():
+                m = b.metrics(cof)
                 assert m.size <= 100 * mg.size ** 4
                 assert m.depth <= 2 * mg.depth
-                rhs = rhs + expand(circ) * boolean_axiom(v)
+                rhs = rhs + b.expand(cof) * boolean_axiom(v)
             assert g * g - g == rhs
             gates_checked += 1
         cert = assemble_refutation(cprime, ledger)
@@ -231,7 +224,7 @@ def test_criterion_8_subset_sum():
     assert len(vars_) == 6
     for bits in itertools.product((0, 1), repeat=6):
         a = dict(zip(vars_, bits))
-        assert inst.evaluate(a) * refu.evaluate(a) == 1
+        assert ref_evaluate(dict(inst.items()), a) * ref_evaluate(dict(refu.items()), a) == 1
     g4 = lifted_subset_sum(4)
     comp = extract_clique_component(g4.refutation_poly(), 4, 2)
     expected = SparsePoly.zero()

@@ -23,9 +23,7 @@ from ipscert.circuit import (
     eval_circuit,
     expand,
     format_circuit,
-    is_constant_free,
     is_syntactically_multilinear,
-    has_zero_one_leaves,
     measure,
     normalize_layered,
     parse_circuit,
@@ -270,10 +268,10 @@ def test_subcircuit_extraction():
 
 def test_constant_freedom_predicates():
     c = cadd(cvar(X1), cconst(1), cconst(-1))
-    assert is_constant_free(c)
-    assert not has_zero_one_leaves(c)
-    assert has_zero_one_leaves(cadd(cvar(X1), cconst(1)))
-    assert not is_constant_free(cadd(cvar(X1), cconst(2)))
+    assert c.constants() <= {-1, 0, 1}
+    assert not c.constants() <= {0, 1}
+    assert cadd(cvar(X1), cconst(1)).constants() <= {0, 1}
+    assert not cadd(cvar(X1), cconst(2)).constants() <= {-1, 0, 1}
 
 
 def test_syntactic_multilinearity():

@@ -441,6 +441,8 @@ def test_console_script_runs():
      "field axioms[1].poly: bad exponent in 'x1^99999'"),
     (lambda doc: doc["axioms"][1].__setitem__("poly", "1/1 * x1^2^3"),
      "field axioms[1].poly: bad exponent in 'x1^2^3'"),
+    (lambda doc: doc["axioms"][1].__setitem__("poly", "1e10000000 * x1"),
+     "field axioms[1].poly: exponent notation in '1e10000000'"),
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
@@ -459,6 +461,16 @@ def test_parse_rejects_a_gate_id_with_non_ascii_digits(tmp_path, capsys):
     write(src, "g² = VAR x1\nOUTPUT g²\n")
     assert main(["parse", "--input", str(src)]) == 2
     assert "line 1: bad gate id 'g²'" in capsys.readouterr().err
+
+
+def test_parse_rejects_exponent_notation_at_once(tmp_path, capsys):
+    # Fraction would first expand 10**10000000, for seconds.
+    src = tmp_path / "c.circ"
+    write(src, "g0 = CONST 1e10000000\nOUTPUT g0\n")
+    started = time.perf_counter()
+    assert main(["parse", "--input", str(src)]) == 2
+    assert time.perf_counter() - started < 1
+    assert "line 1: exponent notation in '1e10000000'" in capsys.readouterr().err
 
 
 # A satisfiable instance x1 - 1 "refuted" through a forged axiom: the poly of
@@ -610,6 +622,7 @@ def test_verify_ties_axiom_0_to_the_instance_file(tmp_path, capsys, mode):
 @pytest.mark.parametrize("value, message", [
     ("1/0", "zero denominator in '1/0'"),
     ("abc", "'abc'"),
+    ("1e10000000", "exponent notation in '1e10000000'"),
 ])
 def test_a_number_flag_that_does_not_parse_is_named(tmp_path, capsys, command, flag,
                                                      value, message):

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, shuffled_topological
+from helpers import build_corpus, gadget_poly, retrieval_point, shuffled_topological
 
 from ipscert.circuit import (
+    CircuitBuilder,
     cadd,
     cconst,
     cmul,
@@ -26,7 +27,6 @@ from ipscert.gadget import (
     AddressingGadget,
     GadgetLedger,
     gadgetize,
-    retrieval_assignment,
     t_for,
 )
 from ipscert.poly import SparsePoly, Var
@@ -44,15 +44,21 @@ def yvars(t):
     return [Var("y", 0, b) for b in range(t + 1)]
 
 
+def gadget_circuit(gadget):
+    """The gadget's factors laid out as one product formula."""
+    b = CircuitBuilder()
+    return b.formula(b.prod(gadget.factors(b)))
+
+
 def test_t_for():
     assert [t_for(n) for n in (0, 1, 2, 3, 4, 7, 8)] == [0, 1, 2, 2, 3, 3, 4]
 
 
 def test_gadget_n1_j0_shape():
     # j + 2^t = 2 = bits (0, 1) LSB-first: (1 - y0) * y1
-    g = AddressingGadget.build(1, 0, yvars(1)).as_circuit()
+    g = AddressingGadget.build(1, 0, yvars(1))
     y0, y1 = (SparsePoly.variable(v) for v in yvars(1))
-    assert expand(g) == (1 - y0) * y1
+    assert expand(gadget_circuit(g)) == (1 - y0) * y1 == gadget_poly(g)
 
 
 def test_gadget_truth_table_single_one():
@@ -61,7 +67,8 @@ def test_gadget_truth_table_single_one():
         vs = yvars(t)
         for j in range(n + 1):
             gadget = AddressingGadget.build(n, j, vs)
-            circ = gadget.as_circuit()
+            circ = gadget_circuit(gadget)
+            assert expand(circ) == gadget_poly(gadget)
             hits = []
             for bits in itertools.product((0, 1), repeat=t + 1):
                 a = dict(zip(vs, bits))
@@ -81,7 +88,7 @@ def test_gadget_retrieval_point():
         point = {v: Fraction(1, 2) for v in vs[:-1]}
         point[vs[-1]] = Fraction(1 << t)
         for j in range(n + 1):
-            assert AddressingGadget.build(n, j, vs).evaluate(point) == 1
+            assert eval_circuit(gadget_circuit(AddressingGadget.build(n, j, vs)), point) == 1
 
 
 def test_gadget_rejects_bad_address():
@@ -113,7 +120,7 @@ def test_gadgetize_fanin_one_add():
     assert e.t == 0 and len(e.vars) == 1
     y0 = SparsePoly.variable(e.vars[0])
     assert expand(cp) == SparsePoly.variable(X1) * y0
-    b = retrieval_assignment(ledger)
+    b = retrieval_point(ledger)
     assert b[e.vars[0]] == 1
     assert expand(partial_evaluate(cp, b)) == SparsePoly.variable(X1)
 
@@ -150,27 +157,29 @@ def test_selection_at_boolean_address():
 def test_retrieval_recovers_original():
     c = cadd(cvar(X1), cvar(X2))
     cp, ledger = gadgetize(c)
-    b = retrieval_assignment(ledger)
+    b = retrieval_point(ledger)
     assert set(b.values()) == {Fraction(1, 2), Fraction(2)}
     assert expand(partial_evaluate(cp, b)) == expand(c)
 
 
 def test_retrieval_empty_for_gadget_free_circuit():
-    cp, ledger = gadgetize(cmul(cvar(X1), cvar(X2)))
-    assert retrieval_assignment(ledger) == {}
+    c = cmul(cvar(X1), cvar(X2))
+    cp, ledger = gadgetize(c)
+    assert retrieval_point(ledger) == {}
+    assert expand(partial_evaluate(cp, retrieval_point(ledger))) == expand(c)
 
 
 def test_retrieval_on_nested_formula():
     c = normalize_layered(cadd(cmul(cadd(cvar(X1), cvar(X2)), cvar(X3)), cvar(X1)))
     cp, ledger = gadgetize(c)
-    assert expand(partial_evaluate(cp, retrieval_assignment(ledger))) == expand(c)
+    assert expand(partial_evaluate(cp, retrieval_point(ledger))) == expand(c)
 
 
 def test_transform_semantics_and_bounds_small_corpus():
     for c in build_corpus(991, 40):
         cn = normalize_layered(c)
         cp, ledger = gadgetize(cn)
-        assert expand(partial_evaluate(cp, retrieval_assignment(ledger))) == expand(cn)
+        assert expand(partial_evaluate(cp, retrieval_point(ledger))) == expand(cn)
         m, mp = measure(cn), measure(cp)
         assert mp.depth <= 2 * m.depth + 2
         assert mp.size <= 6 * max(m.size, 1) * math.log2(m.size + 2)
@@ -223,6 +232,7 @@ def test_layouts_of_shuffled_formulas_are_pinned():
         normalized.update(format_circuit(layered).encode())
         cp, ledger = gadgetize(shuffled_topological(rng, layered, GadgetLedger(()))[0])
         gadgetized.update((format_circuit(cp) + ledger.to_json()).encode())
+        assert GadgetLedger.from_json(ledger.to_json()).to_json() == ledger.to_json()
     assert normalized.hexdigest() == NORMALIZED_FORMULAS_SHA256
     assert gadgetized.hexdigest() == GADGETIZED_FORMULAS_SHA256
 
@@ -241,6 +251,15 @@ def _ledger_doc():
     (("entries", 0, "t"), "1", "field entries[0].t is not an integer"),
     (("entries", 0, "vars"), ["y_2_0", "q7"],
      "field entries[0].vars[1]: cannot parse variable name 'q7'"),
+    (("entries", 0, "children"), [], "field entries[0].children is empty"),
+    (("entries", 0, "t"), 2, "field entries[0].t is 2; 2 children need t = 1"),
+    (("entries", 0, "vars"), ["y_2_0"], "field entries[0].vars has 1 variables; t = 1 needs 2"),
+    (("entries", 0, "children", 1, "address"), 7,
+     "field entries[0].children[1].address 7 is outside 0..1"),
+    (("entries", 0, "children", 0, "address"), -1,
+     "field entries[0].children[0].address -1 is outside 0..1"),
+    (("entries", 0, "children", 1, "address"), 0,
+     "field entries[0].children[1].address 0 repeats an earlier address"),
 ])
 def test_ledger_from_json_names_a_bad_field(path, value, message):
     doc = _ledger_doc()

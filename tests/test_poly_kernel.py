@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipscert.circuit import Circuit, cadd, cconst, expand
+from ipscert.circuit import Circuit, cadd, cconst, expand, poly_to_circuit
 from ipscert.gadget import gadgetize
 from ipscert.poly import (
     NAMESPACES,
@@ -28,7 +28,8 @@ from ipscert.poly import (
 from ipscert.refute import NullstellensatzCertificate, assemble_refutation
 from ipscert.verify import verify_exact
 
-from helpers import laid_out, poly_of, random_layered_formula
+from helpers import (laid_out, pointwise, poly_of, random_layered_formula, ref_evaluate,
+                     ref_evaluate_mod)
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -101,25 +102,6 @@ def ref_reduce(a: dict) -> dict:
         key = tuple((v, 1) for v, _ in m)
         out[key] = out.get(key, 0) + c
     return _clean(out)
-
-
-def ref_evaluate(a: dict, point: dict) -> Fraction:
-    total = Fraction(0)
-    for m, c in a.items():
-        for v, e in m:
-            c = c * Fraction(point[v]) ** e
-        total += c
-    return total
-
-
-def ref_evaluate_mod(a: dict, point: dict, prime: int) -> int:
-    total = 0
-    for m, c in a.items():
-        acc = c.numerator * pow(c.denominator, -1, prime)
-        for v, e in m:
-            acc = acc * pow(point[v], e, prime)
-        total += acc
-    return total % prime
 
 
 def ref_variables(a: dict) -> tuple:
@@ -197,9 +179,10 @@ def test_evaluation_and_queries_match_reference(pair, data):
     pool, a, _ = pair
     p = kernel(a)
     point = {v: data.draw(values) for v in pool}
-    assert p.evaluate(point) == ref_evaluate(a, point)
+    run = pointwise(poly_to_circuit(p))
+    assert run(point) == ref_evaluate(a, point)
     mod_point = {v: data.draw(st.integers(0, PRIME - 1)) for v in pool}
-    assert p.evaluate_mod(mod_point, PRIME) == ref_evaluate_mod(a, mod_point, PRIME)
+    assert run(mod_point, PRIME) == ref_evaluate_mod(a, mod_point, PRIME)
     assert p.variables() == ref_variables(a)
     for v in POOL:
         assert p.degree_in(v) == ref_degree_in(a, v)
@@ -358,4 +341,4 @@ def test_verify_exact_refutes_a_corrupted_cofactor_with_a_witness():
     residual = SparsePoly.constant(-1)
     for (_, ax), cf in zip(axioms, cofactors):
         residual = residual + expand(cf) * (expand(ax) if isinstance(ax, Circuit) else ax)
-    assert residual.evaluate(report.witness) != 0
+    assert ref_evaluate(dict(residual.items()), report.witness) != 0

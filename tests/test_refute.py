@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, laid_out, random_product_dag, shuffled_topological
+from helpers import (build_corpus, gadget_poly, laid_out, random_product_dag, ref_evaluate,
+                     shuffled_topological)
 
 from ipscert.circuit import (
     CONST,
     MUL,
+    CircuitBuilder,
     cadd,
     cconst,
     cmul,
@@ -22,12 +24,13 @@ from ipscert.circuit import (
     parse_circuit,
     subcircuit,
 )
-from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
+from ipscert.gadget import (AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize,
+                            t_for)
 from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly
 from ipscert.refute import (
     NullstellensatzCertificate,
-    address_product_decomposition,
-    address_square_decomposition,
+    _product_cofactor,
+    _square_cofactors,
     assemble_refutation,
     certificate_from_json,
     certificate_to_json,
@@ -57,13 +60,19 @@ def yvars(t, tag=0):
     return [Var("y", tag, b) for b in range(t + 1)]
 
 
-def gate_identity_holds(cprime, gid, ledger):
-    cert = gate_square_certificates(cprime, [gid], ledger)[gid]
-    g = expand(subcircuit(cprime, gid))
+def identity_holds(c, gid, b, cert):
+    """g^2 - g == sum_v cofactor_v * (v^2 - v) for gate gid of c, the
+    cofactors root ids in b."""
+    g = expand(subcircuit(c, gid))
     rhs = SparsePoly.zero()
-    for v, circ in cert.items():
-        rhs = rhs + expand(circ) * boolean_axiom(v)
+    for v, cof in cert.items():
+        rhs = rhs + b.expand(cof) * boolean_axiom(v)
     return g * g - g == rhs
+
+
+def gate_identity_holds(cprime, gid, ledger):
+    b, certs = gate_square_certificates(cprime, [gid], ledger)
+    return identity_holds(cprime, gid, b, certs[gid])
 
 
 def certifiable_gate_ids(c):
@@ -83,38 +92,37 @@ def certifiable_gate_ids(c):
 
 def test_leaf_base_case():
     c = cvar(X1)
-    cert = gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
-    assert list(cert.F) == []
-    assert list(cert.E) == [X1]
-    assert expand(cert.E[X1]) == 1
+    b, certs = gate_square_certificates(c, [c.output], GadgetLedger(()))
+    assert list(certs[c.output]) == [X1]
+    assert b.expand(certs[c.output][X1]) == 1
 
 
 def test_const_base_cases():
     for value in (0, 1):
         c = cconst(value)
-        cert = gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
-        assert not cert.E and not cert.F
+        _, certs = gate_square_certificates(c, [c.output], GadgetLedger(()))
+        assert certs[c.output] == {}
 
 
 def test_negative_constant_rejected():
     c = cconst(-1)
     with pytest.raises(ValueError, match="outside"):
-        gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
+        gate_square_certificates(c, [c.output], GadgetLedger(()))
 
 
 def test_ungadgetized_add_rejected():
     c = cadd(cvar(X1), cvar(X2))
     with pytest.raises(ValueError, match="transform"):
-        gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
+        gate_square_certificates(c, [c.output], GadgetLedger(()))
 
 
 def test_product_gate_telescoping():
     # g = g0*g1: E from (g0^2-g0)*g1^2 + g0*(g1^2-g1)
     c = cmul(cvar(X1), cvar(X2))
-    cert = gate_square_certificates(c, [c.output], GadgetLedger(()))[c.output]
+    b, certs = gate_square_certificates(c, [c.output], GadgetLedger(()))
     x1, x2 = SparsePoly.variable(X1), SparsePoly.variable(X2)
-    assert expand(cert.E[X1]) == x2 * x2
-    assert expand(cert.E[X2]) == x1
+    assert b.expand(certs[c.output][X1]) == x2 * x2
+    assert b.expand(certs[c.output][X2]) == x1
     assert gate_identity_holds(c, c.output, GadgetLedger(()))
 
 
@@ -124,19 +132,30 @@ def test_gadgetized_add_full_expansion():
     assert gate_identity_holds(cp, cp.output, ledger)
 
 
+def square_cofactors(g):
+    """(builder, ids of C_bit) for A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit)."""
+    b = CircuitBuilder()
+    return b, _square_cofactors(b, g.factors(b))
+
+
+def product_cofactor(a, a2):
+    """(builder, j, id of C) for A * A' = C * (y_j^2 - y_j)."""
+    b = CircuitBuilder()
+    return (b, *_product_cofactor(b, a, a.factors(b), a2, a2.factors(b)))
+
+
 def test_address_square_trivial_gadget():
-    g = AddressingGadget.build(0, 0, yvars(0))
-    cofs = address_square_decomposition(g)
-    assert expand(cofs[0]) == 1
+    b, cofs = square_cofactors(AddressingGadget.build(0, 0, yvars(0)))
+    assert b.expand(cofs[0]) == 1
 
 
 def test_address_square_two_bit_gadget():
     g = AddressingGadget.build(1, 0, yvars(1))
-    cofs = address_square_decomposition(g)
-    a = g.polynomial()
+    b, cofs = square_cofactors(g)
+    a = gadget_poly(g)
     rhs = SparsePoly.zero()
-    for bit, circ in cofs.items():
-        rhs = rhs + expand(circ) * boolean_axiom(g.vars[bit])
+    for bit, cof in enumerate(cofs):
+        rhs = rhs + b.expand(cof) * boolean_axiom(g.vars[bit])
     assert a * a - a == rhs
 
 
@@ -145,59 +164,56 @@ def test_address_square_random_points_and_sizes():
     for n in (1, 2, 3, 5, 8):
         r = n + 1
         for j in range(n + 1):
-            g = AddressingGadget.build(n, j, yvars(t_of(n)))
-            cofs = address_square_decomposition(g)
-            a = g.polynomial()
+            g = AddressingGadget.build(n, j, yvars(t_for(n)))
+            b, cofs = square_cofactors(g)
+            a = gadget_poly(g)
             rhs = SparsePoly.zero()
-            for bit, circ in cofs.items():
-                assert measure(circ).size <= 6 * r
-                rhs = rhs + expand(circ) * boolean_axiom(g.vars[bit])
+            for bit, cof in enumerate(cofs):
+                assert b.metrics(cof).size <= 6 * r
+                rhs = rhs + b.expand(cof) * boolean_axiom(g.vars[bit])
             lhs = a * a - a
             assert lhs == rhs
             for _ in range(100 // (n + 1)):
                 point = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                          for v in g.vars}
-                assert lhs.evaluate(point) == rhs.evaluate(point)
-
-
-def t_of(n):
-    from ipscert.gadget import t_for
-
-    return t_for(n)
+                assert (ref_evaluate(dict(lhs.items()), point)
+                        == ref_evaluate(dict(rhs.items()), point))
 
 
 def test_address_product_example():
     vs = yvars(1)
     a = AddressingGadget.build(1, 0, vs)
-    b = AddressingGadget.build(1, 1, vs)
-    j, c = address_product_decomposition(a, b)
+    a2 = AddressingGadget.build(1, 1, vs)
+    b, j, c = product_cofactor(a, a2)
     assert j == 0
     y1 = SparsePoly.variable(vs[1])
-    assert expand(c) == -(y1 * y1)
-    assert a.polynomial() * b.polynomial() == expand(c) * boolean_axiom(vs[j])
+    assert b.expand(c) == -(y1 * y1)
+    assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(vs[j])
 
 
 def test_address_product_equal_addresses_rejected():
-    vs = yvars(1)
-    a = AddressingGadget.build(1, 1, vs)
-    with pytest.raises(ValueError, match="separating"):
-        address_product_decomposition(a, a)
+    a = AddressingGadget.build(1, 1, yvars(1))
+    elsewhere = AddressingGadget.build(1, 0, yvars(1, tag=1))
+    for a2, message in ((a, "equal addresses have no separating bit"),
+                        (elsewhere, "gadgets do not share control variables")):
+        with pytest.raises(ValueError, match=message):
+            product_cofactor(a, a2)
 
 
 def test_address_product_separating_bit_below_top():
     # bit t is 1 for every address, so it never separates
     for n in (2, 5, 8):
-        vs = yvars(t_of(n))
+        vs = yvars(t_for(n))
         for j in range(n + 1):
             for j2 in range(n + 1):
                 if j == j2:
                     continue
                 a = AddressingGadget.build(n, j, vs)
-                b = AddressingGadget.build(n, j2, vs)
-                bit, c = address_product_decomposition(a, b)
+                a2 = AddressingGadget.build(n, j2, vs)
+                b, bit, c = product_cofactor(a, a2)
                 assert bit < a.t
-                assert measure(c).size <= 6 * (n + 1)
-                assert a.polynomial() * b.polynomial() == expand(c) * boolean_axiom(vs[bit])
+                assert b.metrics(c).size <= 6 * (n + 1)
+                assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(vs[bit])
 
 
 def test_assembly_hand_example_leaf():
@@ -265,12 +281,13 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
         if len(cn.variables()) > 8:
             continue
         cp, ledger = gadgetize(cn)
-        for gid in certifiable_gate_ids(cp):
-            assert gate_identity_holds(cp, gid, ledger)
-            cert = gate_square_certificates(cp, [gid], ledger)[gid]
+        gids = certifiable_gate_ids(cp)
+        b, certs = gate_square_certificates(cp, gids, ledger)
+        for gid in gids:
+            assert identity_holds(cp, gid, b, certs[gid])
             mg = measure(subcircuit(cp, gid))
-            for v, circ in cert.items():
-                m = measure(circ)
+            for cof in certs[gid].values():
+                m = b.metrics(cof)
                 assert m.size <= 100 * mg.size ** 4
                 assert m.depth <= 2 * mg.depth
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, laid_out, mutate_certificate, pointwise
+from helpers import (build_corpus, laid_out, mutate_certificate, pointwise, ref_evaluate,
+                     ref_evaluate_mod)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -19,6 +20,7 @@ from ipscert.circuit import (
     eval_circuit,
     expand,
     normalize_layered,
+    poly_to_circuit,
 )
 from ipscert.gadget import gadgetize
 from ipscert.poly import SparsePoly, Var
@@ -80,7 +82,7 @@ def test_verify_exact_flipped_sign_refuted_with_witness():
     for (_, ax), cf in zip(axioms, cofactors):
         axp = ax if isinstance(ax, SparsePoly) else expand(ax)
         residual = residual + expand(cf) * axp
-    assert residual.evaluate(report.witness) != 0
+    assert ref_evaluate(dict(residual.items()), report.witness) != 0
 
 
 def test_verify_exact_trivial_certificate():
@@ -150,7 +152,7 @@ def reference_pit(axioms, cofactors, cfg):
         vars_seen.update(ax.variables())
         vars_seen.update(cf.variables())
     ordered = sorted(vars_seen, key=lambda v: v._key)
-    runs = [pointwise(x) if isinstance(x, Circuit) else x.evaluate_mod
+    runs = [pointwise(x if isinstance(x, Circuit) else poly_to_circuit(x))
             for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
     evaluations = 0
     for trial in range(cfg.trials):
@@ -400,16 +402,16 @@ def test_batch_evaluation_agrees_with_expansion_at_every_point():
     # Fan-ins on both sides of the nested-map limit, and a fan-in-1 gate.
     wide = b.add([b.mul(rng.sample(leaves, k)) for k in (1, 2, 3, 8, 9, 14)])
     c = b.build(b.mul([wide, b.add(leaves[:11]), b.add([leaves[0]])]))
-    run, poly = compile_evaluator(c), expand(c)
+    run, terms = compile_evaluator(c), dict(expand(c).items())
     count = 25
     for draw in (lambda: rng.randrange(2), lambda: rng.randint(-9, 9),
                  lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))):
         points = [{v: draw() for v in xs} for _ in range(count)]
         columns = {v: [p[v] for p in points] for v in xs}
-        assert run(columns, count) == [poly.evaluate(p) for p in points]
+        assert run(columns, count) == [ref_evaluate(terms, p) for p in points]
         integral = all(type(x) is int for p in points for x in p.values())
         for prime in (101, DEFAULT_PIT_PRIME) if integral else ():
-            assert run(columns, count, prime) == [poly.evaluate_mod(p, prime) for p in points]
+            assert run(columns, count, prime) == [ref_evaluate_mod(terms, p, prime) for p in points]
     assert compile_evaluator(cvar(X1))({X1: bytes((0, 1, 1))}, 3) == [0, 1, 1]
     assert compile_evaluator(cconst(Fraction(7, 2)))({}, 3) == [Fraction(7, 2)] * 3
     assert compile_evaluator(cconst(Fraction(7, 2)))({}, 3, 11) == [9] * 3
