@@ -395,9 +395,9 @@ class CircuitBuilder:
                 todo.extend(gates[i].args)
         return Metrics(*memo[root])
 
-    def expand(self, root: int, guard: int = TERM_GUARD) -> SparsePoly:
+    def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
-        return _expand(self._gates, _postorder(self._gates, root), root, guard, {})
+        return _expand(self._gates, _postorder(self._gates, root), root, {})
 
 
 def _leaf_key(g: Gate) -> tuple:
@@ -476,13 +476,12 @@ def measure(c: Circuit) -> Metrics:
     return Metrics(size=size, depth=depth[c.output])
 
 
-def expand(c: Circuit, guard: int = TERM_GUARD) -> SparsePoly:
+def expand(c: Circuit) -> SparsePoly:
     """The polynomial computed by the circuit, by bottom-up expansion."""
-    return _expand(c.gates, range(len(c.gates)), c.output, guard, [None] * len(c.gates))
+    return _expand(c.gates, range(len(c.gates)), c.output, [None] * len(c.gates))
 
 
-def _expand(gates: Sequence[Gate], order: Iterable[int], output: int, guard: int,
-            polys) -> SparsePoly:
+def _expand(gates: Sequence[Gate], order: Iterable[int], output: int, polys) -> SparsePoly:
     """The polynomial of gate output, expanding the gates in order (arguments
     first) into polys, a list or dict by gate id."""
     for i in order:
@@ -499,7 +498,7 @@ def _expand(gates: Sequence[Gate], order: Iterable[int], output: int, guard: int
         else:
             acc = polys[g.args[0]]
             for a in g.args[1:]:
-                if len(acc) * len(polys[a]) > guard:
+                if len(acc) * len(polys[a]) > TERM_GUARD:
                     raise ResourceLimitError(
                         f"expansion of g{i} projects over the dense-size guard")
                 acc = acc * polys[a]

@@ -627,11 +627,14 @@ def format_frac(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    """A rational written p/q, an integer or a decimal.  Exponent notation
-    is refused: Fraction would expand 10**e, however large e is."""
+    """A rational written p/q, an integer or a decimal, in ASCII.  Exponent
+    notation is refused: Fraction would expand 10**e, however large e is.
+    So are the non-ASCII digits and '_' separators Fraction also reads."""
     text = text.strip()
     if re.search(r"[eE][-+]?\d", text):
         raise ValueError(f"exponent notation in {text!r}: write p/q")
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"non-ASCII character or '_' in {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -3,10 +3,11 @@
 For a multilinear polynomial f over 2n variables split into two sides of
 size n, the partition matrix has rows indexed by multilinear monomials in
 the row side and columns by monomials in the column side; its (m_y, m_z)
-entry is the coefficient of m_y * m_z in f.  Rank is computed exactly over
-the rationals by sparse fraction-free row echelon: each row keeps only its
-nonzero entries, with denominators cleared row by row, and is reduced over
-the integers against a basis keyed by leading column.
+entry is the coefficient of m_y * m_z in f.  The matrix is kept as its
+nonzero rows, each {column: value} over its nonzero entries.  Rank is
+computed exactly over the rationals by sparse fraction-free row echelon:
+denominators are cleared row by row, and each row is reduced over the
+integers against a basis keyed by leading column.
 
 fullrank_witness reproduces the recursive control assignment that makes
 the gadgeted interval polynomial full rank for any balanced partition:
@@ -65,11 +66,12 @@ class Partition:
 
 
 def rank_matrix(f: SparsePoly, p: Partition) -> list:
-    """The 2^n x 2^n partition coefficient matrix of a multilinear polynomial.
+    """The nonzero rows of the 2^n x 2^n partition coefficient matrix of a
+    multilinear polynomial, in ascending row.
 
-    It is a dense list of rows: row and column indices are the subset masks
-    of the row-side and column-side monomials, an empty cell is the int 0
-    and any other cell a Fraction.
+    Row and column indices are the subset masks of the row-side and
+    column-side monomials; a row is {column: Fraction} over its nonzero
+    entries.
     """
     if not f.is_multilinear():
         raise ValueError("rank matrix requires a multilinear polynomial")
@@ -79,10 +81,10 @@ def rank_matrix(f: SparsePoly, p: Partition) -> list:
             f"variable {outside[0].name} is outside the partition; substitute it first")
     n = len(p.y_side)
     row_mask = (1 << n) - 1
-    entries = [[0] * (1 << n) for _ in range(1 << n)]
+    rows: dict = {}
     for mask, c in f.subset_masks(p.y_side + p.z_side).items():
-        entries[mask & row_mask][mask >> n] = c
-    return entries
+        rows.setdefault(mask & row_mask, {})[mask >> n] = c
+    return [rows[r] for r in sorted(rows)]
 
 
 def _primitive(row: dict) -> dict:
@@ -91,12 +93,11 @@ def _primitive(row: dict) -> dict:
     return row if g <= 1 else {c: v // g for c, v in row.items()}
 
 
-def _integer_row(row) -> dict:
-    """The nonzero entries of a row of rationals as {column: int}, scaled to
-    a primitive integer vector (rank-preserving)."""
-    nz = {c: Fraction(x) for c, x in enumerate(row) if x}
-    den = lcm(*(q.denominator for q in nz.values()))
-    return _primitive({c: q.numerator * (den // q.denominator) for c, q in nz.items()})
+def _integer_row(row: dict) -> dict:
+    """A row {column: rational} as {column: int} over its nonzero entries,
+    scaled to a primitive integer vector (rank-preserving)."""
+    den = lcm(*(q.denominator for q in row.values()))
+    return _primitive({c: q.numerator * (den // q.denominator) for c, q in row.items() if q})
 
 
 def _echelon(rows) -> dict:
@@ -130,10 +131,10 @@ def _echelon(rows) -> dict:
 def exact_rank(rows) -> int:
     """Exact rank over the rationals by sparse fraction-free row echelon.
 
-    rows is a list of rows of rationals.  Only nonzero entries are stored
-    and converted, every intermediate value is an exact integer, and a row
-    is reduced only at pivot columns where it is nonzero; the rank is the
-    number of rows in the echelon basis.
+    rows are sparse rows {column: rational}, as rank_matrix returns them.
+    Every intermediate value is an exact integer, and a row is reduced only
+    at pivot columns where it is nonzero; the rank is the number of rows in
+    the echelon basis.
     """
     return len(_echelon(rows))
 

@@ -332,14 +332,6 @@ class ImageReport:
     points: int
     contained: bool | None = None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "values": sorted(str(v) for v in self.values),
-            "exhaustive": self.exhaustive,
-            "points": self.points,
-            "contained": self.contained,
-        }
-
 
 def boolean_image_poly(p: SparsePoly) -> frozenset:
     """Exact value set of a polynomial over all Boolean assignments.

@@ -122,6 +122,13 @@ def poly_of(terms: dict) -> SparsePoly:
     return acc.result()
 
 
+def sparse_rows(dense) -> list:
+    """The nonzero rows of a dense matrix as rank_matrix returns them:
+    {column: Fraction} over each row's nonzero entries."""
+    rows = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in dense]
+    return [row for row in rows if row]
+
+
 def ref_evaluate(a: dict, point: dict) -> Fraction:
     """The value at point of a {monomial: coefficient} dict such as dict(p.items())."""
     total = Fraction(0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_dag_circuit, random_layered_formula, shuffled_topological
 
+from ipscert import circuit as circuit_module
 from ipscert.circuit import (
     Circuit,
     CircuitBuilder,
@@ -83,15 +84,16 @@ def test_expand_product():
     assert expand(c) == SparsePoly.variable(X1) ** 2 - 1
 
 
-def test_expand_resource_guard():
+def test_expand_resource_guard(monkeypatch):
     from ipscert.poly import ResourceLimitError
 
     vars6 = [cvar(Var("x", i)) for i in range(1, 7)]
     p = cadd(*vars6, cconst(1))
     c = cmul(p, p)
     assert expand(c) is not None
+    monkeypatch.setattr(circuit_module, "TERM_GUARD", 10)
     with pytest.raises(ResourceLimitError):
-        expand(c, guard=10)
+        expand(c)
 
 
 def test_expand_gadget_shape():

@@ -443,6 +443,10 @@ def test_console_script_runs():
      "field axioms[1].poly: bad exponent in 'x1^2^3'"),
     (lambda doc: doc["axioms"][1].__setitem__("poly", "1e10000000 * x1"),
      "field axioms[1].poly: exponent notation in '1e10000000'"),
+    (lambda doc: doc["axioms"][1].__setitem__("poly", "\u0661/\u0662 * x1"),
+     "field axioms[1].poly: non-ASCII character or '_' in '\u0661/\u0662'"),
+    (lambda doc: doc["cofactors"][1].__setitem__(0, "g0 = CONST 1_0"),
+     "field cofactors[1]: line 1: non-ASCII character or '_' in '1_0'"),
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
@@ -471,6 +475,17 @@ def test_parse_rejects_exponent_notation_at_once(tmp_path, capsys):
     assert main(["parse", "--input", str(src)]) == 2
     assert time.perf_counter() - started < 1
     assert "line 1: exponent notation in '1e10000000'" in capsys.readouterr().err
+
+
+def test_parse_rejects_non_ascii_digits_and_separators_in_a_constant(tmp_path, capsys):
+    # Fraction reads both, so the parent wrote them back as CONST 1/2 and CONST 10/1.
+    src = tmp_path / "c.circ"
+    write(src, "g0 = CONST \u0661/\u0662\ng1 = CONST 1_0\ng2 = MUL g0 g1\nOUTPUT g2\n")
+    assert main(["parse", "--input", str(src)]) == 2
+    assert "line 1: non-ASCII character or '_' in '\u0661/\u0662'" in capsys.readouterr().err
+    write(src, "g0 = VAR x1\ng1 = CONST 1_0\ng2 = MUL g0 g1\nOUTPUT g2\n")
+    assert main(["parse", "--input", str(src)]) == 2
+    assert "line 2: non-ASCII character or '_' in '1_0'" in capsys.readouterr().err
 
 
 # A satisfiable instance x1 - 1 "refuted" through a forged axiom: the poly of
@@ -623,6 +638,8 @@ def test_verify_ties_axiom_0_to_the_instance_file(tmp_path, capsys, mode):
     ("1/0", "zero denominator in '1/0'"),
     ("abc", "'abc'"),
     ("1e10000000", "exponent notation in '1e10000000'"),
+    ("\u0661/\u0662", "non-ASCII character or '_' in '\u0661/\u0662'"),
+    ("1_0", "non-ASCII character or '_' in '1_0'"),
 ])
 def test_a_number_flag_that_does_not_parse_is_named(tmp_path, capsys, command, flag,
                                                      value, message):

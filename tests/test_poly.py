@@ -139,6 +139,10 @@ def test_parse_frac_refuses_exponent_notation():
     for token in ("1e10000000", "1.5E-3", "2e+7", "1e\u0661\u0660"):
         with pytest.raises(ValueError, match=re.escape(f"exponent notation in {token!r}")):
             parse_frac(token)
+    # Fraction reads these too, but the text format is ASCII without separators.
+    for token in ("\u0661/\u0662", "1_0"):
+        with pytest.raises(ValueError, match=re.escape(f"non-ASCII character or '_' in {token!r}")):
+            parse_frac(token)
     assert [parse_frac(t) for t in ("0.5", " 3/4 ", "-2")] == [Fraction(1, 2), Fraction(3, 4), -2]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mono, poly_of
+from helpers import mono, poly_of, sparse_rows
 
 from ipscert.circuit import expand, partial_evaluate
 from ipscert.instances import gadgeted_ry_circuit, uvar
@@ -56,7 +56,7 @@ def test_partition_validation():
 def test_rank_matrix_zero_polynomial():
     p = Partition.parse("u1|u2")
     m = rank_matrix(SparsePoly.zero(), p)
-    assert m == [[0, 0], [0, 0]]
+    assert m == sparse_rows([[0, 0], [0, 0]]) == []
     assert exact_rank(m) == 0
 
 
@@ -64,14 +64,14 @@ def test_rank_matrix_base_case():
     p = Partition.parse("u1|u2")
     f = (1 + U[1] * U[2]) * Fraction(1, 2)
     m = rank_matrix(f, p)
-    assert m == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert m == sparse_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
     assert exact_rank(m) == 2
 
 
 def test_rank_matrix_sum_case():
     p = Partition.parse("u1|u2")
     m = rank_matrix(U[1] + U[2], p)
-    assert m == [[0, 1], [1, 0]]
+    assert m == sparse_rows([[0, 1], [1, 0]])
     assert exact_rank(m) == 2
 
 
@@ -88,7 +88,7 @@ def test_rank_matrix_rejects_foreign_variable():
 
 
 def test_exact_rank_identity():
-    assert exact_rank([[1, 0], [0, 1]]) == 2
+    assert exact_rank(sparse_rows([[1, 0], [0, 1]])) == 2
 
 
 def test_exact_rank_outer_product():
@@ -96,7 +96,7 @@ def test_exact_rank_outer_product():
     u = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
     v = [Fraction(rng.randint(1, 9)) for _ in range(6)]
     m = [[a * b for b in v] for a in u]
-    assert exact_rank(m) == 1
+    assert exact_rank(sparse_rows(m)) == 1
 
 
 def test_exact_rank_planted_nullspace():
@@ -105,15 +105,15 @@ def test_exact_rank_planted_nullspace():
     while True:
         b = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(8)]
         c = [[Fraction(rng.randint(-4, 4)) for _ in range(8)] for _ in range(5)]
-        if exact_rank(b) == 5 and exact_rank(c) == 5:
+        if exact_rank(sparse_rows(b)) == 5 and exact_rank(sparse_rows(c)) == 5:
             break
     m = [[sum(b[i][k] * c[k][j] for k in range(5)) for j in range(8)] for i in range(8)]
-    assert exact_rank(m) == 5
+    assert exact_rank(sparse_rows(m)) == 5
 
 
 def test_exact_rank_with_rational_entries():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
-    assert exact_rank(m) == 1
+    assert exact_rank(sparse_rows(m)) == 1
 
 
 def rank_by_rational_elimination(rows):
@@ -156,7 +156,7 @@ def test_exact_rank_against_rational_elimination_oracle():
             src, dst = rng.sample(range(n_rows), 2)
             scale = Fraction(rng.randint(-3, 3))
             m[dst] = [scale * x for x in m[src]]
-        assert exact_rank(m) == rank_by_rational_elimination(m)
+        assert exact_rank(sparse_rows(m)) == rank_by_rational_elimination(m)
 
 
 def random_rational(rng):
@@ -195,7 +195,7 @@ def test_exact_rank_sparse_shapes_against_rational_elimination_oracle():
             a, b = b, a
         density = rng.choice((0.02, 0.05, 0.1, 0.3, 0.6, 1.0))
         m = sparse_test_matrix(rng, a, b, density)
-        r = exact_rank(m)
+        r = exact_rank(sparse_rows(m))
         assert r == rank_by_rational_elimination(m), (shape, a, b, density)
         ranks.add(r)
     assert len(ranks) > 10
@@ -210,16 +210,37 @@ def test_exact_rank_of_permutation_matrices_with_rational_entries():
             m = [[Fraction(0)] * size for _ in range(size)]
             for i, j in enumerate(perm):
                 m[i][j] = random_rational(rng)
-            assert exact_rank(m) == size
+            assert exact_rank(sparse_rows(m)) == size
             zeroed = rng.sample(range(size), rng.randint(0, size))
             for i in zeroed:
                 m[i][perm[i]] = Fraction(0)
-            assert exact_rank(m) == size - len(zeroed) == rank_by_rational_elimination(m)
+            assert exact_rank(sparse_rows(m)) == size - len(zeroed) == \
+                rank_by_rational_elimination(m)
             # a repeated row, rescaled, adds nothing
             if size - len(zeroed):
                 live = next(i for i in range(size) if i not in zeroed)
                 m.append([x * Fraction(-3, 5) for x in m[live]])
-                assert exact_rank(m) == size - len(zeroed)
+                assert exact_rank(sparse_rows(m)) == size - len(zeroed)
+
+
+def test_exact_rank_of_sparse_rows_matches_the_dense_oracle():
+    rng = random.Random(89)
+    assert exact_rank([]) == rank_by_rational_elimination([]) == 0
+    for trial in range(200):
+        n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
+        if trial % 2:
+            m = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(n_rows)]
+        else:
+            m = [[random_rational(rng) if rng.random() < 0.6 else 0 for _ in range(n_cols)]
+                 for _ in range(n_rows)]
+        m[rng.randrange(n_rows)] = [0] * n_cols
+        m.append(list(m[rng.randrange(n_rows)]))
+        rng.shuffle(m)
+        expected = rank_by_rational_elimination(m)
+        assert exact_rank(sparse_rows(m)) == expected
+        # an empty row is a zero row, and an explicit zero entry is no entry
+        assert exact_rank(sparse_rows(m) + [{}]) == expected
+        assert exact_rank([dict(enumerate(row)) for row in m]) == expected
 
 
 def test_echelon_rows_are_primitive_with_distinct_leading_columns():
@@ -227,7 +248,7 @@ def test_echelon_rows_are_primitive_with_distinct_leading_columns():
     for _ in range(60):
         m = sparse_test_matrix(rng, rng.randint(1, 12), rng.randint(1, 12),
                                rng.choice((0.1, 0.5, 1.0)))
-        basis = _echelon(m)
+        basis = _echelon(sparse_rows(m))
         for lead, row in basis.items():
             assert lead == min(row) and all(row.values())
             assert math.gcd(*row.values()) == 1
@@ -271,6 +292,15 @@ def test_witness_all_partitions_n_le_3():
             f = expand(partial_evaluate(c, w))
             assert f.variables() == tuple(sorted(p.y_side + p.z_side))
             assert exact_rank(rank_matrix(f, p)) == 2 ** n
+
+
+def test_rank_matrix_of_the_witness_at_n_12_has_one_entry_per_row():
+    n = 12
+    p = Partition(y_side=tuple(uvar(k) for k in range(1, n + 1)),
+                  z_side=tuple(uvar(k) for k in range(n + 1, 2 * n + 1)))
+    rows = rank_matrix(substituted(n, fullrank_witness(n, p)), p)
+    assert len(rows) == 2 ** n and all(len(row) == 1 for row in rows)
+    assert exact_rank(rows) == 2 ** n
 
 
 @pytest.mark.parametrize("n", sorted(WITNESS_SHA256))

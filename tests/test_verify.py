@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (build_corpus, laid_out, mutate_certificate, pointwise, ref_evaluate,
-                     ref_evaluate_mod)
+from helpers import (build_corpus, laid_out, mutate_certificate, pointwise,
+                     random_layered_formula, ref_evaluate, ref_evaluate_mod)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -36,6 +38,7 @@ from ipscert.verify import (
     VerifyReport,
     boolean_image,
     boolean_image_poly,
+    check_claims,
     is_probable_prime,
     verify_exact,
     verify_pit,
@@ -132,6 +135,28 @@ def test_pit_rejects_mutations():
         report = verify_pit(mutated, cfg)
         assert report.verdict == "refuted"
         assert report.witness is not None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_transform_then_certificate_on_random_layered_formulas(seed):
+    rng = random.Random(seed)
+    cp, ledger = gadgetize(normalize_layered(random_layered_formula(rng, max_nodes=20)))
+    cert = assemble_refutation(cp, ledger)
+    assert check_claims(cert) is None
+    cfg = PitConfig(trials=5, seed=seed)
+    assert verify_exact(cert).verdict == "verified-exact"
+    assert verify_pit(cert, cfg).verdict == "verified-probabilistic"
+    axioms, cofactors = laid_out(cert)
+    axioms = [ax if isinstance(ax, Circuit) else poly_to_circuit(ax) for _, ax in axioms]
+    vars_ = sorted({v for c in axioms + cofactors for v in c.variables()}, key=lambda v: v._key)
+    for _ in range(3):
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in vars_}
+        assert sum(pointwise(cf)(point) * pointwise(ax)(point)
+                   for ax, cf in zip(axioms, cofactors)) == 1
+    mutated = mutate_certificate(rng, cert, seed)
+    assert verify_exact(mutated).verdict == "refuted"
+    assert verify_pit(mutated, cfg).verdict == "refuted"
 
 
 def test_pit_denominator_divisible_by_prime():
