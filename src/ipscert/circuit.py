@@ -507,14 +507,48 @@ def _expand(gates: Sequence[Gate], order: Iterable[int], output: int, polys) -> 
 
 
 def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
-    """Replace assigned VAR leaves by CONST gates; structure is preserved."""
-    gates = []
-    for g in c.gates:
-        if g.op == VAR and g.var in assignment:
-            gates.append(Gate(CONST, const=Fraction(assignment[g.var])))
+    """The circuit with the assigned variables fixed and its constants folded:
+    a constant gate is one CONST, a product is 0 at its first zero factor, and
+    any other gate keeps its live arguments and a folded constant other than
+    the identity, first in a MUL (a scaled wire) and last in an ADD; a lone
+    live argument replaces its gate.  Only gates the output reaches are kept."""
+    b = CircuitBuilder()
+    new_id: dict = {}   # gate id -> id in b, for a gate that is not constant
+    value: dict = {}    # gate id -> value, int when integral, for a constant gate
+    todo = [(c.output, 0, None, [])]   # gate id, next argument, folded constant, live ids
+    while todo:
+        i, pos, k, live = todo.pop()
+        g = c.gates[i]
+        if g.op == VAR and g.var not in assignment:
+            new_id[i] = b.var(g.var)
+        elif g.is_leaf():
+            q = Fraction(g.const if g.op == CONST else assignment[g.var])
+            value[i] = q.numerator if q.denominator == 1 else q
         else:
-            gates.append(g)
-    return Circuit(gates, c.output)
+            is_mul = g.op == MUL
+            unit = int(is_mul)
+            k = unit if k is None else k
+            while pos < len(g.args) and (k or not is_mul):
+                a = g.args[pos]
+                if a in new_id:
+                    live.append(new_id[a])
+                elif a not in value:
+                    todo += [(i, pos, k, live), (a, 0, None, [])]
+                    break
+                elif is_mul:
+                    k *= value[a]
+                else:
+                    k += value[a]
+                pos += 1
+            else:
+                if not live or is_mul and not k:
+                    value[i] = k
+                else:
+                    if k != unit:
+                        live = [b.const(k), *live] if is_mul else [*live, b.const(k)]
+                    new_id[i] = live[0] if len(live) == 1 else (b.mul if is_mul else b.add)(live)
+    out = c.output
+    return b.subcircuit(b.const(value[out]) if out in value else new_id[out])
 
 
 # Widest gate whose children are folded by nested maps; a wider gate sums or

@@ -45,7 +45,7 @@ from operator import mul
 
 from .circuit import Circuit, CircuitBuilder, expand
 from .gadget import AddressingGadget, t_for
-from .poly import SparsePoly, Var
+from .poly import SparsePoly, Var, _Accumulator
 
 
 def uvar(i: int) -> Var:
@@ -124,8 +124,8 @@ class InstanceBundle:
 
 def functional_identity_holds(bundle: InstanceBundle) -> bool:
     """reduce(refutation * instance) == 1, the defining property."""
-    product = bundle.instance_poly() * bundle.refutation_poly()
-    return product.multilinear_reduce() == SparsePoly.constant(1)
+    product = bundle.instance_poly().multilinear_product(bundle.refutation_poly())
+    return product == SparsePoly.constant(1)
 
 
 def _interval_dag(n: int, node) -> Circuit:
@@ -232,22 +232,24 @@ def inverse_differences(k: int, beta) -> list:
     return diffs
 
 
-def _subset_sum_over(vars_: tuple, beta, name: str, params: dict) -> InstanceBundle:
-    beta = Fraction(len(vars_) + 1 if beta is None else beta)
-    alphas = inverse_differences(len(vars_), beta)
-    zs = [SparsePoly.variable(v) for v in vars_]
-    instance = sum(zs, SparsePoly.zero()) - beta
-    # e[k] is the elementary symmetric polynomial e_k of the variables so far.
-    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(vars_)
-    for j, z in enumerate(zs, start=1):
+def _subset_sum_over(terms: list, beta, name: str, params: dict) -> InstanceBundle:
+    """sum(terms) - beta for terms 0/1 on the cube, refuted by sum_k alpha_k e_k(terms)."""
+    beta = Fraction(len(terms) + 1 if beta is None else beta)
+    alphas = inverse_differences(len(terms), beta)
+    instance = sum(terms, SparsePoly.zero()) - beta
+    # e[k] is the elementary symmetric polynomial e_k of the terms so far.
+    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(terms)
+    for j, t in enumerate(terms, start=1):
         for k in range(j, 0, -1):
-            e[k] = e[k] + z * e[k - 1]
-    refutation = sum((a * ek for a, ek in zip(alphas, e)), SparsePoly.zero())
+            e[k] = e[k] + t.multilinear_product(e[k - 1])
+    acc = _Accumulator()
+    for a, ek in zip(alphas, e):
+        acc.add_product(SparsePoly.constant(a), ek)
     return InstanceBundle(
         name=name,
         params=params,
         instance=instance,
-        refutation=refutation,
+        refutation=acc.result(),
         provenance={
             "generator": name,
             "beta": f"{beta.numerator}/{beta.denominator}",
@@ -264,7 +266,7 @@ def subset_sum(n_vars: int, beta=None) -> InstanceBundle:
     """
     if n_vars < 1:
         raise ValueError("n must be at least 1")
-    zvars = tuple(Var("z", i) for i in range(1, n_vars + 1))
+    zvars = [SparsePoly.variable(Var("z", i)) for i in range(1, n_vars + 1)]
     return _subset_sum_over(zvars, beta, "subset-sum", {"n_vars": n_vars})
 
 
@@ -276,15 +278,12 @@ def lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    zvars = tuple(Var("z", i, j) for i, j in pairs)
-    flat = _subset_sum_over(zvars, beta, "lifted-subset-sum", {"n": n})
     x = {i: SparsePoly.variable(Var("x", i)) for i in range(1, n + 1)}
-    substitution = {zv: SparsePoly.variable(zv) * x[i] * x[j] for (i, j), zv in zip(pairs, zvars)}
-    flat.instance = flat.instance.substitute(substitution).multilinear_reduce()
-    flat.refutation = flat.refutation.substitute(substitution).multilinear_reduce()
-    flat.provenance["lift"] = "z_ij -> z_ij * x_i * x_j, then multilinearized"
-    return flat
+    lifted = [SparsePoly.variable(Var("z", i, j)) * x[i] * x[j]
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    bundle = _subset_sum_over(lifted, beta, "lifted-subset-sum", {"n": n})
+    bundle.provenance["lift"] = "z_ij -> z_ij * x_i * x_j, then multilinearized"
+    return bundle
 
 
 def no_target(family: str, beta) -> None:

@@ -584,25 +584,52 @@ class SparsePoly:
             out[key] = get(key, 0) + n
         return SparsePoly._raw(_from_numerators(out, d), tab)
 
+    def multilinear_product(self, q: "SparsePoly") -> "SparsePoly":
+        """(self * q).multilinear_reduce(), each product reduced as it is formed:
+        with one bit per variable, multilinear monomials multiply by or."""
+        if len(self) * len(q) > TERM_GUARD:
+            raise ResourceLimitError(
+                f"product projects to {len(self)}*{len(q)} terms, over the dense-size guard")
+        tab = self._tab
+        if q._tab is not tab:
+            q = SparsePoly._raw(_repack(q, tab), tab)
+        a, b = ((x if x.is_multilinear() else x.multilinear_reduce())._t for x in (self, q))
+        bit = {1 << off: 1 << k for k, (off, _) in enumerate(_fields(reduce(or_, [*a, *b], 0)))}
+        (da, a), (db, b) = _numerators(_gather(a, bit)), _numerators(_gather(b, bit))
+        out: dict = {}
+        get = out.get
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma | mb
+                out[m] = get(m, 0) + ca * cb
+        unit = {k: u for u, k in bit.items()}   # back to the packed keys
+        return SparsePoly._raw(_gather(_from_numerators(out, da * db), unit), tab)
+
     def subset_masks(self, vars_) -> dict:
         """Coefficients keyed by the set of positions in vars_ of each term's
         variables, as a bitmask; the polynomial must be multilinear over
         variables drawn from vars_."""
         offsets = self._tab.offsets
-        unit_pos = {1 << offsets[v]: k for k, v in enumerate(vars_) if v in offsets}
-        out = {}
-        for m, c in self._t.items():
-            mask = 0
-            while m:
-                low = m & -m
-                k = unit_pos.get(low)
-                if k is None:
-                    raise ValueError(
-                        "subset_masks needs a multilinear polynomial over the given variables")
-                mask |= 1 << k
-                m ^= low
-            out[mask] = Fraction(c)
-        return out
+        bit = {1 << offsets[v]: 1 << k for k, v in enumerate(vars_) if v in offsets}
+        try:
+            masks = _gather(self._t, bit)
+        except KeyError:
+            raise ValueError(
+                "subset_masks needs a multilinear polynomial over the given variables") from None
+        return {mask: Fraction(c) for mask, c in masks.items()}
+
+
+def _gather(t: dict, bit: Mapping[int, int]) -> dict:
+    """t with each monomial re-keyed by the or of bit[low] over its set bits low."""
+    out = {}
+    for m, c in t.items():
+        key = 0
+        while m:
+            low = m & -m
+            key |= bit[low]
+            m ^= low
+        out[key] = c
+    return out
 
 
 def _as_poly(x):

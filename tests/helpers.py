@@ -19,6 +19,7 @@ from ipscert.circuit import (
     eval_circuit_mod,
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry
+from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import SparsePoly, Var, _Accumulator
 from ipscert.refute import NullstellensatzCertificate
 
@@ -122,6 +123,52 @@ def poly_of(terms: dict) -> SparsePoly:
     return acc.result()
 
 
+def reference_subset_sum(n_vars: int, beta=None) -> InstanceBundle:
+    """subset_sum(n_vars, beta) built the earlier way, over the variables: a
+    full product per step of the e_k recursion.  An oracle only."""
+    zvars = tuple(Var("z", i) for i in range(1, n_vars + 1))
+    return _reference_subset_sum_over(zvars, beta, "subset-sum", {"n_vars": n_vars})
+
+
+def reference_lifted_subset_sum(n: int, beta=None) -> InstanceBundle:
+    """lifted_subset_sum(n, beta) built the earlier way: the flat bundle
+    over the pair variables, then substitute z_ij -> z_ij x_i x_j, then
+    multilinear_reduce.  An oracle only."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    zvars = tuple(Var("z", i, j) for i, j in pairs)
+    flat = _reference_subset_sum_over(zvars, beta, "lifted-subset-sum", {"n": n})
+    x = {i: SparsePoly.variable(Var("x", i)) for i in range(1, n + 1)}
+    substitution = {zv: SparsePoly.variable(zv) * x[i] * x[j] for (i, j), zv in zip(pairs, zvars)}
+    flat.instance = flat.instance.substitute(substitution).multilinear_reduce()
+    flat.refutation = flat.refutation.substitute(substitution).multilinear_reduce()
+    flat.provenance["lift"] = "z_ij -> z_ij * x_i * x_j, then multilinearized"
+    return flat
+
+
+def _reference_subset_sum_over(vars_: tuple, beta, name: str, params: dict) -> InstanceBundle:
+    beta = Fraction(len(vars_) + 1 if beta is None else beta)
+    alphas = inverse_differences(len(vars_), beta)
+    zs = [SparsePoly.variable(v) for v in vars_]
+    instance = sum(zs, SparsePoly.zero()) - beta
+    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(vars_)
+    for j, z in enumerate(zs, start=1):
+        for k in range(j, 0, -1):
+            e[k] = e[k] + z * e[k - 1]
+    refutation = sum((a * ek for a, ek in zip(alphas, e)), SparsePoly.zero())
+    return InstanceBundle(
+        name=name,
+        params=params,
+        instance=instance,
+        refutation=refutation,
+        provenance={
+            "generator": name,
+            "beta": f"{beta.numerator}/{beta.denominator}",
+            "alphas": [f"{a.numerator}/{a.denominator}" for a in alphas],
+            **params,
+        },
+    )
+
+
 def sparse_rows(dense) -> list:
     """The nonzero rows of a dense matrix as rank_matrix returns them:
     {column: Fraction} over each row's nonzero entries."""
@@ -203,6 +250,15 @@ def random_dag_circuit(rng: random.Random, n_gates: int = 20, vars_=None) -> Cir
     roots = [i for i in range(len(b._gates)) if i not in used]
     out = roots[0] if len(roots) == 1 else b.add(roots)
     return b.build(out)
+
+
+def assert_folded(c: Circuit) -> None:
+    """No ADD or MUL gate of c has only CONST arguments, and no MUL a CONST 0."""
+    for g in c.gates:
+        if not g.is_leaf():
+            consts = [c.gates[a].const for a in g.args if c.gates[a].op == CONST]
+            assert len(consts) < len(g.args)
+            assert g.op != MUL or 0 not in consts
 
 
 def shuffled_topological(rng: random.Random, c: Circuit, ledger: GadgetLedger) -> tuple:

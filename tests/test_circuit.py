@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dag_circuit, random_layered_formula, shuffled_topological
+from helpers import (assert_folded, random_dag_circuit, random_layered_formula,
+                     shuffled_topological)
 
 from ipscert import circuit as circuit_module
 from ipscert.circuit import (
+    CONST,
     Circuit,
     CircuitBuilder,
     Gate,
@@ -127,6 +129,31 @@ def test_expand_commutes_with_partial_evaluate():
         for v, val in sub.items():
             right = right.restrict(v, val)
         assert left == right
+
+
+FOLD_VALUES = (0, 1, Fraction(1, 2), -2, Fraction(3, 7))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_partial_evaluate_folds_to_the_restriction(seed, dag):
+    rng = random.Random(seed)
+    if dag:
+        c = random_dag_circuit(rng, n_gates=rng.randint(5, 30))
+    else:
+        c = random_layered_formula(rng, max_nodes=rng.randint(3, 30), const_pool=FOLD_VALUES)
+    vars_ = c.variables()
+    part = {v: rng.choice(FOLD_VALUES) for v in vars_ if rng.random() < 0.6}
+    folded = partial_evaluate(c, part)
+    want = expand(c)
+    for v, x in part.items():
+        want = want.restrict(v, x)
+    assert expand(folded) == want
+    assert_folded(folded)
+    total = {v: rng.choice(FOLD_VALUES) for v in vars_}
+    whole = partial_evaluate(c, total)
+    assert [g.op for g in whole.gates] == [CONST]
+    assert whole.gates[0].const == eval_circuit(c, total)
 
 
 def test_normalize_flattens_nested_adds():

@@ -184,6 +184,16 @@ def test_image_over_too_many_variables_exits_2_at_once(tmp_path, capsys):
     assert captured.out == "" and "25 variables" in captured.err
 
 
+def test_funcref_past_the_guard_exits_2_at_once(capsys):
+    # mnc at n = 4 multiplies two 82,854-term polynomials: the guard must
+    # refuse the product before forming any of it.
+    started = time.perf_counter()
+    assert main(["funcref", "--family", "mnc", "--n", "4"]) == 2
+    assert time.perf_counter() - started < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the dense-size guard" in captured.err
+
+
 def test_one_parser_serves_every_call_of_main(monkeypatch):
     argv_list = [["rank", "--n"],
                  ["--help"],

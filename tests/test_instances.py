@@ -15,6 +15,8 @@ from helpers import (
     ref_evaluate,
     ref_evaluate_mod,
     reference_inverse_differences,
+    reference_lifted_subset_sum,
+    reference_subset_sum,
 )
 
 from ipscert.circuit import (
@@ -295,6 +297,25 @@ def test_lifted_subset_sum_n3_exhaustive():
     for bits in itertools.product((0, 1), repeat=len(vars_)):
         a = dict(zip(vars_, bits))
         assert value(inst, a) * value(refu, a) == 1
+
+
+def _same_bundle(got, want):
+    assert got.name == want.name and got.params == want.params
+    assert got.provenance == want.provenance
+    for x, y in ((got.instance, want.instance), (got.refutation, want.refutation)):
+        assert x == y and format_poly(x) == format_poly(y)
+
+
+@pytest.mark.parametrize("beta", [None, Fraction(-3), Fraction(7, 2)])
+def test_subset_sum_matches_the_substitution_construction(beta):
+    for n in range(1, 11):
+        _same_bundle(subset_sum(n, beta), reference_subset_sum(n, beta))
+
+
+@pytest.mark.parametrize("beta", [None, Fraction(-1), Fraction(5, 3)])
+def test_lifted_subset_sum_matches_the_substitution_construction(beta):
+    for n in range(2, 6):
+        _same_bundle(lifted_subset_sum(n, beta), reference_lifted_subset_sum(n, beta))
 
 
 def test_clique_component_n4_ell2():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipscert.circuit import Circuit, cadd, cconst, expand, poly_to_circuit
+from ipscert import poly
 from ipscert.gadget import gadgetize
 from ipscert.poly import (
     NAMESPACES,
@@ -242,6 +243,39 @@ def test_operands_from_two_tables_match_one_table(pair, data):
     assert dict(reduced.items()) == ref_reduce(a)
     assert reduced.subset_masks(pool) == p.multilinear_reduce().subset_masks(pool)
     assert format_poly(p2) == format_poly(p)
+
+
+@KERNEL
+@given(poly_pairs(), st.sampled_from(("any", "zero", "constant")), st.data())
+def test_multilinear_product_matches_product_then_reduce(pair, kind, data):
+    pool, a, b = pair
+    if kind == "zero":
+        b = {}
+    elif kind == "constant":
+        b = _clean({(): data.draw(coeffs)})
+    want = ref_reduce(ref_mul(a, b))
+    p, q = kernel(a), kernel(b)
+    p2, q2 = _in_table(a, pool), _in_table(b, pool[::-1])
+    assert dict((p * q).multilinear_reduce().items()) == want
+    for left, right in ((p, q), (q, p), (p2, q2), (q2, p2), (p, q2), (p2, q)):
+        product = left.multilinear_product(right)
+        assert dict(product.items()) == want
+        assert product == (left * right).multilinear_reduce()
+        assert format_poly(product) == format_poly((p * q).multilinear_reduce())
+    reduced = p.multilinear_reduce()
+    assert reduced.multilinear_product(q2) == p.multilinear_product(q)
+
+
+def test_multilinear_product_keeps_the_product_guard(monkeypatch):
+    monkeypatch.setattr(poly, "TERM_GUARD", 8)
+    x1, x2 = SparsePoly.variable(Var("x", 1)), SparsePoly.variable(Var("x", 2))
+    p, q = x1 + x2 + 1, x1 * x1 - x2 + 3
+    with pytest.raises(ResourceLimitError) as full:
+        p * q
+    with pytest.raises(ResourceLimitError) as reduced:
+        p.multilinear_product(q)
+    assert str(reduced.value) == str(full.value) \
+        == "product projects to 3*3 terms, over the dense-size guard"
 
 
 def test_overflow_names_the_least_variable_whatever_the_slot_order():

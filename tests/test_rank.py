@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mono, poly_of, sparse_rows
+from helpers import assert_folded, mono, poly_of, sparse_rows
 
 from ipscert.circuit import expand, partial_evaluate
 from ipscert.instances import gadgeted_ry_circuit, uvar
@@ -35,6 +35,15 @@ WITNESS_SHA256 = {
 def substituted(n, witness):
     c, _ = gadgeted_ry_circuit(n)
     return expand(partial_evaluate(c, witness))
+
+
+def test_the_witness_folds_p_at_n_6_to_few_gates():
+    c, _ = gadgeted_ry_circuit(6)
+    part = next(balanced_partitions([uvar(k) for k in range(1, 13)]))
+    folded = partial_evaluate(c, fullrank_witness(6, part))
+    assert len(c.gates) == 996 and len(folded.gates) < 100
+    assert_folded(folded)
+    assert exact_rank(rank_matrix(expand(folded), part)) == 64
 
 
 def test_partition_parse_and_format():
