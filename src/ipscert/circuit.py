@@ -150,8 +150,8 @@ class CircuitBuilder:
     keep() adds more starting gates; intern() adds composed gates
     hash-consed (Filliatre & Conchon, ML 2006): one id per structure.
     read() lays circuit text in, through one or the other.  A root id is
-    laid out as a standalone formula by formula() and lines(), and measured,
-    expanded and hashed without laying it out.
+    laid out as a standalone formula by formula(), and by lines() and
+    sha256() through one memo; it is measured and expanded without that.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -161,7 +161,9 @@ class CircuitBuilder:
         self._shared: dict = {}        # structural key -> id of a shared gate
         self._leaf_ids: dict = {}      # leaf gate object -> its hash-consed id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
+        self._leaves: dict = {}        # leaf right-hand side read -> its gate
         self._leaf_texts: dict = {}    # leaf gate -> its text after the gate id
+        self._laid_out: dict = {}      # the layout memo of lines() (see _layout)
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -205,14 +207,13 @@ class CircuitBuilder:
                                                else Gate(key[0], args=key[1]))
         return i
 
-    def read(self, lines: Sequence[str], leaves: dict, known: dict) -> int:
+    def read(self, lines: Sequence[str]) -> int:
         """The id of the circuit whose text lines are given, read like
         parse_circuit (same errors) and laid out again as the same text: a
         formula written in post-order is hash-consed, any other circuit
-        kept.  leaves and known are the caches of _gate_lines, kept across
-        the circuits of one document."""
-        i = self._intern_formula(_gate_lines(lines, leaves, known))
-        return self.keep(_parse_lines(lines, leaves)) if i is None else i
+        kept.  Each distinct leaf text is parsed once per table."""
+        i = self._intern_formula(_gate_lines(lines, self._leaves))
+        return self.keep(_parse_lines(lines, self._leaves)) if i is None else i
 
     def _intern_formula(self, items) -> int | None:
         """Hash-cons a circuit given as _gate_lines items and return its
@@ -355,15 +356,16 @@ class CircuitBuilder:
         gates = self._layout(root, lambda n, g, args: Gate(g.op, args=args) if args else g)
         return Circuit(gates, len(gates) - 1)
 
-    def lines(self, root: int, memo: dict | None = None) -> list:
+    def lines(self, root: int) -> list:
         """The text lines of format_circuit(self.formula(root)), straight
-        from the layout; memo as in _layout, for the lines of one table."""
-        out = self._layout(root, partial(_line, self._leaf_texts), memo)
+        from the layout.  The table keeps the layout as a memo for later
+        calls (see _layout): the list may be appended to, not changed."""
+        out = self._layout(root, partial(_line, self._leaf_texts), self._laid_out)
         out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
         return out
 
     def sha256(self, root: int) -> str:
-        """circuit_sha256(self.formula(root)), straight from the layout."""
+        """circuit_sha256(self.formula(root)), from the lines of root."""
         text = "\n".join(self.lines(root)) + "\n"
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -572,8 +574,8 @@ def compile_evaluator(c: Circuit):
     with each non-int value taken through Fraction().  With a prime they lie
     in GF(prime): assigned values are reduced mod prime, each gate's values
     are reduced once, and rational constants are transported by frac_mod.
-    Each ring's constants are converted on its first run.  A variable missing
-    from columns raises UnassignedVariableError in both rings.
+    A variable missing from columns raises UnassignedVariableError in both
+    rings.
     """
     leaves = []     # (gate id, variable) per VAR gate
     consts = []     # (gate id, rational) per CONST gate
@@ -593,18 +595,14 @@ def compile_evaluator(c: Circuit):
                              (sum if is_add else prod) if len(g.args) > _NESTED_FANIN else None,
                              g.args, tuple(released.get(i, ()))))
 
-    tables: dict = {}   # prime (None: exact) -> ((gate id, constant in the ring), ...)
     size, out = len(c.gates), c.output
 
     def run(columns: Mapping[Var, Sequence], count: int, prime: int | None = None) -> list:
-        table = tables.get(prime)
-        if table is None:
-            table = tuple((i, frac_mod(q, prime) if prime is not None
-                           else int(q) if q.denominator == 1 else q) for i, q in consts)
-            tables[prime] = table   # only once complete: frac_mod may raise
         vals: list = [None] * size
         moduli = repeat(prime)
-        for i, q in table:
+        for i, q in consts:
+            q = (frac_mod(q, prime) if prime is not None
+                 else int(q) if q.denominator == 1 else q)
             vals[i] = [q] * count
         for i, v in leaves:
             try:
@@ -801,7 +799,7 @@ def _parse_lines(lines: Sequence[str], leaves: dict) -> Circuit:
             gates.append(Gate(g, args=args))
 
 
-def _gate_lines(lines: Sequence[str], leaves: dict, known: dict | None = None):
+def _gate_lines(lines: Sequence[str], leaves: dict):
     """The one line parser of circuit text.
 
     Yields (leaf gate, None) or (ADD or MUL, argument positions) per gate
@@ -809,15 +807,9 @@ def _gate_lines(lines: Sequence[str], leaves: dict, known: dict | None = None):
     position of the output).  leaves maps each leaf right-hand side parsed
     before to its gate; a line repeating one shares that gate.  Raises
     ValueError naming the line of the first malformed line.
-
-    Given known, a dict kept across the texts of one document, a gate line
-    written as gK at position K, after only such lines, is parsed once:
-    known maps its text to its position, id token and item.
     """
     id_map: dict = {}        # gate id token -> position
     output = None
-    canonical = known is not None
-    cached = known.get if canonical else None
 
     def refs(toks: list) -> list:
         try:
@@ -826,12 +818,6 @@ def _gate_lines(lines: Sequence[str], leaves: dict, known: dict | None = None):
             raise ValueError(f"reference to undefined gate {exc.args[0]!r}") from None
 
     for lineno, raw in enumerate(lines, start=1):
-        if canonical:
-            hit = cached(raw)
-            if hit is not None and hit[0] == len(id_map):
-                id_map[hit[1]] = hit[0]
-                yield hit[2:]
-                continue
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -872,12 +858,7 @@ def _gate_lines(lines: Sequence[str], leaves: dict, known: dict | None = None):
                     raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        pos = id_map[lhs] = len(id_map)
-        if canonical:
-            if num == str(pos):
-                known[raw] = pos, lhs, *item
-            else:
-                canonical = False
+        id_map[lhs] = len(id_map)
         yield item
     if output is None:
         raise ValueError("missing OUTPUT line")

@@ -45,7 +45,7 @@ from operator import mul
 
 from .circuit import Circuit, CircuitBuilder, expand
 from .gadget import AddressingGadget, t_for
-from .poly import SparsePoly, Var, _Accumulator
+from .poly import TERM_GUARD, ResourceLimitError, SparsePoly, Var, _Accumulator
 
 
 def uvar(i: int) -> Var:
@@ -233,12 +233,16 @@ def inverse_differences(k: int, beta) -> list:
 
 
 def _subset_sum_over(terms: list, beta, name: str, params: dict) -> InstanceBundle:
-    """sum(terms) - beta for terms 0/1 on the cube, refuted by sum_k alpha_k e_k(terms)."""
-    beta = Fraction(len(terms) + 1 if beta is None else beta)
-    alphas = inverse_differences(len(terms), beta)
+    """sum(terms) - beta for terms 0/1 on the cube, refuted by sum_k alpha_k e_k(terms):
+    2^m terms for m terms (every alpha_k is nonzero), so one over the guard is refused first."""
+    m = len(terms)
+    beta = Fraction(m + 1 if beta is None else beta)
+    alphas = inverse_differences(m, beta)
+    if 1 << m > TERM_GUARD:
+        raise ResourceLimitError(f"refutation of 2^{m} terms is over the dense-size guard")
     instance = sum(terms, SparsePoly.zero()) - beta
     # e[k] is the elementary symmetric polynomial e_k of the terms so far.
-    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(terms)
+    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * m
     for j, t in enumerate(terms, start=1):
         for k in range(j, 0, -1):
             e[k] = e[k] + t.multilinear_product(e[k - 1])

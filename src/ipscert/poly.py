@@ -606,17 +606,17 @@ class SparsePoly:
         return SparsePoly._raw(_gather(_from_numerators(out, da * db), unit), tab)
 
     def subset_masks(self, vars_) -> dict:
-        """Coefficients keyed by the set of positions in vars_ of each term's
-        variables, as a bitmask; the polynomial must be multilinear over
-        variables drawn from vars_."""
+        """Coefficients as stored (an int when integral, else a Fraction),
+        keyed by the set of positions in vars_ of each term's variables, as
+        a bitmask; the polynomial must be multilinear over variables drawn
+        from vars_."""
         offsets = self._tab.offsets
         bit = {1 << offsets[v]: 1 << k for k, v in enumerate(vars_) if v in offsets}
         try:
-            masks = _gather(self._t, bit)
+            return _gather(self._t, bit)
         except KeyError:
             raise ValueError(
                 "subset_masks needs a multilinear polynomial over the given variables") from None
-        return {mask: Fraction(c) for mask, c in masks.items()}
 
 
 def _gather(t: dict, bit: Mapping[int, int]) -> dict:

@@ -70,8 +70,8 @@ def rank_matrix(f: SparsePoly, p: Partition) -> list:
     multilinear polynomial, in ascending row.
 
     Row and column indices are the subset masks of the row-side and
-    column-side monomials; a row is {column: Fraction} over its nonzero
-    entries.
+    column-side monomials; a row is {column: int or Fraction} over its
+    nonzero entries, an int when integral.
     """
     if not f.is_multilinear():
         raise ValueError("rank matrix requires a multilinear polynomial")

@@ -217,10 +217,10 @@ class NullstellensatzCertificate:
         a fresh table as certificate_from_json reads a document, so that it
         lays out again as given.  The claimed metrics default to each
         cofactor's measure."""
-        table, leaves, known = CircuitBuilder(), {}, {}
+        table = CircuitBuilder()
 
         def read(c: Circuit) -> int:
-            return table.read(format_circuit(c).splitlines(), leaves, known)
+            return table.read(format_circuit(c).splitlines())
 
         axioms = tuple((label, ax if isinstance(ax, SparsePoly) else read(ax))
                        for label, ax in axioms)
@@ -301,10 +301,8 @@ def _json_object(pairs: list, pad: str) -> str:
 def certificate_to_json(cert: NullstellensatzCertificate) -> str:
     """The nullstellensatz-cert/1 document, byte for byte as json.dumps(doc,
     indent=2) writes it, each circuit written straight from the table."""
-    table, memo = cert.table, {}
-
     def circuit(root: int, pad: str) -> str:
-        return _json_list(list(map(_str, table.lines(root, memo))), pad)
+        return _json_list(list(map(_str, cert.table.lines(root))), pad)
 
     axioms = [_json_object([("label", _str(label)),
                             ("poly", _str(format_poly(ax))) if isinstance(ax, SparsePoly)
@@ -341,10 +339,10 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "nullstellensatz-cert/1":
         raise ValueError("not a certificate document")
-    table, leaves, known = CircuitBuilder(), {}, {}
+    table = CircuitBuilder()
 
     def read(lines: list) -> int:
-        return table.read(_text_lines(lines), leaves, known)
+        return table.read(_text_lines(lines))
 
     axioms = []
     for k, ax in enumerate(_field(doc, "axioms", kind=list)):

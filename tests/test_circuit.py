@@ -310,8 +310,7 @@ def test_syntactic_multilinearity():
 
 def reader(b: CircuitBuilder):
     """Read circuits into b through their text, as one document's are read."""
-    leaves, known = {}, {}
-    return lambda c: b.read(format_circuit(c).splitlines(), leaves, known)
+    return lambda c: b.read(format_circuit(c).splitlines())
 
 
 def test_read_gives_equal_subtrees_across_circuits_one_id():
@@ -346,7 +345,7 @@ def test_read_never_merges_different_leaves_or_gates():
 def test_read_keys_constants_by_exact_value():
     b = CircuitBuilder()
     read = reader(b)
-    half = b.read(["g0 = CONST 2/4", "OUTPUT g0"], {}, {})
+    half = b.read(["g0 = CONST 2/4", "OUTPUT g0"])
     assert read(cconst(Fraction(1, 2))) == half
     assert read(cconst(Fraction(-1, 2))) != half
 
@@ -430,7 +429,7 @@ def test_gate_ids_are_ascii_digits(lhs):
     with pytest.raises(ValueError, match=f"^line 1: bad gate id '{lhs}'$"):
         parse_circuit(text)
     with pytest.raises(ValueError, match=f"^line 1: bad gate id '{lhs}'$"):
-        CircuitBuilder().read(text.splitlines(), {}, {})
+        CircuitBuilder().read(text.splitlines())
 
 
 def mangled(rng: random.Random, text: str) -> str:
@@ -481,9 +480,9 @@ def parsed_outcome(text: str) -> tuple:
         return "error", str(exc)
 
 
-def read_outcome(b: CircuitBuilder, leaves: dict, known: dict, text: str) -> tuple:
+def read_outcome(b: CircuitBuilder, text: str) -> tuple:
     try:
-        i = b.read(text.splitlines(), leaves, known)
+        i = b.read(text.splitlines())
     except ValueError as exc:
         return "error", str(exc)
     text = "\n".join(b.lines(i)) + "\n"
@@ -492,12 +491,12 @@ def read_outcome(b: CircuitBuilder, leaves: dict, known: dict, text: str) -> tup
 
 
 def test_read_and_parse_circuit_agree_on_malformed_texts():
-    # Groups of texts share one table and its caches, so lines read before
-    # (canonical formula lines above all) are read again from the cache.
+    # Groups of texts share one table and its caches, so leaf texts read
+    # before are read again from the cache, and layouts made before reused.
     rng = random.Random(9107)
     outcomes = {"ok": 0, "error": 0}
     for _ in range(200):
-        b, leaves, known = CircuitBuilder(), {}, {}
+        b = CircuitBuilder()
         for _ in range(10):
             pick = rng.random()
             if pick < 0.6:
@@ -509,25 +508,24 @@ def test_read_and_parse_circuit_agree_on_malformed_texts():
                                             GadgetLedger(()))
             text = mangled(rng, format_circuit(c))
             want = parsed_outcome(text)
-            assert read_outcome(b, leaves, known, text) == want, text
+            assert read_outcome(b, text) == want, text
             outcomes[want[0]] += 1
     assert outcomes["ok"] > 500 and outcomes["error"] > 500
 
 
 def test_read_hash_conses_post_order_formulas_and_keeps_other_circuits():
-    b, leaves, known = CircuitBuilder(), {}, {}
+    b = CircuitBuilder()
     tree = "g0 = VAR x1\ng1 = CONST 2/4\ng2 = MUL g0 g1\ng3 = VAR x1\ng4 = ADD g2 g3\nOUTPUT g4\n"
     dag = "g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\ng3 = ADD g2 g2\nOUTPUT g3\n"
     shuffled = "g0 = CONST 1/2\ng1 = VAR x1\ng2 = MUL g1 g0\nOUTPUT g2\n"
-    t = b.read(tree.splitlines(), leaves, known)
+    t = b.read(tree.splitlines())
     size = len(b._gates)
     assert size == 4                                  # x1 once, 1/2 once
-    assert b.read(tree.splitlines(), leaves, known) == t and len(b._gates) == size
-    sub = b.read("g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\nOUTPUT g2\n".splitlines(),
-                 leaves, known)
+    assert b.read(tree.splitlines()) == t and len(b._gates) == size
+    sub = b.read("g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\nOUTPUT g2\n".splitlines())
     assert sub == b.gate(t).args[0] and len(b._gates) == size
     for text in (tree, dag, shuffled):
-        i = b.read(text.splitlines(), leaves, known)
+        i = b.read(text.splitlines())
         assert "\n".join(b.lines(i)) + "\n" == format_circuit(parse_circuit(text))
     assert len(b._gates) == size + 4 + 3              # the DAG and the shuffled text kept
 
@@ -571,7 +569,7 @@ def test_metrics_and_layout_of_a_3000_deep_chain_do_not_recurse():
     for i in (root, top):
         assert b.metrics(i) == measure(b.formula(i))
     assert measure(b.formula(root)).depth == 3001
-    t, leaves, known = CircuitBuilder(), {}, {}
-    i = t.read(b.lines(top), leaves, known)
+    t = CircuitBuilder()
+    i = t.read(b.lines(top))
     assert t.metrics(i) == b.metrics(top) and t.lines(i) == b.lines(top)
     assert t.expand(i) == expand(b.formula(top))

@@ -194,6 +194,23 @@ def test_funcref_past_the_guard_exits_2_at_once(capsys):
     assert captured.out == "" and "over the dense-size guard" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["instance", "--family", "subset-sum", "--n", "25"],
+    ["funcref", "--family", "lifted-subset-sum", "--n", "8"],
+])
+def test_subset_sum_refutation_past_the_guard_exits_2_at_once(tmp_path, capsys, argv):
+    # 25 terms, and 28 lifted pair terms at n = 8: the refutation has 2^25
+    # and 2^28 terms, refused before any is formed.
+    if argv[0] == "instance":
+        argv = argv + ["--out", str(tmp_path / "ss")]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the dense-size guard" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_one_parser_serves_every_call_of_main(monkeypatch):
     argv_list = [["rank", "--n"],
                  ["--help"],

@@ -46,7 +46,8 @@ from ipscert.instances import (
     vvar,
     wvar,
 )
-from ipscert.poly import SparsePoly, UnassignedVariableError, Var, format_poly
+from ipscert import instances
+from ipscert.poly import ResourceLimitError, SparsePoly, UnassignedVariableError, Var, format_poly
 from ipscert.verify import DEFAULT_PIT_PRIME, boolean_image, boolean_image_poly
 
 U = {i: SparsePoly.variable(uvar(i)) for i in range(1, 9)}
@@ -259,6 +260,21 @@ def test_subset_sum_rejects_achievable_beta():
     for beta in (0, 1, 3, 7):
         with pytest.raises(ValueError, match="satisfiable"):
             subset_sum(7, beta)
+
+
+def test_subset_sum_refutation_over_the_guard_is_refused_before_any_e_k(monkeypatch):
+    # The refutation over m terms has exactly 2^m terms.
+    monkeypatch.setattr(instances, "TERM_GUARD", 1 << 10)
+    assert len(subset_sum(10).refutation_poly()) == 1 << 10
+
+    def formed(*args):
+        raise AssertionError("an e_k was formed")
+
+    monkeypatch.setattr(SparsePoly, "multilinear_product", formed)
+    with pytest.raises(ResourceLimitError, match=r"2\^11 terms is over the dense-size guard"):
+        subset_sum(11)
+    with pytest.raises(ValueError, match="satisfiable"):
+        subset_sum(11, 3)
 
 
 def test_subset_sum_unsat_spot_check():

@@ -84,6 +84,17 @@ def test_rank_matrix_sum_case():
     assert exact_rank(m) == 2
 
 
+def test_rank_matrix_keeps_integral_entries_as_ints():
+    p = Partition.parse("u1|u2")
+    f = U[1] + U[2]
+    masks = f.subset_masks(p.y_side + p.z_side)
+    entries = [c for row in rank_matrix(f, p) for c in row.values()]
+    assert sorted(masks.values()) == entries == [1, 1]
+    assert all(type(c) is int for c in [*masks.values(), *entries])
+    half = (f * Fraction(1, 2)).subset_masks(p.y_side + p.z_side)
+    assert all(type(c) is Fraction for c in half.values())
+
+
 def test_rank_matrix_rejects_nonmultilinear():
     p = Partition.parse("u1|u2")
     with pytest.raises(ValueError, match="multilinear"):

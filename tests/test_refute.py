@@ -15,6 +15,7 @@ from ipscert.circuit import (
     CircuitBuilder,
     cadd,
     cconst,
+    circuit_sha256,
     cmul,
     cvar,
     expand,
@@ -458,6 +459,39 @@ def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed
         for table, roots in ((cert.table, cert.cofactors), (again.table, again.cofactors)):
             assert tuple(table.metrics(r) for r in roots) == cert.claimed_metrics == tuple(
                 measure(table.formula(r)) for r in roots)
+
+
+def circuit_roots(cert) -> list:
+    """The root ids of the certificate's circuits: axioms, then cofactors."""
+    return [r for _, r in cert.axioms if not isinstance(r, SparsePoly)] + list(cert.cofactors)
+
+
+def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
+    # A table keeps every layout lines() makes and reuses it in later lines()
+    # and sha256() calls: the text of a root must not depend on which roots
+    # were laid out before it, in a table read from text or assembled.
+    def certs():
+        yield from (assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::4])
+        yield from pinned_certificates()
+
+    for cert, assembled in zip(certs(), certs()):
+        text = certificate_to_json(cert)
+        hashed, one, two = (certificate_from_json(text) for _ in range(3))
+        for r in circuit_roots(hashed):
+            assert hashed.table.sha256(r) == circuit_sha256(hashed.table.formula(r))
+        roots = circuit_roots(one)
+        forward = [one.table.lines(r) for r in roots]
+        backward = [two.table.lines(r) for r in reversed(roots)][::-1]
+        assert forward == backward == [cert.table.lines(r) for r in circuit_roots(cert)]
+        assert forward == [assembled.table.lines(r)
+                           for r in reversed(circuit_roots(assembled))][::-1]
+        # f', the first argument of axiom 0, as check_claims lays it out.
+        fprime = [t.table.lines(t.table.gate(t.axioms[0][1]).args[0]) for t in (one, assembled)]
+        assert fprime[0] == fprime[1] == format_circuit(
+            one.table.formula(one.table.gate(roots[0]).args[0])).splitlines()
+        for r, lines in zip(roots, forward):
+            assert lines == format_circuit(one.table.formula(r)).splitlines()
+            assert two.table.sha256(r) == circuit_sha256(two.table.formula(r))
 
 
 def test_certificate_json_of_empty_lists_and_escaped_labels():
