@@ -150,8 +150,9 @@ class CircuitBuilder:
     keep() adds more starting gates; intern() adds composed gates
     hash-consed (Filliatre & Conchon, ML 2006): one id per structure.
     read() lays circuit text in, through one or the other.  A root id is
-    laid out as a standalone formula by formula(), and by lines() and
-    sha256() through one memo; it is measured and expanded without that.
+    laid out as a standalone formula by formula() and as text by lines(),
+    whose layouts sha256() and later lines() calls reuse; it is measured
+    and expanded without being laid out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
