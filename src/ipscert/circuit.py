@@ -54,6 +54,10 @@ ADD = "ADD"
 MUL = "MUL"
 
 
+# The start of the right-hand side of an ADD or MUL line as lines() writes it.
+_WRITTEN_KINDS = {f"{kind} ": kind for kind in (ADD, MUL)}
+
+
 class Gate:
     """One gate: VAR(var), CONST(value), ADD(args) or MUL(args)."""
 
@@ -160,7 +164,7 @@ class CircuitBuilder:
         self._starting: set = set(range(len(self._gates)))
         self._subcircuits: dict = {}   # starting gate id -> subcircuit
         self._shared: dict = {}        # structural key -> id of a shared gate
-        self._leaf_ids: dict = {}      # leaf gate object -> its hash-consed id
+        self._leaf_ids: dict = {}      # leaf right-hand side written -> its id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
         self._leaves: dict = {}        # leaf right-hand side read -> its gate
         self._leaf_texts: dict = {}    # leaf gate -> its text after the gate id
@@ -210,41 +214,60 @@ class CircuitBuilder:
 
     def read(self, lines: Sequence[str]) -> int:
         """The id of the circuit whose text lines are given, read like
-        parse_circuit (same errors) and laid out again as the same text: a
-        formula written in post-order is hash-consed, any other circuit
-        kept.  Each distinct leaf text is parsed once per table."""
-        i = self._intern_formula(_gate_lines(lines, self._leaves))
+        parse_circuit (same errors) and laid out again as the same text.
+
+        The exact text that lines() writes (see _read_written) is hash-consed;
+        any other valid text is kept as written, even a formula written in
+        post-order with another spelling: it lays out and measures the same,
+        only the table holds more gates.  Each distinct leaf text is parsed
+        once per table."""
+        i = self._read_written(lines)
         return self.keep(_parse_lines(lines, self._leaves)) if i is None else i
 
-    def _intern_formula(self, items) -> int | None:
-        """Hash-cons a circuit given as _gate_lines items and return its
-        output's id, if it is a formula written in post-order: the arguments
-        of each gate are, in order, the last gates written that no gate has
-        used yet, and the output is the one gate left unused at the end.
-        Its formula layout is then the circuit itself.  Otherwise None."""
-        leaf_id, get = self._leaf_ids.get, self._shared.get
-        ids: list = []       # position in the circuit -> id
-        unused: list = []    # positions no gate has used yet, in order
-        keep, push = ids.append, unused.append
-        for g, args in items:
-            if args is None:
-                i = leaf_id(g)
-                if i is None:
-                    i = self._leaf_ids[g] = self.intern(_leaf_key(g), g)
-            elif g is None:
-                return ids[args] if unused == [args] else None
-            else:
-                k = -len(args)
-                if unused[k:] != args:
-                    return None
-                del unused[k:]
-                key = g, tuple([ids[a] for a in args])
-                i = get(key)
-                if i is None:
-                    i = self.intern(key)
-            push(len(ids))
-            keep(i)
-        return None
+    def _read_written(self, lines: Sequence[str]) -> int | None:
+        """Hash-cons the text that lines() writes and return its root's id,
+        in one pass; None for any other text, which may then be partly read.
+
+        That text has three rules: line p is "g<p> = KIND operands" with
+        single spaces; each ADD or MUL names exactly the gates on top of the
+        post-order stack (the gates written that no gate has used yet); the
+        last line is "OUTPUT g<p-1>", with one root left on the stack.  A
+        leaf line's right-hand side maps to its id; the first time one
+        appears, _gate_lines parses it and the line must be the line that
+        lines() writes of its gate.
+        """
+        leaf_ids, shared = self._leaf_ids, self._shared
+        ids: list = []       # ids of the gates on the stack, in order
+        names: list = []     # their names, as the text writes them
+        for p, line in enumerate(lines[:-1]):
+            name = f"g{p}"
+            head, _, rhs = line.partition(" = ")
+            if head != name:
+                return None
+            i = leaf_ids.get(rhs)
+            if i is None:
+                kind = _WRITTEN_KINDS.get(rhs[:4])
+                if kind is not None:
+                    ops = rhs[4:].split(" ")
+                    k = len(ops)
+                    if ops != names[-k:]:
+                        return None
+                    key = kind, tuple(ids[-k:])
+                    del ids[-k:], names[-k:]
+                    i = shared.get(key)
+                    if i is None:
+                        i = self.intern(key)
+                else:
+                    try:
+                        g, _ = next(_gate_lines((line,), self._leaves))
+                    except ValueError:
+                        return None
+                    if _line(self._leaf_texts, p, g, ()) != line:
+                        return None
+                    i = leaf_ids[rhs] = self.intern(_leaf_key(g), g)
+            ids.append(i)
+            names.append(name)
+        return ids[0] if len(ids) == 1 and lines[-1] == "OUTPUT " + names[0] else None
 
     def prod(self, ids: Iterable[int]) -> int:
         """Flat product folding literal 1s; a literal 0 collapses to CONST 0.

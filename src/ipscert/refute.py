@@ -327,9 +327,10 @@ _field = partial(json_field, "certificate document")
 def _text_lines(lines: list) -> list:
     """The text lines of the circuit whose lines a JSON list holds: the list
     itself unless some string holds a line break."""
-    if not all(isinstance(s, str) for s in lines):
-        raise ValueError("not a list of strings")
-    split = "\n".join(lines).splitlines()
+    try:
+        split = "\n".join(lines).splitlines()
+    except TypeError:
+        raise ValueError("not a list of strings") from None
     return lines if split == lines else split
 
 

@@ -12,7 +12,8 @@ gate it reaches once; nothing is kept from one root to the next.
 
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
-happens with probability at most total-degree/prime per trial; a genuinely
+happens with probability at most D/prime per trial, D the identity's formal
+degree (Schwartz-Zippel), so a prime at or below D is refused; a genuinely
 valid certificate is never rejected.  The identity is one circuit,
 ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...), over the
 certificate's gate table (hash-consed when read from a document), run
@@ -49,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .circuit import (ADD, CONST, Circuit, circuit_sha256, compile_evaluator, expand,
+from .circuit import (ADD, CONST, VAR, Circuit, circuit_sha256, compile_evaluator, expand,
                       poly_to_circuit)
 from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
                    frac_mod, parse_var)
@@ -270,19 +271,49 @@ def _pairs(cert: NullstellensatzCertificate):
         yield cf
 
 
+def _identity(cert: NullstellensatzCertificate) -> Circuit:
+    """ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...) over a
+    copy of the certificate's table, as a standalone circuit."""
+    b = cert.table.copy()
+    ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
+    products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
+    return b.subcircuit(b.add(products) if products else b.const(0))
+
+
+def _formal_degree(c: Circuit) -> int:
+    """The formal degree of c, in one pass over its gates: a VAR has 1, a
+    CONST 0, an ADD the max of its arguments', a MUL their sum.  It bounds
+    the total degree of the polynomial c computes from above."""
+    degree: list = []
+    for g in c.gates:
+        if g.op == VAR:
+            degree.append(1)
+        elif g.op == CONST:
+            degree.append(0)
+        elif g.op == ADD:
+            degree.append(max([degree[a] for a in g.args]))
+        else:
+            degree.append(sum([degree[a] for a in g.args]))
+    return degree[c.output]
+
+
 def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -> VerifyReport:
     """Probabilistic identity check at cfg.trials seeded points mod cfg.prime.
 
     The identity circuit is compiled once and run once, over all trials as
     one batch; the report names the first failing trial, and work still
     counts two evaluations (axiom and cofactor) per pair and trial up to it.
+    Raises ValueError when cfg.prime is at most the identity's formal degree
+    D, where the Schwartz-Zippel bound D/prime per trial promises nothing.
     """
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
-    b = cert.table.copy()
-    ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
-    products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
-    identity = b.subcircuit(b.add(products) if products else b.const(0))
+    identity = _identity(cert)
+    degree = _formal_degree(identity)
+    if cfg.prime <= degree:
+        raise ValueError(f"--prime {cfg.prime} is not above {degree}, the formal degree of "
+                         "the identity, so a false identity could pass every trial")
+    evaluations = 2 * len(cert.cofactors)
     ordered = identity.variables()
     points = []
     for trial in range(cfg.trials):
@@ -299,11 +330,11 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
                 "refuted",
                 detail=f"identity failed at trial {trial} mod {cfg.prime}",
                 witness=dict(zip(ordered, points[trial])),
-                work={"evaluations": len(ids) * (trial + 1), "trials": trial + 1})
+                work={"evaluations": evaluations * (trial + 1), "trials": trial + 1})
     return VerifyReport(
         "verified-probabilistic",
         detail=f"{cfg.trials} trials mod {cfg.prime}",
-        work={"evaluations": len(ids) * cfg.trials, "trials": cfg.trials})
+        work={"evaluations": evaluations * cfg.trials, "trials": cfg.trials})
 
 
 def _bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -345,9 +346,12 @@ def test_read_never_merges_different_leaves_or_gates():
 def test_read_keys_constants_by_exact_value():
     b = CircuitBuilder()
     read = reader(b)
-    half = b.read(["g0 = CONST 2/4", "OUTPUT g0"])
-    assert read(cconst(Fraction(1, 2))) == half
+    half = b.read(["g0 = CONST 1/2", "OUTPUT g0"])
+    assert read(cconst(Fraction(2, 4))) == half
     assert read(cconst(Fraction(-1, 2))) != half
+    assert hash(-1) == hash(-2) and read(cconst(-1)) != read(cconst(-2))
+    kept = b.read(["g0 = CONST 2/4", "OUTPUT g0"])   # not as lines() writes it
+    assert kept != half and b.lines(kept) == b.lines(half)
 
 
 def test_read_copies_compute_the_same_polynomials():
@@ -515,7 +519,7 @@ def test_read_and_parse_circuit_agree_on_malformed_texts():
 
 def test_read_hash_conses_post_order_formulas_and_keeps_other_circuits():
     b = CircuitBuilder()
-    tree = "g0 = VAR x1\ng1 = CONST 2/4\ng2 = MUL g0 g1\ng3 = VAR x1\ng4 = ADD g2 g3\nOUTPUT g4\n"
+    tree = "g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\ng3 = VAR x1\ng4 = ADD g2 g3\nOUTPUT g4\n"
     dag = "g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\ng3 = ADD g2 g2\nOUTPUT g3\n"
     shuffled = "g0 = CONST 1/2\ng1 = VAR x1\ng2 = MUL g1 g0\nOUTPUT g2\n"
     t = b.read(tree.splitlines())
@@ -524,10 +528,11 @@ def test_read_hash_conses_post_order_formulas_and_keeps_other_circuits():
     assert b.read(tree.splitlines()) == t and len(b._gates) == size
     sub = b.read("g0 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g0 g1\nOUTPUT g2\n".splitlines())
     assert sub == b.gate(t).args[0] and len(b._gates) == size
-    for text in (tree, dag, shuffled):
+    respelled = tree.replace("1/2", "2/4")
+    for text in (tree, dag, shuffled, respelled):
         i = b.read(text.splitlines())
         assert "\n".join(b.lines(i)) + "\n" == format_circuit(parse_circuit(text))
-    assert len(b._gates) == size + 4 + 3              # the DAG and the shuffled text kept
+    assert len(b._gates) == size + 4 + 3 + 5          # the other three texts kept
 
 
 def chain(depth: int) -> Circuit:
@@ -573,3 +578,78 @@ def test_metrics_and_layout_of_a_3000_deep_chain_do_not_recurse():
     i = t.read(b.lines(top))
     assert t.metrics(i) == b.metrics(top) and t.lines(i) == b.lines(top)
     assert t.expand(i) == expand(b.formula(top))
+
+
+def written_lines(c: Circuit) -> list:
+    """The lines lines() writes of c laid out as a formula: c's gates built
+    as composed gates, so a shared gate is written again at each use."""
+    b = CircuitBuilder()
+    ids: list = []
+    for g in c.gates:
+        ids.append(b._push(g) if g.is_leaf() else
+                   (b.add if g.op == "ADD" else b.mul)([ids[a] for a in g.args]))
+    return b.lines(ids[c.output])
+
+
+def respellings(rng: random.Random, lines: list) -> list:
+    """Valid texts of the same circuit that lines() would not write: a
+    double space, a tab, a trailing comment, and g5 renamed g05 together
+    with its references."""
+    k = rng.randrange(len(lines) - 1)
+
+    def at_k(line: str) -> list:
+        return lines[:k] + [line] + lines[k + 1:]
+
+    texts = [at_k(lines[k].replace(" = ", " =  ", 1)),
+             at_k(lines[k].replace(" ", "\t", 1)),
+             at_k(lines[k] + " # c")]
+    if len(lines) > 6:
+        texts.append([re.sub(r"\bg5\b", "g05", line) for line in lines])
+    return texts
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["formula", "dag", "shuffled"]))
+def test_read_lays_out_and_measures_like_parse_circuit(seed, kind):
+    rng = random.Random(seed)
+    if kind == "formula":
+        c = random_layered_formula(rng, max_nodes=rng.randint(3, 30), n_vars=4)
+    elif kind == "dag":
+        c = random_dag_circuit(rng, n_gates=rng.randint(4, 16))
+    else:
+        c, _ = shuffled_topological(rng, random_dag_circuit(rng, n_gates=10),
+                                    GadgetLedger(()))
+    b = CircuitBuilder()
+    text = format_circuit(c)
+    i = b.read(text.splitlines())
+    parsed = parse_circuit(text)
+    assert "\n".join(b.lines(i)) + "\n" == format_circuit(parsed)
+    assert b.metrics(i) == measure(parsed)
+    # The text lines() writes is hash-consed: read again, it adds no gate.
+    written = written_lines(c)
+    w = b.read(written)
+    size = len(b._gates)
+    assert w not in b._starting and b.lines(w) == written
+    assert b.read(list(written)) == w and len(b._gates) == size
+    # Respelled, it is kept as written, and lays out and measures the same.
+    for lines in respellings(rng, written):
+        r = b.read(lines)
+        assert r in b._starting
+        assert b.lines(r) == written and b.metrics(r) == b.metrics(w)
+
+
+@pytest.mark.parametrize("text", [
+    "g0 = VAR x1\ng1 = VAR x2\ng2 = MUL g0 g1\ng3 = ADD g2 g2\nOUTPUT g3\n",   # a DAG
+    "g0 = VAR x1\ng1 = VAR x2\nOUTPUT g1\n",                                # two roots
+    "g0 = VAR x1\ng1 = VAR x2\ng2 = ADD g0 g1\nOUTPUT g2\ng3 = VAR x3\n",    # after OUTPUT
+    "g0 = VAR x1\ng1 = VAR x2\ng2 = ADD g0 g1\nOUTPUT g1\n",                 # not the last
+    "g0 = CONST 1/0\nOUTPUT g0\n",                                          # malformed leaf
+    "g0 = VAR x1\ng1 = VAR x2\ng2 = ADD g0 g7\nOUTPUT g2\n",                 # undefined
+])
+def test_canonical_looking_texts_leave_the_written_reader(text):
+    b = CircuitBuilder()
+    b.read(written_lines(cadd(cmul(cvar(X1), cvar(X2)), cconst(Fraction(1, 2)))))
+    want = parsed_outcome(text)
+    assert read_outcome(b, text) == want
+    if want[0] == "ok":
+        assert b.read(text.splitlines()) in b._starting

@@ -13,6 +13,7 @@ from ipscert import verify as verify_module
 from ipscert.circuit import (
     Circuit,
     CircuitBuilder,
+    as_circuit,
     cadd,
     cconst,
     cmul,
@@ -36,6 +37,8 @@ from ipscert.verify import (
     DEFAULT_PIT_PRIME,
     PitConfig,
     VerifyReport,
+    _formal_degree,
+    _identity,
     boolean_image,
     boolean_image_poly,
     check_claims,
@@ -165,6 +168,51 @@ def test_pit_denominator_divisible_by_prime():
     report = verify_pit(NullstellensatzCertificate.of(axioms, cofactors), PitConfig(prime=3, trials=1))
     assert report.verdict == "error"
     assert "denominator" in report.detail and "3" in report.detail
+
+
+def ci_chain_certificate() -> NullstellensatzCertificate:
+    """The certificate the CI chain refutes x1*(x2 + x3) + x4 with."""
+    x3, x4 = Var("x", 3), Var("x", 4)
+    c = cadd(cmul(cvar(X1), cadd(cvar(X2), cvar(x3))), cvar(x4))
+    return assemble_refutation(*gadgetize(normalize_layered(c)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
+    # q (x1^2 - x1) = x1^p - x1 for q = sum_{j < p-1} x1^j: added to x1's
+    # cofactor, it leaves a residual that vanishes at every point of GF(p).
+    cert = ci_chain_certificate()
+    assert _formal_degree(_identity(cert)) == 12
+    axioms, cofactors = laid_out(cert)
+    k = [label for label, _ in axioms].index("x1^2-x1")
+    x, q, power = SparsePoly.variable(X1), SparsePoly.constant(0), SparsePoly.constant(1)
+    for _ in range(p - 1):
+        q, power = q + power, power * x
+    cofactors[k] = cadd(cofactors[k], poly_to_circuit(q))
+    forged = NullstellensatzCertificate.of(axioms, cofactors,
+                                           instance_sha256=cert.instance_sha256,
+                                           shift=cert.shift)
+    assert check_claims(forged) is None
+    assert verify_exact(forged).verdict == "refuted"
+    with pytest.raises(ValueError, match=f"^--prime {p} is not above 1[0-9], the formal degree"):
+        verify_pit(forged, PitConfig(prime=p, trials=50))
+    assert verify_pit(forged).verdict == "refuted"
+    with pytest.raises(ValueError, match="^--prime 11 is not above 12"):
+        verify_pit(cert, PitConfig(prime=11))
+    assert verify_pit(cert, PitConfig(prime=13)).verdict == "verified-probabilistic"
+
+
+def test_formal_degree_bounds_the_identity_degree(transformed01):
+    rng = random.Random(29)
+    for k, (_, cp, ledger) in enumerate(transformed01[::10]):
+        cert = assemble_refutation(cp, ledger)
+        for c in (cert, mutate_certificate(rng, cert, seed=k)):
+            identity = _identity(c)
+            assert _formal_degree(identity) >= expand(identity).total_degree()
+            axioms, cofactors = laid_out(c)
+            for (_, ax), cf in zip(axioms, cofactors):
+                pair = cmul(as_circuit(ax), cf)
+                assert _formal_degree(pair) >= expand(pair).total_degree()
 
 
 def reference_pit(axioms, cofactors, cfg):
