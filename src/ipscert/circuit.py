@@ -139,9 +139,6 @@ class Circuit:
         seen = {g.var for g in self.gates if g.op == VAR}
         return tuple(sorted(seen, key=lambda v: v._key))
 
-    def constants(self) -> frozenset:
-        return frozenset(g.const for g in self.gates if g.op == CONST)
-
     def __repr__(self):
         return f"Circuit({len(self.gates)} gates, output g{self.output})"
 
@@ -154,9 +151,10 @@ class CircuitBuilder:
     keep() adds more starting gates; intern() adds composed gates
     hash-consed (Filliatre & Conchon, ML 2006): one id per structure.
     read() lays circuit text in, through one or the other.  A root id is
-    laid out as a standalone formula by formula() and as text by lines(),
-    whose layouts sha256() and later lines() calls reuse; it is measured
-    and expanded without being laid out.
+    laid out as a standalone formula in one form, its text lines(), whose
+    layouts later lines() calls reuse; sha256() hashes that text and
+    formula() reads it back.  A root is measured and expanded without being
+    laid out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -168,7 +166,7 @@ class CircuitBuilder:
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
         self._leaves: dict = {}        # leaf right-hand side read -> its gate
         self._leaf_texts: dict = {}    # leaf gate -> its text after the gate id
-        self._laid_out: dict = {}      # the layout memo of lines() (see _layout)
+        self._laid_out: dict = {}      # the layout memo of lines()
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -220,13 +218,23 @@ class CircuitBuilder:
         any other valid text is kept as written, even a formula written in
         post-order with another spelling: it lays out and measures the same,
         only the table holds more gates.  Each distinct leaf text is parsed
-        once per table."""
+        once per table.  A text the written reader refuses partway leaves
+        the table as it found it before it is kept."""
+        size = len(self._gates)
+        marks = [(keys, len(keys)) for keys in (self._shared, self._leaf_ids)]
         i = self._read_written(lines)
-        return self.keep(_parse_lines(lines, self._leaves)) if i is None else i
+        if i is not None:
+            return i
+        del self._gates[size:]
+        for keys, mark in marks:
+            while len(keys) > mark:
+                keys.popitem()       # the entries the reader added are the last
+        return self.keep(_parse_lines(lines, self._leaves))
 
     def _read_written(self, lines: Sequence[str]) -> int | None:
         """Hash-cons the text that lines() writes and return its root's id,
-        in one pass; None for any other text, which may then be partly read.
+        in one pass; None for any other text, which may then be partly read
+        (read() drops what it read).
 
         That text has three rules: line p is "g<p> = KIND operands" with
         single spaces; each ADD or MUL names exactly the gates on top of the
@@ -292,16 +300,15 @@ class CircuitBuilder:
         return kept[0] if len(kept) == 1 else self.add(kept)
 
     def poly(self, p: SparsePoly) -> int:
-        """Sum-of-products gates for a polynomial (terms in canonical order)."""
+        """Sum-of-products gates for a polynomial, pushed in written order:
+        the terms in canonical order, each its coefficient (left out when 1
+        and the term has a variable), its variables once per power, then
+        their product; then the sum."""
         terms = []
         for m, c in p.items():
-            factors = [self.var(v) for v, e in m for _ in range(e)]
-            if not factors:
-                terms.append(self.const(c))
-            elif c == 1:
-                terms.append(self.prod(factors))
-            else:
-                terms.append(self.mul([self.const(c)] + factors))
+            factors = [self.const(c)] if c != 1 or not m else []
+            factors += [self.var(v) for v, e in m for _ in range(e)]
+            terms.append(factors[0] if len(factors) == 1 else self.mul(factors))
         return self.sum(terms)
 
     def gate(self, i: int) -> Gate:
@@ -324,20 +331,22 @@ class CircuitBuilder:
             self._subcircuits[i] = _compact(self._gates, i)
         return self._subcircuits[i]
 
-    def _layout(self, root: int, item, memo: dict | None = None) -> list:
-        """root laid out as a standalone formula, without recursion: the
-        list of item(position, gate, argument positions) for its gates, in
-        order, a position counting the gates before.
+    def lines(self, root: int) -> list:
+        """The text lines of root laid out as a standalone formula, without
+        recursion: each gate's line, a position counting the gates before,
+        then the OUTPUT line.
 
         A composed gate is copied at each use, children first in argument
         order.  A starting gate brings its subcircuit (see subcircuit): the
         starting gates it reaches, in id order.
 
-        memo, kept across the roots of one table with one item function,
-        maps (gate id, position) to the list and end of a layout made
-        before: a gate laid out again at the same position takes that slice.
+        The table keeps a layout memo across its roots: (gate id, position)
+        maps to the list and end of a layout made before, and a gate laid
+        out again at the same position takes that slice.  The list returned
+        is shared with the memo: it may be appended to, not changed.
         """
-        gates, starting = self._gates, self._starting
+        gates, starting, memo = self._gates, self._starting, self._laid_out
+        line = partial(_line, self._leaf_texts)
         out: list = []
         done: list = []          # positions of the laid-out children, in order
         opened: list = []        # positions where the open composed gates start
@@ -348,45 +357,32 @@ class CircuitBuilder:
             if i < 0:
                 g = gates[~i]
                 k = len(g.args)
-                out.append(item(n, g, done[-k:]))
+                out.append(line(n, g, done[-k:]))
                 done[-k:] = [n]
-                start = opened.pop()
-                if memo is not None:
-                    memo[~i, start] = out, n + 1
+                memo[~i, opened.pop()] = out, n + 1
                 continue
-            if memo is not None:
-                hit = memo.get((i, n))
-                if hit is not None:
-                    out += hit[0][n:hit[1]]
-                    done.append(hit[1] - 1)
-                    continue
-            if i in starting:
-                out += [item(n + j, g, [n + a for a in g.args] if g.args else ())
+            hit = memo.get((i, n))
+            if hit is not None:
+                out += hit[0][n:hit[1]]
+                done.append(hit[1] - 1)
+            elif i in starting:
+                out += [line(n + j, g, [n + a for a in g.args])
                         for j, g in enumerate(self._subcircuit(i).gates)]
                 done.append(len(out) - 1)
-                if memo is not None:
-                    memo[i, n] = out, len(out)
+                memo[i, n] = out, len(out)
             elif gates[i].args:
                 opened.append(n)
                 todo.append(~i)
                 todo.extend(reversed(gates[i].args))
             else:
-                out.append(item(n, gates[i], ()))
+                out.append(line(n, gates[i], ()))
                 done.append(n)
+        out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
         return out
 
     def formula(self, root: int) -> Circuit:
-        """root laid out as a standalone formula (see _layout)."""
-        gates = self._layout(root, lambda n, g, args: Gate(g.op, args=args) if args else g)
-        return Circuit(gates, len(gates) - 1)
-
-    def lines(self, root: int) -> list:
-        """The text lines of format_circuit(self.formula(root)), straight
-        from the layout.  The table keeps the layout as a memo for later
-        calls (see _layout): the list may be appended to, not changed."""
-        out = self._layout(root, partial(_line, self._leaf_texts), self._laid_out)
-        out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
-        return out
+        """root laid out as a standalone formula: its lines() read back."""
+        return _parse_lines(self.lines(root), self._leaves)
 
     def sha256(self, root: int) -> str:
         """circuit_sha256(self.formula(root)), from the lines of root."""
@@ -767,9 +763,9 @@ def csum(terms: Sequence[Circuit]) -> Circuit:
 
 
 def poly_to_circuit(p: SparsePoly) -> Circuit:
-    """Sum-of-products circuit for a polynomial (terms in canonical order)."""
+    """Sum-of-products formula for a polynomial (see CircuitBuilder.poly)."""
     b = CircuitBuilder()
-    return b.formula(b.poly(p))
+    return b.subcircuit(b.poly(p))
 
 
 def as_circuit(x) -> Circuit:

@@ -533,9 +533,6 @@ class SparsePoly:
         high = tab.fill - (tab.guard >> (_FIELD - 1))
         return not any(m & high for m in self._t)
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self._t.get(0, 0))
-
     def restrict(self, v: Var, value) -> "SparsePoly":
         """Substitute a single variable by a rational constant."""
         off = self._tab.offsets.get(v)

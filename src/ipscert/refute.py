@@ -55,8 +55,6 @@ from .circuit import (
     MUL,
     Metrics,
     VAR,
-    as_circuit,
-    format_circuit,
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
 from .instances import inverse_differences
@@ -194,7 +192,7 @@ class NullstellensatzCertificate:
 
     The first axiom is the instance (a circuit); the rest are Boolean axioms
     v^2 - v held as polynomials.  Each circuit is a root id in `table`, which
-    lays it out as its standalone formula (CircuitBuilder.formula, .lines).
+    lays it out as the text of its standalone formula (CircuitBuilder.lines).
     Cofactors never mention the verifier's placeholder namespace, so the
     induced substitution circuit sum_k placeholder_k * cofactor_k has
     individual degree 1 in every placeholder and vanishes when all
@@ -208,27 +206,6 @@ class NullstellensatzCertificate:
     instance_sha256: str
     shift: Fraction
     builder: str = BUILDER_TAG
-
-    @classmethod
-    def of(cls, axioms, cofactors, claimed_metrics=None, instance_sha256: str = "",
-           shift=Fraction(-2), builder: str = BUILDER_TAG) -> NullstellensatzCertificate:
-        """A certificate of (label, Circuit | SparsePoly) axioms and Circuit
-        (or SparsePoly) cofactors, each circuit written as text and read into
-        a fresh table as certificate_from_json reads a document, so that it
-        lays out again as given.  The claimed metrics default to each
-        cofactor's measure."""
-        table = CircuitBuilder()
-
-        def read(c: Circuit) -> int:
-            return table.read(format_circuit(c).splitlines())
-
-        axioms = tuple((label, ax if isinstance(ax, SparsePoly) else read(ax))
-                       for label, ax in axioms)
-        cofactors = tuple(read(as_circuit(cf)) for cf in cofactors)
-        if claimed_metrics is None:
-            claimed_metrics = tuple(table.metrics(r) for r in cofactors)
-        return cls(table, axioms, cofactors, tuple(claimed_metrics), instance_sha256,
-                   Fraction(shift), builder)
 
     @property
     def total_size(self) -> int:

@@ -15,13 +15,15 @@ from ipscert.circuit import (
     MUL,
     VAR,
     _compact,
+    as_circuit,
     compile_evaluator,
     eval_circuit_mod,
+    format_circuit,
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import SparsePoly, Var, _Accumulator
-from ipscert.refute import NullstellensatzCertificate
+from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate
 
 CORPUS_SEED = 20260810
 
@@ -228,6 +230,27 @@ def random_poly(rng: random.Random, vars_, max_terms: int = 6, max_exp: int = 3)
     return poly_of(terms)
 
 
+def sum_of_products_text(p: SparsePoly) -> str:
+    """The circuit text of p's sum-of-products formula, written straight
+    from p.items(): per term its coefficient (left out when 1 and the term
+    has a variable), each variable once per power and their product, then
+    the sum of the terms; CONST 0/1 for the zero polynomial."""
+    lines: list = []
+
+    def line(rhs: str) -> str:
+        lines.append(f"g{len(lines)} = {rhs}")
+        return f"g{len(lines) - 1}"
+
+    terms = []
+    for m, c in p.items():
+        factors = [line(f"CONST {c.numerator}/{c.denominator}")] if c != 1 or not m else []
+        factors += [line(f"VAR {v.name}") for v, e in m for _ in range(e)]
+        terms.append(factors[0] if len(factors) == 1 else line("MUL " + " ".join(factors)))
+    if len(terms) != 1:
+        terms = [line("ADD " + " ".join(terms)) if terms else line("CONST 0/1")]
+    return "\n".join(lines) + f"\nOUTPUT {terms[0]}\n"
+
+
 def random_dag_circuit(rng: random.Random, n_gates: int = 20, vars_=None) -> Circuit:
     """A random well-formed circuit (possibly a DAG, possibly with fan-out)."""
     if vars_ is None:
@@ -341,6 +364,25 @@ def _mutate_circuit(rng: random.Random, c: Circuit) -> Circuit:
     return _compact(gates, c.output)
 
 
+def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(-2),
+                   builder: str = BUILDER_TAG) -> NullstellensatzCertificate:
+    """A certificate of (label, Circuit | SparsePoly) axioms and Circuit
+    (or SparsePoly) cofactors, each circuit written as text and read into a
+    fresh table as certificate_from_json reads a document, so that it lays
+    out again as given.  The claimed metrics are each cofactor's measure."""
+    table = CircuitBuilder()
+
+    def read(c: Circuit) -> int:
+        return table.read(format_circuit(c).splitlines())
+
+    axioms = tuple((label, ax if isinstance(ax, SparsePoly) else read(ax))
+                   for label, ax in axioms)
+    cofactors = tuple(read(as_circuit(cf)) for cf in cofactors)
+    return NullstellensatzCertificate(table, axioms, cofactors,
+                                      tuple(table.metrics(r) for r in cofactors),
+                                      instance_sha256, Fraction(shift), builder)
+
+
 def laid_out(cert: NullstellensatzCertificate) -> tuple:
     """(axioms, cofactors) of a certificate, each root laid out as its formula."""
     table = cert.table
@@ -365,7 +407,7 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
             continue
         if _semantically_differs(original, mutated, seed * 1000 + attempt):
             cofactors[k] = mutated
-            return NullstellensatzCertificate.of(
+            return certificate_of(
                 axioms, cofactors,
                 instance_sha256=cert.instance_sha256,
                 shift=cert.shift,

@@ -4,11 +4,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_folded, random_dag_circuit, random_layered_formula,
-                     shuffled_topological)
+                     shuffled_topological, sum_of_products_text)
 
 from ipscert import circuit as circuit_module
 from ipscert.circuit import (
@@ -296,14 +296,6 @@ def test_subcircuit_extraction():
     assert expand(sub) == SparsePoly.variable(X1) * SparsePoly.variable(X2)
 
 
-def test_constant_freedom_predicates():
-    c = cadd(cvar(X1), cconst(1), cconst(-1))
-    assert c.constants() <= {-1, 0, 1}
-    assert not c.constants() <= {0, 1}
-    assert cadd(cvar(X1), cconst(1)).constants() <= {0, 1}
-    assert not cadd(cvar(X1), cconst(2)).constants() <= {-1, 0, 1}
-
-
 def test_syntactic_multilinearity():
     assert is_syntactically_multilinear(cmul(cvar(X1), cvar(X2)))
     assert not is_syntactically_multilinear(cmul(cvar(X1), cvar(X1)))
@@ -367,13 +359,30 @@ def test_read_copies_compute_the_same_polynomials():
         assert expand(_compact(b._gates, i)) == expand(c)
 
 
-def test_poly_to_circuit_round_trip():
-    rng = random.Random(37)
-    from helpers import random_poly
-
-    for _ in range(15):
-        p = random_poly(rng, [X1, X2, Y1])
-        assert expand(poly_to_circuit(p)) == p
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.sampled_from((X1, X2, Y1)), st.integers(1, 3), max_size=3),
+    st.one_of(st.just(Fraction(1)),
+              st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5)))),
+    max_size=5))
+@example([])                                                        # zero
+@example([({}, Fraction(-3, 2))])                                   # constant only
+@example([({X1: 1}, Fraction(1)), ({X1: 1, X2: 1}, Fraction(1))])   # coefficient 1
+@example([({X2: 3, Y1: 2}, Fraction(-7, 4)), ({}, Fraction(1))])    # exponents above 1
+def test_poly_lays_terms_out_in_written_order(terms):
+    p = SparsePoly.zero()
+    for exps, c in terms:
+        term = SparsePoly.constant(c)
+        for v, e in exps.items():
+            for _ in range(e):
+                term = term * SparsePoly.variable(v)
+        p = p + term
+    c = poly_to_circuit(p)
+    assert format_circuit(c) == sum_of_products_text(p)
+    assert expand(c) == p
+    # Pushed in written order, the gates lay out as they stand in any table.
+    b = CircuitBuilder(c.gates)
+    assert "\n".join(b.lines(b.poly(p))) + "\n" == format_circuit(c)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +645,26 @@ def test_read_lays_out_and_measures_like_parse_circuit(seed, kind):
         r = b.read(lines)
         assert r in b._starting
         assert b.lines(r) == written and b.metrics(r) == b.metrics(w)
+
+
+def test_a_text_refused_partway_leaves_the_table_as_it_found_it():
+    # The comment on the last gate line sends the text to parse_circuit
+    # after the written reader has interned every gate before that line.
+    rng = random.Random(1)
+    c = next(c for c in iter(lambda: random_layered_formula(rng), None) if len(c) == 25)
+    written = written_lines(c)
+    commented = written[:-2] + [written[-2] + " # c", written[-1]]
+    b = CircuitBuilder()
+    r = b.read(commented)
+    assert len(b._gates) == 25 and not b._shared and not b._leaf_ids
+    assert b.lines(r) == written
+    # A table holding hash-consed gates keeps them, and only adds the copy.
+    other = written_lines(random_layered_formula(rng))
+    w = b.read(other)
+    size, shared, leaf_ids = len(b._gates), dict(b._shared), dict(b._leaf_ids)
+    assert b.lines(b.read(commented)) == written and len(b._gates) == size + 25
+    assert b._shared == shared and b._leaf_ids == leaf_ids
+    assert b.read(other) == w and len(b._gates) == size + 25
 
 
 @pytest.mark.parametrize("text", [

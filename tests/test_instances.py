@@ -20,6 +20,7 @@ from helpers import (
 )
 
 from ipscert.circuit import (
+    CONST,
     as_circuit,
     circuit_sha256,
     cvar,
@@ -383,7 +384,7 @@ def test_instance_sampling_evaluator_consistency():
         run = pointwise(c)
         terms = dict(expand(c).items())
         vars_ = c.variables()
-        integral = all(q.denominator == 1 for q in c.constants())
+        integral = all(g.const.denominator == 1 for g in c.gates if g.op == CONST)
         for _ in range(4):
             bits = {v: rng.randrange(2) for v in vars_}
             ints = {v: rng.randint(-5, 5) for v in vars_}

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_corpus, gadget_poly, laid_out, random_product_dag, ref_evaluate,
-                     shuffled_topological)
+from helpers import (build_corpus, certificate_of, gadget_poly, laid_out, random_product_dag,
+                     ref_evaluate, shuffled_topological)
 
 from ipscert.circuit import (
     CONST,
@@ -29,7 +29,6 @@ from ipscert.gadget import (AddressingGadget, GadgetChild, GadgetLedger, LedgerE
                             t_for)
 from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly
 from ipscert.refute import (
-    NullstellensatzCertificate,
     _product_cofactor,
     _square_cofactors,
     assemble_refutation,
@@ -495,11 +494,11 @@ def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
 
 
 def test_certificate_json_of_empty_lists_and_escaped_labels():
-    for cert in (NullstellensatzCertificate.of((), ()),
-                 NullstellensatzCertificate.of([('é "q"\n\\', boolean_axiom(X1)), ("t\x01", cvar(X2))],
-                                               [cconst(1), cmul(cvar(X1), cvar(X1))],
-                                               instance_sha256="0" * 64, shift=Fraction(3, 7),
-                                               builder="b\u2028")):
+    for cert in (certificate_of((), ()),
+                 certificate_of([('é "q"\n\\', boolean_axiom(X1)), ("t\x01", cvar(X2))],
+                                [cconst(1), cmul(cvar(X1), cvar(X1))],
+                                instance_sha256="0" * 64, shift=Fraction(3, 7),
+                                builder="b\u2028")):
         text = certificate_to_json(cert)
         assert text == parent_json(cert)
         assert certificate_to_json(certificate_from_json(text)) == text
@@ -509,7 +508,7 @@ def test_certificate_of_lays_every_circuit_out_as_given():
     rng = random.Random(6607)
     circuits = [random_product_dag(rng, 9), cmul(cvar(X1), cvar(X2)), cconst(0)]
     circuits.append(shuffled_topological(rng, circuits[0], GadgetLedger(()))[0])
-    cert = NullstellensatzCertificate.of([("f", c) for c in circuits], circuits)
+    cert = certificate_of([("f", c) for c in circuits], circuits)
     axioms, cofactors = laid_out(cert)
     assert [format_circuit(c) for c in cofactors] == [format_circuit(c) for c in circuits]
     assert [format_circuit(c) for _, c in axioms] == [format_circuit(c) for c in circuits]

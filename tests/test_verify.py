@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build_corpus, laid_out, mutate_certificate, pointwise,
+from helpers import (build_corpus, certificate_of, laid_out, mutate_certificate, pointwise,
                      random_layered_formula, ref_evaluate, ref_evaluate_mod)
 
 from ipscert import verify as verify_module
@@ -81,7 +81,7 @@ def test_verify_exact_hand_example():
 def test_verify_exact_flipped_sign_refuted_with_witness():
     axioms, cofactors = laid_out(leaf_certificate())
     cofactors[1] = cscale(-1, cofactors[1])
-    report = verify_exact(NullstellensatzCertificate.of(axioms, cofactors))
+    report = verify_exact(certificate_of(axioms, cofactors))
     assert report.verdict == "refuted"
     assert report.witness is not None
     residual = SparsePoly.zero() - 1
@@ -94,19 +94,19 @@ def test_verify_exact_flipped_sign_refuted_with_witness():
 def test_verify_exact_trivial_certificate():
     axioms = (("one", SparsePoly.constant(1)),)
     cofactors = (cconst(1),)
-    assert verify_exact(NullstellensatzCertificate.of(axioms, cofactors)).verdict == "verified-exact"
+    assert verify_exact(certificate_of(axioms, cofactors)).verdict == "verified-exact"
 
 
 def test_verify_exact_rejects_placeholder_use():
     axioms = (("one", SparsePoly.constant(1)),)
     cofactors = (cadd(cconst(1), cvar(Var("fresh", 1))),)
-    report = verify_exact(NullstellensatzCertificate.of(axioms, cofactors))
+    report = verify_exact(certificate_of(axioms, cofactors))
     assert report.verdict == "error"
     assert "placeholder" in report.detail
 
 
 def test_verify_exact_length_mismatch():
-    assert verify_exact(NullstellensatzCertificate.of((), (cconst(1),))).verdict == "error"
+    assert verify_exact(certificate_of((), (cconst(1),))).verdict == "error"
 
 
 def test_pit_accepts_valid_certificate_many_seeds():
@@ -165,9 +165,17 @@ def test_transform_then_certificate_on_random_layered_formulas(seed):
 def test_pit_denominator_divisible_by_prime():
     axioms = (("f", SparsePoly.constant(Fraction(1, 3))),)
     cofactors = (cconst(3),)
-    report = verify_pit(NullstellensatzCertificate.of(axioms, cofactors), PitConfig(prime=3, trials=1))
+    report = verify_pit(certificate_of(axioms, cofactors), PitConfig(prime=3, trials=1))
     assert report.verdict == "error"
     assert "denominator" in report.detail and "3" in report.detail
+    # Two constants vanish mod 5.  The error names the first in written
+    # order, pair by pair, not the first in the table, which reads the
+    # axioms first and holds one CONST 7/5 for both of its uses.
+    axioms = (("f", cadd(cvar(X1), cconst(1))), ("g", cmul(cconst(Fraction(7, 5)), cvar(X2))))
+    cofactors = (cadd(cmul(cvar(X1), cconst(Fraction(3, 10))), cconst(Fraction(7, 5))), cconst(1))
+    report = verify_pit(certificate_of(axioms, cofactors), PitConfig(prime=5, trials=1))
+    assert report.verdict == "error"
+    assert report.detail == "denominator 10 of constant 3/10 is divisible by prime 5"
 
 
 def ci_chain_certificate() -> NullstellensatzCertificate:
@@ -189,9 +197,8 @@ def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
     for _ in range(p - 1):
         q, power = q + power, power * x
     cofactors[k] = cadd(cofactors[k], poly_to_circuit(q))
-    forged = NullstellensatzCertificate.of(axioms, cofactors,
-                                           instance_sha256=cert.instance_sha256,
-                                           shift=cert.shift)
+    forged = certificate_of(axioms, cofactors, instance_sha256=cert.instance_sha256,
+                            shift=cert.shift)
     assert check_claims(forged) is None
     assert verify_exact(forged).verdict == "refuted"
     with pytest.raises(ValueError, match=f"^--prime {p} is not above 1[0-9], the formal degree"):
@@ -281,7 +288,7 @@ def test_pit_matches_the_per_pair_reference_on_corpus_certificates(transformed01
     ((("f", cconst(1)), ("g", cconst(Fraction(1, 14)))), (cconst(Fraction(1, 7)), cconst(2)), 7),
 ])
 def test_pit_matches_the_per_pair_reference_on_edge_cases(axioms, cofactors, prime):
-    cert = NullstellensatzCertificate.of(axioms, cofactors)
+    cert = certificate_of(axioms, cofactors)
     assert_pit_matches_reference(cert, PitConfig(prime=prime, trials=3))
     # Read back, the axioms come before the cofactors in the table.
     assert_pit_matches_reference(certificate_from_json(certificate_to_json(cert)),
@@ -294,7 +301,7 @@ def test_verify_invariant_under_restructuring():
     cert = assemble_refutation(cp, ledger)
     axioms, cofactors = laid_out(cert)
     restructured = [normalize_layered(cf) for cf in cofactors]
-    assert verify_exact(NullstellensatzCertificate.of(axioms, restructured)).verdict == "verified-exact"
+    assert verify_exact(certificate_of(axioms, restructured)).verdict == "verified-exact"
 
 
 def test_boolean_image_product():
