@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from math import prod
 from operator import add, mod, mul
@@ -59,15 +58,21 @@ _WRITTEN_KINDS = {f"{kind} ": kind for kind in (ADD, MUL)}
 
 
 class Gate:
-    """One gate: VAR(var), CONST(value), ADD(args) or MUL(args)."""
+    """One gate: VAR(var), CONST(value), ADD(args) or MUL(args).
 
-    __slots__ = ("op", "var", "const", "args")
+    A leaf's text, the text of its line after the gate id, is filled by
+    _line the first time it writes the leaf; no other field changes after
+    __init__, so that text stays the leaf's.
+    """
+
+    __slots__ = ("op", "var", "const", "args", "text")
 
     def __init__(self, op, var=None, const=None, args=()):
         self.op = op
         self.var = var
         self.const = const
         self.args = tuple(args)
+        self.text = None
 
     def is_leaf(self) -> bool:
         return self.op in (VAR, CONST)
@@ -148,9 +153,9 @@ class CircuitBuilder:
 
     A builder may start from a circuit's gates (the starting gates, which
     keep their ids); gates added later are composed gates, shared by id.
-    keep() adds more starting gates; intern() adds composed gates
-    hash-consed (Filliatre & Conchon, ML 2006): one id per structure.
-    read() lays circuit text in, through one or the other.  A root id is
+    keep() adds more starting gates.  read() lays circuit text in: the text
+    that lines() writes hash-consed (Filliatre & Conchon, ML 2006), one id
+    per structure, and any other text kept as written.  A root id is
     laid out as a standalone formula in one form, its text lines(), whose
     layouts later lines() calls reuse; sha256() hashes that text and
     formula() reads it back.  A root is measured and expanded without being
@@ -160,12 +165,9 @@ class CircuitBuilder:
     def __init__(self, gates: Sequence[Gate] = ()):
         self._gates: list = list(gates)
         self._starting: set = set(range(len(self._gates)))
-        self._subcircuits: dict = {}   # starting gate id -> subcircuit
-        self._shared: dict = {}        # structural key -> id of a shared gate
-        self._leaf_ids: dict = {}      # leaf right-hand side written -> its id
+        self._subcircuits: dict = {}   # gate id -> its subcircuit
+        self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
-        self._leaves: dict = {}        # leaf right-hand side read -> its gate
-        self._leaf_texts: dict = {}    # leaf gate -> its text after the gate id
         self._laid_out: dict = {}      # the layout memo of lines()
 
     def _push(self, g: Gate) -> int:
@@ -198,18 +200,6 @@ class CircuitBuilder:
         self._starting.update(range(offset, len(self._gates)))
         return c.output + offset
 
-    def intern(self, key: tuple, leaf: Gate | None = None) -> int:
-        """The id of the hash-consed gate with this key, added if new.
-
-        A leaf's key is _leaf_key(leaf); an ADD or MUL gate's key is its kind
-        and the hash-consed ids of its arguments, in order.
-        """
-        i = self._shared.get(key)
-        if i is None:
-            i = self._shared[key] = self._push(leaf if leaf is not None
-                                               else Gate(key[0], args=key[1]))
-        return i
-
     def read(self, lines: Sequence[str]) -> int:
         """The id of the circuit whose text lines are given, read like
         parse_circuit (same errors) and laid out again as the same text.
@@ -217,19 +207,19 @@ class CircuitBuilder:
         The exact text that lines() writes (see _read_written) is hash-consed;
         any other valid text is kept as written, even a formula written in
         post-order with another spelling: it lays out and measures the same,
-        only the table holds more gates.  Each distinct leaf text is parsed
-        once per table.  A text the written reader refuses partway leaves
-        the table as it found it before it is kept."""
-        size = len(self._gates)
-        marks = [(keys, len(keys)) for keys in (self._shared, self._leaf_ids)]
+        only the table holds more gates.  A written leaf text is parsed once
+        per table, a kept text's leaves once per text.  A text the written
+        reader refuses partway leaves the table as it found it before it is
+        kept."""
+        shared = self._shared
+        size, mark = len(self._gates), len(shared)
         i = self._read_written(lines)
         if i is not None:
             return i
         del self._gates[size:]
-        for keys, mark in marks:
-            while len(keys) > mark:
-                keys.popitem()       # the entries the reader added are the last
-        return self.keep(_parse_lines(lines, self._leaves))
+        while len(shared) > mark:
+            shared.popitem()         # the entries the reader added are the last
+        return self.keep(_parse_lines(lines))
 
     def _read_written(self, lines: Sequence[str]) -> int | None:
         """Hash-cons the text that lines() writes and return its root's id,
@@ -240,11 +230,11 @@ class CircuitBuilder:
         single spaces; each ADD or MUL names exactly the gates on top of the
         post-order stack (the gates written that no gate has used yet); the
         last line is "OUTPUT g<p-1>", with one root left on the stack.  A
-        leaf line's right-hand side maps to its id; the first time one
-        appears, _gate_lines parses it and the line must be the line that
-        lines() writes of its gate.
+        leaf is keyed by its right-hand side, an ADD or MUL gate by its kind
+        and argument ids; the first time a leaf appears, _gate_lines parses
+        it and the line must be the line that lines() writes of its gate.
         """
-        leaf_ids, shared = self._leaf_ids, self._shared
+        shared = self._shared
         ids: list = []       # ids of the gates on the stack, in order
         names: list = []     # their names, as the text writes them
         for p, line in enumerate(lines[:-1]):
@@ -252,7 +242,7 @@ class CircuitBuilder:
             head, _, rhs = line.partition(" = ")
             if head != name:
                 return None
-            i = leaf_ids.get(rhs)
+            i = shared.get(rhs)
             if i is None:
                 kind = _WRITTEN_KINDS.get(rhs[:4])
                 if kind is not None:
@@ -264,15 +254,15 @@ class CircuitBuilder:
                     del ids[-k:], names[-k:]
                     i = shared.get(key)
                     if i is None:
-                        i = self.intern(key)
+                        i = shared[key] = self._push(Gate(kind, args=key[1]))
                 else:
                     try:
-                        g, _ = next(_gate_lines((line,), self._leaves))
+                        g, _ = next(_gate_lines((line,)))
                     except ValueError:
                         return None
-                    if _line(self._leaf_texts, p, g, ()) != line:
+                    if _line(p, g, ()) != line:
                         return None
-                    i = leaf_ids[rhs] = self.intern(_leaf_key(g), g)
+                    i = shared[rhs] = self._push(g)
             ids.append(i)
             names.append(name)
         return ids[0] if len(ids) == 1 and lines[-1] == "OUTPUT " + names[0] else None
@@ -322,14 +312,12 @@ class CircuitBuilder:
         return CircuitBuilder(self._gates)
 
     def subcircuit(self, root: int) -> Circuit:
-        """The gates root reaches as a standalone circuit, each gate once."""
-        return _compact(self._gates, root)
-
-    def _subcircuit(self, i: int) -> Circuit:
-        """Starting gate i's subcircuit (cached)."""
-        if i not in self._subcircuits:
-            self._subcircuits[i] = _compact(self._gates, i)
-        return self._subcircuits[i]
+        """The gates root reaches as a standalone circuit, each gate once
+        (cached)."""
+        c = self._subcircuits.get(root)
+        if c is None:
+            c = self._subcircuits[root] = _compact(self._gates, root)
+        return c
 
     def lines(self, root: int) -> list:
         """The text lines of root laid out as a standalone formula, without
@@ -346,7 +334,6 @@ class CircuitBuilder:
         is shared with the memo: it may be appended to, not changed.
         """
         gates, starting, memo = self._gates, self._starting, self._laid_out
-        line = partial(_line, self._leaf_texts)
         out: list = []
         done: list = []          # positions of the laid-out children, in order
         opened: list = []        # positions where the open composed gates start
@@ -357,7 +344,7 @@ class CircuitBuilder:
             if i < 0:
                 g = gates[~i]
                 k = len(g.args)
-                out.append(line(n, g, done[-k:]))
+                out.append(_line(n, g, done[-k:]))
                 done[-k:] = [n]
                 memo[~i, opened.pop()] = out, n + 1
                 continue
@@ -366,8 +353,8 @@ class CircuitBuilder:
                 out += hit[0][n:hit[1]]
                 done.append(hit[1] - 1)
             elif i in starting:
-                out += [line(n + j, g, [n + a for a in g.args])
-                        for j, g in enumerate(self._subcircuit(i).gates)]
+                out += [_line(n + j, g, [n + a for a in g.args])
+                        for j, g in enumerate(self.subcircuit(i).gates)]
                 done.append(len(out) - 1)
                 memo[i, n] = out, len(out)
             elif gates[i].args:
@@ -375,14 +362,14 @@ class CircuitBuilder:
                 todo.append(~i)
                 todo.extend(reversed(gates[i].args))
             else:
-                out.append(line(n, gates[i], ()))
+                out.append(_line(n, gates[i], ()))
                 done.append(n)
         out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
         return out
 
     def formula(self, root: int) -> Circuit:
         """root laid out as a standalone formula: its lines() read back."""
-        return _parse_lines(self.lines(root), self._leaves)
+        return _parse_lines(self.lines(root))
 
     def sha256(self, root: int) -> str:
         """circuit_sha256(self.formula(root)), from the lines of root."""
@@ -408,7 +395,7 @@ class CircuitBuilder:
             elif i in memo:
                 continue
             elif i in starting:
-                m = measure(self._subcircuit(i))
+                m = measure(self.subcircuit(i))
                 memo[i] = (m.size, m.depth)
             elif not gates[i].args:
                 memo[i] = (0, 0)
@@ -420,14 +407,6 @@ class CircuitBuilder:
     def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
         return _expand(self._gates, _postorder(self._gates, root), root, {})
-
-
-def _leaf_key(g: Gate) -> tuple:
-    """A leaf's hash-consing key: its variable, or its exact value (the
-    numerator and denominator in lowest terms), never its hash alone."""
-    if g.op == VAR:
-        return (VAR, g.var)
-    return (CONST, g.const.numerator, g.const.denominator)
 
 
 def _postorder(gates: Sequence[Gate], root: int):
@@ -778,23 +757,22 @@ def as_circuit(x) -> Circuit:
 
 def format_circuit(c: Circuit) -> str:
     """Canonical line-based text form (one gate per line, then OUTPUT)."""
-    texts: dict = {}
-    lines = [_line(texts, i, g, g.args) for i, g in enumerate(c.gates)]
+    lines = [_line(i, g, g.args) for i, g in enumerate(c.gates)]
     lines.append(f"OUTPUT g{c.output}")
     return "\n".join(lines) + "\n"
 
 
-def _line(leaf_texts: dict, n: int, g: Gate, args) -> str:
+def _line(n: int, g: Gate, args) -> str:
     """The text line of gate g at position n with these argument positions;
-    leaf_texts keeps the text after the gate id of each leaf formatted."""
+    a leaf's text after the gate id is formatted once, into g.text."""
     if args:
         if len(args) == 2:
             return f"g{n} = {g.op} g{args[0]} g{args[1]}"
         return f"g{n} = {g.op} g" + " g".join(map(str, args))
-    text = leaf_texts.get(g)
+    text = g.text
     if text is None:
-        text = leaf_texts[g] = (f" = VAR {g.var.name}" if g.op == VAR
-                                else f" = CONST {format_frac(g.const)}")
+        text = g.text = (f" = VAR {g.var.name}" if g.op == VAR
+                         else f" = CONST {format_frac(g.const)}")
     return f"g{n}{text}"
 
 
@@ -804,13 +782,13 @@ def parse_circuit(text: str) -> Circuit:
     A leaf is parsed once per distinct right-hand side: every line that
     repeats it shares its gate.
     """
-    return _parse_lines(text.splitlines(), {})
+    return _parse_lines(text.splitlines())
 
 
-def _parse_lines(lines: Sequence[str], leaves: dict) -> Circuit:
+def _parse_lines(lines: Sequence[str]) -> Circuit:
     """The circuit of these text lines, its gates in text order."""
     gates: list = []
-    for g, args in _gate_lines(lines, leaves):
+    for g, args in _gate_lines(lines):
         if args is None:
             gates.append(g)
         elif g is None:
@@ -819,16 +797,17 @@ def _parse_lines(lines: Sequence[str], leaves: dict) -> Circuit:
             gates.append(Gate(g, args=args))
 
 
-def _gate_lines(lines: Sequence[str], leaves: dict):
+def _gate_lines(lines: Sequence[str]):
     """The one line parser of circuit text.
 
     Yields (leaf gate, None) or (ADD or MUL, argument positions) per gate
     line, a position counting the gate lines before, and last (None,
-    position of the output).  leaves maps each leaf right-hand side parsed
-    before to its gate; a line repeating one shares that gate.  Raises
-    ValueError naming the line of the first malformed line.
+    position of the output).  Each leaf right-hand side is parsed once: a
+    line repeating one shares its gate.  Raises ValueError naming the line
+    of the first malformed line.
     """
     id_map: dict = {}        # gate id token -> position
+    leaves: dict = {}        # leaf right-hand side -> its gate
     output = None
 
     def refs(toks: list) -> list:

@@ -656,14 +656,14 @@ def test_a_text_refused_partway_leaves_the_table_as_it_found_it():
     commented = written[:-2] + [written[-2] + " # c", written[-1]]
     b = CircuitBuilder()
     r = b.read(commented)
-    assert len(b._gates) == 25 and not b._shared and not b._leaf_ids
+    assert len(b._gates) == 25 and not b._shared
     assert b.lines(r) == written
     # A table holding hash-consed gates keeps them, and only adds the copy.
     other = written_lines(random_layered_formula(rng))
     w = b.read(other)
-    size, shared, leaf_ids = len(b._gates), dict(b._shared), dict(b._leaf_ids)
+    size, shared = len(b._gates), dict(b._shared)
     assert b.lines(b.read(commented)) == written and len(b._gates) == size + 25
-    assert b._shared == shared and b._leaf_ids == leaf_ids
+    assert b._shared == shared
     assert b.read(other) == w and len(b._gates) == size + 25
 
 

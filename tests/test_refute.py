@@ -460,6 +460,15 @@ def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed
                 measure(table.formula(r)) for r in roots)
 
 
+def test_every_written_certificate_is_hash_consed_when_read_back(transformed01):
+    # No text the writer writes reaches the kept-text path of read(): the
+    # table holds no starting gate, and each of its gates has one key.
+    for _, cp, ledger in transformed01:
+        table = certificate_from_json(certificate_to_json(assemble_refutation(cp, ledger))).table
+        assert not table._starting
+        assert len(table._shared) == len(table._gates)
+
+
 def circuit_roots(cert) -> list:
     """The root ids of the certificate's circuits: axioms, then cofactors."""
     return [r for _, r in cert.axioms if not isinstance(r, SparsePoly)] + list(cert.cofactors)
