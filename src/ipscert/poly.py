@@ -1,9 +1,9 @@
 """Exact sparse multivariate polynomials over arbitrary-precision rationals.
 
-A polynomial is a map from monomials to nonzero exact coefficients.  Two
-polynomials are equal iff their term maps are equal, so canonical form is
-the equality test.  All values are immutable after construction and every
-operation is a pure function.
+A polynomial is a map from monomials to nonzero exact coefficients, kept
+in one canonical form, so two polynomials are equal iff their forms are.
+All values are immutable after construction and every operation is a
+pure function.
 
 Packed monomials.  Inside SparsePoly a monomial is one Python int holding
 its exponent vector (Monagan & Pearce, "Polynomial division using dynamic
@@ -26,10 +26,12 @@ carries into the next variable.
 
 Coefficients are exact rationals, never floats: the certificate
 constructions need the exact constants 1/2 and powers of two, and every
-identity in this package is checked with tolerance-free equality.  An
-integral coefficient is stored as an int, any other as a
-fractions.Fraction.  Products and sums are formed on integer numerators
-over a common denominator and divided out once at the end.
+identity in this package is checked with tolerance-free equality.  A
+polynomial stores them as nonzero int numerators over one positive int
+denominator that shares no factor with all of them, so an integral
+polynomial has denominator 1.  Products and sums run on that form
+directly; each result divides out the common factor once, and no
+fractions.Fraction is built until items() or a caller asks for one.
 
 Only this module knows what a monomial is.  Polynomials are made by zero,
 constant, variable, the ring operations and parse_poly, and read back by
@@ -51,7 +53,7 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Iterator, Mapping
 
@@ -275,48 +277,38 @@ def _max_exponents(t: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Coefficients: int when integral, Fraction otherwise.
+# Coefficients: integer numerators over one positive denominator.
 
-def _coerce(value):
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+def _coerce(value) -> tuple:
+    """(numerator, positive denominator) of an int or a Fraction."""
     if isinstance(value, int):
-        return int(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-def _clean(t: dict) -> dict:
-    """Drop zero coefficients and store integral ones as int."""
-    return {m: (c if type(c) is int or c.denominator != 1 else c.numerator)
-            for m, c in t.items() if c}
-
-
-def _numerators(t: dict) -> tuple:
-    """(d, num) with t[m] == num[m] / d, d the lcm of t's denominators."""
-    d = 1
-    for c in t.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return 1, t
-    return d, {m: c.numerator * (d // c.denominator) for m, c in t.items()}
-
-
-def _from_numerators(num: dict, d: int) -> dict:
-    if d == 1:
-        return {m: n for m, n in num.items() if n}
-    return {m: (Fraction(n, d) if n % d else n // d) for m, n in num.items() if n}
+def _canonical(num: dict, d: int, tab: _SlotTable) -> "SparsePoly":
+    """The polynomial num / d, d > 0, packed in tab, adopting num: zero
+    numerators dropped and d divided out of the numerators as far as it goes."""
+    if 0 in num.values():
+        num = {m: n for m, n in num.items() if n}
+    if d != 1:
+        g = gcd(d, *num.values())
+        if g != 1:
+            d //= g
+            num = {m: n // g for m, n in num.items()}
+    return SparsePoly._raw(num, d, tab)
 
 
 class _Accumulator:
     """A running sum of polynomials and of products of polynomials.
 
     Everything is summed in place into one dict of integer numerators over
-    a common denominator, so no partial sum is copied and no Fraction is
-    built until result().  Zero entries stay until then.  The sum is packed
-    in tab, by default the current slot table.
+    a common denominator, the form SparsePoly keeps, so no partial sum is
+    copied.  Zero entries stay until result(), which hands the dict to the
+    polynomial it returns; the accumulator is spent after that.  The sum is
+    packed in tab, by default the current slot table.
     """
 
     __slots__ = ("num", "den", "tab")
@@ -338,12 +330,13 @@ class _Accumulator:
 
     def add(self, p: "SparsePoly") -> None:
         tab = self.tab
-        d, items = _numerators(p._t if p._tab is tab else _repack(p, tab))
-        k = self._factor(d)
-        num = self.num
-        if not num and k == 1:
-            num.update(items)
+        items = p._t if p._tab is tab else _repack(p, tab)
+        if not self.num:
+            self.den = p._d
+            self.num.update(items)
             return
+        k = self._factor(p._d)
+        num = self.num
         get = num.get
         for m, n in items.items():
             num[m] = get(m, 0) + n * k
@@ -363,16 +356,22 @@ class _Accumulator:
         if q._tab is not tab:
             b = _repack(q, tab)
         _check_exponents(a, b, tab)
-        da, a = _numerators(a)
-        db, b = _numerators(b)
         if len(a) > len(b):
             a, b = b, a
-        k = self._factor(da * db)
-        if k != 1:
-            a = {m: n * k for m, n in a.items()}
+        rows = iter(a.items())
+        if not self.num:
+            # One monomial times distinct monomials gives distinct
+            # monomials, so the first row needs no lookups.
+            self.den = p._d * q._d
+            ma, ca = next(rows)
+            self.num = {ma + mb: ca * cb for mb, cb in b.items()}
+        else:
+            k = self._factor(p._d * q._d)
+            if k != 1:
+                rows = ((ma, ca * k) for ma, ca in rows)
         num = self.num
         get = num.get
-        for ma, ca in a.items():
+        for ma, ca in rows:
             for mb, cb in b.items():
                 m = ma + mb
                 num[m] = get(m, 0) + ca * cb
@@ -380,40 +379,43 @@ class _Accumulator:
             raise ResourceLimitError("sum would exceed the dense-size guard")
 
     def result(self) -> "SparsePoly":
-        return SparsePoly._raw(_from_numerators(self.num, self.den), self.tab)
+        return _canonical(self.num, self.den, self.tab)
 
 
 class SparsePoly:
-    """Immutable sparse polynomial: dict from monomial, packed in the slot
-    table _tab, to nonzero int or Fraction coefficient."""
+    """Immutable sparse polynomial: _t maps each monomial, packed in the
+    slot table _tab, to a nonzero int numerator over the one positive
+    denominator _d, with gcd(_d, *numerators) == 1 (so the zero polynomial
+    has _d == 1)."""
 
-    __slots__ = ("_t", "_tab")
+    __slots__ = ("_t", "_d", "_tab")
 
     def __init__(self):
         raise TypeError("make a SparsePoly with zero, constant, variable, "
                         "ring operations or parse_poly")
 
     @classmethod
-    def _raw(cls, terms: dict, tab: _SlotTable) -> "SparsePoly":
-        # Internal: terms already canonical and packed in tab, adopt without copying.
+    def _raw(cls, terms: dict, d: int, tab: _SlotTable) -> "SparsePoly":
+        # Internal: terms over d already canonical and packed in tab, adopt without copying.
         self = object.__new__(cls)
         self._t = terms
+        self._d = d
         self._tab = tab
         return self
 
     @classmethod
     def zero(cls) -> "SparsePoly":
-        return cls._raw({}, _CURRENT_SLOTS.get())
+        return cls._raw({}, 1, _CURRENT_SLOTS.get())
 
     @classmethod
     def constant(cls, value) -> "SparsePoly":
-        c = _coerce(value)
-        return cls._raw({0: c} if c else {}, _CURRENT_SLOTS.get())
+        n, d = _coerce(value)
+        return cls._raw({0: n}, d, _CURRENT_SLOTS.get()) if n else cls.zero()
 
     @classmethod
     def variable(cls, v: Var) -> "SparsePoly":
         tab = _CURRENT_SLOTS.get()
-        return cls._raw({1 << tab.offset(v): 1}, tab)
+        return cls._raw({1 << tab.offset(v): 1}, 1, tab)
 
     def items(self) -> Iterator[tuple]:
         """Each term once as ((Var, exponent) pairs, Fraction), the pairs in
@@ -421,13 +423,14 @@ class SparsePoly:
         lexicographic on the pairs, a variable by its order."""
         slot_vars = self._tab.vars
         keyed = []
-        for m, c in self._t.items():
+        for m, n in self._t.items():
             pairs = sorted([(slot_vars[off // _FIELD], e) for off, e in _fields(m)],
                            key=lambda ve: ve[0]._key)
-            keyed.append(([(v._key, e) for v, e in pairs], tuple(pairs), c))
-        keyed.sort(key=lambda kpc: kpc[0])
-        for _, pairs, c in keyed:
-            yield pairs, Fraction(c)
+            keyed.append(([(v._key, e) for v, e in pairs], tuple(pairs), n))
+        keyed.sort(key=lambda kpn: kpn[0])
+        d = self._d
+        for _, pairs, n in keyed:
+            yield pairs, Fraction(n) if d == 1 else Fraction(n, d)
 
     def __len__(self):
         return len(self._t)
@@ -439,12 +442,13 @@ class SparsePoly:
         return bool(self._t)
 
     def __eq__(self, other):
-        if isinstance(other, SparsePoly):
-            tab = self._tab
-            return self._t == (other._t if other._tab is tab else _repack(other, tab))
-        if isinstance(other, (int, Fraction)):
-            return self._t == SparsePoly.constant(other)._t
-        return NotImplemented
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = SparsePoly.constant(other)
+        tab = self._tab
+        return self._d == other._d and \
+            self._t == (other._t if other._tab is tab else _repack(other, tab))
 
     __hash__ = None
 
@@ -465,7 +469,7 @@ class SparsePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._raw({m: -c for m, c in self._t.items()}, self._tab)
+        return SparsePoly._raw({m: -n for m, n in self._t.items()}, self._d, self._tab)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -494,13 +498,15 @@ class SparsePoly:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        inv = Fraction(1, 1) / other
-        return SparsePoly._raw(_clean({m: c * inv for m, c in self._t.items()}), self._tab)
+        a, b = _coerce(other)
+        if a < 0:
+            a, b = -a, -b
+        return _canonical({m: n * b for m, n in self._t.items()}, self._d * a, self._tab)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = SparsePoly._raw({0: 1}, self._tab)
+        result = SparsePoly._raw({0: 1}, 1, self._tab)
         base = self
         while n:
             if n & 1:
@@ -534,35 +540,36 @@ class SparsePoly:
         return not any(m & high for m in self._t)
 
     def restrict(self, v: Var, value) -> "SparsePoly":
-        """Substitute a single variable by a rational constant."""
+        """Substitute a single variable by a rational constant (an int or a
+        Fraction)."""
+        a, b = _coerce(value)
         off = self._tab.offsets.get(v)
         if off is None:
             return self
-        value = _coerce(Fraction(value))
+        # With value = a/b, a term n/d * v^e becomes n * a^e * b^(top - e)
+        # over d * b^top, top the degree in v.
+        top = self.degree_in(v)
         out: dict = {}
         get = out.get
-        for m, c in self._t.items():
+        for m, n in self._t.items():
             e = (m >> off) & _FIELD_MASK
-            if e:
-                if not value:
-                    continue
-                if value != 1:
-                    c = c * value ** e
+            s = a ** e * b ** (top - e)
+            if s:
                 m -= e << off
-            out[m] = get(m, 0) + c
-        return SparsePoly._raw(_clean(out), self._tab)
+                out[m] = get(m, 0) + n * s
+        return _canonical(out, self._d * b ** top, self._tab)
 
     def substitute(self, mapping: Mapping[Var, "SparsePoly"]) -> "SparsePoly":
         """Substitute variables by polynomials (unmapped variables unchanged)."""
         tab = self._tab
         slot_vars = tab.vars
         acc = _Accumulator(tab)
-        for m, c in self._t.items():
-            term = SparsePoly._raw({0: c}, tab)
+        for m, n in self._t.items():
+            term = _canonical({0: n}, self._d, tab)
             for off, e in _fields(m):
                 image = mapping.get(slot_vars[off // _FIELD])
                 if image is None:
-                    image = SparsePoly._raw({1 << off: 1}, tab)
+                    image = SparsePoly._raw({1 << off: 1}, 1, tab)
                 term = term * image ** e
             acc.add(term)
         return acc.result()
@@ -573,13 +580,12 @@ class SparsePoly:
         # nonzero, and never carries out of the field.
         tab = self._tab
         fill, guard, shift = tab.fill, tab.guard, _FIELD - 1
-        d, num = _numerators(self._t)
         out: dict = {}
         get = out.get
-        for m, n in num.items():
+        for m, n in self._t.items():
             key = ((m + fill) & guard) >> shift
             out[key] = get(key, 0) + n
-        return SparsePoly._raw(_from_numerators(out, d), tab)
+        return _canonical(out, self._d, tab)
 
     def multilinear_product(self, q: "SparsePoly") -> "SparsePoly":
         """(self * q).multilinear_reduce(), each product reduced as it is formed:
@@ -589,10 +595,11 @@ class SparsePoly:
                 f"product projects to {len(self)}*{len(q)} terms, over the dense-size guard")
         tab = self._tab
         if q._tab is not tab:
-            q = SparsePoly._raw(_repack(q, tab), tab)
-        a, b = ((x if x.is_multilinear() else x.multilinear_reduce())._t for x in (self, q))
-        bit = {1 << off: 1 << k for k, (off, _) in enumerate(_fields(reduce(or_, [*a, *b], 0)))}
-        (da, a), (db, b) = _numerators(_gather(a, bit)), _numerators(_gather(b, bit))
+            q = SparsePoly._raw(_repack(q, tab), q._d, tab)
+        p, q = (x if x.is_multilinear() else x.multilinear_reduce() for x in (self, q))
+        bit = {1 << off: 1 << k
+               for k, (off, _) in enumerate(_fields(reduce(or_, [*p._t, *q._t], 0)))}
+        a, b = _gather(p._t, bit), _gather(q._t, bit)
         out: dict = {}
         get = out.get
         for ma, ca in a.items():
@@ -600,20 +607,24 @@ class SparsePoly:
                 m = ma | mb
                 out[m] = get(m, 0) + ca * cb
         unit = {k: u for u, k in bit.items()}   # back to the packed keys
-        return SparsePoly._raw(_gather(_from_numerators(out, da * db), unit), tab)
+        return _canonical(_gather(out, unit), p._d * q._d, tab)
 
     def subset_masks(self, vars_) -> dict:
-        """Coefficients as stored (an int when integral, else a Fraction),
-        keyed by the set of positions in vars_ of each term's variables, as
-        a bitmask; the polynomial must be multilinear over variables drawn
+        """Coefficients (an int when integral, else a Fraction), keyed by
+        the set of positions in vars_ of each term's variables, as a
+        bitmask; the polynomial must be multilinear over variables drawn
         from vars_."""
         offsets = self._tab.offsets
         bit = {1 << offsets[v]: 1 << k for k, v in enumerate(vars_) if v in offsets}
         try:
-            return _gather(self._t, bit)
+            masks = _gather(self._t, bit)
         except KeyError:
             raise ValueError(
                 "subset_masks needs a multilinear polynomial over the given variables") from None
+        d = self._d
+        if d == 1:
+            return masks
+        return {k: (n // d if n % d == 0 else Fraction(n, d)) for k, n in masks.items()}
 
 
 def _gather(t: dict, bit: Mapping[int, int]) -> dict:
@@ -685,10 +696,10 @@ def parse_poly(text: str) -> SparsePoly:
     if text == "0":
         return SparsePoly.zero()
     tab = _CURRENT_SLOTS.get()
-    terms: dict = {}
+    terms = []
     for chunk in text.split(" + "):
         toks = [t.strip() for t in chunk.split("*")]
-        coeff = _coerce(parse_frac(toks[0]))
+        coeff = parse_frac(toks[0])
         m = 0
         for tok in toks[1:]:
             name, caret, exp = tok.partition("^")
@@ -699,12 +710,16 @@ def parse_poly(text: str) -> SparsePoly:
                 raise ValueError(f"bad exponent in {tok!r}: a term's exponent of a "
                                  f"variable is an integer from 0 to {_EXP_MAX}")
             m += e << off
-        terms[m] = terms.get(m, 0) + coeff
-    return SparsePoly._raw(_clean(terms), tab)
+        terms.append((m, coeff))
+    d = lcm(*[c.denominator for _, c in terms])
+    num: dict = {}
+    for m, c in terms:
+        num[m] = num.get(m, 0) + c.numerator * (d // c.denominator)
+    return _canonical(num, d, tab)
 
 
 def boolean_axiom(v: Var) -> SparsePoly:
     """The Boolean axiom v^2 - v."""
     tab = _CURRENT_SLOTS.get()
     off = tab.offset(v)
-    return SparsePoly._raw({2 << off: 1, 1 << off: -1}, tab)
+    return SparsePoly._raw({2 << off: 1, 1 << off: -1}, 1, tab)

@@ -157,6 +157,21 @@ def test_var_order_is_numeric_not_textual():
     assert Var("u", 1) < Var("x", 1)
 
 
+def test_restrict_refuses_a_float_as_every_other_operation_does():
+    p = parse_poly("1/1 * x1 * x2")
+    for refused in (lambda: SparsePoly.constant(0.5), lambda: p.restrict(X1, 0.1),
+                    lambda: p.restrict(Y2, 0.1)):
+        with pytest.raises(TypeError, match="coefficients must be exact rationals, got float"):
+            refused()
+    for refused in (lambda: p * 0.5, lambda: p / 0.5):
+        with pytest.raises(TypeError):
+            refused()
+    assert p.restrict(X1, Fraction(1, 3)) == V(X2) / 3
+    assert p.restrict(X1, 2) == 2 * V(X2)
+    assert p.restrict(X1, 0).is_zero()
+    assert p.restrict(Y2, 5) == p
+
+
 def test_zero_coefficients_never_stored():
     p = V(X1) - V(X1)
     assert p.is_zero()

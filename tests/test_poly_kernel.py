@@ -6,6 +6,7 @@ The reference below keeps polynomials as plain dicts from sorted
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,62 @@ def test_text_round_trip_is_byte_identical(a):
     s = format_poly(kernel(a))
     assert parse_poly(s) == kernel(a)
     assert format_poly(parse_poly(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Coefficient form: nonzero int numerators over one positive denominator
+# that shares no factor with all of them.
+
+def assert_canonical(p: SparsePoly) -> None:
+    nums = list(p._t.values())
+    assert type(p._d) is int and p._d >= 1
+    assert all(type(n) is int and n != 0 for n in nums)
+    assert gcd(p._d, *nums) == 1
+
+
+FORM_STEPS = ("add", "mul", "div", "restrict", "reduce", "multilinear_product", "undo")
+
+
+@KERNEL
+@given(poly_pairs(), st.lists(st.tuples(st.sampled_from(FORM_STEPS), st.integers(0, 7),
+                                        st.integers(0, 7), values), max_size=6))
+def test_every_operation_keeps_the_canonical_form(pair, steps):
+    pool, a, b = pair
+    built = [parse_poly(format_poly(kernel(a))), parse_poly(format_poly(kernel(b)))]
+    for step, i, j, value in steps:
+        p, q = built[i % len(built)], built[j % len(built)]
+        if step in ("mul", "multilinear_product") and len(p) * len(q) > 64:
+            continue
+        if step == "add":
+            built.append(p + q)
+        elif step == "mul":
+            built.append(p * q)
+        elif step == "div" and value:
+            built.append(p / value)
+        elif step == "restrict":
+            built.append(p.restrict(pool[j % len(pool)], value))
+        elif step == "reduce":
+            built.append(p.multilinear_reduce())
+        elif step == "multilinear_product":
+            built.append(p.multilinear_product(q))
+        elif step == "undo" and value:
+            built.append(p / value * value)
+    for p in built:
+        assert_canonical(p)
+    for p in built:
+        for q in built:
+            assert (p == q) == (format_poly(p) == format_poly(q))
+
+
+def test_canonical_form_fixed_cases():
+    x = SparsePoly.variable(Var("x", 1))
+    assert (x / 2 + x / 2)._d == 1 and x / 2 + x / 2 == x
+    third = (x / 6) * 3
+    assert third == x / 2 and third._d == 2 and third._t == (x / 2)._t
+    zeros = (SparsePoly.zero(), x / 3 - x / 3, (x / 5) * 0, (x / 7).restrict(Var("x", 1), 0))
+    for z in zeros:
+        assert z.is_zero() and z._d == 1
+        assert_canonical(z)
 
 
 # ---------------------------------------------------------------------------
