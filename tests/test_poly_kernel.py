@@ -251,8 +251,8 @@ def test_every_operation_keeps_the_canonical_form(pair, steps):
 def test_canonical_form_fixed_cases():
     x = SparsePoly.variable(Var("x", 1))
     assert (x / 2 + x / 2)._d == 1 and x / 2 + x / 2 == x
-    third = (x / 6) * 3
-    assert third == x / 2 and third._d == 2 and third._t == (x / 2)._t
+    half = (x / 6) * 3
+    assert half == x / 2 and half._d == 2 and half._t == (x / 2)._t
     zeros = (SparsePoly.zero(), x / 3 - x / 3, (x / 5) * 0, (x / 7).restrict(Var("x", 1), 0))
     for z in zeros:
         assert z.is_zero() and z._d == 1
