@@ -829,7 +829,9 @@ def _gate_lines(lines: Sequence[str]):
                     raise ValueError("OUTPUT line must name exactly one gate")
                 output = refs(toks[1:])[0]
                 continue
-            lhs, rhs = line.split("=", 1)
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise ValueError("no '=' in a gate line")
             lhs = lhs.strip()
             num = lhs[1:]
             if not lhs.startswith("g") or not (num.isascii() and num.isdigit()):

@@ -609,22 +609,18 @@ class SparsePoly:
         unit = {k: u for u, k in bit.items()}   # back to the packed keys
         return _canonical(_gather(out, unit), p._d * q._d, tab)
 
-    def subset_masks(self, vars_) -> dict:
-        """Coefficients (an int when integral, else a Fraction), keyed by
-        the set of positions in vars_ of each term's variables, as a
-        bitmask; the polynomial must be multilinear over variables drawn
+    def subset_masks(self, vars_) -> tuple:
+        """(numerators, d): the int numerators over the one denominator d,
+        keyed by the set of positions in vars_ of each term's variables, as
+        a bitmask; the polynomial must be multilinear over variables drawn
         from vars_."""
         offsets = self._tab.offsets
         bit = {1 << offsets[v]: 1 << k for k, v in enumerate(vars_) if v in offsets}
         try:
-            masks = _gather(self._t, bit)
+            return _gather(self._t, bit), self._d
         except KeyError:
             raise ValueError(
                 "subset_masks needs a multilinear polynomial over the given variables") from None
-        d = self._d
-        if d == 1:
-            return masks
-        return {k: (n // d if n % d == 0 else Fraction(n, d)) for k, n in masks.items()}
 
 
 def _gather(t: dict, bit: Mapping[int, int]) -> dict:

@@ -3,11 +3,12 @@
 For a multilinear polynomial f over 2n variables split into two sides of
 size n, the partition matrix has rows indexed by multilinear monomials in
 the row side and columns by monomials in the column side; its (m_y, m_z)
-entry is the coefficient of m_y * m_z in f.  The matrix is kept as its
-nonzero rows, each {column: value} over its nonzero entries.  Rank is
-computed exactly over the rationals by sparse fraction-free row echelon:
-denominators are cleared row by row, and each row is reduced over the
-integers against a basis keyed by leading column.
+entry is the coefficient of m_y * m_z in f.  The matrix is kept times
+f's one denominator d > 0, which keeps the rank, so its entries are f's
+int numerators; it is kept as its nonzero rows, each {column: int} over
+its nonzero entries.  Rank is computed exactly over the rationals by
+sparse fraction-free row echelon: each row is reduced over the integers
+against a basis keyed by leading column.
 
 fullrank_witness reproduces the recursive control assignment that makes
 the gadgeted interval polynomial full rank for any balanced partition:
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .instances import interval_wvarsets, uvar
@@ -66,12 +67,13 @@ class Partition:
 
 
 def rank_matrix(f: SparsePoly, p: Partition) -> list:
-    """The nonzero rows of the 2^n x 2^n partition coefficient matrix of a
-    multilinear polynomial, in ascending row.
+    """The nonzero rows of the 2^n x 2^n partition coefficient matrix of
+    d*f, d the one denominator of the multilinear polynomial f, in
+    ascending row.
 
     Row and column indices are the subset masks of the row-side and
-    column-side monomials; a row is {column: int or Fraction} over its
-    nonzero entries, an int when integral.
+    column-side monomials; a row is {column: int} over its nonzero entries,
+    the stored numerators of f.
     """
     if not f.is_multilinear():
         raise ValueError("rank matrix requires a multilinear polynomial")
@@ -82,7 +84,8 @@ def rank_matrix(f: SparsePoly, p: Partition) -> list:
     n = len(p.y_side)
     row_mask = (1 << n) - 1
     rows: dict = {}
-    for mask, c in f.subset_masks(p.y_side + p.z_side).items():
+    numerators, _ = f.subset_masks(p.y_side + p.z_side)
+    for mask, c in numerators.items():
         rows.setdefault(mask & row_mask, {})[mask >> n] = c
     return [rows[r] for r in sorted(rows)]
 
@@ -91,13 +94,6 @@ def _primitive(row: dict) -> dict:
     """row divided by the gcd of its entries."""
     g = gcd(*row.values())
     return row if g <= 1 else {c: v // g for c, v in row.items()}
-
-
-def _integer_row(row: dict) -> dict:
-    """A row {column: rational} as {column: int} over its nonzero entries,
-    scaled to a primitive integer vector (rank-preserving)."""
-    den = lcm(*(q.denominator for q in row.values()))
-    return _primitive({c: q.numerator * (den // q.denominator) for c, q in row.items() if q})
 
 
 def _echelon(rows) -> dict:
@@ -109,7 +105,7 @@ def _echelon(rows) -> dict:
     """
     basis: dict = {}
     for row in rows:
-        r = _integer_row(row)
+        r = _primitive({c: v for c, v in row.items() if v})
         while r:
             lead = min(r)
             b = basis.get(lead)
@@ -131,7 +127,8 @@ def _echelon(rows) -> dict:
 def exact_rank(rows) -> int:
     """Exact rank over the rationals by sparse fraction-free row echelon.
 
-    rows are sparse rows {column: rational}, as rank_matrix returns them.
+    rows are sparse rows {column: int}, as rank_matrix returns them; an
+    explicit 0 counts as no entry.
     Every intermediate value is an exact integer, and a row is reduced only
     at pivot columns where it is nonzero; the rank is the number of rows in
     the echelon basis.

@@ -47,7 +47,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .circuit import (ADD, CONST, VAR, Circuit, circuit_sha256, compile_evaluator, expand,
@@ -369,10 +368,11 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
 
     With the k variables of the multilinear reduction as bits, the value
     at the point with support S is a[S] = sum of c_T over T inside S.  The
-    coefficients are scaled to integers over one common denominator, and
-    the zeta transform fills all 2^k sums in place, one pass per variable:
-    each pass adds the half of every block with the variable at 0 into the
-    half with it at 1.  Raises ValueError if 2^k exceeds TERM_GUARD.
+    zeta transform fills all 2^k sums of the integer numerators in place,
+    one pass per variable: each pass adds the half of every block with the
+    variable at 0 into the half with it at 1, and each sum is divided by
+    the one denominator at the end.  Raises ValueError if 2^k exceeds
+    TERM_GUARD.
     """
     reduced = p.multilinear_reduce()
     vars_ = reduced.variables()
@@ -380,11 +380,10 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
     if size > TERM_GUARD:
         raise ValueError(f"exhaustive Boolean image over {len(vars_)} variables "
                          f"needs 2^{len(vars_)} values, over the 2^24 guard")
-    coeffs = reduced.subset_masks(vars_)
-    den = lcm(*(c.denominator for c in coeffs.values()))
+    numerators, d = reduced.subset_masks(vars_)
     a = [0] * size
-    for mask, c in coeffs.items():
-        a[mask] = c.numerator * (den // c.denominator)
+    for mask, n in numerators.items():
+        a[mask] = n
     step = 1
     while step < size:
         span = 2 * step
@@ -397,7 +396,7 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
             for off in range(step):
                 a[step + off::span] = map(add, a[step + off::span], a[off::span])
         step = span
-    return frozenset(Fraction(v, den) for v in set(a))
+    return frozenset(Fraction(v, d) for v in set(a))
 
 
 # Points per batch of the sampled image: one list per live gate of this

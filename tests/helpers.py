@@ -171,10 +171,20 @@ def _reference_subset_sum_over(vars_: tuple, beta, name: str, params: dict) -> I
     )
 
 
+def integer_row(row) -> list:
+    """A dense rational row times the lcm of its entries' denominators: the
+    same row, up to a positive scale, as ints."""
+    row = [Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def sparse_rows(dense) -> list:
-    """The nonzero rows of a dense matrix as rank_matrix returns them:
-    {column: Fraction} over each row's nonzero entries."""
-    rows = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in dense]
+    """The nonzero rows of a dense rational matrix as rank_matrix returns
+    them: {column: int} over each row's nonzero entries, each row cleared
+    of its denominators by integer_row (a positive scale, so the rank
+    stays)."""
+    rows = [{c: x for c, x in enumerate(integer_row(row)) if x} for row in dense]
     return [row for row in rows if row]
 
 

@@ -236,6 +236,13 @@ def test_parse_rejects_truncated_lines(text, lineno):
         parse_circuit(text)
 
 
+def test_a_gate_line_without_an_equals_sign_is_named_as_such():
+    text = "g0 VAR x1\nOUTPUT g0\n"
+    for read in (parse_circuit, lambda t: CircuitBuilder().read(t.splitlines())):
+        with pytest.raises(ValueError, match="^line 1: no '=' in a gate line$"):
+            read(text)
+
+
 def test_parse_rejects_missing_output():
     with pytest.raises(ValueError, match="OUTPUT"):
         parse_circuit("g0 = VAR x1\n")

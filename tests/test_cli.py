@@ -474,6 +474,8 @@ def test_console_script_runs():
      "field axioms[1].poly: non-ASCII character or '_' in '\u0661/\u0662'"),
     (lambda doc: doc["cofactors"][1].__setitem__(0, "g0 = CONST 1_0"),
      "field cofactors[1]: line 1: non-ASCII character or '_' in '1_0'"),
+    (lambda doc: doc["cofactors"][1].__setitem__(0, "g0 VAR x1"),
+     "field cofactors[1]: line 1: no '=' in a gate line"),
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_folded, mono, poly_of, sparse_rows
+from helpers import assert_folded, integer_row, mono, poly_of, sparse_rows
 
 from ipscert.circuit import expand, partial_evaluate
 from ipscert.instances import gadgeted_ry_circuit, uvar
@@ -84,15 +86,51 @@ def test_rank_matrix_sum_case():
     assert exact_rank(m) == 2
 
 
-def test_rank_matrix_keeps_integral_entries_as_ints():
-    p = Partition.parse("u1|u2")
-    f = U[1] + U[2]
-    masks = f.subset_masks(p.y_side + p.z_side)
-    entries = [c for row in rank_matrix(f, p) for c in row.values()]
-    assert sorted(masks.values()) == entries == [1, 1]
-    assert all(type(c) is int for c in [*masks.values(), *entries])
-    half = (f * Fraction(1, 2)).subset_masks(p.y_side + p.z_side)
-    assert all(type(c) is Fraction for c in half.values())
+def check_rank_matrix_reads_the_numerators(f, p):
+    """subset_masks gives f's numerators over its one denominator d, and
+    rank_matrix is d times the dense coefficient matrix read from items()."""
+    vars_ = p.y_side + p.z_side
+    numerators, d = f.subset_masks(vars_)
+    assert d > 0 and math.gcd(d, *numerators.values()) == 1
+    masks = {sum(1 << vars_.index(v) for v, _ in m): c for m, c in f.items()}
+    assert masks == {mask: Fraction(n, d) for mask, n in numerators.items()}
+    n = len(p.y_side)
+    dense = [[Fraction(0)] * (1 << n) for _ in range(1 << n)]
+    for mask, c in masks.items():
+        dense[mask & ((1 << n) - 1)][mask >> n] = c
+    rows = rank_matrix(f, p)
+    assert rows == [{c: d * x for c, x in enumerate(row) if x} for row in dense if any(row)]
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert exact_rank(rows) == rank_by_rational_elimination(dense)
+
+
+@st.composite
+def multilinear_polys_and_partitions(draw):
+    """A multilinear polynomial with rational coefficients over u1..u2n,
+    n <= 3, and a balanced partition of its variables."""
+    n = draw(st.integers(1, 3))
+    us = [uvar(k) for k in range(1, 2 * n + 1)]
+    terms = draw(st.dictionaries(
+        st.integers(0, (1 << 2 * n) - 1),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=12))
+    f = poly_of({mono((u, 1) for k, u in enumerate(us) if mask >> k & 1): c
+                 for mask, c in terms.items()})
+    order = draw(st.permutations(us))
+    return f, Partition(y_side=tuple(sorted(order[:n])), z_side=tuple(sorted(order[n:])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(multilinear_polys_and_partitions())
+def test_rank_matrix_is_the_denominator_times_the_coefficient_matrix(case):
+    check_rank_matrix_reads_the_numerators(*case)
+
+
+def test_rank_matrix_of_a_polynomial_with_denominator_six():
+    f = U[1] * U[3] / 2 + U[2] * U[4] / 3 + U[1] * U[2] * U[3]
+    p = Partition.parse("u1,u2|u3,u4")
+    assert f.subset_masks(p.y_side + p.z_side)[1] == 6
+    assert rank_matrix(f, p) == [{1: 3}, {2: 2}, {1: 6}]
+    check_rank_matrix_reads_the_numerators(f, p)
 
 
 def test_rank_matrix_rejects_nonmultilinear():
@@ -260,7 +298,7 @@ def test_exact_rank_of_sparse_rows_matches_the_dense_oracle():
         assert exact_rank(sparse_rows(m)) == expected
         # an empty row is a zero row, and an explicit zero entry is no entry
         assert exact_rank(sparse_rows(m) + [{}]) == expected
-        assert exact_rank([dict(enumerate(row)) for row in m]) == expected
+        assert exact_rank([dict(enumerate(integer_row(row))) for row in m]) == expected
 
 
 def test_echelon_rows_are_primitive_with_distinct_leading_columns():
