@@ -159,13 +159,14 @@ class CircuitBuilder:
     laid out as a standalone formula in one form, its text lines(), whose
     layouts later lines() calls reuse; sha256() hashes that text and
     formula() reads it back.  A root is measured and expanded without being
-    laid out.
+    laid out, and a starting gate laid out and measured in place, over the
+    ids it reaches (see _reach); only subcircuit() copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
         self._gates: list = list(gates)
         self._starting: set = set(range(len(self._gates)))
-        self._subcircuits: dict = {}   # gate id -> its subcircuit
+        self._reached: dict = {}       # starting gate id -> the ids it reaches, ascending
         self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
         self._laid_out: dict = {}      # the layout memo of lines()
@@ -312,12 +313,14 @@ class CircuitBuilder:
         return CircuitBuilder(self._gates)
 
     def subcircuit(self, root: int) -> Circuit:
-        """The gates root reaches as a standalone circuit, each gate once
-        (cached)."""
-        c = self._subcircuits.get(root)
-        if c is None:
-            c = self._subcircuits[root] = _compact(self._gates, root)
-        return c
+        """The gates root reaches as a standalone circuit, each gate once."""
+        return _compact(self._gates, root)
+
+    def _reach(self, i: int) -> list:
+        """The ids starting gate i reaches, ascending (so bottom-up), kept."""
+        if i not in self._reached:
+            self._reached[i] = sorted(_postorder(self._gates, i))
+        return self._reached[i]
 
     def lines(self, root: int) -> list:
         """The text lines of root laid out as a standalone formula, without
@@ -325,8 +328,8 @@ class CircuitBuilder:
         then the OUTPUT line.
 
         A composed gate is copied at each use, children first in argument
-        order.  A starting gate brings its subcircuit (see subcircuit): the
-        starting gates it reaches, in id order.
+        order.  A starting gate brings its subcircuit: the starting gates it
+        reaches, each once, in id order, written from the table in place.
 
         The table keeps a layout memo across its roots: (gate id, position)
         maps to the list and end of a layout made before, and a gate laid
@@ -353,8 +356,9 @@ class CircuitBuilder:
                 out += hit[0][n:hit[1]]
                 done.append(hit[1] - 1)
             elif i in starting:
-                out += [_line(n + j, g, [n + a for a in g.args])
-                        for j, g in enumerate(self.subcircuit(i).gates)]
+                ids = self._reach(i)
+                at = {a: n + j for j, a in enumerate(ids)}
+                out += [_line(at[a], gates[a], [at[b] for b in gates[a].args]) for a in ids]
                 done.append(len(out) - 1)
                 memo[i, n] = out, len(out)
             elif gates[i].args:
@@ -379,7 +383,7 @@ class CircuitBuilder:
     def metrics(self, root: int) -> Metrics:
         """measure(self.formula(root)), by dynamic programming over the table:
         every gate is measured once however often it is copied, a starting
-        gate by its subcircuit."""
+        gate by the rule of measure folded over the ids it reaches."""
         gates, starting, memo = self._gates, self._starting, self._measured
         todo = [root]            # ~i measures gate i from its arguments
         while todo:
@@ -395,8 +399,7 @@ class CircuitBuilder:
             elif i in memo:
                 continue
             elif i in starting:
-                m = measure(self.subcircuit(i))
-                memo[i] = (m.size, m.depth)
+                memo[i] = _measure(gates, self._reach(i))
             elif not gates[i].args:
                 memo[i] = (0, 0)
             else:
@@ -463,18 +466,25 @@ def measure(c: Circuit) -> Metrics:
     convention under which an affine factor (1 - y) measures as size 2,
     depth 1.  Every other internal gate adds its fan-in and a depth step.
     """
-    depth = [0] * len(c.gates)
+    return Metrics(*_measure(c.gates, range(len(c.gates))))
+
+
+def _measure(gates: Sequence[Gate], ids: Sequence[int]) -> tuple:
+    """(size, depth) of the last of ids by the rule of measure, folded over
+    ids: every gate it reaches once, ascending."""
+    depth = dict.fromkeys(ids, 0)
     size = 0
-    for i, g in enumerate(c.gates):
+    for i in ids:
+        g = gates[i]
         if g.is_leaf():
             continue
-        other = _is_scaled_wire(c.gates, g)
+        other = _is_scaled_wire(gates, g)
         if other is not None:
             depth[i] = depth[other]
             continue
         size += len(g.args)
-        depth[i] = 1 + max(depth[a] for a in g.args)
-    return Metrics(size=size, depth=depth[c.output])
+        depth[i] = 1 + max([depth[a] for a in g.args])
+    return size, depth[ids[-1]]
 
 
 def expand(c: Circuit) -> SparsePoly:
@@ -557,15 +567,17 @@ def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
 _NESTED_FANIN = 8
 
 
-def compile_evaluator(c: Circuit):
-    """Compile the gate table once; returns run(columns, count, prime=None).
+def compile_evaluator(c: Circuit | CircuitBuilder):
+    """Compile the gates the root reaches, in id order, once; returns
+    run(columns, count, prime=None).  The root is the last gate of c, a
+    circuit (its output) or a gate table.
 
-    run evaluates the circuit at a batch of count points, given as one column
+    run evaluates the root at a batch of count points, given as one column
     per variable: columns[v][k] is v's value at point k, and every column
     holds count values.  It returns the list of the count values of the
-    output.  One loop walks the gates in id order; each gate's values over
-    the whole batch are one list, built by map over its children's lists,
-    and a list is dropped after its last reader.
+    root.  One loop walks the compiled gates in id order; each gate's values
+    over the whole batch are one list, built by map over its children's
+    lists, and a list is dropped after its last reader.
 
     With prime None the values are exact: plain ints when every constant and
     every assigned value is an integer (the hot path of Boolean image scans;
@@ -576,14 +588,20 @@ def compile_evaluator(c: Circuit):
     A variable missing from columns raises UnassignedVariableError in both
     rings.
     """
+    if isinstance(c, Circuit):
+        gates, ids = c.gates, range(len(c.gates))
+    else:
+        gates = c._gates
+        ids = sorted(_postorder(gates, len(gates) - 1))
     leaves = []     # (gate id, variable) per VAR gate
     consts = []     # (gate id, rational) per CONST gate
     internal = []   # (gate id, operator, fold over a zip, children, ids read last here)
-    released: dict = {}   # gate id -> the ids it reads last (never the output's)
-    last_reader = {a: i for i, g in enumerate(c.gates) for a in g.args}
+    released: dict = {}   # gate id -> the ids it reads last (never the root's)
+    last_reader = {a: i for i in ids for a in gates[i].args}
     for a, i in last_reader.items():
         released.setdefault(i, []).append(a)
-    for i, g in enumerate(c.gates):
+    for i in ids:
+        g = gates[i]
         if g.op == VAR:
             leaves.append((i, g.var))
         elif g.op == CONST:
@@ -594,7 +612,7 @@ def compile_evaluator(c: Circuit):
                              (sum if is_add else prod) if len(g.args) > _NESTED_FANIN else None,
                              g.args, tuple(released.get(i, ()))))
 
-    size, out = len(c.gates), c.output
+    size, out = len(gates), len(gates) - 1
 
     def run(columns: Mapping[Var, Sequence], count: int, prime: int | None = None) -> list:
         vals: list = [None] * size
@@ -672,30 +690,6 @@ def normalize_layered(c: Circuit) -> Circuit:
     if new.gate(root).op == MUL:
         root = new.add([root])
     return _compact(new._gates, root)
-
-
-def is_syntactically_multilinear(c: Circuit) -> bool:
-    """True iff every MUL gate's children use pairwise disjoint variables."""
-    varsets: list = [frozenset()] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        if g.op == VAR:
-            varsets[i] = frozenset((g.var,))
-        elif g.op == CONST:
-            varsets[i] = frozenset()
-        else:
-            union: set = set()
-            if g.op == MUL:
-                total = 0
-                for a in g.args:
-                    total += len(varsets[a])
-                    union |= varsets[a]
-                if len(union) != total:
-                    return False
-            else:
-                for a in g.args:
-                    union |= varsets[a]
-            varsets[i] = frozenset(union)
-    return True
 
 
 # ---------------------------------------------------------------------------

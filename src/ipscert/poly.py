@@ -528,11 +528,6 @@ class SparsePoly:
             return 0
         return max((m >> off) & _FIELD_MASK for m in self._t)
 
-    def total_degree(self) -> int:
-        if not self._t:
-            return 0
-        return max(sum(e for _, e in _fields(m)) for m in self._t)
-
     def is_multilinear(self) -> bool:
         # A field above 1 has a value bit set above the lowest bit of the field.
         tab = self._tab

@@ -14,10 +14,11 @@ verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
 happens with probability at most D/prime per trial, D the identity's formal
 degree (Schwartz-Zippel), so a prime at or below D is refused; a genuinely
-valid certificate is never rejected.  The identity is one circuit,
-ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...), over the
-certificate's gate table (hash-consed when read from a document), run
-once over all trials as one batch, so a gate shared by many cofactors is
+valid certificate is never rejected.  The identity is one root, the sum of
+MUL(axiom_k, cofactor_k), on a copy of the certificate's gate table
+(hash-consed when read from a document); the gates it reaches are walked in
+the table, with no standalone copy, for D and to compile them, run once
+over all trials as one batch, so a gate shared by many cofactors is
 evaluated once.  A constant whose denominator vanishes mod the prime is
 named as the first such in the written order of the axioms and cofactors,
 pair by pair.  Trial points are derived from (seed, trial index), so
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .circuit import (ADD, CONST, VAR, Circuit, circuit_sha256, compile_evaluator, expand,
-                      poly_to_circuit)
+from .circuit import (ADD, CONST, VAR, Circuit, CircuitBuilder, _postorder, circuit_sha256,
+                      compile_evaluator, expand, poly_to_circuit)
 from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
                    frac_mod, parse_var)
 from .refute import NullstellensatzCertificate
@@ -219,6 +220,7 @@ def check_claims(cert: NullstellensatzCertificate,
     the field:
       * the axioms after the instance, as _check_boolean_axioms:
         axioms[k].label, axioms[k].poly;
+      * axiom 0 has the instance label f: axioms[0].label;
       * axiom 0 is a circuit whose root is ADD(f', CONST c):
         axioms[0].circuit;
       * c is the shift, which lies outside {0, -1}: shift;
@@ -230,6 +232,9 @@ def check_claims(cert: NullstellensatzCertificate,
     report = _check_boolean_axioms(cert)
     if report is not None:
         return report
+    if cert.axioms and cert.axioms[0][0] != "f":
+        return VerifyReport("error", detail=f"axioms[0].label: {cert.axioms[0][0]!r} is not "
+                                            "the instance label 'f'")
     table = cert.table
     root = cert.axioms[0][1] if cert.axioms else None
     g = None if root is None or isinstance(root, SparsePoly) else table.gate(root)
@@ -270,36 +275,37 @@ def _pairs(cert: NullstellensatzCertificate):
         yield cf
 
 
-def _identity(cert: NullstellensatzCertificate) -> Circuit:
-    """ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...) over a
-    copy of the certificate's table, as a standalone circuit."""
+def _identity(cert: NullstellensatzCertificate) -> CircuitBuilder:
+    """A copy of the certificate's table whose last gate is the sum of
+    MUL(axiom_k, cofactor_k); the certificate's table is left as it was."""
     b = cert.table.copy()
     ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
-    products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
-    return b.subcircuit(b.add(products) if products else b.const(0))
+    b.sum([b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)])
+    return b
 
 
-def _formal_degree(c: Circuit) -> int:
-    """The formal degree of c, in one pass over its gates: a VAR has 1, a
-    CONST 0, an ADD the max of its arguments', a MUL their sum.  It bounds
-    the total degree of the polynomial c computes from above."""
-    degree: list = []
-    for g in c.gates:
+def _formal_degree(gates, ids) -> int:
+    """The formal degree of the last of ids, folded over ids, every gate it
+    reaches, ascending: a VAR has 1, a CONST 0, an ADD the max of its
+    arguments', a MUL their sum.  It bounds the total degree from above."""
+    degree: dict = {}
+    for i in ids:
+        g = gates[i]
         if g.op == VAR:
-            degree.append(1)
+            degree[i] = 1
         elif g.op == CONST:
-            degree.append(0)
+            degree[i] = 0
         elif g.op == ADD:
-            degree.append(max([degree[a] for a in g.args]))
+            degree[i] = max([degree[a] for a in g.args])
         else:
-            degree.append(sum([degree[a] for a in g.args]))
-    return degree[c.output]
+            degree[i] = sum([degree[a] for a in g.args])
+    return degree[ids[-1]]
 
 
 def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -> VerifyReport:
     """Probabilistic identity check at cfg.trials seeded points mod cfg.prime.
 
-    The identity circuit is compiled once and run once, over all trials as
+    The identity is compiled once and run once, over all trials as
     one batch; the report names the first failing trial, and work still
     counts two evaluations (axiom and cofactor) per pair and trial up to it.
     Raises ValueError when cfg.prime is at most the identity's formal degree
@@ -308,12 +314,14 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     identity = _identity(cert)
-    degree = _formal_degree(identity)
+    gates = identity._gates
+    ids = sorted(_postorder(gates, len(gates) - 1))
+    degree = _formal_degree(gates, ids)
     if cfg.prime <= degree:
         raise ValueError(f"--prime {cfg.prime} is not above {degree}, the formal degree of "
                          "the identity, so a false identity could pass every trial")
     evaluations = 2 * len(cert.cofactors)
-    ordered = identity.variables()
+    ordered = sorted({gates[i].var for i in ids if gates[i].op == VAR}, key=lambda v: v._key)
     points = []
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)

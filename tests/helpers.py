@@ -294,6 +294,35 @@ def assert_folded(c: Circuit) -> None:
             assert g.op != MUL or 0 not in consts
 
 
+def is_syntactically_multilinear(c: Circuit) -> bool:
+    """True iff every MUL gate's children use pairwise disjoint variables."""
+    varsets: list = [frozenset()] * len(c.gates)
+    for i, g in enumerate(c.gates):
+        if g.op == VAR:
+            varsets[i] = frozenset((g.var,))
+        elif g.op == CONST:
+            varsets[i] = frozenset()
+        else:
+            union: set = set()
+            if g.op == MUL:
+                total = 0
+                for a in g.args:
+                    total += len(varsets[a])
+                    union |= varsets[a]
+                if len(union) != total:
+                    return False
+            else:
+                for a in g.args:
+                    union |= varsets[a]
+            varsets[i] = frozenset(union)
+    return True
+
+
+def total_degree(p: SparsePoly) -> int:
+    """The largest total degree of a term of p; 0 for the zero polynomial."""
+    return max((sum(e for _, e in m) for m, _ in p.items()), default=0)
+
+
 def shuffled_topological(rng: random.Random, c: Circuit, ledger: GadgetLedger) -> tuple:
     """c with its gates renumbered in a random topological order, and the ledger to match."""
     users = [[] for _ in c.gates]
@@ -391,6 +420,17 @@ def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(
     return NullstellensatzCertificate(table, axioms, cofactors,
                                       tuple(table.metrics(r) for r in cofactors),
                                       instance_sha256, Fraction(shift), builder)
+
+
+def identity_circuit(cert: NullstellensatzCertificate) -> Circuit:
+    """ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...) over a
+    copy of the certificate's table, compacted into a standalone circuit:
+    the identity verify_pit tests, for checks of its walk of the table."""
+    b = cert.table.copy()
+    ids = [b.poly(x) if isinstance(x, SparsePoly) else x
+           for (_, ax), cf in zip(cert.axioms, cert.cofactors) for x in (ax, cf)]
+    products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
+    return _compact(b._gates, b.add(products) if products else b.const(0))
 
 
 def laid_out(cert: NullstellensatzCertificate) -> tuple:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_folded, random_dag_circuit, random_layered_formula,
-                     shuffled_topological, sum_of_products_text)
+from helpers import (assert_folded, is_syntactically_multilinear, random_dag_circuit,
+                     random_layered_formula, shuffled_topological, sum_of_products_text)
 
 from ipscert import circuit as circuit_module
 from ipscert.circuit import (
@@ -27,7 +27,6 @@ from ipscert.circuit import (
     eval_circuit,
     expand,
     format_circuit,
-    is_syntactically_multilinear,
     measure,
     normalize_layered,
     parse_circuit,
@@ -563,8 +562,10 @@ def test_metrics_by_dp_equal_the_measure_of_the_layout():
     rng = random.Random(5021)
     for _ in range(40):
         start = random_dag_circuit(rng, n_gates=rng.randint(4, 16))
+        kept = random_dag_circuit(rng, n_gates=rng.randint(4, 16))
         b = CircuitBuilder(start.gates)
-        ids = list(range(len(start.gates)))
+        b.keep(kept)
+        ids = list(range(len(start.gates) + len(kept.gates)))
         for _ in range(rng.randint(1, 12)):
             pick = rng.random()
             if pick < 0.3:
@@ -576,6 +577,11 @@ def test_metrics_by_dp_equal_the_measure_of_the_layout():
                 if rng.random() < 0.3:
                     kids = [b.const(-1), kids[0]]       # a scaled wire
                 ids.append(b.add(kids) if rng.random() < 0.5 else b.mul(kids))
+        # A starting gate lays out and measures as its standalone subcircuit.
+        for c, offset in ((start, 0), (kept, len(start.gates))):
+            for i in range(len(c.gates)):
+                assert b.lines(offset + i) == format_circuit(subcircuit(c, i)).splitlines()
+                assert b.metrics(offset + i) == measure(subcircuit(c, i))
         for i in ids:
             assert b.metrics(i) == measure(b.formula(i))
             assert b.expand(i) == expand(b.formula(i))

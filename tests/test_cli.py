@@ -547,6 +547,7 @@ def _duplicate_axiom(doc):
     (lambda doc: doc["axioms"][2].__setitem__("poly", "-1/1 * x1 + 1/1 * x1^2"),
      "axioms[2].poly"),
     (_duplicate_axiom, "axioms[5].label"),
+    (lambda doc: doc["axioms"][0].__setitem__("label", "not-an-instance"), "axioms[0].label"),
 ])
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mode):

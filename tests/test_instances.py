@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    is_syntactically_multilinear,
     pointwise,
     random_dag_circuit,
     random_layered_formula,
@@ -28,7 +29,6 @@ from ipscert.circuit import (
     eval_circuit_mod,
     expand,
     format_circuit,
-    is_syntactically_multilinear,
     partial_evaluate,
 )
 from ipscert.instances import (

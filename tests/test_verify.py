@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build_corpus, certificate_of, laid_out, mutate_certificate, pointwise,
-                     random_layered_formula, ref_evaluate, ref_evaluate_mod)
+from helpers import (build_corpus, certificate_of, identity_circuit, laid_out, mutate_certificate,
+                     pointwise, random_layered_formula, ref_evaluate, ref_evaluate_mod,
+                     total_degree)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -38,7 +39,6 @@ from ipscert.verify import (
     PitConfig,
     VerifyReport,
     _formal_degree,
-    _identity,
     boolean_image,
     boolean_image_poly,
     check_claims,
@@ -190,7 +190,7 @@ def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
     # q (x1^2 - x1) = x1^p - x1 for q = sum_{j < p-1} x1^j: added to x1's
     # cofactor, it leaves a residual that vanishes at every point of GF(p).
     cert = ci_chain_certificate()
-    assert _formal_degree(_identity(cert)) == 12
+    assert formal_degree(identity_circuit(cert)) == 12
     axioms, cofactors = laid_out(cert)
     k = [label for label, _ in axioms].index("x1^2-x1")
     x, q, power = SparsePoly.variable(X1), SparsePoly.constant(0), SparsePoly.constant(1)
@@ -209,17 +209,29 @@ def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
     assert verify_pit(cert, PitConfig(prime=13)).verdict == "verified-probabilistic"
 
 
+def formal_degree(c: Circuit) -> int:
+    """_formal_degree of a standalone circuit, whose output is its last gate."""
+    return _formal_degree(c.gates, range(len(c.gates)))
+
+
 def test_formal_degree_bounds_the_identity_degree(transformed01):
+    # The refusal names D of the standalone identity: verify_pit's walk of
+    # the table finds the same degree at the largest prime it must refuse.
     rng = random.Random(29)
     for k, (_, cp, ledger) in enumerate(transformed01[::10]):
         cert = assemble_refutation(cp, ledger)
         for c in (cert, mutate_certificate(rng, cert, seed=k)):
-            identity = _identity(c)
-            assert _formal_degree(identity) >= expand(identity).total_degree()
+            assert len(c.axioms) == len(c.cofactors)
+            identity = identity_circuit(c)
+            degree = formal_degree(identity)
+            assert degree >= total_degree(expand(identity))
+            p = max(q for q in range(3, degree + 1) if is_probable_prime(q))
+            with pytest.raises(ValueError, match=f"^--prime {p} is not above {degree}, "):
+                verify_pit(c, PitConfig(prime=p))
             axioms, cofactors = laid_out(c)
             for (_, ax), cf in zip(axioms, cofactors):
                 pair = cmul(as_circuit(ax), cf)
-                assert _formal_degree(pair) >= expand(pair).total_degree()
+                assert formal_degree(pair) >= total_degree(expand(pair))
 
 
 def reference_pit(axioms, cofactors, cfg):
