@@ -60,9 +60,9 @@ _WRITTEN_KINDS = {f"{kind} ": kind for kind in (ADD, MUL)}
 class Gate:
     """One gate: VAR(var), CONST(value), ADD(args) or MUL(args).
 
-    A leaf's text, the text of its line after the gate id, is filled by
-    _line the first time it writes the leaf; no other field changes after
-    __init__, so that text stays the leaf's.
+    A leaf's text, the right-hand side of its line, is filled by _leaf_text
+    the first time it is asked for; no other field changes after __init__,
+    so that text stays the leaf's.
     """
 
     __slots__ = ("op", "var", "const", "args", "text")
@@ -155,12 +155,14 @@ class CircuitBuilder:
     keep their ids); gates added later are composed gates, shared by id.
     keep() adds more starting gates.  read() lays circuit text in: the text
     that lines() writes hash-consed (Filliatre & Conchon, ML 2006), one id
-    per structure, and any other text kept as written.  A root id is
-    laid out as a standalone formula in one form, its text lines(), whose
-    layouts later lines() calls reuse; sha256() hashes that text and
-    formula() reads it back.  A root is measured and expanded without being
-    laid out, and a starting gate laid out and measured in place, over the
-    ids it reaches (see _reach); only subcircuit() copies a root out.
+    per structure, and any other text kept as written.  write_table()
+    writes the gates that roots reach once each, starting gates first, and
+    read_table() lays those lines in again, hash-consing the composed ones
+    by the same keys.  A root id is laid out as a standalone formula in one
+    form, its text lines(); sha256() hashes that text and formula() reads
+    it back.  A root is measured and expanded without being laid out, and a
+    starting gate laid out and measured in place, over the ids it reaches
+    (see _reach); only subcircuit() copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -169,7 +171,6 @@ class CircuitBuilder:
         self._reached: dict = {}       # starting gate id -> the ids it reaches, ascending
         self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
-        self._laid_out: dict = {}      # the layout memo of lines()
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -268,6 +269,72 @@ class CircuitBuilder:
             names.append(name)
         return ids[0] if len(ids) == 1 and lines[-1] == "OUTPUT " + names[0] else None
 
+    def write_table(self, roots: Sequence[int]) -> tuple:
+        """(k, lines, positions): the gates the roots reach, each written
+        once as a line "g<p> = ..." that names only earlier lines, and the
+        line of each root.
+
+        The first k lines are the starting gates, in id order, so that each
+        lays out and measures as it does here.  The composed gates follow in
+        id order, each key once: an ADD or MUL keyed by its kind and the
+        lines of its arguments, a leaf by its right-hand side.  A composed
+        gate lays out from its kind and arguments alone, so every root lays
+        out as its lines() here once read_table reads the lines back.
+        """
+        gates, starting = self._gates, self._starting
+        reached = bytearray(len(gates))
+        for r in roots:
+            reached[r] = 1
+        for i in range(len(gates) - 1, -1, -1):
+            if reached[i]:
+                for a in gates[i].args:
+                    reached[a] = 1
+        ids = [i for i, r in enumerate(reached) if r]
+        at: dict = {}            # gate id -> its line
+        lines: list = []
+        for i in ids:
+            if i in starting:
+                g = gates[i]
+                at[i] = len(lines)
+                lines.append(_line(len(lines), g, [at[a] for a in g.args]))
+        k = len(lines)
+        keyed: dict = {}         # key -> its line
+        for i in ids:
+            if i not in starting:
+                g = gates[i]
+                key = (g.op, tuple([at[a] for a in g.args])) if g.args else _leaf_text(g)
+                p = keyed.get(key)
+                if p is None:
+                    p = keyed[key] = len(lines)
+                    lines.append(_line(p, g, key[1] if g.args else ()))
+                at[i] = p
+        return k, lines, [at[r] for r in roots]
+
+    def read_table(self, lines: Sequence[str], starting: int) -> dict:
+        """Lay in the gate lines that write_table writes, in one pass, and
+        return {gate id token: id}.
+
+        The lines are read as parse_circuit reads gate lines, with the same
+        errors, but hold no OUTPUT line.  The first `starting` gates are
+        kept as starting gates; every later one is hash-consed by its key,
+        a leaf by its right-hand side and an ADD or MUL by its kind and
+        argument ids, the keys read() uses.
+        """
+        shared = self._shared
+        names: dict = {}
+        ids: list = []           # the id of each gate line, in order
+        for g, args in _gate_lines(lines, names):
+            key = _leaf_text(g) if args is None else (g, tuple([ids[a] for a in args]))
+            if len(ids) < starting:
+                self._starting.add(len(self._gates))
+            elif key in shared:
+                ids.append(shared[key])
+                continue
+            else:
+                shared[key] = len(self._gates)
+            ids.append(self._push(g if args is None else Gate(g, args=key[1])))
+        return {name: ids[p] for name, p in names.items()}
+
     def prod(self, ids: Iterable[int]) -> int:
         """Flat product folding literal 1s; a literal 0 collapses to CONST 0.
 
@@ -330,16 +397,10 @@ class CircuitBuilder:
         A composed gate is copied at each use, children first in argument
         order.  A starting gate brings its subcircuit: the starting gates it
         reaches, each once, in id order, written from the table in place.
-
-        The table keeps a layout memo across its roots: (gate id, position)
-        maps to the list and end of a layout made before, and a gate laid
-        out again at the same position takes that slice.  The list returned
-        is shared with the memo: it may be appended to, not changed.
         """
-        gates, starting, memo = self._gates, self._starting, self._laid_out
+        gates, starting = self._gates, self._starting
         out: list = []
         done: list = []          # positions of the laid-out children, in order
-        opened: list = []        # positions where the open composed gates start
         todo = [root]            # gate ids to lay out; ~i closes composed gate i
         while todo:
             i = todo.pop()
@@ -349,26 +410,18 @@ class CircuitBuilder:
                 k = len(g.args)
                 out.append(_line(n, g, done[-k:]))
                 done[-k:] = [n]
-                memo[~i, opened.pop()] = out, n + 1
-                continue
-            hit = memo.get((i, n))
-            if hit is not None:
-                out += hit[0][n:hit[1]]
-                done.append(hit[1] - 1)
             elif i in starting:
                 ids = self._reach(i)
                 at = {a: n + j for j, a in enumerate(ids)}
                 out += [_line(at[a], gates[a], [at[b] for b in gates[a].args]) for a in ids]
                 done.append(len(out) - 1)
-                memo[i, n] = out, len(out)
             elif gates[i].args:
-                opened.append(n)
                 todo.append(~i)
                 todo.extend(reversed(gates[i].args))
             else:
                 out.append(_line(n, gates[i], ()))
                 done.append(n)
-        out.append(f"OUTPUT g{len(out) - 1}")   # past the end of every memo slice
+        out.append(f"OUTPUT g{len(out) - 1}")
         return out
 
     def formula(self, root: int) -> Circuit:
@@ -757,17 +810,20 @@ def format_circuit(c: Circuit) -> str:
 
 
 def _line(n: int, g: Gate, args) -> str:
-    """The text line of gate g at position n with these argument positions;
-    a leaf's text after the gate id is formatted once, into g.text."""
+    """The text line of gate g at position n with these argument positions."""
     if args:
         if len(args) == 2:
             return f"g{n} = {g.op} g{args[0]} g{args[1]}"
         return f"g{n} = {g.op} g" + " g".join(map(str, args))
+    return f"g{n} = {_leaf_text(g)}"
+
+
+def _leaf_text(g: Gate) -> str:
+    """The right-hand side of leaf g's line, formatted once, into g.text."""
     text = g.text
     if text is None:
-        text = g.text = (f" = VAR {g.var.name}" if g.op == VAR
-                         else f" = CONST {format_frac(g.const)}")
-    return f"g{n}{text}"
+        text = g.text = f"VAR {g.var.name}" if g.op == VAR else f"CONST {format_frac(g.const)}"
+    return text
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -791,7 +847,7 @@ def _parse_lines(lines: Sequence[str]) -> Circuit:
             gates.append(Gate(g, args=args))
 
 
-def _gate_lines(lines: Sequence[str]):
+def _gate_lines(lines: Sequence[str], names: dict | None = None):
     """The one line parser of circuit text.
 
     Yields (leaf gate, None) or (ADD or MUL, argument positions) per gate
@@ -799,8 +855,12 @@ def _gate_lines(lines: Sequence[str]):
     position of the output).  Each leaf right-hand side is parsed once: a
     line repeating one shares its gate.  Raises ValueError naming the line
     of the first malformed line.
+
+    Given a dict names, the lines are a gate table: names is filled with
+    each gate id token's position, an OUTPUT line is malformed, and nothing
+    follows the gate lines.
     """
-    id_map: dict = {}        # gate id token -> position
+    id_map: dict = {} if names is None else names   # gate id token -> position
     leaves: dict = {}        # leaf right-hand side -> its gate
     output = None
 
@@ -816,6 +876,8 @@ def _gate_lines(lines: Sequence[str]):
             continue
         try:
             if line.startswith("OUTPUT"):
+                if names is not None:
+                    raise ValueError("OUTPUT line in a gate table")
                 if output is not None:
                     raise ValueError("multiple OUTPUT lines")
                 toks = line.split()
@@ -855,6 +917,8 @@ def _gate_lines(lines: Sequence[str]):
             raise ValueError(f"line {lineno}: {exc}") from None
         id_map[lhs] = len(id_map)
         yield item
+    if names is not None:
+        return
     if output is None:
         raise ValueError("missing OUTPUT line")
     yield None, output

@@ -25,10 +25,13 @@ holds a root id per cofactor and for the instance, and no cofactor is laid
 out in memory.  Its claimed size and depth come from dynamic programming
 over the table, equal to the measure of each laid-out formula.
 
-The nullstellensatz-cert/1 document writes each root as the text lines of
-its standalone formula, straight from the table, and reads every circuit
-back line by line into one hash-consed table, which lays each out again as
-the same text.
+The nullstellensatz-cert/2 document writes the table once: every gate the
+roots reach on one line, the starting gates (the formula's own) first, and
+each circuit as one line "OUTPUT g<k>" naming its root's line.  Read back,
+it is one table again, in which every root lays out as the same text and
+measures the same.  The older nullstellensatz-cert/1 document, which wrote
+each root as the text lines of its standalone formula, is still read: every
+circuit line by line into one hash-consed table.
 
 The assembled refutation of f' + shift puts the functional refutation
 c0 + c1*f', c0, c1 = instances.inverse_differences(1, -shift), on the
@@ -61,6 +64,7 @@ from .instances import inverse_differences
 from .poly import SparsePoly, boolean_axiom, format_poly, parse_frac, parse_poly
 
 BUILDER_TAG = "ipscert-refute/1"
+FORMAT = "nullstellensatz-cert/2"
 
 
 def _squared(ids) -> list:
@@ -276,10 +280,17 @@ def _json_object(pairs: list, pad: str) -> str:
 
 
 def certificate_to_json(cert: NullstellensatzCertificate) -> str:
-    """The nullstellensatz-cert/1 document, byte for byte as json.dumps(doc,
-    indent=2) writes it, each circuit written straight from the table."""
+    """The nullstellensatz-cert/2 document, byte for byte as json.dumps(doc,
+    indent=2) writes it: the gate table that the circuits reach, written
+    once (CircuitBuilder.write_table), and each circuit as the line that
+    names its root."""
+    circuits = [ax for _, ax in cert.axioms if not isinstance(ax, SparsePoly)]
+    circuits += cert.cofactors
+    starting, table, positions = cert.table.write_table(circuits)
+    at = dict(zip(circuits, positions))
+
     def circuit(root: int, pad: str) -> str:
-        return _json_list(list(map(_str, cert.table.lines(root))), pad)
+        return _json_list([_str(f"OUTPUT g{at[root]}")], pad)
 
     axioms = [_json_object([("label", _str(label)),
                             ("poly", _str(format_poly(ax))) if isinstance(ax, SparsePoly)
@@ -288,10 +299,12 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
     metrics = [_json_object([("size", str(m.size)), ("depth", str(m.depth))], "    ")
                for m in cert.claimed_metrics]
     return _json_object([
-        ("format", _str("nullstellensatz-cert/1")),
+        ("format", _str(FORMAT)),
         ("builder", _str(cert.builder)),
         ("shift", _str(f"{cert.shift.numerator}/{cert.shift.denominator}")),
         ("instance_sha256", _str(cert.instance_sha256)),
+        ("starting", str(starting)),
+        ("table", _json_list(list(map(_str, table)), "  ")),
         ("axioms", _json_list(axioms, "  ")),
         ("cofactors", _json_list([circuit(r, "    ") for r in cert.cofactors], "  ")),
         ("metrics", _json_list(metrics, "  ")),
@@ -311,16 +324,41 @@ def _text_lines(lines: list) -> list:
     return lines if split == lines else split
 
 
+def _table_roots(doc: dict, table: CircuitBuilder):
+    """Lay a /2 document's gate table into table, in one pass; returns the
+    reader of a circuit, one line "OUTPUT g<k>" naming a table gate."""
+    starting = _field(doc, "starting", kind=int)
+    names = _field(doc, "table", kind=list,
+                   parse=lambda lines: table.read_table(_text_lines(lines), starting))
+    if not 0 <= starting <= len(names):
+        raise ValueError(f"certificate document: field starting: {starting} is not "
+                         f"between 0 and the table's {len(names)} gates")
+
+    def root(lines: list) -> int:
+        words = lines[0].split() if len(lines) == 1 and isinstance(lines[0], str) else ()
+        if len(words) != 2 or words[0] != "OUTPUT":
+            raise ValueError("not one line OUTPUT g<k>")
+        if words[1] not in names:
+            raise ValueError(f"{words[1]!r} is not a gate of the table")
+        return names[words[1]]
+
+    return root
+
+
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
-    """Read a nullstellensatz-cert/1 document: every circuit is read line by
-    line into one hash-consed table (CircuitBuilder.read)."""
+    """Read a nullstellensatz-cert/2 document, its table in one pass
+    (CircuitBuilder.read_table), or a nullstellensatz-cert/1 document, every
+    circuit line by line into one hash-consed table (CircuitBuilder.read)."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != "nullstellensatz-cert/1":
+    version = doc.get("format") if isinstance(doc, dict) else None
+    if version not in (FORMAT, "nullstellensatz-cert/1"):
         raise ValueError("not a certificate document")
     table = CircuitBuilder()
-
-    def read(lines: list) -> int:
-        return table.read(_text_lines(lines))
+    if version == FORMAT:
+        read = _table_roots(doc, table)
+    else:
+        def read(lines: list) -> int:
+            return table.read(_text_lines(lines))
 
     axioms = []
     for k, ax in enumerate(_field(doc, "axioms", kind=list)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry
 from ipscert.instances import InstanceBundle, inverse_differences
-from ipscert.poly import SparsePoly, Var, _Accumulator
+from ipscert.poly import SparsePoly, Var, _Accumulator, format_poly
 from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate
 
 CORPUS_SEED = 20260810
@@ -407,8 +408,9 @@ def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(
                    builder: str = BUILDER_TAG) -> NullstellensatzCertificate:
     """A certificate of (label, Circuit | SparsePoly) axioms and Circuit
     (or SparsePoly) cofactors, each circuit written as text and read into a
-    fresh table as certificate_from_json reads a document, so that it lays
-    out again as given.  The claimed metrics are each cofactor's measure."""
+    fresh table as certificate_from_json reads a /1 document, so that it
+    lays out again as given.  The claimed metrics are each cofactor's
+    measure."""
     table = CircuitBuilder()
 
     def read(c: Circuit) -> int:
@@ -463,3 +465,22 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
                 shift=cert.shift,
             )
     raise AssertionError("could not find a semantics-changing mutation")
+
+
+def certificate_to_json_v1(cert: NullstellensatzCertificate) -> str:
+    """The reference writer of the older nullstellensatz-cert/1 document,
+    which certificate_from_json still reads: each circuit is the text lines
+    of its root laid out as a standalone formula (CircuitBuilder.lines)."""
+    table = cert.table
+    doc = {
+        "format": "nullstellensatz-cert/1",
+        "builder": cert.builder,
+        "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
+        "instance_sha256": cert.instance_sha256,
+        "axioms": [{"label": label, "poly": format_poly(ax)} if isinstance(ax, SparsePoly)
+                   else {"label": label, "circuit": table.lines(ax)}
+                   for label, ax in cert.axioms],
+        "cofactors": [table.lines(r) for r in cert.cofactors],
+        "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
+    }
+    return json.dumps(doc, indent=2) + "\n"

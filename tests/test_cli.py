@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import build_corpus, mutate_certificate
+from helpers import build_corpus, certificate_to_json_v1, mutate_certificate
 
 from ipscert.circuit import (
     cadd,
@@ -331,7 +331,7 @@ def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
 
 def test_verify_unparsable_cofactor_exits_2_naming_it(tmp_path, capsys):
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp, ledger)))
     doc["cofactors"][1] = ["g0 = ADD", "OUTPUT g0"]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -479,7 +479,7 @@ def test_console_script_runs():
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
     cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp, ledger)))
     assert len(doc["cofactors"]) == 5
     edit(doc)
     path = tmp_path / "cert.json"
@@ -534,9 +534,21 @@ FORGED_AXIOM_CERT = {
 }
 
 
+WRITERS = pytest.mark.parametrize("writer", [certificate_to_json, certificate_to_json_v1],
+                                  ids=["v2", "v1"])
+
+
+def _zero_root(doc) -> list:
+    """A new root of the circuit 0 in doc, a /1 or a /2 document."""
+    if "table" not in doc:
+        return ["g0 = CONST 0/1", "OUTPUT g0"]
+    doc["table"].append(f"g{len(doc['table'])} = CONST 0/1")
+    return [f"OUTPUT g{len(doc['table']) - 1}"]
+
+
 def _duplicate_axiom(doc):
     doc["axioms"].append(dict(doc["axioms"][1]))
-    doc["cofactors"].append(["g0 = CONST 0/1", "OUTPUT g0"])
+    doc["cofactors"].append(_zero_root(doc))
     doc["metrics"].append({"size": 0, "depth": 0})
 
 
@@ -550,14 +562,15 @@ def _duplicate_axiom(doc):
     (lambda doc: doc["axioms"][0].__setitem__("label", "not-an-instance"), "axioms[0].label"),
 ])
 @pytest.mark.parametrize("mode", ["exact", "pit"])
-def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mode):
+@WRITERS
+def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mode, writer):
     # Every variant but the swapped poly still satisfies the identity; the
     # axiom check must reject each before the identity check runs.
     if edit is None:
         doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
     else:
         cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-        doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+        doc = json.loads(writer(assemble_refutation(cp, ledger)))
         edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -587,11 +600,20 @@ def _text_sha256(lines):
 def _zero_shift(doc):
     """The shift and the constant that axiom 0 adds both set to 0, with the
     hash of the edited text: the instance f' + 0 is satisfiable."""
-    lines = doc["axioms"][0]["circuit"]
-    const = lines[-2].split()[-1]          # the root is ADD(f', CONST shift)
-    k = next(k for k, line in enumerate(lines) if line.startswith(const + " = CONST "))
-    lines[k] = f"{const} = CONST 0/1"
     doc["shift"] = "0/1"
+    lines = doc["axioms"][0]["circuit"]
+    if "table" in doc:
+        # The root is ADD(f', CONST shift); the table writes CONST shift once.
+        table = doc["table"]
+        const = table[int(lines[0].split()[1][1:])].split()[-1]
+        table[int(const[1:])] = f"{const} = CONST 0/1"
+        cert = certificate_from_json(json.dumps(doc))
+        lines = cert.table.lines(cert.axioms[0][1])
+        assert lines[-3].endswith(" = CONST 0/1")
+    else:
+        const = lines[-2].split()[-1]          # the root is ADD(f', CONST shift)
+        k = next(k for k, line in enumerate(lines) if line.startswith(const + " = CONST "))
+        lines[k] = f"{const} = CONST 0/1"
     doc["instance_sha256"] = _text_sha256(lines)
 
 
@@ -612,14 +634,15 @@ def _instance_as_poly(doc):
     (_instance_as_poly, "axioms[0].circuit"),
 ])
 @pytest.mark.parametrize("mode", ["exact", "pit"])
-def test_verify_rejects_a_forged_claim(tmp_path, capsys, edit, field, mode):
+@WRITERS
+def test_verify_rejects_a_forged_claim(tmp_path, capsys, edit, field, mode, writer):
     # Each document but the zero shift still satisfies the identity; the
     # claims check must reject each before the identity check runs.
     if edit is None:
         doc = json.loads(json.dumps(ONE_AXIOM_CERT))
     else:
         cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-        doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+        doc = json.loads(writer(assemble_refutation(cp, ledger)))
         edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -688,3 +711,58 @@ def test_a_number_flag_that_does_not_parse_is_named(tmp_path, capsys, command, f
     assert f"error: argument {flag}: " in captured.err
     assert message in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.circ"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["cofactors"].__setitem__(1, ["g0 = ADD", "OUTPUT g0"]),
+     "field cofactors[1]: not one line OUTPUT g<k>"),
+    (lambda doc: doc["cofactors"].__setitem__(2, ["OUTPUT g9999"]),
+     "field cofactors[2]: 'g9999' is not a gate of the table"),
+    (lambda doc: doc.__setitem__("starting", -1), "field starting: -1 is not between 0"),
+    (lambda doc: doc.__setitem__("starting", "0"), "field starting is not an integer"),
+    (lambda doc: doc["table"].__setitem__(0, "g0 = MUL g1 g1"),
+     "field table: line 1: reference to undefined gate 'g1'"),
+    (lambda doc: doc["table"].append("OUTPUT g0"), "OUTPUT line in a gate table"),
+    (lambda doc: doc.pop("table"), "missing field table"),
+])
+def test_verify_rejects_a_hostile_v2_document(tmp_path, capsys, edit, message):
+    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    edit(doc)
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    for mode in ("exact", "pit"):
+        assert main(["verify", "--cert", str(path), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: certificate document: " in captured.err and message in captured.err
+
+
+# The certificate of the CI chain at shift 1/3, as the /1 writer wrote it
+# before refute wrote /2: an old document must still verify.
+V1_DOCUMENT = os.path.join(os.path.dirname(__file__), "cert-v1-third.json")
+V1_DOCUMENT_SHA256 = "d88b01b0d163f9a0404ba89d2ef5c5055cdddf972cee7fc62ccfae59f8654b24"
+
+
+def test_an_old_v1_document_verifies_against_its_instance(tmp_path, capsys):
+    with open(V1_DOCUMENT, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == V1_DOCUMENT_SHA256
+    src = tmp_path / "c.circ"
+    write(src, "\n".join(["g0 = VAR x1", "g1 = VAR x2", "g2 = VAR x3", "g3 = VAR x4",
+                          "g4 = ADD g1 g2", "g5 = MUL g0 g4", "g6 = ADD g5 g3", "OUTPUT g6"]) + "\n")
+    steps = [("parse", "--input", "c.circ", "--out", "p.circ"),
+             ("normalize", "--input", "p.circ", "--out", "n.circ"),
+             ("transform", "--input", "n.circ", "--out", "t.circ", "--ledger", "l.json"),
+             ("refute", "--input", "t.circ", "--ledger", "l.json", "--shift", "1/3",
+              "--out", "third.json")]
+    for argv in steps:
+        assert main([a if "." not in a else str(tmp_path / a) for a in argv]) == 0
+    capsys.readouterr()
+    reports = []
+    for cert in (V1_DOCUMENT, str(tmp_path / "third.json")):
+        for mode in ("exact", "pit"):
+            assert main(["verify", "--cert", cert, "--instance", str(tmp_path / "t.circ"),
+                         "--mode", mode]) == 0
+            reports.append(capsys.readouterr().out)
+    assert reports[:2] == reports[2:]
+    assert json.loads((tmp_path / "third.json").read_text())["format"] == "nullstellensatz-cert/2"

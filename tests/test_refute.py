@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_corpus, certificate_of, gadget_poly, laid_out, random_product_dag,
-                     ref_evaluate, shuffled_topological, total_degree)
+from helpers import (build_corpus, certificate_of, certificate_to_json_v1, gadget_poly, laid_out,
+                     random_product_dag, ref_evaluate, shuffled_topological, total_degree)
 
 from ipscert.circuit import (
     CONST,
@@ -36,23 +36,35 @@ from ipscert.refute import (
     certificate_to_json,
     gate_square_certificates,
 )
-from ipscert.verify import verify_exact
+from ipscert.verify import PitConfig, check_claims, verify_exact, verify_pit
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 
-# SHA-256 of certificate documents as written before cofactors were composed
-# by gate id in one builder: every cofactor must keep its gate layout.
+# SHA-256 of /1 certificate documents (certificate_to_json_v1) as written
+# before cofactors were composed by gate id in one builder: every cofactor
+# must keep its gate layout.
 SHUFFLED_FORMULAS_SHA256 = "77c4f7c0a60c6e62b7554c512e25555241db9d27d3327f5751e517044fe4ff10"
 PRODUCT_DAGS_SHA256 = "b5d47202aedcdfa3819437a4802039b4b9b6df0c6de2c12d5d431796f1622e30"
-# SHA-256 of the certificate documents of 5 corpus formulas (build_corpus(4106, 5),
-# normalized and transformed) at each shift, taken when refute derived its
-# instance cofactor's constants by hand.
+# SHA-256 of the /1 certificate documents of 5 corpus formulas
+# (build_corpus(4106, 5), normalized and transformed) at each shift, taken
+# when refute derived its instance cofactor's constants by hand.
 SHIFT_SHA256 = {
     "-2": "249ef9b6be16feb986c598fdfac4944c49c188d32727fdb79e13083049b41a39",
     "1": "5c8941cbd09c6e531981dfe108289a3f60b5f071b128600604163cfbd1b3f9e8",
     "1/2": "799ba65708bbf2b1a7c9527d0a3316f97d92271e411dd0eb7e6be5a533eac748",
     "-3": "f269c17407c6e4feb75262df78dc7e6e36af235ea0dd96536a88c24326f39fde",
     "2/3": "6651f93920e723aa233efaf76e0fdf983e1ca840692b5400fc1b8e93ac2a38c9",
+}
+# The same certificates as /2 documents (certificate_to_json), pinned when
+# refute first wrote /2.
+SHUFFLED_FORMULAS_V2_SHA256 = "8754a792b213dd6994664694ca1a6557fcd805315c87802cf1214cf29da871f4"
+PRODUCT_DAGS_V2_SHA256 = "654ee454ec085920fc237f4b7e5b8a39272bf1d46ff95387a56ea9568ba0fd87"
+SHIFT_V2_SHA256 = {
+    "-2": "c0c504b39a57d9ed94af96697a0fa1b31cf7729777d5809b360bf707b3770217",
+    "1": "9efd5a0cbea52e41e71acb65ebb7e02daa2d75030b49a867ba8302229b3b6161",
+    "1/2": "545cfd17e78d5246338da594539f7ea2893a84d1b31e5d49c1bd3dea3a1c212c",
+    "-3": "cae22737feecadf65cc3d2c257adc9ae9b8d2caf1ea4fb1607aa174a3fbd12ac",
+    "2/3": "e0c31f4092c0a714cd8034834c92dae2932296ca7a2bc5a9a647b1378002a984",
 }
 
 
@@ -306,7 +318,7 @@ def test_assembled_certificates_on_small_corpus():
 def test_layout_of_reparsed_shuffled_formulas_is_pinned():
     # Gate lines out of post-order: each formula gate brings its subcircuit in id order.
     rng = random.Random(4104)
-    h = hashlib.sha256()
+    v1, v2 = hashlib.sha256(), hashlib.sha256()
     for c in build_corpus(4104, 12):
         cp, ledger = gadgetize(normalize_layered(c))
         shuffled, shuffled_ledger = shuffled_topological(rng, cp, ledger)
@@ -314,28 +326,36 @@ def test_layout_of_reparsed_shuffled_formulas_is_pinned():
         assert text != format_circuit(cp)
         cert = assemble_refutation(parse_circuit(text),
                                    GadgetLedger.from_json(shuffled_ledger.to_json()))
-        h.update(certificate_to_json(cert).encode())
-    assert h.hexdigest() == SHUFFLED_FORMULAS_SHA256
+        v1.update(certificate_to_json_v1(cert).encode())
+        v2.update(certificate_to_json(cert).encode())
+    assert v1.hexdigest() == SHUFFLED_FORMULAS_SHA256
+    assert v2.hexdigest() == SHUFFLED_FORMULAS_V2_SHA256
 
 
 def test_layout_of_product_dags_is_pinned():
     # Products whose gates share children: a shared subcircuit is copied per use.
     rng = random.Random(4105)
-    h = hashlib.sha256()
+    v1, v2 = hashlib.sha256(), hashlib.sha256()
     for _ in range(10):
         dag = random_product_dag(rng, rng.randint(6, 11))
         assert not dag.is_formula
-        h.update(certificate_to_json(assemble_refutation(dag, GadgetLedger(()))).encode())
-    assert h.hexdigest() == PRODUCT_DAGS_SHA256
+        cert = assemble_refutation(dag, GadgetLedger(()))
+        v1.update(certificate_to_json_v1(cert).encode())
+        v2.update(certificate_to_json(cert).encode())
+    assert v1.hexdigest() == PRODUCT_DAGS_SHA256
+    assert v2.hexdigest() == PRODUCT_DAGS_V2_SHA256
 
 
 @pytest.mark.parametrize("shift", sorted(SHIFT_SHA256))
 def test_certificates_at_each_shift_are_pinned(shift):
-    h = hashlib.sha256()
+    v1, v2 = hashlib.sha256(), hashlib.sha256()
     for c in build_corpus(4106, 5):
         cp, ledger = gadgetize(normalize_layered(c))
-        h.update(certificate_to_json(assemble_refutation(cp, ledger, shift=Fraction(shift))).encode())
-    assert h.hexdigest() == SHIFT_SHA256[shift]
+        cert = assemble_refutation(cp, ledger, shift=Fraction(shift))
+        v1.update(certificate_to_json_v1(cert).encode())
+        v2.update(certificate_to_json(cert).encode())
+    assert v1.hexdigest() == SHIFT_SHA256[shift]
+    assert v2.hexdigest() == SHIFT_V2_SHA256[shift]
 
 
 def test_certificate_json_round_trip():
@@ -348,14 +368,24 @@ def test_certificate_json_round_trip():
     assert again.instance_sha256 == cert.instance_sha256
 
 
+WRITERS = pytest.mark.parametrize("write", [certificate_to_json, certificate_to_json_v1],
+                                  ids=["v2", "v1"])
+
+
+def small_doc(write=certificate_to_json) -> dict:
+    """The document of x1 + x2 x3, transformed and refuted, as write writes it."""
+    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    return json.loads(write(assemble_refutation(cp, ledger)))
+
+
+@WRITERS
 @pytest.mark.parametrize("path", [
     ("axioms",), ("cofactors",), ("metrics",), ("instance_sha256",), ("shift",),
     ("axioms", 0, "label"), ("axioms", 1, "label"), ("axioms", 1, "poly"),
     ("metrics", 0, "size"),
 ])
-def test_certificate_from_json_names_a_missing_field(path):
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+def test_certificate_from_json_names_a_missing_field(path, write):
+    doc = small_doc(write)
     holder = doc
     for key in path[:-1]:
         holder = holder[key]
@@ -377,8 +407,7 @@ def test_certificate_from_json_names_a_missing_field(path):
     (("axioms", 2, "poly"), "1/1 * q7", "field axioms[2].poly: cannot parse variable name 'q7'"),
 ])
 def test_certificate_from_json_names_a_field_whose_text_does_not_parse(path, value, message):
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    doc = small_doc(certificate_to_json_v1)
     holder = doc
     for key in path[:-1]:
         holder = holder[key]
@@ -401,9 +430,9 @@ def test_certificate_from_json_names_a_field_whose_text_does_not_parse(path, val
     (("metrics", 0, "size"), "3", "metrics[0].size"),
     (("metrics", 0, "depth"), True, "metrics[0].depth"),
 ])
-def test_certificate_from_json_names_a_wrongly_typed_field(path, value, name):
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+@WRITERS
+def test_certificate_from_json_names_a_wrongly_typed_field(path, value, name, write):
+    doc = small_doc(write)
     holder = doc
     for key in path[:-1]:
         holder = holder[key]
@@ -416,7 +445,7 @@ def test_certificate_from_json_names_a_wrongly_typed_field(path, value, name):
 # One gate table from refute to verify.
 
 def parent_json(cert) -> str:
-    """The document as json.dumps writes it from formula circuits."""
+    """The /1 document as json.dumps writes it from formula circuits."""
     axioms, cofactors = laid_out(cert)
     doc = {
         "format": "nullstellensatz-cert/1",
@@ -446,27 +475,41 @@ def pinned_certificates():
 
 
 def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed01):
+    # /2 and /1 of one certificate read back to the same roots: every root
+    # lays out as the /1 text, measures as claimed, and /2 writes again
+    # byte for byte.
     certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01]
     certs += list(pinned_certificates())
     for cert in certs:
-        text = certificate_to_json(cert)
-        assert text == parent_json(cert)
+        text, old = certificate_to_json(cert), certificate_to_json_v1(cert)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert old == parent_json(cert)
+        for again in (certificate_from_json(text), certificate_from_json(old)):
+            assert certificate_to_json_v1(again) == old
+            assert again.instance_sha256 == hashlib.sha256(
+                format_circuit(again.table.formula(again.axioms[0][1])).encode()).hexdigest()
         again = certificate_from_json(text)
         assert certificate_to_json(again) == text
-        assert again.instance_sha256 == hashlib.sha256(
-            format_circuit(again.table.formula(again.axioms[0][1])).encode()).hexdigest()
         for table, roots in ((cert.table, cert.cofactors), (again.table, again.cofactors)):
             assert tuple(table.metrics(r) for r in roots) == cert.claimed_metrics == tuple(
                 measure(table.formula(r)) for r in roots)
 
 
 def test_every_written_certificate_is_hash_consed_when_read_back(transformed01):
-    # No text the writer writes reaches the kept-text path of read(): the
-    # table holds no starting gate, and each of its gates has one key.
+    # No /1 text the writer writes reaches the kept-text path of read(): the
+    # table holds no starting gate, and each of its gates has one key.  A /2
+    # table is read as written: its starting gates, then one gate per key.
     for _, cp, ledger in transformed01:
-        table = certificate_from_json(certificate_to_json(assemble_refutation(cp, ledger))).table
+        cert = assemble_refutation(cp, ledger)
+        table = certificate_from_json(certificate_to_json_v1(cert)).table
         assert not table._starting
         assert len(table._shared) == len(table._gates)
+        doc = json.loads(certificate_to_json(cert))
+        table = certificate_from_json(json.dumps(doc)).table
+        assert doc["starting"] == len(cp.gates)
+        assert len(table._gates) == len(doc["table"])
+        assert table._starting == set(range(doc["starting"]))
+        assert len(table._shared) == len(table._gates) - doc["starting"]
 
 
 def circuit_roots(cert) -> list:
@@ -475,31 +518,31 @@ def circuit_roots(cert) -> list:
 
 
 def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
-    # A table keeps every layout lines() makes and reuses it in later lines()
-    # and sha256() calls: the text of a root must not depend on which roots
-    # were laid out before it, in a table read from text or assembled.
+    # The text of a root must not depend on which roots were laid out before
+    # it, in a table read from /2 or /1 text or assembled.
     def certs():
         yield from (assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::4])
         yield from pinned_certificates()
 
     for cert, assembled in zip(certs(), certs()):
-        text = certificate_to_json(cert)
-        hashed, one, two = (certificate_from_json(text) for _ in range(3))
-        for r in circuit_roots(hashed):
-            assert hashed.table.sha256(r) == circuit_sha256(hashed.table.formula(r))
-        roots = circuit_roots(one)
-        forward = [one.table.lines(r) for r in roots]
-        backward = [two.table.lines(r) for r in reversed(roots)][::-1]
-        assert forward == backward == [cert.table.lines(r) for r in circuit_roots(cert)]
-        assert forward == [assembled.table.lines(r)
-                           for r in reversed(circuit_roots(assembled))][::-1]
-        # f', the first argument of axiom 0, as check_claims lays it out.
-        fprime = [t.table.lines(t.table.gate(t.axioms[0][1]).args[0]) for t in (one, assembled)]
-        assert fprime[0] == fprime[1] == format_circuit(
-            one.table.formula(one.table.gate(roots[0]).args[0])).splitlines()
-        for r, lines in zip(roots, forward):
-            assert lines == format_circuit(one.table.formula(r)).splitlines()
-            assert two.table.sha256(r) == circuit_sha256(two.table.formula(r))
+        for write in (certificate_to_json, certificate_to_json_v1):
+            text = write(cert)
+            hashed, one, two = (certificate_from_json(text) for _ in range(3))
+            for r in circuit_roots(hashed):
+                assert hashed.table.sha256(r) == circuit_sha256(hashed.table.formula(r))
+            roots = circuit_roots(one)
+            forward = [one.table.lines(r) for r in roots]
+            backward = [two.table.lines(r) for r in reversed(roots)][::-1]
+            assert forward == backward == [cert.table.lines(r) for r in circuit_roots(cert)]
+            assert forward == [assembled.table.lines(r)
+                               for r in reversed(circuit_roots(assembled))][::-1]
+            # f', the first argument of axiom 0, as check_claims lays it out.
+            fprime = [t.table.lines(t.table.gate(t.axioms[0][1]).args[0]) for t in (one, assembled)]
+            assert fprime[0] == fprime[1] == format_circuit(
+                one.table.formula(one.table.gate(roots[0]).args[0])).splitlines()
+            for r, lines in zip(roots, forward):
+                assert lines == format_circuit(one.table.formula(r)).splitlines()
+                assert two.table.sha256(r) == circuit_sha256(two.table.formula(r))
 
 
 def test_certificate_json_of_empty_lists_and_escaped_labels():
@@ -508,8 +551,11 @@ def test_certificate_json_of_empty_lists_and_escaped_labels():
                                 [cconst(1), cmul(cvar(X1), cvar(X1))],
                                 instance_sha256="0" * 64, shift=Fraction(3, 7),
                                 builder="b\u2028")):
-        text = certificate_to_json(cert)
-        assert text == parent_json(cert)
+        text, old = certificate_to_json(cert), certificate_to_json_v1(cert)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert old == parent_json(cert)
+        for again in (certificate_from_json(text), certificate_from_json(old)):
+            assert certificate_to_json_v1(again) == old
         assert certificate_to_json(certificate_from_json(text)) == text
 
 
@@ -524,9 +570,9 @@ def test_certificate_of_lays_every_circuit_out_as_given():
     assert cert.claimed_metrics == tuple(measure(c) for c in circuits)
 
 
-def test_certificate_from_json_requires_a_string_builder():
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+@WRITERS
+def test_certificate_from_json_requires_a_string_builder(write):
+    doc = small_doc(write)
     for value in (5, None, ["ipscert-refute/1"]):
         doc["builder"] = value
         with pytest.raises(ValueError, match=re.escape("field builder is not a string")):
@@ -536,12 +582,170 @@ def test_certificate_from_json_requires_a_string_builder():
 
 
 @pytest.mark.parametrize("keep", [0, 1, 5])
-def test_certificate_from_json_requires_one_metric_per_cofactor(keep):
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+@WRITERS
+def test_certificate_from_json_requires_one_metric_per_cofactor(keep, write):
+    doc = small_doc(write)
     cofactors = len(doc["cofactors"])
     doc["metrics"] = (doc["metrics"] * 5)[:keep]
     assert keep != cofactors
     with pytest.raises(ValueError, match=re.escape(
             f"field metrics has {keep} entries for {cofactors} cofactors")):
         certificate_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# nullstellensatz-cert/2: one table, read back alike, and hostile tables.
+
+def shift_certificates():
+    """The certificates of the pinned shift corpus, at every shift."""
+    for shift in sorted(SHIFT_SHA256):
+        for c in build_corpus(4106, 5):
+            cp, ledger = gadgetize(normalize_layered(c))
+            yield assemble_refutation(cp, ledger, shift=Fraction(shift))
+
+
+def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
+    certs = list(pinned_certificates()) + list(shift_certificates())
+    certs += [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::20]]
+    cfg = PitConfig(trials=5, seed=11)
+    for cert in certs:
+        two, one = (certificate_from_json(write(cert))
+                    for write in (certificate_to_json, certificate_to_json_v1))
+        for a, b in zip(circuit_roots(two), circuit_roots(one)):
+            assert two.table.lines(a) == one.table.lines(b)
+            assert two.table.metrics(a) == one.table.metrics(b)
+            assert two.table.sha256(a) == one.table.sha256(b)
+        assert check_claims(two) is None and check_claims(one) is None
+        assert verify_exact(two) == verify_exact(one)
+        assert verify_pit(two, cfg) == verify_pit(one, cfg)
+
+
+def _set(*path):
+    """An edit that sets doc[path[0]]...[path[-2]] to value(doc)."""
+    def edit(value):
+        def apply(doc):
+            holder = doc
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = value(doc) if callable(value) else value
+        return apply
+    return edit
+
+
+ROOT_NOT_ONE_LINE = "not one line OUTPUT g<k>"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("cofactors", 1)(["OUTPUT g0", "OUTPUT g1"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1)(["g0 = VAR x1", "OUTPUT g0"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1)([]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1)([5]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1)(["OUTPUT"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1)(["INPUT g0"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("axioms", 0, "circuit")(["OUTPUT g0 g1"]), "field axioms[0].circuit: " + ROOT_NOT_ONE_LINE),
+    (_set("axioms", 0, "circuit")(["OUTPUT g99999"]),
+     "field axioms[0].circuit: 'g99999' is not a gate of the table"),
+    (_set("cofactors", 0)(lambda doc: [f"OUTPUT g{len(doc['table'])}"]),
+     "field cofactors[0]: 'g{n}' is not a gate of the table"),
+    (_set("starting")(-1), "field starting: -1 is not between 0 and the table's {n} gates"),
+    (_set("starting")(lambda doc: len(doc["table"]) + 1),
+     "field starting: {m} is not between 0 and the table's {n} gates"),
+    (_set("starting")(True), "field starting is not an integer"),
+    (_set("starting")("3"), "field starting is not an integer"),
+    (_set("starting")(None), "field starting is not an integer"),
+    (_set("table", 2)("g2 = ADD g0 g5"), "field table: line 3: reference to undefined gate 'g5'"),
+    (_set("table", 2)("g2 = MUL g2 g1"), "field table: line 3: reference to undefined gate 'g2'"),
+    (lambda doc: doc["table"].insert(3, "OUTPUT g2"),
+     "field table: line 4: OUTPUT line in a gate table"),
+    (lambda doc: doc["table"].append("OUTPUT g0"),
+     "field table: line {m}: OUTPUT line in a gate table"),
+    (_set("table", 0)("g0 = CONST 1/0"), "field table: line 1: zero denominator in '1/0'"),
+    (_set("table", 1)("g0 = VAR x2"), "field table: line 2: gate g0 defined twice"),
+    (_set("table")(5), "field table is not a list"),
+    (_set("table")([5]), "field table: not a list of strings"),
+    (lambda doc: doc.pop("table"), "missing field table"),
+    (lambda doc: doc.pop("starting"), "missing field starting"),
+])
+def test_a_hostile_v2_document_is_a_value_error_naming_its_field(edit, message):
+    doc = small_doc()
+    n = len(doc["table"])
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(
+            "certificate document: " + message.format(n=n, m=n + 1))):
+        certificate_from_json(json.dumps(doc))
+
+
+def test_a_v2_table_written_with_a_gate_twice_holds_it_once():
+    doc = small_doc()
+    table = doc["table"]
+    n = len(table)
+    twice = table[-1].split(" = ")[1]
+    table.append(f"g{n} = {twice}")
+    doc["cofactors"][0] = [f"OUTPUT g{n}"]
+    cert = certificate_from_json(json.dumps(doc))
+    assert len(cert.table._gates) == n
+    assert cert.cofactors[0] == cert.table._shared[cert.table.gate(n - 1).op,
+                                                    cert.table.gate(n - 1).args]
+
+
+def _mutants(rng: random.Random, doc: dict, count: int):
+    """count seeded single edits of a /2 document: table lines dropped,
+    repeated, swapped or with a token or character replaced; a root, the
+    starting count or a metric moved; a field deleted or given another type."""
+    tokens = ["g0", "g1", "g999", "ADD", "MUL", "VAR", "CONST", "x1", "y_1_0", "1/0", "-1/2",
+              "OUTPUT", "=", "", "#"]
+    values = [None, True, 0, -1, 7, 2**70, "", "x", [], ["OUTPUT g0"], [5], {}, 1.5]
+    for _ in range(count):
+        d = json.loads(json.dumps(doc))
+        table, k = d["table"], rng.randrange(6)
+        if k == 0:
+            i, j = rng.randrange(len(table)), rng.randrange(len(table))
+            table[i], table[j] = table[j], table[i]
+        elif k == 1:
+            i = rng.randrange(len(table))
+            rng.choice([lambda: table.pop(i), lambda: table.insert(i, table[i])])()
+        elif k == 2:
+            i = rng.randrange(len(table))
+            words = table[i].split(" ")
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+            table[i] = " ".join(words)
+        elif k == 3:
+            i = rng.randrange(len(table))
+            c = rng.randrange(len(table[i]))
+            table[i] = table[i][:c] + rng.choice("g0 9=-/#\n\u0661") + table[i][c + 1:]
+        elif k == 4:
+            root = rng.choice(d["cofactors"] + [d["axioms"][0]["circuit"]])
+            at = rng.randrange(-1, len(table) + 2)
+            rng.choice([lambda: root.__setitem__(0, f"OUTPUT g{at}"),
+                        lambda: d.__setitem__("starting", d["starting"] + rng.choice((-1, 1))),
+                        lambda: d["metrics"][0].__setitem__("depth", at)])()
+        else:
+            holder = rng.choice([d, d["axioms"][0], d["axioms"][1], d["metrics"][0]])
+            key = rng.choice(sorted(holder))
+            if rng.random() < 0.3:
+                del holder[key]
+            else:
+                holder[key] = rng.choice(values)
+        yield json.dumps(d)
+
+
+def test_seeded_mutants_of_v2_documents_raise_only_value_errors():
+    # Every refusal, by the reader or by either verifier, is a ValueError:
+    # never a KeyError, IndexError or TypeError.
+    rng = random.Random(2027)
+    docs = [small_doc()]
+    for c in build_corpus(2027, 3):
+        cp, ledger = gadgetize(normalize_layered(c))
+        docs.append(json.loads(certificate_to_json(assemble_refutation(cp, ledger))))
+    cfg = PitConfig(trials=2, seed=3)
+    refused = verified = 0
+    for doc in docs:
+        for text in _mutants(rng, doc, 150):
+            try:
+                cert = certificate_from_json(text)
+                if check_claims(cert) is None:
+                    verified += verify_pit(cert, cfg).verdict == "verified-probabilistic"
+                    verify_exact(cert)
+            except ValueError:
+                refused += 1
+    assert refused > 100 and verified > 0
