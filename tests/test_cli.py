@@ -749,7 +749,8 @@ def test_an_old_v1_document_verifies_against_its_instance(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest() == V1_DOCUMENT_SHA256
     src = tmp_path / "c.circ"
     write(src, "\n".join(["g0 = VAR x1", "g1 = VAR x2", "g2 = VAR x3", "g3 = VAR x4",
-                          "g4 = ADD g1 g2", "g5 = MUL g0 g4", "g6 = ADD g5 g3", "OUTPUT g6"]) + "\n")
+                          "g4 = ADD g1 g2", "g5 = MUL g0 g4", "g6 = ADD g5 g3",
+                          "OUTPUT g6"]) + "\n")
     steps = [("parse", "--input", "c.circ", "--out", "p.circ"),
              ("normalize", "--input", "p.circ", "--out", "n.circ"),
              ("transform", "--input", "n.circ", "--out", "t.circ", "--ledger", "l.json"),

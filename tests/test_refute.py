@@ -537,7 +537,8 @@ def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
             assert forward == [assembled.table.lines(r)
                                for r in reversed(circuit_roots(assembled))][::-1]
             # f', the first argument of axiom 0, as check_claims lays it out.
-            fprime = [t.table.lines(t.table.gate(t.axioms[0][1]).args[0]) for t in (one, assembled)]
+            fprime = [t.table.lines(t.table.gate(t.axioms[0][1]).args[0])
+                      for t in (one, assembled)]
             assert fprime[0] == fprime[1] == format_circuit(
                 one.table.formula(one.table.gate(roots[0]).args[0])).splitlines()
             for r, lines in zip(roots, forward):
@@ -620,15 +621,14 @@ def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
         assert verify_pit(two, cfg) == verify_pit(one, cfg)
 
 
-def _set(*path):
-    """An edit that sets doc[path[0]]...[path[-2]] to value(doc)."""
-    def edit(value):
-        def apply(doc):
-            holder = doc
-            for key in path[:-1]:
-                holder = holder[key]
-            holder[path[-1]] = value(doc) if callable(value) else value
-        return apply
+def _set(*path, value):
+    """The edit that sets doc[path[0]]...[path[-1]] to value, or to
+    value(doc) if it is callable."""
+    def edit(doc):
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value(doc) if callable(value) else value
     return edit
 
 
@@ -636,33 +636,38 @@ ROOT_NOT_ONE_LINE = "not one line OUTPUT g<k>"
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set("cofactors", 1)(["OUTPUT g0", "OUTPUT g1"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
-    (_set("cofactors", 1)(["g0 = VAR x1", "OUTPUT g0"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
-    (_set("cofactors", 1)([]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
-    (_set("cofactors", 1)([5]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
-    (_set("cofactors", 1)(["OUTPUT"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
-    (_set("cofactors", 1)(["INPUT g0"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
-    (_set("axioms", 0, "circuit")(["OUTPUT g0 g1"]), "field axioms[0].circuit: " + ROOT_NOT_ONE_LINE),
-    (_set("axioms", 0, "circuit")(["OUTPUT g99999"]),
+    (_set("cofactors", 1, value=["OUTPUT g0", "OUTPUT g1"]),
+     "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1, value=["g0 = VAR x1", "OUTPUT g0"]),
+     "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1, value=[]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1, value=[5]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1, value=["OUTPUT"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("cofactors", 1, value=["INPUT g0"]), "field cofactors[1]: " + ROOT_NOT_ONE_LINE),
+    (_set("axioms", 0, "circuit", value=["OUTPUT g0 g1"]),
+     "field axioms[0].circuit: " + ROOT_NOT_ONE_LINE),
+    (_set("axioms", 0, "circuit", value=["OUTPUT g99999"]),
      "field axioms[0].circuit: 'g99999' is not a gate of the table"),
-    (_set("cofactors", 0)(lambda doc: [f"OUTPUT g{len(doc['table'])}"]),
+    (_set("cofactors", 0, value=lambda doc: [f"OUTPUT g{len(doc['table'])}"]),
      "field cofactors[0]: 'g{n}' is not a gate of the table"),
-    (_set("starting")(-1), "field starting: -1 is not between 0 and the table's {n} gates"),
-    (_set("starting")(lambda doc: len(doc["table"]) + 1),
+    (_set("starting", value=-1), "field starting: -1 is not between 0 and the table's {n} gates"),
+    (_set("starting", value=lambda doc: len(doc["table"]) + 1),
      "field starting: {m} is not between 0 and the table's {n} gates"),
-    (_set("starting")(True), "field starting is not an integer"),
-    (_set("starting")("3"), "field starting is not an integer"),
-    (_set("starting")(None), "field starting is not an integer"),
-    (_set("table", 2)("g2 = ADD g0 g5"), "field table: line 3: reference to undefined gate 'g5'"),
-    (_set("table", 2)("g2 = MUL g2 g1"), "field table: line 3: reference to undefined gate 'g2'"),
+    (_set("starting", value=True), "field starting is not an integer"),
+    (_set("starting", value="3"), "field starting is not an integer"),
+    (_set("starting", value=None), "field starting is not an integer"),
+    (_set("table", 2, value="g2 = ADD g0 g5"),
+     "field table: line 3: reference to undefined gate 'g5'"),
+    (_set("table", 2, value="g2 = MUL g2 g1"),
+     "field table: line 3: reference to undefined gate 'g2'"),
     (lambda doc: doc["table"].insert(3, "OUTPUT g2"),
      "field table: line 4: OUTPUT line in a gate table"),
     (lambda doc: doc["table"].append("OUTPUT g0"),
      "field table: line {m}: OUTPUT line in a gate table"),
-    (_set("table", 0)("g0 = CONST 1/0"), "field table: line 1: zero denominator in '1/0'"),
-    (_set("table", 1)("g0 = VAR x2"), "field table: line 2: gate g0 defined twice"),
-    (_set("table")(5), "field table is not a list"),
-    (_set("table")([5]), "field table: not a list of strings"),
+    (_set("table", 0, value="g0 = CONST 1/0"), "field table: line 1: zero denominator in '1/0'"),
+    (_set("table", 1, value="g0 = VAR x2"), "field table: line 2: gate g0 defined twice"),
+    (_set("table", value=5), "field table is not a list"),
+    (_set("table", value=[5]), "field table: not a list of strings"),
     (lambda doc: doc.pop("table"), "missing field table"),
     (lambda doc: doc.pop("starting"), "missing field starting"),
 ])
