@@ -27,6 +27,7 @@ Comments start with `#`.  Serialization is canonical and byte-stable.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -160,15 +161,17 @@ class CircuitBuilder:
     read_table() lays those lines in again, hash-consing the composed ones
     by the same keys.  A root id is laid out as a standalone formula in one
     form, its text lines(); sha256() hashes that text and formula() reads
-    it back.  A root is measured and expanded without being laid out, and a
-    starting gate laid out and measured in place, over the ids it reaches
-    (see _reach); only subcircuit() copies a root out.
+    it back.  A root is measured and expanded without being laid out: the
+    gates a set of roots reach are found by one descending marking pass
+    (an argument has a lower id than its gate) and walked in ascending id
+    order (see _sweep); only subcircuit() copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
         self._gates: list = list(gates)
         self._starting: set = set(range(len(self._gates)))
-        self._reached: dict = {}       # starting gate id -> the ids it reaches, ascending
+        self._dag: set | None = None   # see _dag_starting; None until asked for
+        self._reached: dict = {}       # gate id -> the ids it reaches, ascending
         self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
 
@@ -200,6 +203,7 @@ class CircuitBuilder:
             self._gates.append(g if g.is_leaf() else
                                Gate(g.op, args=tuple(a + offset for a in g.args)))
         self._starting.update(range(offset, len(self._gates)))
+        self._dag = None
         return c.output + offset
 
     def read(self, lines: Sequence[str]) -> int:
@@ -233,8 +237,8 @@ class CircuitBuilder:
         post-order stack (the gates written that no gate has used yet); the
         last line is "OUTPUT g<p-1>", with one root left on the stack.  A
         leaf is keyed by its right-hand side, an ADD or MUL gate by its kind
-        and argument ids; the first time a leaf appears, _gate_lines parses
-        it and the line must be the line that lines() writes of its gate.
+        and argument ids; the first time a leaf appears, its right-hand side
+        must be the one that lines() writes of its gate (_written_leaf).
         """
         shared = self._shared
         ids: list = []       # ids of the gates on the stack, in order
@@ -258,11 +262,8 @@ class CircuitBuilder:
                     if i is None:
                         i = shared[key] = self._push(Gate(kind, args=key[1]))
                 else:
-                    try:
-                        g, _ = next(_gate_lines((line,)))
-                    except ValueError:
-                        return None
-                    if _line(p, g, ()) != line:
+                    g = _written_leaf(rhs)
+                    if g is None:
                         return None
                     i = shared[rhs] = self._push(g)
             ids.append(i)
@@ -282,14 +283,7 @@ class CircuitBuilder:
         out as its lines() here once read_table reads the lines back.
         """
         gates, starting = self._gates, self._starting
-        reached = bytearray(len(gates))
-        for r in roots:
-            reached[r] = 1
-        for i in range(len(gates) - 1, -1, -1):
-            if reached[i]:
-                for a in gates[i].args:
-                    reached[a] = 1
-        ids = [i for i, r in enumerate(reached) if r]
+        ids = _sweep(gates, roots)
         at: dict = {}            # gate id -> its line
         lines: list = []
         for i in ids:
@@ -318,8 +312,70 @@ class CircuitBuilder:
         errors, but hold no OUTPUT line.  The first `starting` gates are
         kept as starting gates; every later one is hash-consed by its key,
         a leaf by its right-hand side and an ADD or MUL by its kind and
-        argument ids, the keys read() uses.
+        argument ids, the keys read() uses.  The text that write_table
+        writes is read by _read_written_table; any other text, once the
+        gates, starting ids and keys that pass added are dropped, by the
+        one line parser (_read_table_lines).
         """
+        gates, shared = self._gates, self._shared
+        size, mark = len(gates), len(shared)
+        names = self._read_written_table(lines, starting)
+        if names is None:
+            self._starting.difference_update(range(size, len(gates)))
+            del gates[size:]
+            while len(shared) > mark:
+                shared.popitem()     # the entries the pass added are the last
+            names = self._read_table_lines(lines, starting)
+        self._dag = None
+        return names
+
+    def _read_written_table(self, lines: Sequence[str], starting: int) -> dict | None:
+        """read_table of the text that write_table writes, in one pass; None
+        for any other text, which may then be partly laid in.
+
+        That text has two rules: line p is "g<p> = KIND operands" with
+        single spaces, an ADD or MUL naming earlier lines by their exact
+        names; and a leaf's right-hand side is the one that lines() writes
+        of its gate (_written_leaf), parsed once per table.
+        """
+        gates, shared, kept = self._gates, self._shared, self._starting
+        names: dict = {}         # gate id token -> id
+        leaves: dict = {}        # leaf right-hand side -> its gate
+        for p, line in enumerate(lines):
+            name = f"g{p}"
+            head, _, rhs = line.partition(" = ")
+            if head != name:
+                return None
+            kind = _WRITTEN_KINDS.get(rhs[:4])
+            if kind is None:
+                key = rhs
+            else:
+                try:
+                    key = kind, tuple([names[t] for t in rhs[4:].split(" ")])
+                except KeyError:
+                    return None
+            if p < starting:
+                kept.add(len(gates))
+            else:
+                i = shared.get(key)
+                if i is not None:
+                    names[name] = i
+                    continue
+                shared[key] = len(gates)
+            if kind is None:
+                g = leaves.get(rhs)
+                if g is None:
+                    g = leaves[rhs] = _written_leaf(rhs)
+                    if g is None:
+                        return None
+            else:
+                g = Gate(kind, args=key[1])
+            names[name] = len(gates)
+            gates.append(g)
+        return names
+
+    def _read_table_lines(self, lines: Sequence[str], starting: int) -> dict:
+        """read_table of any text, through the one line parser, _gate_lines."""
         shared = self._shared
         names: dict = {}
         ids: list = []           # the id of each gate line, in order
@@ -384,10 +440,29 @@ class CircuitBuilder:
         return _compact(self._gates, root)
 
     def _reach(self, i: int) -> list:
-        """The ids starting gate i reaches, ascending (so bottom-up), kept."""
-        if i not in self._reached:
-            self._reached[i] = sorted(_postorder(self._gates, i))
-        return self._reached[i]
+        """The ids gate i reaches, ascending (so bottom-up), swept once and
+        kept: lines() lays a starting gate out over them, and
+        compile_evaluator compiles a table's last gate over them."""
+        ids = self._reached.get(i)
+        if ids is None:
+            ids = self._reached[i] = _sweep(self._gates, (i,))
+        return ids
+
+    def _dag_starting(self) -> set:
+        """The starting gates whose subcircuit is not a tree: those that
+        reach an internal starting gate filling two argument slots of
+        starting gates.  Starting gates name only starting gates, so every
+        other starting gate lays out as a tree, and measures as a composed
+        gate does."""
+        dag = self._dag
+        if dag is None:
+            gates, starting = self._gates, self._starting
+            uses = Counter([a for i in starting for a in gates[i].args])
+            dag = self._dag = set()
+            for i in sorted(starting):
+                if any([a in dag or uses[a] > 1 and gates[a].args for a in gates[i].args]):
+                    dag.add(i)
+        return dag
 
     def lines(self, root: int) -> list:
         """The text lines of root laid out as a standalone formula, without
@@ -435,34 +510,71 @@ class CircuitBuilder:
 
     def metrics(self, root: int) -> Metrics:
         """measure(self.formula(root)), by dynamic programming over the table:
-        every gate is measured once however often it is copied, a starting
-        gate by the rule of measure folded over the ids it reaches."""
-        gates, starting, memo = self._gates, self._starting, self._measured
-        todo = [root]            # ~i measures gate i from its arguments
-        while todo:
-            i = todo.pop()
-            if i < 0:
-                g = gates[~i]
-                other = _is_scaled_wire(gates, g)
-                if other is not None:
-                    memo[~i] = memo[other]
+        every gate is measured once however often it is copied, in one
+        ascending pass over the ids root reaches that are not measured yet.
+        A starting gate lays out as its subcircuit: as a tree, measured by
+        the same rule as a composed gate, unless it lies above a shared
+        starting gate (_dag_starting), when the rule of measure is folded
+        over the ids it reaches."""
+        gates, memo = self._gates, self._measured
+        if root not in memo:
+            dag = self._dag_starting()
+            reached = bytearray(root + 1)
+            reached[root] = 1
+            todo: list = []      # the ids to measure, descending
+            i = root
+            while i >= 0:
+                if i not in memo:
+                    todo.append(i)
+                    if i not in dag:
+                        for a in gates[i].args:
+                            reached[a] = 1
+                i -= 1
+                if not reached[i]:
+                    i = reached.rfind(1, 0, i)
+            for i in reversed(todo):
+                g = gates[i]
+                args = g.args
+                if not args:
+                    memo[i] = (0, 0)
+                elif i in dag:
+                    memo[i] = _measure(gates, _sweep(gates, (i,)))
                 else:
-                    memo[~i] = (len(g.args) + sum([memo[a][0] for a in g.args]),
-                                1 + max([memo[a][1] for a in g.args]))
-            elif i in memo:
-                continue
-            elif i in starting:
-                memo[i] = _measure(gates, self._reach(i))
-            elif not gates[i].args:
-                memo[i] = (0, 0)
-            else:
-                todo.append(~i)
-                todo.extend(gates[i].args)
+                    other = _is_scaled_wire(gates, g)
+                    if other is not None:
+                        memo[i] = memo[other]
+                    else:
+                        memo[i] = (len(args) + sum([memo[a][0] for a in args]),
+                                   1 + max([memo[a][1] for a in args]))
         return Metrics(*memo[root])
 
     def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
-        return _expand(self._gates, _postorder(self._gates, root), root, {})
+        return _expand(self._gates, _sweep(self._gates, (root,)), root, {})
+
+
+def _sweep(gates: Sequence[Gate], roots: Iterable[int]) -> list:
+    """The ids the roots reach, ascending (so bottom-up), in one pass.
+
+    An argument has a lower id than its gate, so marking from the top root
+    down meets each reached gate after every gate that uses it; a run of
+    unmarked ids is skipped in one rfind."""
+    roots = list(roots)
+    top = max(roots, default=-1)
+    reached = bytearray(top + 1)
+    for r in roots:
+        reached[r] = 1
+    ids: list = []
+    i = top
+    while i >= 0:
+        ids.append(i)
+        for a in gates[i].args:
+            reached[a] = 1
+        i -= 1
+        if not reached[i]:       # at i = -1 this reads the top root's mark
+            i = reached.rfind(1, 0, i)
+    ids.reverse()
+    return ids
 
 
 def _postorder(gates: Sequence[Gate], root: int):
@@ -483,7 +595,7 @@ def _compact(gates: Sequence[Gate], output: int) -> Circuit:
     """Drop gates unreachable from output, renumbering in stable id order."""
     remap = {}
     kept = []
-    for i in sorted(_postorder(gates, output)):
+    for i in _sweep(gates, (output,)):
         g = gates[i]
         remap[i] = len(kept)
         if g.is_leaf():
@@ -623,7 +735,8 @@ _NESTED_FANIN = 8
 def compile_evaluator(c: Circuit | CircuitBuilder):
     """Compile the gates the root reaches, in id order, once; returns
     run(columns, count, prime=None).  The root is the last gate of c, a
-    circuit (its output) or a gate table.
+    circuit (its output) or a gate table, whose walk is the table's kept
+    sweep of that gate (CircuitBuilder._reach).
 
     run evaluates the root at a batch of count points, given as one column
     per variable: columns[v][k] is v's value at point k, and every column
@@ -645,7 +758,7 @@ def compile_evaluator(c: Circuit | CircuitBuilder):
         gates, ids = c.gates, range(len(c.gates))
     else:
         gates = c._gates
-        ids = sorted(_postorder(gates, len(gates) - 1))
+        ids = c._reach(len(gates) - 1)
     leaves = []     # (gate id, variable) per VAR gate
     consts = []     # (gate id, rational) per CONST gate
     internal = []   # (gate id, operator, fold over a zip, children, ids read last here)
@@ -816,6 +929,22 @@ def _line(n: int, g: Gate, args) -> str:
             return f"g{n} = {g.op} g{args[0]} g{args[1]}"
         return f"g{n} = {g.op} g" + " g".join(map(str, args))
     return f"g{n} = {_leaf_text(g)}"
+
+
+def _written_leaf(rhs: str) -> Gate | None:
+    """The leaf whose line's right-hand side, as lines() writes it, is rhs;
+    None for any other text."""
+    kind, _, operand = rhs.partition(" ")
+    try:
+        if kind == VAR:
+            g = Gate(VAR, var=parse_var(operand))
+        elif kind == CONST:
+            g = Gate(CONST, const=parse_frac(operand))
+        else:
+            return None
+    except ValueError:
+        return None
+    return g if _leaf_text(g) == rhs else None
 
 
 def _leaf_text(g: Gate) -> str:

@@ -16,10 +16,10 @@ happens with probability at most D/prime per trial, D the identity's formal
 degree (Schwartz-Zippel), so a prime at or below D is refused; a genuinely
 valid certificate is never rejected.  The identity is one root, the sum of
 MUL(axiom_k, cofactor_k), on a copy of the certificate's gate table
-(hash-consed when read from a document); the gates it reaches are walked in
-the table, with no standalone copy, for D and to compile them, run once
-over all trials as one batch, so a gate shared by many cofactors is
-evaluated once.  A constant whose denominator vanishes mod the prime is
+(hash-consed when read from a document); the gates it reaches are swept
+once in the table, with no standalone copy, and walked for D and to compile
+them, run once over all trials as one batch, so a gate shared by many
+cofactors is evaluated once.  A constant whose denominator vanishes mod the prime is
 named as the first such in the written order of the axioms and cofactors,
 pair by pair.  Trial points are derived from (seed, trial index), so
 identical configurations produce identical reports.
@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .circuit import (ADD, CONST, VAR, Circuit, CircuitBuilder, _postorder, circuit_sha256,
-                      compile_evaluator, expand, poly_to_circuit)
+from .circuit import (ADD, CONST, VAR, Circuit, circuit_sha256, compile_evaluator, expand,
+                      poly_to_circuit)
 from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
                    frac_mod, parse_var)
 from .refute import NullstellensatzCertificate
@@ -275,31 +275,32 @@ def _pairs(cert: NullstellensatzCertificate):
         yield cf
 
 
-def _identity(cert: NullstellensatzCertificate) -> CircuitBuilder:
-    """A copy of the certificate's table whose last gate is the sum of
-    MUL(axiom_k, cofactor_k); the certificate's table is left as it was."""
+def _identity(cert: NullstellensatzCertificate) -> tuple:
+    """(identity, D, variables): a copy of the certificate's table whose
+    last gate is the sum of MUL(axiom_k, cofactor_k), with the certificate's
+    table left as it was; the formal degree D of that sum; and the variables
+    it reaches, in order.  The ids the sum reaches are swept once and kept
+    on the copy, where compile_evaluator reads them again.
+
+    D is folded over those ids, ascending: a VAR has 1, a CONST 0, an ADD
+    the max of its arguments', a MUL their sum.  It bounds the total degree
+    from above."""
     b = cert.table.copy()
     ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
-    b.sum([b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)])
-    return b
-
-
-def _formal_degree(gates, ids) -> int:
-    """The formal degree of the last of ids, folded over ids, every gate it
-    reaches, ascending: a VAR has 1, a CONST 0, an ADD the max of its
-    arguments', a MUL their sum.  It bounds the total degree from above."""
-    degree: dict = {}
-    for i in ids:
+    root = b.sum([b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)])
+    gates = b._gates
+    degree = [0] * len(gates)
+    variables = set()
+    for i in b._reach(root):
         g = gates[i]
         if g.op == VAR:
             degree[i] = 1
-        elif g.op == CONST:
-            degree[i] = 0
+            variables.add(g.var)
         elif g.op == ADD:
             degree[i] = max([degree[a] for a in g.args])
-        else:
+        elif g.op != CONST:
             degree[i] = sum([degree[a] for a in g.args])
-    return degree[ids[-1]]
+    return b, degree[root], sorted(variables, key=lambda v: v._key)
 
 
 def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -> VerifyReport:
@@ -313,15 +314,11 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
     """
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
-    identity = _identity(cert)
-    gates = identity._gates
-    ids = sorted(_postorder(gates, len(gates) - 1))
-    degree = _formal_degree(gates, ids)
+    identity, degree, ordered = _identity(cert)
     if cfg.prime <= degree:
         raise ValueError(f"--prime {cfg.prime} is not above {degree}, the formal degree of "
                          "the identity, so a false identity could pass every trial")
     evaluations = 2 * len(cert.cofactors)
-    ordered = sorted({gates[i].var for i in ids if gates[i].op == VAR}, key=lambda v: v._key)
     points = []
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)

@@ -17,14 +17,18 @@ from ipscert.circuit import (
     VAR,
     _compact,
     as_circuit,
+    cadd,
+    cmul,
     compile_evaluator,
+    cvar,
     eval_circuit_mod,
     format_circuit,
+    normalize_layered,
 )
-from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry
+from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import SparsePoly, Var, _Accumulator, format_poly
-from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate
+from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
 
 CORPUS_SEED = 20260810
 
@@ -433,6 +437,43 @@ def identity_circuit(cert: NullstellensatzCertificate) -> Circuit:
            for (_, ax), cf in zip(cert.axioms, cert.cofactors) for x in (ax, cf)]
     products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
     return _compact(b._gates, b.add(products) if products else b.const(0))
+
+
+def ci_chain_certificate() -> NullstellensatzCertificate:
+    """The certificate the CI chain refutes x1*(x2 + x3) + x4 with."""
+    x = [Var("x", i) for i in range(1, 5)]
+    c = cadd(cmul(cvar(x[0]), cadd(cvar(x[1]), cvar(x[2]))), cvar(x[3]))
+    return assemble_refutation(*gadgetize(normalize_layered(c)))
+
+
+# The shifts of the pinned shift corpus.
+SHIFTS = ("-2", "-3", "1", "1/2", "2/3")
+
+
+def shift_certificates():
+    """The certificates of the pinned shift corpus: 5 corpus formulas
+    (build_corpus(4106, 5)), normalized and transformed, at every shift."""
+    for shift in SHIFTS:
+        for c in build_corpus(4106, 5):
+            cp, ledger = gadgetize(normalize_layered(c))
+            yield assemble_refutation(cp, ledger, shift=Fraction(shift))
+
+
+def formal_degree(c: Circuit) -> int:
+    """The formal degree of c's output: a VAR has 1, a CONST 0, an ADD the
+    max of its arguments', a MUL their sum (an oracle, folded over every
+    gate of the table)."""
+    degree: list = []
+    for g in c.gates:
+        if g.op == "VAR":
+            degree.append(1)
+        elif g.op == "CONST":
+            degree.append(0)
+        elif g.op == "ADD":
+            degree.append(max(degree[a] for a in g.args))
+        else:
+            degree.append(sum(degree[a] for a in g.args))
+    return degree[c.output]
 
 
 def laid_out(cert: NullstellensatzCertificate) -> tuple:

@@ -35,6 +35,7 @@ from ipscert.circuit import (
     subcircuit,
 )
 from ipscert.gadget import GadgetLedger
+from ipscert.instances import gadgeted_ry_circuit
 from ipscert.poly import SparsePoly, Var
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -600,6 +601,58 @@ def test_metrics_and_layout_of_a_3000_deep_chain_do_not_recurse():
     i = t.read(b.lines(top))
     assert t.metrics(i) == b.metrics(top) and t.lines(i) == b.lines(top)
     assert t.expand(i) == expand(b.formula(top))
+
+
+def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
+    # Gadgeted P shares internal gates from n = 3: a starting gate above a
+    # gate with two uses lays out as its subcircuit, each gate once, not as
+    # the tree of its uses.
+    for n in range(1, 5):
+        c, _ = gadgeted_ry_circuit(n)
+        b = CircuitBuilder(c.gates)
+        assert bool(b._dag_starting()) == (n >= 3)
+        for i in range(len(c.gates)):
+            assert b.metrics(i) == measure(subcircuit(c, i))
+    # The one shared internal gate, s, lies deep in a tree: only the gates
+    # above it take the rule of measure over their DAG, and the gates beside
+    # it and below it the dynamic programming of a tree.
+    g = CircuitBuilder()
+    s = g.mul([g.var(X1), g.var(X2)])
+    below = g.add([s, g.mul([g.const(-1), s])])
+    beside = g.mul([g.const(2), g.add([g.var(X3), g.var(X1)])])
+    top = g.add([g.mul([below, g.var(X3)]), beside])
+    c = g.build(top)
+    b = CircuitBuilder(c.gates)
+    above = {i for i in range(len(c.gates)) if s in subcircuit_ids(c, i) and i != s}
+    assert b._dag_starting() == above and {below, top} <= above and beside not in above
+    for i in range(len(c.gates)):
+        assert b.metrics(i) == measure(subcircuit(c, i))
+    assert b.metrics(top) != Metrics(*tree_measure(c, top))
+    assert b.metrics(beside) == Metrics(*tree_measure(c, beside))
+
+
+def subcircuit_ids(c: Circuit, i: int) -> set:
+    """The ids gate i of c reaches."""
+    ids, todo = set(), [i]
+    while todo:
+        j = todo.pop()
+        if j not in ids:
+            ids.add(j)
+            todo.extend(c.gates[j].args)
+    return ids
+
+
+def tree_measure(c: Circuit, i: int) -> tuple:
+    """(size, depth) of gate i of c unfolded into a tree, by the rule of
+    measure: each use of a gate counted again."""
+    g = c.gates[i]
+    if not g.args:
+        return 0, 0
+    if g.op == "MUL" and len(g.args) == 2 and \
+            [c.gates[a].op == CONST for a in g.args].count(True) == 1:
+        return tree_measure(c, next(a for a in g.args if c.gates[a].op != CONST))
+    parts = [tree_measure(c, a) for a in g.args]
+    return len(g.args) + sum(p[0] for p in parts), 1 + max(p[1] for p in parts)
 
 
 def written_lines(c: Circuit) -> list:

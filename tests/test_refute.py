@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_corpus, certificate_of, certificate_to_json_v1, gadget_poly, laid_out,
-                     random_product_dag, ref_evaluate, shuffled_topological, total_degree)
+from helpers import (SHIFTS, build_corpus, certificate_of, certificate_to_json_v1,
+                     ci_chain_certificate, gadget_poly, laid_out, random_product_dag, ref_evaluate,
+                     shift_certificates, shuffled_topological, total_degree)
 
 from ipscert.circuit import (
     CONST,
@@ -66,6 +67,10 @@ SHIFT_V2_SHA256 = {
     "-3": "cae22737feecadf65cc3d2c257adc9ae9b8d2caf1ea4fb1607aa174a3fbd12ac",
     "2/3": "e0c31f4092c0a714cd8034834c92dae2932296ca7a2bc5a9a647b1378002a984",
 }
+
+
+def test_the_shift_corpus_is_at_the_pinned_shifts():
+    assert SHIFTS == tuple(sorted(SHIFT_SHA256)) == tuple(sorted(SHIFT_V2_SHA256))
 
 
 def yvars(t, tag=0):
@@ -597,14 +602,6 @@ def test_certificate_from_json_requires_one_metric_per_cofactor(keep, write):
 # ---------------------------------------------------------------------------
 # nullstellensatz-cert/2: one table, read back alike, and hostile tables.
 
-def shift_certificates():
-    """The certificates of the pinned shift corpus, at every shift."""
-    for shift in sorted(SHIFT_SHA256):
-        for c in build_corpus(4106, 5):
-            cp, ledger = gadgetize(normalize_layered(c))
-            yield assemble_refutation(cp, ledger, shift=Fraction(shift))
-
-
 def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
     certs = list(pinned_certificates()) + list(shift_certificates())
     certs += [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::20]]
@@ -734,9 +731,75 @@ def _mutants(rng: random.Random, doc: dict, count: int):
         yield json.dumps(d)
 
 
-def test_seeded_mutants_of_v2_documents_raise_only_value_errors():
+def table_state(b: CircuitBuilder) -> tuple:
+    """(gates, starting ids, key map) of a table, its gates as plain tuples."""
+    return [(g.op, g.var, g.const, g.args) for g in b._gates], b._starting, b._shared
+
+
+def read_table_by(b: CircuitBuilder, lines: list, starting: int, general: bool) -> tuple:
+    """The table state of b once it read lines by read_table or, general,
+    by the one line parser alone, and the {token: id} map it returned."""
+    names = (b._read_table_lines if general else b.read_table)(lines, starting)
+    return table_state(b) + (names,)
+
+
+def respellings(lines: list, starting: int) -> list:
+    """Valid texts of the table lines that the writer does not write: a
+    starting line and the last line with " = " widened, and the last CONST
+    line with a trailing space."""
+    const = max(k for k, line in enumerate(lines) if " = CONST " in line)
+    return [lines[:k] + [line] + lines[k + 1:]
+            for k, line in ((starting // 2, lines[starting // 2].replace(" = ", " =  ", 1)),
+                            (len(lines) - 1, lines[-1].replace(" = ", " =  ", 1)),
+                            (const, lines[const] + " "))]
+
+
+def test_the_written_and_the_general_v2_readers_build_the_same_table(transformed01):
+    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs += [ci_chain_certificate()] + list(shift_certificates())
+    before = json.loads(certificate_to_json(certs[-1]))
+    for cert in certs:
+        doc = json.loads(certificate_to_json(cert))
+        lines, starting = doc["table"], doc["starting"]
+        assert CircuitBuilder()._read_written_table(lines, starting) is not None
+        want = read_table_by(CircuitBuilder(), lines, starting, general=True)
+        assert read_table_by(CircuitBuilder(), lines, starting, general=False) == want
+        # A respelled text leaves the written reader partway; what it laid
+        # in is dropped, also in a table that already holds another
+        # document's gates.
+        for respelled in respellings(lines, starting):
+            assert CircuitBuilder()._read_written_table(respelled, starting) is None
+            assert read_table_by(CircuitBuilder(), respelled, starting, general=False) == want
+            tables = []
+            for general in (False, True):
+                b = CircuitBuilder()
+                b.read_table(before["table"], before["starting"])
+                tables.append(read_table_by(b, respelled, starting, general))
+            assert tables[0] == tables[1]
+        before = doc
+
+
+def read_both_ways(monkeypatch, text: str) -> tuple:
+    """certificate_from_json(text) as it reads, then with the written table
+    reader off, so through the one line parser alone: each a certificate,
+    or the message of the ValueError it raised."""
+    out = []
+    for general in (False, True):
+        with monkeypatch.context() as m:
+            if general:
+                m.setattr(CircuitBuilder, "_read_written_table", lambda *args: None)
+            try:
+                out.append(certificate_from_json(text))
+            except ValueError as exc:
+                out.append(str(exc))
+    return tuple(out)
+
+
+def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
     # Every refusal, by the reader or by either verifier, is a ValueError:
-    # never a KeyError, IndexError or TypeError.
+    # never a KeyError, IndexError or TypeError.  The written table reader
+    # and the one line parser read every mutant alike: the same table, or
+    # the same message.
     rng = random.Random(2027)
     docs = [small_doc()]
     for c in build_corpus(2027, 3):
@@ -746,8 +809,14 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors():
     refused = verified = 0
     for doc in docs:
         for text in _mutants(rng, doc, 150):
+            cert, general = read_both_ways(monkeypatch, text)
+            if isinstance(cert, str):
+                assert general == cert
+                refused += 1
+                continue
+            assert table_state(general.table) == table_state(cert.table)
+            assert (general.axioms, general.cofactors) == (cert.axioms, cert.cofactors)
             try:
-                cert = certificate_from_json(text)
                 if check_claims(cert) is None:
                     verified += verify_pit(cert, cfg).verdict == "verified-probabilistic"
                     verify_exact(cert)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build_corpus, certificate_of, identity_circuit, laid_out, mutate_certificate,
-                     pointwise, random_layered_formula, ref_evaluate, ref_evaluate_mod,
+from helpers import (build_corpus, certificate_of, ci_chain_certificate, formal_degree,
+                     identity_circuit, laid_out, mutate_certificate, pointwise,
+                     random_layered_formula, ref_evaluate, ref_evaluate_mod, shift_certificates,
                      total_degree)
 
 from ipscert import verify as verify_module
@@ -29,7 +30,6 @@ from ipscert.circuit import (
 from ipscert.gadget import gadgetize
 from ipscert.poly import SparsePoly, Var
 from ipscert.refute import (
-    NullstellensatzCertificate,
     assemble_refutation,
     certificate_from_json,
     certificate_to_json,
@@ -38,7 +38,7 @@ from ipscert.verify import (
     DEFAULT_PIT_PRIME,
     PitConfig,
     VerifyReport,
-    _formal_degree,
+    _identity,
     boolean_image,
     boolean_image_poly,
     check_claims,
@@ -178,13 +178,6 @@ def test_pit_denominator_divisible_by_prime():
     assert report.detail == "denominator 10 of constant 3/10 is divisible by prime 5"
 
 
-def ci_chain_certificate() -> NullstellensatzCertificate:
-    """The certificate the CI chain refutes x1*(x2 + x3) + x4 with."""
-    x3, x4 = Var("x", 3), Var("x", 4)
-    c = cadd(cmul(cvar(X1), cadd(cvar(X2), cvar(x3))), cvar(x4))
-    return assemble_refutation(*gadgetize(normalize_layered(c)))
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
     # q (x1^2 - x1) = x1^p - x1 for q = sum_{j < p-1} x1^j: added to x1's
@@ -209,11 +202,6 @@ def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
     assert verify_pit(cert, PitConfig(prime=13)).verdict == "verified-probabilistic"
 
 
-def formal_degree(c: Circuit) -> int:
-    """_formal_degree of a standalone circuit, whose output is its last gate."""
-    return _formal_degree(c.gates, range(len(c.gates)))
-
-
 def test_formal_degree_bounds_the_identity_degree(transformed01):
     # The refusal names D of the standalone identity: verify_pit's walk of
     # the table finds the same degree at the largest prime it must refuse.
@@ -232,6 +220,19 @@ def test_formal_degree_bounds_the_identity_degree(transformed01):
             for (_, ax), cf in zip(axioms, cofactors):
                 pair = cmul(as_circuit(ax), cf)
                 assert formal_degree(pair) >= total_degree(expand(pair))
+
+
+def test_the_walked_degree_is_the_formal_degree_of_the_standalone_identity(transformed01):
+    # verify_pit takes D from its one sweep of the table: it must be the
+    # formal degree of the identity compacted into a standalone circuit.
+    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs += list(shift_certificates())[::10] + [ci_chain_certificate()]
+    for cert in certs:
+        for read in (cert, certificate_from_json(certificate_to_json(cert))):
+            _, degree, variables = _identity(read)
+            identity = identity_circuit(read)
+            assert degree == formal_degree(identity)
+            assert variables == list(identity.variables())
 
 
 def reference_pit(axioms, cofactors, cfg):
