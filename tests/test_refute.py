@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (SHIFTS, build_corpus, certificate_of, certificate_to_json_v1,
-                     ci_chain_certificate, gadget_poly, laid_out, random_product_dag, ref_evaluate,
-                     shift_certificates, shuffled_topological, total_degree)
+from helpers import (build_corpus, certificate_of, certificate_to_json_v1, ci_chain_certificate,
+                     gadget_poly, laid_out, random_product_dag, ref_evaluate, shift_certificates,
+                     shuffled_topological, total_degree)
 
 from ipscert.circuit import (
     CONST,
@@ -67,10 +67,6 @@ SHIFT_V2_SHA256 = {
     "-3": "cae22737feecadf65cc3d2c257adc9ae9b8d2caf1ea4fb1607aa174a3fbd12ac",
     "2/3": "e0c31f4092c0a714cd8034834c92dae2932296ca7a2bc5a9a647b1378002a984",
 }
-
-
-def test_the_shift_corpus_is_at_the_pinned_shifts():
-    assert SHIFTS == tuple(sorted(SHIFT_SHA256)) == tuple(sorted(SHIFT_V2_SHA256))
 
 
 def yvars(t, tag=0):
