@@ -19,10 +19,10 @@ MUL(axiom_k, cofactor_k), on a copy of the certificate's gate table
 (hash-consed when read from a document); the gates it reaches are swept
 once in the table, with no standalone copy, and walked for D and to compile
 them, run once over all trials as one batch, so a gate shared by many
-cofactors is evaluated once.  A constant whose denominator vanishes mod the prime is
-named as the first such in the written order of the axioms and cofactors,
-pair by pair.  Trial points are derived from (seed, trial index), so
-identical configurations produce identical reports.
+cofactors is evaluated once.  A constant whose denominator vanishes mod the
+prime is named as the first such in the written order of the axioms and
+cofactors, pair by pair.  Trial points are derived from (seed, trial
+index), so identical configurations produce identical reports.
 
 check_claims checks what a certificate document claims besides the
 identity: each axiom after the instance is the Boolean axiom v^2 - v of the
