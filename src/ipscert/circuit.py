@@ -550,7 +550,15 @@ class CircuitBuilder:
 
     def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
-        return _expand(self._gates, _sweep(self._gates, (root,)), root, {})
+        return self.expand_all((root,))[0]
+
+    def expand_all(self, roots: Sequence[int]) -> list:
+        """The polynomials of the roots, in order, expanding each gate they
+        reach once, over one sweep of them all: a gate two roots share is
+        expanded once."""
+        polys: dict = {}
+        _expand(self._gates, _sweep(self._gates, roots), roots[-1], polys)
+        return [polys[r] for r in roots]
 
 
 def _sweep(gates: Sequence[Gate], roots: Iterable[int]) -> list:

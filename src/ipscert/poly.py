@@ -31,7 +31,11 @@ polynomial stores them as nonzero int numerators over one positive int
 denominator that shares no factor with all of them, so an integral
 polynomial has denominator 1.  Products and sums run on that form
 directly; each result divides out the common factor once, and no
-fractions.Fraction is built until items() or a caller asks for one.
+fractions.Fraction is built until items() or a caller asks for one.  A
+product of two factors on one monomial set sums each unordered pair of
+monomials once, with a_i*b_j + a_j*b_i, so it makes half the dict lookups
+of the row-by-row product; multilinear_product keeps the plain loop, whose
+bitmask keys are cheap to hash.
 
 Only this module knows what a monomial is.  Polynomials are made by zero,
 constant, variable, the ring operations and parse_poly, and read back by
@@ -309,6 +313,12 @@ class _Accumulator:
     copied.  Zero entries stay until result(), which hands the dict to the
     polynomial it returns; the accumulator is spent after that.  The sum is
     packed in tab, by default the current slot table.
+
+    A product runs row by row of its shorter factor, unless both factors
+    have one monomial set of more than one term (a square, or the instance
+    f' + s times the functional refutation c1*f' + c0): then each unordered
+    pair {i, j} of monomials is summed once, with a_i*b_j + a_j*b_i, and
+    the diagonal with a_i*b_i.  Both keep the same guards.
     """
 
     __slots__ = ("num", "den", "tab")
@@ -356,17 +366,26 @@ class _Accumulator:
         if q._tab is not tab:
             b = _repack(q, tab)
         _check_exponents(a, b, tab)
+        if len(a) == len(b) > 1 and (a is b or a.keys() == b.keys()):
+            self._add_shared(a, b, p._d * q._d)
+        else:
+            self._add_rows(a, b, p._d * q._d)
+        if len(self.num) > TERM_GUARD:
+            raise ResourceLimitError("sum would exceed the dense-size guard")
+
+    def _add_rows(self, a: dict, b: dict, d: int) -> None:
+        """Add the product of a and b over d, row by row of the shorter."""
         if len(a) > len(b):
             a, b = b, a
         rows = iter(a.items())
         if not self.num:
             # One monomial times distinct monomials gives distinct
             # monomials, so the first row needs no lookups.
-            self.den = p._d * q._d
+            self.den = d
             ma, ca = next(rows)
             self.num = {ma + mb: ca * cb for mb, cb in b.items()}
         else:
-            k = self._factor(p._d * q._d)
+            k = self._factor(d)
             if k != 1:
                 rows = ((ma, ca * k) for ma, ca in rows)
         num = self.num
@@ -375,8 +394,28 @@ class _Accumulator:
             for mb, cb in b.items():
                 m = ma + mb
                 num[m] = get(m, 0) + ca * cb
-        if len(num) > TERM_GUARD:
-            raise ResourceLimitError("sum would exceed the dense-size guard")
+
+    def _add_shared(self, a: dict, b: dict, d: int) -> None:
+        """Add the product of a and b over d, two numerator dicts on one
+        monomial set: each unordered pair {i, j} of monomials once, with
+        a_i*b_j + a_j*b_i, the diagonal {i, i} with a_i*b_i.  That halves
+        the dict lookups, each of which hashes a wide packed monomial."""
+        if self.num:
+            k = self._factor(d)
+        else:
+            k, self.den = 1, d
+        num = self.num
+        get = num.get
+        done = []                # (m_j, k*a_j, b_j) of the rows before
+        for mi, ai in a.items():
+            ai *= k
+            bi = b[mi]
+            m = mi + mi
+            num[m] = get(m, 0) + ai * bi
+            for mj, aj, bj in done:
+                m = mi + mj
+                num[m] = get(m, 0) + ai * bj + aj * bi
+            done.append((mi, ai, bi))
 
     def result(self) -> "SparsePoly":
         return _canonical(self.num, self.den, self.tab)

@@ -7,8 +7,10 @@ verify_exact expands every cofactor and checks sum(cofactor * axiom) = 1 as
 a polynomial identity, plus the placeholder discipline: cofactors may not
 mention the reserved placeholder namespace, so the induced substitution
 circuit sum_k placeholder_k * cofactor_k vanishes at placeholder zero and
-is linear in every placeholder.  Each root is expanded on its own, every
-gate it reaches once; nothing is kept from one root to the next.
+is linear in every placeholder.  The identity is summed pair by pair,
+each gate an axiom and its cofactor reach expanded once, and nothing is
+kept from one pair to the next.  A cofactor's scalar moves onto its axiom:
+a root MUL(CONST c, x), c != 0, adds x * (c * axiom).
 
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
@@ -50,8 +52,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .circuit import (ADD, CONST, VAR, Circuit, circuit_sha256, compile_evaluator, expand,
-                      poly_to_circuit)
+from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, circuit_sha256,
+                      compile_evaluator, expand, poly_to_circuit)
 from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
                    frac_mod, parse_var)
 from .refute import NullstellensatzCertificate
@@ -160,22 +162,34 @@ def _nonzero_witness(p: SparsePoly) -> dict:
 
 
 def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
-    """Check sum(cofactor * axiom) = 1 by exact expansion, root by root."""
+    """Check sum(cofactor * axiom) = 1 by exact expansion, pair by pair.
+
+    A cofactor root that is a scaled wire MUL(CONST c, x) with c != 0 is
+    expanded as x, and x * (c * axiom) is summed: c moves onto the axiom,
+    so a large x is not copied to scale it.  A circuit axiom and its
+    cofactor's expanded root are expanded over one sweep of both, so a
+    gate they share (the instance's f' and the functional refutation
+    c0 + c1*f') is expanded once.  Nothing is kept from one pair to the
+    next.  The placeholder check reads the variables of the expanded root,
+    which for c != 0 are those of the cofactor."""
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     table = cert.table
     expansions = 0
     total = _Accumulator()
     for (label, ax), cf in zip(cert.axioms, cert.cofactors):
-        ax_p = ax if isinstance(ax, SparsePoly) else table.expand(ax)
-        cf_p = table.expand(cf)
+        scale, root = _scaled_root(table, cf)
+        if isinstance(ax, SparsePoly):
+            ax_p, cf_p = ax, table.expand(root)
+        else:
+            ax_p, cf_p = table.expand_all((ax, root))
         expansions += 2
         for v in cf_p.variables():
             if v.ns == PLACEHOLDER_NS:
                 return VerifyReport(
                     "error",
                     detail=f"cofactor of {label} mentions placeholder variable {v.name}")
-        total.add_product(cf_p, ax_p)
+        total.add_product(cf_p, ax_p if scale == 1 else ax_p * scale)
     total.add(SparsePoly.constant(-1))
     residual = total.result()
     if residual.is_zero():
@@ -186,6 +200,19 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         detail="sum(cofactor * axiom) - 1 is not the zero polynomial",
         witness=witness,
         work={"expansions": expansions})
+
+
+def _scaled_root(table, cf: int) -> tuple:
+    """(c, x) when the root cf is a scaled wire MUL(CONST c, x) with c != 0,
+    otherwise (1, cf)."""
+    gates = table._gates
+    x = _is_scaled_wire(gates, gates[cf])
+    if x is not None:
+        a, b = gates[cf].args
+        c = gates[b if a == x else a].const
+        if c != 0:
+            return c, x
+    return 1, cf
 
 
 def _check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | None:

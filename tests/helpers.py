@@ -29,6 +29,7 @@ from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEn
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import SparsePoly, Var, _Accumulator, format_poly
 from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
+from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
 CORPUS_SEED = 20260810
 
@@ -479,6 +480,35 @@ def laid_out(cert: NullstellensatzCertificate) -> tuple:
     axioms = [(label, ax if isinstance(ax, SparsePoly) else table.formula(ax))
               for label, ax in cert.axioms]
     return axioms, [table.formula(cf) for cf in cert.cofactors]
+
+
+def reference_verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
+    """verify_exact root by root (an oracle): every axiom and cofactor root
+    expanded on its own, as it is, and each cofactor * axiom summed."""
+    if len(cert.axioms) != len(cert.cofactors):
+        return VerifyReport("error", detail="axiom/cofactor list length mismatch")
+    table = cert.table
+    expansions = 0
+    total = _Accumulator()
+    for (label, ax), cf in zip(cert.axioms, cert.cofactors):
+        ax_p = ax if isinstance(ax, SparsePoly) else table.expand(ax)
+        cf_p = table.expand(cf)
+        expansions += 2
+        for v in cf_p.variables():
+            if v.ns == PLACEHOLDER_NS:
+                return VerifyReport(
+                    "error",
+                    detail=f"cofactor of {label} mentions placeholder variable {v.name}")
+        total.add_product(cf_p, ax_p)
+    total.add(SparsePoly.constant(-1))
+    residual = total.result()
+    if residual.is_zero():
+        return VerifyReport("verified-exact", work={"expansions": expansions})
+    return VerifyReport(
+        "refuted",
+        detail="sum(cofactor * axiom) - 1 is not the zero polynomial",
+        witness=_nonzero_witness(residual),
+        work={"expansions": expansions})
 
 
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,

@@ -5,8 +5,10 @@ The reference below keeps polynomials as plain dicts from sorted
 """
 
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,106 @@ def test_overflow_names_the_least_variable_whatever_the_slot_order():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "exponent of x1 " in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# Shared support: a product of two factors on one monomial set sums each
+# unordered pair of monomials once.
+
+nonzero_coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def shared_support_pairs(draw):
+    """(a, b): b on a's monomial set, its coefficients drawn independently
+    or as +-a's, so that some pairs a_i*b_j + a_j*b_i cancel."""
+    pool = draw(pools)
+    a = draw(ref_polys(pool))
+    if draw(st.booleans()):
+        a[()] = draw(nonzero_coeffs)
+    if draw(st.booleans()):
+        b = {m: draw(nonzero_coeffs) for m in a}
+    else:
+        b = {m: c * draw(st.sampled_from((1, -1))) for m, c in a.items()}
+    return a, b
+
+
+def _no_row_loop(*args):
+    raise AssertionError("a shared-support product went through the row loop")
+
+
+@KERNEL
+@given(shared_support_pairs(), pools.flatmap(ref_polys))
+def test_shared_support_products_match_reference(pair, other):
+    a, b = pair
+    p, q, r = kernel(a), kernel(b), kernel(other)
+    want = ref_mul(a, b)
+    with patch.object(_Accumulator, "_add_rows", _no_row_loop) if len(a) > 1 else nullcontext():
+        assert dict((p * q).items()) == want
+        assert dict((q * p).items()) == want
+        # Into an accumulator already holding other terms, over another
+        # denominator, and into one holding -a*b, which cancels to zero.
+        acc = _Accumulator()
+        acc.add(r / 7)
+        acc.add_product(p, q)
+        assert dict(acc.result().items()) == ref_add({m: c / 7 for m, c in other.items()}, want)
+        acc = _Accumulator()
+        acc.add(-(p * q))
+        acc.add_product(q, p)
+        result = acc.result()
+    assert result.is_zero() and result._d == 1
+    assert_canonical(p * q)
+
+
+@KERNEL
+@given(pools.flatmap(ref_polys), st.integers(0, 4))
+def test_squares_and_powers_match_reference(a, k):
+    p = kernel(a)
+    assert dict((p * p).items()) == ref_pow(a, 2)
+    assert dict((p ** k).items()) == ref_pow(a, k)
+    assert_canonical(p ** k)
+
+
+def test_shared_support_into_an_accumulator_over_another_denominator():
+    x1, x2 = SparsePoly.variable(Var("x", 1)), SparsePoly.variable(Var("x", 2))
+    p, q = x1 / 2 + x2 / 3 + 1, x1 / 5 - x2 + Fraction(7, 4)
+    for held in (x1 * x2 / 9, x1 / 2, (x1 + 1) / 60, SparsePoly.constant(Fraction(-1, 3))):
+        acc = _Accumulator()
+        acc.add(held)
+        with patch.object(_Accumulator, "_add_rows", _no_row_loop):
+            acc.add_product(p, q)
+        total = acc.result()
+        assert total == held + (p * q)
+        assert dict(total.items()) == ref_add(dict(held.items()),
+                                              ref_mul(dict(p.items()), dict(q.items())))
+        assert_canonical(total)
+
+
+def test_shared_support_keeps_the_guards(monkeypatch):
+    x1, x2 = SparsePoly.variable(Var("x", 1)), SparsePoly.variable(Var("x", 2))
+    p, q = x1 + x2 + 1, 2 * x1 - x2 + 3
+    monkeypatch.setattr(poly, "TERM_GUARD", 8)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^product projects to 3\*3 terms, over the dense-size guard$"):
+        p * q
+    monkeypatch.setattr(poly, "TERM_GUARD", 9)
+    acc = _Accumulator()
+    acc.add(x1 ** 3 + x2 ** 3 + x1 ** 4 + x2 ** 4 + x1 ** 5)
+    with pytest.raises(ResourceLimitError, match="^sum would exceed the dense-size guard$"):
+        acc.add_product(p, q)
+
+
+def test_shared_support_keeps_the_overflow_error():
+    lo, hi = Var("z", 9001), Var("z", 9002)
+    p = poly_of({((lo, _EXP_MAX),): 1, ((hi, 1),): 2})
+    q = poly_of({((lo, _EXP_MAX),): 3, ((hi, 1),): -1})
+    other = poly_of({((lo, 1),): 1, ((hi, 2),): 1})
+    messages = []
+    for left, right in ((p, p), (p, q), (p, other)):
+        with pytest.raises(ResourceLimitError) as err:
+            left * right
+        messages.append(str(err.value))
+    assert messages == [f"exponent of z9001 in a product would exceed {_EXP_MAX}"] * 3
 
 
 # ---------------------------------------------------------------------------

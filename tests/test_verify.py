@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import (build_corpus, certificate_of, ci_chain_certificate, formal_degree,
                      identity_circuit, laid_out, mutate_certificate, pointwise,
-                     random_layered_formula, ref_evaluate, ref_evaluate_mod, shift_certificates,
-                     total_degree)
+                     random_layered_formula, ref_evaluate, ref_evaluate_mod,
+                     reference_verify_exact, shift_certificates, total_degree)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -107,6 +108,55 @@ def test_verify_exact_rejects_placeholder_use():
 
 def test_verify_exact_length_mismatch():
     assert verify_exact(certificate_of((), (cconst(1),))).verdict == "error"
+
+
+def assert_exact_matches_reference(cert):
+    """verify_exact's report, checked against the root-by-root reference
+    field by field and as the JSON the CLI prints."""
+    report, want = verify_exact(cert), reference_verify_exact(cert)
+    assert report == want
+    assert json.dumps(report.to_jsonable()) == json.dumps(want.to_jsonable())
+    return report
+
+
+def test_verify_exact_matches_the_root_by_root_reference(transformed01):
+    # verify_exact moves each cofactor's scalar onto its axiom and expands
+    # the instance with its cofactor over one sweep; every report must be
+    # the one of expanding each root as it is.
+    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs += list(shift_certificates()) + [ci_chain_certificate()]
+    for cert in certs:
+        assert assert_exact_matches_reference(cert).verdict == "verified-exact"
+        assert_exact_matches_reference(certificate_from_json(certificate_to_json(cert)))
+    rng = random.Random(43)
+    verdicts = set()
+    for i in range(40):
+        mutated = mutate_certificate(rng, certs[i % len(certs)], seed=i)
+        verdicts.add(assert_exact_matches_reference(mutated).verdict)
+    assert verdicts == {"refuted"}
+
+
+@pytest.mark.parametrize("scaled", [
+    lambda c, x: cscale(c, x),
+    lambda c, x: cmul(x, cconst(c)),
+])
+@pytest.mark.parametrize("c", [0, 1, 2, Fraction(-1, 3)])
+def test_verify_exact_scaled_roots_match_the_reference(scaled, c):
+    fresh = cadd(cconst(1), cvar(Var("fresh", 1)))
+    axioms = (("f", cadd(cvar(X1), cconst(2))), ("g", SparsePoly.constant(1)))
+    # A zero scalar hides the placeholder: its root expands to 0.
+    report = assert_exact_matches_reference(certificate_of(axioms, (scaled(c, fresh),
+                                                                     cconst(1))))
+    if c == 0:
+        assert report.verdict == "verified-exact"
+    else:
+        assert report.verdict == "error"
+        assert report.detail == "cofactor of f mentions placeholder variable fresh1"
+    # Without a placeholder: the scalar rides on the axiom, which shares
+    # x1 with the scaled root, and the residual keeps its witness.
+    x = cadd(cvar(X1), cconst(-1))
+    report = assert_exact_matches_reference(certificate_of(axioms, (scaled(c, x), cconst(1))))
+    assert report.verdict == ("verified-exact" if c == 0 else "refuted")
 
 
 def test_pit_accepts_valid_certificate_many_seeds():
