@@ -159,12 +159,15 @@ class CircuitBuilder:
     per structure, and any other text kept as written.  write_table()
     writes the gates that roots reach once each, starting gates first, and
     read_table() lays those lines in again, hash-consing the composed ones
-    by the same keys.  A root id is laid out as a standalone formula in one
-    form, its text lines(); sha256() hashes that text and formula() reads
-    it back.  A root is measured and expanded without being laid out: the
-    gates a set of roots reach are found by one descending marking pass
-    (an argument has a lower id than its gate) and walked in ascending id
-    order (see _sweep); only subcircuit() copies a root out.
+    by the same keys.  Both read text through the one parser, _gate_lines,
+    which tries a written-form shortcut line by line and reads a line that
+    fails it by the general rules; nothing is read twice or undone.  A root
+    id is laid out as a standalone formula in one form, its text lines();
+    sha256() hashes that text and formula() reads it back.  A root is
+    measured and expanded without being laid out: the gates a set of roots
+    reach are found by one descending marking pass (an argument has a lower
+    id than its gate) and walked in ascending id order (see _sweep); only
+    subcircuit() copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -174,6 +177,7 @@ class CircuitBuilder:
         self._reached: dict = {}       # gate id -> the ids it reaches, ascending
         self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
         self._measured: dict = {}      # gate id -> (size, depth) of its layout
+        self._written: dict = {}       # leaf right-hand side -> its gate, None if not written
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -208,67 +212,41 @@ class CircuitBuilder:
 
     def read(self, lines: Sequence[str]) -> int:
         """The id of the circuit whose text lines are given, read like
-        parse_circuit (same errors) and laid out again as the same text.
+        parse_circuit (same parser, same errors) and laid out again as the
+        same text.
 
-        The exact text that lines() writes (see _read_written) is hash-consed;
-        any other valid text is kept as written, even a formula written in
-        post-order with another spelling: it lays out and measures the same,
-        only the table holds more gates.  A written leaf text is parsed once
-        per table, a kept text's leaves once per text.  A text the written
-        reader refuses partway leaves the table as it found it before it is
-        kept."""
-        shared = self._shared
-        size, mark = len(self._gates), len(shared)
-        i = self._read_written(lines)
-        if i is not None:
-            return i
-        del self._gates[size:]
-        while len(shared) > mark:
-            shared.popitem()         # the entries the reader added are the last
-        return self.keep(_parse_lines(lines))
+        The text is parsed once, then laid in.  The text that lines() writes
+        is hash-consed (_lay_in): every line took the parser's written-form
+        shortcut, each ADD or MUL names exactly the gates on top of the
+        post-order stack (the gates written that no gate has used yet), and
+        the last line is "OUTPUT g<p-1>", with one root left on the stack.
+        Any other valid text is kept as written, even a formula written in
+        post-order with one line spelled otherwise: it lays out and measures
+        the same, only the table holds more gates.  A refused text leaves
+        the table as it found it."""
+        items: list = []         # (leaf gate, None) or (ADD or MUL, argument positions)
+        stack: list = []         # positions of the gates no gate has used yet
+        post_order = True
 
-    def _read_written(self, lines: Sequence[str]) -> int | None:
-        """Hash-cons the text that lines() writes and return its root's id,
-        in one pass; None for any other text, which may then be partly read
-        (read() drops what it read).
+        def note(g, args) -> int:
+            nonlocal post_order
+            top = len(stack) - len(args or ())      # a gate's arguments are the top
+            post_order = post_order and stack[top:] == (args or [])
+            stack[top:] = [len(items)]
+            items.append((g, args))
+            return len(items) - 1
 
-        That text has three rules: line p is "g<p> = KIND operands" with
-        single spaces; each ADD or MUL names exactly the gates on top of the
-        post-order stack (the gates written that no gate has used yet); the
-        last line is "OUTPUT g<p-1>", with one root left on the stack.  A
-        leaf is keyed by its right-hand side, an ADD or MUL gate by its kind
-        and argument ids; the first time a leaf appears, its right-hand side
-        must be the one that lines() writes of its gate (_written_leaf).
-        """
-        shared = self._shared
-        ids: list = []       # ids of the gates on the stack, in order
-        names: list = []     # their names, as the text writes them
-        for p, line in enumerate(lines[:-1]):
-            name = f"g{p}"
-            head, _, rhs = line.partition(" = ")
-            if head != name:
-                return None
-            i = shared.get(rhs)
-            if i is None:
-                kind = _WRITTEN_KINDS.get(rhs[:4])
-                if kind is not None:
-                    ops = rhs[4:].split(" ")
-                    k = len(ops)
-                    if ops != names[-k:]:
-                        return None
-                    key = kind, tuple(ids[-k:])
-                    del ids[-k:], names[-k:]
-                    i = shared.get(key)
-                    if i is None:
-                        i = shared[key] = self._push(Gate(kind, args=key[1]))
-                else:
-                    g = _written_leaf(rhs)
-                    if g is None:
-                        return None
-                    i = shared[rhs] = self._push(g)
-            ids.append(i)
-            names.append(name)
-        return ids[0] if len(ids) == 1 and lines[-1] == "OUTPUT " + names[0] else None
+        output, general = _gate_lines(lines, note, self._written)
+        n = len(items)
+        if (post_order and len(stack) == 1 and not general and n == len(lines) - 1
+                and lines[-1] == f"OUTPUT g{n - 1}"):
+            lay, ids = self._lay_in(0), []   # the ids of the gates on the stack
+            for g, args in items:
+                top = len(ids) - len(args or ())
+                ids[top:] = [lay(g, args and ids[top:])]
+            return ids[-1]
+        return self.keep(Circuit([g if args is None else Gate(g, args=args)
+                                  for g, args in items], output))
 
     def write_table(self, roots: Sequence[int]) -> tuple:
         """(k, lines, positions): the gates the roots reach, each written
@@ -305,91 +283,41 @@ class CircuitBuilder:
         return k, lines, [at[r] for r in roots]
 
     def read_table(self, lines: Sequence[str], starting: int) -> dict:
-        """Lay in the gate lines that write_table writes, in one pass, and
-        return {gate id token: id}.
+        """Lay in the gate lines that write_table writes, as they are parsed,
+        and return {gate id token: id}.
 
-        The lines are read as parse_circuit reads gate lines, with the same
-        errors, but hold no OUTPUT line.  The first `starting` gates are
-        kept as starting gates; every later one is hash-consed by its key,
-        a leaf by its right-hand side and an ADD or MUL by its kind and
-        argument ids, the keys read() uses.  The text that write_table
-        writes is read by _read_written_table; any other text, once the
-        gates, starting ids and keys that pass added are dropped, by the
-        one line parser (_read_table_lines).
+        The lines are read as parse_circuit reads gate lines, by the same
+        parser with the same errors, but hold no OUTPUT line.  The first
+        `starting` gates are kept as starting gates; every later one is
+        hash-consed by its key (_lay_in), the keys read() uses.
         """
-        gates, shared = self._gates, self._shared
-        size, mark = len(gates), len(shared)
-        names = self._read_written_table(lines, starting)
-        if names is None:
-            self._starting.difference_update(range(size, len(gates)))
-            del gates[size:]
-            while len(shared) > mark:
-                shared.popitem()     # the entries the pass added are the last
-            names = self._read_table_lines(lines, starting)
+        names: dict = {}
+        _gate_lines(lines, self._lay_in(starting), self._written, names)
         self._dag = None
         return names
 
-    def _read_written_table(self, lines: Sequence[str], starting: int) -> dict | None:
-        """read_table of the text that write_table writes, in one pass; None
-        for any other text, which may then be partly laid in.
-
-        That text has two rules: line p is "g<p> = KIND operands" with
-        single spaces, an ADD or MUL naming earlier lines by their exact
-        names; and a leaf's right-hand side is the one that lines() writes
-        of its gate (_written_leaf), parsed once per table.
-        """
+    def _lay_in(self, starting: int):
+        """The lay of _gate_lines that puts each parsed gate line in this
+        table and returns its gate's id: the first `starting` lines as
+        starting gates, and every later one hash-consed by its key, a leaf
+        by its right-hand side as lines() writes it and an ADD or MUL gate
+        by its kind and argument ids."""
         gates, shared, kept = self._gates, self._shared, self._starting
-        names: dict = {}         # gate id token -> id
-        leaves: dict = {}        # leaf right-hand side -> its gate
-        for p, line in enumerate(lines):
-            name = f"g{p}"
-            head, _, rhs = line.partition(" = ")
-            if head != name:
-                return None
-            kind = _WRITTEN_KINDS.get(rhs[:4])
-            if kind is None:
-                key = rhs
-            else:
-                try:
-                    key = kind, tuple([names[t] for t in rhs[4:].split(" ")])
-                except KeyError:
-                    return None
-            if p < starting:
-                kept.add(len(gates))
-            else:
-                i = shared.get(key)
-                if i is not None:
-                    names[name] = i
-                    continue
-                shared[key] = len(gates)
-            if kind is None:
-                g = leaves.get(rhs)
-                if g is None:
-                    g = leaves[rhs] = _written_leaf(rhs)
-                    if g is None:
-                        return None
-            else:
-                g = Gate(kind, args=key[1])
-            names[name] = len(gates)
-            gates.append(g)
-        return names
+        end = len(gates) + starting     # the id after the last starting gate
 
-    def _read_table_lines(self, lines: Sequence[str], starting: int) -> dict:
-        """read_table of any text, through the one line parser, _gate_lines."""
-        shared = self._shared
-        names: dict = {}
-        ids: list = []           # the id of each gate line, in order
-        for g, args in _gate_lines(lines, names):
-            key = _leaf_text(g) if args is None else (g, tuple([ids[a] for a in args]))
-            if len(ids) < starting:
-                self._starting.add(len(self._gates))
-            elif key in shared:
-                ids.append(shared[key])
-                continue
+        def lay(g, args) -> int:
+            key = _leaf_text(g) if args is None else (g, tuple(args))
+            i = len(gates)
+            if i < end:
+                kept.add(i)
             else:
-                shared[key] = len(self._gates)
-            ids.append(self._push(g if args is None else Gate(g, args=key[1])))
-        return {name: ids[p] for name, p in names.items()}
+                j = shared.setdefault(key, i)
+                if j != i:
+                    return j
+            gates.append(g if args is None else Gate(g, args=key[1]))
+            return i
+
+        return lay
 
     def prod(self, ids: Iterable[int]) -> int:
         """Flat product folding literal 1s; a literal 0 collapses to CONST 0.
@@ -975,30 +903,40 @@ def parse_circuit(text: str) -> Circuit:
 def _parse_lines(lines: Sequence[str]) -> Circuit:
     """The circuit of these text lines, its gates in text order."""
     gates: list = []
-    for g, args in _gate_lines(lines):
-        if args is None:
-            gates.append(g)
-        elif g is None:
-            return Circuit(gates, args)
-        else:
-            gates.append(Gate(g, args=args))
+
+    def lay(g, args) -> int:
+        gates.append(g if args is None else Gate(g, args=args))
+        return len(gates) - 1
+
+    return Circuit(gates, _gate_lines(lines, lay, {})[0])
 
 
-def _gate_lines(lines: Sequence[str], names: dict | None = None):
-    """The one line parser of circuit text.
+def _gate_lines(lines: Sequence[str], lay, written: dict, names: dict | None = None) -> tuple:
+    """The one parser of circuit text: returns (the value of the output,
+    the number of gate lines read by the general rules).
 
-    Yields (leaf gate, None) or (ADD or MUL, argument positions) per gate
-    line, a position counting the gate lines before, and last (None,
-    position of the output).  Each leaf right-hand side is parsed once: a
-    line repeating one shares its gate.  Raises ValueError naming the line
-    of the first malformed line.
+    Calls lay(leaf gate, None) or lay(ADD or MUL, argument values) per gate
+    line, in order, and binds the line's gate id token to the value lay
+    returns, a position or a table's gate id; arguments and the output are
+    given as their tokens' values.  Raises ValueError naming the first
+    malformed line.
+
+    While every gate so far is named by its position, a line is first
+    tried by the written-form shortcut: "g<p> = KIND operands" with single
+    spaces, an ADD or MUL naming earlier lines exactly, a leaf written as
+    lines() writes it (_written_leaf, parsed once per dict written: leaf
+    right-hand side -> its gate, None if not written).  Any other line,
+    and only that line, is read by the general rules, which drop a comment
+    and spaces; their leaf right-hand sides are parsed once per text.
 
     Given a dict names, the lines are a gate table: names is filled with
-    each gate id token's position, an OUTPUT line is malformed, and nothing
-    follows the gate lines.
+    each gate id token's value, an OUTPUT line is malformed, nothing follows
+    the gate lines, and the output's value is None.
     """
-    id_map: dict = {} if names is None else names   # gate id token -> position
-    leaves: dict = {}        # leaf right-hand side -> its gate
+    id_map: dict = {} if names is None else names   # gate id token -> value
+    leaves: dict = {}        # leaf right-hand side, read by the general rules -> its gate
+    positional = True        # every gate so far is named by its position
+    general = 0              # gate lines read by the general rules
     output = None
 
     def refs(toks: list) -> list:
@@ -1008,6 +946,26 @@ def _gate_lines(lines: Sequence[str], names: dict | None = None):
             raise ValueError(f"reference to undefined gate {exc.args[0]!r}") from None
 
     for lineno, raw in enumerate(lines, start=1):
+        if positional:
+            name = f"g{len(id_map)}"
+            head, _, rhs = raw.partition(" = ")
+            if head == name:
+                kind = _WRITTEN_KINDS.get(rhs[:4])
+                if kind is not None:
+                    try:
+                        args = [id_map[t] for t in rhs[4:].split(" ")]
+                    except KeyError:
+                        pass
+                    else:
+                        id_map[name] = lay(kind, args)
+                        continue
+                else:
+                    g = written.get(rhs, False)
+                    if g is False:
+                        g = written[rhs] = _written_leaf(rhs)
+                    if g is not None:
+                        id_map[name] = lay(g, None)
+                        continue
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -1033,32 +991,31 @@ def _gate_lines(lines: Sequence[str], names: dict | None = None):
                 raise ValueError(f"gate {lhs} defined twice")
             g = leaves.get(rhs)
             if g is not None:
-                item = g, None
+                args = None
             else:
                 kind, *ops = rhs.split() or (None,)
                 if kind == ADD or kind == MUL:
                     if not ops:
                         raise ValueError(f"{kind} gate {lhs} has no children")
-                    item = kind, refs(ops)
+                    g, args = kind, refs(ops)
                 elif kind == VAR or kind == CONST:
                     if len(ops) != 1:
                         raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
                     g = leaves[rhs] = (Gate(VAR, var=parse_var(ops[0])) if kind == VAR
                                        else Gate(CONST, const=parse_frac(ops[0])))
-                    item = g, None
+                    args = None
                 elif kind is None:
                     raise ValueError(f"gate {lhs} has no kind")
                 else:
                     raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        id_map[lhs] = len(id_map)
-        yield item
-    if names is not None:
-        return
-    if output is None:
+        positional = positional and lhs == f"g{len(id_map)}"
+        general += 1
+        id_map[lhs] = lay(g, args)
+    if names is None and output is None:
         raise ValueError("missing OUTPUT line")
-    yield None, output
+    return output, general
 
 
 def circuit_sha256(c: Circuit) -> str:

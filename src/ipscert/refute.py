@@ -325,8 +325,8 @@ def _text_lines(lines: list) -> list:
 
 
 def _table_roots(doc: dict, table: CircuitBuilder):
-    """Lay a /2 document's gate table into table, in one pass; returns the
-    reader of a circuit, one line "OUTPUT g<k>" naming a table gate."""
+    """Lay a /2 document's gate table into table as it is parsed; returns
+    the reader of a circuit, one line "OUTPUT g<k>" naming a table gate."""
     starting = _field(doc, "starting", kind=int)
     names = _field(doc, "table", kind=list,
                    parse=lambda lines: table.read_table(_text_lines(lines), starting))
@@ -346,9 +346,10 @@ def _table_roots(doc: dict, table: CircuitBuilder):
 
 
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
-    """Read a nullstellensatz-cert/2 document, its table in one pass
-    (CircuitBuilder.read_table), or a nullstellensatz-cert/1 document, every
-    circuit line by line into one hash-consed table (CircuitBuilder.read)."""
+    """Read a nullstellensatz-cert/2 document, its table laid in as it is
+    parsed (CircuitBuilder.read_table), or a nullstellensatz-cert/1
+    document, every circuit parsed once and laid into one hash-consed table
+    (CircuitBuilder.read); both through the one parser of circuit text."""
     doc = json.loads(text)
     version = doc.get("format") if isinstance(doc, dict) else None
     if version not in (FORMAT, "nullstellensatz-cert/1"):

@@ -16,6 +16,7 @@ from ipscert.circuit import (
     MUL,
     VAR,
     _compact,
+    _leaf_text,
     as_circuit,
     cadd,
     cmul,
@@ -27,7 +28,7 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
 from ipscert.instances import InstanceBundle, inverse_differences
-from ipscert.poly import SparsePoly, Var, _Accumulator, format_poly
+from ipscert.poly import SparsePoly, Var, _Accumulator, format_poly, parse_frac, parse_var
 from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
@@ -552,3 +553,121 @@ def certificate_to_json_v1(cert: NullstellensatzCertificate) -> str:
         "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# A reference reader of circuit text: the general line rules alone, with no
+# written-form shortcut, as an oracle for the parser and the table readers.
+
+def reference_gate_lines(lines, names: dict | None = None):
+    """Yield (leaf gate, None) or (ADD or MUL, argument positions) per gate
+    line, a position counting the gate lines before, and last (None,
+    position of the output).  Each leaf right-hand side is parsed once: a
+    line repeating one shares its gate.  Raises ValueError naming the line
+    of the first malformed line.
+
+    Given a dict names, the lines are a gate table: names is filled with
+    each gate id token's position, an OUTPUT line is malformed, and nothing
+    follows the gate lines.
+    """
+    id_map: dict = {} if names is None else names   # gate id token -> position
+    leaves: dict = {}        # leaf right-hand side -> its gate
+    output = None
+
+    def refs(toks: list) -> list:
+        try:
+            return [id_map[t] for t in toks]
+        except KeyError as exc:
+            raise ValueError(f"reference to undefined gate {exc.args[0]!r}") from None
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("OUTPUT"):
+                if names is not None:
+                    raise ValueError("OUTPUT line in a gate table")
+                if output is not None:
+                    raise ValueError("multiple OUTPUT lines")
+                toks = line.split()
+                if len(toks) != 2:
+                    raise ValueError("OUTPUT line must name exactly one gate")
+                output = refs(toks[1:])[0]
+                continue
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise ValueError("no '=' in a gate line")
+            lhs = lhs.strip()
+            num = lhs[1:]
+            if not lhs.startswith("g") or not (num.isascii() and num.isdigit()):
+                raise ValueError(f"bad gate id {lhs!r}")
+            if lhs in id_map:
+                raise ValueError(f"gate {lhs} defined twice")
+            g = leaves.get(rhs)
+            if g is not None:
+                item = g, None
+            else:
+                kind, *ops = rhs.split() or (None,)
+                if kind == ADD or kind == MUL:
+                    if not ops:
+                        raise ValueError(f"{kind} gate {lhs} has no children")
+                    item = kind, refs(ops)
+                elif kind == VAR or kind == CONST:
+                    if len(ops) != 1:
+                        raise ValueError(f"{kind} gate {lhs} needs exactly one operand")
+                    g = leaves[rhs] = (Gate(VAR, var=parse_var(ops[0])) if kind == VAR
+                                       else Gate(CONST, const=parse_frac(ops[0])))
+                    item = g, None
+                elif kind is None:
+                    raise ValueError(f"gate {lhs} has no kind")
+                else:
+                    raise ValueError(f"unknown gate kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        id_map[lhs] = len(id_map)
+        yield item
+    if names is not None:
+        return
+    if output is None:
+        raise ValueError("missing OUTPUT line")
+    yield None, output
+
+
+def reference_parse_circuit(text: str) -> Circuit:
+    """parse_circuit by the reference reader."""
+    gates: list = []
+    for g, args in reference_gate_lines(text.splitlines()):
+        if args is None:
+            gates.append(g)
+        elif g is None:
+            return Circuit(gates, args)
+        else:
+            gates.append(Gate(g, args=args))
+
+
+def reference_read_table(b: CircuitBuilder, lines, starting: int) -> dict:
+    """CircuitBuilder.read_table by the reference reader: the first
+    `starting` gates kept as starting gates, every later one hash-consed by
+    its key, a leaf by its text and an ADD or MUL by its kind and argument
+    ids; returns {gate id token: id}."""
+    shared = b._shared
+    names: dict = {}
+    ids: list = []           # the id of each gate line, in order
+    for g, args in reference_gate_lines(lines, names):
+        key = _leaf_text(g) if args is None else (g, tuple([ids[a] for a in args]))
+        if len(ids) < starting:
+            b._starting.add(len(b._gates))
+        elif key in shared:
+            ids.append(shared[key])
+            continue
+        else:
+            shared[key] = len(b._gates)
+        ids.append(b._push(g if args is None else Gate(g, args=key[1])))
+    b._dag = None
+    return {name: ids[p] for name, p in names.items()}
+
+
+def table_state(b: CircuitBuilder) -> tuple:
+    """(gates, starting ids, key map) of a table, its gates as plain tuples."""
+    return [(g.op, g.var, g.const, g.args) for g in b._gates], b._starting, b._shared

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_folded, is_syntactically_multilinear, random_dag_circuit,
-                     random_layered_formula, shuffled_topological, sum_of_products_text)
+from helpers import (assert_folded, certificate_to_json_v1, is_syntactically_multilinear,
+                     laid_out, random_dag_circuit, random_layered_formula,
+                     reference_parse_circuit, reference_read_table, shuffled_topological,
+                     sum_of_products_text, table_state)
 
 from ipscert import circuit as circuit_module
 from ipscert.circuit import (
@@ -37,6 +40,7 @@ from ipscert.circuit import (
 from ipscert.gadget import GadgetLedger
 from ipscert.instances import gadgeted_ry_circuit
 from ipscert.poly import SparsePoly, Var
+from ipscert.refute import assemble_refutation, certificate_from_json, certificate_to_json
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 Y1 = Var("y", 1)
@@ -493,11 +497,17 @@ def mangled(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parsed_outcome(text: str) -> tuple:
+def gate_tuples(c: Circuit) -> tuple:
+    """(c's gates as plain tuples, its output)."""
+    return [(g.op, g.var, g.const, g.args) for g in c.gates], c.output
+
+
+def parsed_outcome(text: str, parse=parse_circuit) -> tuple:
     try:
-        return "ok", format_circuit(parse_circuit(text))
+        c = parse(text)
     except ValueError as exc:
         return "error", str(exc)
+    return "ok", format_circuit(c), gate_tuples(c)
 
 
 def read_outcome(b: CircuitBuilder, text: str) -> tuple:
@@ -511,8 +521,10 @@ def read_outcome(b: CircuitBuilder, text: str) -> tuple:
 
 
 def test_read_and_parse_circuit_agree_on_malformed_texts():
-    # Groups of texts share one table and its caches, so leaf texts read
-    # before are read again from the cache, and layouts made before reused.
+    # parse_circuit reads each text as the reference reader does, the same
+    # gates or the same message, and read lays it out again as parse_circuit
+    # reads it.  Groups of texts share one table and its caches, so keys
+    # laid in before are met again, and layouts made before reused.
     rng = random.Random(9107)
     outcomes = {"ok": 0, "error": 0}
     for _ in range(200):
@@ -528,7 +540,8 @@ def test_read_and_parse_circuit_agree_on_malformed_texts():
                                             GadgetLedger(()))
             text = mangled(rng, format_circuit(c))
             want = parsed_outcome(text)
-            assert read_outcome(b, text) == want, text
+            assert parsed_outcome(text, reference_parse_circuit) == want, text
+            assert read_outcome(b, text) == want[:2], text
             outcomes[want[0]] += 1
     assert outcomes["ok"] > 500 and outcomes["error"] > 500
 
@@ -713,9 +726,10 @@ def test_read_lays_out_and_measures_like_parse_circuit(seed, kind):
         assert b.lines(r) == written and b.metrics(r) == b.metrics(w)
 
 
-def test_a_text_refused_partway_leaves_the_table_as_it_found_it():
-    # The comment on the last gate line sends the text to parse_circuit
-    # after the written reader has interned every gate before that line.
+def test_a_text_kept_for_one_line_leaves_the_table_as_it_found_it():
+    # The comment on the last gate line makes the text one to keep, though
+    # every line before it is written; read lays nothing in before the
+    # whole text has parsed.
     rng = random.Random(1)
     c = next(c for c in iter(lambda: random_layered_formula(rng), None) if len(c) == 25)
     written = written_lines(c)
@@ -741,10 +755,128 @@ def test_a_text_refused_partway_leaves_the_table_as_it_found_it():
     "g0 = CONST 1/0\nOUTPUT g0\n",                                          # malformed leaf
     "g0 = VAR x1\ng1 = VAR x2\ng2 = ADD g0 g7\nOUTPUT g2\n",                 # undefined
 ])
-def test_canonical_looking_texts_leave_the_written_reader(text):
+def test_canonical_looking_texts_are_kept_or_refused(text):
     b = CircuitBuilder()
     b.read(written_lines(cadd(cmul(cvar(X1), cvar(X2)), cconst(Fraction(1, 2)))))
-    want = parsed_outcome(text)
+    want = parsed_outcome(text)[:2]
     assert read_outcome(b, text) == want
     if want[0] == "ok":
         assert b.read(text.splitlines()) in b._starting
+
+
+# ---------------------------------------------------------------------------
+# One parser: a written-form shortcut per line, the general rules for the
+# lines it refuses.
+
+def respelled_lines(rng: random.Random, lines: list) -> list:
+    """lines with a seeded subset, at least one gate line, respelled as
+    lines() would not write them: " = " widened, a trailing comment, or a
+    trailing space on a CONST line."""
+    out = []
+    for line in lines:
+        pick = rng.randrange(6)
+        if pick == 0 and " = " in line:
+            line = line.replace(" = ", " =  ", 1)
+        elif pick == 1:
+            line += " # c"
+        elif pick == 2 and " = CONST " in line:
+            line += " "
+        out.append(line)
+    if out == lines:
+        out[0] += " # c"
+    return out
+
+
+def laid_out_texts(cert) -> list:
+    """The axioms and cofactors of a certificate, each circuit laid out as
+    the text of its formula."""
+    axioms, cofactors = laid_out(cert)
+    return [ax if isinstance(ax, SparsePoly) else format_circuit(ax) for _, ax in axioms] + \
+        [format_circuit(c) for c in cofactors]
+
+
+def test_respelled_lines_read_like_the_written_text(corpus01, transformed01):
+    rng = random.Random(3001)
+    for c in corpus01[::5]:
+        text = format_circuit(c)
+        respelled = "\n".join(respelled_lines(rng, text.splitlines())) + "\n"
+        assert respelled != text
+        assert gate_tuples(parse_circuit(respelled)) == gate_tuples(parse_circuit(text))
+    for _, cp, ledger in transformed01[::20]:
+        cert = assemble_refutation(cp, ledger)
+        # /1: each circuit is read on its own, a respelled one kept as it
+        # stands; every root lays out and measures as the written text's.
+        doc = json.loads(certificate_to_json_v1(cert))
+        want = certificate_from_json(json.dumps(doc))
+        for circuit in [doc["axioms"][0]["circuit"]] + doc["cofactors"]:
+            circuit[:] = respelled_lines(rng, circuit)
+        got = certificate_from_json(json.dumps(doc))
+        assert laid_out_texts(got) == laid_out_texts(want)
+        assert [got.table.metrics(r) for r in got.cofactors] == list(want.claimed_metrics)
+        # /2: the table is the same, gate for gate, key for key.
+        doc = json.loads(certificate_to_json(cert))
+        want = certificate_from_json(json.dumps(doc))
+        doc["table"] = respelled_lines(rng, doc["table"])
+        got = certificate_from_json(json.dumps(doc))
+        assert table_state(got.table) == table_state(want.table)
+        assert (got.axioms, got.cofactors) == (want.axioms, want.cofactors)
+
+
+def read_table_outcome(text: str, read_table) -> tuple | str:
+    """The state of a fresh table once read_table laid the gate lines of
+    text in, the first as a starting gate, with the {token: id} map it
+    returned; or the message of the ValueError it raised."""
+    b = CircuitBuilder()
+    lines = [line for line in text.splitlines() if not line.startswith("OUTPUT")]
+    try:
+        names = read_table(b, lines, 1)
+    except ValueError as exc:
+        return str(exc)
+    return table_state(b) + (names,)
+
+
+def read_everywhere(text: str) -> list:
+    """What parse_circuit, read and read_table make of text: the gates, the
+    layout and the table state, or each the message it raised."""
+    return [parsed_outcome(text)[-1], read_outcome(CircuitBuilder(), text)[-1],
+            read_table_outcome(text, CircuitBuilder.read_table)]
+
+
+def test_a_positional_name_defined_twice_is_refused():
+    # The second line is named by its position, but g1 is taken.
+    text = "g1 = VAR x1\ng1 = VAR x2\nOUTPUT g1\n"
+    assert read_everywhere(text) == ["line 2: gate g1 defined twice"] * 3
+
+
+def test_a_written_line_naming_an_undefined_gate_gets_the_general_message():
+    text = "g0 = VAR x1\ng1 = ADD g0 g7\nOUTPUT g1\n"
+    assert read_everywhere(text) == ["line 2: reference to undefined gate 'g7'"] * 3
+
+
+@pytest.mark.parametrize("text", [
+    "g5 = VAR x1\ng1 = VAR x2\ng2 = ADD g5 g1\nOUTPUT g2\n",
+    "g00 = VAR x1\ng1 = CONST 1/2\ng2 = MUL g00 g1\ng3 = VAR x1\ng4 = ADD g2 g3\nOUTPUT g4\n",
+    "g1 = VAR x1\ng0 = VAR x2\ng2 = MUL g1 g0\nOUTPUT g2\n",
+    "g9 = VAR x1\ng1 = ADD g9 g1\nOUTPUT g1\n",
+])
+def test_a_text_whose_first_name_is_not_its_position_reads_as_before(text):
+    want = parsed_outcome(text, reference_parse_circuit)
+    assert parsed_outcome(text) == want
+    assert read_outcome(CircuitBuilder(), text) == want[:2]
+    assert read_table_outcome(text, CircuitBuilder.read_table) == \
+        read_table_outcome(text, reference_read_table)
+
+
+def test_a_post_order_text_with_one_line_not_written_is_kept():
+    rng = random.Random(7)
+    c = next(c for c in iter(lambda: random_layered_formula(rng), None) if len(c) > 8)
+    written = written_lines(c)
+    texts = [written[:k] + [written[k].replace(" = ", " =  ", 1)] + written[k + 1:]
+             for k in range(len(written) - 1)]
+    texts += [written[:k] + [extra] + written[k:] for extra in ("", "# note") for k in (0, 4)]
+    for respelled in texts:
+        b = CircuitBuilder()
+        r = b.read(respelled)
+        assert r in b._starting and not b._shared and len(b._gates) == len(written) - 1
+        text = "\n".join(respelled) + "\n"
+        assert "\n".join(b.lines(r)) + "\n" == format_circuit(parse_circuit(text))

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (build_corpus, certificate_of, certificate_to_json_v1, ci_chain_certificate,
-                     gadget_poly, laid_out, random_product_dag, ref_evaluate, shift_certificates,
-                     shuffled_topological, total_degree)
+                     gadget_poly, laid_out, random_product_dag, ref_evaluate, reference_read_table,
+                     shift_certificates, shuffled_topological, table_state, total_degree)
 
 from ipscert.circuit import (
     CONST,
@@ -727,15 +727,15 @@ def _mutants(rng: random.Random, doc: dict, count: int):
         yield json.dumps(d)
 
 
-def table_state(b: CircuitBuilder) -> tuple:
-    """(gates, starting ids, key map) of a table, its gates as plain tuples."""
-    return [(g.op, g.var, g.const, g.args) for g in b._gates], b._starting, b._shared
-
-
-def read_table_by(b: CircuitBuilder, lines: list, starting: int, general: bool) -> tuple:
-    """The table state of b once it read lines by read_table or, general,
-    by the one line parser alone, and the {token: id} map it returned."""
-    names = (b._read_table_lines if general else b.read_table)(lines, starting)
+def read_table_by(b: CircuitBuilder, lines: list, starting: int, reference: bool):
+    """The table state of b once it read lines by read_table or, reference,
+    by the reference reader, and the {token: id} map it returned; or the
+    message of the ValueError it raised."""
+    try:
+        names = (reference_read_table(b, lines, starting) if reference
+                 else b.read_table(lines, starting))
+    except ValueError as exc:
+        return str(exc)
     return table_state(b) + (names,)
 
 
@@ -750,52 +750,55 @@ def respellings(lines: list, starting: int) -> list:
                             (const, lines[const] + " "))]
 
 
-def test_the_written_and_the_general_v2_readers_build_the_same_table(transformed01):
+def test_read_table_builds_the_table_of_the_reference_reader(transformed01):
     certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
     certs += [ci_chain_certificate()] + list(shift_certificates())
     before = json.loads(certificate_to_json(certs[-1]))
     for cert in certs:
         doc = json.loads(certificate_to_json(cert))
         lines, starting = doc["table"], doc["starting"]
-        assert CircuitBuilder()._read_written_table(lines, starting) is not None
-        want = read_table_by(CircuitBuilder(), lines, starting, general=True)
-        assert read_table_by(CircuitBuilder(), lines, starting, general=False) == want
-        # A respelled text leaves the written reader partway; what it laid
-        # in is dropped, also in a table that already holds another
+        want = read_table_by(CircuitBuilder(), lines, starting, reference=True)
+        assert read_table_by(CircuitBuilder(), lines, starting, reference=False) == want
+        # A respelled line is read by the general rules, and only that line;
+        # the table is the same, also one that already holds another
         # document's gates.
         for respelled in respellings(lines, starting):
-            assert CircuitBuilder()._read_written_table(respelled, starting) is None
-            assert read_table_by(CircuitBuilder(), respelled, starting, general=False) == want
+            assert read_table_by(CircuitBuilder(), respelled, starting, reference=False) == want
             tables = []
-            for general in (False, True):
+            for reference in (False, True):
                 b = CircuitBuilder()
                 b.read_table(before["table"], before["starting"])
-                tables.append(read_table_by(b, respelled, starting, general))
+                tables.append(read_table_by(b, respelled, starting, reference))
             assert tables[0] == tables[1]
         before = doc
 
 
 def read_both_ways(monkeypatch, text: str) -> tuple:
-    """certificate_from_json(text) as it reads, then with the written table
-    reader off, so through the one line parser alone: each a certificate,
-    or the message of the ValueError it raised."""
+    """certificate_from_json(text) as it reads, then with read_table replaced
+    by the reference reader: each a certificate, or the message of the
+    ValueError it raised, with the {token: id} maps its read_table returned."""
     out = []
-    for general in (False, True):
+    for read in (CircuitBuilder.read_table, reference_read_table):
+        names: list = []
+
+        def read_table(b: CircuitBuilder, lines: list, starting: int) -> dict:
+            names.append(read(b, lines, starting))
+            return names[-1]
+
         with monkeypatch.context() as m:
-            if general:
-                m.setattr(CircuitBuilder, "_read_written_table", lambda *args: None)
+            m.setattr(CircuitBuilder, "read_table", read_table)
             try:
-                out.append(certificate_from_json(text))
+                out.append((certificate_from_json(text), names))
             except ValueError as exc:
-                out.append(str(exc))
+                out.append((str(exc), names))
     return tuple(out)
 
 
 def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
     # Every refusal, by the reader or by either verifier, is a ValueError:
-    # never a KeyError, IndexError or TypeError.  The written table reader
-    # and the one line parser read every mutant alike: the same table, or
-    # the same message.
+    # never a KeyError, IndexError or TypeError.  read_table and the
+    # reference reader read every mutant alike: the same table and
+    # {token: id} map, or the same message.
     rng = random.Random(2027)
     docs = [small_doc()]
     for c in build_corpus(2027, 3):
@@ -805,13 +808,14 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
     refused = verified = 0
     for doc in docs:
         for text in _mutants(rng, doc, 150):
-            cert, general = read_both_ways(monkeypatch, text)
+            (cert, names), (reference, reference_names) = read_both_ways(monkeypatch, text)
+            assert names == reference_names
             if isinstance(cert, str):
-                assert general == cert
+                assert reference == cert
                 refused += 1
                 continue
-            assert table_state(general.table) == table_state(cert.table)
-            assert (general.axioms, general.cofactors) == (cert.axioms, cert.cofactors)
+            assert table_state(reference.table) == table_state(cert.table)
+            assert (reference.axioms, reference.cofactors) == (cert.axioms, cert.cofactors)
             try:
                 if check_claims(cert) is None:
                     verified += verify_pit(cert, cfg).verdict == "verified-probabilistic"
