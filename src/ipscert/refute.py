@@ -21,9 +21,9 @@ by induction on the formula:
 All cofactors are composed by gate id in one CircuitBuilder that starts
 from the formula's gates, without recursion, certifying gates in ascending
 id order.  That builder is the certificate's gate table: the certificate
-holds a root id per cofactor and for the instance, and no cofactor is laid
-out in memory.  Its claimed size and depth come from dynamic programming
-over the table, equal to the measure of each laid-out formula.
+holds a root id per axiom and per cofactor, and no cofactor is laid out in
+memory.  Its claimed size and depth come from dynamic programming over the
+table, equal to the measure of each laid-out formula.
 
 The nullstellensatz-cert/2 document writes the table once: every gate the
 roots reach on one line, the starting gates (the formula's own) first, and
@@ -61,7 +61,7 @@ from .circuit import (
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
 from .instances import inverse_differences
-from .poly import SparsePoly, boolean_axiom, format_poly, parse_frac, parse_poly
+from .poly import format_poly, parse_frac, parse_poly, parse_var
 
 BUILDER_TAG = "ipscert-refute/1"
 FORMAT = "nullstellensatz-cert/2"
@@ -194,22 +194,23 @@ class NullstellensatzCertificate:
     """Axioms paired with cofactors with sum(cofactor * axiom) = 1, held as
     root ids in one gate table.
 
-    The first axiom is the instance (a circuit); the rest are Boolean axioms
-    v^2 - v held as polynomials.  Each circuit is a root id in `table`, which
-    lays it out as the text of its standalone formula (CircuitBuilder.lines).
-    Cofactors never mention the verifier's placeholder namespace, so the
-    induced substitution circuit sum_k placeholder_k * cofactor_k has
-    individual degree 1 in every placeholder and vanishes when all
-    placeholders are zero.
+    The first axiom is the instance; the rest are the Boolean axioms v^2 - v
+    that CircuitBuilder.poly lays in, written as polynomial text (the axioms
+    in written_as_poly).  `table` lays each root out as the text of its
+    standalone formula (CircuitBuilder.lines).  Cofactors never mention the
+    verifier's placeholder namespace, so the induced substitution circuit
+    sum_k placeholder_k * cofactor_k has individual degree 1 in every
+    placeholder and vanishes when all placeholders are zero.
     """
 
     table: CircuitBuilder
-    axioms: tuple           # ((label, root id | SparsePoly), ...)
+    axioms: tuple           # ((label, root id), ...)
     cofactors: tuple        # (root id, ...)
     claimed_metrics: tuple  # (Metrics, ...)
     instance_sha256: str
     shift: Fraction
     builder: str = BUILDER_TAG
+    written_as_poly: frozenset = frozenset()   # indices of axioms written as "poly"
 
     @property
     def total_size(self) -> int:
@@ -235,8 +236,8 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     is unsatisfiable for any shift outside {0, -1}; inverse_differences
     rejects the other two.
 
-    The certificate's table is the builder that composed the cofactors;
-    nothing is laid out but the instance's text lines, for its hash.
+    The certificate's table is the builder that composed the cofactors, then
+    the Boolean axioms; nothing is laid out but the instance's text lines.
     """
     shift = Fraction(shift)
     c0, c1 = inverse_differences(1, -shift)
@@ -244,12 +245,10 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     out = cprime.output
     b, certs = gate_square_certificates(cprime, [out], ledger)
     instance = b.add([out, b.const(shift)])
-    axioms = [("f", instance)]
+    order = sorted(certs[out], key=lambda v: (v.ns == "y", v._key))   # E, then F
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
-    cert = certs[out]
-    for v in sorted(cert, key=lambda v: (v.ns == "y", v._key)):   # E, then F
-        axioms.append((f"{v.name}^2-{v.name}", boolean_axiom(v)))
-        roots.append(b.mul([b.const(-c1), cert[v]]))
+    roots += [b.mul([b.const(-c1), certs[out][v]]) for v in order]
+    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.boolean_axiom(v)) for v in order]
     return NullstellensatzCertificate(
         table=b,
         axioms=tuple(axioms),
@@ -257,6 +256,7 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
         claimed_metrics=tuple(b.metrics(r) for r in roots),
         instance_sha256=b.sha256(instance),
         shift=shift,
+        written_as_poly=frozenset(range(1, len(axioms))),
     )
 
 
@@ -283,19 +283,25 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
     """The nullstellensatz-cert/2 document, byte for byte as json.dumps(doc,
     indent=2) writes it: the gate table that the circuits reach, written
     once (CircuitBuilder.write_table), and each circuit as the line that
-    names its root."""
-    circuits = [ax for _, ax in cert.axioms if not isinstance(ax, SparsePoly)]
-    circuits += cert.cofactors
+    names its root; an axiom in written_as_poly as its polynomial's text."""
+    polys = cert.written_as_poly
+    circuits = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in polys] + [*cert.cofactors]
     starting, table, positions = cert.table.write_table(circuits)
     at = dict(zip(circuits, positions))
 
     def circuit(root: int, pad: str) -> str:
         return _json_list([_str(f"OUTPUT g{at[root]}")], pad)
 
+    def poly(label: str, root: int) -> str:
+        v, written = boolean_axiom_label(label)
+        if v is not None and cert.table.boolean_axiom(v) == root:
+            return written
+        return format_poly(cert.table.expand(root))
+
     axioms = [_json_object([("label", _str(label)),
-                            ("poly", _str(format_poly(ax))) if isinstance(ax, SparsePoly)
+                            ("poly", _str(poly(label, ax))) if k in polys
                             else ("circuit", circuit(ax, "      "))], "    ")
-              for label, ax in cert.axioms]
+              for k, (label, ax) in enumerate(cert.axioms)]
     metrics = [_json_object([("size", str(m.size)), ("depth", str(m.depth))], "    ")
                for m in cert.claimed_metrics]
     return _json_object([
@@ -345,6 +351,16 @@ def _table_roots(doc: dict, table: CircuitBuilder):
     return root
 
 
+def boolean_axiom_label(label: str) -> tuple:
+    """(v, format_poly(boolean_axiom(v))) for the variable v named before
+    "^2-" in an axiom's label, as in "v^2-v", or (None, None)."""
+    name = label.partition("^2-")[0]
+    try:
+        return parse_var(name), f"-1/1 * {name} + 1/1 * {name}^2"
+    except ValueError:
+        return None, None
+
+
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
     """Read a nullstellensatz-cert/2 document, its table laid in as it is
     parsed (CircuitBuilder.read_table), or a nullstellensatz-cert/1
@@ -361,16 +377,22 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         def read(lines: list) -> int:
             return table.read(_text_lines(lines))
 
-    axioms = []
+    axioms, polys = [], {}
     for k, ax in enumerate(_field(doc, "axioms", kind=list)):
         label = _field(ax, "label", f"axioms[{k}].label", str)
         if "circuit" in ax:
-            axioms.append((label, _field(ax, "circuit", f"axioms[{k}].circuit", list,
-                                         parse=read)))
+            axioms.append((label, _field(ax, "circuit", f"axioms[{k}].circuit", list, parse=read)))
+            continue
+        v, written = boolean_axiom_label(label)   # v^2 - v as written needs no parse
+        if v is not None and ax.get("poly") == written:
+            polys[k] = partial(table.boolean_axiom, v)
         else:
-            axioms.append((label, _field(ax, "poly", f"axioms[{k}].poly", str,
-                                         parse=parse_poly)))
+            polys[k] = _field(ax, "poly", f"axioms[{k}].poly", str,
+                              parse=lambda text: partial(table.poly, parse_poly(text)))
+        axioms.append((label, None))
     cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=read))
+    for k, lay in polys.items():   # poly texts last, so that no circuit's gate id moves
+        axioms[k] = (axioms[k][0], lay())
     metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size", int),
                             depth=_field(m, "depth", f"metrics[{k}].depth", int))
                     for k, m in enumerate(_field(doc, "metrics", kind=list)))
@@ -390,4 +412,5 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         instance_sha256=_field(doc, "instance_sha256", kind=str),
         shift=shift,
         builder=_field(doc, "builder", kind=str) if "builder" in doc else BUILDER_TAG,
+        written_as_poly=frozenset(polys),
     )

@@ -1,7 +1,7 @@
 """Certificate verification: exact, probabilistic, and Boolean-image checks.
 
 Both verifiers take a NullstellensatzCertificate: one gate table with a
-root id per circuit axiom and cofactor (see refute).
+root id per axiom and cofactor (see refute), every axiom alike.
 
 verify_exact expands every cofactor and checks sum(cofactor * axiom) = 1 as
 a polynomial identity, plus the placeholder discipline: cofactors may not
@@ -27,14 +27,14 @@ cofactors, pair by pair.  Trial points are derived from (seed, trial
 index), so identical configurations produce identical reports.
 
 check_claims checks what a certificate document claims besides the
-identity: each axiom after the instance is the Boolean axiom v^2 - v of the
-variable its label names, and no variable has two; the instance is
-f' + shift, its root ADD(f', CONST shift), with the shift outside {0, -1};
-instance_sha256 is the hash of the instance's text; given an instance
-circuit, f' lays out as that circuit; and every claimed size and depth is
-its cofactor's measure.  ipscert verify runs it first, in both modes
-(verify --instance FILE gives the circuit); verify_exact and verify_pit
-check only the identity.
+identity: each axiom after the instance is written as poly text, the
+Boolean axiom v^2 - v of the variable its label names, and no variable has
+two; the instance is f' + shift, its root ADD(f', CONST shift), with the
+shift outside {0, -1}; instance_sha256 is the hash of the instance's text;
+given an instance circuit, f' lays out as that circuit; and every claimed
+size and depth is its cofactor's measure.  ipscert verify runs it first,
+in both modes (verify --instance FILE gives the circuit); verify_exact and
+verify_pit check only the identity.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -53,10 +53,9 @@ from fractions import Fraction
 from operator import add
 
 from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, circuit_sha256,
-                      compile_evaluator, expand, poly_to_circuit)
-from .poly import (TERM_GUARD, SparsePoly, _Accumulator, boolean_axiom, format_frac,
-                   frac_mod, parse_var)
-from .refute import NullstellensatzCertificate
+                      compile_evaluator, expand)
+from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod
+from .refute import NullstellensatzCertificate, boolean_axiom_label
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
@@ -166,24 +165,19 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
 
     A cofactor root that is a scaled wire MUL(CONST c, x) with c != 0 is
     expanded as x, and x * (c * axiom) is summed: c moves onto the axiom,
-    so a large x is not copied to scale it.  A circuit axiom and its
-    cofactor's expanded root are expanded over one sweep of both, so a
-    gate they share (the instance's f' and the functional refutation
-    c0 + c1*f') is expanded once.  Nothing is kept from one pair to the
-    next.  The placeholder check reads the variables of the expanded root,
-    which for c != 0 are those of the cofactor."""
+    so a large x is not copied to scale it.  An axiom and its cofactor's
+    expanded root are expanded over one sweep of both, so a gate they share
+    (the instance's f' and the functional refutation c0 + c1*f') is
+    expanded once.  Nothing is kept from one pair to the next.  The
+    placeholder check reads the variables of the expanded root, which for
+    c != 0 are those of the cofactor."""
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     table = cert.table
-    expansions = 0
     total = _Accumulator()
     for (label, ax), cf in zip(cert.axioms, cert.cofactors):
         scale, root = _scaled_root(table, cf)
-        if isinstance(ax, SparsePoly):
-            ax_p, cf_p = ax, table.expand(root)
-        else:
-            ax_p, cf_p = table.expand_all((ax, root))
-        expansions += 2
+        ax_p, cf_p = table.expand_all((ax, root))
         for v in cf_p.variables():
             if v.ns == PLACEHOLDER_NS:
                 return VerifyReport(
@@ -192,14 +186,11 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         total.add_product(cf_p, ax_p if scale == 1 else ax_p * scale)
     total.add(SparsePoly.constant(-1))
     residual = total.result()
+    work = {"expansions": 2 * len(cert.cofactors)}
     if residual.is_zero():
-        return VerifyReport("verified-exact", work={"expansions": expansions})
-    witness = _nonzero_witness(residual)
-    return VerifyReport(
-        "refuted",
-        detail="sum(cofactor * axiom) - 1 is not the zero polynomial",
-        witness=witness,
-        work={"expansions": expansions})
+        return VerifyReport("verified-exact", work=work)
+    return VerifyReport("refuted", detail="sum(cofactor * axiom) - 1 is not the zero polynomial",
+                        witness=_nonzero_witness(residual), work=work)
 
 
 def _scaled_root(table, cf: int) -> tuple:
@@ -215,38 +206,14 @@ def _scaled_root(table, cf: int) -> tuple:
     return 1, cf
 
 
-def _check_boolean_axioms(cert: NullstellensatzCertificate) -> VerifyReport | None:
-    """An error report for the first axiom after the instance that is not
-    the Boolean axiom v^2 - v of the variable v its label "v^2-v" names, or
-    that names a variable an earlier axiom named; None when there is none.
-    The detail names the field, axioms[k].label or axioms[k].poly."""
-    seen: set = set()
-    for k, (label, ax) in enumerate(cert.axioms[1:], start=1):
-        name, sep, rest = label.partition("^2-")
-        try:
-            v = parse_var(name)
-        except ValueError:
-            v = None
-        if v is None or not sep or rest != name:
-            return VerifyReport("error", detail=f"axioms[{k}].label: {label!r} does not "
-                                                "name a Boolean axiom v^2-v")
-        if v in seen:
-            return VerifyReport("error", detail=f"axioms[{k}].label: a second Boolean "
-                                                f"axiom of {v.name}")
-        seen.add(v)
-        if not isinstance(ax, SparsePoly) or ax != boolean_axiom(v):
-            return VerifyReport("error", detail=f"axioms[{k}].poly: not the Boolean "
-                                                f"axiom {label}")
-    return None
-
-
 def check_claims(cert: NullstellensatzCertificate,
                  instance: Circuit | None = None) -> VerifyReport | None:
     """An error report for the first claim of the certificate that does not
     hold, in this order, or None when every claim holds.  The detail names
     the field:
-      * the axioms after the instance, as _check_boolean_axioms:
-        axioms[k].label, axioms[k].poly;
+      * each axiom k after the instance names a new variable v by its label
+        "v^2-v": axioms[k].label; it is poly text, laid in as v^2 - v:
+        axioms[k].poly;
       * axiom 0 has the instance label f: axioms[0].label;
       * axiom 0 is a circuit whose root is ADD(f', CONST c):
         axioms[0].circuit;
@@ -256,15 +223,26 @@ def check_claims(cert: NullstellensatzCertificate,
       * each claimed metric is its cofactor's measure: metrics[k].size,
         metrics[k].depth.
     """
-    report = _check_boolean_axioms(cert)
-    if report is not None:
-        return report
+    seen: set = set()
+    for k, (label, ax) in enumerate(cert.axioms[1:], start=1):
+        name, sep, rest = label.partition("^2-")
+        v = boolean_axiom_label(label)[0]
+        if v is None or not sep or rest != name:
+            return VerifyReport("error", detail=f"axioms[{k}].label: {label!r} does not "
+                                                "name a Boolean axiom v^2-v")
+        if v in seen:
+            return VerifyReport("error", detail=f"axioms[{k}].label: a second Boolean "
+                                                f"axiom of {v.name}")
+        seen.add(v)
+        if k not in cert.written_as_poly or ax != cert.table.boolean_axiom(v):
+            return VerifyReport("error", detail=f"axioms[{k}].poly: not the Boolean "
+                                                f"axiom {label}")
     if cert.axioms and cert.axioms[0][0] != "f":
         return VerifyReport("error", detail=f"axioms[0].label: {cert.axioms[0][0]!r} is not "
                                             "the instance label 'f'")
     table = cert.table
     root = cert.axioms[0][1] if cert.axioms else None
-    g = None if root is None or isinstance(root, SparsePoly) else table.gate(root)
+    g = None if root is None else table.gate(root)
     if g is None or g.op != ADD or len(g.args) != 2 or table.gate(g.args[1]).op != CONST:
         return VerifyReport("error", detail="axioms[0].circuit: not an instance "
                                             "ADD(f', CONST shift)")
@@ -295,13 +273,6 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"pit:{seed}:{trial}")
 
 
-def _pairs(cert: NullstellensatzCertificate):
-    """Each axiom, then its cofactor, as a polynomial or a root id."""
-    for (_, ax), cf in zip(cert.axioms, cert.cofactors):
-        yield ax
-        yield cf
-
-
 def _identity(cert: NullstellensatzCertificate) -> tuple:
     """(identity, D, variables): a copy of the certificate's table whose
     last gate is the sum of MUL(axiom_k, cofactor_k), with the certificate's
@@ -313,8 +284,7 @@ def _identity(cert: NullstellensatzCertificate) -> tuple:
     the max of its arguments', a MUL their sum.  It bounds the total degree
     from above."""
     b = cert.table.copy()
-    ids = [b.poly(x) if isinstance(x, SparsePoly) else x for x in _pairs(cert)]
-    root = b.sum([b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)])
+    root = b.sum([b.mul([ax, cf]) for (_, ax), cf in zip(cert.axioms, cert.cofactors)])
     gates = b._gates
     degree = [0] * len(gates)
     variables = set()
@@ -371,9 +341,8 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
 def _bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
     """The error of the first constant, in the written order of the axioms
     and cofactors pair by pair, whose denominator vanishes mod prime."""
-    for x in _pairs(cert):
-        c = poly_to_circuit(x) if isinstance(x, SparsePoly) else cert.table.formula(x)
-        for g in c.gates:
+    for x in [r for (_, ax), cf in zip(cert.axioms, cert.cofactors) for r in (ax, cf)]:
+        for g in cert.table.formula(x).gates:
             if g.op == CONST:
                 try:
                     frac_mod(g.const, prime)

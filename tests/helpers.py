@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 from ipscert.circuit import (
@@ -25,10 +26,12 @@ from ipscert.circuit import (
     eval_circuit_mod,
     format_circuit,
     normalize_layered,
+    poly_to_circuit,
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
 from ipscert.instances import InstanceBundle, inverse_differences
-from ipscert.poly import SparsePoly, Var, _Accumulator, format_poly, parse_frac, parse_var
+from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, parse_frac,
+                          parse_var)
 from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
@@ -411,23 +414,24 @@ def _mutate_circuit(rng: random.Random, c: Circuit) -> Circuit:
 
 
 def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(-2),
-                   builder: str = BUILDER_TAG) -> NullstellensatzCertificate:
-    """A certificate of (label, Circuit | SparsePoly) axioms and Circuit
-    (or SparsePoly) cofactors, each circuit written as text and read into a
-    fresh table as certificate_from_json reads a /1 document, so that it
-    lays out again as given.  The claimed metrics are each cofactor's
-    measure."""
+                   builder: str = BUILDER_TAG,
+                   written_as_poly=frozenset()) -> NullstellensatzCertificate:
+    """A certificate of (label, axiom) pairs and cofactors, each a Circuit
+    or a SparsePoly (as_circuit), written as text and read into a fresh
+    table as certificate_from_json reads a /1 circuit, so that it lays out
+    again as given.  The claimed metrics are each cofactor's measure; the
+    axioms at the indices written_as_poly are written as poly text."""
     table = CircuitBuilder()
 
-    def read(c: Circuit) -> int:
-        return table.read(format_circuit(c).splitlines())
+    def read(x) -> int:
+        return table.read(format_circuit(as_circuit(x)).splitlines())
 
-    axioms = tuple((label, ax if isinstance(ax, SparsePoly) else read(ax))
-                   for label, ax in axioms)
-    cofactors = tuple(read(as_circuit(cf)) for cf in cofactors)
+    axioms = tuple((label, read(ax)) for label, ax in axioms)
+    cofactors = tuple(read(cf) for cf in cofactors)
     return NullstellensatzCertificate(table, axioms, cofactors,
                                       tuple(table.metrics(r) for r in cofactors),
-                                      instance_sha256, Fraction(shift), builder)
+                                      instance_sha256, Fraction(shift), builder,
+                                      frozenset(written_as_poly))
 
 
 def identity_circuit(cert: NullstellensatzCertificate) -> Circuit:
@@ -435,9 +439,7 @@ def identity_circuit(cert: NullstellensatzCertificate) -> Circuit:
     copy of the certificate's table, compacted into a standalone circuit:
     the identity verify_pit tests, for checks of its walk of the table."""
     b = cert.table.copy()
-    ids = [b.poly(x) if isinstance(x, SparsePoly) else x
-           for (_, ax), cf in zip(cert.axioms, cert.cofactors) for x in (ax, cf)]
-    products = [b.mul(ids[k:k + 2]) for k in range(0, len(ids), 2)]
+    products = [b.mul([ax, cf]) for (_, ax), cf in zip(cert.axioms, cert.cofactors)]
     return _compact(b._gates, b.add(products) if products else b.const(0))
 
 
@@ -478,8 +480,7 @@ def formal_degree(c: Circuit) -> int:
 def laid_out(cert: NullstellensatzCertificate) -> tuple:
     """(axioms, cofactors) of a certificate, each root laid out as its formula."""
     table = cert.table
-    axioms = [(label, ax if isinstance(ax, SparsePoly) else table.formula(ax))
-              for label, ax in cert.axioms]
+    axioms = [(label, table.formula(ax)) for label, ax in cert.axioms]
     return axioms, [table.formula(cf) for cf in cert.cofactors]
 
 
@@ -492,7 +493,7 @@ def reference_verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
     expansions = 0
     total = _Accumulator()
     for (label, ax), cf in zip(cert.axioms, cert.cofactors):
-        ax_p = ax if isinstance(ax, SparsePoly) else table.expand(ax)
+        ax_p = table.expand(ax)
         cf_p = table.expand(cf)
         expansions += 2
         for v in cf_p.variables():
@@ -532,8 +533,23 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
                 axioms, cofactors,
                 instance_sha256=cert.instance_sha256,
                 shift=cert.shift,
+                written_as_poly=cert.written_as_poly,
             )
     raise AssertionError("could not find a semantics-changing mutation")
+
+
+def boolean_axiom_as_circuit(doc: dict, k: int, v: Var) -> None:
+    """Rewrite doc's axioms[k], a /1 or a /2 document, as a circuit whose
+    gates are exactly the layout of v^2 - v, the gates its poly text lays
+    in: the formula's lines in /1, and in /2 those lines appended to the
+    table with the circuit one OUTPUT line naming the last."""
+    lines = format_circuit(poly_to_circuit(boolean_axiom(v))).splitlines()
+    if "table" in doc:
+        n = len(doc["table"])
+        moved = [re.sub(r"\bg(\d+)", lambda m: f"g{int(m[1]) + n}", line) for line in lines]
+        doc["table"] += moved[:-1]
+        lines = moved[-1:]
+    doc["axioms"][k] = {"label": doc["axioms"][k]["label"], "circuit": lines}
 
 
 def certificate_to_json_v1(cert: NullstellensatzCertificate) -> str:
@@ -546,9 +562,9 @@ def certificate_to_json_v1(cert: NullstellensatzCertificate) -> str:
         "builder": cert.builder,
         "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
         "instance_sha256": cert.instance_sha256,
-        "axioms": [{"label": label, "poly": format_poly(ax)} if isinstance(ax, SparsePoly)
-                   else {"label": label, "circuit": table.lines(ax)}
-                   for label, ax in cert.axioms],
+        "axioms": [{"label": label, "poly": format_poly(table.expand(ax))}
+                   if k in cert.written_as_poly else {"label": label, "circuit": table.lines(ax)}
+                   for k, (label, ax) in enumerate(cert.axioms)],
         "cofactors": [table.lines(r) for r in cert.cofactors],
         "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
     }

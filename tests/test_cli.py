@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from helpers import build_corpus, certificate_to_json_v1, mutate_certificate
+from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_to_json_v1,
+                     mutate_certificate)
 
 from ipscert.circuit import (
     cadd,
@@ -560,12 +561,15 @@ def _duplicate_axiom(doc):
      "axioms[2].poly"),
     (_duplicate_axiom, "axioms[5].label"),
     (lambda doc: doc["axioms"][0].__setitem__("label", "not-an-instance"), "axioms[0].label"),
+    (lambda doc: boolean_axiom_as_circuit(doc, 1, X1), "axioms[1].poly"),
 ])
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 @WRITERS
 def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mode, writer):
     # Every variant but the swapped poly still satisfies the identity; the
-    # axiom check must reject each before the identity check runs.
+    # axiom check must reject each before the identity check runs.  An axiom
+    # written as a circuit is refused even when its gates are exactly those
+    # its poly text lays in, which hash-cons to the same root.
     if edit is None:
         doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
     else:

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_corpus, certificate_of, certificate_to_json_v1, ci_chain_certificate,
-                     gadget_poly, laid_out, random_product_dag, ref_evaluate, reference_read_table,
-                     shift_certificates, shuffled_topological, table_state, total_degree)
+from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
+                     ci_chain_certificate, gadget_poly, laid_out, random_product_dag, ref_evaluate,
+                     reference_read_table, shift_certificates, shuffled_topological, table_state,
+                     total_degree)
 
 from ipscert.circuit import (
     CONST,
@@ -28,11 +29,13 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import (AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize,
                             t_for)
-from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly
+from ipscert import refute as refute_module
+from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly, parse_poly
 from ipscert.refute import (
     _product_cofactor,
     _square_cofactors,
     assemble_refutation,
+    boolean_axiom_label,
     certificate_from_json,
     certificate_to_json,
     gate_square_certificates,
@@ -453,9 +456,10 @@ def parent_json(cert) -> str:
         "builder": cert.builder,
         "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
         "instance_sha256": cert.instance_sha256,
-        "axioms": [{"label": label, "poly": format_poly(ax)} if isinstance(ax, SparsePoly)
+        "axioms": [{"label": label, "poly": format_poly(expand(ax))}
+                   if k in cert.written_as_poly
                    else {"label": label, "circuit": format_circuit(ax).splitlines()}
-                   for label, ax in axioms],
+                   for k, (label, ax) in enumerate(axioms)],
         "cofactors": [format_circuit(cf).splitlines() for cf in cofactors],
         "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
     }
@@ -499,23 +503,26 @@ def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed
 def test_every_written_certificate_is_hash_consed_when_read_back(transformed01):
     # No /1 text the writer writes reaches the kept-text path of read(): the
     # table holds no starting gate, and each of its gates has one key.  A /2
-    # table is read as written: its starting gates, then one gate per key.
+    # table is read as written: its starting gates, then one gate per key,
+    # then the gates of the Boolean axioms that the lines do not hold.
     for _, cp, ledger in transformed01:
         cert = assemble_refutation(cp, ledger)
         table = certificate_from_json(certificate_to_json_v1(cert)).table
         assert not table._starting
         assert len(table._shared) == len(table._gates)
         doc = json.loads(certificate_to_json(cert))
-        table = certificate_from_json(json.dumps(doc)).table
+        read = certificate_from_json(json.dumps(doc))
+        table = read.table
         assert doc["starting"] == len(cp.gates)
-        assert len(table._gates) == len(doc["table"])
+        boolean = {i for _, r in read.axioms[1:] for i in table._reach(r)}
+        assert set(range(len(doc["table"]), len(table._gates))) <= boolean
         assert table._starting == set(range(doc["starting"]))
         assert len(table._shared) == len(table._gates) - doc["starting"]
 
 
 def circuit_roots(cert) -> list:
-    """The root ids of the certificate's circuits: axioms, then cofactors."""
-    return [r for _, r in cert.axioms if not isinstance(r, SparsePoly)] + list(cert.cofactors)
+    """The root ids of the certificate: axioms, then cofactors."""
+    return [r for _, r in cert.axioms] + list(cert.cofactors)
 
 
 def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
@@ -552,7 +559,7 @@ def test_certificate_json_of_empty_lists_and_escaped_labels():
                  certificate_of([('é "q"\n\\', boolean_axiom(X1)), ("t\x01", cvar(X2))],
                                 [cconst(1), cmul(cvar(X1), cvar(X1))],
                                 instance_sha256="0" * 64, shift=Fraction(3, 7),
-                                builder="b\u2028")):
+                                builder="b\u2028", written_as_poly={0})):
         text, old = certificate_to_json(cert), certificate_to_json_v1(cert)
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert old == parent_json(cert)
@@ -612,6 +619,75 @@ def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
         assert check_claims(two) is None and check_claims(one) is None
         assert verify_exact(two) == verify_exact(one)
         assert verify_pit(two, cfg) == verify_pit(one, cfg)
+
+
+# Other spellings of the Boolean axiom of x1, which the writer writes as
+# "-1/1 * x1 + 1/1 * x1^2": each is read through parse_poly.
+RESPELLED_AXIOMS = {
+    "reordered": "1/1 * x1^2 + -1/1 * x1",
+    "integers": "-1 * x1 + 1 * x1^2",
+    "split": "-1/1 * x1 + 1/3 * x1^2 + 2/3 * x1^2",
+}
+
+
+def test_refutes_own_documents_are_read_without_parse_poly(transformed01, monkeypatch):
+    # Every Boolean axiom refute writes is the written form of v^2 - v for
+    # the variable its label names, which the reader lays in directly.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_poly(text)
+
+    monkeypatch.setattr(refute_module, "parse_poly", counted)
+    for _, cp, ledger in transformed01:
+        cert = assemble_refutation(cp, ledger)
+        for write in (certificate_to_json, certificate_to_json_v1):
+            certificate_from_json(write(cert))
+    assert calls == []
+    doc = small_doc()
+    doc["axioms"][1]["poly"] = RESPELLED_AXIOMS["reordered"]
+    certificate_from_json(json.dumps(doc))
+    assert calls == [RESPELLED_AXIOMS["reordered"]]
+
+
+def test_a_boolean_axiom_label_gives_the_text_format_poly_writes():
+    for v in (X1, Var("y", 3, 0), Var("w", 1, 2, "top"), Var("fresh", 7)):
+        assert boolean_axiom_label(f"{v.name}^2-{v.name}") == (v, format_poly(boolean_axiom(v)))
+    for label in ("q7^2-q7", "x 1^2-x 1", "x1 ^2-x1", ""):
+        assert boolean_axiom_label(label) == (None, None)
+
+
+@pytest.mark.parametrize("text", RESPELLED_AXIOMS.values(), ids=RESPELLED_AXIOMS.keys())
+@WRITERS
+def test_a_respelled_boolean_axiom_reads_as_the_written_text(text, write):
+    doc = small_doc(write)
+    assert doc["axioms"][1] == {"label": "x1^2-x1", "poly": "-1/1 * x1 + 1/1 * x1^2"}
+    want = certificate_from_json(json.dumps(doc))
+    doc["axioms"][1]["poly"] = text
+    got = certificate_from_json(json.dumps(doc))
+    assert got.axioms == want.axioms
+    assert got.axioms[1][1] == got.table.poly(boolean_axiom(X1))
+    assert check_claims(got) is None and check_claims(want) is None
+    assert verify_exact(got) == verify_exact(want)
+    cfg = PitConfig(trials=5, seed=7)
+    assert verify_pit(got, cfg) == verify_pit(want, cfg)
+    assert write(got) == write(want)
+
+
+@WRITERS
+def test_a_boolean_axiom_written_as_its_circuit_differs_only_in_kind(write):
+    # Hash-consing gives the circuit the root its poly text lays in; only
+    # written_as_poly tells check_claims that the document wrote a circuit.
+    doc = small_doc(write)
+    want = certificate_from_json(json.dumps(doc))
+    boolean_axiom_as_circuit(doc, 1, X1)
+    got = certificate_from_json(json.dumps(doc))
+    gates = len(got.table._gates)
+    assert got.axioms[1][1] == got.table.poly(boolean_axiom(X1))
+    assert len(got.table._gates) == gates
+    assert got.written_as_poly == want.written_as_poly - {1}
+    assert check_claims(got).detail == "axioms[1].poly: not the Boolean axiom x1^2-x1"
 
 
 def _set(*path, value):
@@ -675,13 +751,14 @@ def test_a_hostile_v2_document_is_a_value_error_naming_its_field(edit, message):
 
 def test_a_v2_table_written_with_a_gate_twice_holds_it_once():
     doc = small_doc()
+    gates = len(certificate_from_json(json.dumps(doc)).table._gates)
     table = doc["table"]
     n = len(table)
     twice = table[-1].split(" = ")[1]
     table.append(f"g{n} = {twice}")
     doc["cofactors"][0] = [f"OUTPUT g{n}"]
     cert = certificate_from_json(json.dumps(doc))
-    assert len(cert.table._gates) == n
+    assert len(cert.table._gates) == gates
     assert cert.cofactors[0] == cert.table._shared[cert.table.gate(n - 1).op,
                                                     cert.table.gate(n - 1).args]
 

@@ -14,7 +14,6 @@ from helpers import (build_corpus, certificate_of, ci_chain_certificate, formal_
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
-    Circuit,
     CircuitBuilder,
     as_circuit,
     cadd,
@@ -87,8 +86,7 @@ def test_verify_exact_flipped_sign_refuted_with_witness():
     assert report.witness is not None
     residual = SparsePoly.zero() - 1
     for (_, ax), cf in zip(axioms, cofactors):
-        axp = ax if isinstance(ax, SparsePoly) else expand(ax)
-        residual = residual + expand(cf) * axp
+        residual = residual + expand(cf) * expand(ax)
     assert ref_evaluate(dict(residual.items()), report.witness) != 0
 
 
@@ -201,7 +199,7 @@ def test_transform_then_certificate_on_random_layered_formulas(seed):
     assert verify_exact(cert).verdict == "verified-exact"
     assert verify_pit(cert, cfg).verdict == "verified-probabilistic"
     axioms, cofactors = laid_out(cert)
-    axioms = [ax if isinstance(ax, Circuit) else poly_to_circuit(ax) for _, ax in axioms]
+    axioms = [ax for _, ax in axioms]
     vars_ = sorted({v for c in axioms + cofactors for v in c.variables()}, key=lambda v: v._key)
     for _ in range(3):
         point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in vars_}
@@ -241,7 +239,7 @@ def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
         q, power = q + power, power * x
     cofactors[k] = cadd(cofactors[k], poly_to_circuit(q))
     forged = certificate_of(axioms, cofactors, instance_sha256=cert.instance_sha256,
-                            shift=cert.shift)
+                            shift=cert.shift, written_as_poly=cert.written_as_poly)
     assert check_claims(forged) is None
     assert verify_exact(forged).verdict == "refuted"
     with pytest.raises(ValueError, match=f"^--prime {p} is not above 1[0-9], the formal degree"):
@@ -295,8 +293,7 @@ def reference_pit(axioms, cofactors, cfg):
         vars_seen.update(ax.variables())
         vars_seen.update(cf.variables())
     ordered = sorted(vars_seen, key=lambda v: v._key)
-    runs = [pointwise(x if isinstance(x, Circuit) else poly_to_circuit(x))
-            for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
+    runs = [pointwise(x) for (_, ax), cf in zip(axioms, cofactors) for x in (ax, cf)]
     evaluations = 0
     for trial in range(cfg.trials):
         rng = random.Random(f"pit:{cfg.seed}:{trial}")
