@@ -200,13 +200,6 @@ class CircuitBuilder:
         one = self.const(1)
         return self.add([one, self.mul([self.const(-1), self.var(v)])])
 
-    def boolean_axiom(self, v: Var) -> int:
-        """The root of v^2 - v, ADD(MUL(CONST -1, VAR v), MUL(VAR v, VAR v)), as
-        poly(boolean_axiom(v)) lays it in: hash-consed, a gate added only if missing."""
-        lay = self._lay_in(0)
-        minus, x = lay(Gate(CONST, const=Fraction(-1)), None), lay(Gate(VAR, var=v), None)
-        return lay(ADD, [lay(MUL, [minus, x]), lay(MUL, [x, x])])
-
     def keep(self, c: Circuit) -> int:
         """Copy c in as starting gates, as it stands; returns its output's id."""
         offset = len(self._gates)
@@ -349,17 +342,16 @@ class CircuitBuilder:
         return kept[0] if len(kept) == 1 else self.add(kept)
 
     def poly(self, p: SparsePoly) -> int:
-        """Sum-of-products gates for a polynomial, hash-consed as read() lays
-        text in: the terms in canonical order, each its coefficient (left out
-        when 1 and the term has a variable), its variables once per power,
-        then their product; then the sum.  Its id is that of its text read."""
-        lay = self._lay_in(0)
+        """Sum-of-products gates for a polynomial, pushed in written order:
+        the terms in canonical order, each its coefficient (left out when 1
+        and the term has a variable), its variables once per power, then
+        their product; then the sum."""
         terms = []
-        for m, c in list(p.items()) or [((), Fraction(0))]:   # 0 is one term, CONST 0
-            factors = [lay(Gate(CONST, const=c), None)] if c != 1 or not m else []
-            factors += [lay(Gate(VAR, var=v), None) for v, e in m for _ in range(e)]
-            terms.append(factors[0] if len(factors) == 1 else lay(MUL, factors))
-        return terms[0] if len(terms) == 1 else lay(ADD, terms)
+        for m, c in p.items():
+            factors = [self.const(c)] if c != 1 or not m else []
+            factors += [self.var(v) for v, e in m for _ in range(e)]
+            terms.append(factors[0] if len(factors) == 1 else self.mul(factors))
+        return self.sum(terms)
 
     def gate(self, i: int) -> Gate:
         return self._gates[i]
@@ -848,7 +840,7 @@ def csum(terms: Sequence[Circuit]) -> Circuit:
 def poly_to_circuit(p: SparsePoly) -> Circuit:
     """Sum-of-products formula for a polynomial (see CircuitBuilder.poly)."""
     b = CircuitBuilder()
-    return b.formula(b.poly(p))
+    return b.subcircuit(b.poly(p))
 
 
 def as_circuit(x) -> Circuit:

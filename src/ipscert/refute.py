@@ -61,7 +61,7 @@ from .circuit import (
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
 from .instances import inverse_differences
-from .poly import format_poly, parse_frac, parse_poly, parse_var
+from .poly import boolean_axiom, format_poly, parse_frac, parse_poly, parse_var
 
 BUILDER_TAG = "ipscert-refute/1"
 FORMAT = "nullstellensatz-cert/2"
@@ -195,12 +195,11 @@ class NullstellensatzCertificate:
     root ids in one gate table.
 
     The first axiom is the instance; the rest are the Boolean axioms v^2 - v
-    that CircuitBuilder.poly lays in, written as polynomial text (the axioms
-    in written_as_poly).  `table` lays each root out as the text of its
-    standalone formula (CircuitBuilder.lines).  Cofactors never mention the
-    verifier's placeholder namespace, so the induced substitution circuit
-    sum_k placeholder_k * cofactor_k has individual degree 1 in every
-    placeholder and vanishes when all placeholders are zero.
+    as CircuitBuilder.poly lays them in, written as polynomial text.  `table`
+    lays each root out as the text of its standalone formula (its lines()).
+    Cofactors never mention the verifier's placeholder namespace, so the
+    induced substitution circuit sum_k placeholder_k * cofactor_k has
+    individual degree 1 in every placeholder and vanishes when all are 0.
     """
 
     table: CircuitBuilder
@@ -248,7 +247,8 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     order = sorted(certs[out], key=lambda v: (v.ns == "y", v._key))   # E, then F
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
     roots += [b.mul([b.const(-c1), certs[out][v]]) for v in order]
-    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.boolean_axiom(v)) for v in order]
+    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.poly(boolean_axiom(v)))
+                                  for v in order]
     return NullstellensatzCertificate(
         table=b,
         axioms=tuple(axioms),
@@ -294,9 +294,8 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
 
     def poly(label: str, root: int) -> str:
         v, written = boolean_axiom_label(label)
-        if v is not None and cert.table.boolean_axiom(v) == root:
-            return written
-        return format_poly(cert.table.expand(root))
+        laid = is_boolean_axiom(cert.table, root, v)
+        return written if laid else format_poly(cert.table.expand(root))
 
     axioms = [_json_object([("label", _str(label)),
                             ("poly", _str(poly(label, ax))) if k in polys
@@ -352,13 +351,38 @@ def _table_roots(doc: dict, table: CircuitBuilder):
 
 
 def boolean_axiom_label(label: str) -> tuple:
-    """(v, format_poly(boolean_axiom(v))) for the variable v named before
-    "^2-" in an axiom's label, as in "v^2-v", or (None, None)."""
-    name = label.partition("^2-")[0]
+    """(v, format_poly(boolean_axiom(v))) for a label "v^2-v" that names a
+    variable v twice, spelled alike, or (None, None) for any other label."""
+    name, sep, rest = label.partition("^2-")
     try:
-        return parse_var(name), f"-1/1 * {name} + 1/1 * {name}^2"
+        v = parse_var(name)
     except ValueError:
         return None, None
+    return (v, f"-1/1 * {v.name} + 1/1 * {v.name}^2") if sep and rest == name else (None, None)
+
+
+def is_boolean_axiom(table: CircuitBuilder, root: int, v) -> bool:
+    """Whether root is CircuitBuilder.poly's v^2 - v, never for v None:
+    ADD(MUL(CONST -1, VAR v), MUL(VAR v, VAR v)).  It only reads gates."""
+    g = table.gate(root)
+    terms = [table.gate(a) for a in g.args] if g.op == ADD else ()
+    if len(terms) != 2 or any(t.op != MUL or len(t.args) != 2 for t in terms):
+        return False
+    c, *xs = [table.gate(a) for t in terms for a in t.args]
+    return c.op == CONST and c.const == -1 and all(x.op == VAR and x.var == v for x in xs)
+
+
+def _axiom_poly(label: str, text: str):
+    """v^2 - v for a poly text as written for the v the label names, else
+    parse_poly(text), refused if its exponents sum to over 32 per character:
+    CircuitBuilder.poly lays one VAR gate per unit of exponent."""
+    v, written = boolean_axiom_label(label)
+    if text == written:
+        return boolean_axiom(v)
+    p = parse_poly(text)
+    if sum(e for m, _ in p.items() for _, e in m) > 32 * len(text):
+        raise ValueError("its exponents sum to over 32 per character of the text")
+    return p
 
 
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
@@ -383,16 +407,11 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         if "circuit" in ax:
             axioms.append((label, _field(ax, "circuit", f"axioms[{k}].circuit", list, parse=read)))
             continue
-        v, written = boolean_axiom_label(label)   # v^2 - v as written needs no parse
-        if v is not None and ax.get("poly") == written:
-            polys[k] = partial(table.boolean_axiom, v)
-        else:
-            polys[k] = _field(ax, "poly", f"axioms[{k}].poly", str,
-                              parse=lambda text: partial(table.poly, parse_poly(text)))
+        polys[k] = _field(ax, "poly", f"axioms[{k}].poly", str, parse=partial(_axiom_poly, label))
         axioms.append((label, None))
     cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=read))
-    for k, lay in polys.items():   # poly texts last, so that no circuit's gate id moves
-        axioms[k] = (axioms[k][0], lay())
+    for k, p in polys.items():   # poly texts last, so that no circuit's gate id moves
+        axioms[k] = (axioms[k][0], table.poly(p))
     metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size", int),
                             depth=_field(m, "depth", f"metrics[{k}].depth", int))
                     for k, m in enumerate(_field(doc, "metrics", kind=list)))

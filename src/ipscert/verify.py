@@ -27,14 +27,10 @@ cofactors, pair by pair.  Trial points are derived from (seed, trial
 index), so identical configurations produce identical reports.
 
 check_claims checks what a certificate document claims besides the
-identity: each axiom after the instance is written as poly text, the
-Boolean axiom v^2 - v of the variable its label names, and no variable has
-two; the instance is f' + shift, its root ADD(f', CONST shift), with the
-shift outside {0, -1}; instance_sha256 is the hash of the instance's text;
-given an instance circuit, f' lays out as that circuit; and every claimed
-size and depth is its cofactor's measure.  ipscert verify runs it first,
-in both modes (verify --instance FILE gives the circuit); verify_exact and
-verify_pit check only the identity.
+identity (the Boolean axioms, the instance and its shift and hash, the
+metrics; see its docstring).  ipscert verify runs it first, in both modes
+(verify --instance FILE gives the circuit); verify_exact and verify_pit
+check only the identity.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -55,7 +51,7 @@ from operator import add
 from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, circuit_sha256,
                       compile_evaluator, expand)
 from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod
-from .refute import NullstellensatzCertificate, boolean_axiom_label
+from .refute import NullstellensatzCertificate, boolean_axiom_label, is_boolean_axiom
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
@@ -180,9 +176,8 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         ax_p, cf_p = table.expand_all((ax, root))
         for v in cf_p.variables():
             if v.ns == PLACEHOLDER_NS:
-                return VerifyReport(
-                    "error",
-                    detail=f"cofactor of {label} mentions placeholder variable {v.name}")
+                return VerifyReport("error", detail=f"cofactor of {label} mentions "
+                                                    f"placeholder variable {v.name}")
         total.add_product(cf_p, ax_p if scale == 1 else ax_p * scale)
     total.add(SparsePoly.constant(-1))
     residual = total.result()
@@ -212,8 +207,8 @@ def check_claims(cert: NullstellensatzCertificate,
     hold, in this order, or None when every claim holds.  The detail names
     the field:
       * each axiom k after the instance names a new variable v by its label
-        "v^2-v": axioms[k].label; it is poly text, laid in as v^2 - v:
-        axioms[k].poly;
+        "v^2-v": axioms[k].label; it is written as poly text that lays
+        out as v^2 - v (refute.is_boolean_axiom): axioms[k].poly;
       * axiom 0 has the instance label f: axioms[0].label;
       * axiom 0 is a circuit whose root is ADD(f', CONST c):
         axioms[0].circuit;
@@ -225,18 +220,16 @@ def check_claims(cert: NullstellensatzCertificate,
     """
     seen: set = set()
     for k, (label, ax) in enumerate(cert.axioms[1:], start=1):
-        name, sep, rest = label.partition("^2-")
         v = boolean_axiom_label(label)[0]
-        if v is None or not sep or rest != name:
+        if v is None:
             return VerifyReport("error", detail=f"axioms[{k}].label: {label!r} does not "
                                                 "name a Boolean axiom v^2-v")
         if v in seen:
             return VerifyReport("error", detail=f"axioms[{k}].label: a second Boolean "
                                                 f"axiom of {v.name}")
         seen.add(v)
-        if k not in cert.written_as_poly or ax != cert.table.boolean_axiom(v):
-            return VerifyReport("error", detail=f"axioms[{k}].poly: not the Boolean "
-                                                f"axiom {label}")
+        if k not in cert.written_as_poly or not is_boolean_axiom(cert.table, ax, v):
+            return VerifyReport("error", detail=f"axioms[{k}].poly: not the Boolean axiom {label}")
     if cert.axioms and cert.axioms[0][0] != "f":
         return VerifyReport("error", detail=f"axioms[0].label: {cert.axioms[0][0]!r} is not "
                                             "the instance label 'f'")
@@ -267,10 +260,6 @@ def check_claims(cert: NullstellensatzCertificate,
                 return VerifyReport("error", detail=f"metrics[{k}].{name}: claimed {got}, "
                                                     f"measured {want}")
     return None
-
-
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    return random.Random(f"pit:{seed}:{trial}")
 
 
 def _identity(cert: NullstellensatzCertificate) -> tuple:
@@ -316,10 +305,8 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
         raise ValueError(f"--prime {cfg.prime} is not above {degree}, the formal degree of "
                          "the identity, so a false identity could pass every trial")
     evaluations = 2 * len(cert.cofactors)
-    points = []
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        points.append([rng.randrange(cfg.prime) for _ in ordered])
+    seeds = (f"pit:{cfg.seed}:{trial}" for trial in range(cfg.trials))
+    points = [[rng.randrange(cfg.prime) for _ in ordered] for rng in map(random.Random, seeds)]
     try:
         totals = compile_evaluator(identity)(
             dict(zip(ordered, zip(*points))), cfg.trials, cfg.prime)

@@ -39,7 +39,7 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import GadgetLedger
 from ipscert.instances import gadgeted_ry_circuit
-from ipscert.poly import SparsePoly, Var, boolean_axiom
+from ipscert.poly import SparsePoly, Var
 from ipscert.refute import assemble_refutation, certificate_from_json, certificate_to_json
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -391,31 +391,9 @@ def test_poly_lays_terms_out_in_written_order(terms):
     c = poly_to_circuit(p)
     assert format_circuit(c) == sum_of_products_text(p)
     assert expand(c) == p
-    # Laid in written order, the gates lay out as they stand in any table,
-    # hash-consed: the polynomial has one root, that of its text read.
+    # Pushed in written order, the gates lay out as they stand in any table.
     b = CircuitBuilder(c.gates)
-    root = b.poly(p)
-    assert "\n".join(b.lines(root)) + "\n" == format_circuit(c)
-    assert b.read(format_circuit(c).splitlines()) == root == b.poly(p)
-
-
-def test_boolean_axiom_lays_in_the_gates_of_its_polynomial():
-    # The gates, ids and layout of poly(boolean_axiom(v)), in a fresh table
-    # and in one that already holds some of them, with no gate added twice.
-    vs = [X1, Y1, Var("y", 3, 0), Var("w", 1, 2, "top"), Var("z", 2, 1)]
-    for v in vs:
-        a, b = CircuitBuilder(), CircuitBuilder()
-        root = a.boolean_axiom(v)
-        assert root == b.poly(boolean_axiom(v)) == 4
-        assert gate_tuples(a.build(root)) == gate_tuples(b.build(root))
-    table = CircuitBuilder(cmul(cvar(X1), cvar(X1)).gates)
-    table.read(["g0 = VAR x1", "g1 = CONST -1/1", "g2 = MUL g1 g0", "OUTPUT g2"])
-    roots = [table.boolean_axiom(v) for v in vs]
-    gates = len(table._gates)
-    assert [table.poly(boolean_axiom(v)) for v in vs] == roots
-    assert [table.boolean_axiom(v) for v in vs] == roots and len(table._gates) == gates
-    for v, r in zip(vs, roots):
-        assert table.lines(r) == format_circuit(poly_to_circuit(boolean_axiom(v))).splitlines()
+    assert "\n".join(b.lines(b.poly(p))) + "\n" == format_circuit(c)
 
 
 # ---------------------------------------------------------------------------

@@ -569,7 +569,7 @@ def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mo
     # Every variant but the swapped poly still satisfies the identity; the
     # axiom check must reject each before the identity check runs.  An axiom
     # written as a circuit is refused even when its gates are exactly those
-    # its poly text lays in, which hash-cons to the same root.
+    # its poly text lays in.
     if edit is None:
         doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
     else:
@@ -582,6 +582,20 @@ def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mo
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "error"
     assert report["detail"].startswith(field + ":")
+
+
+def test_verify_refuses_a_poly_text_of_huge_exponents_at_once(tmp_path, capsys):
+    # 200 variables to the power 32767 in 2.4 kB of text, which
+    # CircuitBuilder.poly would lay in as 6.5 million VAR gates.
+    doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
+    doc["axioms"][1]["poly"] = "1/1 * " + " * ".join(f"x{i}^32767" for i in range(1, 201))
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(doc))
+    started = time.perf_counter()
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert time.perf_counter() - started < 1
+    assert ("field axioms[1].poly: its exponents sum to over 32 per character of the text"
+            in capsys.readouterr().err)
 
 
 # A document that refutes no instance: its one axiom is the circuit 1, its

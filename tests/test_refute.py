@@ -25,6 +25,7 @@ from ipscert.circuit import (
     measure,
     normalize_layered,
     parse_circuit,
+    poly_to_circuit,
     subcircuit,
 )
 from ipscert.gadget import (AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize,
@@ -39,6 +40,7 @@ from ipscert.refute import (
     certificate_from_json,
     certificate_to_json,
     gate_square_certificates,
+    is_boolean_axiom,
 )
 from ipscert.verify import PitConfig, check_claims, verify_exact, verify_pit
 
@@ -503,21 +505,21 @@ def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed
 def test_every_written_certificate_is_hash_consed_when_read_back(transformed01):
     # No /1 text the writer writes reaches the kept-text path of read(): the
     # table holds no starting gate, and each of its gates has one key.  A /2
-    # table is read as written: its starting gates, then one gate per key,
-    # then the gates of the Boolean axioms that the lines do not hold.
+    # table is read as written: its starting gates, then one gate per key.
+    # Either way, the 7 gates poly lays out per Boolean axiom come last.
     for _, cp, ledger in transformed01:
         cert = assemble_refutation(cp, ledger)
-        table = certificate_from_json(certificate_to_json_v1(cert)).table
+        read = certificate_from_json(certificate_to_json_v1(cert))
+        table, written = read.table, len(read.table._gates) - 7 * (len(read.axioms) - 1)
         assert not table._starting
-        assert len(table._shared) == len(table._gates)
+        assert sorted(table._shared.values()) == list(range(written))
         doc = json.loads(certificate_to_json(cert))
         read = certificate_from_json(json.dumps(doc))
         table = read.table
         assert doc["starting"] == len(cp.gates)
-        boolean = {i for _, r in read.axioms[1:] for i in table._reach(r)}
-        assert set(range(len(doc["table"]), len(table._gates))) <= boolean
+        assert len(table._gates) == len(doc["table"]) + 7 * (len(read.axioms) - 1)
         assert table._starting == set(range(doc["starting"]))
-        assert len(table._shared) == len(table._gates) - doc["starting"]
+        assert sorted(table._shared.values()) == list(range(doc["starting"], len(doc["table"])))
 
 
 def circuit_roots(cert) -> list:
@@ -654,7 +656,7 @@ def test_refutes_own_documents_are_read_without_parse_poly(transformed01, monkey
 def test_a_boolean_axiom_label_gives_the_text_format_poly_writes():
     for v in (X1, Var("y", 3, 0), Var("w", 1, 2, "top"), Var("fresh", 7)):
         assert boolean_axiom_label(f"{v.name}^2-{v.name}") == (v, format_poly(boolean_axiom(v)))
-    for label in ("q7^2-q7", "x 1^2-x 1", "x1 ^2-x1", ""):
+    for label in ("q7^2-q7", "x 1^2-x 1", "x1 ^2-x1", "", "x1", "x1^2-x2", "x1^2-", "x1^2-x1 "):
         assert boolean_axiom_label(label) == (None, None)
 
 
@@ -667,7 +669,7 @@ def test_a_respelled_boolean_axiom_reads_as_the_written_text(text, write):
     doc["axioms"][1]["poly"] = text
     got = certificate_from_json(json.dumps(doc))
     assert got.axioms == want.axioms
-    assert got.axioms[1][1] == got.table.poly(boolean_axiom(X1))
+    assert is_boolean_axiom(got.table, got.axioms[1][1], X1)
     assert check_claims(got) is None and check_claims(want) is None
     assert verify_exact(got) == verify_exact(want)
     cfg = PitConfig(trials=5, seed=7)
@@ -677,17 +679,62 @@ def test_a_respelled_boolean_axiom_reads_as_the_written_text(text, write):
 
 @WRITERS
 def test_a_boolean_axiom_written_as_its_circuit_differs_only_in_kind(write):
-    # Hash-consing gives the circuit the root its poly text lays in; only
+    # The circuit lays out exactly as the poly text it replaces; only
     # written_as_poly tells check_claims that the document wrote a circuit.
     doc = small_doc(write)
     want = certificate_from_json(json.dumps(doc))
     boolean_axiom_as_circuit(doc, 1, X1)
     got = certificate_from_json(json.dumps(doc))
-    gates = len(got.table._gates)
-    assert got.axioms[1][1] == got.table.poly(boolean_axiom(X1))
-    assert len(got.table._gates) == gates
+    assert got.table.lines(got.axioms[1][1]) == want.table.lines(want.axioms[1][1])
+    assert is_boolean_axiom(got.table, got.axioms[1][1], X1)
     assert got.written_as_poly == want.written_as_poly - {1}
     assert check_claims(got).detail == "axioms[1].poly: not the Boolean axiom x1^2-x1"
+
+
+def test_is_boolean_axiom_reads_the_layout_of_v2_minus_v_only():
+    b = CircuitBuilder()
+    roots = {v: b.poly(boolean_axiom(v)) for v in (X1, X2)}
+    read = b.read(format_circuit(poly_to_circuit(boolean_axiom(X1))).splitlines())
+    assert is_boolean_axiom(b, roots[X1], X1) and is_boolean_axiom(b, read, X1)
+    assert not is_boolean_axiom(b, roots[X2], X1)
+    x1, x2 = SparsePoly.variable(X1), SparsePoly.variable(X2)
+    for p in (boolean_axiom(X1) * 2, boolean_axiom(X1) + 1, x1 * x1, x1 * x1 - x2, x1 - x1):
+        assert not is_boolean_axiom(b, b.poly(p), X1)
+    swapped = b.add([b.mul([b.var(X1), b.var(X1)]), b.mul([b.const(-1), b.var(X1)])])
+    assert not is_boolean_axiom(b, swapped, X1)
+
+
+def _forged_poly(doc):
+    doc["axioms"][1]["poly"] = "1/1"
+
+
+@pytest.mark.parametrize("edit", [None, _forged_poly,
+                                  lambda doc: boolean_axiom_as_circuit(doc, 1, X1)],
+                         ids=["own", "forged-poly", "circuit"])
+@WRITERS
+def test_check_claims_and_the_writers_leave_the_table_as_they_find_it(edit, write):
+    doc = small_doc(write)
+    if edit:
+        edit(doc)
+    cert = certificate_from_json(json.dumps(doc))
+    gates, starting, shared = table_state(cert.table)
+    report = check_claims(cert)
+    assert (report is None) == (edit is None)
+    certificate_to_json(cert), certificate_to_json_v1(cert)
+    assert table_state(cert.table) == (gates, set(starting), dict(shared))
+
+
+def test_a_poly_text_is_read_up_to_32_units_of_exponent_per_character():
+    # poly lays one VAR gate per unit of exponent; a text over the bound is
+    # refused before any gate is laid (the CLI's test times a huge one).
+    doc = small_doc()
+    doc["axioms"][1]["poly"] = "1/1 * x1^384"     # 32 * 12: laid in, then no Boolean axiom
+    assert check_claims(certificate_from_json(json.dumps(doc))).detail == \
+        "axioms[1].poly: not the Boolean axiom x1^2-x1"
+    doc["axioms"][1]["poly"] = "1/1 * x1^385"
+    with pytest.raises(ValueError, match=r"^certificate document: field axioms\[1\]\.poly: "
+                       r"its exponents sum to over 32 per character of the text$"):
+        certificate_from_json(json.dumps(doc))
 
 
 def _set(*path, value):
