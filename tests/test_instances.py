@@ -93,7 +93,12 @@ RY_SHA256 = {
     5: "5f168d15de8efafce177c5e80e6a338b4da58f81321822218ee0b0cf3b9aa5e0",
     6: "d5ca50fc07e4a7096286f3cbda7c9df16e742049d2e59f6f01926fdbb19c6677",
 }
+# n = 1 to 3 were taken before the interval circuits skipped validation and
+# the complement gadget pushed its gates directly.
 GADGETED_RY_SHA256 = {
+    1: "abf53e6fb28a4c00bd5a534d6ecd61a2461bf87c62e1b765fa9eb1dbca9f5118",
+    2: "8835a6f24b1709a8ba01471d217899c1a8b0222dca09bdda4bf439b0e6a966ac",
+    3: "bd05da172a49ffbf719f844253abfc7be76be2e9d70e22f5a6a2c864501e15df",
     4: "639dee48884c7ba1256310a94a91607a310f76528ca014c78bce78161ec89251",
     5: "b1743e2e554c22e39726847382a8e978dd1760ac5a65f34193a56ba9f309aa34",
     6: "5acf36831fb3cab9e1993e0e6068f935ea456aba22a348ec2a608a22d9c5e297",

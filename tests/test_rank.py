@@ -25,12 +25,15 @@ U = {i: SparsePoly.variable(uvar(i)) for i in range(1, 9)}
 
 # SHA-256 of fullrank_witness on every balanced partition, one line per
 # partition ("<partition><name>=<value>;..."), taken before the witness read
-# its splits and address gadgets from the interval's WVarSet.
+# its splits and address gadgets from the interval's WVarSet; n = 5 and 6
+# were taken before it tested balance by prefix sums over the sides.
 WITNESS_SHA256 = {
     1: "1c06cea3bf9997a33f7016c921deb3d701978b89affe9a0f608c4e210024ca2d",
     2: "5d759b0783de6cd6a85e014c5ab1e8dfc648b91d3b219084e1e14bbb648b4725",
     3: "7280748bc44e7951f74a2e98c0634b65a713db292bc744c2eed382069d058239",
     4: "79c683f8ba1992c8c09e1bdc55226209ac1ac5d4b72b23428514ad510071ea1a",
+    5: "363efcdcbac840c10442b07d87fbf8e7d181f9e1e3fb2cc2fca661a50d5c94ea",
+    6: "d78bee07c62170db53b0985b8c7b36dbf463b715927b4d82ea3ce8dc956fea46",
 }
 
 
