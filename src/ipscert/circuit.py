@@ -57,6 +57,9 @@ MUL = "MUL"
 # The start of the right-hand side of an ADD or MUL line as lines() writes it.
 _WRITTEN_KINDS = {f"{kind} ": kind for kind in (ADD, MUL)}
 
+# The constants of CircuitBuilder.complement, shared by all its gates.
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
 
 class Gate:
     """One gate: VAR(var), CONST(value), ADD(args) or MUL(args).
@@ -95,9 +98,23 @@ class Metrics:
 
 
 class Circuit:
-    """Immutable gate table plus designated output gate."""
+    """Immutable gate table plus designated output gate.
+
+    Circuit(gates, output) validates the table: known gate kinds, arguments
+    defined before use, and every gate reachable from the output.  The
+    circuits the library makes from gates valid by construction
+    (CircuitBuilder.build and _compact) skip it, through _valid.
+    """
 
     __slots__ = ("gates", "output")
+
+    @classmethod
+    def _valid(cls, gates: Sequence[Gate], output: int) -> Circuit:
+        """The circuit of gates that are valid by construction, not checked again."""
+        c = object.__new__(cls)
+        c.gates = tuple(gates)
+        c.output = output
+        return c
 
     def __init__(self, gates: Sequence[Gate], output: int):
         gates = tuple(gates)
@@ -196,9 +213,13 @@ class CircuitBuilder:
         return self._push(Gate(MUL, args=tuple(args)))
 
     def complement(self, v: Var) -> int:
-        """1 - v as ADD(CONST 1, MUL(CONST -1, VAR v)), in fresh gates."""
-        one = self.const(1)
-        return self.add([one, self.mul([self.const(-1), self.var(v)])])
+        """1 - v as ADD(CONST 1, MUL(CONST -1, VAR v)), in five fresh gates,
+        pushed in that order: CONST 1, CONST -1, VAR v, the MUL, the ADD."""
+        gates = self._gates
+        n = len(gates)
+        gates += (Gate(CONST, const=_ONE), Gate(CONST, const=_MINUS_ONE), Gate(VAR, var=v),
+                  Gate(MUL, args=(n + 1, n + 2)), Gate(ADD, args=(n, n + 3)))
+        return n + 4
 
     def keep(self, c: Circuit) -> int:
         """Copy c in as starting gates, as it stands; returns its output's id."""
@@ -357,7 +378,9 @@ class CircuitBuilder:
         return self._gates[i]
 
     def build(self, output: int) -> Circuit:
-        return Circuit(self._gates, output)
+        """The table as a circuit with this output, which must reach every
+        gate; it is not validated again."""
+        return Circuit._valid(self._gates, output)
 
     def copy(self) -> CircuitBuilder:
         """A builder starting from this table's gates (which keep their ids)."""
@@ -538,7 +561,7 @@ def _compact(gates: Sequence[Gate], output: int) -> Circuit:
             kept.append(g)
         else:
             kept.append(Gate(g.op, args=tuple(remap[a] for a in g.args)))
-    return Circuit(kept, remap[output])
+    return Circuit._valid(kept, remap[output])
 
 
 def subcircuit(c: Circuit, gid: int) -> Circuit:
@@ -627,14 +650,21 @@ def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
     b = CircuitBuilder()
     new_id: dict = {}   # gate id -> id in b, for a gate that is not constant
     value: dict = {}    # gate id -> value, int when integral, for a constant gate
+    fixed: dict = {}    # assigned variable -> its value, int when integral
     todo = [(c.output, 0, None, [])]   # gate id, next argument, folded constant, live ids
     while todo:
         i, pos, k, live = todo.pop()
         g = c.gates[i]
         if g.op == VAR and g.var not in assignment:
             new_id[i] = b.var(g.var)
-        elif g.is_leaf():
-            q = Fraction(g.const if g.op == CONST else assignment[g.var])
+        elif g.op == VAR:
+            q = fixed.get(g.var)
+            if q is None:
+                q = Fraction(assignment[g.var])
+                q = fixed[g.var] = q.numerator if q.denominator == 1 else q
+            value[i] = q
+        elif g.op == CONST:
+            q = g.const
             value[i] = q.numerator if q.denominator == 1 else q
         else:
             is_mul = g.op == MUL

@@ -166,18 +166,18 @@ def cmd_instance(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    p_circ, _ = ins.gadgeted_ry_circuit(args.n)   # first: it rejects n < 1
+    p_circ, wsets = ins.gadgeted_ry_circuit(args.n)   # first: it rejects n < 1
     if args.partition == "all":
         parts = list(rk.balanced_partitions([ins.uvar(k) for k in range(1, 2 * args.n + 1)]))
     else:
         parts = [rk.Partition.parse(args.partition)]
     rows = [["partition", "rank", "witness"]]
     for part in parts:
-        witness = rk.fullrank_witness(args.n, part)
+        witness = rk.fullrank_witness(wsets, part)
         sub = ci.partial_evaluate(p_circ, witness)
         mat = rk.rank_matrix(ci.expand(sub), part)
         r = rk.exact_rank(mat)
-        wtext = ";".join(f"{v.name}={val}" for v, val in sorted(witness.items()))
+        wtext = ";".join(f"{v.name}={witness[v]}" for v in sorted(witness, key=lambda v: v._key))
         rows.append([part.format(), r, wtext])
     _print_csv(args.out, rows)
     return 0

@@ -11,7 +11,8 @@ sparse fraction-free row echelon: each row is reduced over the integers
 against a basis keyed by leading column.
 
 fullrank_witness reproduces the recursive control assignment that makes
-the gadgeted interval polynomial full rank for any balanced partition:
+the gadgeted interval polynomial full rank for any balanced partition,
+over the interval sets the polynomial was built from (interval_wvarsets):
 if the interval endpoints lie on opposite sides, take the leaf branch at
 weight 1/2 (w_top = 0, w_leaf = 1/2) and recurse inward; if they lie on
 the same side, some valid split cuts the interval into two halves that are
@@ -29,8 +30,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .instances import interval_wvarsets, uvar
+from .instances import uvar
 from .poly import SparsePoly, Var, parse_var
+
+# The values of a witness, shared by all its variables.
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,6 @@ class Partition:
 
     def format(self) -> str:
         return ",".join(v.name for v in self.y_side) + "|" + ",".join(v.name for v in self.z_side)
-
-    def side_of(self, v: Var) -> int:
-        if v in self.y_side:
-            return 0
-        if v in self.z_side:
-            return 1
-        raise ValueError(f"{v.name} is in neither side of the partition")
 
 
 def rank_matrix(f: SparsePoly, p: Partition) -> list:
@@ -149,31 +146,39 @@ def balanced_partitions(uvars: Sequence[Var]):
         yield Partition(y_side=y, z_side=z)
 
 
-def fullrank_witness(n: int, p: Partition) -> dict:
+def fullrank_witness(wsets: Sequence, p: Partition) -> dict:
     """Control assignment making the gadgeted interval polynomial full rank.
 
+    wsets are the interval sets of gadgeted_ry_circuit(n), as it returns
+    them (interval_wvarsets(n)); the partition must cover u1..u2n.  An
+    interval's balance is a difference of prefix sums over the sides.
     Raises RuntimeError if no balancing split exists at some same-side
     interval, which would contradict the construction; the failure is
     reported rather than patched.
     """
+    n = wsets[-1].j // 2     # the last interval set is [1, 2n]'s
     expected = tuple(sorted((uvar(k) for k in range(1, 2 * n + 1))))
     if tuple(sorted(p.y_side + p.z_side)) != expected:
         raise ValueError(f"partition must cover exactly u1..u{2 * n}")
-    wsets = {(ws.i, ws.j): ws for ws in interval_wvarsets(n)}
-    assignment = {v: Fraction(0) for ws in wsets.values()
-                  for v in (ws.w_top, ws.w_leaf, *ws.address_vars)}
+    by_interval = {(ws.i, ws.j): ws for ws in wsets}
+    assignment = dict.fromkeys((v for ws in wsets
+                                for v in (ws.w_top, ws.w_leaf, *ws.address_vars)), _ZERO)
+    y_side = set(p.y_side)
+    prefix = [0]             # prefix[k]: row-side minus column-side among u1..uk
+    for k in range(1, 2 * n + 1):
+        prefix.append(prefix[-1] + (1 if uvar(k) in y_side else -1))
 
     def balance(i: int, j: int) -> int:
-        return sum(1 if p.side_of(uvar(k)) == 0 else -1 for k in range(i, j + 1))
+        return prefix[j] - prefix[i - 1]
 
     def rec(i: int, j: int) -> None:
         if j < i:
             return
         if balance(i, j) != 0:
             raise RuntimeError(f"interval [{i},{j}] is not balanced under the partition")
-        ws = wsets[i, j]
-        if p.side_of(uvar(i)) != p.side_of(uvar(j)):
-            assignment[ws.w_leaf] = Fraction(1, 2)
+        ws = by_interval[i, j]
+        if balance(i, i) != balance(j, j):     # u_i and u_j lie on opposite sides
+            assignment[ws.w_leaf] = _HALF
             rec(i + 1, j - 1)
             return
         idx = next((idx for idx, r in enumerate(ws.splits) if balance(i, r) == 0), None)
@@ -181,9 +186,9 @@ def fullrank_witness(n: int, p: Partition) -> dict:
             raise RuntimeError(
                 f"no balancing split for same-side interval [{i},{j}]; "
                 "this contradicts the full-rank recursion")
-        assignment[ws.w_top] = Fraction(1)
+        assignment[ws.w_top] = _ONE
         for v, bit in ws.gadget(idx).selected_point().items():
-            assignment[v] = Fraction(bit)
+            assignment[v] = _ONE if bit else _ZERO
         r = ws.splits[idx]
         rec(i, r)
         rec(r + 1, j)

@@ -200,10 +200,10 @@ def test_criterion_6_hard_instance_suite():
 def test_criterion_7_rank_evidence():
     started = time.perf_counter()
     for n in (1, 2, 3, 4):
-        circ, _ = gadgeted_ry_circuit(n)
+        circ, wsets = gadgeted_ry_circuit(n)
         parts = list(balanced_partitions([uvar(k) for k in range(1, 2 * n + 1)]))
         for part in parts:
-            witness = fullrank_witness(n, part)
+            witness = fullrank_witness(wsets, part)
             f = expand(partial_evaluate(circ, witness))
             assert exact_rank(rank_matrix(f, part)) == 2 ** n
     assert len(parts) == 35  # n = 4

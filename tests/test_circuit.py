@@ -38,7 +38,8 @@ from ipscert.circuit import (
     subcircuit,
 )
 from ipscert.gadget import GadgetLedger
-from ipscert.instances import gadgeted_ry_circuit
+from ipscert.instances import (gadgeted_ry_circuit, lifted_subset_sum, mnc_instance, ry_circuit,
+                                subset_sum)
 from ipscert.poly import SparsePoly, Var
 from ipscert.refute import assemble_refutation, certificate_from_json, certificate_to_json
 
@@ -264,6 +265,36 @@ def test_circuit_validation():
         Circuit([Gate("VAR", var=X1), Gate("VAR", var=X2)], 0)
     with pytest.raises(ValueError, match="no children"):
         Circuit([Gate("ADD", args=())], 0)
+
+
+def assert_valid(c):
+    """The public constructor accepts c's gates and output, as they are."""
+    again = Circuit(c.gates, c.output)
+    assert again.gates == c.gates and again.output == c.output
+
+
+def test_circuits_the_library_builds_unvalidated_pass_validation(corpus01, transformed01):
+    # CircuitBuilder.build and _compact make circuits without validating
+    # them; each maker here must leave a valid table, every gate reachable.
+    rng = random.Random(17)
+    for c, (cn, cprime, _) in zip(corpus01, transformed01):
+        assert_valid(cn)
+        assert_valid(cprime)
+        for source in (c, cprime):
+            vs = source.variables()
+            fixed = rng.sample(vs, rng.randint(0, len(vs)))
+            assert_valid(partial_evaluate(
+                source, {v: rng.choice((0, 1, -1, Fraction(1, 2))) for v in fixed}))
+    for n in range(1, 7):
+        assert_valid(ry_circuit(n))
+        assert_valid(gadgeted_ry_circuit(n)[0])
+    for n in range(1, 4):
+        bundle = mnc_instance(n)
+        assert_valid(bundle.instance)
+        assert_valid(bundle.refutation)
+    for bundle in [subset_sum(n) for n in range(1, 9)] + [lifted_subset_sum(n)
+                                                          for n in range(2, 5)]:
+        assert_valid(poly_to_circuit(bundle.refutation))
 
 
 def test_formula_flag():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import assert_folded, integer_row, mono, poly_of, sparse_rows
 
 from ipscert.circuit import expand, partial_evaluate
-from ipscert.instances import gadgeted_ry_circuit, uvar
+from ipscert.instances import gadgeted_ry_circuit, interval_wvarsets, uvar
 from ipscert.poly import SparsePoly, Var
 from ipscert.rank import (
     Partition,
@@ -43,9 +43,9 @@ def substituted(n, witness):
 
 
 def test_the_witness_folds_p_at_n_6_to_few_gates():
-    c, _ = gadgeted_ry_circuit(6)
+    c, wsets = gadgeted_ry_circuit(6)
     part = next(balanced_partitions([uvar(k) for k in range(1, 13)]))
-    folded = partial_evaluate(c, fullrank_witness(6, part))
+    folded = partial_evaluate(c, fullrank_witness(wsets, part))
     assert len(c.gates) == 996 and len(folded.gates) < 100
     assert_folded(folded)
     assert exact_rank(rank_matrix(expand(folded), part)) == 64
@@ -322,7 +322,7 @@ def test_echelon_rows_are_primitive_with_distinct_leading_columns():
 
 def test_witness_base_case():
     p = Partition.parse("u1|u2")
-    w = fullrank_witness(1, p)
+    w = fullrank_witness(interval_wvarsets(1), p)
     from ipscert.instances import wvar
 
     assert w[wvar(1, 2, "top")] == 0
@@ -334,22 +334,22 @@ def test_witness_base_case():
 
 def test_witness_n2_endpoints_split():
     p = Partition.parse("u1,u3|u2,u4")
-    f = substituted(2, fullrank_witness(2, p))
+    f = substituted(2, fullrank_witness(interval_wvarsets(2), p))
     assert exact_rank(rank_matrix(f, p)) == 4
 
 
 def test_witness_n2_endpoints_same_side():
     p = Partition.parse("u1,u4|u2,u3")
-    f = substituted(2, fullrank_witness(2, p))
+    f = substituted(2, fullrank_witness(interval_wvarsets(2), p))
     assert exact_rank(rank_matrix(f, p)) == 4
 
 
 def test_witness_all_partitions_n_le_3():
     for n in (1, 2, 3):
-        c, _ = gadgeted_ry_circuit(n)
+        c, wsets = gadgeted_ry_circuit(n)
         parts = list(balanced_partitions([uvar(k) for k in range(1, 2 * n + 1)]))
         for p in parts:
-            w = fullrank_witness(n, p)
+            w = fullrank_witness(wsets, p)
             f = expand(partial_evaluate(c, w))
             assert f.variables() == tuple(sorted(p.y_side + p.z_side))
             assert exact_rank(rank_matrix(f, p)) == 2 ** n
@@ -359,16 +359,16 @@ def test_rank_matrix_of_the_witness_at_n_12_has_one_entry_per_row():
     n = 12
     p = Partition(y_side=tuple(uvar(k) for k in range(1, n + 1)),
                   z_side=tuple(uvar(k) for k in range(n + 1, 2 * n + 1)))
-    rows = rank_matrix(substituted(n, fullrank_witness(n, p)), p)
+    rows = rank_matrix(substituted(n, fullrank_witness(interval_wvarsets(n), p)), p)
     assert len(rows) == 2 ** n and all(len(row) == 1 for row in rows)
     assert exact_rank(rows) == 2 ** n
 
 
 @pytest.mark.parametrize("n", sorted(WITNESS_SHA256))
 def test_witness_is_pinned(n):
-    h = hashlib.sha256()
+    h, wsets = hashlib.sha256(), interval_wvarsets(n)
     for p in balanced_partitions([uvar(k) for k in range(1, 2 * n + 1)]):
-        w = fullrank_witness(n, p)
+        w = fullrank_witness(wsets, p)
         h.update((p.format() + ";".join(f"{v.name}={x}" for v, x in sorted(w.items()))
                   + "\n").encode())
     assert h.hexdigest() == WITNESS_SHA256[n]
@@ -376,13 +376,13 @@ def test_witness_is_pinned(n):
 
 def test_witness_substitution_is_multilinear_in_u():
     p = Partition.parse("u1,u2|u3,u4")
-    f = substituted(2, fullrank_witness(2, p))
+    f = substituted(2, fullrank_witness(interval_wvarsets(2), p))
     assert f.is_multilinear()
 
 
 def test_witness_rejects_wrong_cover():
     with pytest.raises(ValueError, match="cover"):
-        fullrank_witness(2, Partition.parse("u1,u2|u3,u5"))
+        fullrank_witness(interval_wvarsets(2), Partition.parse("u1,u2|u3,u5"))
 
 
 def test_balanced_partition_count():
