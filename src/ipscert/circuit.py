@@ -103,13 +103,13 @@ class Circuit:
     Circuit(gates, output) validates the table: known gate kinds, arguments
     defined before use, and every gate reachable from the output.  The
     circuits the library makes from gates valid by construction
-    (CircuitBuilder.build and _compact) skip it, through _valid.
+    (CircuitBuilder.build and _compact) skip it, through _unchecked.
     """
 
     __slots__ = ("gates", "output")
 
     @classmethod
-    def _valid(cls, gates: Sequence[Gate], output: int) -> Circuit:
+    def _unchecked(cls, gates: Sequence[Gate], output: int) -> Circuit:
         """The circuit of gates that are valid by construction, not checked again."""
         c = object.__new__(cls)
         c.gates = tuple(gates)
@@ -380,7 +380,7 @@ class CircuitBuilder:
     def build(self, output: int) -> Circuit:
         """The table as a circuit with this output, which must reach every
         gate; it is not validated again."""
-        return Circuit._valid(self._gates, output)
+        return Circuit._unchecked(self._gates, output)
 
     def copy(self) -> CircuitBuilder:
         """A builder starting from this table's gates (which keep their ids)."""
@@ -561,7 +561,7 @@ def _compact(gates: Sequence[Gate], output: int) -> Circuit:
             kept.append(g)
         else:
             kept.append(Gate(g.op, args=tuple(remap[a] for a in g.args)))
-    return Circuit._valid(kept, remap[output])
+    return Circuit._unchecked(kept, remap[output])
 
 
 def subcircuit(c: Circuit, gid: int) -> Circuit:

@@ -157,7 +157,7 @@ def fullrank_witness(wsets: Sequence, p: Partition) -> dict:
     reported rather than patched.
     """
     n = wsets[-1].j // 2     # the last interval set is [1, 2n]'s
-    expected = tuple(sorted((uvar(k) for k in range(1, 2 * n + 1))))
+    expected = tuple(uvar(k) for k in range(1, 2 * n + 1))     # in Var order
     if tuple(sorted(p.y_side + p.z_side)) != expected:
         raise ValueError(f"partition must cover exactly u1..u{2 * n}")
     by_interval = {(ws.i, ws.j): ws for ws in wsets}
@@ -165,8 +165,8 @@ def fullrank_witness(wsets: Sequence, p: Partition) -> dict:
                                 for v in (ws.w_top, ws.w_leaf, *ws.address_vars)), _ZERO)
     y_side = set(p.y_side)
     prefix = [0]             # prefix[k]: row-side minus column-side among u1..uk
-    for k in range(1, 2 * n + 1):
-        prefix.append(prefix[-1] + (1 if uvar(k) in y_side else -1))
+    for v in expected:
+        prefix.append(prefix[-1] + (1 if v in y_side else -1))
 
     def balance(i: int, j: int) -> int:
         return prefix[j] - prefix[i - 1]
