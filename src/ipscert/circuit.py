@@ -180,11 +180,14 @@ class CircuitBuilder:
     which tries a written-form shortcut line by line and reads a line that
     fails it by the general rules; nothing is read twice or undone.  A root
     id is laid out as a standalone formula in one form, its text lines();
-    sha256() hashes that text and formula() reads it back.  A root is
-    measured and expanded without being laid out: the gates a set of roots
-    reach are found by one descending marking pass (an argument has a lower
-    id than its gate) and walked in ascending id order (see _sweep); only
-    subcircuit() copies a root out.
+    sha256() hashes that text and formula() reads it back, and fits()
+    counts its lines first.  Roots are measured and expanded without being
+    laid out: the gates a set of roots reach are found by one descending
+    marking pass (an argument has a lower id than its gate) and walked in
+    ascending id order (see _sweep), once for all the roots metrics() is
+    given and once per group of roots expand_each() is given, where a gate
+    an earlier group expanded is not expanded again; only subcircuit()
+    copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -193,8 +196,8 @@ class CircuitBuilder:
         self._dag: set | None = None   # see _dag_starting; None until asked for
         self._reached: dict = {}       # gate id -> the ids it reaches, ascending
         self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
-        self._measured: dict = {}      # gate id -> (size, depth) of its layout
         self._written: dict = {}       # leaf right-hand side -> its gate, None if not written
+        self._text = 0                 # lines of text read() was given
 
     def _push(self, g: Gate) -> int:
         self._gates.append(g)
@@ -220,6 +223,17 @@ class CircuitBuilder:
         gates += (Gate(CONST, const=_ONE), Gate(CONST, const=_MINUS_ONE), Gate(VAR, var=v),
                   Gate(MUL, args=(n + 1, n + 2)), Gate(ADD, args=(n, n + 3)))
         return n + 4
+
+    def boolean_axiom(self, v: Var) -> int:
+        """v^2 - v as poly(boolean_axiom(v)) lays it in, in seven fresh gates,
+        pushed in that order: CONST -1, VAR v, their MUL, VAR v, VAR v, their
+        MUL, the ADD of the two MULs."""
+        gates = self._gates
+        n = len(gates)
+        gates += (Gate(CONST, const=_MINUS_ONE), Gate(VAR, var=v), Gate(MUL, args=(n, n + 1)),
+                  Gate(VAR, var=v), Gate(VAR, var=v), Gate(MUL, args=(n + 3, n + 4)),
+                  Gate(ADD, args=(n + 2, n + 5)))
+        return n + 6
 
     def keep(self, c: Circuit) -> int:
         """Copy c in as starting gates, as it stands; returns its output's id."""
@@ -258,6 +272,7 @@ class CircuitBuilder:
             return len(items) - 1
 
         output, general = _gate_lines(lines, note, self._written)
+        self._text += len(lines)
         n = len(items)
         if (post_order and len(stack) == 1 and not general and n == len(lines) - 1
                 and lines[-1] == f"OUTPUT g{n - 1}"):
@@ -459,57 +474,87 @@ class CircuitBuilder:
         text = "\n".join(self.lines(root)) + "\n"
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def metrics(self, root: int) -> Metrics:
-        """measure(self.formula(root)), by dynamic programming over the table:
-        every gate is measured once however often it is copied, in one
-        ascending pass over the ids root reaches that are not measured yet.
-        A starting gate lays out as its subcircuit: as a tree, measured by
-        the same rule as a composed gate, unless it lies above a shared
-        starting gate (_dag_starting), when the rule of measure is folded
-        over the ids it reaches."""
-        gates, memo = self._gates, self._measured
-        if root not in memo:
-            dag = self._dag_starting()
-            reached = bytearray(root + 1)
-            reached[root] = 1
-            todo: list = []      # the ids to measure, descending
-            i = root
-            while i >= 0:
-                if i not in memo:
-                    todo.append(i)
-                    if i not in dag:
-                        for a in gates[i].args:
-                            reached[a] = 1
-                i -= 1
-                if not reached[i]:
-                    i = reached.rfind(1, 0, i)
-            for i in reversed(todo):
-                g = gates[i]
-                args = g.args
-                if not args:
-                    memo[i] = (0, 0)
-                elif i in dag:
-                    memo[i] = _measure(gates, _sweep(gates, (i,)))
-                else:
-                    other = _is_scaled_wire(gates, g)
-                    if other is not None:
-                        memo[i] = memo[other]
-                    else:
-                        memo[i] = (len(args) + sum([memo[a][0] for a in args]),
-                                   1 + max([memo[a][1] for a in args]))
-        return Metrics(*memo[root])
+    def fits(self, root: int) -> bool:
+        """Whether root's layout, its lines(), has at most as many gate lines
+        as the table holds: its gates and the lines of text read() was given
+        (a text read() hash-conses lays out as itself, in more lines than
+        gates).  The lines are counted over one ascending sweep before any is
+        written: a composed gate has its arguments' lines and its own, a
+        starting gate the ids it reaches (_reach), each counted once and only
+        while the distinct starting gates counted fit."""
+        gates, starting = self._gates, self._starting
+        limit = len(gates) + self._text
+        if root in starting:
+            return len(self._reach(root)) <= limit
+        count: dict = {}         # gate id -> the lines of its layout, at most limit + 1
+        held = 0                 # the lines of the distinct starting gates counted
+        for i in _sweep(gates, (root,)):
+            if i in starting:
+                continue
+            n = 1
+            for a in gates[i].args:
+                if a not in count:
+                    if held > limit:
+                        return False
+                    count[a] = len(self._reach(a))
+                    held += count[a]
+                n += count[a]
+            count[i] = min(n, limit + 1)
+        return count[root] <= limit
+
+    def metrics(self, roots: Sequence[int]) -> list:
+        """[measure(self.formula(r)) for r in roots], by dynamic programming
+        over the table: every gate the roots reach is measured once however
+        often it is copied, in one ascending sweep of them all.  A starting
+        gate lays out as its subcircuit: as a tree, measured by the same rule
+        as a composed gate, unless it lies above a shared starting gate
+        (_dag_starting), when the rule of measure is folded over the ids it
+        reaches, only for a root or an argument of a gate not in it (every
+        starting gate above it is in it too)."""
+        gates = self._gates
+        dag = self._dag_starting()
+        ids = _sweep(gates, roots)
+        asked = set(roots)       # with the arguments of the gates not in dag
+        if dag:
+            asked.update([a for i in ids if i not in dag for a in gates[i].args])
+        size, depth = [0] * len(gates), [0] * len(gates)   # of each gate's layout
+        for i in ids:
+            args = gates[i].args
+            if not args:
+                continue
+            if i in dag:
+                if i in asked:
+                    size[i], depth[i] = _measure(gates, _sweep(gates, (i,)))
+                continue
+            other = _is_scaled_wire(gates, gates[i])
+            if other is not None:
+                size[i], depth[i] = size[other], depth[other]
+            else:
+                size[i] = len(args) + sum([size[a] for a in args])
+                depth[i] = 1 + max([depth[a] for a in args])
+        return [Metrics(size[r], depth[r]) for r in roots]
 
     def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
-        return self.expand_all((root,))[0]
+        return _expand(self._gates, _sweep(self._gates, (root,)), root, {})
 
-    def expand_all(self, roots: Sequence[int]) -> list:
-        """The polynomials of the roots, in order, expanding each gate they
-        reach once, over one sweep of them all: a gate two roots share is
-        expanded once."""
+    def expand_each(self, groups: Sequence[Sequence[int]]):
+        """Yield the polynomials of each group of roots, in order, group by
+        group: each group's gates are swept once, and each gate the groups
+        reach is expanded once, by the first group whose sweep reaches it,
+        and kept until the last such group has been yielded."""
+        gates = self._gates
+        sweeps = [_sweep(gates, roots) for roots in groups]
+        last: dict = {}          # gate id -> the last group whose sweep reaches it
+        for k, ids in enumerate(sweeps):
+            last.update(dict.fromkeys(ids, k))
         polys: dict = {}
-        _expand(self._gates, _sweep(self._gates, roots), roots[-1], polys)
-        return [polys[r] for r in roots]
+        for k, (roots, ids) in enumerate(zip(groups, sweeps)):
+            _expand(gates, [i for i in ids if i not in polys], roots[-1], polys)
+            yield [polys[r] for r in roots]
+            for i in ids:
+                if last[i] == k:
+                    del polys[i]
 
 
 def _sweep(gates: Sequence[Gate], roots: Iterable[int]) -> list:

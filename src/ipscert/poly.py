@@ -748,6 +748,12 @@ def parse_poly(text: str) -> SparsePoly:
     return _canonical(num, d, tab)
 
 
+def take_slot(v: Var) -> None:
+    """Give v its slot in the current table now, unless it has one, as the
+    first polynomial that mentions v would."""
+    _CURRENT_SLOTS.get().offset(v)
+
+
 def boolean_axiom(v: Var) -> SparsePoly:
     """The Boolean axiom v^2 - v."""
     tab = _CURRENT_SLOTS.get()

@@ -61,7 +61,7 @@ from .circuit import (
 )
 from .gadget import AddressingGadget, GadgetLedger, json_field
 from .instances import inverse_differences
-from .poly import boolean_axiom, format_poly, parse_frac, parse_poly, parse_var
+from .poly import Var, format_poly, parse_frac, parse_poly, parse_var, take_slot
 
 BUILDER_TAG = "ipscert-refute/1"
 FORMAT = "nullstellensatz-cert/2"
@@ -195,8 +195,9 @@ class NullstellensatzCertificate:
     root ids in one gate table.
 
     The first axiom is the instance; the rest are the Boolean axioms v^2 - v
-    as CircuitBuilder.poly lays them in, written as polynomial text.  `table`
-    lays each root out as the text of its standalone formula (its lines()).
+    as CircuitBuilder.boolean_axiom lays them in, written as polynomial
+    text.  `table` lays each root out as the text of its standalone formula
+    (its lines()).
     Cofactors never mention the verifier's placeholder namespace, so the
     induced substitution circuit sum_k placeholder_k * cofactor_k has
     individual degree 1 in every placeholder and vanishes when all are 0.
@@ -247,13 +248,12 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     order = sorted(certs[out], key=lambda v: (v.ns == "y", v._key))   # E, then F
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
     roots += [b.mul([b.const(-c1), certs[out][v]]) for v in order]
-    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.poly(boolean_axiom(v)))
-                                  for v in order]
+    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.boolean_axiom(v)) for v in order]
     return NullstellensatzCertificate(
         table=b,
         axioms=tuple(axioms),
         cofactors=tuple(roots),
-        claimed_metrics=tuple(b.metrics(r) for r in roots),
+        claimed_metrics=tuple(b.metrics(roots)),
         instance_sha256=b.sha256(instance),
         shift=shift,
         written_as_poly=frozenset(range(1, len(axioms))),
@@ -362,7 +362,7 @@ def boolean_axiom_label(label: str) -> tuple:
 
 
 def is_boolean_axiom(table: CircuitBuilder, root: int, v) -> bool:
-    """Whether root is CircuitBuilder.poly's v^2 - v, never for v None:
+    """Whether root is CircuitBuilder.boolean_axiom's v^2 - v, never for v None:
     ADD(MUL(CONST -1, VAR v), MUL(VAR v, VAR v)).  It only reads gates."""
     g = table.gate(root)
     terms = [table.gate(a) for a in g.args] if g.op == ADD else ()
@@ -373,12 +373,15 @@ def is_boolean_axiom(table: CircuitBuilder, root: int, v) -> bool:
 
 
 def _axiom_poly(label: str, text: str):
-    """v^2 - v for a poly text as written for the v the label names, else
-    parse_poly(text), refused if its exponents sum to over 32 per character:
-    CircuitBuilder.poly lays one VAR gate per unit of exponent."""
+    """The v the label names for a poly text written as its v^2 - v, which
+    CircuitBuilder.boolean_axiom lays in, v given its slot now (take_slot)
+    as parse_poly would give it; else parse_poly(text), refused if its
+    exponents sum to over 32 per character: CircuitBuilder.poly lays one VAR
+    gate per unit of exponent."""
     v, written = boolean_axiom_label(label)
     if text == written:
-        return boolean_axiom(v)
+        take_slot(v)
+        return v
     p = parse_poly(text)
     if sum(e for m, _ in p.items() for _, e in m) > 32 * len(text):
         raise ValueError("its exponents sum to over 32 per character of the text")
@@ -411,7 +414,8 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         axioms.append((label, None))
     cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=read))
     for k, p in polys.items():   # poly texts last, so that no circuit's gate id moves
-        axioms[k] = (axioms[k][0], table.poly(p))
+        lay = table.boolean_axiom if isinstance(p, Var) else table.poly
+        axioms[k] = (axioms[k][0], lay(p))
     metrics = tuple(Metrics(size=_field(m, "size", f"metrics[{k}].size", int),
                             depth=_field(m, "depth", f"metrics[{k}].depth", int))
                     for k, m in enumerate(_field(doc, "metrics", kind=list)))

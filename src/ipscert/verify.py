@@ -8,9 +8,9 @@ a polynomial identity, plus the placeholder discipline: cofactors may not
 mention the reserved placeholder namespace, so the induced substitution
 circuit sum_k placeholder_k * cofactor_k vanishes at placeholder zero and
 is linear in every placeholder.  The identity is summed pair by pair,
-each gate an axiom and its cofactor reach expanded once, and nothing is
-kept from one pair to the next.  A cofactor's scalar moves onto its axiom:
-a root MUL(CONST c, x), c != 0, adds x * (c * axiom).
+and each gate the pairs reach is expanded once, by the first pair that
+reaches it, and kept until the last.  A cofactor's scalar moves onto its
+axiom: a root MUL(CONST c, x), c != 0, adds x * (c * axiom).
 
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
@@ -23,8 +23,9 @@ once in the table, with no standalone copy, and walked for D and to compile
 them, run once over all trials as one batch, so a gate shared by many
 cofactors is evaluated once.  A constant whose denominator vanishes mod the
 prime is named as the first such in the written order of the axioms and
-cofactors, pair by pair.  Trial points are derived from (seed, trial
-index), so identical configurations produce identical reports.
+cofactors, pair by pair, found by visiting each gate once.  Trial points
+are derived from (seed, trial index), so identical configurations produce
+identical reports.
 
 check_claims checks what a certificate document claims besides the
 identity (the Boolean axioms, the instance and its shift and hash, the
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, circuit_sha256,
+from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, _sweep, circuit_sha256,
                       compile_evaluator, expand)
 from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod
 from .refute import NullstellensatzCertificate, boolean_axiom_label, is_boolean_axiom
@@ -161,19 +162,22 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
 
     A cofactor root that is a scaled wire MUL(CONST c, x) with c != 0 is
     expanded as x, and x * (c * axiom) is summed: c moves onto the axiom,
-    so a large x is not copied to scale it.  An axiom and its cofactor's
-    expanded root are expanded over one sweep of both, so a gate they share
-    (the instance's f' and the functional refutation c0 + c1*f') is
-    expanded once.  Nothing is kept from one pair to the next.  The
-    placeholder check reads the variables of the expanded root, which for
-    c != 0 are those of the cofactor."""
+    so a large x is not copied to scale it.  The pairs are expanded in
+    order, each over one sweep of its axiom and expanded root
+    (CircuitBuilder.expand_each): a gate two pairs share, or an axiom and
+    its cofactor (the instance's f' and the functional refutation
+    c0 + c1*f'), is expanded once and kept until the last pair that reaches
+    it.  So each pair's placeholder check, the guard of its expansion and
+    its term of the sum come in the order of expanding each pair alone.
+    The placeholder check reads the variables of the expanded root, which
+    for c != 0 are those of the cofactor."""
     if len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
     table = cert.table
+    scaled = [_scaled_root(table, cf) for cf in cert.cofactors]
+    expanded = table.expand_each([(ax, root) for (_, ax), (_, root) in zip(cert.axioms, scaled)])
     total = _Accumulator()
-    for (label, ax), cf in zip(cert.axioms, cert.cofactors):
-        scale, root = _scaled_root(table, cf)
-        ax_p, cf_p = table.expand_all((ax, root))
+    for (label, _), (scale, _), (ax_p, cf_p) in zip(cert.axioms, scaled, expanded):
         for v in cf_p.variables():
             if v.ns == PLACEHOLDER_NS:
                 return VerifyReport("error", detail=f"cofactor of {label} mentions "
@@ -213,10 +217,12 @@ def check_claims(cert: NullstellensatzCertificate,
       * axiom 0 is a circuit whose root is ADD(f', CONST c):
         axioms[0].circuit;
       * c is the shift, which lies outside {0, -1}: shift;
+      * axiom 0 lays out to no more lines than the table holds
+        (CircuitBuilder.fits): axioms[0].circuit;
       * instance_sha256 is the SHA-256 of axiom 0's text: instance_sha256;
       * given an instance circuit, f' has its text: axioms[0].circuit;
-      * each claimed metric is its cofactor's measure: metrics[k].size,
-        metrics[k].depth.
+      * each claimed metric is its cofactor's measure, all measured over
+        one sweep of the table: metrics[k].size, metrics[k].depth.
     """
     seen: set = set()
     for k, (label, ax) in enumerate(cert.axioms[1:], start=1):
@@ -246,14 +252,17 @@ def check_claims(cert: NullstellensatzCertificate,
     if c in (0, -1):
         return VerifyReport("error", detail=f"shift: {format_frac(c)} leaves the instance "
                                             "satisfiable over the cube")
+    if not table.fits(root):
+        return VerifyReport("error", detail="axioms[0].circuit: lays out to more lines "
+                                            "than the document holds")
     if table.sha256(root) != cert.instance_sha256:
         return VerifyReport("error", detail="instance_sha256: not the SHA-256 of the "
                                             "text of axiom 0")
     if instance is not None and table.sha256(g.args[0]) != circuit_sha256(instance):
         return VerifyReport("error", detail="axioms[0].circuit: f' is not the given "
                                             "instance circuit")
-    for k, (claimed, cf) in enumerate(zip(cert.claimed_metrics, cert.cofactors)):
-        measured = table.metrics(cf)
+    for k, (claimed, measured) in enumerate(zip(cert.claimed_metrics,
+                                                table.metrics(cert.cofactors))):
         for name, got, want in (("size", claimed.size, measured.size),
                                 ("depth", claimed.depth, measured.depth)):
             if got != want:
@@ -327,14 +336,28 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
 
 def _bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
     """The error of the first constant, in the written order of the axioms
-    and cofactors pair by pair, whose denominator vanishes mod prime."""
-    for x in [r for (_, ax), cf in zip(cert.axioms, cert.cofactors) for r in (ax, cf)]:
-        for g in cert.table.formula(x).gates:
-            if g.op == CONST:
-                try:
-                    frac_mod(g.const, prime)
-                except ZeroDivisionError as exc:
-                    return str(exc)
+    and cofactors pair by pair, whose denominator vanishes mod prime.
+
+    Each gate the roots reach is visited once, ascending, for the first such
+    constant of its layout (CircuitBuilder.lines): a composed gate's is its
+    first argument's that has one, a starting gate's the lowest id among
+    its arguments' and its own."""
+    gates, starting = cert.table._gates, cert.table._starting
+    roots = [r for (_, ax), cf in zip(cert.axioms, cert.cofactors) for r in (ax, cf)]
+    first: dict = {}         # gate id -> (id, error) of the first such constant of its layout
+    for i in _sweep(gates, roots):
+        g = gates[i]
+        if g.op == CONST:
+            try:
+                frac_mod(g.const, prime)
+            except ZeroDivisionError as exc:
+                first[i] = (i, str(exc))
+        found = [first[a] for a in g.args if a in first]
+        if found:
+            first[i] = min(found) if i in starting else found[0]
+    for r in roots:
+        if r in first:
+            return first[r][1]
     raise AssertionError("no constant's denominator vanishes mod the prime")
 
 

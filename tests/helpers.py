@@ -30,8 +30,8 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
 from ipscert.instances import InstanceBundle, inverse_differences
-from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, parse_frac,
-                          parse_var)
+from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, frac_mod,
+                          parse_frac, parse_var)
 from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
@@ -429,7 +429,7 @@ def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(
     axioms = tuple((label, read(ax)) for label, ax in axioms)
     cofactors = tuple(read(cf) for cf in cofactors)
     return NullstellensatzCertificate(table, axioms, cofactors,
-                                      tuple(table.metrics(r) for r in cofactors),
+                                      tuple(table.metrics(cofactors)),
                                       instance_sha256, Fraction(shift), builder,
                                       frozenset(written_as_poly))
 
@@ -511,6 +511,20 @@ def reference_verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         detail="sum(cofactor * axiom) - 1 is not the zero polynomial",
         witness=_nonzero_witness(residual),
         work={"expansions": expansions})
+
+
+def reference_bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
+    """The error of the first constant whose denominator vanishes mod prime,
+    in the written order of the axioms and cofactors pair by pair (an
+    oracle): each root laid out as its formula and its gates read in order."""
+    for x in [r for (_, ax), cf in zip(cert.axioms, cert.cofactors) for r in (ax, cf)]:
+        for g in cert.table.formula(x).gates:
+            if g.op == CONST:
+                try:
+                    frac_mod(g.const, prime)
+                except ZeroDivisionError as exc:
+                    return str(exc)
+    raise AssertionError("no constant's denominator vanishes mod the prime")
 
 
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,

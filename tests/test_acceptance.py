@@ -132,7 +132,7 @@ def test_criterion_4_certificate_identities(transformed01):
             rhs = SparsePoly.zero()
             mg = measure(subcircuit(cprime, gid))
             for v, cof in certs[gid].items():
-                m = b.metrics(cof)
+                m = b.metrics([cof])[0]
                 assert m.size <= 100 * mg.size ** 4
                 assert m.depth <= 2 * mg.depth
                 rhs = rhs + b.expand(cof) * boolean_axiom(v)

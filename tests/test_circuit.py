@@ -14,6 +14,7 @@ from helpers import (assert_folded, certificate_to_json_v1, is_syntactically_mul
                      sum_of_products_text, table_state)
 
 from ipscert import circuit as circuit_module
+from ipscert import poly as poly_module
 from ipscert.circuit import (
     CONST,
     Circuit,
@@ -626,11 +627,14 @@ def test_metrics_by_dp_equal_the_measure_of_the_layout():
         for c, offset in ((start, 0), (kept, len(start.gates))):
             for i in range(len(c.gates)):
                 assert b.lines(offset + i) == format_circuit(subcircuit(c, i)).splitlines()
-                assert b.metrics(offset + i) == measure(subcircuit(c, i))
+                assert b.metrics([offset + i])[0] == measure(subcircuit(c, i))
         for i in ids:
-            assert b.metrics(i) == measure(b.formula(i))
+            assert b.metrics([i])[0] == measure(b.formula(i))
             assert b.expand(i) == expand(b.formula(i))
             assert format_circuit(b.formula(i)) == "\n".join(b.lines(i)) + "\n"
+        # All roots over one sweep, in the order given, a root twice.
+        roots = ids[::-1] + ids[:2]
+        assert b.metrics(roots) == [measure(b.formula(i)) for i in roots]
 
 
 def test_metrics_and_layout_of_a_3000_deep_chain_do_not_recurse():
@@ -639,11 +643,11 @@ def test_metrics_and_layout_of_a_3000_deep_chain_do_not_recurse():
     root = b.mul([b.const(2), b.add([deep.output, b.const(1)])])
     top = b.mul([root, root])
     for i in (root, top):
-        assert b.metrics(i) == measure(b.formula(i))
+        assert b.metrics([i])[0] == measure(b.formula(i))
     assert measure(b.formula(root)).depth == 3001
     t = CircuitBuilder()
     i = t.read(b.lines(top))
-    assert t.metrics(i) == b.metrics(top) and t.lines(i) == b.lines(top)
+    assert t.metrics([i])[0] == b.metrics([top])[0] and t.lines(i) == b.lines(top)
     assert t.expand(i) == expand(b.formula(top))
 
 
@@ -656,7 +660,7 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
         b = CircuitBuilder(c.gates)
         assert bool(b._dag_starting()) == (n >= 3)
         for i in range(len(c.gates)):
-            assert b.metrics(i) == measure(subcircuit(c, i))
+            assert b.metrics([i])[0] == measure(subcircuit(c, i))
     # The one shared internal gate, s, lies deep in a tree: only the gates
     # above it take the rule of measure over their DAG, and the gates beside
     # it and below it the dynamic programming of a tree.
@@ -670,9 +674,118 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
     above = {i for i in range(len(c.gates)) if s in subcircuit_ids(c, i) and i != s}
     assert b._dag_starting() == above and {below, top} <= above and beside not in above
     for i in range(len(c.gates)):
-        assert b.metrics(i) == measure(subcircuit(c, i))
-    assert b.metrics(top) != Metrics(*tree_measure(c, top))
-    assert b.metrics(beside) == Metrics(*tree_measure(c, beside))
+        assert b.metrics([i])[0] == measure(subcircuit(c, i))
+    assert b.metrics([top])[0] != Metrics(*tree_measure(c, top))
+    assert b.metrics([beside])[0] == Metrics(*tree_measure(c, beside))
+
+
+def test_metrics_of_several_roots_over_one_sweep_measure_each_layout():
+    # One sweep of every root: no roots, a root given twice, and composed
+    # roots above starting gates that lie above a shared gate
+    # (_dag_starting), beside starting gates that do not.
+    c, _ = gadgeted_ry_circuit(3)
+    b = CircuitBuilder(c.gates)
+    dag = b._dag_starting()
+    assert dag and c.output in dag
+    assert b.metrics([]) == []
+    low = min(dag)
+    tree = [i for i in range(len(c.gates)) if i not in dag and c.gates[i].args]
+    roots = [b.mul([b.const(3), c.output]), b.add([low, low]), b.mul([tree[-1], low, c.output])]
+    roots += [c.output, low, tree[-1], roots[0], b.const(5), roots[2]]
+    assert b.metrics(roots) == [measure(b.formula(r)) for r in roots]
+    assert b.metrics(list(range(len(c.gates)))) == [
+        measure(subcircuit(c, i)) for i in range(len(c.gates))]
+
+
+def test_metrics_measure_a_shared_starting_gate_only_where_it_is_asked(monkeypatch):
+    # Every gate of a 3,000-deep chain of starting gates g = ADD g' g' lies
+    # above a shared gate: only those a root or a composed gate names are
+    # measured over the ids they reach, not every gate of the chain.
+    chain_of_squares = CircuitBuilder()
+    g = chain_of_squares.var(X1)
+    for _ in range(3000):
+        g = chain_of_squares.add([g, g])
+    b = CircuitBuilder(chain_of_squares._gates)
+    roots = [b.mul([b.const(2), g]), b.add([1500, g]), g]
+    measured = []
+    real = circuit_module._measure
+
+    def counting(gates, ids):
+        measured.append(ids[-1])
+        return real(gates, ids)
+
+    monkeypatch.setattr(circuit_module, "_measure", counting)
+    got = b.metrics(roots)
+    monkeypatch.undo()
+    assert sorted(measured) == [1500, g]
+    assert got == [measure(b.formula(r)) for r in roots]
+    assert got[1] == Metrics(2 + 2 * 1500 + 2 * 3000, 3001)
+
+
+@pytest.mark.parametrize("slot", [1, 2500])
+def test_boolean_axiom_gates_are_those_poly_lays_in(slot):
+    # CircuitBuilder.boolean_axiom pushes v^2 - v without a polynomial: the
+    # seven gates poly(boolean_axiom(v)) pushes, wherever v's slot lies.
+    v = Var("y", 3, 1)
+    with poly_module.fresh_slots():
+        for k in range(slot):
+            poly_module.take_slot(Var("u", k + 1))
+        made, laid = CircuitBuilder(), CircuitBuilder()
+        for b in (made, laid):
+            b.add([b.var(X1), b.const(2)])
+        got, want = made.boolean_axiom(v), laid.poly(poly_module.boolean_axiom(v))
+        assert poly_module._CURRENT_SLOTS.get().offsets[v] == 16 * slot
+    assert got == want == 9 and len(made._gates) == len(laid._gates) == 10
+    for g, h in zip(made._gates, laid._gates):
+        assert (g.op, g.args, g.var, g.const) == (h.op, h.args, h.var, h.const)
+    assert made.lines(got) == laid.lines(want)
+    assert made.metrics([got]) == laid.metrics([want])
+
+
+def test_expand_each_expands_each_gate_once_over_all_groups(monkeypatch):
+    # Each group's polynomials are its roots' own; a gate two groups reach
+    # is expanded by the first and kept for the later ones.
+    b = CircuitBuilder()
+    x, y = b.var(X1), b.var(X2)
+    s = b.add([x, y])
+    sq = b.mul([s, s])
+    groups = [(x, sq), (b.mul([sq, y]), s), (b.add([sq, b.const(-1)]), sq), (y, y)]
+    expanded: list = []
+    real = circuit_module._expand
+
+    def counting(gates, order, output, polys):
+        order = list(order)
+        expanded.extend(order)
+        return real(gates, order, output, polys)
+
+    monkeypatch.setattr(circuit_module, "_expand", counting)
+    got = list(b.expand_each(groups))
+    monkeypatch.undo()
+    assert got == [[b.expand(r) for r in roots] for roots in groups]
+    assert sorted(expanded) == sorted(set(expanded)) == list(range(len(b._gates)))
+
+
+def test_fits_counts_the_layout_before_writing_it():
+    # fits says whether a root lays out to no more gate lines than the
+    # table holds: its gates and the lines of text read() was given, which
+    # lays out as itself in more lines than the gates it hash-conses to.  A
+    # 40-deep chain of composed ADD g g lays out to 2^41 - 1 lines: fits
+    # says no at once, where lines() would not finish.
+    c = chain(30)
+    b = CircuitBuilder(c.gates)
+    g = b.add([c.output, b.const(1)])
+    roots = [c.output, 30, g, b.mul([c.output, c.output]), b.add([30, b.var(X3), 30])]
+    for _ in range(40):
+        g = b.add([g, g])
+    for r in roots:
+        assert b.fits(r) == (len(b.lines(r)) - 1 <= len(b._gates))
+    assert [b.fits(r) for r in roots] == [True, True, True, False, True]
+    assert not b.fits(g)
+    t = CircuitBuilder()
+    text = format_circuit(poly_to_circuit((SparsePoly.variable(X1) + 1) ** 6)).splitlines()
+    r = t.read(text)
+    assert len(t._gates) < len(text) - 1 == len(t.lines(r)) - 1 and t.fits(r)
+    assert t.fits(t.add([r, t.const(0)])) and not t.fits(t.add([r, r, r]))
 
 
 def subcircuit_ids(c: Circuit, i: int) -> set:
@@ -743,7 +856,7 @@ def test_read_lays_out_and_measures_like_parse_circuit(seed, kind):
     i = b.read(text.splitlines())
     parsed = parse_circuit(text)
     assert "\n".join(b.lines(i)) + "\n" == format_circuit(parsed)
-    assert b.metrics(i) == measure(parsed)
+    assert b.metrics([i])[0] == measure(parsed)
     # The text lines() writes is hash-consed: read again, it adds no gate.
     written = written_lines(c)
     w = b.read(written)
@@ -754,7 +867,7 @@ def test_read_lays_out_and_measures_like_parse_circuit(seed, kind):
     for lines in respellings(rng, written):
         r = b.read(lines)
         assert r in b._starting
-        assert b.lines(r) == written and b.metrics(r) == b.metrics(w)
+        assert b.lines(r) == written and b.metrics([r])[0] == b.metrics([w])[0]
 
 
 def test_a_text_kept_for_one_line_leaves_the_table_as_it_found_it():
@@ -842,7 +955,7 @@ def test_respelled_lines_read_like_the_written_text(corpus01, transformed01):
             circuit[:] = respelled_lines(rng, circuit)
         got = certificate_from_json(json.dumps(doc))
         assert laid_out_texts(got) == laid_out_texts(want)
-        assert [got.table.metrics(r) for r in got.cofactors] == list(want.claimed_metrics)
+        assert got.table.metrics(got.cofactors) == list(want.claimed_metrics)
         # /2: the table is the same, gate for gate, key for key.
         doc = json.loads(certificate_to_json(cert))
         want = certificate_from_json(json.dumps(doc))

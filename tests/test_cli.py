@@ -756,6 +756,53 @@ def test_verify_rejects_a_hostile_v2_document(tmp_path, capsys, edit, message):
         assert "error: certificate document: " in captured.err and message in captured.err
 
 
+def deep_chain_document(over: str, root: str) -> dict:
+    """The /2 document of x1's certificate with a 40-deep chain of composed
+    gates g = ADD g' g' over the table line `over` appended to its table,
+    and the chain's top named by the circuit `root` ("axiom" or
+    "cofactor"): the top of a chain lays out to 2^41 - 1 lines."""
+    doc = json.loads(certificate_to_json(assemble_refutation(cvar(X1), GadgetLedger(()))))
+    n = len(doc["table"])
+    doc["table"].append(f"g{n} = {over}")
+    doc["table"] += [f"g{n + k} = ADD g{n + k - 1} g{n + k - 1}" for k in range(1, 41)]
+    if root == "axiom":      # f' is the chain over x1: ADD(f', CONST -2)
+        doc["table"].append(f"g{n + 41} = ADD g{n + 40} g2")
+        doc["axioms"][0]["circuit"] = [f"OUTPUT g{n + 41}"]
+    else:                    # cofactor 1 is the chain, its metrics the DP's own
+        doc["cofactors"][1] = [f"OUTPUT g{n + 40}"]
+        doc["metrics"][1] = {"size": 2 ** 41 - 2, "depth": 40}
+    return doc
+
+
+def test_verify_pit_names_a_constant_under_a_deep_chain_at_once(tmp_path, capsys):
+    # The chain passes check_claims; its constant's denominator vanishes
+    # mod the default prime, found by visiting each gate once.
+    path = tmp_path / "cert.json"
+    write(path, json.dumps(deep_chain_document("CONST 1/4611686018427387847", "cofactor")))
+    started = time.perf_counter()
+    assert main(["verify", "--cert", str(path), "--mode", "pit"]) == 2
+    assert time.perf_counter() - started < 1
+    assert json.loads(capsys.readouterr().out)["detail"] == (
+        "denominator 4611686018427387847 of constant 1/4611686018427387847 is divisible by "
+        "prime 4611686018427387847")
+    assert main(["verify", "--cert", str(path), "--mode", "exact"]) == 1
+
+
+def test_verify_refuses_an_instance_that_lays_out_past_the_document_at_once(tmp_path, capsys):
+    # Axiom 0's f' is a deep DAG of composed gates: its layout is counted
+    # before any line of it is written or hashed.
+    path, src = tmp_path / "cert.json", tmp_path / "x1.circ"
+    write(path, json.dumps(deep_chain_document("ADD g0 g0", "axiom")))
+    write(src, "g0 = VAR x1\nOUTPUT g0\n")
+    for mode in ("exact", "pit"):
+        for instance in ([], ["--instance", str(src)]):
+            started = time.perf_counter()
+            assert main(["verify", "--cert", str(path), "--mode", mode, *instance]) == 2
+            assert time.perf_counter() - started < 1
+            assert json.loads(capsys.readouterr().out)["detail"] == (
+                "axioms[0].circuit: lays out to more lines than the document holds")
+
+
 # The certificate of the CI chain at shift 1/3, as the /1 writer wrote it
 # before refute wrote /2: an old document must still verify.
 V1_DOCUMENT = os.path.join(os.path.dirname(__file__), "cert-v1-third.json")

@@ -30,6 +30,7 @@ from ipscert.circuit import (
 )
 from ipscert.gadget import (AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize,
                             t_for)
+from ipscert import poly as poly_module
 from ipscert import refute as refute_module
 from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly, parse_poly
 from ipscert.refute import (
@@ -187,7 +188,7 @@ def test_address_square_random_points_and_sizes():
             a = gadget_poly(g)
             rhs = SparsePoly.zero()
             for bit, cof in enumerate(cofs):
-                assert b.metrics(cof).size <= 6 * r
+                assert b.metrics([cof])[0].size <= 6 * r
                 rhs = rhs + b.expand(cof) * boolean_axiom(g.vars[bit])
             lhs = a * a - a
             assert lhs == rhs
@@ -230,7 +231,7 @@ def test_address_product_separating_bit_below_top():
                 a2 = AddressingGadget.build(n, j2, vs)
                 b, bit, c = product_cofactor(a, a2)
                 assert bit < a.t
-                assert b.metrics(c).size <= 6 * (n + 1)
+                assert b.metrics([c])[0].size <= 6 * (n + 1)
                 assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(vs[bit])
 
 
@@ -305,7 +306,7 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
             assert identity_holds(cp, gid, b, certs[gid])
             mg = measure(subcircuit(cp, gid))
             for cof in certs[gid].values():
-                m = b.metrics(cof)
+                m = b.metrics([cof])[0]
                 assert m.size <= 100 * mg.size ** 4
                 assert m.depth <= 2 * mg.depth
 
@@ -498,7 +499,7 @@ def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed
         again = certificate_from_json(text)
         assert certificate_to_json(again) == text
         for table, roots in ((cert.table, cert.cofactors), (again.table, again.cofactors)):
-            assert tuple(table.metrics(r) for r in roots) == cert.claimed_metrics == tuple(
+            assert tuple(table.metrics(roots)) == cert.claimed_metrics == tuple(
                 measure(table.formula(r)) for r in roots)
 
 
@@ -616,7 +617,7 @@ def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
                     for write in (certificate_to_json, certificate_to_json_v1))
         for a, b in zip(circuit_roots(two), circuit_roots(one)):
             assert two.table.lines(a) == one.table.lines(b)
-            assert two.table.metrics(a) == one.table.metrics(b)
+            assert two.table.metrics([a]) == one.table.metrics([b])
             assert two.table.sha256(a) == one.table.sha256(b)
         assert check_claims(two) is None and check_claims(one) is None
         assert verify_exact(two) == verify_exact(one)
@@ -689,6 +690,20 @@ def test_a_boolean_axiom_written_as_its_circuit_differs_only_in_kind(write):
     assert is_boolean_axiom(got.table, got.axioms[1][1], X1)
     assert got.written_as_poly == want.written_as_poly - {1}
     assert check_claims(got).detail == "axioms[1].poly: not the Boolean axiom x1^2-x1"
+
+
+@WRITERS
+def test_the_reader_gives_boolean_axiom_variables_their_slots_in_axiom_order(write):
+    # A written Boolean axiom is laid in without a polynomial, yet its
+    # variable takes its slot as the axiom is read, in axiom order, so that
+    # verify_exact's integer work does not depend on the order of the gates.
+    cert = ci_chain_certificate()
+    text = write(cert)
+    with poly_module.fresh_slots():
+        got = certificate_from_json(text)
+        slots = list(poly_module._CURRENT_SLOTS.get().vars)
+    assert len(slots) == len(got.axioms) - 1 > 5
+    assert slots == [boolean_axiom_label(label)[0] for label, _ in got.axioms[1:]]
 
 
 def test_is_boolean_axiom_reads_the_layout_of_v2_minus_v_only():

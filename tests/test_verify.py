@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from helpers import (build_corpus, certificate_of, ci_chain_certificate, formal_degree,
                      identity_circuit, laid_out, mutate_certificate, pointwise,
-                     random_layered_formula, ref_evaluate, ref_evaluate_mod,
-                     reference_verify_exact, shift_certificates, total_degree)
+                     random_dag_circuit, random_layered_formula, ref_evaluate,
+                     ref_evaluate_mod, reference_bad_constant, reference_verify_exact,
+                     shift_certificates, total_degree)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
+    CONST,
     CircuitBuilder,
+    Gate,
     as_circuit,
     cadd,
     cconst,
     cmul,
     cscale,
+    csum,
     cvar,
     compile_evaluator,
     eval_circuit,
@@ -28,7 +32,7 @@ from ipscert.circuit import (
     poly_to_circuit,
 )
 from ipscert.gadget import gadgetize
-from ipscert.poly import SparsePoly, Var
+from ipscert.poly import ResourceLimitError, SparsePoly, Var
 from ipscert.refute import (
     assemble_refutation,
     certificate_from_json,
@@ -132,6 +136,75 @@ def test_verify_exact_matches_the_root_by_root_reference(transformed01):
         mutated = mutate_certificate(rng, certs[i % len(certs)], seed=i)
         verdicts.add(assert_exact_matches_reference(mutated).verdict)
     assert verdicts == {"refuted"}
+
+
+def guard_tripping_product():
+    """(x1 + ... + x4097) * (u1 + ... + u4097): its product projects 4097^2
+    terms, over the dense-size guard of 2^24, before any is made."""
+    return cmul(*[csum([cvar(Var(ns, i)) for i in range(1, 4098)]) for ns in ("x", "u")])
+
+
+def test_verify_exact_reports_the_first_pair_that_fails():
+    # The pairs are expanded in order: a placeholder in pair 0 is reported
+    # before pair 1's expansion trips the guard, and with the pairs swapped
+    # the guard's error comes first.
+    one = SparsePoly.constant(1)
+    fresh = cadd(cconst(1), cvar(Var("fresh", 1)))
+    cert = certificate_of((("f", one), ("g", one)), (fresh, guard_tripping_product()))
+    report = assert_exact_matches_reference(cert)
+    assert report.detail == "cofactor of f mentions placeholder variable fresh1"
+    cert = certificate_of((("f", one), ("g", one)), (guard_tripping_product(), fresh))
+    for check in (verify_exact, reference_verify_exact):
+        with pytest.raises(ResourceLimitError, match="dense-size guard"):
+            check(cert)
+
+
+def test_verify_exact_names_the_guard_gate_two_cofactors_share():
+    # Both cofactors reach one guard-tripping gate of the hash-consed table
+    # (the second as a scaled wire over it): the error names its id, as
+    # expanding each root alone does.
+    product = guard_tripping_product()
+    cert = certificate_of((("f", SparsePoly.constant(1)), ("g", SparsePoly.constant(2))),
+                          (cadd(product, cvar(X1)), cscale(-1, product)))
+    shared = cert.table.gate(cert.cofactors[1]).args[1]
+    assert shared in cert.table.gate(cert.cofactors[0]).args
+    messages = []
+    for check in (verify_exact, reference_verify_exact):
+        with pytest.raises(ResourceLimitError) as exc:
+            check(cert)
+        messages.append(str(exc.value))
+    assert messages == [f"expansion of g{shared} projects over the dense-size guard"] * 2
+
+
+def test_bad_constant_matches_the_layout_reference():
+    # The first constant whose denominator vanishes, in the written order,
+    # found by visiting each gate once: composed gates (hash-consed text)
+    # lay out in argument order, starting gates (a DAG kept as written) as
+    # their subcircuit in id order.
+    # Constants get distinct numerators, so that each names its own gate.
+    rng, serial = random.Random(3511), itertools.count(1)
+    certs = list(shift_certificates())[::3]
+    for _ in range(40):
+        parts = []
+        for _ in range(4):
+            b = CircuitBuilder(random_dag_circuit(rng, n_gates=rng.randint(6, 14)).gates)
+            for i, g in enumerate(b._gates):
+                if g.op == CONST:
+                    b._gates[i] = Gate(CONST, const=Fraction(next(serial),
+                                                             rng.choice((1, 2, 3, 5, 6, 10))))
+            circuit = b.build(len(b._gates) - 1)
+            parts.append(circuit if rng.random() < 0.5 else as_circuit(expand(circuit)))
+        certs.append(certificate_of([("f", parts[0]), ("g", parts[1])], parts[2:]))
+    for cert in certs:
+        for read in (cert, certificate_from_json(certificate_to_json(cert))):
+            for prime in (2, 3, 5):
+                try:
+                    want = reference_bad_constant(read, prime)
+                except AssertionError:
+                    with pytest.raises(AssertionError):
+                        verify_module._bad_constant(read, prime)
+                else:
+                    assert verify_module._bad_constant(read, prime) == want
 
 
 @pytest.mark.parametrize("scaled", [
