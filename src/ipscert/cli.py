@@ -95,10 +95,8 @@ def cmd_transform(args) -> int:
 def cmd_refute(args) -> int:
     cprime = ci.parse_circuit(_read(args.input))
     if args.ledger:
-        ledger = ga.GadgetLedger.from_json(_read(args.ledger))
-    else:
-        ledger = ga.GadgetLedger(())
-    cert = rf.assemble_refutation(cprime, ledger, shift=args.shift)
+        ga.GadgetLedger.from_json(_read(args.ledger))   # refused if malformed, not used
+    cert = rf.assemble_refutation(cprime, shift=args.shift)
     _write(args.out, rf.certificate_to_json(cert))
     _print_json({"axioms": len(cert.axioms), "total_size": cert.total_size,
                  "total_depth": cert.total_depth,
@@ -215,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refute", help="build a Nullstellensatz certificate")
     p.add_argument("--input", required=True)
-    p.add_argument("--ledger")
+    p.add_argument("--ledger", help="transform's ledger: accepted and checked to parse, not "
+                   "used; the gadget sums are read off the circuit")
     p.add_argument("--shift", type=_rational, default="-2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refute)

@@ -15,8 +15,10 @@ original sum.
 The transform rewrites every addition gate g = sum_j g_j of a layered
 alternating formula into sum_j g_j * A(fanin-1, j) over a fresh block of
 control variables y_{gate,bit}, leaving multiplication gates unchanged.
-The ledger records, per transformed gate, the fresh variables and the
-per-summand bookkeeping needed by the certificate builder.
+The ledger is the transform's record of what it did: per transformed
+gate, the fresh variables, the child and summand per address, and the
+gadget gates.  The certificate builder does not read it; it reads the
+gadget sums off the circuit (refute.gadget_sum).
 """
 
 from __future__ import annotations
@@ -90,13 +92,6 @@ class LedgerEntry:
     children: tuple         # GadgetChild per summand, address order
     internal: frozenset     # ids of gadget factor gates in the new circuit
 
-    @property
-    def arity_param(self) -> int:
-        return len(self.children) - 1
-
-    def gadget(self, address: int) -> AddressingGadget:
-        return AddressingGadget.build(self.arity_param, address, self.vars)
-
 
 _KINDS = {str: "a string", int: "an integer", list: "a list"}
 
@@ -140,13 +135,9 @@ class GadgetLedger:
 
     def __init__(self, entries: Sequence[LedgerEntry]):
         self.entries = tuple(entries)
-        self.by_gate = {e.gate: e for e in self.entries}
 
     def fresh_vars(self) -> tuple:
         return tuple(v for e in self.entries for v in e.vars)
-
-    def internal_gates(self) -> frozenset:
-        return frozenset().union(*(e.internal for e in self.entries))
 
     def __len__(self):
         return len(self.entries)

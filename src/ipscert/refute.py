@@ -12,10 +12,11 @@ by induction on the formula:
         g^2 - g = sum_l (prod_{t<l} g_t) (prod_{t>l} g_t^2) (g_l^2 - g_l)
 
     pushes the children's certificates through per-index products H_l.
-  * transformed sum gates g = sum_l g_l A_l: expanding the square leaves
-    three groups of terms: children squares against A_l^2 (induction), the
-    gadget squares A_l^2 - A_l (_square_cofactors), and the
-    cross products A_l A_l' for distinct addresses, which are divisible by
+  * gadget sums g = sum_l g_l A_l, read off the circuit as the transform
+    and the paper's gadgeted P write them (gadget_sum).  Expanding the
+    square leaves three groups of terms: children squares against A_l^2
+    (induction), the gadget squares A_l^2 - A_l (_square_cofactors), and the
+    cross products A_l A_l' for distinct codes, which are divisible by
     y (1 - y) at any separating bit (_product_cofactor).
 
 All cofactors are composed by gate id in one CircuitBuilder that starts
@@ -59,7 +60,7 @@ from .circuit import (
     Metrics,
     VAR,
 )
-from .gadget import AddressingGadget, GadgetLedger, json_field
+from .gadget import json_field
 from .instances import inverse_differences
 from .poly import Var, format_poly, parse_frac, parse_poly, parse_var, take_slot
 
@@ -78,22 +79,24 @@ def _square_cofactors(b: CircuitBuilder, factors: list) -> list:
     return [b.prod(factors[:k] + _squared(factors[k + 1:])) for k in range(len(factors))]
 
 
-def _product_cofactor(b: CircuitBuilder, a: AddressingGadget, fa: list,
-                      a2: AddressingGadget, fa2: list) -> tuple:
-    """(j, id of C) with A * A' = C * (y_j^2 - y_j), given both gadgets' factor ids:
-    at a bit j where one has y and the other 1 - y, y (1 - y) = -(y^2 - y)."""
-    if a.vars != a2.vars:
+def _product_cofactor(b: CircuitBuilder, code: dict, fa: list, code2: dict, fa2: list) -> tuple:
+    """(v, id of C) with A * A' = C * (v^2 - v), given both gadgets' codes
+    {v: bit} and factor ids: at the first control variable v where one has
+    v and the other 1 - v, v (1 - v) = -(v^2 - v)."""
+    if code.keys() != code2.keys():
         raise ValueError("gadgets do not share control variables")
-    if a.j == a2.j:
+    j = next((k for k, v in enumerate(code) if code[v] != code2[v]), None)
+    if j is None:
         raise ValueError("equal addresses have no separating bit")
-    j = min((a.one_bits & a2.zero_bits) | (a.zero_bits & a2.one_bits))
     rest = [f for k, f in enumerate(fa) if k != j] + [f for k, f in enumerate(fa2) if k != j]
-    return j, b.prod([b.const(-1)] + rest)
+    return list(code)[j], b.prod([b.const(-1)] + rest)
 
 
-def _is_affine_complement(c: Circuit, i: int):
-    """If gate i computes 1 - v for a variable v, return v."""
+def _literal(c: Circuit, i: int):
+    """(v, 1) if gate i is VAR v, (v, 0) if it computes 1 - v, else None."""
     g = c.gates[i]
+    if g.op == VAR:
+        return g.var, 1
     if g.op != ADD or len(g.args) != 2:
         return None
     a, b = (c.gates[x] for x in g.args)
@@ -102,8 +105,46 @@ def _is_affine_complement(c: Circuit, i: int):
             x, y = (c.gates[k] for k in neg.args)
             for cst, var in ((x, y), (y, x)):
                 if cst.op == CONST and cst.const == -1 and var.op == VAR:
-                    return var.var
+                    return var.var, 0
     return None
+
+
+def gadget_sum(c: Circuit, i: int):
+    """[(summand id, code {v: bit}, child ids), ...] if gate i is a gadget
+    sum, else None: an ADD whose every summand (its factors, or itself if no
+    MUL) holds one literal v (bit 1) or 1 - v (bit 0) per control variable,
+    at pairwise distinct codes; its other factors are its child, maybe none.
+    The control variables are those every summand has a literal on, in the
+    first summand's order, once each summand of such literals alone, the
+    transform's MUL(child, f_0, ..., f_t), has its first factor set apart.
+    """
+    gates = c.gates
+    g = gates[i]
+    if g.op != ADD or not g.args:
+        return None
+    factors = [gates[s].args if gates[s].op == MUL else (s,) for s in g.args]
+    lits = [[_literal(c, a) for a in fs] for fs in factors]
+
+    def controls() -> dict:
+        common = set.intersection(*({lit[0] for lit in ls if lit} for ls in lits))
+        return dict.fromkeys(lit[0] for lit in lits[0] if lit and lit[0] in common)
+
+    ctrl = controls()
+    for ls in lits:
+        if len(ls) > 1 and all(lit and lit[0] in ctrl for lit in ls):
+            ls[0] = None
+    ctrl = controls()
+    terms = []
+    for s, fs, ls in zip(g.args, factors, lits):
+        code, child = {}, []
+        for a, lit in zip(fs, ls):
+            if lit and lit[0] in ctrl and lit[0] not in code:
+                code[lit[0]] = lit[1]
+            else:
+                child.append(a)
+        terms.append((s, {v: code[v] for v in ctrl}, child))
+    distinct = len({tuple(code.values()) for _, code, _ in terms}) == len(terms)
+    return terms if ctrl and distinct else None
 
 
 def _summed(b: CircuitBuilder, acc: dict) -> dict:
@@ -112,26 +153,25 @@ def _summed(b: CircuitBuilder, acc: dict) -> dict:
     return {v: s for v, s in sums.items() if b.gate(s).const != 0}
 
 
-def gate_square_certificates(c: Circuit, gids, ledger: GadgetLedger) -> tuple:
+def gate_square_certificates(c: Circuit, gids) -> tuple:
     """(builder, {gate id: {v: cofactor id}}) with g^2 - g = sum_v C_v * (v^2 - v)
     for each gate g in gids and each gate their certificates use, every C_v
     a root id in one builder that starts from c's gates.  One reverse pass
-    marks what the requested certificates need (the ledger children of a
-    transformed sum, the arguments of a product); those are certified in
-    ascending id order.
+    marks what the requested certificates need (the child gates of a gadget
+    sum, the arguments of a product); those are certified in ascending id
+    order.
     """
     gates = c.gates
     need = set(gids)
+    sums: dict = {}
     for i in range(len(gates) - 1, -1, -1):
-        if i not in need or gates[i].is_leaf():
+        if i not in need:
             continue
-        if i in ledger.by_gate:
-            kids = [ch.child for ch in ledger.by_gate[i].children]
-            if not all(0 <= k < i for k in kids):
-                raise ValueError(f"g{i}: ledger child outside g0..g{i - 1}")
-            need.update(kids)
-        elif gates[i].op == MUL:
+        if gates[i].op == MUL:
             need.update(gates[i].args)
+        elif gates[i].op == ADD:
+            sums[i] = gadget_sum(c, i)
+            need.update(k for _, _, child in sums[i] or () for k in child)
     b = CircuitBuilder(gates)
     one = b.const(1)
     certs: dict = {}
@@ -145,14 +185,14 @@ def gate_square_certificates(c: Circuit, gids, ledger: GadgetLedger) -> tuple:
             certs[i] = {}
         elif g.op == VAR:
             certs[i] = {g.var: one}
-        elif i in ledger.by_gate:
-            certs[i] = _sum_rule(b, ledger.by_gate[i], certs)
+        elif sums.get(i):
+            certs[i] = _sum_rule(b, sums[i], certs)
         elif g.op == ADD:
-            v = _is_affine_complement(c, i)
-            if v is None:
+            lit = _literal(c, i)
+            if lit is None:
                 raise ValueError(
                     f"g{i}: addition gate without a gadget; transform the circuit first")
-            certs[i] = {v: one}   # (1 - v)^2 - (1 - v) = v^2 - v
+            certs[i] = {lit[0]: one}   # (1 - v)^2 - (1 - v) = v^2 - v
         else:
             certs[i] = _product_rule(b, g.args, certs)
     return b, certs
@@ -168,24 +208,28 @@ def _product_rule(b: CircuitBuilder, args: tuple, certs: dict) -> dict:
     return _summed(b, acc)
 
 
-def _sum_rule(b: CircuitBuilder, entry, certs: dict) -> dict:
-    trees = [ch.child for ch in entry.children]
-    gadgets = [entry.gadget(ch.address) for ch in entry.children]
-    factors = [gd.factors(b) for gd in gadgets]
+def _sum_rule(b: CircuitBuilder, terms: list, certs: dict) -> dict:
+    """The certificate of gadget_sum's terms; each gadget's literals pushed
+    fresh in code order, a child of several gates certified as a product."""
+    codes = [code for _, code, _ in terms]
+    kids = [child for _, _, child in terms]
+    factors = [[b.var(v) if bit else b.complement(v) for v, bit in code.items()]
+               for code in codes]
+    kid_certs = [certs[k[0]] if len(k) == 1 else _product_rule(b, k, certs) for k in kids]
     acc = defaultdict(list)
     # (I) children's certificates against the squared gadgets.
-    for tree, fs in zip(trees, factors):
+    for fs, cert in zip(factors, kid_certs):
         square = b.prod(_squared(fs))
-        for v, cof in certs[tree].items():
+        for v, cof in cert.items():
             acc[v].append(b.prod([square, cof]))
     # (II) gadget squares against the children themselves.
-    for tree, fs in zip(trees, factors):
-        for bit, cof in enumerate(_square_cofactors(b, fs)):
-            acc[entry.vars[bit]].append(b.prod([tree, cof]))
-    # (III) cross products of distinct addresses.
-    for ell, ell2 in permutations(range(len(trees)), 2):
-        bit, cof = _product_cofactor(b, gadgets[ell], factors[ell], gadgets[ell2], factors[ell2])
-        acc[entry.vars[bit]].append(b.prod([trees[ell], trees[ell2], cof]))
+    for kid, code, fs in zip(kids, codes, factors):
+        for v, cof in zip(code, _square_cofactors(b, fs)):
+            acc[v].append(b.prod(kid + [cof]))
+    # (III) cross products of distinct codes.
+    for ell, ell2 in permutations(range(len(terms)), 2):
+        v, cof = _product_cofactor(b, codes[ell], factors[ell], codes[ell2], factors[ell2])
+        acc[v].append(b.prod(kids[ell] + kids[ell2] + [cof]))
     return _summed(b, acc)
 
 
@@ -221,15 +265,17 @@ class NullstellensatzCertificate:
         return max(m.depth for m in self.claimed_metrics)
 
 
-def _validate_leaves(c: Circuit, ledger: GadgetLedger) -> None:
-    internal = ledger.internal_gates()
-    for i, g in enumerate(c.gates):
-        if g.op == CONST and i not in internal and g.const not in (0, 1):
+def _validate_leaves(c: Circuit) -> None:
+    gates = c.gates
+    inside = {k for i, g in enumerate(gates) if g.op == ADD and _literal(c, i)
+              for a in g.args for k in (a, *gates[a].args)}   # the gates of each 1 - v
+    for i, g in enumerate(gates):
+        if g.op == CONST and i not in inside and g.const not in (0, 1):
             raise ValueError(
                 f"g{i}: constant leaf {g.const} outside {{0,1}} in the instance formula")
 
 
-def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
+def assemble_refutation(cprime: Circuit,
                         shift: Fraction = Fraction(-2)) -> NullstellensatzCertificate:
     """Nullstellensatz refutation of f' + shift (default shift -2), with the
     cofactors of the module docstring.  For a {0,1}-valued f' the instance
@@ -241,9 +287,9 @@ def assemble_refutation(cprime: Circuit, ledger: GadgetLedger,
     """
     shift = Fraction(shift)
     c0, c1 = inverse_differences(1, -shift)
-    _validate_leaves(cprime, ledger)
+    _validate_leaves(cprime)
     out = cprime.output
-    b, certs = gate_square_certificates(cprime, [out], ledger)
+    b, certs = gate_square_certificates(cprime, [out])
     instance = b.add([out, b.const(shift)])
     order = sorted(certs[out], key=lambda v: (v.ns == "y", v._key))   # E, then F
     roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]

@@ -32,7 +32,7 @@ from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEn
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, frac_mod,
                           parse_frac, parse_var)
-from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
+from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation, gadget_sum
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
 CORPUS_SEED = 20260810
@@ -230,6 +230,37 @@ def gadget_poly(g: AddressingGadget) -> SparsePoly:
     return p
 
 
+def ledger_gadget(entry: LedgerEntry, address: int) -> AddressingGadget:
+    """The gadget of one address of a ledger entry."""
+    return AddressingGadget.build(len(entry.children) - 1, address, entry.vars)
+
+
+def internal_gates(ledger: GadgetLedger) -> frozenset:
+    """The gadget gates of every entry: the transform's own record of the
+    gates its gadgets added, an oracle for what refute reads off."""
+    return frozenset().union(*(e.internal for e in ledger.entries))
+
+
+def ledger_sums(ledger: GadgetLedger) -> dict:
+    """{gate: (control variables, [(address, [child], summand), ...])}, the
+    sums the transform's ledger records, children in address order."""
+    return {e.gate: (e.vars, [(ch.address, [ch.child], ch.summand) for ch in e.children])
+            for e in ledger.entries}
+
+
+def read_sums(c: Circuit) -> dict:
+    """ledger_sums' map of the gadget sums refute reads off c
+    (refute.gadget_sum), a code's address its bits, LSB first, less 2^t."""
+    out = {}
+    for i in range(len(c.gates)):
+        terms = gadget_sum(c, i)
+        if terms:
+            ctrl = tuple(terms[0][1])
+            out[i] = (ctrl, [(sum(bit << k for k, bit in enumerate(code.values()))
+                              - (1 << len(ctrl) - 1), child, s) for s, code, child in terms])
+    return out
+
+
 def retrieval_point(ledger: GadgetLedger) -> dict:
     """Controls (1/2, ..., 1/2, 2^t) for every gadget block: there each
     gadget is 1, so partial evaluation recovers the untransformed sums."""
@@ -333,7 +364,8 @@ def total_degree(p: SparsePoly) -> int:
     return max((sum(e for _, e in m) for m, _ in p.items()), default=0)
 
 
-def shuffled_topological(rng: random.Random, c: Circuit, ledger: GadgetLedger) -> tuple:
+def shuffled_topological(rng: random.Random, c: Circuit,
+                         ledger: GadgetLedger = GadgetLedger(())) -> tuple:
     """c with its gates renumbered in a random topological order, and the ledger to match."""
     users = [[] for _ in c.gates]
     waiting = [len(g.args) for g in c.gates]
@@ -447,7 +479,7 @@ def ci_chain_certificate() -> NullstellensatzCertificate:
     """The certificate the CI chain refutes x1*(x2 + x3) + x4 with."""
     x = [Var("x", i) for i in range(1, 5)]
     c = cadd(cmul(cvar(x[0]), cadd(cvar(x[1]), cvar(x[2]))), cvar(x[3]))
-    return assemble_refutation(*gadgetize(normalize_layered(c)))
+    return assemble_refutation(gadgetize(normalize_layered(c))[0])
 
 
 def shift_certificates():
@@ -456,8 +488,8 @@ def shift_certificates():
     whose documents test_refute pins."""
     for shift in ("-2", "-3", "1", "1/2", "2/3"):
         for c in build_corpus(4106, 5):
-            cp, ledger = gadgetize(normalize_layered(c))
-            yield assemble_refutation(cp, ledger, shift=Fraction(shift))
+            cp, _ = gadgetize(normalize_layered(c))
+            yield assemble_refutation(cp, shift=Fraction(shift))
 
 
 def formal_degree(c: Circuit) -> int:
@@ -528,12 +560,14 @@ def reference_bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
 
 
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
-                       seed: int) -> NullstellensatzCertificate:
+                       seed: int, layout: tuple | None = None) -> NullstellensatzCertificate:
     """One single-site, semantics-changing mutation of a random cofactor.
 
-    The claimed metrics are measured again, so every claim of the document
-    but the identity still holds."""
-    axioms, cofactors = laid_out(cert)
+    layout is laid_out(cert), laid out here if not given; its lists are
+    copied, not changed.  The claimed metrics are measured again, so every
+    claim of the document but the identity still holds."""
+    axioms, cofactors = layout or laid_out(cert)
+    cofactors = list(cofactors)
     for attempt in range(200):
         k = rng.randrange(len(cofactors))
         original = cofactors[k]

@@ -5,6 +5,7 @@ lines and timings.  Every check is exact (no tolerances); the measured
 size/depth bounds are asserted exactly as stated.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mutate_certificate, ref_evaluate, retrieval_point
+from helpers import internal_gates, laid_out, mutate_certificate, ref_evaluate, retrieval_point
 
 from ipscert.circuit import (
     CONST,
@@ -36,9 +37,12 @@ from ipscert.instances import (
 )
 from ipscert.poly import SparsePoly, Var, boolean_axiom
 from ipscert.rank import balanced_partitions, exact_rank, fullrank_witness, rank_matrix
-from ipscert.refute import assemble_refutation, gate_square_certificates
+from ipscert.refute import assemble_refutation, certificate_to_json, gate_square_certificates
 from ipscert.verify import PitConfig, boolean_image, verify_exact, verify_pit
 
+# SHA-256 of criterion 5's 1,000 mutated certificate documents, taken when
+# every mutant laid its base certificate out again.
+MUTANT_DOCUMENTS_SHA256 = "b658d0a8c42554a2274789cf4a1b55a4e5b02700d8777907b2413e1587268dfa"
 # Pinned constant for the transform size ledger: size(C') <= K * s * log2(s + 2).
 SIZE_LEDGER_K = 6
 
@@ -123,10 +127,10 @@ def test_criterion_4_certificate_identities(transformed01):
     gates_checked = 0
     for c, cprime, ledger in transformed01:
         gids = certifiable_gate_ids(cprime)
-        internal = ledger.internal_gates()
+        internal = internal_gates(ledger)
         skipped = set(range(len(cprime.gates))) - set(gids)
         assert skipped <= internal  # only gadget negations are exempt
-        b, certs = gate_square_certificates(cprime, gids, ledger)
+        b, certs = gate_square_certificates(cprime, gids)
         for gid in gids:
             g = expand(subcircuit(cprime, gid))
             rhs = SparsePoly.zero()
@@ -138,7 +142,7 @@ def test_criterion_4_certificate_identities(transformed01):
                 rhs = rhs + b.expand(cof) * boolean_axiom(v)
             assert g * g - g == rhs
             gates_checked += 1
-        cert = assemble_refutation(cprime, ledger)
+        cert = assemble_refutation(cprime)
         assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cprime)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
@@ -152,7 +156,7 @@ def base_certificates(transformed01):
     chosen = []
     for c, cprime, ledger in transformed01:
         if measure(cprime).size <= 60:
-            chosen.append(assemble_refutation(cprime, ledger))
+            chosen.append(assemble_refutation(cprime))
         if len(chosen) == 10:
             break
     assert len(chosen) == 10
@@ -162,13 +166,17 @@ def base_certificates(transformed01):
 def test_criterion_5_pit_soundness_surrogate(base_certificates):
     started = time.perf_counter()
     rng = random.Random(1009)
+    layouts = [laid_out(cert) for cert in base_certificates]
+    mutants = hashlib.sha256()
     rejected = 0
     for i in range(1000):
-        cert = base_certificates[i % len(base_certificates)]
-        mutated = mutate_certificate(rng, cert, seed=i)
+        k = i % len(base_certificates)
+        mutated = mutate_certificate(rng, base_certificates[k], seed=i, layout=layouts[k])
+        mutants.update(certificate_to_json(mutated).encode())
         rep = verify_pit(mutated, PitConfig(trials=20, seed=i))
         assert rep.verdict == "refuted"
         rejected += 1
+    assert mutants.hexdigest() == MUTANT_DOCUMENTS_SHA256
     accepted = 0
     for seed in range(100):
         for cert in base_certificates:

@@ -51,11 +51,10 @@ def test_tracer_wraps_every_target_where_it_is_bound_and_restores_it():
         # Imported after install(), so verify_pit is the traced binding.
         from ipscert.refute import assemble_refutation
         from ipscert.circuit import cvar
-        from ipscert.gadget import GadgetLedger
         from ipscert.poly import Var
         from ipscert.verify import PitConfig, verify_pit
 
-        cert = assemble_refutation(cvar(Var("x", 1)), GadgetLedger(()))
+        cert = assemble_refutation(cvar(Var("x", 1)))
         tracer.current_op = 0
         assert verify_pit(cert, PitConfig(trials=3)).ok
         calls, _, _ = tracer.summary()

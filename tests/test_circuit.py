@@ -38,7 +38,6 @@ from ipscert.circuit import (
     poly_to_circuit,
     subcircuit,
 )
-from ipscert.gadget import GadgetLedger
 from ipscert.instances import (gadgeted_ry_circuit, lifted_subset_sum, mnc_instance, ry_circuit,
                                 subset_sum)
 from ipscert.poly import SparsePoly, Var
@@ -198,7 +197,7 @@ def test_normalize_layout_of_dags_is_pinned():
     h = hashlib.sha256()
     for _ in range(30):
         dag = random_dag_circuit(rng, n_gates=rng.randint(8, 30))
-        for c in (dag, shuffled_topological(rng, dag, GadgetLedger(()))[0]):
+        for c in (dag, shuffled_topological(rng, dag)[0]):
             h.update(format_circuit(normalize_layered(c)).encode())
     assert h.hexdigest() == NORMALIZED_DAGS_SHA256
 
@@ -568,8 +567,7 @@ def test_read_and_parse_circuit_agree_on_malformed_texts():
             elif pick < 0.8:
                 c = random_dag_circuit(rng, n_gates=rng.randint(4, 14))
             else:
-                c, _ = shuffled_topological(rng, random_dag_circuit(rng, n_gates=10),
-                                            GadgetLedger(()))
+                c, _ = shuffled_topological(rng, random_dag_circuit(rng, n_gates=10))
             text = mangled(rng, format_circuit(c))
             want = parsed_outcome(text)
             assert parsed_outcome(text, reference_parse_circuit) == want, text
@@ -849,8 +847,7 @@ def test_read_lays_out_and_measures_like_parse_circuit(seed, kind):
     elif kind == "dag":
         c = random_dag_circuit(rng, n_gates=rng.randint(4, 16))
     else:
-        c, _ = shuffled_topological(rng, random_dag_circuit(rng, n_gates=10),
-                                    GadgetLedger(()))
+        c, _ = shuffled_topological(rng, random_dag_circuit(rng, n_gates=10))
     b = CircuitBuilder()
     text = format_circuit(c)
     i = b.read(text.splitlines())
@@ -945,8 +942,8 @@ def test_respelled_lines_read_like_the_written_text(corpus01, transformed01):
         respelled = "\n".join(respelled_lines(rng, text.splitlines())) + "\n"
         assert respelled != text
         assert gate_tuples(parse_circuit(respelled)) == gate_tuples(parse_circuit(text))
-    for _, cp, ledger in transformed01[::20]:
-        cert = assemble_refutation(cp, ledger)
+    for _, cp, _ in transformed01[::20]:
+        cert = assemble_refutation(cp)
         # /1: each circuit is read on its own, a respelled one kept as it
         # stands; every root lays out and measures as the written text's.
         doc = json.loads(certificate_to_json_v1(cert))

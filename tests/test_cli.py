@@ -96,8 +96,8 @@ def test_refute_leaf_without_ledger(tmp_path):
 
 def test_verify_mutated_certificate_exits_1(tmp_path):
     c = normalize_layered(cadd(cmul(cvar(X1), cvar(X2)), cvar(X3)))
-    cp, ledger = gadgetize(c)
-    cert = assemble_refutation(cp, ledger)
+    cp, _ = gadgetize(c)
+    cert = assemble_refutation(cp)
     mutated = mutate_certificate(random.Random(3), cert, seed=99)
     path = tmp_path / "mutated.json"
     write(path, certificate_to_json(mutated))
@@ -311,8 +311,8 @@ def test_removed_rank_witness_option_is_a_usage_error():
 
 @pytest.mark.parametrize("field", ["axioms", "cofactors", "metrics", "instance_sha256", "shift"])
 def test_verify_incomplete_certificate_exits_2(tmp_path, capsys, field):
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp)))
     del doc[field]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -321,8 +321,8 @@ def test_verify_incomplete_certificate_exits_2(tmp_path, capsys, field):
 
 
 def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp)))
     doc["cofactors"] = [5]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -331,8 +331,8 @@ def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
 
 
 def test_verify_unparsable_cofactor_exits_2_naming_it(tmp_path, capsys):
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp, ledger)))
+    cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp)))
     doc["cofactors"][1] = ["g0 = ADD", "OUTPUT g0"]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -373,16 +373,43 @@ def test_normalize_and_transform_a_3000_level_alternating_chain(tmp_path):
     parse_circuit(cp.read_text())
 
 
-def test_refute_with_a_malformed_ledger_exits_2(tmp_path, capsys):
-    src, ledger = tmp_path / "cp.circ", tmp_path / "l.json"
+@pytest.mark.parametrize("text, message", [
+    (None, "entries[0].gate"),   # the transform's ledger with an entry emptied
+    ("{", "Expecting property name"),
+    ("[]", "not a gadget ledger document"),
+    ('{"format": "gadget-ledger/1"}', "missing field entries"),
+])
+def test_refute_with_a_malformed_ledger_exits_2(tmp_path, capsys, text, message):
+    # refute reads the gadget sums off the circuit, but a --ledger file given
+    # must still parse as a ledger: else it exits 2 and writes nothing.
+    src, ledger, cert = tmp_path / "cp.circ", tmp_path / "l.json", tmp_path / "cert.json"
     cp, good = gadgetize(cadd(cvar(X1), cvar(X2)))
     write(src, format_circuit(cp))
-    doc = json.loads(good.to_json())
-    doc["entries"][0] = {}
-    write(ledger, json.dumps(doc))
-    assert main(["refute", "--input", str(src), "--ledger", str(ledger),
-                 "--out", str(tmp_path / "cert.json")]) == 2
-    assert "entries[0].gate" in capsys.readouterr().err
+    if text is None:
+        doc = json.loads(good.to_json())
+        doc["entries"][0] = {}
+        text = json.dumps(doc)
+    write(ledger, text)
+    assert main(["refute", "--input", str(src), "--ledger", str(ledger), "--out", str(cert)]) == 2
+    assert message in capsys.readouterr().err
+    assert not cert.exists()
+
+
+def test_refute_writes_one_certificate_with_any_ledger_or_none(tmp_path):
+    # A ledger that parses is not used: its own formula's, another
+    # formula's and none at all give the same document.
+    src = tmp_path / "cp.circ"
+    cp, own = gadgetize(normalize_layered(cadd(cmul(cvar(X1), cvar(X2)), cvar(X3))))
+    write(src, format_circuit(cp))
+    docs = []
+    for k, ledger in enumerate((own, gadgetize(cadd(cvar(X1), cvar(X2), cvar(X3)))[1], None)):
+        cert, argv = tmp_path / f"cert{k}.json", ["refute", "--input", str(src)]
+        if ledger is not None:
+            write(tmp_path / f"l{k}.json", ledger.to_json())
+            argv += ["--ledger", str(tmp_path / f"l{k}.json")]
+        assert main(argv + ["--out", str(cert)]) == 0
+        docs.append(cert.read_bytes())
+    assert docs[0] == docs[1] == docs[2] == certificate_to_json(assemble_refutation(cp)).encode()
 
 
 @pytest.mark.parametrize("command, family", [
@@ -479,8 +506,8 @@ def test_console_script_runs():
      "field cofactors[1]: line 1: no '=' in a gate line"),
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp, ledger)))
+    cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp)))
     assert len(doc["cofactors"]) == 5
     edit(doc)
     path = tmp_path / "cert.json"
@@ -573,8 +600,8 @@ def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mo
     if edit is None:
         doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
     else:
-        cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-        doc = json.loads(writer(assemble_refutation(cp, ledger)))
+        cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+        doc = json.loads(writer(assemble_refutation(cp)))
         edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -659,8 +686,8 @@ def test_verify_rejects_a_forged_claim(tmp_path, capsys, edit, field, mode, writ
     if edit is None:
         doc = json.loads(json.dumps(ONE_AXIOM_CERT))
     else:
-        cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-        doc = json.loads(writer(assemble_refutation(cp, ledger)))
+        cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+        doc = json.loads(writer(assemble_refutation(cp)))
         edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -687,10 +714,10 @@ def test_image_rejects_a_bad_sample_count(tmp_path, capsys, option, value, name)
 @pytest.mark.parametrize("mode", ["exact", "pit"])
 def test_verify_ties_axiom_0_to_the_instance_file(tmp_path, capsys, mode):
     f = cadd(cvar(X1), cvar(X2))
-    cp, ledger = gadgetize(f)
+    cp, _ = gadgetize(f)
     other, _ = gadgetize(cadd(cvar(X1), cvar(X3)))
     cert, instance = tmp_path / "cert.json", tmp_path / "f.circ"
-    write(cert, certificate_to_json(assemble_refutation(cp, ledger)))
+    write(cert, certificate_to_json(assemble_refutation(cp)))
     for c, code in ((cp, 0), (other, 2), (f, 2)):
         write(instance, format_circuit(c))
         assert main(["verify", "--cert", str(cert), "--instance", str(instance),
@@ -744,8 +771,8 @@ def test_a_number_flag_that_does_not_parse_is_named(tmp_path, capsys, command, f
     (lambda doc: doc.pop("table"), "missing field table"),
 ])
 def test_verify_rejects_a_hostile_v2_document(tmp_path, capsys, edit, message):
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp, ledger)))
+    cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+    doc = json.loads(certificate_to_json(assemble_refutation(cp)))
     edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -761,7 +788,7 @@ def deep_chain_document(over: str, root: str) -> dict:
     gates g = ADD g' g' over the table line `over` appended to its table,
     and the chain's top named by the circuit `root` ("axiom" or
     "cofactor"): the top of a chain lays out to 2^41 - 1 lines."""
-    doc = json.loads(certificate_to_json(assemble_refutation(cvar(X1), GadgetLedger(()))))
+    doc = json.loads(certificate_to_json(assemble_refutation(cvar(X1))))
     n = len(doc["table"])
     doc["table"].append(f"g{n} = {over}")
     doc["table"] += [f"g{n + k} = ADD g{n + k - 1} g{n + k - 1}" for k in range(1, 41)]

@@ -526,8 +526,8 @@ def test_parse_var_rejects_non_canonical_names(name):
 # Fused verification keeps its witness.
 
 def test_verify_exact_refutes_a_corrupted_cofactor_with_a_witness():
-    cprime, ledger = gadgetize(random_layered_formula(random.Random(5), max_nodes=14))
-    cert = assemble_refutation(cprime, ledger)
+    cprime, _ = gadgetize(random_layered_formula(random.Random(5), max_nodes=14))
+    cert = assemble_refutation(cprime)
     assert verify_exact(cert).verdict == "verified-exact"
     axioms, cofactors = laid_out(cert)
     cofactors[-1] = cadd(cofactors[-1], cconst(1))

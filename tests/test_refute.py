@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
+import importlib.util
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -7,14 +10,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
-                     ci_chain_certificate, gadget_poly, laid_out, random_product_dag, ref_evaluate,
+                     ci_chain_certificate, gadget_poly, laid_out, ledger_sums, random_product_dag,
+                     read_sums, ref_evaluate,
                      reference_read_table, shift_certificates, shuffled_topological, table_state,
                      total_degree)
 
 from ipscert.circuit import (
+    ADD,
     CONST,
     MUL,
+    VAR,
+    Circuit,
     CircuitBuilder,
+    Gate,
     cadd,
     cconst,
     circuit_sha256,
@@ -28,8 +36,8 @@ from ipscert.circuit import (
     poly_to_circuit,
     subcircuit,
 )
-from ipscert.gadget import (AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize,
-                            t_for)
+from ipscert.gadget import AddressingGadget, gadgetize, t_for
+from ipscert.instances import gadgeted_ry_circuit, mnc_instance
 from ipscert import poly as poly_module
 from ipscert import refute as refute_module
 from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly, parse_poly
@@ -40,6 +48,7 @@ from ipscert.refute import (
     boolean_axiom_label,
     certificate_from_json,
     certificate_to_json,
+    gadget_sum,
     gate_square_certificates,
     is_boolean_axiom,
 )
@@ -89,8 +98,8 @@ def identity_holds(c, gid, b, cert):
     return g * g - g == rhs
 
 
-def gate_identity_holds(cprime, gid, ledger):
-    b, certs = gate_square_certificates(cprime, [gid], ledger)
+def gate_identity_holds(cprime, gid):
+    b, certs = gate_square_certificates(cprime, [gid])
     return identity_holds(cprime, gid, b, certs[gid])
 
 
@@ -111,7 +120,7 @@ def certifiable_gate_ids(c):
 
 def test_leaf_base_case():
     c = cvar(X1)
-    b, certs = gate_square_certificates(c, [c.output], GadgetLedger(()))
+    b, certs = gate_square_certificates(c, [c.output])
     assert list(certs[c.output]) == [X1]
     assert b.expand(certs[c.output][X1]) == 1
 
@@ -119,36 +128,36 @@ def test_leaf_base_case():
 def test_const_base_cases():
     for value in (0, 1):
         c = cconst(value)
-        _, certs = gate_square_certificates(c, [c.output], GadgetLedger(()))
+        _, certs = gate_square_certificates(c, [c.output])
         assert certs[c.output] == {}
 
 
 def test_negative_constant_rejected():
     c = cconst(-1)
     with pytest.raises(ValueError, match="outside"):
-        gate_square_certificates(c, [c.output], GadgetLedger(()))
+        gate_square_certificates(c, [c.output])
 
 
 def test_ungadgetized_add_rejected():
     c = cadd(cvar(X1), cvar(X2))
     with pytest.raises(ValueError, match="transform"):
-        gate_square_certificates(c, [c.output], GadgetLedger(()))
+        gate_square_certificates(c, [c.output])
 
 
 def test_product_gate_telescoping():
     # g = g0*g1: E from (g0^2-g0)*g1^2 + g0*(g1^2-g1)
     c = cmul(cvar(X1), cvar(X2))
-    b, certs = gate_square_certificates(c, [c.output], GadgetLedger(()))
+    b, certs = gate_square_certificates(c, [c.output])
     x1, x2 = SparsePoly.variable(X1), SparsePoly.variable(X2)
     assert b.expand(certs[c.output][X1]) == x2 * x2
     assert b.expand(certs[c.output][X2]) == x1
-    assert gate_identity_holds(c, c.output, GadgetLedger(()))
+    assert gate_identity_holds(c, c.output)
 
 
 def test_gadgetized_add_full_expansion():
     c = cadd(cvar(X1), cvar(X2))
-    cp, ledger = gadgetize(c)
-    assert gate_identity_holds(cp, cp.output, ledger)
+    cp, _ = gadgetize(c)
+    assert gate_identity_holds(cp, cp.output)
 
 
 def square_cofactors(g):
@@ -158,9 +167,11 @@ def square_cofactors(g):
 
 
 def product_cofactor(a, a2):
-    """(builder, j, id of C) for A * A' = C * (y_j^2 - y_j)."""
+    """(builder, v, id of C) for A * A' = C * (v^2 - v), the gadgets given
+    to _product_cofactor as their codes {v: bit}."""
     b = CircuitBuilder()
-    return (b, *_product_cofactor(b, a, a.factors(b), a2, a2.factors(b)))
+    code, code2 = a.selected_point(), a2.selected_point()
+    return (b, *_product_cofactor(b, code, a.factors(b), code2, a2.factors(b)))
 
 
 def test_address_square_trivial_gadget():
@@ -203,11 +214,11 @@ def test_address_product_example():
     vs = yvars(1)
     a = AddressingGadget.build(1, 0, vs)
     a2 = AddressingGadget.build(1, 1, vs)
-    b, j, c = product_cofactor(a, a2)
-    assert j == 0
+    b, v, c = product_cofactor(a, a2)
+    assert v == vs[0]
     y1 = SparsePoly.variable(vs[1])
     assert b.expand(c) == -(y1 * y1)
-    assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(vs[j])
+    assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(v)
 
 
 def test_address_product_equal_addresses_rejected():
@@ -229,15 +240,15 @@ def test_address_product_separating_bit_below_top():
                     continue
                 a = AddressingGadget.build(n, j, vs)
                 a2 = AddressingGadget.build(n, j2, vs)
-                b, bit, c = product_cofactor(a, a2)
-                assert bit < a.t
+                b, v, c = product_cofactor(a, a2)
+                assert vs.index(v) < a.t
                 assert b.metrics([c])[0].size <= 6 * (n + 1)
-                assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(vs[bit])
+                assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(v)
 
 
 def test_assembly_hand_example_leaf():
     c = cvar(X1)
-    cert = assemble_refutation(c, GadgetLedger(()))
+    cert = assemble_refutation(c)
     x1 = SparsePoly.variable(X1)
     assert expand(cert.table.formula(cert.cofactors[0])) == -(x1 + 1) / 2
     assert expand(cert.table.formula(cert.cofactors[1])) == Fraction(1, 2)
@@ -245,51 +256,109 @@ def test_assembly_hand_example_leaf():
 
 
 def test_assembly_constant_instance():
-    cert = assemble_refutation(cconst(1), GadgetLedger(()))
+    cert = assemble_refutation(cconst(1))
     assert len(cert.axioms) == 1
     assert expand(cert.table.formula(cert.cofactors[0])) == -1
     assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_product_instance():
-    cert = assemble_refutation(cmul(cvar(X1), cvar(X2)), GadgetLedger(()))
+    cert = assemble_refutation(cmul(cvar(X1), cvar(X2)))
     assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_rejects_satisfiable_shift():
     for s in (0, -1):
         with pytest.raises(ValueError, match="satisfiable"):
-            assemble_refutation(cvar(X1), GadgetLedger(()), shift=Fraction(s))
+            assemble_refutation(cvar(X1), shift=Fraction(s))
 
 
 def test_assembly_alternate_shift():
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    cert = assemble_refutation(cp, ledger, shift=Fraction(1))
+    cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
+    cert = assemble_refutation(cp, shift=Fraction(1))
     assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_rejects_bad_leaf():
     c = cadd(cvar(X1), cconst(2))
-    cp, ledger = gadgetize(c)
+    cp, _ = gadgetize(c)
     with pytest.raises(ValueError, match="outside"):
-        assemble_refutation(cp, ledger)
+        assemble_refutation(cp)
 
 
-def test_assembly_rejects_a_ledger_child_that_is_not_an_earlier_gate():
-    cp, ledger = gadgetize(cadd(cvar(X1), cvar(X2)))
-    e = ledger.entries[0]
-    for child in (e.gate, len(cp.gates) + 3):
-        children = (GadgetChild(0, child, e.children[0].summand),) + e.children[1:]
-        bad = GadgetLedger([LedgerEntry(gate=e.gate, source_gate=e.source_gate, t=e.t,
-                                        vars=e.vars, children=children, internal=e.internal)])
-        with pytest.raises(ValueError, match="ledger child outside"):
-            assemble_refutation(cp, bad)
+# ---------------------------------------------------------------------------
+# Gadget sums read off the circuit.
+
+def pit_corpus(seed: int, count: int) -> list:
+    """The benchmark's certify-pit formulas (perfbench/inputs.py), layered."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [normalize_layered(parse_circuit(f.text())) for f in inputs.pit_corpus(seed, count)]
+
+
+def test_gadget_sums_read_off_the_circuit_are_the_ledger(transformed01):
+    # Gate, control variables in bit order, and per address the child and
+    # the summand: on the 200-formula corpus, the certify-pit corpus at seed
+    # 101, x1 + x1 (whose child x1 has a literal in every summand), fan-in-1
+    # ADDs over a product and over a variable, and each of them renumbered
+    # out of post-order.
+    rng = random.Random(3401)
+    circuits = [cn for cn, _, _ in transformed01] + pit_corpus(101, 150)
+    circuits += [cadd(cvar(X1), cvar(X1)), normalize_layered(cmul(cvar(X1), cvar(X2))),
+                 Circuit([Gate(VAR, var=X1), Gate(ADD, args=(0,))], 1)]
+    assert [(g.op, g.args) for g in circuits[-2].gates[2:]] == [(MUL, (0, 1)), (ADD, (2,))]
+    sums = 0
+    for c in circuits:
+        pair = gadgetize(c)
+        for cp, ledger in (pair, shuffled_topological(rng, *pair)):
+            assert read_sums(cp) == ledger_sums(ledger)
+            sums += len(ledger)
+    assert sums > 2000
+
+
+def test_an_add_with_a_repeated_code_or_no_common_literal_is_no_gadget_sum():
+    b = CircuitBuilder()
+    y = Var("y", 9, 0)
+    repeated = b.add([b.mul([b.var(X2), b.var(y)]), b.mul([b.var(X3), b.var(y)])])
+    uncommon = b.add([b.mul([b.var(X2), b.var(y)]), b.mul([b.var(X3), b.complement(y)]),
+                      b.mul([b.var(X1), b.var(X3)])])
+    for c in (b.subcircuit(repeated), b.subcircuit(uncommon)):
+        assert gadget_sum(c, c.output) is None
+        with pytest.raises(ValueError, match="addition gate without a gadget"):
+            gate_square_certificates(c, [c.output])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_papers_instance_p_minus_2_is_refuted(n):
+    # The gadgeted interval polynomial P, with no transform: its sums are
+    # read off as they are built, a bare 1 - w_leaf summand with no child
+    # and children that are products of gates.  The instance cofactor is
+    # -(1 + P)/2, the paper's functional refutation of 2 - P, negated.
+    p, _ = gadgeted_ry_circuit(n)
+    adds = [i for i, g in enumerate(p.gates) if g.op == ADD]
+    assert all(gadget_sum(p, i) or refute_module._literal(p, i) for i in adds)
+    cert = certificate_from_json(certificate_to_json(assemble_refutation(p, shift=Fraction(-2))))
+    assert check_claims(cert, p) is None
+    assert verify_exact(cert).verdict == "verified-exact"
+    assert verify_pit(cert, PitConfig(trials=20, seed=n)).verdict == "verified-probabilistic"
+    assert cert.table.expand(cert.cofactors[0]) == -expand(mnc_instance(n).refutation)
+    # One Boolean cofactor doubled, every claim measured again, is refuted.
+    b = cert.table
+    cofactors = list(cert.cofactors)
+    cofactors[1] = b.mul([b.const(2), cofactors[1]])
+    doubled = certificate_from_json(certificate_to_json(dataclasses.replace(
+        cert, cofactors=tuple(cofactors), claimed_metrics=tuple(b.metrics(cofactors)))))
+    assert check_claims(doubled, p) is None
+    assert verify_exact(doubled).verdict == "refuted"
+    assert verify_pit(doubled, PitConfig(trials=20, seed=n)).verdict == "refuted"
 
 
 def test_instance_cofactor_degree():
     for c in build_corpus(771, 10):
-        cp, ledger = gadgetize(normalize_layered(c))
-        cert = assemble_refutation(cp, ledger)
+        cp, _ = gadgetize(normalize_layered(c))
+        cert = assemble_refutation(cp)
         fprime = expand(cp)
         assert total_degree(expand(cert.table.formula(cert.cofactors[0]))) <= total_degree(fprime) + 1
 
@@ -299,9 +368,9 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
         cn = normalize_layered(c)
         if len(cn.variables()) > 8:
             continue
-        cp, ledger = gadgetize(cn)
+        cp, _ = gadgetize(cn)
         gids = certifiable_gate_ids(cp)
-        b, certs = gate_square_certificates(cp, gids, ledger)
+        b, certs = gate_square_certificates(cp, gids)
         for gid in gids:
             assert identity_holds(cp, gid, b, certs[gid])
             mg = measure(subcircuit(cp, gid))
@@ -313,8 +382,8 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
 
 def test_assembled_certificates_on_small_corpus():
     for c in build_corpus(773, 10):
-        cp, ledger = gadgetize(normalize_layered(c))
-        cert = assemble_refutation(cp, ledger)
+        cp, _ = gadgetize(normalize_layered(c))
+        cert = assemble_refutation(cp)
         assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cp)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
@@ -327,12 +396,11 @@ def test_layout_of_reparsed_shuffled_formulas_is_pinned():
     rng = random.Random(4104)
     v1, v2 = hashlib.sha256(), hashlib.sha256()
     for c in build_corpus(4104, 12):
-        cp, ledger = gadgetize(normalize_layered(c))
-        shuffled, shuffled_ledger = shuffled_topological(rng, cp, ledger)
+        cp, _ = gadgetize(normalize_layered(c))
+        shuffled = shuffled_topological(rng, cp)[0]
         text = format_circuit(shuffled)
         assert text != format_circuit(cp)
-        cert = assemble_refutation(parse_circuit(text),
-                                   GadgetLedger.from_json(shuffled_ledger.to_json()))
+        cert = assemble_refutation(parse_circuit(text))
         v1.update(certificate_to_json_v1(cert).encode())
         v2.update(certificate_to_json(cert).encode())
     assert v1.hexdigest() == SHUFFLED_FORMULAS_SHA256
@@ -346,7 +414,7 @@ def test_layout_of_product_dags_is_pinned():
     for _ in range(10):
         dag = random_product_dag(rng, rng.randint(6, 11))
         assert not dag.is_formula
-        cert = assemble_refutation(dag, GadgetLedger(()))
+        cert = assemble_refutation(dag)
         v1.update(certificate_to_json_v1(cert).encode())
         v2.update(certificate_to_json(cert).encode())
     assert v1.hexdigest() == PRODUCT_DAGS_SHA256
@@ -357,8 +425,8 @@ def test_layout_of_product_dags_is_pinned():
 def test_certificates_at_each_shift_are_pinned(shift):
     v1, v2 = hashlib.sha256(), hashlib.sha256()
     for c in build_corpus(4106, 5):
-        cp, ledger = gadgetize(normalize_layered(c))
-        cert = assemble_refutation(cp, ledger, shift=Fraction(shift))
+        cp, _ = gadgetize(normalize_layered(c))
+        cert = assemble_refutation(cp, shift=Fraction(shift))
         v1.update(certificate_to_json_v1(cert).encode())
         v2.update(certificate_to_json(cert).encode())
     assert v1.hexdigest() == SHIFT_SHA256[shift]
@@ -366,8 +434,8 @@ def test_certificates_at_each_shift_are_pinned(shift):
 
 
 def test_certificate_json_round_trip():
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    cert = assemble_refutation(cp, ledger)
+    cp, _ = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    cert = assemble_refutation(cp)
     text = certificate_to_json(cert)
     again = certificate_from_json(text)
     assert certificate_to_json(again) == text
@@ -381,8 +449,8 @@ WRITERS = pytest.mark.parametrize("write", [certificate_to_json, certificate_to_
 
 def small_doc(write=certificate_to_json) -> dict:
     """The document of x1 + x2 x3, transformed and refuted, as write writes it."""
-    cp, ledger = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    return json.loads(write(assemble_refutation(cp, ledger)))
+    cp, _ = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
+    return json.loads(write(assemble_refutation(cp)))
 
 
 @WRITERS
@@ -473,20 +541,19 @@ def pinned_certificates():
     """The certificates of the two pinned layout tests above."""
     rng = random.Random(4104)
     for c in build_corpus(4104, 12):
-        cp, ledger = gadgetize(normalize_layered(c))
-        shuffled, shuffled_ledger = shuffled_topological(rng, cp, ledger)
-        yield assemble_refutation(parse_circuit(format_circuit(shuffled)),
-                                  GadgetLedger.from_json(shuffled_ledger.to_json()))
+        cp, _ = gadgetize(normalize_layered(c))
+        shuffled = shuffled_topological(rng, cp)[0]
+        yield assemble_refutation(parse_circuit(format_circuit(shuffled)))
     rng = random.Random(4105)
     for _ in range(10):
-        yield assemble_refutation(random_product_dag(rng, rng.randint(6, 11)), GadgetLedger(()))
+        yield assemble_refutation(random_product_dag(rng, rng.randint(6, 11)))
 
 
 def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed01):
     # /2 and /1 of one certificate read back to the same roots: every root
     # lays out as the /1 text, measures as claimed, and /2 writes again
     # byte for byte.
-    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01]
+    certs = [assemble_refutation(cp) for _, cp, _ in transformed01]
     certs += list(pinned_certificates())
     for cert in certs:
         text, old = certificate_to_json(cert), certificate_to_json_v1(cert)
@@ -508,8 +575,8 @@ def test_every_written_certificate_is_hash_consed_when_read_back(transformed01):
     # table holds no starting gate, and each of its gates has one key.  A /2
     # table is read as written: its starting gates, then one gate per key.
     # Either way, the 7 gates poly lays out per Boolean axiom come last.
-    for _, cp, ledger in transformed01:
-        cert = assemble_refutation(cp, ledger)
+    for _, cp, _ in transformed01:
+        cert = assemble_refutation(cp)
         read = certificate_from_json(certificate_to_json_v1(cert))
         table, written = read.table, len(read.table._gates) - 7 * (len(read.axioms) - 1)
         assert not table._starting
@@ -532,7 +599,7 @@ def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
     # The text of a root must not depend on which roots were laid out before
     # it, in a table read from /2 or /1 text or assembled.
     def certs():
-        yield from (assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::4])
+        yield from (assemble_refutation(cp) for _, cp, _ in transformed01[::4])
         yield from pinned_certificates()
 
     for cert, assembled in zip(certs(), certs()):
@@ -574,7 +641,7 @@ def test_certificate_json_of_empty_lists_and_escaped_labels():
 def test_certificate_of_lays_every_circuit_out_as_given():
     rng = random.Random(6607)
     circuits = [random_product_dag(rng, 9), cmul(cvar(X1), cvar(X2)), cconst(0)]
-    circuits.append(shuffled_topological(rng, circuits[0], GadgetLedger(()))[0])
+    circuits.append(shuffled_topological(rng, circuits[0])[0])
     cert = certificate_of([("f", c) for c in circuits], circuits)
     axioms, cofactors = laid_out(cert)
     assert [format_circuit(c) for c in cofactors] == [format_circuit(c) for c in circuits]
@@ -610,7 +677,7 @@ def test_certificate_from_json_requires_one_metric_per_cofactor(keep, write):
 
 def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
     certs = list(pinned_certificates()) + list(shift_certificates())
-    certs += [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::20]]
+    certs += [assemble_refutation(cp) for _, cp, _ in transformed01[::20]]
     cfg = PitConfig(trials=5, seed=11)
     for cert in certs:
         two, one = (certificate_from_json(write(cert))
@@ -643,8 +710,8 @@ def test_refutes_own_documents_are_read_without_parse_poly(transformed01, monkey
         return parse_poly(text)
 
     monkeypatch.setattr(refute_module, "parse_poly", counted)
-    for _, cp, ledger in transformed01:
-        cert = assemble_refutation(cp, ledger)
+    for _, cp, _ in transformed01:
+        cert = assemble_refutation(cp)
         for write in (certificate_to_json, certificate_to_json_v1):
             certificate_from_json(write(cert))
     assert calls == []
@@ -890,7 +957,7 @@ def respellings(lines: list, starting: int) -> list:
 
 
 def test_read_table_builds_the_table_of_the_reference_reader(transformed01):
-    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
     certs += [ci_chain_certificate()] + list(shift_certificates())
     before = json.loads(certificate_to_json(certs[-1]))
     for cert in certs:
@@ -941,8 +1008,8 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
     rng = random.Random(2027)
     docs = [small_doc()]
     for c in build_corpus(2027, 3):
-        cp, ledger = gadgetize(normalize_layered(c))
-        docs.append(json.loads(certificate_to_json(assemble_refutation(cp, ledger))))
+        cp, _ = gadgetize(normalize_layered(c))
+        docs.append(json.loads(certificate_to_json(assemble_refutation(cp))))
     cfg = PitConfig(trials=2, seed=3)
     refused = verified = 0
     for doc in docs:

@@ -55,9 +55,7 @@ X1, X2 = Var("x", 1), Var("x", 2)
 
 
 def leaf_certificate():
-    from ipscert.gadget import GadgetLedger
-
-    return assemble_refutation(cvar(X1), GadgetLedger(()))
+    return assemble_refutation(cvar(X1))
 
 
 def test_default_prime_is_a_62_bit_prime():
@@ -125,7 +123,7 @@ def test_verify_exact_matches_the_root_by_root_reference(transformed01):
     # verify_exact moves each cofactor's scalar onto its axiom and expands
     # the instance with its cofactor over one sweep; every report must be
     # the one of expanding each root as it is.
-    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
     certs += list(shift_certificates()) + [ci_chain_certificate()]
     for cert in certs:
         assert assert_exact_matches_reference(cert).verdict == "verified-exact"
@@ -250,8 +248,8 @@ def test_pit_rejects_mutations():
     base = build_corpus(551, 3)
     certs = []
     for c in base:
-        cp, ledger = gadgetize(normalize_layered(c))
-        certs.append(assemble_refutation(cp, ledger))
+        cp, _ = gadgetize(normalize_layered(c))
+        certs.append(assemble_refutation(cp))
     for i in range(30):
         cert = certs[i % len(certs)]
         mutated = mutate_certificate(rng, cert, seed=i)
@@ -265,8 +263,8 @@ def test_pit_rejects_mutations():
 @given(st.integers(0, 2 ** 32))
 def test_transform_then_certificate_on_random_layered_formulas(seed):
     rng = random.Random(seed)
-    cp, ledger = gadgetize(normalize_layered(random_layered_formula(rng, max_nodes=20)))
-    cert = assemble_refutation(cp, ledger)
+    cp, _ = gadgetize(normalize_layered(random_layered_formula(rng, max_nodes=20)))
+    cert = assemble_refutation(cp)
     assert check_claims(cert) is None
     cfg = PitConfig(trials=5, seed=seed)
     assert verify_exact(cert).verdict == "verified-exact"
@@ -327,8 +325,8 @@ def test_formal_degree_bounds_the_identity_degree(transformed01):
     # The refusal names D of the standalone identity: verify_pit's walk of
     # the table finds the same degree at the largest prime it must refuse.
     rng = random.Random(29)
-    for k, (_, cp, ledger) in enumerate(transformed01[::10]):
-        cert = assemble_refutation(cp, ledger)
+    for k, (_, cp, _) in enumerate(transformed01[::10]):
+        cert = assemble_refutation(cp)
         for c in (cert, mutate_certificate(rng, cert, seed=k)):
             assert len(c.axioms) == len(c.cofactors)
             identity = identity_circuit(c)
@@ -346,7 +344,7 @@ def test_formal_degree_bounds_the_identity_degree(transformed01):
 def test_the_walked_degree_is_the_formal_degree_of_the_standalone_identity(transformed01):
     # verify_pit takes D from its one sweep of the table: it must be the
     # formal degree of the identity compacted into a standalone circuit.
-    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
     certs += list(shift_certificates())[::10] + [ci_chain_certificate()]
     for cert in certs:
         for read in (cert, certificate_from_json(certificate_to_json(cert))):
@@ -396,7 +394,7 @@ def assert_pit_matches_reference(cert, cfg):
 
 
 def test_pit_matches_the_per_pair_reference_on_corpus_certificates(transformed01):
-    certs = [assemble_refutation(cp, ledger) for _, cp, ledger in transformed01[::10]]
+    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
     assert len(certs) == 20
     for k, cert in enumerate(certs):
         report = assert_pit_matches_reference(cert, PitConfig(trials=5, seed=k))
@@ -430,8 +428,8 @@ def test_pit_matches_the_per_pair_reference_on_edge_cases(axioms, cofactors, pri
 
 def test_verify_invariant_under_restructuring():
     c = cadd(cvar(X1), cmul(cvar(X2), cvar(X1)))
-    cp, ledger = gadgetize(normalize_layered(c))
-    cert = assemble_refutation(cp, ledger)
+    cp, _ = gadgetize(normalize_layered(c))
+    cert = assemble_refutation(cp)
     axioms, cofactors = laid_out(cert)
     restructured = [normalize_layered(cf) for cf in cofactors]
     assert verify_exact(certificate_of(axioms, restructured)).verdict == "verified-exact"
