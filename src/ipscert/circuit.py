@@ -686,56 +686,118 @@ def _expand(gates: Sequence[Gate], order: Iterable[int], output: int, polys) -> 
     return polys[output]
 
 
-def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
-    """The circuit with the assigned variables fixed and its constants folded:
-    a constant gate is one CONST, a product is 0 at its first zero factor, and
-    any other gate keeps its live arguments and a folded constant other than
-    the identity, first in a MUL (a scaled wire) and last in an ADD; a lone
-    live argument replaces its gate.  Only gates the output reaches are kept."""
-    b = CircuitBuilder()
-    new_id: dict = {}   # gate id -> id in b, for a gate that is not constant
-    value: dict = {}    # gate id -> value, int when integral, for a constant gate
-    fixed: dict = {}    # assigned variable -> its value, int when integral
-    todo = [(c.output, 0, None, [])]   # gate id, next argument, folded constant, live ids
-    while todo:
-        i, pos, k, live = todo.pop()
-        g = c.gates[i]
-        if g.op == VAR and g.var not in assignment:
-            new_id[i] = b.var(g.var)
-        elif g.op == VAR:
-            q = fixed.get(g.var)
-            if q is None:
-                q = Fraction(assignment[g.var])
-                q = fixed[g.var] = q.numerator if q.denominator == 1 else q
-            value[i] = q
-        elif g.op == CONST:
-            q = g.const
-            value[i] = q.numerator if q.denominator == 1 else q
-        else:
-            is_mul = g.op == MUL
-            unit = int(is_mul)
-            k = unit if k is None else k
-            while pos < len(g.args) and (k or not is_mul):
-                a = g.args[pos]
-                if a in new_id:
-                    live.append(new_id[a])
-                elif a not in value:
-                    todo += [(i, pos, k, live), (a, 0, None, [])]
-                    break
-                elif is_mul:
-                    k *= value[a]
-                else:
-                    k += value[a]
-                pos += 1
+class Folding:
+    """CircuitBuilder's var, complement, add and mul with a partial
+    assignment folded in as the gates are made, by one rule:
+
+      * an assigned variable is a constant;
+      * a product is 0 at its first zero factor;
+      * a folded constant other than the identity goes first in a MUL (a
+        scaled wire) and last in an ADD;
+      * a lone live argument replaces its gate.
+
+    A gate is named by its handle: its id in the builder b when it is live,
+    or the 1-tuple of its value, an int when integral, when it folded to a
+    constant; only live gates are pushed.  1 - v of an unassigned v is
+    CircuitBuilder.complement's five gates, so with no assignment every
+    gate is pushed as the builder pushes it.  partial_evaluate drives this
+    layer over a circuit, and gadgeted_ry_circuit states P through it.
+    """
+
+    def __init__(self, assignment: Mapping[Var, object] | None = None):
+        self.b = CircuitBuilder()
+        self._fixed = {v: self.const(x) for v, x in (assignment or {}).items()}
+        self._dropped = False      # whether a product at 0 left live gates unused
+
+    @staticmethod
+    def const(value) -> tuple:
+        """The handle of a constant: its value, an int when integral."""
+        if type(value) is int:
+            return (value,)
+        q = value if isinstance(value, Fraction) else Fraction(value)
+        return (q.numerator if q.denominator == 1 else q,)
+
+    def var(self, v: Var):
+        h = self._fixed.get(v)
+        return self.b.var(v) if h is None else h
+
+    def complement(self, v: Var):
+        h = self._fixed.get(v)
+        return self.b.complement(v) if h is None else (1 - h[0],)
+
+    def add(self, args: Iterable) -> int | tuple:
+        k, live = 0, []
+        for h in args:
+            if type(h) is int:
+                live.append(h)
             else:
-                if not live or is_mul and not k:
-                    value[i] = k
-                else:
-                    if k != unit:
-                        live = [b.const(k), *live] if is_mul else [*live, b.const(k)]
-                    new_id[i] = live[0] if len(live) == 1 else (b.mul if is_mul else b.add)(live)
-    out = c.output
-    return b.subcircuit(b.const(value[out]) if out in value else new_id[out])
+                k += h[0]
+        if not live:
+            return (k,)
+        if k:
+            live.append(self.b.const(k))
+        return live[0] if len(live) == 1 else self.b.add(live)
+
+    def mul(self, args: Iterable) -> int | tuple:
+        """The product of args, taken in order and none after the first
+        zero factor: from an iterator, the factors after it are never made."""
+        k, live = 1, []
+        for h in args:
+            if type(h) is int:
+                live.append(h)
+            elif h[0]:
+                k *= h[0]
+            else:
+                self._dropped = True
+                return _ZERO
+        if not live:
+            return (k,)
+        if k != 1:
+            live.insert(0, self.b.const(k))
+        return live[0] if len(live) == 1 else self.b.mul(live)
+
+    def build(self, h) -> Circuit:
+        """The circuit of handle h: its one CONST gate, or the gates it
+        reaches, which are every gate pushed unless a product at 0 left
+        some unused (the caller uses every handle it makes, as for
+        CircuitBuilder.build)."""
+        if type(h) is not int:
+            b = CircuitBuilder()
+            return b.build(b.const(h[0]))
+        return self.b.subcircuit(h) if self._dropped else self.b.build(h)
+
+
+_ZERO = (0,)    # the handle of a product at 0
+
+
+def partial_evaluate(c: Circuit, assignment: Mapping[Var, object]) -> Circuit:
+    """The circuit with the assigned variables fixed and its constants folded
+    by Folding's rule.  The gates are walked from the output, each once, and
+    a product's arguments only up to its first zero factor, so that only
+    gates the output may reach are made; only those it reaches are kept."""
+    f = Folding(assignment)
+    handle: dict = {}   # gate id -> its handle in f
+    todo = [(c.output, 0, [])]   # gate id, next argument, handles of the arguments so far
+    while todo:
+        i, pos, args = todo.pop()
+        g = c.gates[i]
+        if g.op == VAR:
+            handle[i] = f.var(g.var)
+            continue
+        if g.op == CONST:
+            handle[i] = f.const(g.const)
+            continue
+        is_mul = g.op == MUL
+        while pos < len(g.args) and not (is_mul and args and args[-1] == _ZERO):
+            h = handle.get(g.args[pos])
+            if h is None:
+                todo += [(i, pos, args), (g.args[pos], 0, [])]
+                break
+            args.append(h)
+            pos += 1
+        else:                    # every argument the fold reads is made
+            handle[i] = f.mul(args) if is_mul else f.add(args)
+    return f.build(handle[c.output])
 
 
 # Widest gate whose children are folded by nested maps; a wider gate sums or

@@ -164,7 +164,7 @@ def cmd_instance(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    p_circ, wsets = ins.gadgeted_ry_circuit(args.n)   # first: it rejects n < 1
+    wsets = ins.interval_wvarsets(args.n)   # first: it rejects n < 1
     if args.partition == "all":
         parts = list(rk.balanced_partitions([ins.uvar(k) for k in range(1, 2 * args.n + 1)]))
     else:
@@ -172,7 +172,7 @@ def cmd_rank(args) -> int:
     rows = [["partition", "rank", "witness"]]
     for part in parts:
         witness = rk.fullrank_witness(wsets, part)
-        sub = ci.partial_evaluate(p_circ, witness)
+        sub, _ = ins.gadgeted_ry_circuit(args.n, witness)    # P with the witness folded in
         mat = rk.rank_matrix(ci.expand(sub), part)
         r = rk.exact_rank(mat)
         wtext = ";".join(f"{v.name}={witness[v]}" for v in sorted(witness, key=lambda v: v._key))

@@ -67,10 +67,6 @@ class AddressingGadget:
         return [b.var(v) if bit in self.one_bits else b.complement(v)
                 for bit, v in enumerate(self.vars)]
 
-    def selected_point(self) -> dict:
-        """The unique Boolean control point where the gadget evaluates to 1."""
-        return {self.vars[b]: (1 if b in self.one_bits else 0) for b in range(self.t + 1)}
-
 
 @dataclass(frozen=True)
 class GadgetChild:

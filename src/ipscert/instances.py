@@ -32,7 +32,7 @@ refute's instance cofactor.
 Addressing deviation: an interval of length L has (L-2)/2 valid splits and
 the address block is sized for exactly that many choices (the gadget's
 arity parameter is (L-2)/2 - 1), with addresses numbering valid splits in
-increasing order of the cut point (WVarSet.gadget).
+increasing order of the cut point (WVarSet.addresses).
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 
-from .circuit import Circuit, CircuitBuilder, expand
-from .gadget import AddressingGadget, t_for
+from .circuit import Circuit, CircuitBuilder, Folding, expand
+from .gadget import t_for
 from .poly import TERM_GUARD, ResourceLimitError, SparsePoly, Var, _Accumulator
 
 
@@ -77,19 +77,18 @@ class WVarSet:
     w_top: Var
     w_leaf: Var
     address_vars: tuple
-    splits: tuple    # valid_splits(i, j); address idx selects splits[idx]
-
-    def gadget(self, idx: int) -> AddressingGadget:
-        """The addressing gadget selecting splits[idx] through address_vars."""
-        return AddressingGadget.build(len(self.splits) - 1, idx, self.address_vars)
+    splits: tuple      # valid_splits(i, j); address idx selects splits[idx]
+    addresses: tuple   # per split, its (address variable, bit) pairs in bit order
 
 
+@cache
 def interval_wvarsets(n: int) -> tuple:
     """The control variables of gadgeted_ry_circuit(n), one WVarSet per interval.
 
     Every even-length interval of [1, 2n] is reached by the recursion, so
     this lists them directly, by length and then left end, without building
-    the circuit.
+    the circuit.  The sets are immutable and made once per n: rank builds P
+    under a witness per partition, from the same sets.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -98,10 +97,14 @@ def interval_wvarsets(n: int) -> tuple:
         for i in range(1, 2 * n - length + 2):
             j = i + length - 1
             splits = valid_splits(i, j)
-            bits = range(t_for(len(splits) - 1) + 1) if splits else ()
+            t = t_for(len(splits) - 1) if splits else -1
+            avars = tuple(wvar(i, j, bit) for bit in range(t + 1))
+            # Split idx is selected where address variable `bit` reads bit
+            # `bit` of idx + 2^t, LSB first: y for a 1, 1 - y for a 0.
+            addresses = tuple(tuple((v, (idx + (1 << t)) >> bit & 1) for bit, v in enumerate(avars))
+                              for idx in range(len(splits)))
             wsets.append(WVarSet(i=i, j=j, w_top=wvar(i, j, "top"), w_leaf=wvar(i, j, "leaf"),
-                                 address_vars=tuple(wvar(i, j, bit) for bit in bits),
-                                 splits=splits))
+                                 address_vars=avars, splits=splits, addresses=addresses))
     return tuple(wsets)
 
 
@@ -128,8 +131,9 @@ def functional_identity_holds(bundle: InstanceBundle) -> bool:
     return product == SparsePoly.constant(1)
 
 
-def _interval_dag(n: int, node) -> Circuit:
-    """The interval recursion over [1, 2n], memoized, in one builder b.
+def _interval_dag(n: int, node, b) -> int:
+    """The interval recursion over [1, 2n], memoized, in one builder b (a
+    CircuitBuilder or a Folding); returns the root's id or handle.
 
     node(b, leaf, gate, i, j) adds interval [i, j]'s gates and returns its
     id; leaf(v) is the one VAR gate of a u or v variable, and gate(i, j) the
@@ -137,7 +141,6 @@ def _interval_dag(n: int, node) -> Circuit:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    b = CircuitBuilder()
     leaves: dict = {}
     memo: dict = {}
 
@@ -153,7 +156,7 @@ def _interval_dag(n: int, node) -> Circuit:
             memo[i, j] = node(b, leaf, gate, i, j)
         return memo[i, j]
 
-    return b.build(gate(1, 2 * n))
+    return gate(1, 2 * n)
 
 
 def ry_circuit(n: int) -> Circuit:
@@ -166,11 +169,19 @@ def ry_circuit(n: int) -> Circuit:
                   for r in valid_splits(i, j)]
         return terms[0] if len(terms) == 1 else b.add(terms)
 
-    return _interval_dag(n, node)
+    b = CircuitBuilder()
+    return b.build(_interval_dag(n, node, b))
 
 
-def gadgeted_ry_circuit(n: int) -> tuple:
-    """The Boolean-valued gadgeted variant; returns (circuit, interval vars)."""
+def gadgeted_ry_circuit(n: int, assignment=None) -> tuple:
+    """The Boolean-valued gadgeted variant; returns (circuit, interval vars).
+
+    Given an assignment of variables, P is built with it folded in by
+    Folding's rule: the circuit computes partial_evaluate(P, assignment)
+    and is folded as that is, and a split's halves are built only where its
+    address factors leave the summand live.  With none, every gate is made,
+    in the order of P's text.
+    """
     wsets = interval_wvarsets(n)
     by_interval = {(ws.i, ws.j): ws for ws in wsets}
 
@@ -185,12 +196,21 @@ def gadgeted_ry_circuit(n: int) -> tuple:
                             + ([] if inner is None else [inner]))
         if not ws.splits:
             return branch_leaf
-        terms = [b.mul(ws.gadget(idx).factors(b) + [gate(i, r), gate(r + 1, j)])
-                 for idx, r in enumerate(ws.splits)]
-        sum_gate = terms[0] if len(terms) == 1 else b.add(terms)
+
+        def summand(code, r):
+            # Each factor is made as the product takes it: a zero factor
+            # ends the product, so the halves it zeroes are never built.
+            for v, bit in code:
+                yield b.var(v) if bit else b.complement(v)
+            yield gate(i, r)
+            yield gate(r + 1, j)
+
+        terms = [b.mul(summand(code, r)) for code, r in zip(ws.addresses, ws.splits)]
+        sum_gate = b.add(terms)    # before VAR w_top: the order is the text
         return b.add([branch_leaf, b.mul([b.var(ws.w_top), sum_gate])])
 
-    return _interval_dag(n, node), wsets
+    f = Folding(assignment)
+    return f.build(_interval_dag(n, node, f)), wsets
 
 
 def mnc_instance(n: int) -> InstanceBundle:

@@ -187,8 +187,7 @@ def fullrank_witness(wsets: Sequence, p: Partition) -> dict:
                 f"no balancing split for same-side interval [{i},{j}]; "
                 "this contradicts the full-rank recursion")
         assignment[ws.w_top] = _ONE
-        for v, bit in ws.gadget(idx).selected_point().items():
-            assignment[v] = _ONE if bit else _ZERO
+        assignment.update((v, _ONE if bit else _ZERO) for v, bit in ws.addresses[idx])
         r = ws.splits[idx]
         rec(i, r)
         rec(r + 1, j)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -18,6 +19,7 @@ from ipscert.circuit import (
     VAR,
     _compact,
     _leaf_text,
+    _postorder,
     as_circuit,
     cadd,
     cmul,
@@ -230,6 +232,12 @@ def gadget_poly(g: AddressingGadget) -> SparsePoly:
     return p
 
 
+def selected_point(g: AddressingGadget) -> dict:
+    """The unique Boolean control point where the gadget evaluates to 1:
+    each variable at its bit of j + 2^t."""
+    return {v: (1 if b in g.one_bits else 0) for b, v in enumerate(g.vars)}
+
+
 def ledger_gadget(entry: LedgerEntry, address: int) -> AddressingGadget:
     """The gadget of one address of a ledger entry."""
     return AddressingGadget.build(len(entry.children) - 1, address, entry.vars)
@@ -324,6 +332,16 @@ def random_dag_circuit(rng: random.Random, n_gates: int = 20, vars_=None) -> Cir
     roots = [i for i in range(len(b._gates)) if i not in used]
     out = roots[0] if len(roots) == 1 else b.add(roots)
     return b.build(out)
+
+
+# The values partial assignments are drawn from in the folding tests.
+FOLD_VALUES = (0, 1, Fraction(1, 2), -2, Fraction(3, 7))
+
+
+def assert_valid(c: Circuit) -> None:
+    """The public constructor accepts c's gates and output, as they are."""
+    again = Circuit(c.gates, c.output)
+    assert again.gates == c.gates and again.output == c.output
 
 
 def assert_folded(c: Circuit) -> None:
@@ -445,6 +463,11 @@ def _mutate_circuit(rng: random.Random, c: Circuit) -> Circuit:
     return _compact(gates, c.output)
 
 
+def _text(x) -> list:
+    """The text lines of x, a Circuit or a SparsePoly (as_circuit)."""
+    return format_circuit(as_circuit(x)).splitlines()
+
+
 def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(-2),
                    builder: str = BUILDER_TAG,
                    written_as_poly=frozenset()) -> NullstellensatzCertificate:
@@ -454,16 +477,67 @@ def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(
     again as given.  The claimed metrics are each cofactor's measure; the
     axioms at the indices written_as_poly are written as poly text."""
     table = CircuitBuilder()
-
-    def read(x) -> int:
-        return table.read(format_circuit(as_circuit(x)).splitlines())
-
-    axioms = tuple((label, read(ax)) for label, ax in axioms)
-    cofactors = tuple(read(cf) for cf in cofactors)
+    axioms = tuple((label, table.read(_text(ax))) for label, ax in axioms)
+    cofactors = tuple(table.read(_text(cf)) for cf in cofactors)
     return NullstellensatzCertificate(table, axioms, cofactors,
                                       tuple(table.metrics(cofactors)),
                                       instance_sha256, Fraction(shift), builder,
                                       frozenset(written_as_poly))
+
+
+def fork(table: CircuitBuilder) -> CircuitBuilder:
+    """A table in table's state, each of its containers copied, so that
+    the two grow apart: reading into one leaves the other as it was."""
+    out = copy.copy(table)
+    out.__dict__.update((k, v.copy()) for k, v in vars(table).items() if hasattr(v, "copy"))
+    return out
+
+
+def lay_again(table: CircuitBuilder, source: CircuitBuilder, root: int, lines: int) -> int:
+    """Lay source's hash-consed root into table as table.read reads its
+    text, the `lines` lines of source.lines(root), without writing or
+    parsing them: read lays a new gate where a structure first completes
+    in the text, which is where a post-order walk of root's DAG first meets
+    it."""
+    lay, ids = table._lay_in(0), {}
+    for i in _postorder(source._gates, root):
+        g = source.gate(i)
+        ids[i] = lay(g, None) if g.is_leaf() else lay(g.op, [ids[a] for a in g.args])
+    table._text += lines
+    return ids[root]
+
+
+class MutationBase:
+    """A certificate read once for its mutants, as certificate_of reads it:
+    its axioms and then its cofactors, laid out, written and read into one
+    table, forked before each cofactor is read.  A mutant of cofactor k is
+    certificate_of's certificate without reading the rest again: the fork
+    before cofactor k reads the mutated text, then lays each later cofactor
+    in again from the table they were read into (lay_again)."""
+
+    def __init__(self, cert: NullstellensatzCertificate):
+        axioms, self.cofactors = laid_out(cert)
+        self.cert = cert
+        self.table = CircuitBuilder()
+        self.axioms = tuple((label, self.table.read(_text(ax))) for label, ax in axioms)
+        self.texts = [_text(cf) for cf in self.cofactors]
+        self.forks, self.roots = [], []    # forks[k]: the table before cofactor k is read
+        for text in self.texts:
+            self.forks.append(fork(self.table))
+            self.roots.append(self.table.read(text))
+        assert not self.table._starting     # every text was hash-consed, as lay_again needs
+
+    def certificate(self, k: int, mutated: Circuit) -> NullstellensatzCertificate:
+        """certificate_of(axioms, cofactors with the k-th replaced by mutated),
+        as mutate_certificate makes it."""
+        cert, table = self.cert, fork(self.forks[k])
+        cofactors = (*self.roots[:k], table.read(_text(mutated)),
+                     *[lay_again(table, self.table, self.roots[j], len(self.texts[j]))
+                       for j in range(k + 1, len(self.roots))])
+        return NullstellensatzCertificate(table, self.axioms, cofactors,
+                                          tuple(table.metrics(cofactors)),
+                                          cert.instance_sha256, cert.shift, BUILDER_TAG,
+                                          cert.written_as_poly)
 
 
 def identity_circuit(cert: NullstellensatzCertificate) -> Circuit:
@@ -560,14 +634,14 @@ def reference_bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
 
 
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
-                       seed: int, layout: tuple | None = None) -> NullstellensatzCertificate:
+                       seed: int, base: MutationBase | None = None) -> NullstellensatzCertificate:
     """One single-site, semantics-changing mutation of a random cofactor.
 
-    layout is laid_out(cert), laid out here if not given; its lists are
-    copied, not changed.  The claimed metrics are measured again, so every
-    claim of the document but the identity still holds."""
-    axioms, cofactors = layout or laid_out(cert)
-    cofactors = list(cofactors)
+    base is MutationBase(cert), made here if not given; only the mutated
+    cofactor is written and read.  The claimed metrics are measured again,
+    so every claim of the document but the identity still holds."""
+    base = base or MutationBase(cert)
+    cofactors = base.cofactors
     for attempt in range(200):
         k = rng.randrange(len(cofactors))
         original = cofactors[k]
@@ -576,13 +650,7 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
         except ValueError:
             continue
         if _semantically_differs(original, mutated, seed * 1000 + attempt):
-            cofactors[k] = mutated
-            return certificate_of(
-                axioms, cofactors,
-                instance_sha256=cert.instance_sha256,
-                shift=cert.shift,
-                written_as_poly=cert.written_as_poly,
-            )
+            return base.certificate(k, mutated)
     raise AssertionError("could not find a semantics-changing mutation")
 
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import internal_gates, laid_out, mutate_certificate, ref_evaluate, retrieval_point
+from helpers import (MutationBase, internal_gates, mutate_certificate, ref_evaluate,
+                     retrieval_point)
 
 from ipscert.circuit import (
     CONST,
@@ -166,12 +167,12 @@ def base_certificates(transformed01):
 def test_criterion_5_pit_soundness_surrogate(base_certificates):
     started = time.perf_counter()
     rng = random.Random(1009)
-    layouts = [laid_out(cert) for cert in base_certificates]
+    bases = [MutationBase(cert) for cert in base_certificates]
     mutants = hashlib.sha256()
     rejected = 0
     for i in range(1000):
         k = i % len(base_certificates)
-        mutated = mutate_certificate(rng, base_certificates[k], seed=i, layout=layouts[k])
+        mutated = mutate_certificate(rng, base_certificates[k], seed=i, base=bases[k])
         mutants.update(certificate_to_json(mutated).encode())
         rep = verify_pit(mutated, PitConfig(trials=20, seed=i))
         assert rep.verdict == "refuted"

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_folded, certificate_to_json_v1, is_syntactically_multilinear,
-                     laid_out, random_dag_circuit, random_layered_formula,
-                     reference_parse_circuit, reference_read_table, shuffled_topological,
+from helpers import (FOLD_VALUES, assert_folded, assert_valid, certificate_to_json_v1,
+                     is_syntactically_multilinear, laid_out, random_dag_circuit,
+                     random_layered_formula, reference_parse_circuit, reference_read_table, shuffled_topological,
                      sum_of_products_text, table_state)
 
 from ipscert import circuit as circuit_module
@@ -135,9 +135,6 @@ def test_expand_commutes_with_partial_evaluate():
         for v, val in sub.items():
             right = right.restrict(v, val)
         assert left == right
-
-
-FOLD_VALUES = (0, 1, Fraction(1, 2), -2, Fraction(3, 7))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -265,12 +262,6 @@ def test_circuit_validation():
         Circuit([Gate("VAR", var=X1), Gate("VAR", var=X2)], 0)
     with pytest.raises(ValueError, match="no children"):
         Circuit([Gate("ADD", args=())], 0)
-
-
-def assert_valid(c):
-    """The public constructor accepts c's gates and output, as they are."""
-    again = Circuit(c.gates, c.output)
-    assert again.gates == c.gates and again.output == c.output
 
 
 def test_circuits_the_library_builds_unvalidated_pass_validation(corpus01, transformed01):

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import build_corpus, gadget_poly, ledger_gadget, retrieval_point, shuffled_topological
+from helpers import (build_corpus, gadget_poly, ledger_gadget, retrieval_point, selected_point,
+                     shuffled_topological)
 
 from ipscert.circuit import (
     CircuitBuilder,
@@ -150,7 +151,7 @@ def test_selection_at_boolean_address():
     cp, ledger = gadgetize(c)
     entry = ledger.entries[0]
     for j, picked in ((0, X1), (1, X2), (2, X3)):
-        point = ledger_gadget(entry, j).selected_point()
+        point = selected_point(ledger_gadget(entry, j))
         assert expand(partial_evaluate(cp, point)) == SparsePoly.variable(picked)
 
 

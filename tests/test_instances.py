@@ -434,5 +434,6 @@ def test_ry_text_is_pinned(n):
 
 @pytest.mark.parametrize("n", sorted(GADGETED_RY_SHA256))
 def test_gadgeted_ry_text_is_pinned(n):
-    c, _ = gadgeted_ry_circuit(n)
-    assert circuit_sha256(c) == GADGETED_RY_SHA256[n]
+    # With no assignment to fold in, None or empty, P keeps every gate: its text is pinned.
+    for c, _ in (gadgeted_ry_circuit(n), gadgeted_ry_circuit(n, {})):
+        assert circuit_sha256(c) == GADGETED_RY_SHA256[n]

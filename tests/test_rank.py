@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_folded, integer_row, mono, poly_of, sparse_rows
+from helpers import (FOLD_VALUES, assert_folded, assert_valid, integer_row, mono, poly_of,
+                     sparse_rows)
 
 from ipscert.circuit import expand, partial_evaluate
 from ipscert.instances import gadgeted_ry_circuit, interval_wvarsets, uvar
@@ -49,6 +50,37 @@ def test_the_witness_folds_p_at_n_6_to_few_gates():
     assert len(c.gates) == 996 and len(folded.gates) < 100
     assert_folded(folded)
     assert exact_rank(rank_matrix(expand(folded), part)) == 64
+
+
+def test_p_built_under_the_witness_is_p_folded_by_it():
+    # rank builds P with the witness folded in; on every balanced partition
+    # for n <= 6 that is partial_evaluate(P, witness) up to gate order: the
+    # same polynomial, every gate folded and reachable.
+    for n in range(1, 7):
+        c, wsets = gadgeted_ry_circuit(n)
+        for part in balanced_partitions([uvar(k) for k in range(1, 2 * n + 1)]):
+            w = fullrank_witness(wsets, part)
+            built, built_wsets = gadgeted_ry_circuit(n, w)
+            assert built_wsets == wsets
+            assert_folded(built)
+            assert_valid(built)
+            assert expand(built) == expand(partial_evaluate(c, w))
+
+
+def test_p_built_under_partial_control_assignments_is_p_folded_by_them():
+    # Any assignment of control variables, some left free, folds as
+    # partial_evaluate folds it: a free 1 - w stays CircuitBuilder.complement's
+    # gates, and a product a zero factor kills leaves no gate behind.
+    rng = random.Random(35)
+    for n in (1, 2, 3):
+        c, wsets = gadgeted_ry_circuit(n)
+        controls = [v for ws in wsets for v in (ws.w_top, ws.w_leaf, *ws.address_vars)]
+        for _ in range(25):
+            part = {v: rng.choice(FOLD_VALUES) for v in controls if rng.random() < 0.6}
+            built, _ = gadgeted_ry_circuit(n, part)
+            assert_folded(built)
+            assert_valid(built)
+            assert expand(built) == expand(partial_evaluate(c, part))
 
 
 def test_partition_parse_and_format():

@@ -12,7 +12,8 @@ import pytest
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
                      ci_chain_certificate, gadget_poly, laid_out, ledger_sums, random_product_dag,
                      read_sums, ref_evaluate,
-                     reference_read_table, shift_certificates, shuffled_topological, table_state,
+                     reference_read_table, selected_point, shift_certificates, shuffled_topological,
+                     table_state,
                      total_degree)
 
 from ipscert.circuit import (
@@ -170,7 +171,7 @@ def product_cofactor(a, a2):
     """(builder, v, id of C) for A * A' = C * (v^2 - v), the gadgets given
     to _product_cofactor as their codes {v: bit}."""
     b = CircuitBuilder()
-    code, code2 = a.selected_point(), a2.selected_point()
+    code, code2 = selected_point(a), selected_point(a2)
     return (b, *_product_cofactor(b, code, a.factors(b), code2, a2.factors(b)))
 
 
