@@ -35,11 +35,17 @@ check only the identity.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
-otherwise.  The exhaustive image is a zeta transform of the multilinear
-coefficients: the value at the point with support S is the sum of the
-coefficients of the monomials inside S.  The sampled image keeps the points
-of rng.randrange(2) drawn per point and variable, but draws them in bulk
-from whole Mersenne Twister words and evaluates them in fixed-size batches.
+otherwise.  Both modes evaluate the circuit as value masks (bit-slicing,
+Biham, FSE 1997): each point is one bit of a big int, and each gate holds
+{value: mask of the points where it takes that value}, so a pair of
+argument values costs one AND over all the points at once.  The exhaustive
+points are the 2^k bits of periodic column masks; the sampled points are
+those of rng.randrange(2) drawn per point and variable, drawn in bulk from
+whole Mersenne Twister words.  A gate that takes more than _MASK_VALUES
+values sends the whole image to the pointwise paths: the exhaustive image
+becomes a zeta transform of the multilinear coefficients (the value at the
+point with support S is the sum of the coefficients of the monomials inside
+S), and the sampled image is evaluated point by point in fixed-size batches.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, _sweep, circuit_sha256,
                       compile_evaluator, expand)
@@ -410,9 +416,12 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
     return frozenset(Fraction(v, d) for v in set(a))
 
 
-# Points per batch of the sampled image: one list per live gate of this
-# many values, whatever the sample count.
+# Points per chunk of the sampled bits, and per batch of the sampled image's
+# pointwise path: one list per live gate of this many values.
 _IMAGE_CHUNK = 1024
+# Most points per mask of the sampled image: one int of this many bits per
+# value of a live gate, whatever the sample count.
+_MASK_CHUNK = 64 * _IMAGE_CHUNK
 # rng.randrange(2) is getrandbits(2) with rejection: it takes one 32-bit
 # word per try, rejects it when bit 31 is set and otherwise returns bit 30.
 # getrandbits(32 * m) is m such words, lowest first, so in its little-endian
@@ -439,6 +448,101 @@ def _sampled_bits(rng: random.Random, width: int, samples: int):
         pool = pool[want:]
 
 
+def _cube_columns(vars_) -> dict:
+    """Each variable's value mask over the 2^k points of its cube: point p
+    gives variable j bit j of p, so its column is 2^j zeros then 2^j ones,
+    repeated, doubled up from one such block by shifts."""
+    size = 1 << len(vars_)
+    columns = {}
+    for j, v in enumerate(vars_):
+        half = 1 << j
+        col, span = ((1 << half) - 1) << half, 2 * half
+        while span < size:
+            col |= col << span
+            span *= 2
+        columns[v] = col
+    return columns
+
+
+# A sampled bit as the digit int(..., 2) reads.
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def _sampled_columns(rng: random.Random, vars_, samples: int):
+    """Each variable's value mask over the points _sampled_bits draws, as
+    (count, columns) per run of count <= _MASK_CHUNK points: the first point
+    of a run is the top bit of each of its columns."""
+    width = len(vars_)
+    columns, count = [0] * width, 0
+    for start, (chunk, bits) in zip(range(0, samples, _IMAGE_CHUNK),
+                                    _sampled_bits(rng, width, samples)):
+        digits = bits.translate(_DIGIT)
+        for j in range(width):
+            columns[j] = columns[j] << chunk | int(digits[j::width], 2)
+        count += chunk
+        if count == _MASK_CHUNK or start + chunk == samples:
+            yield count, dict(zip(vars_, columns))
+            columns, count = [0] * width, 0
+
+
+# Most distinct values one gate may take in the mask evaluation of the image;
+# a gate that takes more sends the whole image to the pointwise paths.
+_MASK_VALUES = 8
+
+
+def _mask_image(c: Circuit, columns: dict, full: int) -> frozenset | None:
+    """The values c takes at the points, the bits of full, where columns[v]
+    is the mask of the points at which v is 1; None when a gate takes more
+    than _MASK_VALUES values.
+
+    Each gate holds {value: mask of the points where it takes that value},
+    its masks nonzero and disjoint.  An ADD or MUL folds its arguments
+    pairwise: each pair of values costs one AND, ORed into the entry of
+    their sum or product.  A gate's dict is dropped after its last reader."""
+    gates = c.gates
+    released: dict = {}   # gate id -> the ids it reads last
+    for a, i in {a: i for i, g in enumerate(gates) for a in g.args}.items():
+        released.setdefault(i, []).append(a)
+    masks: list = [None] * len(gates)
+    for i, g in enumerate(gates):
+        if g.op == VAR:
+            m = columns[g.var]
+            masks[i] = {0: full ^ m, 1: m} if 0 < m < full else {int(m != 0): full}
+        elif g.op == CONST:
+            q = g.const
+            masks[i] = {int(q) if q.denominator == 1 else q: full}
+        else:
+            op = add if g.op == ADD else mul
+            acc = masks[g.args[0]]
+            for a in g.args[1:]:
+                out: dict = {}
+                for vb, mb in masks[a].items():
+                    for va, ma in acc.items():
+                        m = ma & mb
+                        if m:
+                            v = op(va, vb)
+                            out[v] = out[v] | m if v in out else m
+                if len(out) > _MASK_VALUES:
+                    return None
+                acc = out
+            masks[i] = acc
+            for a in released.get(i, ()):
+                masks[a] = None
+    return frozenset(map(Fraction, masks[c.output]))
+
+
+def _sampled_mask_image(c: Circuit, vars_, samples: int, seed: int) -> frozenset | None:
+    """The values c takes at the sampled points, one _mask_image per run of
+    _sampled_columns; None when a gate takes more than _MASK_VALUES values."""
+    seen: set = set()
+    for count, columns in _sampled_columns(random.Random(f"image:{seed}"), vars_, samples):
+        values = _mask_image(c, columns, (1 << count) - 1)
+        if values is None:
+            return None
+        seen |= values
+    return frozenset(seen)
+
+
 def boolean_image(c: Circuit, target: frozenset | None = None,
                   exhaustive_limit: int = 16, samples: int = 20000,
                   seed: int = 0) -> ImageReport:
@@ -446,26 +550,37 @@ def boolean_image(c: Circuit, target: frozenset | None = None,
 
     Exhaustive when the circuit has at most exhaustive_limit variables,
     otherwise sampled at `samples` seeded uniform Boolean points: the
-    points of rng.randrange(2) drawn per variable and point, evaluated in
-    batches of _IMAGE_CHUNK points.  Raises ValueError when samples < 1 or
-    exhaustive_limit < 0.
+    points of rng.randrange(2) drawn per variable and point.  Either way the
+    points are evaluated as value masks (_mask_image), the exhaustive ones
+    only when the cube's 2^k points fit TERM_GUARD.  When a gate takes more
+    than _MASK_VALUES values, or the cube is over TERM_GUARD, the image is
+    taken pointwise instead: boolean_image_poly(expand(c)) when exhaustive,
+    which raises ValueError past the guard, and compile_evaluator over
+    batches of _IMAGE_CHUNK points when sampled.  Raises ValueError when
+    samples < 1 or exhaustive_limit < 0.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
     if exhaustive_limit < 0:
         raise ValueError(f"exhaustive_limit must be at least 0, not {exhaustive_limit}")
     vars_ = c.variables()
-    if len(vars_) <= exhaustive_limit:
-        values = boolean_image_poly(expand(c))
-        report = ImageReport(values=values, exhaustive=True, points=1 << len(vars_))
+    width = len(vars_)
+    if width <= exhaustive_limit:
+        size = 1 << width
+        values = (_mask_image(c, _cube_columns(vars_), (1 << size) - 1)
+                  if size <= TERM_GUARD else None)
+        if values is None:
+            values = boolean_image_poly(expand(c))
+        report = ImageReport(values=values, exhaustive=True, points=size)
     else:
-        run = compile_evaluator(c)
-        width = len(vars_)
-        seen: set = set()
-        for count, bits in _sampled_bits(random.Random(f"image:{seed}"), width, samples):
-            seen.update(run({v: bits[j::width] for j, v in enumerate(vars_)}, count))
-        report = ImageReport(values=frozenset(map(Fraction, seen)), exhaustive=False,
-                             points=samples)
+        values = _sampled_mask_image(c, vars_, samples, seed)
+        if values is None:
+            run = compile_evaluator(c)
+            seen: set = set()
+            for count, bits in _sampled_bits(random.Random(f"image:{seed}"), width, samples):
+                seen.update(run({v: bits[j::width] for j, v in enumerate(vars_)}, count))
+            values = frozenset(map(Fraction, seen))
+        report = ImageReport(values=values, exhaustive=False, points=samples)
     if target is not None:
         report.contained = report.values <= frozenset(Fraction(t) for t in target)
     return report

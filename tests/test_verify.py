@@ -31,7 +31,8 @@ from ipscert.circuit import (
     normalize_layered,
     poly_to_circuit,
 )
-from ipscert.gadget import gadgetize
+from ipscert.gadget import AddressingGadget, gadgetize
+from ipscert.instances import gadgeted_ry_circuit
 from ipscert.poly import ResourceLimitError, SparsePoly, Var
 from ipscert.refute import (
     assemble_refutation,
@@ -603,6 +604,173 @@ def test_sampled_image_of_a_constant_circuit():
 def test_boolean_image_rejects_bad_sample_counts(kwargs, name):
     with pytest.raises(ValueError, match=name):
         boolean_image(cadd(cvar(X1), cvar(X2)), **kwargs)
+
+
+def sampled_reference_image(c, seed, samples):
+    """The value set of c at the points of reference_points, from
+    compile_evaluator over them as one batch."""
+    vars_ = c.variables()
+    points = reference_points(seed, len(vars_), samples)
+    return frozenset(map(Fraction, compile_evaluator(c)(dict(zip(vars_, zip(*points))), samples)))
+
+
+def cube_mask_image(c):
+    """verify's mask evaluation of c over its whole cube, None past the value limit."""
+    vars_ = c.variables()
+    return verify_module._mask_image(c, verify_module._cube_columns(vars_),
+                                     (1 << (1 << len(vars_))) - 1)
+
+
+def test_value_mask_columns_are_the_points():
+    # format(column, "0{n}b") writes the column's n points top bit first,
+    # and is longer when the column has a bit past them.
+    for width in range(6):
+        vars_ = [Var("x", j) for j in range(1, width + 1)]
+        columns = verify_module._cube_columns(vars_)
+        for j, v in enumerate(vars_):
+            assert format(columns[v], f"0{1 << width}b") == \
+                "".join(str(p >> j & 1) for p in reversed(range(1 << width)))
+    vars_ = [Var("x", j) for j in range(1, 6)]
+    mask_chunk = verify_module._MASK_CHUNK
+    for samples in (1, CHUNK, 2 * CHUNK + 1, mask_chunk, mask_chunk + CHUNK + 3):
+        points = reference_points(4, len(vars_), samples)
+        runs = list(verify_module._sampled_columns(random.Random("image:4"), vars_, samples))
+        assert [count for count, _ in runs] == \
+            [min(mask_chunk, samples - s) for s in range(0, samples, mask_chunk)]
+        for start, (count, columns) in zip(range(0, samples, mask_chunk), runs):
+            for j, v in enumerate(vars_):
+                assert format(columns[v], f"0{count}b") == \
+                    "".join(str(point[j]) for point in points[start:start + count])
+
+
+def test_mask_image_matches_pointwise_evaluation_and_expansion():
+    # Random circuits with negative and rational constants, on both sides of
+    # the value limit, each also with z1^2 - z1 added: 0 on the cube, so the
+    # multilinear reduction drops z1.  Exhaustive and sampled images alike.
+    rng = random.Random(97)
+    pool = [Var("x", i) for i in range(1, 10)]
+    z1 = Var("z", 1)
+    under = over = 0
+    for k in range(40):
+        if k % 2:
+            c = random_expanded_formula(rng, rng.sample(pool, rng.randint(1, 8)),
+                                        rng.randint(1, 4))
+        else:
+            c = random_dag_circuit(rng, n_gates=rng.randint(6, 24),
+                                   vars_=rng.sample(pool, rng.randint(1, 6)))
+        b = CircuitBuilder()
+        padded = b.build(b.add([b.keep(c), b.boolean_axiom(z1)]))
+        assert len(expand(padded).multilinear_reduce().variables()) < len(padded.variables())
+        for circ in (c, padded):
+            expected = image_by_evaluation(circ)
+            masked = cube_mask_image(circ)
+            if masked is None:
+                over += 1
+            else:
+                under += 1
+                assert masked == expected
+            assert boolean_image(circ).values == boolean_image_poly(expand(circ)) == expected
+            sampled = boolean_image(circ, exhaustive_limit=0, samples=CHUNK + 3, seed=k)
+            assert sampled.values == sampled_reference_image(circ, k, CHUNK + 3)
+    assert under >= 40 and over >= 10
+
+
+def test_mask_image_value_limit_is_per_gate():
+    # x_1 + ... + x_m takes m + 1 values, the last partial sum of its ADD.
+    limit = verify_module._MASK_VALUES
+    for m, fits in ((limit - 1, True), (limit, False)):
+        c = cadd(*(cvar(Var("x", j)) for j in range(1, m + 1)))
+        assert (cube_mask_image(c) is not None) is fits
+        assert boolean_image(c).values == frozenset(map(Fraction, range(m + 1)))
+    # The root takes two values, but a gate under it takes limit + 1.
+    b = CircuitBuilder()
+    total = b.add([b.var(Var("x", j)) for j in range(1, limit + 1)])
+    c = b.build(b.mul([total, b.const(0)]))
+    assert cube_mask_image(c) is None and boolean_image(c).values == {0}
+
+
+def test_sampled_mask_image_of_p_is_the_set_of_reference_points():
+    p3, _ = gadgeted_ry_circuit(3)
+    samples = 2 * CHUNK + 1
+    assert verify_module._sampled_mask_image(p3, p3.variables(), samples, 7) is not None
+    report = boolean_image(p3, samples=samples, seed=7)
+    assert not report.exhaustive and report.points == samples
+    assert report.values == sampled_reference_image(p3, 7, samples)
+
+
+def test_sampled_image_at_one_point_is_its_value():
+    # One point: a variable's mask is all ones or all zeros, and the image
+    # of a lone variable, or of a fan-in-1 gate over it, is its one bit.
+    b = CircuitBuilder()
+    wire = b.build(b.add([b.var(X1)]))
+    for seed in range(4):
+        bit = Fraction(reference_points(seed, 1, 1)[0][0])
+        for c in (cvar(X1), wire):
+            report = boolean_image(c, exhaustive_limit=0, samples=1, seed=seed)
+            assert report.values == {bit} and report.points == 1
+
+
+def test_benchmark_images_take_the_mask_path(monkeypatch):
+    # The sampled image of P at n = 3 and the exhaustive image of a
+    # transformed formula never reach the pointwise paths.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pointwise path was taken")
+
+    p3, _ = gadgeted_ry_circuit(3)
+    transformed = [gadgetize(normalize_layered(c))[0] for c in build_corpus(992, 12)]
+    cp = max((t for t in transformed if len(t.variables()) <= 14), key=lambda t: len(t.gates))
+    expected = sampled_reference_image(p3, 5, 2000), image_by_evaluation(cp)
+    monkeypatch.setattr(verify_module, "compile_evaluator", refuse)
+    monkeypatch.setattr(verify_module, "expand", refuse)
+    sampled = boolean_image(p3, target=frozenset((0, 1)), samples=2000, seed=5)
+    exhaustive = boolean_image(cp, target=frozenset((0, 1)))
+    assert not sampled.exhaustive and sampled.contained
+    assert exhaustive.exhaustive and exhaustive.contained
+    assert (sampled.values, exhaustive.values) == expected
+
+
+def test_image_over_the_value_limit_takes_the_pointwise_paths(monkeypatch):
+    calls = []
+    for name in ("compile_evaluator", "expand"):
+        def spy(c, real=getattr(verify_module, name), name=name):
+            calls.append(name)
+            return real(c)
+        monkeypatch.setattr(verify_module, name, spy)
+    # sum_j 2^j x_j: its value is its point, written in binary.
+    b = CircuitBuilder()
+    c = b.build(b.add([b.mul([b.const(1 << j), b.var(Var("x", j))]) for j in range(6)]))
+    assert boolean_image(c).values == frozenset(map(Fraction, range(64)))
+    assert calls == ["expand"]
+    sampled = boolean_image(c, exhaustive_limit=0, samples=300, seed=3)
+    assert calls == ["expand", "compile_evaluator"]
+    assert sampled.values == sampled_reference_image(c, 3, 300)
+
+
+def test_image_past_the_cube_guard_raises_before_any_mask(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a value mask was built")
+
+    monkeypatch.setattr(verify_module, "_cube_columns", refuse)
+    monkeypatch.setattr(verify_module, "_mask_image", refuse)
+    c = cadd(*(cvar(Var("x", i)) for i in range(1, 26)))
+    with pytest.raises(ValueError, match=r"over 25 variables needs 2\^25 values, "
+                                         r"over the 2\^24 guard"):
+        boolean_image(c, exhaustive_limit=30)
+
+
+def test_image_answers_a_power_whose_expansion_trips_the_guard():
+    # A(4096, 0) + A(4096, 3) over 14 controls is a 0/1-valued gadget sum
+    # of 8192 terms expanded, so the first product of its cube projects
+    # 2^26 terms: expand refuses it, and the image was refused with it.
+    ys = [Var("y", 0, bit) for bit in range(14)]
+    b = CircuitBuilder()
+    s = b.add([b.prod(AddressingGadget.build(4096, j, ys).factors(b)) for j in (0, 3)])
+    c = b.build(b.mul([s, s, s]))
+    with pytest.raises(ResourceLimitError, match="dense-size guard"):
+        expand(c)
+    report = boolean_image(c, target=frozenset((0, 1)))
+    assert report.exhaustive and report.points == 1 << 14 and report.contained
+    assert report.values == frozenset((0, 1)) == image_by_evaluation(c)
 
 
 def test_batch_evaluation_agrees_with_expansion_at_every_point():
