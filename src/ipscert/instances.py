@@ -45,7 +45,7 @@ from operator import mul
 
 from .circuit import Circuit, CircuitBuilder, Folding, expand
 from .gadget import t_for
-from .poly import TERM_GUARD, ResourceLimitError, SparsePoly, Var, _Accumulator
+from .poly import TERM_GUARD, ResourceLimitError, SparsePoly, Var, elementary_sum
 
 
 def uvar(i: int) -> Var:
@@ -253,27 +253,22 @@ def inverse_differences(k: int, beta) -> list:
 
 
 def _subset_sum_over(terms: list, beta, name: str, params: dict) -> InstanceBundle:
-    """sum(terms) - beta for terms 0/1 on the cube, refuted by sum_k alpha_k e_k(terms):
-    2^m terms for m terms (every alpha_k is nonzero), so one over the guard is refused first."""
+    """sum(terms) - beta for m monic monomial terms, 0/1 on the cube, refuted
+    by sum_k alpha_k e_k(terms), multilinearized: each subset S of the terms
+    gives one term, alpha_|S| times their product, so the refutation has 2^m
+    terms (every alpha_k is nonzero) when distinct subsets give distinct
+    monomials, and one over the guard is refused before any is listed."""
     m = len(terms)
     beta = Fraction(m + 1 if beta is None else beta)
     alphas = inverse_differences(m, beta)
     if 1 << m > TERM_GUARD:
         raise ResourceLimitError(f"refutation of 2^{m} terms is over the dense-size guard")
     instance = sum(terms, SparsePoly.zero()) - beta
-    # e[k] is the elementary symmetric polynomial e_k of the terms so far.
-    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * m
-    for j, t in enumerate(terms, start=1):
-        for k in range(j, 0, -1):
-            e[k] = e[k] + t.multilinear_product(e[k - 1])
-    acc = _Accumulator()
-    for a, ek in zip(alphas, e):
-        acc.add_product(SparsePoly.constant(a), ek)
     return InstanceBundle(
         name=name,
         params=params,
         instance=instance,
-        refutation=acc.result(),
+        refutation=elementary_sum(terms, alphas),
         provenance={
             "generator": name,
             "beta": f"{beta.numerator}/{beta.denominator}",

@@ -57,7 +57,7 @@ from operator import add, mul
 
 from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, _sweep, circuit_sha256,
                       compile_evaluator, expand)
-from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod
+from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod, subset_transform
 from .refute import NullstellensatzCertificate, boolean_axiom_label, is_boolean_axiom
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
@@ -385,10 +385,10 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
 
     With the k variables of the multilinear reduction as bits, the value
     at the point with support S is a[S] = sum of c_T over T inside S.  The
-    zeta transform fills all 2^k sums of the integer numerators in place,
-    one pass per variable: each pass adds the half of every block with the
-    variable at 0 into the half with it at 1, and each sum is divided by
-    the one denominator at the end.  Raises ValueError if 2^k exceeds
+    zeta transform (poly.subset_transform, which multilinear_product also
+    runs) fills all 2^k sums of the integer numerators in place, one pass
+    per variable, and each sum is divided by the one denominator at the
+    end.  Raises ValueError if 2^k exceeds
     TERM_GUARD.
     """
     reduced = p.multilinear_reduce()
@@ -401,18 +401,7 @@ def boolean_image_poly(p: SparsePoly) -> frozenset:
     a = [0] * size
     for mask, n in numerators.items():
         a[mask] = n
-    step = 1
-    while step < size:
-        span = 2 * step
-        if span * step >= size:
-            # Few wide blocks: one slice per block.
-            for lo in range(0, size, span):
-                a[lo + step:lo + span] = map(add, a[lo + step:lo + span], a[lo:lo + step])
-        else:
-            # Many narrow blocks: one strided slice per offset in the block.
-            for off in range(step):
-                a[step + off::span] = map(add, a[step + off::span], a[off::span])
-        step = span
+    subset_transform(a, add)
     return frozenset(Fraction(v, d) for v in set(a))
 
 

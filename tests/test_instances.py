@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -47,7 +48,7 @@ from ipscert.instances import (
     vvar,
     wvar,
 )
-from ipscert import instances
+from ipscert import instances, poly
 from ipscert.poly import ResourceLimitError, SparsePoly, UnassignedVariableError, Var, format_poly
 from ipscert.verify import DEFAULT_PIT_PRIME, boolean_image, boolean_image_poly
 
@@ -277,6 +278,7 @@ def test_subset_sum_refutation_over_the_guard_is_refused_before_any_e_k(monkeypa
         raise AssertionError("an e_k was formed")
 
     monkeypatch.setattr(SparsePoly, "multilinear_product", formed)
+    monkeypatch.setattr(instances, "elementary_sum", formed)
     with pytest.raises(ResourceLimitError, match=r"2\^11 terms is over the dense-size guard"):
         subset_sum(11)
     with pytest.raises(ValueError, match="satisfiable"):
@@ -330,8 +332,26 @@ def _same_bundle(got, want):
 
 @pytest.mark.parametrize("beta", [None, Fraction(-3), Fraction(7, 2)])
 def test_subset_sum_matches_the_substitution_construction(beta):
-    for n in range(1, 11):
+    for n in range(1, 13):
         _same_bundle(subset_sum(n, beta), reference_subset_sum(n, beta))
+
+
+def test_a_changed_coefficient_is_refuted_on_the_cube(monkeypatch):
+    cube = []
+
+    def counted(*args, real=poly._cube_product):
+        cube.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_cube_product", counted)
+    bundle = subset_sum(12, Fraction(1, 4))
+    assert functional_identity_holds(bundle)
+    g = bundle.refutation_poly()
+    z1, z7 = SparsePoly.variable(Var("z", 1)), SparsePoly.variable(Var("z", 7))
+    forged = dataclasses.replace(bundle, refutation=g + z1 * z7 / 3)
+    assert len(forged.refutation_poly()) == len(g) == 1 << 12
+    assert not functional_identity_holds(forged)
+    assert cube == [1 << 12, 1 << 12]
 
 
 @pytest.mark.parametrize("beta", [None, Fraction(-1), Fraction(5, 3)])

@@ -24,6 +24,7 @@ from ipscert.poly import (
     Var,
     _Accumulator,
     _EXP_MAX,
+    elementary_sum,
     format_poly,
     fresh_slots,
     parse_poly,
@@ -337,6 +338,154 @@ def test_multilinear_product_keeps_the_product_guard(monkeypatch):
         p.multilinear_product(q)
     assert str(reduced.value) == str(full.value) \
         == "product projects to 3*3 terms, over the dense-size guard"
+
+
+# ---------------------------------------------------------------------------
+# multilinear_product takes the pair loop or the cube by its cost rule; both
+# give (p * q).multilinear_reduce().
+
+CUBE_POOL = tuple(Var("x", i) for i in range(1, 11))
+
+
+def _fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _dense(rng, vars_, density: float, square: bool = False) -> dict:
+    """Each of the 2^k multilinear monomials over vars_ kept with probability
+    density and a random rational coefficient; with square, each monomial's
+    first variable is squared, so the polynomial is not multilinear."""
+    terms: dict = {}
+    for mask in range(1 << len(vars_)):
+        if rng.random() < density:
+            exps = {v: 1 for j, v in enumerate(vars_) if mask >> j & 1}
+            if square and exps:
+                exps[next(iter(exps))] = 2
+            m = _mono(exps)
+            terms[m] = terms.get(m, 0) + _fraction(rng)
+    return _clean(terms)
+
+
+def _parsed(a: dict, first_use=()) -> SparsePoly:
+    """a through parse_poly, in a fresh table whose first slots go to
+    first_use: quicker than ring operations on thousands of terms."""
+    text = " + ".join(" * ".join([f"{c.numerator}/{c.denominator}"]
+                                 + [v.name if e == 1 else f"{v.name}^{e}" for v, e in m])
+                      for m, c in a.items())
+    with fresh_slots():
+        for v in first_use:
+            SparsePoly.variable(v)
+        p = parse_poly(text or "0")
+    assert dict(p.items()) == a
+    return p
+
+
+def _product_cases(rng):
+    """(a, b, where): seeded operand pairs on both sides of the cost rule."""
+    for k in range(1, 11):
+        vars_ = rng.sample(CUBE_POOL, k)
+        linear = _clean({**{((v, 1),): _fraction(rng) for v in vars_}, (): _fraction(rng)})
+        full = _dense(rng, vars_, 1.0)
+        yield linear, full, "linear times dense"
+        yield _clean({(): _fraction(rng)}), full, "a constant times dense"
+        yield _dense(rng, vars_, 0.2), _dense(rng, vars_, 0.2), "sparse times sparse"
+        if k > 8:
+            continue    # the reference product below would take 2^(2k-1) pairs
+        yield full, _dense(rng, vars_, 0.5), "dense times half dense"
+        yield _dense(rng, vars_, 0.5, square=True), full, "not multilinear"
+        # x_j * A times (1 - x_j) * B vanishes on the cube: every entry cancels.
+        xj, rest = vars_[0], vars_[1:]
+        a = {_mono({xj: 1, **dict(m)}): c for m, c in _dense(rng, rest, 1.0).items()}
+        b = _dense(rng, rest, 1.0)
+        b = ref_add(b, {_mono({xj: 1, **dict(m)}): -c for m, c in b.items()})
+        yield a, b, "a product that cancels to zero"
+
+
+def test_multilinear_product_paths_agree_with_product_then_reduce(monkeypatch):
+    taken = {"_cube_product": 0, "_pair_product": 0}
+    for name in taken:
+        def counted(*args, real=getattr(poly, name), name=name):
+            taken[name] += 1
+            return real(*args)
+        monkeypatch.setattr(poly, name, counted)
+    rng = random.Random(37)
+    for a, b, where in _product_cases(rng):
+        p, q = _parsed(a, CUBE_POOL), _parsed(b, CUBE_POOL)
+        want = (p * q).multilinear_reduce()
+        order = list(CUBE_POOL)
+        rng.shuffle(order)
+        p2, q2 = _parsed(a, order), _parsed(b, order[::-1])
+        for left, right in ((p, q), (q, p), (p2, q2), (p, q2)):
+            got = left.multilinear_product(right)
+            assert got == want, where
+            assert_canonical(got)
+        assert format_poly(got) == format_poly(want), where
+        if where == "a product that cancels to zero":
+            assert want.is_zero()
+    # The sizes above put operands on both sides of the cost rule.
+    assert taken["_cube_product"] and taken["_pair_product"]
+
+
+def test_cost_rule_sends_dense_factors_to_the_cube(monkeypatch):
+    taken = []
+    for name in ("_cube_product", "_pair_product"):
+        def counted(*args, real=getattr(poly, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(poly, name, counted)
+    rng = random.Random(3)
+    vars_ = CUBE_POOL[:8]
+    full, linear = kernel(_dense(rng, vars_, 1.0)), kernel(_dense(rng, vars_[:1], 1.0))
+    full.multilinear_product(full)        # 2^16 pairs over 2^8 subsets
+    linear.multilinear_product(full)      # 2 * 2^8 pairs
+    assert taken == ["_cube_product", "_pair_product"]
+
+
+# ---------------------------------------------------------------------------
+# elementary_sum: sum_k c_k e_k of monic monomials, multilinearized.
+
+def _elementary_reference(terms: list, coeffs: list) -> SparsePoly:
+    """The same sum by the e_k recurrence over multilinear_product."""
+    e = [SparsePoly.constant(1)] + [SparsePoly.zero()] * len(terms)
+    for j, t in enumerate(terms, start=1):
+        for k in range(j, 0, -1):
+            e[k] = e[k] + (t * e[k - 1]).multilinear_reduce()
+    return sum((c * ek for c, ek in zip(coeffs, e)), SparsePoly.zero())
+
+
+def test_elementary_sum_matches_the_e_k_recurrence():
+    rng = random.Random(11)
+    x = [SparsePoly.variable(v) for v in CUBE_POOL]
+    cases = [
+        [],                                        # the constant coeffs[0]
+        x[:6],                                     # one variable each
+        [z * a * b for z, a, b in zip(x[6:9], x[:3], x[1:3] + x[:1])],   # as lifted subset-sum
+        [x[3] ** 2, x[4] ** 3 * x[5]],             # not multilinear
+        [_in_table({((CUBE_POOL[7], 1),): 1}, CUBE_POOL[::-1]), x[8] * x[9]],   # another table
+    ]
+    for terms in cases:
+        for coeffs in ([_fraction(rng) for _ in range(len(terms) + 1)],
+                       [Fraction(0)] + [1] * len(terms)):
+            got = elementary_sum(terms, coeffs)
+            want = _elementary_reference(terms, coeffs)
+            assert got == want and format_poly(got) == format_poly(want)
+            assert_canonical(got)
+
+
+def test_elementary_sum_refuses_bad_input(monkeypatch):
+    x1, x2 = SparsePoly.variable(Var("x", 1)), SparsePoly.variable(Var("x", 2))
+    for bad in (2 * x1, x1 / 3, x1 + x2, SparsePoly.zero()):
+        with pytest.raises(ValueError, match="takes monic monomials"):
+            elementary_sum([x1, bad], [1, 1, 1])
+    with pytest.raises(ValueError, match="2 terms need 3 coefficients, got 2"):
+        elementary_sum([x1, x2], [1, 1])
+    for shared in ([x1, x1], [SparsePoly.constant(1), x2], [x1, x1 * x2, x2]):
+        with pytest.raises(ValueError, match="distinct monomials for distinct subsets"):
+            elementary_sum(shared, [1] * (len(shared) + 1))
+    monkeypatch.setattr(poly, "TERM_GUARD", 2)
+    with pytest.raises(ResourceLimitError, match=r"have 2\^2 terms, over the dense-size guard"):
+        elementary_sum([x1, x2], [1, 1, 1])
+    assert len(elementary_sum([x1], [1, 1])) == 2
 
 
 def test_overflow_names_the_least_variable_whatever_the_slot_order():
