@@ -255,9 +255,9 @@ def inverse_differences(k: int, beta) -> list:
 def _subset_sum_over(terms: list, beta, name: str, params: dict) -> InstanceBundle:
     """sum(terms) - beta for m monic monomial terms, 0/1 on the cube, refuted
     by sum_k alpha_k e_k(terms), multilinearized: each subset S of the terms
-    gives one term, alpha_|S| times their product, so the refutation has 2^m
-    terms (every alpha_k is nonzero) when distinct subsets give distinct
-    monomials, and one over the guard is refused before any is listed."""
+    gives one term, alpha_|S| times their product.  Each term has a z
+    variable of its own and every alpha_k is nonzero, so the refutation has
+    2^m terms, and one over the guard is refused before any is listed."""
     m = len(terms)
     beta = Fraction(m + 1 if beta is None else beta)
     alphas = inverse_differences(m, beta)
