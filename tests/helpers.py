@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
+import os
 import random
 import re
 from fractions import Fraction
@@ -28,6 +30,7 @@ from ipscert.circuit import (
     eval_circuit_mod,
     format_circuit,
     normalize_layered,
+    parse_circuit,
     poly_to_circuit,
 )
 from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
@@ -38,6 +41,16 @@ from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_ref
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
 CORPUS_SEED = 20260810
+
+
+
+def pit_corpus(seed: int, count: int) -> list:
+    """The benchmark's certify-pit formulas (perfbench/inputs.py), layered."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [normalize_layered(parse_circuit(f.text())) for f in inputs.pit_corpus(seed, count)]
 
 
 def random_layered_formula(rng: random.Random, max_nodes: int = 30, n_vars: int = 6,

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_corpus, gadget_poly, ledger_gadget, retrieval_point, selected_point,
-                     shuffled_topological)
+from helpers import (build_corpus, gadget_poly, ledger_gadget, pit_corpus, retrieval_point,
+                     selected_point, shuffled_topological)
 
 from ipscert.circuit import (
     CircuitBuilder,
@@ -39,6 +39,12 @@ X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 # JSON) as written while both recursed on the Python stack.
 NORMALIZED_FORMULAS_SHA256 = "08670596ac8d0371348576cf179fdf1a1507420c6af809e18c3687600f960103"
 GADGETIZED_FORMULAS_SHA256 = "4f61ad9c32f40b7b5a3f0007b2ab75421377f0886314c7bd41a415a4ce3ad63a"
+# SHA-256 of the concatenated ledger JSON of normalize_layered, then
+# gadgetize, over the 200-formula {0,1} corpus and over the certify-pit
+# corpus at seed 101, as written while gadgetize kept its ledger beside the
+# circuit.
+CORPUS_LEDGERS_SHA256 = "df9a34cd02d88afaa48f616a5381523b4f5e548c86a99f2f9e93c4541c0f48bd"
+PIT_CORPUS_LEDGERS_SHA256 = "ba053671a6e4a2d4037a614a1cbdc2fb3b2d0f07bf0a78bbb9dc534cffee84e6"
 
 
 def yvars(t):
@@ -236,6 +242,14 @@ def test_layouts_of_shuffled_formulas_are_pinned():
         assert GadgetLedger.from_json(ledger.to_json()).to_json() == ledger.to_json()
     assert normalized.hexdigest() == NORMALIZED_FORMULAS_SHA256
     assert gadgetized.hexdigest() == GADGETIZED_FORMULAS_SHA256
+
+
+def test_ledger_json_of_both_corpora_is_pinned(transformed01):
+    for ledgers, pinned in (([ledger for _, _, ledger in transformed01], CORPUS_LEDGERS_SHA256),
+                            ([gadgetize(c)[1] for c in pit_corpus(101, 150)],
+                             PIT_CORPUS_LEDGERS_SHA256)):
+        text = "".join(ledger.to_json() for ledger in ledgers)
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
 
 def _ledger_doc():

@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
-import importlib.util
 import json
-import os
 import random
 import re
 from fractions import Fraction
@@ -10,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
-                     ci_chain_certificate, gadget_poly, laid_out, ledger_sums, random_product_dag,
-                     read_sums, ref_evaluate,
+                     ci_chain_certificate, gadget_poly, laid_out, ledger_sums, pit_corpus,
+                     random_product_dag, read_sums, ref_evaluate,
                      reference_read_table, selected_point, shift_certificates, shuffled_topological,
                      table_state,
                      total_degree)
@@ -289,15 +287,6 @@ def test_assembly_rejects_bad_leaf():
 
 # ---------------------------------------------------------------------------
 # Gadget sums read off the circuit.
-
-def pit_corpus(seed: int, count: int) -> list:
-    """The benchmark's certify-pit formulas (perfbench/inputs.py), layered."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return [normalize_layered(parse_circuit(f.text())) for f in inputs.pit_corpus(seed, count)]
-
 
 def test_gadget_sums_read_off_the_circuit_are_the_ledger(transformed01):
     # Gate, control variables in bit order, and per address the child and
