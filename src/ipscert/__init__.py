@@ -25,7 +25,6 @@ from .circuit import (
     subcircuit,
 )
 from .gadget import (
-    AddressingGadget,
     GadgetLedger,
     gadgetize,
     t_for,

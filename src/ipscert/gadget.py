@@ -15,10 +15,12 @@ original sum.
 The transform rewrites every addition gate g = sum_j g_j of a layered
 alternating formula into sum_j g_j * A(fanin-1, j) over a fresh block of
 control variables y_{gate,bit}, leaving multiplication gates unchanged.
-The ledger is the transform's record of what it did: per transformed
-gate, the fresh variables, the child and summand per address, and the
-gadget gates.  The certificate builder does not read it; it reads the
-gadget sums off the circuit (refute.gadget_sum).
+
+address_code is the one statement of the code.  literal_gates makes its
+literals y or 1 - y as gates (for the transform and the paper's gadgeted
+P), and gadget_sum reads codes back off a circuit: for refute, and for the
+transform's ledger (per transformed gate, its fresh variables, the child
+and summand per address, and the gadget gates), which nothing reads back.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .circuit import ADD, Circuit, CircuitBuilder, MUL, _postorder
+from .circuit import ADD, CONST, Circuit, CircuitBuilder, MUL, VAR, _postorder
 from .poly import Var, parse_var
 
 
@@ -39,33 +41,76 @@ def t_for(n: int) -> int:
     return n.bit_length()
 
 
-@dataclass(frozen=True)
-class AddressingGadget:
-    """Multilinear multiplexer A(n, j) over control variables `vars`."""
+def address_code(j: int, vars: Sequence[Var]) -> tuple:
+    """The code of address j over t+1 control variables: the (variable, bit)
+    pairs of j + 2^t, LSB first."""
+    t = len(vars) - 1
+    if not 0 <= j < 1 << t:
+        raise ValueError(f"address {j} out of range for {t + 1} control variables")
+    code = j + (1 << t)
+    return tuple((v, code >> bit & 1) for bit, v in enumerate(vars))
 
-    n: int
-    j: int
-    t: int
-    zero_bits: frozenset
-    one_bits: frozenset
-    vars: tuple
 
-    @classmethod
-    def build(cls, n: int, j: int, vars: Sequence[Var]) -> "AddressingGadget":
-        if not 0 <= j <= n:
-            raise ValueError(f"address {j} out of range for arity parameter {n}")
-        t = t_for(n)
-        if len(vars) != t + 1:
-            raise ValueError(f"gadget needs {t + 1} variables, got {len(vars)}")
-        code = j + (1 << t)
-        one = frozenset(b for b in range(t + 1) if code >> b & 1)
-        zero = frozenset(range(t + 1)) - one
-        return cls(n=n, j=j, t=t, zero_bits=zero, one_bits=one, vars=tuple(vars))
+def literal_gates(b, code):
+    """The literal gates of a code in b (a CircuitBuilder or a Folding), made
+    one at a time as they are taken, in the code's order: y for a 1, 1 - y
+    for a 0."""
+    return (b.var(v) if bit else b.complement(v) for v, bit in code)
 
-    def factors(self, b: CircuitBuilder) -> list:
-        """Fresh gates in b, one id per bit position in bit order: y_b or 1 - y_b."""
-        return [b.var(v) if bit in self.one_bits else b.complement(v)
-                for bit, v in enumerate(self.vars)]
+
+def literal_of(c: Circuit, i: int):
+    """(v, 1) if gate i is VAR v, (v, 0) if it computes 1 - v, else None."""
+    g = c.gates[i]
+    if g.op == VAR:
+        return g.var, 1
+    if g.op != ADD or len(g.args) != 2:
+        return None
+    a, b = (c.gates[x] for x in g.args)
+    for one, neg in ((a, b), (b, a)):
+        if one.op == CONST and one.const == 1 and neg.op == MUL and len(neg.args) == 2:
+            x, y = (c.gates[k] for k in neg.args)
+            for cst, var in ((x, y), (y, x)):
+                if cst.op == CONST and cst.const == -1 and var.op == VAR:
+                    return var.var, 0
+    return None
+
+
+def gadget_sum(c: Circuit, i: int):
+    """[(summand id, code {v: bit}, child ids), ...] if gate i is a gadget
+    sum, else None: an ADD whose every summand (its factors, or itself if no
+    MUL) holds one literal v (bit 1) or 1 - v (bit 0) per control variable,
+    at pairwise distinct codes; its other factors are its child, maybe none.
+    The control variables are those every summand has a literal on, in the
+    first summand's order, once each summand of such literals alone, the
+    transform's MUL(child, f_0, ..., f_t), has its first factor set apart.
+    """
+    gates = c.gates
+    g = gates[i]
+    if g.op != ADD or not g.args:
+        return None
+    factors = [gates[s].args if gates[s].op == MUL else (s,) for s in g.args]
+    lits = [[literal_of(c, a) for a in fs] for fs in factors]
+
+    def controls() -> dict:
+        common = set.intersection(*({lit[0] for lit in ls if lit} for ls in lits))
+        return dict.fromkeys(lit[0] for lit in lits[0] if lit and lit[0] in common)
+
+    ctrl = controls()
+    for ls in lits:
+        if len(ls) > 1 and all(lit and lit[0] in ctrl for lit in ls):
+            ls[0] = None
+    ctrl = controls()
+    terms = []
+    for s, fs, ls in zip(g.args, factors, lits):
+        code, child = {}, []
+        for a, lit in zip(fs, ls):
+            if lit and lit[0] in ctrl and lit[0] not in code:
+                code[lit[0]] = lit[1]
+            else:
+                child.append(a)
+        terms.append((s, {v: code[v] for v in ctrl}, child))
+    distinct = len({tuple(code.values()) for _, code, _ in terms}) == len(terms)
+    return terms if ctrl and distinct else None
 
 
 @dataclass(frozen=True)
@@ -221,37 +266,44 @@ def gadgetize(c: Circuit) -> tuple:
     Requires a layered alternating formula (see normalize_layered).  Each
     addition gate of fan-in r gets a fresh block of t+1 control variables
     named y_<source gate id>_<bit>; its j-th summand becomes one flat MUL of
-    the transformed child and the gadget factors of A(r-1, j).
+    the transformed child and the literal gates of address j's code.  The
+    ledger is read off the new circuit (_read_ledger).
     """
     _check_gadgetize_input(c)
-    b = CircuitBuilder()
-    entries = []
-    new: dict = {}           # gate id -> id of its transformed gate
-    gadget_of: dict = {}     # child of an ADD gate -> the gadget of its summand
-    summand_of: dict = {}    # child of an ADD gate -> its GadgetChild
+    code_of: dict = {}       # child of an ADD gate -> the code of its address
     for i, g in enumerate(c.gates):
         if g.op == ADD:
-            n = len(g.args) - 1
-            yvars = tuple(Var("y", i, bit) for bit in range(t_for(n) + 1))
-            gadget_of.update((a, AddressingGadget.build(n, j, yvars)) for j, a in enumerate(g.args))
+            yvars = tuple(Var("y", i, bit) for bit in range(t_for(len(g.args) - 1) + 1))
+            code_of.update((a, address_code(j, yvars)) for j, a in enumerate(g.args))
+    b = CircuitBuilder()
+    new: dict = {}           # gate id -> id of its transformed gate, or of its summand
     for i in _postorder(c.gates, c.output):
         g = c.gates[i]
-        if g.op == ADD:
-            children = tuple(summand_of.pop(a) for a in g.args)
-            new[i] = b.add([ch.summand for ch in children])
-            gadget = gadget_of[g.args[0]]
-            # Each summand's gadget factors lie between its child and its MUL.
-            internal = frozenset(k for ch in children for k in range(ch.child + 1, ch.summand))
-            entries.append(LedgerEntry(gate=new[i], source_gate=i, t=gadget.t, vars=gadget.vars,
-                                       children=children, internal=internal))
-        elif g.op == MUL:
-            new[i] = b.mul([new[a] for a in g.args])
-        else:
+        if g.is_leaf():
             new[i] = b._push(g)
-        if i in gadget_of:
-            # The summand follows its child's subtree: gadget factors, then the MUL.
-            factor_ids = gadget_of[i].factors(b)
-            summand_of[i] = GadgetChild(address=gadget_of[i].j, child=new[i],
-                                        summand=b.mul([new[i]] + factor_ids))
-    return b.build(new[c.output]), GadgetLedger(entries)
+        else:
+            new[i] = (b.add if g.op == ADD else b.mul)([new[a] for a in g.args])
+        if i in code_of:
+            # The summand follows its child's subtree: the literals, then the MUL.
+            new[i] = b.mul([new[i], *literal_gates(b, code_of[i])])
+    cprime = b.build(new[c.output])
+    return cprime, _read_ledger(cprime)
 
+
+def _read_ledger(c: Circuit) -> GadgetLedger:
+    """The ledger of gadgetize's output c, read off its gadget sums (every
+    ADD but each 1 - y, whose first argument is a CONST): the controls
+    y_<source gate>_<bit> in bit order; per summand its address (its code's
+    bits less 2^t), child and summand; and as internal the ids strictly
+    between each child and its summand, its literal gates."""
+    entries = []
+    for i, g in enumerate(c.gates):
+        if g.op == ADD and c.gates[g.args[0]].op != CONST:
+            terms = gadget_sum(c, i)
+            ys = tuple(sorted(terms[0][1], key=lambda v: v.idx[1]))
+            top = 1 << len(ys) - 1
+            kids = tuple(GadgetChild(sum(bit << v.idx[1] for v, bit in code.items()) - top,
+                                     child[0], s) for s, code, child in terms)
+            internal = frozenset(k for ch in kids for k in range(ch.child + 1, ch.summand))
+            entries.append(LedgerEntry(i, ys[0].idx[0], len(ys) - 1, ys, kids, internal))
+    return GadgetLedger(entries)

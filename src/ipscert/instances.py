@@ -44,7 +44,7 @@ from functools import cache, reduce
 from operator import mul
 
 from .circuit import Circuit, CircuitBuilder, Folding, expand
-from .gadget import t_for
+from .gadget import address_code, literal_gates, t_for
 from .poly import TERM_GUARD, ResourceLimitError, SparsePoly, Var, elementary_sum
 
 
@@ -78,7 +78,7 @@ class WVarSet:
     w_leaf: Var
     address_vars: tuple
     splits: tuple      # valid_splits(i, j); address idx selects splits[idx]
-    addresses: tuple   # per split, its (address variable, bit) pairs in bit order
+    addresses: tuple   # per split, the code of its address (gadget.address_code)
 
 
 @cache
@@ -99,10 +99,7 @@ def interval_wvarsets(n: int) -> tuple:
             splits = valid_splits(i, j)
             t = t_for(len(splits) - 1) if splits else -1
             avars = tuple(wvar(i, j, bit) for bit in range(t + 1))
-            # Split idx is selected where address variable `bit` reads bit
-            # `bit` of idx + 2^t, LSB first: y for a 1, 1 - y for a 0.
-            addresses = tuple(tuple((v, (idx + (1 << t)) >> bit & 1) for bit, v in enumerate(avars))
-                              for idx in range(len(splits)))
+            addresses = tuple(address_code(idx, avars) for idx in range(len(splits)))
             wsets.append(WVarSet(i=i, j=j, w_top=wvar(i, j, "top"), w_leaf=wvar(i, j, "leaf"),
                                  address_vars=avars, splits=splits, addresses=addresses))
     return tuple(wsets)
@@ -200,8 +197,7 @@ def gadgeted_ry_circuit(n: int, assignment=None) -> tuple:
         def summand(code, r):
             # Each factor is made as the product takes it: a zero factor
             # ends the product, so the halves it zeroes are never built.
-            for v, bit in code:
-                yield b.var(v) if bit else b.complement(v)
+            yield from literal_gates(b, code)
             yield gate(i, r)
             yield gate(r + 1, j)
 

@@ -13,7 +13,7 @@ by induction on the formula:
 
     pushes the children's certificates through per-index products H_l.
   * gadget sums g = sum_l g_l A_l, read off the circuit as the transform
-    and the paper's gadgeted P write them (gadget_sum).  Expanding the
+    and the paper's gadgeted P write them (gadget.gadget_sum).  Expanding the
     square leaves three groups of terms: children squares against A_l^2
     (induction), the gadget squares A_l^2 - A_l (_square_cofactors), and the
     cross products A_l A_l' for distinct codes, which are divisible by
@@ -60,7 +60,7 @@ from .circuit import (
     Metrics,
     VAR,
 )
-from .gadget import json_field
+from .gadget import gadget_sum, json_field, literal_gates, literal_of
 from .instances import inverse_differences
 from .poly import Var, format_poly, parse_frac, parse_poly, parse_var, take_slot
 
@@ -90,61 +90,6 @@ def _product_cofactor(b: CircuitBuilder, code: dict, fa: list, code2: dict, fa2:
         raise ValueError("equal addresses have no separating bit")
     rest = [f for k, f in enumerate(fa) if k != j] + [f for k, f in enumerate(fa2) if k != j]
     return list(code)[j], b.prod([b.const(-1)] + rest)
-
-
-def _literal(c: Circuit, i: int):
-    """(v, 1) if gate i is VAR v, (v, 0) if it computes 1 - v, else None."""
-    g = c.gates[i]
-    if g.op == VAR:
-        return g.var, 1
-    if g.op != ADD or len(g.args) != 2:
-        return None
-    a, b = (c.gates[x] for x in g.args)
-    for one, neg in ((a, b), (b, a)):
-        if one.op == CONST and one.const == 1 and neg.op == MUL and len(neg.args) == 2:
-            x, y = (c.gates[k] for k in neg.args)
-            for cst, var in ((x, y), (y, x)):
-                if cst.op == CONST and cst.const == -1 and var.op == VAR:
-                    return var.var, 0
-    return None
-
-
-def gadget_sum(c: Circuit, i: int):
-    """[(summand id, code {v: bit}, child ids), ...] if gate i is a gadget
-    sum, else None: an ADD whose every summand (its factors, or itself if no
-    MUL) holds one literal v (bit 1) or 1 - v (bit 0) per control variable,
-    at pairwise distinct codes; its other factors are its child, maybe none.
-    The control variables are those every summand has a literal on, in the
-    first summand's order, once each summand of such literals alone, the
-    transform's MUL(child, f_0, ..., f_t), has its first factor set apart.
-    """
-    gates = c.gates
-    g = gates[i]
-    if g.op != ADD or not g.args:
-        return None
-    factors = [gates[s].args if gates[s].op == MUL else (s,) for s in g.args]
-    lits = [[_literal(c, a) for a in fs] for fs in factors]
-
-    def controls() -> dict:
-        common = set.intersection(*({lit[0] for lit in ls if lit} for ls in lits))
-        return dict.fromkeys(lit[0] for lit in lits[0] if lit and lit[0] in common)
-
-    ctrl = controls()
-    for ls in lits:
-        if len(ls) > 1 and all(lit and lit[0] in ctrl for lit in ls):
-            ls[0] = None
-    ctrl = controls()
-    terms = []
-    for s, fs, ls in zip(g.args, factors, lits):
-        code, child = {}, []
-        for a, lit in zip(fs, ls):
-            if lit and lit[0] in ctrl and lit[0] not in code:
-                code[lit[0]] = lit[1]
-            else:
-                child.append(a)
-        terms.append((s, {v: code[v] for v in ctrl}, child))
-    distinct = len({tuple(code.values()) for _, code, _ in terms}) == len(terms)
-    return terms if ctrl and distinct else None
 
 
 def _summed(b: CircuitBuilder, acc: dict) -> dict:
@@ -188,7 +133,7 @@ def gate_square_certificates(c: Circuit, gids) -> tuple:
         elif sums.get(i):
             certs[i] = _sum_rule(b, sums[i], certs)
         elif g.op == ADD:
-            lit = _literal(c, i)
+            lit = literal_of(c, i)
             if lit is None:
                 raise ValueError(
                     f"g{i}: addition gate without a gadget; transform the circuit first")
@@ -213,8 +158,7 @@ def _sum_rule(b: CircuitBuilder, terms: list, certs: dict) -> dict:
     fresh in code order, a child of several gates certified as a product."""
     codes = [code for _, code, _ in terms]
     kids = [child for _, _, child in terms]
-    factors = [[b.var(v) if bit else b.complement(v) for v, bit in code.items()]
-               for code in codes]
+    factors = [list(literal_gates(b, code.items())) for code in codes]
     kid_certs = [certs[k[0]] if len(k) == 1 else _product_rule(b, k, certs) for k in kids]
     acc = defaultdict(list)
     # (I) children's certificates against the squared gadgets.
@@ -267,7 +211,7 @@ class NullstellensatzCertificate:
 
 def _validate_leaves(c: Circuit) -> None:
     gates = c.gates
-    inside = {k for i, g in enumerate(gates) if g.op == ADD and _literal(c, i)
+    inside = {k for i, g in enumerate(gates) if g.op == ADD and literal_of(c, i)
               for a in g.args for k in (a, *gates[a].args)}   # the gates of each 1 - v
     for i, g in enumerate(gates):
         if g.op == CONST and i not in inside and g.const not in (0, 1):

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ipscert.circuit import (
@@ -33,11 +34,12 @@ from ipscert.circuit import (
     parse_circuit,
     poly_to_circuit,
 )
-from ipscert.gadget import AddressingGadget, GadgetChild, GadgetLedger, LedgerEntry, gadgetize
+from ipscert.gadget import (GadgetChild, GadgetLedger, LedgerEntry, address_code, gadget_sum,
+                            gadgetize, literal_gates, t_for)
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, frac_mod,
                           parse_frac, parse_var)
-from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation, gadget_sum
+from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
 CORPUS_SEED = 20260810
@@ -234,6 +236,41 @@ def ref_evaluate_mod(a: dict, point: dict, prime: int) -> int:
     return total % prime
 
 
+@dataclass(frozen=True)
+class AddressingGadget:
+    """The multilinear multiplexer A(n, j) over control variables `vars`: a
+    view of the code of address j (gadget.address_code), with the checks
+    that tie it to its arity parameter n."""
+
+    n: int
+    j: int
+    vars: tuple
+
+    @classmethod
+    def build(cls, n: int, j: int, vars) -> "AddressingGadget":
+        if not 0 <= j <= n:
+            raise ValueError(f"address {j} out of range for arity parameter {n}")
+        if len(vars) != t_for(n) + 1:
+            raise ValueError(f"gadget needs {t_for(n) + 1} variables, got {len(vars)}")
+        return cls(n=n, j=j, vars=tuple(vars))
+
+    @property
+    def t(self) -> int:
+        return t_for(self.n)
+
+    @property
+    def one_bits(self) -> frozenset:
+        return frozenset(bit for bit, (_, one) in enumerate(address_code(self.j, self.vars)) if one)
+
+    @property
+    def zero_bits(self) -> frozenset:
+        return frozenset(range(self.t + 1)) - self.one_bits
+
+    def factors(self, b: CircuitBuilder) -> list:
+        """Fresh gates in b, one id per bit position in bit order: y_b or 1 - y_b."""
+        return list(literal_gates(b, address_code(self.j, self.vars)))
+
+
 def gadget_poly(g: AddressingGadget) -> SparsePoly:
     """A(n, j) = prod_{B1} y_i * prod_{B0} (1 - y_i) by ring operations from
     the gadget's bit sets: an oracle for AddressingGadget.factors."""
@@ -271,7 +308,7 @@ def ledger_sums(ledger: GadgetLedger) -> dict:
 
 def read_sums(c: Circuit) -> dict:
     """ledger_sums' map of the gadget sums refute reads off c
-    (refute.gadget_sum), a code's address its bits, LSB first, less 2^t."""
+    (gadget.gadget_sum), a code's address its bits, LSB first, less 2^t."""
     out = {}
     for i in range(len(c.gates)):
         terms = gadget_sum(c, i)

@@ -27,7 +27,7 @@ from ipscert.circuit import (
     partial_evaluate,
     subcircuit,
 )
-from ipscert.gadget import AddressingGadget, t_for
+from ipscert.gadget import address_code, literal_gates, t_for
 from ipscert.instances import (
     extract_clique_component,
     gadgeted_ry_circuit,
@@ -75,9 +75,8 @@ def test_criterion_1_gadget_truth_tables():
         retrieval = {v: Fraction(1, 2) for v in vs[:-1]}
         retrieval[vs[-1]] = Fraction(1 << t)
         for j in range(n + 1):
-            gadget = AddressingGadget.build(n, j, vs)
             b = CircuitBuilder()
-            circ = b.formula(b.prod(gadget.factors(b)))
+            circ = b.formula(b.prod(literal_gates(b, address_code(j, vs))))
             code = j + (1 << t)
             expected = tuple(code >> b & 1 for b in range(t + 1))
             ones = []
@@ -132,15 +131,17 @@ def test_criterion_4_certificate_identities(transformed01):
         skipped = set(range(len(cprime.gates))) - set(gids)
         assert skipped <= internal  # only gadget negations are exempt
         b, certs = gate_square_certificates(cprime, gids)
-        for gid in gids:
-            g = expand(subcircuit(cprime, gid))
+        # b starts from cprime's gates: each gate and its cofactors are one
+        # group, and every gate they reach is expanded once.
+        groups = [[gid, *certs[gid].values()] for gid in gids]
+        for gid, (g, *cof_polys) in zip(gids, b.expand_each(groups)):
             rhs = SparsePoly.zero()
             mg = measure(subcircuit(cprime, gid))
-            for v, cof in certs[gid].items():
+            for (v, cof), cof_poly in zip(certs[gid].items(), cof_polys):
                 m = b.metrics([cof])[0]
                 assert m.size <= 100 * mg.size ** 4
                 assert m.depth <= 2 * mg.depth
-                rhs = rhs + b.expand(cof) * boolean_axiom(v)
+                rhs = rhs + cof_poly * boolean_axiom(v)
             assert g * g - g == rhs
             gates_checked += 1
         cert = assemble_refutation(cprime)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_corpus, gadget_poly, ledger_gadget, pit_corpus, retrieval_point,
+from helpers import (AddressingGadget, build_corpus, gadget_poly, ledger_gadget, pit_corpus, retrieval_point,
                      selected_point, shuffled_topological)
 
 from ipscert.circuit import (
@@ -25,12 +25,15 @@ from ipscert.circuit import (
     partial_evaluate,
 )
 from ipscert.gadget import (
-    AddressingGadget,
     GadgetLedger,
+    address_code,
+    gadget_sum,
     gadgetize,
     t_for,
 )
+from ipscert.instances import gadgeted_ry_circuit, uvar
 from ipscert.poly import SparsePoly, Var
+from ipscert.rank import balanced_partitions, fullrank_witness
 from ipscert.verify import boolean_image
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -110,6 +113,52 @@ def test_top_bit_always_one():
         for j in range(n + 1):
             g = AddressingGadget.build(n, j, yvars(t_for(n)))
             assert g.t in g.one_bits
+
+
+def test_address_code_is_j_plus_2_to_the_t_lsb_first():
+    y0, y1, y2 = yvars(2)
+    assert address_code(0, (y0,)) == ((y0, 1),)
+    assert address_code(1, (y0, y1, y2)) == ((y0, 1), (y1, 0), (y2, 1))
+    assert address_code(2, (y0, y1, y2)) == ((y0, 0), (y1, 1), (y2, 1))
+    for j in (-1, 4):
+        with pytest.raises(ValueError, match=f"address {j} out of range for 3 control variables"):
+            address_code(j, (y0, y1, y2))
+
+
+def test_p_writes_reads_and_witnesses_the_one_address_code():
+    # Writer, reader and witness of P through address_code, n = 1..6.  Each
+    # gadget sum read off P is over one w_top, one w_leaf, or the address
+    # variables of an interval with two or more splits (a lone split's sum
+    # folds away); over address variables, summand k has address k's code,
+    # whose bits, placed by the bit in each variable's name, are k + 2^t.
+    # The full-rank witness sets exactly one of an interval's codes where
+    # it picks a split (w_top = 1) and none elsewhere.
+    for n in range(1, 7):
+        p, wsets = gadgeted_ry_circuit(n)
+        by_controls = {frozenset(ws.address_vars): ws for ws in wsets}
+        read = {}
+        for i in range(len(p.gates)):
+            terms = gadget_sum(p, i)
+            if not terms:
+                continue
+            controls = frozenset(terms[0][1])
+            if controls not in by_controls:
+                assert any(controls in ({ws.w_top}, {ws.w_leaf}) for ws in wsets)
+                continue
+            ws = by_controls[controls]
+            assert ws not in read
+            read[ws] = [tuple(code.items()) for _, code, _ in terms]
+            for k, (_, code, _) in enumerate(terms):
+                assert sum(bit << v.idx[2] for v, bit in code.items()) == k + (1 << len(code) - 1)
+        assert set(read) == {ws for ws in wsets if len(ws.splits) > 1}
+        for ws, codes in read.items():
+            assert codes == [address_code(k, ws.address_vars) for k in range(len(ws.splits))]
+        for part in balanced_partitions([uvar(k) for k in range(1, 2 * n + 1)]):
+            witness = fullrank_witness(wsets, part)
+            for ws in wsets:
+                codes = [address_code(k, ws.address_vars) for k in range(len(ws.splits))]
+                set_codes = [code for code in codes if all(witness[v] == bit for v, bit in code)]
+                assert len(set_codes) == (1 if witness[ws.w_top] == 1 else 0)
 
 
 def test_gadgetize_two_summands():

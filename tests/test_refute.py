@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
+from helpers import (AddressingGadget, boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
                      ci_chain_certificate, gadget_poly, laid_out, ledger_sums, pit_corpus,
                      random_product_dag, read_sums, ref_evaluate,
                      reference_read_table, selected_point, shift_certificates, shuffled_topological,
@@ -35,7 +35,7 @@ from ipscert.circuit import (
     poly_to_circuit,
     subcircuit,
 )
-from ipscert.gadget import AddressingGadget, gadgetize, t_for
+from ipscert.gadget import gadget_sum, gadgetize, literal_of, t_for
 from ipscert.instances import gadgeted_ry_circuit, mnc_instance
 from ipscert import poly as poly_module
 from ipscert import refute as refute_module
@@ -47,7 +47,6 @@ from ipscert.refute import (
     boolean_axiom_label,
     certificate_from_json,
     certificate_to_json,
-    gadget_sum,
     gate_square_certificates,
     is_boolean_axiom,
 )
@@ -328,7 +327,7 @@ def test_the_papers_instance_p_minus_2_is_refuted(n):
     # -(1 + P)/2, the paper's functional refutation of 2 - P, negated.
     p, _ = gadgeted_ry_circuit(n)
     adds = [i for i, g in enumerate(p.gates) if g.op == ADD]
-    assert all(gadget_sum(p, i) or refute_module._literal(p, i) for i in adds)
+    assert all(gadget_sum(p, i) or literal_of(p, i) for i in adds)
     cert = certificate_from_json(certificate_to_json(assemble_refutation(p, shift=Fraction(-2))))
     assert check_claims(cert, p) is None
     assert verify_exact(cert).verdict == "verified-exact"

@@ -31,7 +31,7 @@ from ipscert.circuit import (
     normalize_layered,
     poly_to_circuit,
 )
-from ipscert.gadget import AddressingGadget, gadgetize
+from ipscert.gadget import address_code, gadgetize, literal_gates
 from ipscert.instances import gadgeted_ry_circuit
 from ipscert.poly import ResourceLimitError, SparsePoly, Var
 from ipscert.refute import (
@@ -764,7 +764,7 @@ def test_image_answers_a_power_whose_expansion_trips_the_guard():
     # 2^26 terms: expand refuses it, and the image was refused with it.
     ys = [Var("y", 0, bit) for bit in range(14)]
     b = CircuitBuilder()
-    s = b.add([b.prod(AddressingGadget.build(4096, j, ys).factors(b)) for j in (0, 3)])
+    s = b.add([b.prod(literal_gates(b, address_code(j, ys))) for j in (0, 3)])
     c = b.build(b.mul([s, s, s]))
     with pytest.raises(ResourceLimitError, match="dense-size guard"):
         expand(c)
