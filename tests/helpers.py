@@ -9,7 +9,6 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ipscert.circuit import (
@@ -34,8 +33,7 @@ from ipscert.circuit import (
     parse_circuit,
     poly_to_circuit,
 )
-from ipscert.gadget import (GadgetChild, GadgetLedger, LedgerEntry, address_code, gadget_sum,
-                            gadgetize, literal_gates, t_for)
+from ipscert.gadget import GadgetChild, GadgetLedger, LedgerEntry, gadget_sum, gadgetize
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, frac_mod,
                           parse_frac, parse_var)
@@ -43,7 +41,6 @@ from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_ref
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
 CORPUS_SEED = 20260810
-
 
 
 def pit_corpus(seed: int, count: int) -> list:
@@ -236,61 +233,13 @@ def ref_evaluate_mod(a: dict, point: dict, prime: int) -> int:
     return total % prime
 
 
-@dataclass(frozen=True)
-class AddressingGadget:
-    """The multilinear multiplexer A(n, j) over control variables `vars`: a
-    view of the code of address j (gadget.address_code), with the checks
-    that tie it to its arity parameter n."""
-
-    n: int
-    j: int
-    vars: tuple
-
-    @classmethod
-    def build(cls, n: int, j: int, vars) -> "AddressingGadget":
-        if not 0 <= j <= n:
-            raise ValueError(f"address {j} out of range for arity parameter {n}")
-        if len(vars) != t_for(n) + 1:
-            raise ValueError(f"gadget needs {t_for(n) + 1} variables, got {len(vars)}")
-        return cls(n=n, j=j, vars=tuple(vars))
-
-    @property
-    def t(self) -> int:
-        return t_for(self.n)
-
-    @property
-    def one_bits(self) -> frozenset:
-        return frozenset(bit for bit, (_, one) in enumerate(address_code(self.j, self.vars)) if one)
-
-    @property
-    def zero_bits(self) -> frozenset:
-        return frozenset(range(self.t + 1)) - self.one_bits
-
-    def factors(self, b: CircuitBuilder) -> list:
-        """Fresh gates in b, one id per bit position in bit order: y_b or 1 - y_b."""
-        return list(literal_gates(b, address_code(self.j, self.vars)))
-
-
-def gadget_poly(g: AddressingGadget) -> SparsePoly:
-    """A(n, j) = prod_{B1} y_i * prod_{B0} (1 - y_i) by ring operations from
-    the gadget's bit sets: an oracle for AddressingGadget.factors."""
+def gadget_poly(code) -> SparsePoly:
+    """The gadget of a code ((v, bit), ...), prod y for a 1 and 1 - y for a
+    0, by ring operations: an oracle for gadget.literal_gates."""
     p = SparsePoly.constant(1)
-    for bit in sorted(g.one_bits):
-        p = p * SparsePoly.variable(g.vars[bit])
-    for bit in sorted(g.zero_bits):
-        p = p * (1 - SparsePoly.variable(g.vars[bit]))
+    for v, bit in code:
+        p = p * (SparsePoly.variable(v) if bit else 1 - SparsePoly.variable(v))
     return p
-
-
-def selected_point(g: AddressingGadget) -> dict:
-    """The unique Boolean control point where the gadget evaluates to 1:
-    each variable at its bit of j + 2^t."""
-    return {v: (1 if b in g.one_bits else 0) for b, v in enumerate(g.vars)}
-
-
-def ledger_gadget(entry: LedgerEntry, address: int) -> AddressingGadget:
-    """The gadget of one address of a ledger entry."""
-    return AddressingGadget.build(len(entry.children) - 1, address, entry.vars)
 
 
 def internal_gates(ledger: GadgetLedger) -> frozenset:

@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AddressingGadget, build_corpus, gadget_poly, ledger_gadget, pit_corpus, retrieval_point,
-                     selected_point, shuffled_topological)
+from helpers import build_corpus, gadget_poly, pit_corpus, retrieval_point, shuffled_topological
 
 from ipscert.circuit import (
     CircuitBuilder,
@@ -29,6 +28,7 @@ from ipscert.gadget import (
     address_code,
     gadget_sum,
     gadgetize,
+    literal_gates,
     t_for,
 )
 from ipscert.instances import gadgeted_ry_circuit, uvar
@@ -54,10 +54,10 @@ def yvars(t):
     return [Var("y", 0, b) for b in range(t + 1)]
 
 
-def gadget_circuit(gadget):
-    """The gadget's factors laid out as one product formula."""
+def gadget_circuit(code):
+    """A code's literal gates laid out as one product formula."""
     b = CircuitBuilder()
-    return b.formula(b.prod(gadget.factors(b)))
+    return b.formula(b.prod(literal_gates(b, code)))
 
 
 def test_t_for():
@@ -66,9 +66,9 @@ def test_t_for():
 
 def test_gadget_n1_j0_shape():
     # j + 2^t = 2 = bits (0, 1) LSB-first: (1 - y0) * y1
-    g = AddressingGadget.build(1, 0, yvars(1))
+    code = address_code(0, yvars(1))
     y0, y1 = (SparsePoly.variable(v) for v in yvars(1))
-    assert expand(gadget_circuit(g)) == (1 - y0) * y1 == gadget_poly(g)
+    assert expand(gadget_circuit(code)) == (1 - y0) * y1 == gadget_poly(code)
 
 
 def test_gadget_truth_table_single_one():
@@ -76,9 +76,9 @@ def test_gadget_truth_table_single_one():
         t = t_for(n)
         vs = yvars(t)
         for j in range(n + 1):
-            gadget = AddressingGadget.build(n, j, vs)
-            circ = gadget_circuit(gadget)
-            assert expand(circ) == gadget_poly(gadget)
+            code = address_code(j, vs)
+            circ = gadget_circuit(code)
+            assert expand(circ) == gadget_poly(code)
             hits = []
             for bits in itertools.product((0, 1), repeat=t + 1):
                 a = dict(zip(vs, bits))
@@ -86,8 +86,8 @@ def test_gadget_truth_table_single_one():
                 assert val in (0, 1)
                 if val == 1:
                     hits.append(bits)
-            code = j + (1 << t)
-            expected = tuple(code >> b & 1 for b in range(t + 1))
+            value = j + (1 << t)
+            expected = tuple(value >> b & 1 for b in range(t + 1))
             assert hits == [expected]
 
 
@@ -98,31 +98,19 @@ def test_gadget_retrieval_point():
         point = {v: Fraction(1, 2) for v in vs[:-1]}
         point[vs[-1]] = Fraction(1 << t)
         for j in range(n + 1):
-            assert eval_circuit(gadget_circuit(AddressingGadget.build(n, j, vs)), point) == 1
+            assert eval_circuit(gadget_circuit(address_code(j, vs)), point) == 1
 
 
 def test_gadget_rejects_bad_address():
-    with pytest.raises(ValueError, match="out of range"):
-        AddressingGadget.build(3, 4, yvars(2))
-    with pytest.raises(ValueError, match="variables"):
-        AddressingGadget.build(3, 1, yvars(1))
+    for j, vs in ((4, yvars(2)), (-1, yvars(2)), (2, yvars(1))):
+        with pytest.raises(ValueError, match=f"address {j} out of range for {len(vs)} control"):
+            address_code(j, vs)
 
 
 def test_top_bit_always_one():
     for n in range(9):
         for j in range(n + 1):
-            g = AddressingGadget.build(n, j, yvars(t_for(n)))
-            assert g.t in g.one_bits
-
-
-def test_address_code_is_j_plus_2_to_the_t_lsb_first():
-    y0, y1, y2 = yvars(2)
-    assert address_code(0, (y0,)) == ((y0, 1),)
-    assert address_code(1, (y0, y1, y2)) == ((y0, 1), (y1, 0), (y2, 1))
-    assert address_code(2, (y0, y1, y2)) == ((y0, 0), (y1, 1), (y2, 1))
-    for j in (-1, 4):
-        with pytest.raises(ValueError, match=f"address {j} out of range for 3 control variables"):
-            address_code(j, (y0, y1, y2))
+            assert address_code(j, yvars(t_for(n)))[-1][1] == 1
 
 
 def test_p_writes_reads_and_witnesses_the_one_address_code():
@@ -206,7 +194,7 @@ def test_selection_at_boolean_address():
     cp, ledger = gadgetize(c)
     entry = ledger.entries[0]
     for j, picked in ((0, X1), (1, X2), (2, X3)):
-        point = selected_point(ledger_gadget(entry, j))
+        point = dict(address_code(j, entry.vars))
         assert expand(partial_evaluate(cp, point)) == SparsePoly.variable(picked)
 
 

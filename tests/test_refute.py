@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AddressingGadget, boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
+from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
                      ci_chain_certificate, gadget_poly, laid_out, ledger_sums, pit_corpus,
                      random_product_dag, read_sums, ref_evaluate,
-                     reference_read_table, selected_point, shift_certificates, shuffled_topological,
+                     reference_read_table, shift_certificates, shuffled_topological,
                      table_state,
                      total_degree)
 
@@ -35,7 +35,7 @@ from ipscert.circuit import (
     poly_to_circuit,
     subcircuit,
 )
-from ipscert.gadget import gadget_sum, gadgetize, literal_of, t_for
+from ipscert.gadget import address_code, gadget_sum, gadgetize, literal_gates, literal_of, t_for
 from ipscert.instances import gadgeted_ry_circuit, mnc_instance
 from ipscert import poly as poly_module
 from ipscert import refute as refute_module
@@ -158,32 +158,32 @@ def test_gadgetized_add_full_expansion():
     assert gate_identity_holds(cp, cp.output)
 
 
-def square_cofactors(g):
+def square_cofactors(code):
     """(builder, ids of C_bit) for A^2 - A = sum_bit C_bit * (y_bit^2 - y_bit)."""
     b = CircuitBuilder()
-    return b, _square_cofactors(b, g.factors(b))
+    return b, _square_cofactors(b, list(literal_gates(b, code)))
 
 
 def product_cofactor(a, a2):
-    """(builder, v, id of C) for A * A' = C * (v^2 - v), the gadgets given
-    to _product_cofactor as their codes {v: bit}."""
+    """(builder, v, id of C) for A * A' = C * (v^2 - v), A and A' the
+    gadgets of codes a and a2."""
     b = CircuitBuilder()
-    code, code2 = selected_point(a), selected_point(a2)
-    return (b, *_product_cofactor(b, code, a.factors(b), code2, a2.factors(b)))
+    fa, fa2 = list(literal_gates(b, a)), list(literal_gates(b, a2))
+    return (b, *_product_cofactor(b, dict(a), fa, dict(a2), fa2))
 
 
 def test_address_square_trivial_gadget():
-    b, cofs = square_cofactors(AddressingGadget.build(0, 0, yvars(0)))
+    b, cofs = square_cofactors(address_code(0, yvars(0)))
     assert b.expand(cofs[0]) == 1
 
 
 def test_address_square_two_bit_gadget():
-    g = AddressingGadget.build(1, 0, yvars(1))
+    g = address_code(0, yvars(1))
     b, cofs = square_cofactors(g)
     a = gadget_poly(g)
     rhs = SparsePoly.zero()
-    for bit, cof in enumerate(cofs):
-        rhs = rhs + b.expand(cof) * boolean_axiom(g.vars[bit])
+    for (v, _), cof in zip(g, cofs):
+        rhs = rhs + b.expand(cof) * boolean_axiom(v)
     assert a * a - a == rhs
 
 
@@ -192,26 +192,26 @@ def test_address_square_random_points_and_sizes():
     for n in (1, 2, 3, 5, 8):
         r = n + 1
         for j in range(n + 1):
-            g = AddressingGadget.build(n, j, yvars(t_for(n)))
+            g = address_code(j, yvars(t_for(n)))
             b, cofs = square_cofactors(g)
             a = gadget_poly(g)
             rhs = SparsePoly.zero()
-            for bit, cof in enumerate(cofs):
+            for (v, _), cof in zip(g, cofs):
                 assert b.metrics([cof])[0].size <= 6 * r
-                rhs = rhs + b.expand(cof) * boolean_axiom(g.vars[bit])
+                rhs = rhs + b.expand(cof) * boolean_axiom(v)
             lhs = a * a - a
             assert lhs == rhs
             for _ in range(100 // (n + 1)):
                 point = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                         for v in g.vars}
+                         for v, _ in g}
                 assert (ref_evaluate(dict(lhs.items()), point)
                         == ref_evaluate(dict(rhs.items()), point))
 
 
 def test_address_product_example():
     vs = yvars(1)
-    a = AddressingGadget.build(1, 0, vs)
-    a2 = AddressingGadget.build(1, 1, vs)
+    a = address_code(0, vs)
+    a2 = address_code(1, vs)
     b, v, c = product_cofactor(a, a2)
     assert v == vs[0]
     y1 = SparsePoly.variable(vs[1])
@@ -220,8 +220,8 @@ def test_address_product_example():
 
 
 def test_address_product_equal_addresses_rejected():
-    a = AddressingGadget.build(1, 1, yvars(1))
-    elsewhere = AddressingGadget.build(1, 0, yvars(1, tag=1))
+    a = address_code(1, yvars(1))
+    elsewhere = address_code(0, yvars(1, tag=1))
     for a2, message in ((a, "equal addresses have no separating bit"),
                         (elsewhere, "gadgets do not share control variables")):
         with pytest.raises(ValueError, match=message):
@@ -236,10 +236,10 @@ def test_address_product_separating_bit_below_top():
             for j2 in range(n + 1):
                 if j == j2:
                     continue
-                a = AddressingGadget.build(n, j, vs)
-                a2 = AddressingGadget.build(n, j2, vs)
+                a = address_code(j, vs)
+                a2 = address_code(j2, vs)
                 b, v, c = product_cofactor(a, a2)
-                assert vs.index(v) < a.t
+                assert vs.index(v) < len(vs) - 1
                 assert b.metrics([c])[0].size <= 6 * (n + 1)
                 assert gadget_poly(a) * gadget_poly(a2) == b.expand(c) * boolean_axiom(v)
 
