@@ -80,6 +80,13 @@ SHIFT_V2_SHA256 = {
     "-3": "cae22737feecadf65cc3d2c257adc9ae9b8d2caf1ea4fb1607aa174a3fbd12ac",
     "2/3": "e0c31f4092c0a714cd8034834c92dae2932296ca7a2bc5a9a647b1378002a984",
 }
+# The /2 documents of the paper's P - 2 at n = 3 and 4, the first sizes at
+# which P's gates are shared, so that the starting gates above them lay out
+# as DAGs and are measured as such.
+P_MINUS_2_V2_SHA256 = {
+    3: "d1369e063741251b4d7e9c8b58b639407060aa6043e8eb7214477b0f7b0a76f5",
+    4: "3d4eaed57392ab9979792949f27fc33b312b1b1ab779d1297790dcc5e7674104",
+}
 
 
 def yvars(t, tag=0):
@@ -342,6 +349,17 @@ def test_the_papers_instance_p_minus_2_is_refuted(n):
     assert check_claims(doubled, p) is None
     assert verify_exact(doubled).verdict == "refuted"
     assert verify_pit(doubled, PitConfig(trials=20, seed=n)).verdict == "refuted"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_papers_dag_certificates_are_pinned(n):
+    p, _ = gadgeted_ry_circuit(n)
+    text = certificate_to_json(assemble_refutation(p, shift=Fraction(-2)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == P_MINUS_2_V2_SHA256[n]
+    cert = certificate_from_json(text)
+    assert (cert.total_size, cert.total_depth) == {3: (5689, 12), 4: (30651, 17)}[n]
+    assert check_claims(cert, p) is None
+    assert verify_pit(cert, PitConfig(trials=20, seed=n)).verdict == "verified-probabilistic"
 
 
 def test_instance_cofactor_degree():
