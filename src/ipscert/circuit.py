@@ -27,7 +27,6 @@ Comments start with `#`.  Serialization is canonical and byte-stable.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -59,6 +58,11 @@ _WRITTEN_KINDS = {f"{kind} ": kind for kind in (ADD, MUL)}
 
 # The constants of CircuitBuilder.complement, shared by all its gates.
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+# The most bits CircuitBuilder.metrics holds in wire sets at once, 512 KiB
+# of ints: a set is as long as the starting wires up to its gate, quadratic
+# memory over a table, where P - 2 at n = 12 holds at most 0.39 M bits.
+_WIRE_BITS = TERM_GUARD // 4
 
 
 class Gate:
@@ -185,15 +189,14 @@ class CircuitBuilder:
     laid out: the gates a set of roots reach are found by one descending
     marking pass (an argument has a lower id than its gate) and walked in
     ascending id order (see _sweep), once for all the roots metrics() is
-    given and once per group of roots expand_each() is given, where a gate
-    an earlier group expanded is not expanded again; only subcircuit()
-    copies a root out.
+    given, which measures each gate once by the rule of its kind, and once
+    per group of roots expand_each() is given, where a gate an earlier group
+    expanded is not expanded again; only subcircuit() copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
         self._gates: list = list(gates)
         self._starting: set = set(range(len(self._gates)))
-        self._dag: set | None = None   # see _dag_starting; None until asked for
         self._reached: dict = {}       # gate id -> the ids it reaches, ascending
         self._shared: dict = {}        # leaf right-hand side or (kind, arg ids) -> id
         self._written: dict = {}       # leaf right-hand side -> its gate, None if not written
@@ -242,7 +245,6 @@ class CircuitBuilder:
             self._gates.append(g if g.is_leaf() else
                                Gate(g.op, args=tuple(a + offset for a in g.args)))
         self._starting.update(range(offset, len(self._gates)))
-        self._dag = None
         return c.output + offset
 
     def read(self, lines: Sequence[str]) -> int:
@@ -329,7 +331,6 @@ class CircuitBuilder:
         """
         names: dict = {}
         _gate_lines(lines, self._lay_in(starting), self._written, names)
-        self._dag = None
         return names
 
     def _lay_in(self, starting: int):
@@ -414,22 +415,6 @@ class CircuitBuilder:
             ids = self._reached[i] = _sweep(self._gates, (i,))
         return ids
 
-    def _dag_starting(self) -> set:
-        """The starting gates whose subcircuit is not a tree: those that
-        reach an internal starting gate filling two argument slots of
-        starting gates.  Starting gates name only starting gates, so every
-        other starting gate lays out as a tree, and measures as a composed
-        gate does."""
-        dag = self._dag
-        if dag is None:
-            gates, starting = self._gates, self._starting
-            uses = Counter([a for i in starting for a in gates[i].args])
-            dag = self._dag = set()
-            for i in sorted(starting):
-                if any([a in dag or uses[a] > 1 and gates[a].args for a in gates[i].args]):
-                    dag.add(i)
-        return dag
-
     def lines(self, root: int) -> list:
         """The text lines of root laid out as a standalone formula, without
         recursion: each gate's line, a position counting the gates before,
@@ -504,34 +489,45 @@ class CircuitBuilder:
 
     def metrics(self, roots: Sequence[int]) -> list:
         """[measure(self.formula(r)) for r in roots], by dynamic programming
-        over the table: every gate the roots reach is measured once however
-        often it is copied, in one ascending sweep of them all.  A starting
-        gate lays out as its subcircuit: as a tree, measured by the same rule
-        as a composed gate, unless it lies above a shared starting gate
-        (_dag_starting), when the rule of measure is folded over the ids it
-        reaches, only for a root or an argument of a gate not in it (every
-        starting gate above it is in it too)."""
-        gates = self._gates
-        dag = self._dag_starting()
+        over one ascending sweep of the gates the roots reach.  A gate's depth
+        is its deepest argument's plus one (a scaled wire's, its wire's), as
+        sharing never changes a longest path.  A composed gate is copied at
+        each use: its size is its fan-in plus its arguments' sizes.  A starting
+        gate lays out as the starting gates it reaches, each once: its size is
+        the bits set in its wire set, an int with one bit per wire of a starting
+        gate (a scaled wire has none), its own ORed with its arguments', dropped
+        after its last starting reader; over _WIRE_BITS bits held is a ValueError."""
+        gates, starting = self._gates, self._starting
         ids = _sweep(gates, roots)
-        asked = set(roots)       # with the arguments of the gates not in dag
-        if dag:
-            asked.update([a for i in ids if i not in dag for a in gates[i].args])
+        last = {a: i for i in ids if i in starting for a in gates[i].args}
         size, depth = [0] * len(gates), [0] * len(gates)   # of each gate's layout
+        wires: dict = {}         # starting gate id -> its wire set, until its last starting reader
+        held = bit = 0           # the bit lengths in wires; the next wire's bit
         for i in ids:
             args = gates[i].args
             if not args:
                 continue
-            if i in dag:
-                if i in asked:
-                    size[i], depth[i] = _measure(gates, _sweep(gates, (i,)))
-                continue
             other = _is_scaled_wire(gates, gates[i])
-            if other is not None:
-                size[i], depth[i] = size[other], depth[other]
-            else:
-                size[i] = len(args) + sum([size[a] for a in args])
-                depth[i] = 1 + max([depth[a] for a in args])
+            depth[i] = 1 + max([depth[a] for a in args]) if other is None else depth[other]
+            if i not in starting:
+                size[i] = len(args) + sum([size[a] for a in args]) if other is None else size[other]
+                continue
+            k = len(args) if other is None else 0
+            s = (1 << k) - 1 << bit
+            bit += k
+            for a in args:
+                if last[a] != i:
+                    s |= wires.get(a, 0)
+                elif a in wires:
+                    s |= wires[a]
+                    held -= wires.pop(a).bit_length()
+            size[i] = s.bit_count()
+            if i in last:
+                wires[i] = s
+                held += s.bit_length()
+                if held > _WIRE_BITS:
+                    raise ValueError(f"measuring the layouts up to g{i} would hold over "
+                                     f"{_WIRE_BITS} bits of wire sets at once")
         return [Metrics(size[r], depth[r]) for r in roots]
 
     def expand(self, root: int) -> SparsePoly:

@@ -795,7 +795,6 @@ def reference_read_table(b: CircuitBuilder, lines, starting: int) -> dict:
         else:
             shared[key] = len(b._gates)
         ids.append(b._push(g if args is None else Gate(g, args=key[1])))
-    b._dag = None
     return {name: ids[p] for name, p in names.items()}
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -647,12 +648,12 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
     for n in range(1, 5):
         c, _ = gadgeted_ry_circuit(n)
         b = CircuitBuilder(c.gates)
-        assert bool(b._dag_starting()) == (n >= 3)
+        assert bool(above_shared(c)) == (n >= 3)
         for i in range(len(c.gates)):
             assert b.metrics([i])[0] == measure(subcircuit(c, i))
     # The one shared internal gate, s, lies deep in a tree: only the gates
-    # above it take the rule of measure over their DAG, and the gates beside
-    # it and below it the dynamic programming of a tree.
+    # above it lay out as a DAG, and the gates beside it and below it as the
+    # tree of their uses.
     g = CircuitBuilder()
     s = g.mul([g.var(X1), g.var(X2)])
     below = g.add([s, g.mul([g.const(-1), s])])
@@ -661,7 +662,7 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
     c = g.build(top)
     b = CircuitBuilder(c.gates)
     above = {i for i in range(len(c.gates)) if s in subcircuit_ids(c, i) and i != s}
-    assert b._dag_starting() == above and {below, top} <= above and beside not in above
+    assert above_shared(c) == above and {below, top} <= above and beside not in above
     for i in range(len(c.gates)):
         assert b.metrics([i])[0] == measure(subcircuit(c, i))
     assert b.metrics([top])[0] != Metrics(*tree_measure(c, top))
@@ -670,11 +671,11 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
 
 def test_metrics_of_several_roots_over_one_sweep_measure_each_layout():
     # One sweep of every root: no roots, a root given twice, and composed
-    # roots above starting gates that lie above a shared gate
-    # (_dag_starting), beside starting gates that do not.
+    # roots above starting gates that lie above a shared gate, beside
+    # starting gates that do not.
     c, _ = gadgeted_ry_circuit(3)
     b = CircuitBuilder(c.gates)
-    dag = b._dag_starting()
+    dag = above_shared(c)
     assert dag and c.output in dag
     assert b.metrics([]) == []
     low = min(dag)
@@ -686,29 +687,31 @@ def test_metrics_of_several_roots_over_one_sweep_measure_each_layout():
         measure(subcircuit(c, i)) for i in range(len(c.gates))]
 
 
-def test_metrics_measure_a_shared_starting_gate_only_where_it_is_asked(monkeypatch):
+def test_metrics_measure_a_chain_of_shared_starting_gates_in_one_sweep(monkeypatch):
     # Every gate of a 3,000-deep chain of starting gates g = ADD g' g' lies
-    # above a shared gate: only those a root or a composed gate names are
-    # measured over the ids they reach, not every gate of the chain.
+    # above a shared gate: metrics sweeps the table once for all the roots,
+    # not once more for each starting gate a root or a composed gate names.
     chain_of_squares = CircuitBuilder()
     g = chain_of_squares.var(X1)
     for _ in range(3000):
         g = chain_of_squares.add([g, g])
     b = CircuitBuilder(chain_of_squares._gates)
     roots = [b.mul([b.const(2), g]), b.add([1500, g]), g]
-    measured = []
-    real = circuit_module._measure
+    sweeps = []
+    real = circuit_module._sweep
 
     def counting(gates, ids):
-        measured.append(ids[-1])
+        sweeps.append(ids)
         return real(gates, ids)
 
-    monkeypatch.setattr(circuit_module, "_measure", counting)
+    monkeypatch.setattr(circuit_module, "_sweep", counting)
     got = b.metrics(roots)
+    every = b.metrics([b.mul([b.const(2), i]) for i in range(1, g + 1)])
     monkeypatch.undo()
-    assert sorted(measured) == [1500, g]
+    assert len(sweeps) == 2
     assert got == [measure(b.formula(r)) for r in roots]
     assert got[1] == Metrics(2 + 2 * 1500 + 2 * 3000, 3001)
+    assert every == [Metrics(2 * i, i) for i in range(1, g + 1)]
 
 
 @pytest.mark.parametrize("slot", [1, 2500])
@@ -786,6 +789,15 @@ def subcircuit_ids(c: Circuit, i: int) -> set:
             ids.add(j)
             todo.extend(c.gates[j].args)
     return ids
+
+
+def above_shared(c: Circuit) -> set:
+    """The gates of c that reach an internal gate filling two argument slots
+    of c, not counting itself: those whose layout as a starting gate may be
+    a DAG rather than the tree of its uses."""
+    uses = Counter(a for g in c.gates for a in g.args)
+    shared = {a for a, k in uses.items() if k > 1 and c.gates[a].args}
+    return {i for i in range(len(c.gates)) if shared & (subcircuit_ids(c, i) - {i})}
 
 
 def tree_measure(c: Circuit, i: int) -> tuple:

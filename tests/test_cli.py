@@ -7,13 +7,17 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_to_json_v1,
                      mutate_certificate)
 
+from ipscert import circuit as circuit_module
 from ipscert.circuit import (
+    CircuitBuilder,
+    Metrics,
     cadd,
     cmul,
     cvar,
@@ -26,7 +30,8 @@ from ipscert import cli, poly
 from ipscert.cli import main
 from ipscert.gadget import GadgetLedger, gadgetize
 from ipscert.poly import Var, format_poly
-from ipscert.refute import assemble_refutation, certificate_from_json, certificate_to_json
+from ipscert.refute import (NullstellensatzCertificate, assemble_refutation, certificate_from_json,
+                            certificate_to_json)
 
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -828,6 +833,74 @@ def test_verify_refuses_an_instance_that_lays_out_past_the_document_at_once(tmp_
             assert time.perf_counter() - started < 1
             assert json.loads(capsys.readouterr().out)["detail"] == (
                 "axioms[0].circuit: lays out to more lines than the document holds")
+
+
+def chain_document(summed: bool) -> str:
+    """The /2 document of a refutation of x1 + 1 whose starting gates are
+    x1 and a 4,000-gate chain g_k = ADD g_{k-1} g_{k-1} over it, so that
+    every starting gate above g_1 lies above a shared gate.  Cofactor 1 is
+    1/2 plus every g_k - 2 g_{k-1}, each 0, so that a composed gate names
+    every gate of the chain.  If summed, one more starting gate sums every
+    gate of the chain, cofactor 1 adds it less its value, and the claimed
+    metrics are left at 0: the sum's layout holds the chain's wire sets
+    all at once."""
+    chain = CircuitBuilder()
+    gs = [chain.var(X1)]
+    for _ in range(4000):
+        gs.append(chain.add([gs[-1], gs[-1]]))
+    if summed:
+        total = chain.add(gs[1:])
+    b = CircuitBuilder(chain._gates)
+    x1 = gs[0]
+    instance = b.add([x1, b.const(1)])
+    c0 = b.add([b.const(1), b.mul([b.const(Fraction(-1, 2)), x1])])
+    terms = [b.const(Fraction(1, 2))]
+    terms += [b.add([g, b.mul([b.const(-2), h])]) for h, g in zip(gs, gs[1:])]
+    if summed:
+        terms.append(b.add([total, b.mul([b.const(2 - 2 ** 4001), x1])]))
+    c1 = b.add(terms)
+    cofactors = (c0, c1)
+    return certificate_to_json(NullstellensatzCertificate(
+        table=b,
+        axioms=(("f", instance), ("x1^2-x1", b.boolean_axiom(X1))),
+        cofactors=cofactors,
+        claimed_metrics=(Metrics(0, 0),) * 2 if summed else tuple(b.metrics(cofactors)),
+        instance_sha256=b.sha256(instance),
+        shift=Fraction(1),
+        written_as_poly=frozenset({1}),
+    ))
+
+
+def test_verify_measures_a_chain_of_shared_starting_gates_in_one_sweep(tmp_path, capsys,
+                                                                        monkeypatch):
+    # Each of the 4,000 starting gates of the chain lays out as the gates
+    # it reaches, and a composed gate names every one of them: the claims
+    # are measured over one sweep of the table, not one sweep per gate.
+    path = tmp_path / "chain.json"
+    write(path, chain_document(summed=False))
+    sweeps = []
+    real = circuit_module._sweep
+    monkeypatch.setattr(circuit_module, "_sweep",
+                        lambda gates, roots: sweeps.append(1) or real(gates, roots))
+    for mode, verdict in (("pit", "verified-probabilistic"), ("exact", "verified-exact")):
+        sweeps.clear()
+        assert main(["verify", "--cert", str(path), "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+        assert len(sweeps) <= 5
+
+
+def test_verify_refuses_a_table_whose_wire_sets_pass_the_cap(tmp_path, capsys):
+    # The sum of every gate of the chain is the last starting reader of
+    # each, so their wire sets, 2k bits for g_k, are all held until it:
+    # g_2048 takes them past the cap's 2^22 bits.
+    path = tmp_path / "summed.json"
+    write(path, chain_document(summed=True))
+    for mode in ("exact", "pit"):
+        assert main(["verify", "--cert", str(path), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: measuring the layouts up to g2048 would hold over "
+                                "4194304 bits of wire sets at once\n")
 
 
 # The certificate of the CI chain at shift 1/3, as the /1 writer wrote it
