@@ -27,6 +27,7 @@ Comments start with `#`.  Serialization is canonical and byte-stable.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -59,10 +60,9 @@ _WRITTEN_KINDS = {f"{kind} ": kind for kind in (ADD, MUL)}
 # The constants of CircuitBuilder.complement, shared by all its gates.
 _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
-# The most bits CircuitBuilder.metrics holds in wire sets at once, 512 KiB
-# of ints: a set is as long as the starting wires up to its gate, quadratic
-# memory over a table, where P - 2 at n = 12 holds at most 0.39 M bits.
-_WIRE_BITS = TERM_GUARD // 4
+# The most bits of wire sets CircuitBuilder.metrics makes in a call (8 MiB):
+# a 4,000-gate chain g = ADD g' g' makes 16 M, P - 2 at n = 12 makes 3.3 M.
+_WIRE_BITS = TERM_GUARD << 2
 
 
 class Gate:
@@ -489,20 +489,19 @@ class CircuitBuilder:
 
     def metrics(self, roots: Sequence[int]) -> list:
         """[measure(self.formula(r)) for r in roots], by dynamic programming
-        over one ascending sweep of the gates the roots reach.  A gate's depth
-        is its deepest argument's plus one (a scaled wire's, its wire's), as
-        sharing never changes a longest path.  A composed gate is copied at
-        each use: its size is its fan-in plus its arguments' sizes.  A starting
-        gate lays out as the starting gates it reaches, each once: its size is
-        the bits set in its wire set, an int with one bit per wire of a starting
-        gate (a scaled wire has none), its own ORed with its arguments', dropped
-        after its last starting reader; over _WIRE_BITS bits held is a ValueError."""
+        over one ascending sweep of the gates the roots reach.  A depth is the
+        deepest argument's plus one (a scaled wire's, its wire's); a composed
+        gate's size its fan-in plus its arguments' sizes.  A starting gate's
+        size is its own wires, its set-less arguments' sizes and the bits of
+        its arguments' wire sets ORed, a set being an int with a bit per wire
+        held by a gate two slots read or over a set (so a tree holds none) till
+        its last starting reader; making over _WIRE_BITS bits is a ValueError."""
         gates, starting = self._gates, self._starting
         ids = _sweep(gates, roots)
-        last = {a: i for i in ids if i in starting for a in gates[i].args}
+        reads = Counter([a for i in ids if i in starting for a in gates[i].args])
         size, depth = [0] * len(gates), [0] * len(gates)   # of each gate's layout
         wires: dict = {}         # starting gate id -> its wire set, until its last starting reader
-        held = bit = 0           # the bit lengths in wires; the next wire's bit
+        made = bit = 0           # the bit lengths of the sets made; the next free bit
         for i in ids:
             args = gates[i].args
             if not args:
@@ -512,22 +511,24 @@ class CircuitBuilder:
             if i not in starting:
                 size[i] = len(args) + sum([size[a] for a in args]) if other is None else size[other]
                 continue
-            k = len(args) if other is None else 0
-            s = (1 << k) - 1 << bit
-            bit += k
+            own, s = len(args) if other is None else 0, 0   # the wires only i reaches; the shared
             for a in args:
-                if last[a] != i:
-                    s |= wires.get(a, 0)
-                elif a in wires:
+                if a in wires:
                     s |= wires[a]
-                    held -= wires.pop(a).bit_length()
-            size[i] = s.bit_count()
-            if i in last:
+                    reads[a] -= 1
+                    if not reads[a]:
+                        del wires[a]
+                else:
+                    own += size[a]
+            size[i] = own + s.bit_count()
+            if reads[i] > 1 or s and reads[i]:
+                s |= (1 << own) - 1 << bit
+                bit += own
                 wires[i] = s
-                held += s.bit_length()
-                if held > _WIRE_BITS:
-                    raise ValueError(f"measuring the layouts up to g{i} would hold over "
-                                     f"{_WIRE_BITS} bits of wire sets at once")
+            made += s.bit_length()
+            if made > _WIRE_BITS:
+                raise ValueError(f"measuring the layouts up to g{i} would make over "
+                                 f"{_WIRE_BITS} bits of wire sets")
         return [Metrics(size[r], depth[r]) for r in roots]
 
     def expand(self, root: int) -> SparsePoly:

@@ -114,7 +114,7 @@ def gate_square_certificates(c: Circuit, gids) -> tuple:
             continue
         if gates[i].op == MUL:
             need.update(gates[i].args)
-        elif gates[i].op == ADD and literal_of(c, i) is None:   # no 1 - v is a gadget sum
+        elif gates[i].op == ADD:
             sums[i] = gadget_sum(c, i)
             need.update(k for _, _, child in sums[i] or () for k in child)
     b = CircuitBuilder(gates)

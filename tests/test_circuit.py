@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -648,7 +647,8 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
     for n in range(1, 5):
         c, _ = gadgeted_ry_circuit(n)
         b = CircuitBuilder(c.gates)
-        assert bool(above_shared(c)) == (n >= 3)
+        assert any(measure(subcircuit(c, i)) != Metrics(*tree_measure(c, i))
+                   for i in range(len(c.gates))) == (n >= 3)
         for i in range(len(c.gates)):
             assert b.metrics([i])[0] == measure(subcircuit(c, i))
     # The one shared internal gate, s, lies deep in a tree: only the gates
@@ -662,7 +662,7 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
     c = g.build(top)
     b = CircuitBuilder(c.gates)
     above = {i for i in range(len(c.gates)) if s in subcircuit_ids(c, i) and i != s}
-    assert above_shared(c) == above and {below, top} <= above and beside not in above
+    assert {below, top} <= above and beside not in above
     for i in range(len(c.gates)):
         assert b.metrics([i])[0] == measure(subcircuit(c, i))
     assert b.metrics([top])[0] != Metrics(*tree_measure(c, top))
@@ -671,11 +671,12 @@ def test_metrics_of_starting_gates_above_a_shared_gate_measure_their_dag():
 
 def test_metrics_of_several_roots_over_one_sweep_measure_each_layout():
     # One sweep of every root: no roots, a root given twice, and composed
-    # roots above starting gates that lie above a shared gate, beside
-    # starting gates that do not.
+    # roots above starting gates that lay out as a DAG, beside starting
+    # gates that lay out as a tree.
     c, _ = gadgeted_ry_circuit(3)
     b = CircuitBuilder(c.gates)
-    dag = above_shared(c)
+    dag = {i for i in range(len(c.gates))
+           if measure(subcircuit(c, i)) != Metrics(*tree_measure(c, i))}
     assert dag and c.output in dag
     assert b.metrics([]) == []
     low = min(dag)
@@ -789,15 +790,6 @@ def subcircuit_ids(c: Circuit, i: int) -> set:
             ids.add(j)
             todo.extend(c.gates[j].args)
     return ids
-
-
-def above_shared(c: Circuit) -> set:
-    """The gates of c that reach an internal gate filling two argument slots
-    of c, not counting itself: those whose layout as a starting gate may be
-    a DAG rather than the tree of its uses."""
-    uses = Counter(a for g in c.gates for a in g.args)
-    shared = {a for a, k in uses.items() if k > 1 and c.gates[a].args}
-    return {i for i in range(len(c.gates)) if shared & (subcircuit_ids(c, i) - {i})}
 
 
 def tree_measure(c: Circuit, i: int) -> tuple:

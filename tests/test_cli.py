@@ -835,40 +835,39 @@ def test_verify_refuses_an_instance_that_lays_out_past_the_document_at_once(tmp_
                 "axioms[0].circuit: lays out to more lines than the document holds")
 
 
-def chain_document(summed: bool) -> str:
-    """The /2 document of a refutation of x1 + 1 whose starting gates are
-    x1 and a 4,000-gate chain g_k = ADD g_{k-1} g_{k-1} over it, so that
-    every starting gate above g_1 lies above a shared gate.  Cofactor 1 is
-    1/2 plus every g_k - 2 g_{k-1}, each 0, so that a composed gate names
-    every gate of the chain.  If summed, one more starting gate sums every
-    gate of the chain, cofactor 1 adds it less its value, and the claimed
-    metrics are left at 0: the sum's layout holds the chain's wire sets
-    all at once."""
-    chain = CircuitBuilder()
-    gs = [chain.var(X1)]
-    for _ in range(4000):
-        gs.append(chain.add([gs[-1], gs[-1]]))
-    if summed:
-        total = chain.add(gs[1:])
-    b = CircuitBuilder(chain._gates)
-    x1 = gs[0]
-    instance = b.add([x1, b.const(1)])
-    c0 = b.add([b.const(1), b.mul([b.const(Fraction(-1, 2)), x1])])
-    terms = [b.const(Fraction(1, 2))]
-    terms += [b.add([g, b.mul([b.const(-2), h])]) for h, g in zip(gs, gs[1:])]
-    if summed:
-        terms.append(b.add([total, b.mul([b.const(2 - 2 ** 4001), x1])]))
-    c1 = b.add(terms)
+def x1_refutation(starting: CircuitBuilder, zeros, measured: bool = True) -> str:
+    """The /2 document of a refutation of x1 + 1 over the starting gates of
+    `starting`, whose first gate is x1: cofactor 0 is 1 - x1/2 and cofactor
+    1 is 1/2 plus the composed gates zeros(b) makes in the table b, each 0,
+    so that cofactor 1 names every starting gate they read.  Unless
+    measured, the claimed metrics are left at 0."""
+    b = CircuitBuilder(starting._gates)
+    instance = b.add([0, b.const(1)])
+    c0 = b.add([b.const(1), b.mul([b.const(Fraction(-1, 2)), 0])])
+    c1 = b.add([b.const(Fraction(1, 2))] + zeros(b))
     cofactors = (c0, c1)
     return certificate_to_json(NullstellensatzCertificate(
         table=b,
         axioms=(("f", instance), ("x1^2-x1", b.boolean_axiom(X1))),
         cofactors=cofactors,
-        claimed_metrics=(Metrics(0, 0),) * 2 if summed else tuple(b.metrics(cofactors)),
+        claimed_metrics=tuple(b.metrics(cofactors)) if measured else (Metrics(0, 0),) * 2,
         instance_sha256=b.sha256(instance),
         shift=Fraction(1),
         written_as_poly=frozenset({1}),
     ))
+
+
+def chain_document(length: int, measured: bool = True) -> str:
+    """x1_refutation over x1 and a chain g_k = ADD g_{k-1} g_{k-1} of the
+    given length, so that every starting gate above g_1 lies above a shared
+    gate; the zeros are every g_k - 2 g_{k-1}, so that cofactor 1 names
+    every gate of the chain."""
+    chain = CircuitBuilder()
+    gs = [chain.var(X1)]
+    for _ in range(length):
+        gs.append(chain.add([gs[-1], gs[-1]]))
+    return x1_refutation(chain, lambda b: [b.add([g, b.mul([b.const(-2), h])])
+                                           for h, g in zip(gs, gs[1:])], measured)
 
 
 def test_verify_measures_a_chain_of_shared_starting_gates_in_one_sweep(tmp_path, capsys,
@@ -877,7 +876,7 @@ def test_verify_measures_a_chain_of_shared_starting_gates_in_one_sweep(tmp_path,
     # it reaches, and a composed gate names every one of them: the claims
     # are measured over one sweep of the table, not one sweep per gate.
     path = tmp_path / "chain.json"
-    write(path, chain_document(summed=False))
+    write(path, chain_document(4000))
     sweeps = []
     real = circuit_module._sweep
     monkeypatch.setattr(circuit_module, "_sweep",
@@ -890,17 +889,36 @@ def test_verify_measures_a_chain_of_shared_starting_gates_in_one_sweep(tmp_path,
 
 
 def test_verify_refuses_a_table_whose_wire_sets_pass_the_cap(tmp_path, capsys):
-    # The sum of every gate of the chain is the last starting reader of
-    # each, so their wire sets, 2k bits for g_k, are all held until it:
-    # g_2048 takes them past the cap's 2^22 bits.
-    path = tmp_path / "summed.json"
-    write(path, chain_document(summed=True))
+    # The wire set of g_k holds the 2k wires it reaches, so the sets of a
+    # 9,000-gate chain make about 81 M bits: g_8192 takes them past the
+    # cap's 2^26.
+    path = tmp_path / "long.json"
+    write(path, chain_document(9000, measured=False))
     for mode in ("exact", "pit"):
         assert main(["verify", "--cert", str(path), "--mode", mode]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: measuring the layouts up to g2048 would hold over "
-                                "4194304 bits of wire sets at once\n")
+        assert captured.err == ("error: measuring the layouts up to g8192 would make over "
+                                "67108864 bits of wire sets\n")
+
+
+def test_verify_measures_wide_and_deep_starting_trees_with_no_wire_set(tmp_path, capsys):
+    # A sum of 9,000 products x1 x_k and a 9,000-deep chain of products
+    # p_k = MUL p_{k-1} x1 lay out as trees and hold no wire set: had each
+    # gate a set numbered after the wires before it, either tree would make
+    # about 81 M bits and pass the cap.
+    trees = CircuitBuilder()
+    x1 = trees.var(X1)
+    wide = trees.add([trees.mul([x1, trees.var(Var("x", k))]) for k in range(2, 9002)])
+    deep = x1
+    for _ in range(9000):
+        deep = trees.mul([deep, x1])
+    path = tmp_path / "trees.json"
+    write(path, x1_refutation(trees, lambda b: [b.add([g, b.mul([b.const(-1), g])])
+                                                for g in (wide, deep)]))
+    for mode, verdict in (("pit", "verified-probabilistic"), ("exact", "verified-exact")):
+        assert main(["verify", "--cert", str(path), "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 
 
 # The certificate of the CI chain at shift 1/3, as the /1 writer wrote it
