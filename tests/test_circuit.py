@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (FOLD_VALUES, assert_folded, assert_valid, certificate_to_json_v1,
-                     is_syntactically_multilinear, laid_out, random_dag_circuit,
-                     random_layered_formula, reference_parse_circuit, reference_read_table, shuffled_topological,
+                     certificate_to_json_v2, is_syntactically_multilinear, laid_out,
+                     random_dag_circuit, random_layered_formula, reference_parse_circuit,
+                     reference_read_table, refutation_v2, shuffled_topological,
                      sum_of_products_text, table_state)
 
 from ipscert import circuit as circuit_module
@@ -41,7 +42,7 @@ from ipscert.circuit import (
 from ipscert.instances import (gadgeted_ry_circuit, lifted_subset_sum, mnc_instance, ry_circuit,
                                 subset_sum)
 from ipscert.poly import SparsePoly, Var
-from ipscert.refute import assemble_refutation, certificate_from_json, certificate_to_json
+from ipscert.refute import certificate_from_json
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 Y1 = Var("y", 1)
@@ -938,7 +939,7 @@ def test_respelled_lines_read_like_the_written_text(corpus01, transformed01):
         assert respelled != text
         assert gate_tuples(parse_circuit(respelled)) == gate_tuples(parse_circuit(text))
     for _, cp, _ in transformed01[::20]:
-        cert = assemble_refutation(cp)
+        cert = refutation_v2(cp)
         # /1: each circuit is read on its own, a respelled one kept as it
         # stands; every root lays out and measures as the written text's.
         doc = json.loads(certificate_to_json_v1(cert))
@@ -949,7 +950,7 @@ def test_respelled_lines_read_like_the_written_text(corpus01, transformed01):
         assert laid_out_texts(got) == laid_out_texts(want)
         assert got.table.metrics(got.cofactors) == list(want.claimed_metrics)
         # /2: the table is the same, gate for gate, key for key.
-        doc = json.loads(certificate_to_json(cert))
+        doc = json.loads(certificate_to_json_v2(cert))
         want = certificate_from_json(json.dumps(doc))
         doc["table"] = respelled_lines(rng, doc["table"])
         got = certificate_from_json(json.dumps(doc))

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_to_json_v1,
-                     mutate_certificate)
+                     certificate_to_json_v2, ci_chain_certificate, mutate_certificate,
+                     refutation_v2)
 
 from ipscert import circuit as circuit_module
 from ipscert.circuit import (
@@ -30,8 +31,7 @@ from ipscert import cli, poly
 from ipscert.cli import main
 from ipscert.gadget import GadgetLedger, gadgetize
 from ipscert.poly import Var, format_poly
-from ipscert.refute import (NullstellensatzCertificate, assemble_refutation, certificate_from_json,
-                            certificate_to_json)
+from ipscert.refute import NullstellensatzCertificate, certificate_from_json
 
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -102,10 +102,10 @@ def test_refute_leaf_without_ledger(tmp_path):
 def test_verify_mutated_certificate_exits_1(tmp_path):
     c = normalize_layered(cadd(cmul(cvar(X1), cvar(X2)), cvar(X3)))
     cp, _ = gadgetize(c)
-    cert = assemble_refutation(cp)
+    cert = refutation_v2(cp)
     mutated = mutate_certificate(random.Random(3), cert, seed=99)
     path = tmp_path / "mutated.json"
-    write(path, certificate_to_json(mutated))
+    write(path, certificate_to_json_v2(mutated))
     assert main(["verify", "--cert", str(path), "--mode", "pit",
                  "--trials", "20", "--seed", "7"]) == 1
     assert main(["verify", "--cert", str(path), "--mode", "exact"]) == 1
@@ -317,7 +317,7 @@ def test_removed_rank_witness_option_is_a_usage_error():
 @pytest.mark.parametrize("field", ["axioms", "cofactors", "metrics", "instance_sha256", "shift"])
 def test_verify_incomplete_certificate_exits_2(tmp_path, capsys, field):
     cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp)))
+    doc = json.loads(certificate_to_json_v2(refutation_v2(cp)))
     del doc[field]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -327,7 +327,7 @@ def test_verify_incomplete_certificate_exits_2(tmp_path, capsys, field):
 
 def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
     cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp)))
+    doc = json.loads(certificate_to_json_v2(refutation_v2(cp)))
     doc["cofactors"] = [5]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -337,7 +337,7 @@ def test_verify_wrongly_typed_field_exits_2(tmp_path, capsys):
 
 def test_verify_unparsable_cofactor_exits_2_naming_it(tmp_path, capsys):
     cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp)))
+    doc = json.loads(certificate_to_json_v1(refutation_v2(cp)))
     doc["cofactors"][1] = ["g0 = ADD", "OUTPUT g0"]
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -414,7 +414,7 @@ def test_refute_writes_one_certificate_with_any_ledger_or_none(tmp_path):
             argv += ["--ledger", str(tmp_path / f"l{k}.json")]
         assert main(argv + ["--out", str(cert)]) == 0
         docs.append(cert.read_bytes())
-    assert docs[0] == docs[1] == docs[2] == certificate_to_json(assemble_refutation(cp)).encode()
+    assert docs[0] == docs[1] == docs[2] == certificate_to_json_v2(refutation_v2(cp)).encode()
 
 
 @pytest.mark.parametrize("command, family", [
@@ -512,7 +512,7 @@ def test_console_script_runs():
 ])
 def test_verify_rejects_what_the_reader_must_not_accept(tmp_path, capsys, edit, message):
     cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json_v1(assemble_refutation(cp)))
+    doc = json.loads(certificate_to_json_v1(refutation_v2(cp)))
     assert len(doc["cofactors"]) == 5
     edit(doc)
     path = tmp_path / "cert.json"
@@ -567,7 +567,7 @@ FORGED_AXIOM_CERT = {
 }
 
 
-WRITERS = pytest.mark.parametrize("writer", [certificate_to_json, certificate_to_json_v1],
+WRITERS = pytest.mark.parametrize("writer", [certificate_to_json_v2, certificate_to_json_v1],
                                   ids=["v2", "v1"])
 
 
@@ -606,7 +606,7 @@ def test_verify_rejects_a_forged_boolean_axiom(tmp_path, capsys, edit, field, mo
         doc = json.loads(json.dumps(FORGED_AXIOM_CERT))
     else:
         cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-        doc = json.loads(writer(assemble_refutation(cp)))
+        doc = json.loads(writer(refutation_v2(cp)))
         edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -692,7 +692,7 @@ def test_verify_rejects_a_forged_claim(tmp_path, capsys, edit, field, mode, writ
         doc = json.loads(json.dumps(ONE_AXIOM_CERT))
     else:
         cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-        doc = json.loads(writer(assemble_refutation(cp)))
+        doc = json.loads(writer(refutation_v2(cp)))
         edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -722,7 +722,7 @@ def test_verify_ties_axiom_0_to_the_instance_file(tmp_path, capsys, mode):
     cp, _ = gadgetize(f)
     other, _ = gadgetize(cadd(cvar(X1), cvar(X3)))
     cert, instance = tmp_path / "cert.json", tmp_path / "f.circ"
-    write(cert, certificate_to_json(assemble_refutation(cp)))
+    write(cert, certificate_to_json_v2(refutation_v2(cp)))
     for c, code in ((cp, 0), (other, 2), (f, 2)):
         write(instance, format_circuit(c))
         assert main(["verify", "--cert", str(cert), "--instance", str(instance),
@@ -777,7 +777,7 @@ def test_a_number_flag_that_does_not_parse_is_named(tmp_path, capsys, command, f
 ])
 def test_verify_rejects_a_hostile_v2_document(tmp_path, capsys, edit, message):
     cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-    doc = json.loads(certificate_to_json(assemble_refutation(cp)))
+    doc = json.loads(certificate_to_json_v2(refutation_v2(cp)))
     edit(doc)
     path = tmp_path / "cert.json"
     write(path, json.dumps(doc))
@@ -793,7 +793,7 @@ def deep_chain_document(over: str, root: str) -> dict:
     gates g = ADD g' g' over the table line `over` appended to its table,
     and the chain's top named by the circuit `root` ("axiom" or
     "cofactor"): the top of a chain lays out to 2^41 - 1 lines."""
-    doc = json.loads(certificate_to_json(assemble_refutation(cvar(X1))))
+    doc = json.loads(certificate_to_json_v2(refutation_v2(cvar(X1))))
     n = len(doc["table"])
     doc["table"].append(f"g{n} = {over}")
     doc["table"] += [f"g{n + k} = ADD g{n + k - 1} g{n + k - 1}" for k in range(1, 41)]
@@ -846,7 +846,7 @@ def x1_refutation(starting: CircuitBuilder, zeros, measured: bool = True) -> str
     c0 = b.add([b.const(1), b.mul([b.const(Fraction(-1, 2)), 0])])
     c1 = b.add([b.const(Fraction(1, 2))] + zeros(b))
     cofactors = (c0, c1)
-    return certificate_to_json(NullstellensatzCertificate(
+    return certificate_to_json_v2(NullstellensatzCertificate(
         table=b,
         axioms=(("f", instance), ("x1^2-x1", b.boolean_axiom(X1))),
         cofactors=cofactors,
@@ -950,3 +950,27 @@ def test_an_old_v1_document_verifies_against_its_instance(tmp_path, capsys):
             reports.append(capsys.readouterr().out)
     assert reports[:2] == reports[2:]
     assert json.loads((tmp_path / "third.json").read_text())["format"] == "nullstellensatz-cert/2"
+
+
+# The certificate of the CI chain at shift -2, as refute wrote it as /2:
+# an old document must still verify, to the pinned reports of each mode.
+V2_DOCUMENT = os.path.join(os.path.dirname(__file__), "cert-v2-chain.json")
+V2_DOCUMENT_SHA256 = "65698ad4254e19daaddabc5a27a7ec11767c03fbcda9b78084092a53802ea5b3"
+V2_REPORT_SHA256 = {
+    "exact": "caa7c41411d0230320b208436abbbd1e76028b92faf7e6d18889eee6f659012b",
+    "pit": "42033563b110b96b3b431816e6f2523f74c54f16ad310b3642e9cc3d8850b736",
+}
+
+
+def test_an_old_v2_document_verifies_against_its_instance(tmp_path, capsys):
+    with open(V2_DOCUMENT, "rb") as fh:
+        text = fh.read()
+    assert hashlib.sha256(text).hexdigest() == V2_DOCUMENT_SHA256
+    cert = ci_chain_certificate()
+    assert text.decode() == certificate_to_json_v2(cert)
+    instance = tmp_path / "t.circ"
+    write(instance, format_circuit(cert.table.subcircuit(cert.table.gate(cert.axioms[0][1]).args[0])))
+    for mode, digest in V2_REPORT_SHA256.items():
+        assert main(["verify", "--cert", V2_DOCUMENT, "--instance", str(instance),
+                     "--mode", mode]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -30,11 +30,10 @@ from ipscert.poly import (
     parse_poly,
     parse_var,
 )
-from ipscert.refute import assemble_refutation
 from ipscert.verify import verify_exact
 
 from helpers import (certificate_of, laid_out, pointwise, poly_of, random_layered_formula,
-                     ref_evaluate, ref_evaluate_mod)
+                     ref_evaluate, ref_evaluate_mod, refutation_v2)
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -676,7 +675,7 @@ def test_parse_var_rejects_non_canonical_names(name):
 
 def test_verify_exact_refutes_a_corrupted_cofactor_with_a_witness():
     cprime, _ = gadgetize(random_layered_formula(random.Random(5), max_nodes=14))
-    cert = assemble_refutation(cprime)
+    cert = refutation_v2(cprime)
     assert verify_exact(cert).verdict == "verified-exact"
     axioms, cofactors = laid_out(cert)
     cofactors[-1] = cadd(cofactors[-1], cconst(1))

@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
-                     ci_chain_certificate, gadget_poly, laid_out, ledger_sums, pit_corpus,
-                     random_product_dag, read_sums, ref_evaluate,
-                     reference_read_table, shift_certificates, shuffled_topological,
-                     table_state,
-                     total_degree)
+                     certificate_to_json_v2, ci_chain_certificate, gadget_poly, laid_out,
+                     ledger_sums, pit_corpus, random_product_dag, read_sums, ref_evaluate,
+                     reference_read_table, refutation_v2, shift_certificates,
+                     shuffled_topological, table_state, total_degree)
 
 from ipscert.circuit import (
     ADD,
@@ -43,10 +42,8 @@ from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly, parse_poly
 from ipscert.refute import (
     _product_cofactor,
     _square_cofactors,
-    assemble_refutation,
     boolean_axiom_label,
     certificate_from_json,
-    certificate_to_json,
     gate_square_certificates,
     is_boolean_axiom,
 )
@@ -69,7 +66,7 @@ SHIFT_SHA256 = {
     "-3": "f269c17407c6e4feb75262df78dc7e6e36af235ea0dd96536a88c24326f39fde",
     "2/3": "6651f93920e723aa233efaf76e0fdf983e1ca840692b5400fc1b8e93ac2a38c9",
 }
-# The same certificates as /2 documents (certificate_to_json), pinned when
+# The same certificates as /2 documents (certificate_to_json_v2), pinned when
 # refute first wrote /2.
 SHUFFLED_FORMULAS_V2_SHA256 = "8754a792b213dd6994664694ca1a6557fcd805315c87802cf1214cf29da871f4"
 PRODUCT_DAGS_V2_SHA256 = "654ee454ec085920fc237f4b7e5b8a39272bf1d46ff95387a56ea9568ba0fd87"
@@ -253,7 +250,7 @@ def test_address_product_separating_bit_below_top():
 
 def test_assembly_hand_example_leaf():
     c = cvar(X1)
-    cert = assemble_refutation(c)
+    cert = refutation_v2(c)
     x1 = SparsePoly.variable(X1)
     assert expand(cert.table.formula(cert.cofactors[0])) == -(x1 + 1) / 2
     assert expand(cert.table.formula(cert.cofactors[1])) == Fraction(1, 2)
@@ -261,26 +258,26 @@ def test_assembly_hand_example_leaf():
 
 
 def test_assembly_constant_instance():
-    cert = assemble_refutation(cconst(1))
+    cert = refutation_v2(cconst(1))
     assert len(cert.axioms) == 1
     assert expand(cert.table.formula(cert.cofactors[0])) == -1
     assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_product_instance():
-    cert = assemble_refutation(cmul(cvar(X1), cvar(X2)))
+    cert = refutation_v2(cmul(cvar(X1), cvar(X2)))
     assert verify_exact(cert).verdict == "verified-exact"
 
 
 def test_assembly_rejects_satisfiable_shift():
     for s in (0, -1):
         with pytest.raises(ValueError, match="satisfiable"):
-            assemble_refutation(cvar(X1), shift=Fraction(s))
+            refutation_v2(cvar(X1), shift=Fraction(s))
 
 
 def test_assembly_alternate_shift():
     cp, _ = gadgetize(cadd(cvar(X1), cvar(X2)))
-    cert = assemble_refutation(cp, shift=Fraction(1))
+    cert = refutation_v2(cp, shift=Fraction(1))
     assert verify_exact(cert).verdict == "verified-exact"
 
 
@@ -288,7 +285,7 @@ def test_assembly_rejects_bad_leaf():
     c = cadd(cvar(X1), cconst(2))
     cp, _ = gadgetize(c)
     with pytest.raises(ValueError, match="outside"):
-        assemble_refutation(cp)
+        refutation_v2(cp)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def test_the_papers_instance_p_minus_2_is_refuted(n):
     p, _ = gadgeted_ry_circuit(n)
     adds = [i for i, g in enumerate(p.gates) if g.op == ADD]
     assert all(gadget_sum(p, i) or literal_of(p, i) for i in adds)
-    cert = certificate_from_json(certificate_to_json(assemble_refutation(p, shift=Fraction(-2))))
+    cert = certificate_from_json(certificate_to_json_v2(refutation_v2(p, shift=Fraction(-2))))
     assert check_claims(cert, p) is None
     assert verify_exact(cert).verdict == "verified-exact"
     assert verify_pit(cert, PitConfig(trials=20, seed=n)).verdict == "verified-probabilistic"
@@ -344,7 +341,7 @@ def test_the_papers_instance_p_minus_2_is_refuted(n):
     b = cert.table
     cofactors = list(cert.cofactors)
     cofactors[1] = b.mul([b.const(2), cofactors[1]])
-    doubled = certificate_from_json(certificate_to_json(dataclasses.replace(
+    doubled = certificate_from_json(certificate_to_json_v2(dataclasses.replace(
         cert, cofactors=tuple(cofactors), claimed_metrics=tuple(b.metrics(cofactors)))))
     assert check_claims(doubled, p) is None
     assert verify_exact(doubled).verdict == "refuted"
@@ -354,7 +351,7 @@ def test_the_papers_instance_p_minus_2_is_refuted(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_the_papers_dag_certificates_are_pinned(n):
     p, _ = gadgeted_ry_circuit(n)
-    text = certificate_to_json(assemble_refutation(p, shift=Fraction(-2)))
+    text = certificate_to_json_v2(refutation_v2(p, shift=Fraction(-2)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == P_MINUS_2_V2_SHA256[n]
     cert = certificate_from_json(text)
     assert (cert.total_size, cert.total_depth) == {3: (5689, 12), 4: (30651, 17)}[n]
@@ -365,7 +362,7 @@ def test_the_papers_dag_certificates_are_pinned(n):
 def test_instance_cofactor_degree():
     for c in build_corpus(771, 10):
         cp, _ = gadgetize(normalize_layered(c))
-        cert = assemble_refutation(cp)
+        cert = refutation_v2(cp)
         fprime = expand(cp)
         assert total_degree(expand(cert.table.formula(cert.cofactors[0]))) <= total_degree(fprime) + 1
 
@@ -390,7 +387,7 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
 def test_assembled_certificates_on_small_corpus():
     for c in build_corpus(773, 10):
         cp, _ = gadgetize(normalize_layered(c))
-        cert = assemble_refutation(cp)
+        cert = refutation_v2(cp)
         assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cp)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
@@ -407,9 +404,9 @@ def test_layout_of_reparsed_shuffled_formulas_is_pinned():
         shuffled = shuffled_topological(rng, cp)[0]
         text = format_circuit(shuffled)
         assert text != format_circuit(cp)
-        cert = assemble_refutation(parse_circuit(text))
+        cert = refutation_v2(parse_circuit(text))
         v1.update(certificate_to_json_v1(cert).encode())
-        v2.update(certificate_to_json(cert).encode())
+        v2.update(certificate_to_json_v2(cert).encode())
     assert v1.hexdigest() == SHUFFLED_FORMULAS_SHA256
     assert v2.hexdigest() == SHUFFLED_FORMULAS_V2_SHA256
 
@@ -421,9 +418,9 @@ def test_layout_of_product_dags_is_pinned():
     for _ in range(10):
         dag = random_product_dag(rng, rng.randint(6, 11))
         assert not dag.is_formula
-        cert = assemble_refutation(dag)
+        cert = refutation_v2(dag)
         v1.update(certificate_to_json_v1(cert).encode())
-        v2.update(certificate_to_json(cert).encode())
+        v2.update(certificate_to_json_v2(cert).encode())
     assert v1.hexdigest() == PRODUCT_DAGS_SHA256
     assert v2.hexdigest() == PRODUCT_DAGS_V2_SHA256
 
@@ -433,31 +430,31 @@ def test_certificates_at_each_shift_are_pinned(shift):
     v1, v2 = hashlib.sha256(), hashlib.sha256()
     for c in build_corpus(4106, 5):
         cp, _ = gadgetize(normalize_layered(c))
-        cert = assemble_refutation(cp, shift=Fraction(shift))
+        cert = refutation_v2(cp, shift=Fraction(shift))
         v1.update(certificate_to_json_v1(cert).encode())
-        v2.update(certificate_to_json(cert).encode())
+        v2.update(certificate_to_json_v2(cert).encode())
     assert v1.hexdigest() == SHIFT_SHA256[shift]
     assert v2.hexdigest() == SHIFT_V2_SHA256[shift]
 
 
 def test_certificate_json_round_trip():
     cp, _ = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    cert = assemble_refutation(cp)
-    text = certificate_to_json(cert)
+    cert = refutation_v2(cp)
+    text = certificate_to_json_v2(cert)
     again = certificate_from_json(text)
-    assert certificate_to_json(again) == text
+    assert certificate_to_json_v2(again) == text
     assert verify_exact(again).verdict == "verified-exact"
     assert again.instance_sha256 == cert.instance_sha256
 
 
-WRITERS = pytest.mark.parametrize("write", [certificate_to_json, certificate_to_json_v1],
+WRITERS = pytest.mark.parametrize("write", [certificate_to_json_v2, certificate_to_json_v1],
                                   ids=["v2", "v1"])
 
 
-def small_doc(write=certificate_to_json) -> dict:
+def small_doc(write=certificate_to_json_v2) -> dict:
     """The document of x1 + x2 x3, transformed and refuted, as write writes it."""
     cp, _ = gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))
-    return json.loads(write(assemble_refutation(cp)))
+    return json.loads(write(refutation_v2(cp)))
 
 
 @WRITERS
@@ -550,20 +547,20 @@ def pinned_certificates():
     for c in build_corpus(4104, 12):
         cp, _ = gadgetize(normalize_layered(c))
         shuffled = shuffled_topological(rng, cp)[0]
-        yield assemble_refutation(parse_circuit(format_circuit(shuffled)))
+        yield refutation_v2(parse_circuit(format_circuit(shuffled)))
     rng = random.Random(4105)
     for _ in range(10):
-        yield assemble_refutation(random_product_dag(rng, rng.randint(6, 11)))
+        yield refutation_v2(random_product_dag(rng, rng.randint(6, 11)))
 
 
 def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed01):
     # /2 and /1 of one certificate read back to the same roots: every root
     # lays out as the /1 text, measures as claimed, and /2 writes again
     # byte for byte.
-    certs = [assemble_refutation(cp) for _, cp, _ in transformed01]
+    certs = [refutation_v2(cp) for _, cp, _ in transformed01]
     certs += list(pinned_certificates())
     for cert in certs:
-        text, old = certificate_to_json(cert), certificate_to_json_v1(cert)
+        text, old = certificate_to_json_v2(cert), certificate_to_json_v1(cert)
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert old == parent_json(cert)
         for again in (certificate_from_json(text), certificate_from_json(old)):
@@ -571,7 +568,7 @@ def test_certificate_json_is_json_dumps_and_reads_back_byte_for_byte(transformed
             assert again.instance_sha256 == hashlib.sha256(
                 format_circuit(again.table.formula(again.axioms[0][1])).encode()).hexdigest()
         again = certificate_from_json(text)
-        assert certificate_to_json(again) == text
+        assert certificate_to_json_v2(again) == text
         for table, roots in ((cert.table, cert.cofactors), (again.table, again.cofactors)):
             assert tuple(table.metrics(roots)) == cert.claimed_metrics == tuple(
                 measure(table.formula(r)) for r in roots)
@@ -583,12 +580,12 @@ def test_every_written_certificate_is_hash_consed_when_read_back(transformed01):
     # table is read as written: its starting gates, then one gate per key.
     # Either way, the 7 gates poly lays out per Boolean axiom come last.
     for _, cp, _ in transformed01:
-        cert = assemble_refutation(cp)
+        cert = refutation_v2(cp)
         read = certificate_from_json(certificate_to_json_v1(cert))
         table, written = read.table, len(read.table._gates) - 7 * (len(read.axioms) - 1)
         assert not table._starting
         assert sorted(table._shared.values()) == list(range(written))
-        doc = json.loads(certificate_to_json(cert))
+        doc = json.loads(certificate_to_json_v2(cert))
         read = certificate_from_json(json.dumps(doc))
         table = read.table
         assert doc["starting"] == len(cp.gates)
@@ -606,11 +603,11 @@ def test_tables_keep_their_layouts_across_calls_in_any_order(transformed01):
     # The text of a root must not depend on which roots were laid out before
     # it, in a table read from /2 or /1 text or assembled.
     def certs():
-        yield from (assemble_refutation(cp) for _, cp, _ in transformed01[::4])
+        yield from (refutation_v2(cp) for _, cp, _ in transformed01[::4])
         yield from pinned_certificates()
 
     for cert, assembled in zip(certs(), certs()):
-        for write in (certificate_to_json, certificate_to_json_v1):
+        for write in (certificate_to_json_v2, certificate_to_json_v1):
             text = write(cert)
             hashed, one, two = (certificate_from_json(text) for _ in range(3))
             for r in circuit_roots(hashed):
@@ -637,12 +634,12 @@ def test_certificate_json_of_empty_lists_and_escaped_labels():
                                 [cconst(1), cmul(cvar(X1), cvar(X1))],
                                 instance_sha256="0" * 64, shift=Fraction(3, 7),
                                 builder="b\u2028", written_as_poly={0})):
-        text, old = certificate_to_json(cert), certificate_to_json_v1(cert)
+        text, old = certificate_to_json_v2(cert), certificate_to_json_v1(cert)
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert old == parent_json(cert)
         for again in (certificate_from_json(text), certificate_from_json(old)):
             assert certificate_to_json_v1(again) == old
-        assert certificate_to_json(certificate_from_json(text)) == text
+        assert certificate_to_json_v2(certificate_from_json(text)) == text
 
 
 def test_certificate_of_lays_every_circuit_out_as_given():
@@ -684,11 +681,11 @@ def test_certificate_from_json_requires_one_metric_per_cofactor(keep, write):
 
 def test_v2_and_v1_of_one_certificate_read_back_and_verify_alike(transformed01):
     certs = list(pinned_certificates()) + list(shift_certificates())
-    certs += [assemble_refutation(cp) for _, cp, _ in transformed01[::20]]
+    certs += [refutation_v2(cp) for _, cp, _ in transformed01[::20]]
     cfg = PitConfig(trials=5, seed=11)
     for cert in certs:
         two, one = (certificate_from_json(write(cert))
-                    for write in (certificate_to_json, certificate_to_json_v1))
+                    for write in (certificate_to_json_v2, certificate_to_json_v1))
         for a, b in zip(circuit_roots(two), circuit_roots(one)):
             assert two.table.lines(a) == one.table.lines(b)
             assert two.table.metrics([a]) == one.table.metrics([b])
@@ -718,8 +715,8 @@ def test_refutes_own_documents_are_read_without_parse_poly(transformed01, monkey
 
     monkeypatch.setattr(refute_module, "parse_poly", counted)
     for _, cp, _ in transformed01:
-        cert = assemble_refutation(cp)
-        for write in (certificate_to_json, certificate_to_json_v1):
+        cert = refutation_v2(cp)
+        for write in (certificate_to_json_v2, certificate_to_json_v1):
             certificate_from_json(write(cert))
     assert calls == []
     doc = small_doc()
@@ -809,7 +806,7 @@ def test_check_claims_and_the_writers_leave_the_table_as_they_find_it(edit, writ
     gates, starting, shared = table_state(cert.table)
     report = check_claims(cert)
     assert (report is None) == (edit is None)
-    certificate_to_json(cert), certificate_to_json_v1(cert)
+    certificate_to_json_v2(cert), certificate_to_json_v1(cert)
     assert table_state(cert.table) == (gates, set(starting), dict(shared))
 
 
@@ -964,11 +961,11 @@ def respellings(lines: list, starting: int) -> list:
 
 
 def test_read_table_builds_the_table_of_the_reference_reader(transformed01):
-    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
+    certs = [refutation_v2(cp) for _, cp, _ in transformed01[::10]]
     certs += [ci_chain_certificate()] + list(shift_certificates())
-    before = json.loads(certificate_to_json(certs[-1]))
+    before = json.loads(certificate_to_json_v2(certs[-1]))
     for cert in certs:
-        doc = json.loads(certificate_to_json(cert))
+        doc = json.loads(certificate_to_json_v2(cert))
         lines, starting = doc["table"], doc["starting"]
         want = read_table_by(CircuitBuilder(), lines, starting, reference=True)
         assert read_table_by(CircuitBuilder(), lines, starting, reference=False) == want
@@ -1016,7 +1013,7 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
     docs = [small_doc()]
     for c in build_corpus(2027, 3):
         cp, _ = gadgetize(normalize_layered(c))
-        docs.append(json.loads(certificate_to_json(assemble_refutation(cp))))
+        docs.append(json.loads(certificate_to_json_v2(refutation_v2(cp))))
     cfg = PitConfig(trials=2, seed=3)
     refused = verified = 0
     for doc in docs:

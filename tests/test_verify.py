@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build_corpus, certificate_of, ci_chain_certificate, formal_degree,
-                     identity_circuit, laid_out, mutate_certificate, pointwise,
+from helpers import (build_corpus, certificate_of, certificate_to_json_v2, ci_chain_certificate,
+                     formal_degree, identity_circuit, laid_out, mutate_certificate, pointwise,
                      random_dag_circuit, random_layered_formula, ref_evaluate,
                      ref_evaluate_mod, reference_bad_constant, reference_verify_exact,
-                     shift_certificates, total_degree)
+                     refutation_v2, shift_certificates, total_degree)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -34,11 +34,7 @@ from ipscert.circuit import (
 from ipscert.gadget import address_code, gadgetize, literal_gates
 from ipscert.instances import gadgeted_ry_circuit
 from ipscert.poly import ResourceLimitError, SparsePoly, Var
-from ipscert.refute import (
-    assemble_refutation,
-    certificate_from_json,
-    certificate_to_json,
-)
+from ipscert.refute import certificate_from_json
 from ipscert.verify import (
     DEFAULT_PIT_PRIME,
     PitConfig,
@@ -56,7 +52,7 @@ X1, X2 = Var("x", 1), Var("x", 2)
 
 
 def leaf_certificate():
-    return assemble_refutation(cvar(X1))
+    return refutation_v2(cvar(X1))
 
 
 def test_default_prime_is_a_62_bit_prime():
@@ -124,11 +120,11 @@ def test_verify_exact_matches_the_root_by_root_reference(transformed01):
     # verify_exact moves each cofactor's scalar onto its axiom and expands
     # the instance with its cofactor over one sweep; every report must be
     # the one of expanding each root as it is.
-    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
+    certs = [refutation_v2(cp) for _, cp, _ in transformed01[::10]]
     certs += list(shift_certificates()) + [ci_chain_certificate()]
     for cert in certs:
         assert assert_exact_matches_reference(cert).verdict == "verified-exact"
-        assert_exact_matches_reference(certificate_from_json(certificate_to_json(cert)))
+        assert_exact_matches_reference(certificate_from_json(certificate_to_json_v2(cert)))
     rng = random.Random(43)
     verdicts = set()
     for i in range(40):
@@ -195,7 +191,7 @@ def test_bad_constant_matches_the_layout_reference():
             parts.append(circuit if rng.random() < 0.5 else as_circuit(expand(circuit)))
         certs.append(certificate_of([("f", parts[0]), ("g", parts[1])], parts[2:]))
     for cert in certs:
-        for read in (cert, certificate_from_json(certificate_to_json(cert))):
+        for read in (cert, certificate_from_json(certificate_to_json_v2(cert))):
             for prime in (2, 3, 5):
                 try:
                     want = reference_bad_constant(read, prime)
@@ -250,7 +246,7 @@ def test_pit_rejects_mutations():
     certs = []
     for c in base:
         cp, _ = gadgetize(normalize_layered(c))
-        certs.append(assemble_refutation(cp))
+        certs.append(refutation_v2(cp))
     for i in range(30):
         cert = certs[i % len(certs)]
         mutated = mutate_certificate(rng, cert, seed=i)
@@ -265,7 +261,7 @@ def test_pit_rejects_mutations():
 def test_transform_then_certificate_on_random_layered_formulas(seed):
     rng = random.Random(seed)
     cp, _ = gadgetize(normalize_layered(random_layered_formula(rng, max_nodes=20)))
-    cert = assemble_refutation(cp)
+    cert = refutation_v2(cp)
     assert check_claims(cert) is None
     cfg = PitConfig(trials=5, seed=seed)
     assert verify_exact(cert).verdict == "verified-exact"
@@ -327,7 +323,7 @@ def test_formal_degree_bounds_the_identity_degree(transformed01):
     # the table finds the same degree at the largest prime it must refuse.
     rng = random.Random(29)
     for k, (_, cp, _) in enumerate(transformed01[::10]):
-        cert = assemble_refutation(cp)
+        cert = refutation_v2(cp)
         for c in (cert, mutate_certificate(rng, cert, seed=k)):
             assert len(c.axioms) == len(c.cofactors)
             identity = identity_circuit(c)
@@ -345,10 +341,10 @@ def test_formal_degree_bounds_the_identity_degree(transformed01):
 def test_the_walked_degree_is_the_formal_degree_of_the_standalone_identity(transformed01):
     # verify_pit takes D from its one sweep of the table: it must be the
     # formal degree of the identity compacted into a standalone circuit.
-    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
+    certs = [refutation_v2(cp) for _, cp, _ in transformed01[::10]]
     certs += list(shift_certificates())[::10] + [ci_chain_certificate()]
     for cert in certs:
-        for read in (cert, certificate_from_json(certificate_to_json(cert))):
+        for read in (cert, certificate_from_json(certificate_to_json_v2(cert))):
             _, degree, variables = _identity(read)
             identity = identity_circuit(read)
             assert degree == formal_degree(identity)
@@ -395,12 +391,12 @@ def assert_pit_matches_reference(cert, cfg):
 
 
 def test_pit_matches_the_per_pair_reference_on_corpus_certificates(transformed01):
-    certs = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
+    certs = [refutation_v2(cp) for _, cp, _ in transformed01[::10]]
     assert len(certs) == 20
     for k, cert in enumerate(certs):
         report = assert_pit_matches_reference(cert, PitConfig(trials=5, seed=k))
         assert report.verdict == "verified-probabilistic"
-        assert_pit_matches_reference(certificate_from_json(certificate_to_json(cert)),
+        assert_pit_matches_reference(certificate_from_json(certificate_to_json_v2(cert)),
                                      PitConfig(trials=5, seed=k))
     rng = random.Random(17)
     verdicts = set()
@@ -423,14 +419,14 @@ def test_pit_matches_the_per_pair_reference_on_edge_cases(axioms, cofactors, pri
     cert = certificate_of(axioms, cofactors)
     assert_pit_matches_reference(cert, PitConfig(prime=prime, trials=3))
     # Read back, the axioms come before the cofactors in the table.
-    assert_pit_matches_reference(certificate_from_json(certificate_to_json(cert)),
+    assert_pit_matches_reference(certificate_from_json(certificate_to_json_v2(cert)),
                                  PitConfig(prime=prime, trials=3))
 
 
 def test_verify_invariant_under_restructuring():
     c = cadd(cvar(X1), cmul(cvar(X2), cvar(X1)))
     cp, _ = gadgetize(normalize_layered(c))
-    cert = assemble_refutation(cp)
+    cert = refutation_v2(cp)
     axioms, cofactors = laid_out(cert)
     restructured = [normalize_layered(cf) for cf in cofactors]
     assert verify_exact(certificate_of(axioms, restructured)).verdict == "verified-exact"
