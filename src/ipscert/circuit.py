@@ -531,6 +531,11 @@ class CircuitBuilder:
                                  f"{_WIRE_BITS} bits of wire sets")
         return [Metrics(size[r], depth[r]) for r in roots]
 
+    def dag_metrics(self, root: int) -> Metrics:
+        """The size and depth of the DAG root reaches, each gate once, by the
+        rule of measure, folded over the kept sweep of root (_reach)."""
+        return Metrics(*_measure(self._gates, self._reach(root)))
+
     def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
         return _expand(self._gates, _sweep(self._gates, (root,)), root, {})

@@ -1,50 +1,58 @@
-"""Boolean-ideal certificates per gate and full Nullstellensatz refutations.
+"""Boolean-ideal certificates per gate and IPS_LIN refutations.
 
 For a gadgetized formula every gate g evaluates to 0 or 1 over the Boolean
 cube, so g^2 - g lies in the ideal generated by the Boolean axioms.  This
-module constructs explicit cofactor circuits witnessing that membership,
-by induction on the formula:
+module builds, for each gate g, one circuit C_g(x, z) linear in the
+placeholders z, one z_v per variable v, with C_g(x, v^2 - v) = g^2 - g: an
+IPS_LIN certificate of that membership (Forbes, Shpilka, Tzameret &
+Wigderson, ToC 2021), by induction on the formula:
 
-  * leaves: v^2 - v = 1 * (v^2 - v); constants 0 and 1 contribute nothing
-    (any other constant is rejected: c^2 - c is a nonzero constant).
+  * leaves: C = z_v for a literal v or 1 - v, as (1 - v)^2 - (1 - v) =
+    v^2 - v; constants 0 and 1 give C = 0 (any other constant is rejected:
+    c^2 - c is a nonzero constant).
   * product gates g = g_0 ... g_{r-1}: the telescoping identity
 
         g^2 - g = sum_l (prod_{t<l} g_t) (prod_{t>l} g_t^2) (g_l^2 - g_l)
 
-    pushes the children's certificates through per-index products H_l.
+    gives C_g = sum_l H_l C_{g_l}, H_l the per-index products.
   * gadget sums g = sum_l g_l A_l, read off the circuit as the transform
     and the paper's gadgeted P write them (gadget.gadget_sum).  Expanding the
-    square leaves three groups of terms: children squares against A_l^2
-    (induction), the gadget squares A_l^2 - A_l (_square_cofactors), and the
-    cross products A_l A_l' for distinct codes, which are divisible by
-    y (1 - y) at any separating bit (_product_cofactor).
+    square leaves three groups of terms: children's certificates against
+    A_l^2 (induction), the gadget squares A_l^2 - A_l (_square_cofactors),
+    and the cross products A_l A_l' for distinct codes, which are divisible
+    by y (1 - y) at any separating bit (_product_cofactor); the last two
+    groups multiply each term by the z_v of its bit.
 
-All cofactors are composed by gate id in one CircuitBuilder that starts
-from the formula's gates, without recursion, certifying gates in ascending
-id order.  That builder is the certificate's gate table: the certificate
-holds a root id per axiom and per cofactor, and no cofactor is laid out in
-memory.  Its claimed size and depth come from dynamic programming over the
-table, equal to the measure of each laid-out formula.
+Every C_g is composed by gate id in one CircuitBuilder that starts from the
+formula's gates, without recursion, certifying gates in ascending id order,
+and no circuit is laid out in memory.
 
-The nullstellensatz-cert/2 document writes the table once: every gate the
-roots reach on one line, the starting gates (the formula's own) first, and
-each circuit as one line "OUTPUT g<k>" naming its root's line.  Read back,
-it is one table again, in which every root lays out as the same text and
-measures the same.  The older nullstellensatz-cert/1 document, which wrote
-each root as the text lines of its standalone formula, is still read: every
-circuit line by line into one hash-consed table.
+The refutation of f' + shift puts the functional refutation c0 + c1*f',
+c0, c1 = instances.inverse_differences(1, -shift), on the instance:
 
-The assembled refutation of f' + shift puts the functional refutation
-c0 + c1*f', c0, c1 = instances.inverse_differences(1, -shift), on the
-instance and -c1 times the gate certificate's E, F on the Boolean axioms:
-(c0 + c1*f')(f' + shift) = 1 + c1*(f'^2 - f'), so sum(cofactor * axiom) = 1
-exactly.  At the default shift -2 these are -(f'+1)/2, +E/2 and +F/2.
+    C = c1 (f' + c0/c1) z_0 - c1 C_out,
+
+with z_0 the instance's placeholder and z_k, k >= 1, those of the Boolean
+axioms.  C(x, 0) = 0, and C(x, F(x)) = (c0 + c1*f')(f' + shift) - c1*(f'^2
+- f') = 1 exactly.  At the default shift -2, C = -(f'+1)/2 z_0 + C_out/2.
+Its claimed size and depth are those of the DAG it reaches, each gate once.
+
+The nullstellensatz-cert/3 document writes the certificate's gate table
+once: every gate the circuits reach on one line, the starting gates (the
+formula's own) first, and each circuit (the instance, and C, the one
+cofactor) as one line "OUTPUT g<k>" naming its root's line; the
+placeholder fresh<k> stands for axiom k.  Read back, it is one table
+again, in which the instance lays out as the same text and C measures the
+same.  The older documents pair each axiom with a cofactor, the E and F
+that setting one placeholder of C to 1 and the rest to 0 gives, and are
+still read: nullstellensatz-cert/2 wrote one table in the same way, and
+nullstellensatz-cert/1 each root as the text lines of its standalone
+formula, read line by line into one hash-consed table.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -56,16 +64,23 @@ from .circuit import (
     CONST,
     Circuit,
     CircuitBuilder,
+    Gate,
     MUL,
     Metrics,
     VAR,
+    _sweep,
 )
 from .gadget import gadget_sum, json_field, literal_gates, literal_of
 from .instances import inverse_differences
 from .poly import Var, format_poly, parse_frac, parse_poly, parse_var, take_slot
 
-BUILDER_TAG = "ipscert-refute/1"
-FORMAT = "nullstellensatz-cert/2"
+BUILDER_TAG = "ipscert-refute/2"
+FORMAT = "nullstellensatz-cert/3"
+OLDER_FORMATS = ("nullstellensatz-cert/2", "nullstellensatz-cert/1")   # read, not written
+
+# Namespace of the placeholders of a linear certificate: fresh<k> stands
+# for axiom k.
+PLACEHOLDER_NS = "fresh"
 
 
 def _squared(ids) -> list:
@@ -92,19 +107,14 @@ def _product_cofactor(b: CircuitBuilder, code: dict, fa: list, code2: dict, fa2:
     return list(code)[j], b.prod([b.const(-1)] + rest)
 
 
-def _summed(b: CircuitBuilder, acc: dict) -> dict:
-    """{v: sum of v's terms}, without the variables whose sum is literal 0."""
-    sums = {v: b.sum(terms) for v, terms in acc.items()}
-    return {v: s for v, s in sums.items() if b.gate(s).const != 0}
-
-
 def gate_square_certificates(c: Circuit, gids) -> tuple:
-    """(builder, {gate id: {v: cofactor id}}) with g^2 - g = sum_v C_v * (v^2 - v)
-    for each gate g in gids and each gate their certificates use, every C_v
-    a root id in one builder that starts from c's gates.  One reverse pass
-    marks what the requested certificates need (the child gates of a gadget
-    sum, the arguments of a product); those are certified in ascending id
-    order.
+    """(builder, {gate id: C_g}, {v: placeholder id}) with C_g(x, v^2 - v) =
+    g^2 - g for each gate g in gids and each gate their certificates use:
+    C_g is a root id in one builder that starts from c's gates, linear in
+    the placeholders, one VAR gate z_v per variable v, named fresh<j> in the
+    order they are made (j from 1).  One reverse pass marks what the
+    requested certificates need (the child gates of a gadget sum, the
+    arguments of a product); those are certified in ascending id order.
     """
     gates = c.gates
     need = set(gids)
@@ -118,7 +128,20 @@ def gate_square_certificates(c: Circuit, gids) -> tuple:
             sums[i] = gadget_sum(c, i)
             need.update(k for _, _, child in sums[i] or () for k in child)
     b = CircuitBuilder(gates)
-    one = b.const(1)
+    zero = b.const(0)
+    z: dict = {}
+    literals: dict = {}     # (v, bit) -> its literal gate, made once
+
+    def placeholder(v: Var) -> int:
+        if v not in z:
+            z[v] = b.var(Var(PLACEHOLDER_NS, len(z) + 1))
+        return z[v]
+
+    def literal(v: Var, bit: int) -> int:
+        if (v, bit) not in literals:
+            literals[v, bit] = next(literal_gates(b, [(v, bit)]))
+        return literals[v, bit]
+
     certs: dict = {}
     for i in sorted(need):
         g = gates[i]
@@ -127,68 +150,70 @@ def gate_square_certificates(c: Circuit, gids) -> tuple:
                 raise ValueError(
                     f"g{i}: constant leaf {g.const} outside {{0,1}}; "
                     "c^2 - c is not in the Boolean ideal")
-            certs[i] = {}
+            certs[i] = zero
         elif g.op == VAR:
-            certs[i] = {g.var: one}
+            certs[i] = placeholder(g.var)
         elif sums.get(i):
-            certs[i] = _sum_rule(b, sums[i], certs)
+            certs[i] = _sum_rule(b, sums[i], certs, placeholder, literal)
         elif g.op == ADD:
             lit = literal_of(c, i)
             if lit is None:
                 raise ValueError(
                     f"g{i}: addition gate without a gadget; transform the circuit first")
-            certs[i] = {lit[0]: one}   # (1 - v)^2 - (1 - v) = v^2 - v
+            certs[i] = placeholder(lit[0])   # (1 - v)^2 - (1 - v) = v^2 - v
         else:
             certs[i] = _product_rule(b, g.args, certs)
-    return b, certs
+    return b, certs, z
 
 
-def _product_rule(b: CircuitBuilder, args: tuple, certs: dict) -> dict:
-    acc = defaultdict(list)
+def _product_rule(b: CircuitBuilder, args: tuple, certs: dict) -> int:
+    """sum_l H_l * C_{g_l}, H_l the product of the arguments before l and the
+    squares of those after; a literal 0 certificate adds no term."""
+    terms = []
     for ell, a in enumerate(args):
-        if certs[a]:
-            h = b.prod(list(args[:ell]) + _squared(args[ell + 1:]))
-            for v, cof in certs[a].items():
-                acc[v].append(b.prod([h, cof]))
-    return _summed(b, acc)
+        if b.gate(certs[a]).const != 0:
+            terms.append(b.prod(list(args[:ell]) + _squared(args[ell + 1:]) + [certs[a]]))
+    return b.sum(terms)
 
 
-def _sum_rule(b: CircuitBuilder, terms: list, certs: dict) -> dict:
-    """The certificate of gadget_sum's terms; each gadget's literals pushed
-    fresh in code order, a child of several gates certified as a product."""
+def _sum_rule(b: CircuitBuilder, terms: list, certs: dict, placeholder, literal) -> int:
+    """The certificate of gadget_sum's terms, each gadget's literals in code
+    order, a child of several gates certified as a product."""
     codes = [code for _, code, _ in terms]
     kids = [child for _, _, child in terms]
-    factors = [list(literal_gates(b, code.items())) for code in codes]
-    kid_certs = [certs[k[0]] if len(k) == 1 else _product_rule(b, k, certs) for k in kids]
-    acc = defaultdict(list)
+    factors = [[literal(v, bit) for v, bit in code.items()] for code in codes]
+    out = []
     # (I) children's certificates against the squared gadgets.
-    for fs, cert in zip(factors, kid_certs):
-        square = b.prod(_squared(fs))
-        for v, cof in cert.items():
-            acc[v].append(b.prod([square, cof]))
+    for kid, fs in zip(kids, factors):
+        cert = certs[kid[0]] if len(kid) == 1 else _product_rule(b, kid, certs)
+        out.append(b.prod(_squared(fs) + [cert]))
     # (II) gadget squares against the children themselves.
     for kid, code, fs in zip(kids, codes, factors):
         for v, cof in zip(code, _square_cofactors(b, fs)):
-            acc[v].append(b.prod(kid + [cof]))
+            out.append(b.prod(kid + [cof, placeholder(v)]))
     # (III) cross products of distinct codes.
     for ell, ell2 in permutations(range(len(terms)), 2):
         v, cof = _product_cofactor(b, codes[ell], factors[ell], codes[ell2], factors[ell2])
-        acc[v].append(b.prod(kids[ell] + kids[ell2] + [cof]))
-    return _summed(b, acc)
+        out.append(b.prod(kids[ell] + kids[ell2] + [cof, placeholder(v)]))
+    return b.sum(out)
 
 
 @dataclass
 class NullstellensatzCertificate:
-    """Axioms paired with cofactors with sum(cofactor * axiom) = 1, held as
-    root ids in one gate table.
+    """An IPS certificate of the axioms, held as root ids in one gate table.
 
     The first axiom is the instance; the rest are the Boolean axioms v^2 - v
     as CircuitBuilder.boolean_axiom lays them in, written as polynomial
     text.  `table` lays each root out as the text of its standalone formula
     (its lines()).
-    Cofactors never mention the verifier's placeholder namespace, so the
-    induced substitution circuit sum_k placeholder_k * cofactor_k has
-    individual degree 1 in every placeholder and vanishes when all are 0.
+
+    A linear certificate (IPS_LIN, the nullstellensatz-cert/3 document) has
+    one cofactor, the root of C(x, z): the placeholder fresh<k> stands for
+    axiom k, C is homogeneous of degree 1 in the placeholders, so C(x, 0) = 0,
+    and C(x, F(x)) = 1 with each placeholder replaced by its axiom.  Any
+    other certificate (the /1 and /2 documents) pairs each axiom with a
+    cofactor, sum(cofactor * axiom) = 1, and no cofactor mentions a
+    placeholder.  There is one claimed metric per cofactor.
     """
 
     table: CircuitBuilder
@@ -199,6 +224,7 @@ class NullstellensatzCertificate:
     shift: Fraction
     builder: str = BUILDER_TAG
     written_as_poly: frozenset = frozenset()   # indices of axioms written as "poly"
+    linear: bool = False
 
     @property
     def total_size(self) -> int:
@@ -221,32 +247,48 @@ def _validate_leaves(c: Circuit) -> None:
 
 def assemble_refutation(cprime: Circuit,
                         shift: Fraction = Fraction(-2)) -> NullstellensatzCertificate:
-    """Nullstellensatz refutation of f' + shift (default shift -2), with the
-    cofactors of the module docstring.  For a {0,1}-valued f' the instance
-    is unsatisfiable for any shift outside {0, -1}; inverse_differences
-    rejects the other two.
+    """The linear refutation of f' + shift (default shift -2) of the module
+    docstring.  For a {0,1}-valued f' the instance is unsatisfiable for any
+    shift outside {0, -1}; inverse_differences rejects the other two.
 
-    The certificate's table is the builder that composed the cofactors, then
-    the Boolean axioms; nothing is laid out but the instance's text lines.
+    The Boolean axioms are the variables whose placeholders C reaches, E
+    then F, numbered from 1.  The certificate's table starts from f''s
+    gates; the composed gates the instance and C reach follow, hash-consed
+    as certificate_from_json lays a document's table in (so C measures here
+    as read back), then the Boolean axioms.
     """
     shift = Fraction(shift)
     c0, c1 = inverse_differences(1, -shift)
     _validate_leaves(cprime)
     out = cprime.output
-    b, certs = gate_square_certificates(cprime, [out])
+    b, certs, z = gate_square_certificates(cprime, [out])
     instance = b.add([out, b.const(shift)])
-    order = sorted(certs[out], key=lambda v: (v.ns == "y", v._key))   # E, then F
-    roots = [b.mul([b.const(c1), b.add([out, b.const(c0 / c1)])])]
-    roots += [b.mul([b.const(-c1), certs[out][v]]) for v in order]
-    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.boolean_axiom(v)) for v in order]
+    root = b.sum([b.mul([b.const(c1), b.mul([b.add([out, b.const(c0 / c1)]),
+                                             b.var(Var(PLACEHOLDER_NS, 0))])]),
+                  b.prod([b.const(-c1), certs[out]])])
+    ids = _sweep(b._gates, (instance, root))
+    reached = set(ids)
+    order = sorted([v for v in z if z[v] in reached], key=lambda v: (v.ns == "y", v._key))
+    named = {z[v]: Gate(VAR, var=Var(PLACEHOLDER_NS, k)) for k, v in enumerate(order, 1)}
+    table = CircuitBuilder(cprime.gates)
+    lay, at = table._lay_in(0), {}
+    for i in ids:
+        g = named.get(i, b.gate(i))
+        if i in table._starting:
+            at[i] = i
+        else:
+            at[i] = lay(g, None) if g.is_leaf() else lay(g.op, [at[a] for a in g.args])
+    instance, root = at[instance], at[root]
+    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", table.boolean_axiom(v)) for v in order]
     return NullstellensatzCertificate(
-        table=b,
+        table=table,
         axioms=tuple(axioms),
-        cofactors=tuple(roots),
-        claimed_metrics=tuple(b.metrics(roots)),
-        instance_sha256=b.sha256(instance),
+        cofactors=(root,),
+        claimed_metrics=(table.dag_metrics(root),),
+        instance_sha256=table.sha256(instance),
         shift=shift,
         written_as_poly=frozenset(range(1, len(axioms))),
+        linear=True,
     )
 
 
@@ -270,10 +312,13 @@ def _json_object(pairs: list, pad: str) -> str:
 
 
 def certificate_to_json(cert: NullstellensatzCertificate) -> str:
-    """The nullstellensatz-cert/2 document, byte for byte as json.dumps(doc,
-    indent=2) writes it: the gate table that the circuits reach, written
-    once (CircuitBuilder.write_table), and each circuit as the line that
-    names its root; an axiom in written_as_poly as its polynomial's text."""
+    """The nullstellensatz-cert/3 document of a linear certificate, byte for
+    byte as json.dumps(doc, indent=2) writes it: the gate table that the
+    circuits reach, written once (CircuitBuilder.write_table), and each
+    circuit, C the one cofactor, as the line that names its root; an axiom
+    in written_as_poly as its polynomial's text."""
+    if not cert.linear:
+        raise ValueError("only a linear certificate is written; /1 and /2 are read only")
     polys = cert.written_as_poly
     circuits = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in polys] + [*cert.cofactors]
     starting, table, positions = cert.table.write_table(circuits)
@@ -320,7 +365,7 @@ def _text_lines(lines: list) -> list:
 
 
 def _table_roots(doc: dict, table: CircuitBuilder):
-    """Lay a /2 document's gate table into table as it is parsed; returns
+    """Lay a /2 or /3 document's gate table into table as it is parsed; returns
     the reader of a circuit, one line "OUTPUT g<k>" naming a table gate."""
     starting = _field(doc, "starting", kind=int)
     names = _field(doc, "table", kind=list,
@@ -379,16 +424,18 @@ def _axiom_poly(label: str, text: str):
 
 
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
-    """Read a nullstellensatz-cert/2 document, its table laid in as it is
-    parsed (CircuitBuilder.read_table), or a nullstellensatz-cert/1
-    document, every circuit parsed once and laid into one hash-consed table
-    (CircuitBuilder.read); both through the one parser of circuit text."""
+    """Read a nullstellensatz-cert/3 document (one cofactor, C) or a /2
+    document, its table laid in as it is parsed (CircuitBuilder.read_table),
+    or a /1 document, every circuit parsed once and laid into one
+    hash-consed table (CircuitBuilder.read); all through the one parser of
+    circuit text."""
     doc = json.loads(text)
     version = doc.get("format") if isinstance(doc, dict) else None
-    if version not in (FORMAT, "nullstellensatz-cert/1"):
-        raise ValueError("not a certificate document")
+    if version not in (FORMAT, *OLDER_FORMATS):
+        raise ValueError("certificate document: field format is not one of "
+                         + ", ".join((FORMAT, *OLDER_FORMATS)))
     table = CircuitBuilder()
-    if version == FORMAT:
+    if version != "nullstellensatz-cert/1":
         read = _table_roots(doc, table)
     else:
         def read(lines: list) -> int:
@@ -403,6 +450,9 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         polys[k] = _field(ax, "poly", f"axioms[{k}].poly", str, parse=partial(_axiom_poly, label))
         axioms.append((label, None))
     cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=read))
+    if version == FORMAT and len(cofactors) != 1:
+        raise ValueError(f"certificate document: field cofactors has {len(cofactors)} "
+                         "entries; a linear certificate has one, its root C")
     for k, p in polys.items():   # poly texts last, so that no circuit's gate id moves
         lay = table.boolean_axiom if isinstance(p, Var) else table.poly
         axioms[k] = (axioms[k][0], lay(p))
@@ -426,4 +476,5 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         shift=shift,
         builder=_field(doc, "builder", kind=str) if "builder" in doc else BUILDER_TAG,
         written_as_poly=frozenset(polys),
+        linear=version == FORMAT,
     )

@@ -1,37 +1,43 @@
 """Certificate verification: exact, probabilistic, and Boolean-image checks.
 
 Both verifiers take a NullstellensatzCertificate: one gate table with a
-root id per axiom and cofactor (see refute), every axiom alike.
+root id per axiom and cofactor (see refute), every axiom alike.  Its
+identity is C(x, F(x)) = 1 for a linear certificate, whose one cofactor C
+is linear in the placeholders fresh<k>, and otherwise
+sum(cofactor * axiom) = 1.  The linear identity is the table with each
+placeholder pointed at its axiom's root, built by one ascending pass that
+lays the gates above placeholders in again (_substituted).
 
-verify_exact expands every cofactor and checks sum(cofactor * axiom) = 1 as
-a polynomial identity, plus the placeholder discipline: cofactors may not
+verify_exact expands the linear identity once.  A per-pair certificate is
+summed pair by pair, with the placeholder discipline: cofactors may not
 mention the reserved placeholder namespace, so the induced substitution
 circuit sum_k placeholder_k * cofactor_k vanishes at placeholder zero and
-is linear in every placeholder.  The identity is summed pair by pair,
-and each gate the pairs reach is expanded once, by the first pair that
-reaches it, and kept until the last.  A cofactor's scalar moves onto its
-axiom: a root MUL(CONST c, x), c != 0, adds x * (c * axiom).
+is linear in every placeholder.  Each gate the pairs reach is expanded
+once, by the first pair that reaches it, and kept until the last.  A
+cofactor's scalar moves onto its axiom: a root MUL(CONST c, x), c != 0,
+adds x * (c * axiom).
 
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
 happens with probability at most D/prime per trial, D the identity's formal
 degree (Schwartz-Zippel), so a prime at or below D is refused; a genuinely
-valid certificate is never rejected.  The identity is one root, the sum of
-MUL(axiom_k, cofactor_k), on a copy of the certificate's gate table
-(hash-consed when read from a document); the gates it reaches are swept
-once in the table, with no standalone copy, and walked for D and to compile
-them, run once over all trials as one batch, so a gate shared by many
-cofactors is evaluated once.  A constant whose denominator vanishes mod the
-prime is named as the first such in the written order of the axioms and
-cofactors, pair by pair, found by visiting each gate once.  Trial points
-are derived from (seed, trial index), so identical configurations produce
-identical reports.
+valid certificate is never rejected.  The identity is one root, C(x, F(x))
+or the sum of MUL(axiom_k, cofactor_k), on a copy of the certificate's
+gate table (hash-consed when read from a document); the gates it reaches
+are swept once in the table, with no standalone copy, and walked for D and
+to compile them, run once over all trials as one batch, so a gate shared
+by many cofactors is evaluated once.  A constant whose denominator vanishes
+mod the prime is named as the first such in the written order of the roots
+(the axioms, then C; or axioms and cofactors, pair by pair), found by
+visiting each gate once.  Trial points are derived from (seed, trial
+index), so identical configurations produce identical reports.
 
 check_claims checks what a certificate document claims besides the
-identity (the Boolean axioms, the instance and its shift and hash, the
-metrics; see its docstring).  ipscert verify runs it first, in both modes
-(verify --instance FILE gives the circuit); verify_exact and verify_pit
-check only the identity.
+identity (the Boolean axioms, the instance and its shift and hash, that C
+is homogeneous of degree 1 in the placeholders, the metrics; see its
+docstring).  ipscert verify runs it first, in both modes (verify
+--instance FILE gives the circuit); verify_exact and verify_pit check only
+the identity.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -55,16 +61,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 
-from .circuit import (ADD, CONST, VAR, Circuit, _is_scaled_wire, _sweep, circuit_sha256,
+from .circuit import (ADD, CONST, MUL, VAR, Circuit, _is_scaled_wire, _sweep, circuit_sha256,
                       compile_evaluator, expand)
 from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod, subset_transform
-from .refute import NullstellensatzCertificate, boolean_axiom_label, is_boolean_axiom
+from .refute import (PLACEHOLDER_NS, NullstellensatzCertificate, boolean_axiom_label,
+                     is_boolean_axiom)
 
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
-
-# Namespace reserved for the placeholder variables of substitution circuits.
-PLACEHOLDER_NS = "fresh"
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -164,38 +168,58 @@ def _nonzero_witness(p: SparsePoly) -> dict:
 
 
 def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
-    """Check sum(cofactor * axiom) = 1 by exact expansion, pair by pair.
+    """Check the certificate's identity by exact expansion: C(x, F(x)) = 1
+    for a linear certificate, expanded once (_substituted), and otherwise
+    sum(cofactor * axiom) = 1, pair by pair.
 
-    A cofactor root that is a scaled wire MUL(CONST c, x) with c != 0 is
-    expanded as x, and x * (c * axiom) is summed: c moves onto the axiom,
-    so a large x is not copied to scale it.  The pairs are expanded in
-    order, each over one sweep of its axiom and expanded root
+    Pair by pair, a cofactor root that is a scaled wire MUL(CONST c, x) with
+    c != 0 is expanded as x, and x * (c * axiom) is summed: c moves onto the
+    axiom, so a large x is not copied to scale it.  The pairs are expanded
+    in order, each over one sweep of its axiom and expanded root
     (CircuitBuilder.expand_each): a gate two pairs share, or an axiom and
     its cofactor (the instance's f' and the functional refutation
     c0 + c1*f'), is expanded once and kept until the last pair that reaches
     it.  So each pair's placeholder check, the guard of its expansion and
     its term of the sum come in the order of expanding each pair alone.
     The placeholder check reads the variables of the expanded root, which
-    for c != 0 are those of the cofactor."""
-    if len(cert.axioms) != len(cert.cofactors):
-        return VerifyReport("error", detail="axiom/cofactor list length mismatch")
-    table = cert.table
-    scaled = [_scaled_root(table, cf) for cf in cert.cofactors]
-    expanded = table.expand_each([(ax, root) for (_, ax), (_, root) in zip(cert.axioms, scaled)])
-    total = _Accumulator()
-    for (label, _), (scale, _), (ax_p, cf_p) in zip(cert.axioms, scaled, expanded):
-        for v in cf_p.variables():
-            if v.ns == PLACEHOLDER_NS:
-                return VerifyReport("error", detail=f"cofactor of {label} mentions "
-                                                    f"placeholder variable {v.name}")
-        total.add_product(cf_p, ax_p if scale == 1 else ax_p * scale)
-    total.add(SparsePoly.constant(-1))
-    residual = total.result()
-    work = {"expansions": 2 * len(cert.cofactors)}
+    for c != 0 are those of the cofactor.  Either way work counts two
+    expansions per axiom, as verify_pit counts its evaluations."""
+    error = _shape_error(cert)
+    if error is not None:
+        return error
+    if cert.linear:
+        b, root = _substituted(cert)
+        residual = b.expand(root) - SparsePoly.constant(1)
+        detail = "cofactors[0]: C(x, F(x)) - 1 is not the zero polynomial"
+    else:
+        table = cert.table
+        scaled = [_scaled_root(table, cf) for cf in cert.cofactors]
+        expanded = table.expand_each([(ax, root) for (_, ax), (_, root)
+                                      in zip(cert.axioms, scaled)])
+        total = _Accumulator()
+        for (label, _), (scale, _), (ax_p, cf_p) in zip(cert.axioms, scaled, expanded):
+            for v in cf_p.variables():
+                if v.ns == PLACEHOLDER_NS:
+                    return VerifyReport("error", detail=f"cofactor of {label} mentions "
+                                                        f"placeholder variable {v.name}")
+            total.add_product(cf_p, ax_p if scale == 1 else ax_p * scale)
+        total.add(SparsePoly.constant(-1))
+        residual = total.result()
+        detail = "sum(cofactor * axiom) - 1 is not the zero polynomial"
+    work = {"expansions": 2 * len(cert.axioms)}
     if residual.is_zero():
         return VerifyReport("verified-exact", work=work)
-    return VerifyReport("refuted", detail="sum(cofactor * axiom) - 1 is not the zero polynomial",
-                        witness=_nonzero_witness(residual), work=work)
+    return VerifyReport("refuted", detail=detail, witness=_nonzero_witness(residual), work=work)
+
+
+def _shape_error(cert: NullstellensatzCertificate) -> VerifyReport | None:
+    """The error report of a certificate with the wrong number of cofactors:
+    one, C, when it is linear, and otherwise one per axiom."""
+    if cert.linear and len(cert.cofactors) != 1:
+        return VerifyReport("error", detail="a linear certificate has one cofactor, C")
+    if not cert.linear and len(cert.axioms) != len(cert.cofactors):
+        return VerifyReport("error", detail="axiom/cofactor list length mismatch")
+    return None
 
 
 def _scaled_root(table, cf: int) -> tuple:
@@ -227,8 +251,15 @@ def check_claims(cert: NullstellensatzCertificate,
         (CircuitBuilder.fits): axioms[0].circuit;
       * instance_sha256 is the SHA-256 of axiom 0's text: instance_sha256;
       * given an instance circuit, f' has its text: axioms[0].circuit;
+      * a linear certificate's C is homogeneous of degree 1 in the
+        placeholders, by one ascending pass over the gates it reaches (a
+        placeholder fresh<k> naming axiom k has degree 1 and any other leaf
+        0, a MUL sums its arguments' degrees, an ADD's arguments agree, and
+        the root has degree 1), which names the first gate that breaks it:
+        cofactors[0];
       * each claimed metric is its cofactor's measure, all measured over
-        one sweep of the table: metrics[k].size, metrics[k].depth.
+        one sweep of the table: metrics[k].size, metrics[k].depth; C's is
+        the size and depth of the DAG it reaches (CircuitBuilder.dag_metrics).
     """
     seen: set = set()
     for k, (label, ax) in enumerate(cert.axioms[1:], start=1):
@@ -267,8 +298,14 @@ def check_claims(cert: NullstellensatzCertificate,
     if instance is not None and table.sha256(g.args[0]) != circuit_sha256(instance):
         return VerifyReport("error", detail="axioms[0].circuit: f' is not the given "
                                             "instance circuit")
-    for k, (claimed, measured) in enumerate(zip(cert.claimed_metrics,
-                                                table.metrics(cert.cofactors))):
+    if cert.linear:
+        error = _degree_error(cert)
+        if error is not None:
+            return VerifyReport("error", detail=f"cofactors[0]: {error}")
+        measured = [table.dag_metrics(cert.cofactors[0])]
+    else:
+        measured = table.metrics(cert.cofactors)
+    for k, (claimed, measured) in enumerate(zip(cert.claimed_metrics, measured)):
         for name, got, want in (("size", claimed.size, measured.size),
                                 ("depth", claimed.depth, measured.depth)):
             if got != want:
@@ -277,18 +314,83 @@ def check_claims(cert: NullstellensatzCertificate,
     return None
 
 
+def _axiom_of(v, axioms: int) -> int | None:
+    """k when v is the placeholder fresh<k> of one of the axioms, else None."""
+    if v.ns != PLACEHOLDER_NS or len(v.idx) != 1 or not isinstance(v.idx[0], int):
+        return None
+    return v.idx[0] if v.idx[0] < axioms else None
+
+
+def _degree_error(cert: NullstellensatzCertificate) -> str | None:
+    """Where a linear certificate's C is not homogeneous of degree 1 in the
+    placeholders, or None: one ascending pass over the kept sweep of C
+    (CircuitBuilder._reach), with the rules of check_claims."""
+    table = cert.table
+    gates, root, axioms = table._gates, cert.cofactors[0], len(cert.axioms)
+    degree: dict = {}
+    for i in table._reach(root):
+        g = gates[i]
+        if g.op == VAR:
+            placeholder = _axiom_of(g.var, axioms) is not None
+            if g.var.ns == PLACEHOLDER_NS and not placeholder:
+                return f"g{i}: placeholder {g.var.name} names no axiom"
+            degree[i] = int(placeholder)
+        elif g.op == CONST:
+            degree[i] = 0
+        elif g.op == MUL:
+            d = degree[i] = sum([degree[a] for a in g.args])
+            if d > 1:
+                return f"g{i}: a product of degree {d} in the placeholders"
+        else:
+            ds = {degree[a] for a in g.args}
+            if len(ds) > 1:
+                return f"g{i}: a sum of terms of degrees 0 and 1 in the placeholders"
+            degree[i] = ds.pop()
+    if degree[root] != 1:
+        return f"g{root}: C has degree 0 in the placeholders"
+    return None
+
+
+def _substituted(cert: NullstellensatzCertificate) -> tuple:
+    """(b, root): C(x, F(x)) as the last gate of a copy b of a linear
+    certificate's table, the table left as it was.  One ascending pass over
+    the kept sweep of C points each placeholder fresh<k> that names an
+    axiom at axiom k's root, and lays each gate above one in again over
+    its arguments' images; every other gate is C's own."""
+    table = cert.table
+    b = table.copy()
+    gates, root, axioms = table._gates, cert.cofactors[0], cert.axioms
+    image: dict = {}
+    for i in table._reach(root):
+        g = gates[i]
+        if g.op == VAR:
+            k = _axiom_of(g.var, len(axioms))
+            if k is not None:
+                image[i] = axioms[k][1]
+        elif any([a in image for a in g.args]):
+            args = [image.get(a, a) for a in g.args]
+            image[i] = b.add(args) if g.op == ADD else b.mul(args)
+    root = image.get(root, root)
+    return b, root if root == len(b._gates) - 1 else b.add([root])
+
+
 def _identity(cert: NullstellensatzCertificate) -> tuple:
     """(identity, D, variables): a copy of the certificate's table whose
-    last gate is the sum of MUL(axiom_k, cofactor_k), with the certificate's
-    table left as it was; the formal degree D of that sum; and the variables
-    it reaches, in order.  The ids the sum reaches are swept once and kept
-    on the copy, where compile_evaluator reads them again.
+    last gate is the identity that must equal 1, with the certificate's
+    table left as it was: C(x, F(x)) for a linear certificate
+    (_substituted), and otherwise the sum of MUL(axiom_k, cofactor_k); the
+    formal degree D of that gate; and the variables it reaches, in order.
+    The ids it reaches are swept once and kept on the copy, where
+    compile_evaluator reads them again.
 
     D is folded over those ids, ascending: a VAR has 1, a CONST 0, an ADD
     the max of its arguments', a MUL their sum.  It bounds the total degree
     from above."""
-    b = cert.table.copy()
-    root = b.sum([b.mul([ax, cf]) for (_, ax), cf in zip(cert.axioms, cert.cofactors)])
+    if cert.linear:
+        b, root = _substituted(cert)
+    else:
+        b = cert.table.copy()
+        root = b.sum([b.mul([ax, cf]) for (_, ax), cf in zip(cert.axioms, cert.cofactors)])
     gates = b._gates
     degree = [0] * len(gates)
     variables = set()
@@ -309,17 +411,20 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
 
     The identity is compiled once and run once, over all trials as
     one batch; the report names the first failing trial, and work still
-    counts two evaluations (axiom and cofactor) per pair and trial up to it.
+    counts two evaluations per axiom and trial up to it (the axiom and its
+    cofactor, which in a linear certificate is its placeholder's
+    coefficient in C).
     Raises ValueError when cfg.prime is at most the identity's formal degree
     D, where the Schwartz-Zippel bound D/prime per trial promises nothing.
     """
-    if len(cert.axioms) != len(cert.cofactors):
-        return VerifyReport("error", detail="axiom/cofactor list length mismatch")
+    error = _shape_error(cert)
+    if error is not None:
+        return error
     identity, degree, ordered = _identity(cert)
     if cfg.prime <= degree:
         raise ValueError(f"--prime {cfg.prime} is not above {degree}, the formal degree of "
                          "the identity, so a false identity could pass every trial")
-    evaluations = 2 * len(cert.cofactors)
+    evaluations = 2 * len(cert.axioms)
     seeds = (f"pit:{cfg.seed}:{trial}" for trial in range(cfg.trials))
     points = [[rng.randrange(cfg.prime) for _ in ordered] for rng in map(random.Random, seeds)]
     try:
@@ -331,7 +436,8 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
         if total != 1 % cfg.prime:
             return VerifyReport(
                 "refuted",
-                detail=f"identity failed at trial {trial} mod {cfg.prime}",
+                detail=("cofactors[0]: C(x, F(x)) is not 1" if cert.linear else "identity failed")
+                + f" at trial {trial} mod {cfg.prime}",
                 witness=dict(zip(ordered, points[trial])),
                 work={"evaluations": evaluations * (trial + 1), "trials": trial + 1})
     return VerifyReport(
@@ -341,15 +447,19 @@ def verify_pit(cert: NullstellensatzCertificate, cfg: PitConfig = PitConfig()) -
 
 
 def _bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
-    """The error of the first constant, in the written order of the axioms
-    and cofactors pair by pair, whose denominator vanishes mod prime.
+    """The error of the first constant whose denominator vanishes mod prime,
+    in the written order of the axioms and then C for a linear certificate,
+    and otherwise of the axioms and cofactors pair by pair.
 
     Each gate the roots reach is visited once, ascending, for the first such
     constant of its layout (CircuitBuilder.lines): a composed gate's is its
     first argument's that has one, a starting gate's the lowest id among
     its arguments' and its own."""
     gates, starting = cert.table._gates, cert.table._starting
-    roots = [r for (_, ax), cf in zip(cert.axioms, cert.cofactors) for r in (ax, cf)]
+    if cert.linear:
+        roots = [ax for _, ax in cert.axioms] + [*cert.cofactors]
+    else:
+        roots = [r for (_, ax), cf in zip(cert.axioms, cert.cofactors) for r in (ax, cf)]
     first: dict = {}         # gate id -> (id, error) of the first such constant of its layout
     for i in _sweep(gates, roots):
         g = gates[i]

@@ -606,6 +606,20 @@ def certificate_to_json_v2(cert: NullstellensatzCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def point_placeholders(b: CircuitBuilder, roots, images: dict) -> tuple:
+    """(table, roots): a copy of b in which each gate id in images, a
+    placeholder, stands for the gate images names, each gate above one laid
+    in again over its arguments' images, and the roots' images: C(x, F(x))
+    for C linear in the placeholders, walked in ascending id order."""
+    table, image = b.copy(), dict(images)
+    for i in range(min(images, default=0), max(roots, default=-1) + 1):
+        g = b.gate(i)
+        if i not in image and any(a in image for a in g.args):
+            args = [image.get(a, a) for a in g.args]
+            image[i] = table.add(args) if g.op == ADD else table.mul(args)
+    return table, [image.get(r, r) for r in roots]
+
+
 def _text(x) -> list:
     """The text lines of x, a Circuit or a SparsePoly (as_circuit)."""
     return format_circuit(as_circuit(x)).splitlines()

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (MutationBase, certificate_to_json_v2, internal_gates, mutate_certificate,
-                     ref_evaluate, refutation_v2, retrieval_point)
+                     point_placeholders, ref_evaluate, refutation_v2, retrieval_point)
 
 from ipscert.circuit import (
     CONST,
@@ -38,7 +38,7 @@ from ipscert.instances import (
 )
 from ipscert.poly import SparsePoly, Var, boolean_axiom
 from ipscert.rank import balanced_partitions, exact_rank, fullrank_witness, rank_matrix
-from ipscert.refute import gate_square_certificates
+from ipscert.refute import assemble_refutation, gate_square_certificates
 from ipscert.verify import PitConfig, boolean_image, verify_exact, verify_pit
 
 # SHA-256 of criterion 5's 1,000 mutated certificate documents, taken when
@@ -130,27 +130,26 @@ def test_criterion_4_certificate_identities(transformed01):
         internal = internal_gates(ledger)
         skipped = set(range(len(cprime.gates))) - set(gids)
         assert skipped <= internal  # only gadget negations are exempt
-        b, certs = gate_square_certificates(cprime, gids)
-        # b starts from cprime's gates: each gate and its cofactors are one
-        # group, and every gate they reach is expanded once.
-        groups = [[gid, *certs[gid].values()] for gid in gids]
-        for gid, (g, *cof_polys) in zip(gids, b.expand_each(groups)):
-            rhs = SparsePoly.zero()
+        b, certs, placeholders = gate_square_certificates(cprime, gids)
+        # Each C_g with its placeholders pointed at their Boolean axioms; the
+        # table starts from cprime's gates: each gate and C_g(x, v^2 - v) are
+        # one group, and every gate they reach is expanded once.
+        images = {z: b.boolean_axiom(v) for v, z in placeholders.items()}
+        table, roots = point_placeholders(b, [certs[gid] for gid in gids], images)
+        for gid, (g, rhs) in zip(gids, table.expand_each(list(zip(gids, roots)))):
             mg = measure(subcircuit(cprime, gid))
-            for (v, cof), cof_poly in zip(certs[gid].items(), cof_polys):
-                m = b.metrics([cof])[0]
-                assert m.size <= 100 * mg.size ** 4
-                assert m.depth <= 2 * mg.depth
-                rhs = rhs + cof_poly * boolean_axiom(v)
+            m = b.metrics([certs[gid]])[0]
+            assert m.size <= 100 * mg.size ** 4
+            assert m.depth <= 2 * mg.depth
             assert g * g - g == rhs
             gates_checked += 1
-        cert = refutation_v2(cprime)
+        cert = assemble_refutation(cprime)
         assert verify_exact(cert).verdict == "verified-exact"
         m = measure(cprime)
         assert cert.total_size <= 100 * max(m.size, 1) ** 5
         assert cert.total_depth <= 2 * m.depth + 2
     report(4, f"{gates_checked} gate identities exact with ledger bounds; "
-              "200 assembled refutations sum to 1 exactly", started)
+              "200 linear refutations give 1 exactly", started)
 
 
 @pytest.fixture(scope="module")

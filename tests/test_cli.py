@@ -31,7 +31,8 @@ from ipscert import cli, poly
 from ipscert.cli import main
 from ipscert.gadget import GadgetLedger, gadgetize
 from ipscert.poly import Var, format_poly
-from ipscert.refute import NullstellensatzCertificate, certificate_from_json
+from ipscert.refute import (NullstellensatzCertificate, assemble_refutation, certificate_from_json,
+                            certificate_to_json)
 
 
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
@@ -414,7 +415,7 @@ def test_refute_writes_one_certificate_with_any_ledger_or_none(tmp_path):
             argv += ["--ledger", str(tmp_path / f"l{k}.json")]
         assert main(argv + ["--out", str(cert)]) == 0
         docs.append(cert.read_bytes())
-    assert docs[0] == docs[1] == docs[2] == certificate_to_json_v2(refutation_v2(cp)).encode()
+    assert docs[0] == docs[1] == docs[2] == certificate_to_json(assemble_refutation(cp)).encode()
 
 
 @pytest.mark.parametrize("command, family", [
@@ -949,7 +950,7 @@ def test_an_old_v1_document_verifies_against_its_instance(tmp_path, capsys):
                          "--mode", mode]) == 0
             reports.append(capsys.readouterr().out)
     assert reports[:2] == reports[2:]
-    assert json.loads((tmp_path / "third.json").read_text())["format"] == "nullstellensatz-cert/2"
+    assert json.loads((tmp_path / "third.json").read_text())["format"] == "nullstellensatz-cert/3"
 
 
 # The certificate of the CI chain at shift -2, as refute wrote it as /2:

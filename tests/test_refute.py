@@ -9,7 +9,8 @@ import pytest
 
 from helpers import (boolean_axiom_as_circuit, build_corpus, certificate_of, certificate_to_json_v1,
                      certificate_to_json_v2, ci_chain_certificate, gadget_poly, laid_out,
-                     ledger_sums, pit_corpus, random_product_dag, read_sums, ref_evaluate,
+                     ledger_sums, pit_corpus, point_placeholders, random_product_dag, read_sums,
+                     ref_evaluate,
                      reference_read_table, refutation_v2, shift_certificates,
                      shuffled_topological, table_state, total_degree)
 
@@ -40,10 +41,13 @@ from ipscert import poly as poly_module
 from ipscert import refute as refute_module
 from ipscert.poly import SparsePoly, Var, boolean_axiom, format_poly, parse_poly
 from ipscert.refute import (
+    BUILDER_TAG,
     _product_cofactor,
     _square_cofactors,
+    assemble_refutation,
     boolean_axiom_label,
     certificate_from_json,
+    certificate_to_json,
     gate_square_certificates,
     is_boolean_axiom,
 )
@@ -90,19 +94,23 @@ def yvars(t, tag=0):
     return [Var("y", tag, b) for b in range(t + 1)]
 
 
-def identity_holds(c, gid, b, cert):
-    """g^2 - g == sum_v cofactor_v * (v^2 - v) for gate gid of c, the
-    cofactors root ids in b."""
+def placeholder_polys(b, placeholders) -> dict:
+    """{v: z_v as a polynomial} for the placeholders gate_square_certificates made."""
+    return {v: SparsePoly.variable(b.gate(z).var) for v, z in placeholders.items()}
+
+
+def identity_holds(c, gid, b, cert, placeholders):
+    """g^2 - g == C_g(x, v^2 - v) for gate gid of c, C_g the root id cert
+    in b and placeholders its {v: placeholder gate}."""
     g = expand(subcircuit(c, gid))
-    rhs = SparsePoly.zero()
-    for v, cof in cert.items():
-        rhs = rhs + b.expand(cof) * boolean_axiom(v)
-    return g * g - g == rhs
+    images = {z: b.boolean_axiom(v) for v, z in placeholders.items()}
+    table, (root,) = point_placeholders(b, [cert], images)
+    return g * g - g == table.expand(root)
 
 
 def gate_identity_holds(cprime, gid):
-    b, certs = gate_square_certificates(cprime, [gid])
-    return identity_holds(cprime, gid, b, certs[gid])
+    b, certs, placeholders = gate_square_certificates(cprime, [gid])
+    return identity_holds(cprime, gid, b, certs[gid], placeholders)
 
 
 def certifiable_gate_ids(c):
@@ -122,16 +130,18 @@ def certifiable_gate_ids(c):
 
 def test_leaf_base_case():
     c = cvar(X1)
-    b, certs = gate_square_certificates(c, [c.output])
-    assert list(certs[c.output]) == [X1]
-    assert b.expand(certs[c.output][X1]) == 1
+    b, certs, placeholders = gate_square_certificates(c, [c.output])
+    assert list(placeholders) == [X1]
+    assert certs[c.output] == placeholders[X1]
+    assert b.gate(certs[c.output]).var == Var("fresh", 1)
 
 
 def test_const_base_cases():
     for value in (0, 1):
         c = cconst(value)
-        _, certs = gate_square_certificates(c, [c.output])
-        assert certs[c.output] == {}
+        b, certs, placeholders = gate_square_certificates(c, [c.output])
+        assert b.gate(certs[c.output]).const == 0
+        assert placeholders == {}
 
 
 def test_negative_constant_rejected():
@@ -149,10 +159,10 @@ def test_ungadgetized_add_rejected():
 def test_product_gate_telescoping():
     # g = g0*g1: E from (g0^2-g0)*g1^2 + g0*(g1^2-g1)
     c = cmul(cvar(X1), cvar(X2))
-    b, certs = gate_square_certificates(c, [c.output])
+    b, certs, placeholders = gate_square_certificates(c, [c.output])
     x1, x2 = SparsePoly.variable(X1), SparsePoly.variable(X2)
-    assert b.expand(certs[c.output][X1]) == x2 * x2
-    assert b.expand(certs[c.output][X2]) == x1
+    z = placeholder_polys(b, placeholders)
+    assert b.expand(certs[c.output]) == x2 * x2 * z[X1] + x1 * z[X2]
     assert gate_identity_holds(c, c.output)
 
 
@@ -374,14 +384,13 @@ def test_gate_identities_and_ledger_bounds_small_corpus():
             continue
         cp, _ = gadgetize(cn)
         gids = certifiable_gate_ids(cp)
-        b, certs = gate_square_certificates(cp, gids)
+        b, certs, placeholders = gate_square_certificates(cp, gids)
         for gid in gids:
-            assert identity_holds(cp, gid, b, certs[gid])
+            assert identity_holds(cp, gid, b, certs[gid], placeholders)
             mg = measure(subcircuit(cp, gid))
-            for cof in certs[gid].values():
-                m = b.metrics([cof])[0]
-                assert m.size <= 100 * mg.size ** 4
-                assert m.depth <= 2 * mg.depth
+            m = b.metrics([certs[gid]])[0]
+            assert m.size <= 100 * mg.size ** 4
+            assert m.depth <= 2 * mg.depth
 
 
 def test_assembled_certificates_on_small_corpus():
@@ -661,7 +670,7 @@ def test_certificate_from_json_requires_a_string_builder(write):
         with pytest.raises(ValueError, match=re.escape("field builder is not a string")):
             certificate_from_json(json.dumps(doc))
     del doc["builder"]
-    assert certificate_from_json(json.dumps(doc)).builder == "ipscert-refute/1"
+    assert certificate_from_json(json.dumps(doc)).builder == BUILDER_TAG
 
 
 @pytest.mark.parametrize("keep", [0, 1, 5])
@@ -897,11 +906,11 @@ def test_a_v2_table_written_with_a_gate_twice_holds_it_once():
 
 
 def _mutants(rng: random.Random, doc: dict, count: int):
-    """count seeded single edits of a /2 document: table lines dropped,
+    """count seeded single edits of a /2 or /3 document: table lines dropped,
     repeated, swapped or with a token or character replaced; a root, the
     starting count or a metric moved; a field deleted or given another type."""
     tokens = ["g0", "g1", "g999", "ADD", "MUL", "VAR", "CONST", "x1", "y_1_0", "1/0", "-1/2",
-              "OUTPUT", "=", "", "#"]
+              "OUTPUT", "=", "", "#", "fresh0", "fresh99"]
     values = [None, True, 0, -1, 7, 2**70, "", "x", [], ["OUTPUT g0"], [5], {}, 1.5]
     for _ in range(count):
         d = json.loads(json.dumps(doc))
@@ -1005,15 +1014,18 @@ def read_both_ways(monkeypatch, text: str) -> tuple:
 
 
 def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
-    # Every refusal, by the reader or by either verifier, is a ValueError:
-    # never a KeyError, IndexError or TypeError.  read_table and the
-    # reference reader read every mutant alike: the same table and
-    # {token: id} map, or the same message.
+    # Every refusal, by the reader or by either verifier, is a ValueError
+    # naming a line, a field or a gate: never a KeyError, IndexError or
+    # TypeError.  read_table and the reference reader read every mutant
+    # alike: the same table and {token: id} map, or the same message.  The
+    # /2 documents of the per-pair reference are mutated, then the /3
+    # documents refute writes of the same formulas.
     rng = random.Random(2027)
     docs = [small_doc()]
-    for c in build_corpus(2027, 3):
-        cp, _ = gadgetize(normalize_layered(c))
-        docs.append(json.loads(certificate_to_json_v2(refutation_v2(cp))))
+    circuits = [gadgetize(normalize_layered(c))[0] for c in build_corpus(2027, 3)]
+    docs += [json.loads(certificate_to_json_v2(refutation_v2(cp))) for cp in circuits]
+    docs += [json.loads(certificate_to_json(assemble_refutation(cp))) for cp in circuits]
+    named = re.compile(r"field |line \d+|\bg\d+|^(axioms|cofactors|metrics|shift|instance_sha256)\b")
     cfg = PitConfig(trials=2, seed=3)
     refused = verified = 0
     for doc in docs:
@@ -1021,15 +1033,19 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
             (cert, names), (reference, reference_names) = read_both_ways(monkeypatch, text)
             assert names == reference_names
             if isinstance(cert, str):
-                assert reference == cert
+                assert reference == cert and named.search(cert), cert
                 refused += 1
                 continue
             assert table_state(reference.table) == table_state(cert.table)
             assert (reference.axioms, reference.cofactors) == (cert.axioms, cert.cofactors)
             try:
-                if check_claims(cert) is None:
+                claims = check_claims(cert)
+                if claims is None:
                     verified += verify_pit(cert, cfg).verdict == "verified-probabilistic"
                     verify_exact(cert)
-            except ValueError:
+                else:
+                    assert named.search(claims.detail), claims.detail
+            except ValueError as exc:
+                assert named.search(str(exc)), exc
                 refused += 1
     assert refused > 100 and verified > 0
