@@ -191,13 +191,9 @@ def small_instance():
     return gadgetize(cadd(cvar(X1), cmul(cvar(X2), cvar(X3))))[0]
 
 
-def line(doc: dict, token: str) -> int:
-    """The table line of a gate token g<k>."""
-    return int(token[1:])
-
-
 def root(doc: dict) -> int:
-    return line(doc, doc["cofactors"][0][0].split()[1])
+    """The table line of C's root."""
+    return int(doc["cofactors"][0][0].split()[1][1:])
 
 
 def remeasured(doc: dict) -> dict:
@@ -209,14 +205,10 @@ def remeasured(doc: dict) -> dict:
     return doc
 
 
-def placeholder_lines(doc: dict) -> dict:
-    """{table line: placeholder name} of the lines VAR fresh<k>."""
-    out = {}
-    for k, text in enumerate(doc["table"]):
-        words = text.split()
-        if words[2:3] == ["VAR"] and words[3].startswith(PLACEHOLDER_NS):
-            out[k] = words[3]
-    return out
+def placeholder_lines(doc: dict) -> list:
+    """The table lines VAR fresh<k>."""
+    return [k for k, text in enumerate(doc["table"])
+            if text.split()[2:3] == ["VAR"] and text.split()[3].startswith(PLACEHOLDER_NS)]
 
 
 def square_a_placeholder(doc: dict) -> str:
