@@ -36,7 +36,7 @@ from ipscert.instances import (
     subset_sum,
     uvar,
 )
-from ipscert.poly import SparsePoly, Var, boolean_axiom
+from ipscert.poly import SparsePoly, Var
 from ipscert.rank import balanced_partitions, exact_rank, fullrank_witness, rank_matrix
 from ipscert.refute import assemble_refutation, gate_square_certificates
 from ipscert.verify import PitConfig, boolean_image, verify_exact, verify_pit
