@@ -36,8 +36,10 @@ check_claims checks what a certificate document claims besides the
 identity (the Boolean axioms, the instance and its shift and hash, that C
 is homogeneous of degree 1 in the placeholders, the metrics; see its
 docstring).  ipscert verify runs it first, in both modes (verify
---instance FILE gives the circuit); verify_exact and verify_pit check only
-the identity.
+--instance FILE gives the circuit).  verify_exact and verify_pit check the
+identity, and first that it refutes the axioms at all: a linear
+certificate's C must be homogeneous of degree 1 in the placeholders, so
+that C(x, 0) = 0 (_shape_error).
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -213,12 +215,18 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
 
 
 def _shape_error(cert: NullstellensatzCertificate) -> VerifyReport | None:
-    """The error report of a certificate with the wrong number of cofactors:
-    one, C, when it is linear, and otherwise one per axiom."""
+    """The error report of a certificate whose identity proves nothing: one
+    with the wrong number of cofactors (one, C, when it is linear, and
+    otherwise one per axiom), or a linear one whose C is not homogeneous of
+    degree 1 in the placeholders (_degree_error), without which
+    C(x, F(x)) = 1 does not refute the axioms."""
     if cert.linear and len(cert.cofactors) != 1:
         return VerifyReport("error", detail="a linear certificate has one cofactor, C")
     if not cert.linear and len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
+    error = _degree_error(cert) if cert.linear else None
+    if error is not None:
+        return VerifyReport("error", detail=f"cofactors[0]: {error}")
     return None
 
 
@@ -299,9 +307,9 @@ def check_claims(cert: NullstellensatzCertificate,
         return VerifyReport("error", detail="axioms[0].circuit: f' is not the given "
                                             "instance circuit")
     if cert.linear:
-        error = _degree_error(cert)
+        error = _shape_error(cert)
         if error is not None:
-            return VerifyReport("error", detail=f"cofactors[0]: {error}")
+            return error
         measured = [table.dag_metrics(cert.cofactors[0])]
     else:
         measured = table.metrics(cert.cofactors)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -448,22 +449,26 @@ def _semantically_differs(a: Circuit, b: Circuit, seed: int) -> bool:
 def _mutate_circuit(rng: random.Random, c: Circuit) -> Circuit:
     gates = list(c.gates)
     i = rng.randrange(len(gates))
-    g = gates[i]
+    gates[i] = _mutated_gate(rng, gates[i], c.variables)
+    return _compact(gates, c.output)
+
+
+def _mutated_gate(rng: random.Random, g: Gate, variables) -> Gate:
+    """One single-site change of g: a constant moved, a variable swapped for
+    another of variables() or for a constant, an argument dropped, or ADD and
+    MUL swapped."""
     if g.op == CONST:
-        gates[i] = Gate(CONST, const=g.const + rng.choice((1, -1, 2)))
-    elif g.op == VAR:
-        others = [v for v in c.variables() if v != g.var]
+        return Gate(CONST, const=g.const + rng.choice((1, -1, 2)))
+    if g.op == VAR:
+        others = [v for v in variables() if v != g.var]
         if others and rng.random() < 0.7:
-            gates[i] = Gate(VAR, var=rng.choice(others))
-        else:
-            gates[i] = Gate(CONST, const=Fraction(rng.choice((0, 2))))
-    elif len(g.args) >= 2 and rng.random() < 0.5:
+            return Gate(VAR, var=rng.choice(others))
+        return Gate(CONST, const=Fraction(rng.choice((0, 2))))
+    if len(g.args) >= 2 and rng.random() < 0.5:
         args = list(g.args)
         args.pop(rng.randrange(len(args)))
-        gates[i] = Gate(g.op, args=tuple(args))
-    else:
-        gates[i] = Gate(MUL if g.op == ADD else ADD, args=g.args)
-    return _compact(gates, c.output)
+        return Gate(g.op, args=tuple(args))
+    return Gate(MUL if g.op == ADD else ADD, args=g.args)
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +702,23 @@ class MutationBase:
                                           cert.written_as_poly)
 
 
+def placeholder_images(cert: NullstellensatzCertificate) -> dict:
+    """{id of a placeholder gate fresh<k> that C reaches: axiom k's root}
+    of a linear certificate."""
+    table, axioms = cert.table, cert.axioms
+    return {i: axioms[g.var.idx[0]][1] for i in table._reach(cert.cofactors[0])
+            for g in [table.gate(i)] if g.op == VAR and g.var.ns == PLACEHOLDER_NS}
+
+
 def identity_circuit(cert: NullstellensatzCertificate) -> Circuit:
-    """ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...) over a
-    copy of the certificate's table, compacted into a standalone circuit:
-    the identity verify_pit tests, for checks of its walk of the table."""
+    """The identity verify_pit tests, as a standalone circuit, for checks of
+    its walk of the table: for a linear certificate C with each placeholder
+    pointed at its axiom's root (point_placeholders), and otherwise
+    ADD(MUL(axiom_0, cofactor_0), MUL(axiom_1, cofactor_1), ...) over a
+    copy of the certificate's table, compacted."""
+    if cert.linear:
+        table, (root,) = point_placeholders(cert.table, cert.cofactors, placeholder_images(cert))
+        return table.subcircuit(root)
     b = cert.table.copy()
     products = [b.mul([ax, cf]) for (_, ax), cf in zip(cert.axioms, cert.cofactors)]
     return _compact(b._gates, b.add(products) if products else b.const(0))
@@ -792,11 +810,14 @@ def reference_bad_constant(cert: NullstellensatzCertificate, prime: int) -> str:
 
 def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
                        seed: int, base: MutationBase | None = None) -> NullstellensatzCertificate:
-    """One single-site, semantics-changing mutation of a random cofactor.
+    """One single-site, semantics-changing mutation of a random cofactor,
+    or of a gate of C for a linear certificate (_mutate_linear).
 
     base is MutationBase(cert), made here if not given; only the mutated
     cofactor is written and read.  The claimed metrics are measured again,
     so every claim of the document but the identity still holds."""
+    if cert.linear:
+        return _mutate_linear(rng, cert, seed)
     base = base or MutationBase(cert)
     cofactors = base.cofactors
     for attempt in range(200):
@@ -808,6 +829,44 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
             continue
         if _semantically_differs(original, mutated, seed * 1000 + attempt):
             return base.certificate(k, mutated)
+    raise AssertionError("could not find a semantics-changing mutation")
+
+
+def _mutate_linear(rng: random.Random, cert: NullstellensatzCertificate,
+                   seed: int) -> NullstellensatzCertificate:
+    """One single-site change of a gate C reaches (_mutated_gate), laid
+    into a fork of the table as a composed gate, hash-consed, with every
+    gate above it that C reaches laid in again over the images of its
+    arguments.  A change is kept when C stays homogeneous of degree 1 in
+    the placeholders and C(x, F(x)) differs from 1 at a seeded point mod a
+    large prime, so the mutant is refuted exactly; its claimed metric is
+    C's new measure, so every other claim still holds."""
+    from ipscert.verify import _degree_error, _identity
+    prime = 2305843009213693967
+    table, root = cert.table, cert.cofactors[0]
+    reach = table._reach(root)
+    variables = sorted({g.var for g in map(table.gate, reach) if g.op == VAR},
+                       key=lambda v: v._key)
+    for attempt in range(200):
+        i = rng.choice(reach)
+        g = _mutated_gate(rng, table.gate(i), lambda: variables)
+        b = fork(table)
+        lay = b._lay_in(0)
+        image = {i: lay(g, None) if g.is_leaf() else lay(g.op, g.args)}
+        for j in reach:
+            args = table.gate(j).args
+            if j > i and any([a in image for a in args]):
+                image[j] = lay(table.gate(j).op, [image.get(a, a) for a in args])
+        top = image.get(root, root)
+        mutant = dataclasses.replace(cert, table=b, cofactors=(top,),
+                                     claimed_metrics=(b.dag_metrics(top),))
+        if _degree_error(mutant) is not None:
+            continue
+        identity, _, ordered = _identity(mutant)
+        point = random.Random(f"mutcheck:{seed * 1000 + attempt}")
+        columns = {v: (point.randrange(prime),) for v in ordered}
+        if compile_evaluator(identity)(columns, 1, prime) != [1]:
+            return mutant
     raise AssertionError("could not find a semantics-changing mutation")
 
 

@@ -153,34 +153,41 @@ def test_criterion_4_certificate_identities(transformed01):
 
 
 @pytest.fixture(scope="module")
-def base_certificates(transformed01):
-    chosen = []
-    for c, cprime, ledger in transformed01:
-        if measure(cprime).size <= 60:
-            chosen.append(refutation_v2(cprime))
-        if len(chosen) == 10:
-            break
-    assert len(chosen) == 10
-    return chosen
+def base_formulas(transformed01):
+    chosen = [cprime for c, cprime, ledger in transformed01 if measure(cprime).size <= 60]
+    assert len(chosen) >= 10
+    return chosen[:10]
 
 
-def test_criterion_5_pit_soundness_surrogate(base_certificates):
+def test_criterion_5_pit_soundness_surrogate(base_formulas):
+    # 1,000 mutants of per-pair certificates (a cofactor changed), then
+    # 1,000 of the linear certificates refute writes (a gate of C changed,
+    # C still linear in the placeholders), each refuted by PIT; the valid
+    # certificates of both kinds are accepted at 100 seeds.
     started = time.perf_counter()
+    per_pair = [refutation_v2(cp) for cp in base_formulas]
+    linear = [assemble_refutation(cp) for cp in base_formulas]
     rng = random.Random(1009)
-    bases = [MutationBase(cert) for cert in base_certificates]
+    bases = [MutationBase(cert) for cert in per_pair]
     mutants = hashlib.sha256()
     rejected = 0
     for i in range(1000):
-        k = i % len(base_certificates)
-        mutated = mutate_certificate(rng, base_certificates[k], seed=i, base=bases[k])
+        k = i % len(per_pair)
+        mutated = mutate_certificate(rng, per_pair[k], seed=i, base=bases[k])
         mutants.update(certificate_to_json_v2(mutated).encode())
         rep = verify_pit(mutated, PitConfig(trials=20, seed=i))
         assert rep.verdict == "refuted"
         rejected += 1
     assert mutants.hexdigest() == MUTANT_DOCUMENTS_SHA256
+    rng = random.Random(1013)
+    for i in range(1000):
+        mutated = mutate_certificate(rng, linear[i % len(linear)], seed=i)
+        rep = verify_pit(mutated, PitConfig(trials=20, seed=i))
+        assert rep.verdict == "refuted"
+        rejected += 1
     accepted = 0
     for seed in range(100):
-        for cert in base_certificates:
+        for cert in per_pair + linear:
             rep = verify_pit(cert, PitConfig(trials=20, seed=seed))
             assert rep.verdict == "verified-probabilistic"
             accepted += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -34,7 +35,8 @@ from ipscert.circuit import (
 from ipscert.gadget import address_code, gadgetize, literal_gates
 from ipscert.instances import gadgeted_ry_circuit
 from ipscert.poly import ResourceLimitError, SparsePoly, Var
-from ipscert.refute import certificate_from_json
+from ipscert.refute import (PLACEHOLDER_NS, assemble_refutation, certificate_from_json,
+                            certificate_to_json)
 from ipscert.verify import (
     DEFAULT_PIT_PRIME,
     PitConfig,
@@ -241,19 +243,24 @@ def test_pit_determinism():
 
 
 def test_pit_rejects_mutations():
+    # Per-pair certificates, then the linear ones refute writes, each
+    # mutant a changed gate of C that leaves C linear in the placeholders.
     rng = random.Random(5)
     base = build_corpus(551, 3)
-    certs = []
+    certs, linear = [], []
     for c in base:
         cp, _ = gadgetize(normalize_layered(c))
         certs.append(refutation_v2(cp))
-    for i in range(30):
-        cert = certs[i % len(certs)]
-        mutated = mutate_certificate(rng, cert, seed=i)
-        cfg = PitConfig(trials=20, seed=i)
-        report = verify_pit(mutated, cfg)
-        assert report.verdict == "refuted"
-        assert report.witness is not None
+        linear.append(assemble_refutation(cp))
+    for chosen in (certs, linear):
+        for i in range(30):
+            cert = chosen[i % len(chosen)]
+            mutated = mutate_certificate(rng, cert, seed=i)
+            assert check_claims(mutated) is None
+            cfg = PitConfig(trials=20, seed=i)
+            report = verify_pit(mutated, cfg)
+            assert report.verdict == "refuted"
+            assert report.witness is not None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -276,6 +283,46 @@ def test_transform_then_certificate_on_random_layered_formulas(seed):
     mutated = mutate_certificate(rng, cert, seed)
     assert verify_exact(mutated).verdict == "refuted"
     assert verify_pit(mutated, cfg).verdict == "refuted"
+    # The linear certificate refute writes, in memory and read back: C at
+    # rational points, each placeholder set to its axiom's value, is 1.
+    cert = assemble_refutation(cp)
+    for read in (cert, certificate_from_json(certificate_to_json(cert))):
+        assert check_claims(read, cp) is None
+        assert verify_exact(read).verdict == "verified-exact"
+        assert verify_pit(read, cfg).verdict == "verified-probabilistic"
+    c = cert.table.subcircuit(cert.cofactors[0])
+    axioms = [pointwise(cert.table.subcircuit(ax)) for _, ax in cert.axioms]
+    vars_ = [v for v in c.variables() if v.ns != PLACEHOLDER_NS]
+    for _ in range(3):
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in vars_}
+        zs = {Var(PLACEHOLDER_NS, k): ax(point) for k, ax in enumerate(axioms)}
+        assert pointwise(c)({**point, **zs}) == 1
+    mutated = mutate_certificate(rng, cert, seed)
+    assert check_claims(mutated, cp) is None
+    for read in (mutated, certificate_from_json(certificate_to_json(mutated))):
+        assert verify_exact(read).verdict == "refuted"
+        assert verify_pit(read, cfg).verdict == "refuted"
+
+
+def test_verifiers_refuse_a_linear_c_that_is_not_homogeneous_of_degree_1():
+    # C(x, F(x)) = 1 refutes the axioms only with C(x, 0) = 0: C = 1 passes
+    # the identity, and is refused in both modes, as check_claims refuses it.
+    cert = assemble_refutation(gadgetize(normalize_layered(cadd(cvar(X1), cvar(X2))))[0])
+    one = cert.table.const(1)
+    forged = dataclasses.replace(cert, cofactors=(one,),
+                                 claimed_metrics=(cert.table.dag_metrics(one),))
+    detail = f"cofactors[0]: g{one}: C has degree 0 in the placeholders"
+    for report in (verify_exact(forged), verify_pit(forged), check_claims(forged)):
+        assert (report.verdict, report.detail) == ("error", detail)
+    # A placeholder naming no axiom is refused by name.
+    table, root = cert.table, cert.cofactors[0]
+    stray = table.var(Var(PLACEHOLDER_NS, len(cert.axioms)))
+    top = table.add([root, table.mul([table.const(0), stray])])
+    forged = dataclasses.replace(cert, cofactors=(top,),
+                                 claimed_metrics=(table.dag_metrics(top),))
+    detail = f"cofactors[0]: g{stray}: placeholder fresh{len(cert.axioms)} names no axiom"
+    for report in (verify_exact(forged), verify_pit(forged), check_claims(forged)):
+        assert (report.verdict, report.detail) == ("error", detail)
 
 
 def test_pit_denominator_divisible_by_prime():
@@ -321,30 +368,38 @@ def test_pit_refuses_a_prime_at_or_below_the_formal_degree(p):
 def test_formal_degree_bounds_the_identity_degree(transformed01):
     # The refusal names D of the standalone identity: verify_pit's walk of
     # the table finds the same degree at the largest prime it must refuse.
+    # For a linear certificate the identity is C with each placeholder
+    # replaced by its axiom (helpers.identity_circuit).
     rng = random.Random(29)
     for k, (_, cp, _) in enumerate(transformed01[::10]):
-        cert = refutation_v2(cp)
-        for c in (cert, mutate_certificate(rng, cert, seed=k)):
-            assert len(c.axioms) == len(c.cofactors)
-            identity = identity_circuit(c)
-            degree = formal_degree(identity)
-            assert degree >= total_degree(expand(identity))
-            p = max(q for q in range(3, degree + 1) if is_probable_prime(q))
-            with pytest.raises(ValueError, match=f"^--prime {p} is not above {degree}, "):
-                verify_pit(c, PitConfig(prime=p))
-            axioms, cofactors = laid_out(c)
-            for (_, ax), cf in zip(axioms, cofactors):
-                pair = cmul(as_circuit(ax), cf)
-                assert formal_degree(pair) >= total_degree(expand(pair))
+        for cert in (refutation_v2(cp), assemble_refutation(cp)):
+            for c in (cert, mutate_certificate(rng, cert, seed=k)):
+                assert len(c.cofactors) == (1 if c.linear else len(c.axioms))
+                identity = identity_circuit(c)
+                degree = formal_degree(identity)
+                assert degree >= total_degree(expand(identity))
+                p = max(q for q in range(3, degree + 1) if is_probable_prime(q))
+                with pytest.raises(ValueError, match=f"^--prime {p} is not above {degree}, "):
+                    verify_pit(c, PitConfig(prime=p))
+                axioms, cofactors = laid_out(c)
+                for (_, ax), cf in zip(axioms, cofactors):
+                    pair = cmul(as_circuit(ax), cf)
+                    assert formal_degree(pair) >= total_degree(expand(pair))
 
 
 def test_the_walked_degree_is_the_formal_degree_of_the_standalone_identity(transformed01):
     # verify_pit takes D from its one sweep of the table: it must be the
     # formal degree of the identity compacted into a standalone circuit.
+    # A linear certificate's identity is C with each placeholder replaced
+    # by its axiom, laid in standalone by helpers.point_placeholders.
     certs = [refutation_v2(cp) for _, cp, _ in transformed01[::10]]
     certs += list(shift_certificates())[::10] + [ci_chain_certificate()]
-    for cert in certs:
-        for read in (cert, certificate_from_json(certificate_to_json_v2(cert))):
+    linear = [assemble_refutation(cp) for _, cp, _ in transformed01[::10]]
+    linear += [assemble_refutation(gadgetize(normalize_layered(c))[0], shift=Fraction(shift))
+               for shift in ("-2", "1/2") for c in build_corpus(4106, 5)]
+    for cert in certs + linear:
+        write = certificate_to_json if cert.linear else certificate_to_json_v2
+        for read in (cert, certificate_from_json(write(cert))):
             _, degree, variables = _identity(read)
             identity = identity_circuit(read)
             assert degree == formal_degree(identity)
