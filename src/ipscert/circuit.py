@@ -559,6 +559,39 @@ class CircuitBuilder:
                     del polys[i]
 
 
+class SharingBuilder(CircuitBuilder):
+    """A CircuitBuilder whose composed gates are hash-consed as they are
+    made, by the keys read_table lays a document's composed gates in by
+    (_lay_in): a leaf by its right-hand side, an ADD or MUL by its kind and
+    argument ids.  So a root measures here as it does written and read
+    back.  complement() makes its gates through the same keys;
+    boolean_axiom() still pushes its seven fresh gates, the layout
+    refute.is_boolean_axiom reads."""
+
+    def _push(self, g: Gate) -> int:
+        key = _leaf_text(g) if g.is_leaf() else (g.op, g.args)
+        i = self._shared.setdefault(key, len(self._gates))
+        if i == len(self._gates):
+            self._gates.append(g)
+        return i
+
+    def complement(self, v: Var) -> int:
+        """1 - v as ADD(CONST 1, MUL(CONST -1, VAR v)), each gate shared."""
+        return self.add([self.const(1), self.mul([self.const(-1), self.var(v)])])
+
+    def rename(self, names: dict) -> None:
+        """Rename composed VAR gates in place, {id: Var}, each keyed again
+        by its new name, which no other leaf of the table may hold."""
+        gates, shared = self._gates, self._shared
+        for i in names:
+            del shared[_leaf_text(gates[i])]
+        for i, v in names.items():
+            g = Gate(VAR, var=v)
+            if shared.setdefault(_leaf_text(g), i) != i:
+                raise ValueError(f"g{i}: a second gate VAR {v.name}")
+            gates[i] = g
+
+
 def _sweep(gates: Sequence[Gate], roots: Iterable[int]) -> list:
     """The ids the roots reach, ascending (so bottom-up), in one pass.
 

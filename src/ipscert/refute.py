@@ -23,9 +23,10 @@ Wigderson, ToC 2021), by induction on the formula:
     by y (1 - y) at any separating bit (_product_cofactor); the last two
     groups multiply each term by the z_v of its bit.
 
-Every C_g is composed by gate id in one CircuitBuilder that starts from the
-formula's gates, without recursion, certifying gates in ascending id order,
-and no circuit is laid out in memory.
+Every C_g is composed by gate id in one SharingBuilder that starts from the
+formula's gates and hash-conses the gates composed after them, without
+recursion, certifying gates in ascending id order, and no circuit is laid
+out in memory.
 
 The refutation of f' + shift puts the functional refutation c0 + c1*f',
 c0, c1 = instances.inverse_differences(1, -shift), on the instance:
@@ -64,11 +65,10 @@ from .circuit import (
     CONST,
     Circuit,
     CircuitBuilder,
-    Gate,
     MUL,
     Metrics,
+    SharingBuilder,
     VAR,
-    _sweep,
 )
 from .gadget import gadget_sum, json_field, literal_gates, literal_of
 from .instances import inverse_differences
@@ -110,11 +110,12 @@ def _product_cofactor(b: CircuitBuilder, code: dict, fa: list, code2: dict, fa2:
 def gate_square_certificates(c: Circuit, gids) -> tuple:
     """(builder, {gate id: C_g}, {v: placeholder id}) with C_g(x, v^2 - v) =
     g^2 - g for each gate g in gids and each gate their certificates use:
-    C_g is a root id in one builder that starts from c's gates, linear in
-    the placeholders, one VAR gate z_v per variable v, named fresh<j> in the
-    order they are made (j from 1).  One reverse pass marks what the
-    requested certificates need (the child gates of a gadget sum, the
-    arguments of a product); those are certified in ascending id order.
+    C_g is a root id in one SharingBuilder that starts from c's gates, its
+    composed gates hash-consed, linear in the placeholders, one VAR gate
+    z_v per variable v, named fresh<j> in the order they are made (j from
+    1).  One reverse pass marks what the requested certificates need (the
+    child gates of a gadget sum, the arguments of a product); those are
+    certified in ascending id order.
     """
     gates = c.gates
     need = set(gids)
@@ -127,7 +128,7 @@ def gate_square_certificates(c: Circuit, gids) -> tuple:
         elif gates[i].op == ADD:
             sums[i] = gadget_sum(c, i)
             need.update(k for _, _, child in sums[i] or () for k in child)
-    b = CircuitBuilder(gates)
+    b = SharingBuilder(gates)
     zero = b.const(0)
     z: dict = {}
     literals: dict = {}     # (v, bit) -> its literal gate, made once
@@ -252,10 +253,12 @@ def assemble_refutation(cprime: Circuit,
     shift outside {0, -1}; inverse_differences rejects the other two.
 
     The Boolean axioms are the variables whose placeholders C reaches, E
-    then F, numbered from 1.  The certificate's table starts from f''s
-    gates; the composed gates the instance and C reach follow, hash-consed
-    as certificate_from_json lays a document's table in (so C measures here
-    as read back), then the Boolean axioms.
+    then F, numbered from 1: once C is made, its placeholders are renamed
+    in place to those numbers (SharingBuilder.rename), and the ones it does
+    not reach after them.  The certificate's table is the one
+    gate_square_certificates composes in, hash-consed as
+    certificate_from_json lays a document's table in (so C measures here as
+    read back), with the Boolean axioms after.
     """
     shift = Fraction(shift)
     c0, c1 = inverse_differences(1, -shift)
@@ -266,26 +269,17 @@ def assemble_refutation(cprime: Circuit,
     root = b.sum([b.mul([b.const(c1), b.mul([b.add([out, b.const(c0 / c1)]),
                                              b.var(Var(PLACEHOLDER_NS, 0))])]),
                   b.prod([b.const(-c1), certs[out]])])
-    ids = _sweep(b._gates, (instance, root))
-    reached = set(ids)
+    reached = set(b._reach(root))
     order = sorted([v for v in z if z[v] in reached], key=lambda v: (v.ns == "y", v._key))
-    named = {z[v]: Gate(VAR, var=Var(PLACEHOLDER_NS, k)) for k, v in enumerate(order, 1)}
-    table = CircuitBuilder(cprime.gates)
-    lay, at = table._lay_in(0), {}
-    for i in ids:
-        g = named.get(i, b.gate(i))
-        if i in table._starting:
-            at[i] = i
-        else:
-            at[i] = lay(g, None) if g.is_leaf() else lay(g.op, [at[a] for a in g.args])
-    instance, root = at[instance], at[root]
-    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", table.boolean_axiom(v)) for v in order]
+    b.rename({z[v]: Var(PLACEHOLDER_NS, k)
+              for k, v in enumerate(order + [v for v in z if z[v] not in reached], 1)})
+    axioms = [("f", instance)] + [(f"{v.name}^2-{v.name}", b.boolean_axiom(v)) for v in order]
     return NullstellensatzCertificate(
-        table=table,
+        table=b,
         axioms=tuple(axioms),
         cofactors=(root,),
-        claimed_metrics=(table.dag_metrics(root),),
-        instance_sha256=table.sha256(instance),
+        claimed_metrics=(b.dag_metrics(root),),
+        instance_sha256=b.sha256(instance),
         shift=shift,
         written_as_poly=frozenset(range(1, len(axioms))),
         linear=True,

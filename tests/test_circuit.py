@@ -22,6 +22,7 @@ from ipscert.circuit import (
     CircuitBuilder,
     Gate,
     Metrics,
+    SharingBuilder,
     _compact,
     cadd,
     cconst,
@@ -307,6 +308,30 @@ def test_builder_prod_and_sum_fold_literal_units():
     assert b.sum([zero, x, zero]) == x
     assert b.gate(b.sum([zero])).const == 0
     assert b.gate(b.sum([x, one])).args == (x, one)
+
+
+def test_sharing_builder_makes_each_composed_gate_once_and_renames_in_place():
+    # Composed gates are hash-consed by the keys read_table uses, so the
+    # table that reads a root's written lines back holds the same gates;
+    # the starting gates keep their ids and are never shared.
+    start = parse_circuit("g0 = VAR x1\ng1 = VAR x1\ng2 = MUL g0 g1\nOUTPUT g2\n")
+    b = SharingBuilder(start.gates)
+    x, y = b.var(X1), b.var(X2)
+    assert x == b.var(X1) == 3
+    assert b.complement(X2) == b.add([b.const(1), b.mul([b.const(-1), y])])
+    root = b.mul([b.add([x, 2]), b.complement(X2), b.mul([2, x])])
+    assert b.mul([2, x]) == b.mul([2, x]) and b.add([x, 2]) != b.add([2, x])
+    k, lines, (at,) = b.write_table([root])
+    read = CircuitBuilder()
+    names = read.read_table(lines, k)
+    assert len(read._gates) == len(b._reach(root)) == len(lines)
+    assert read.dag_metrics(names[f"g{at}"]) == b.dag_metrics(root)
+    # rename() swaps two names and keys each gate by its new one.
+    b.rename({x: X2, y: X1})
+    assert (b.gate(x).var, b.gate(y).var) == (X2, X1)
+    assert (b.var(X1), b.var(X2)) == (y, x)
+    with pytest.raises(ValueError, match=f"^g{x}: a second gate VAR x1$"):
+        b.rename({x: X1})
 
 
 def test_formula_copies_composed_gates_and_keeps_starting_subcircuits():

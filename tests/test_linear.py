@@ -26,8 +26,10 @@ from ipscert.verify import DEFAULT_PIT_PRIME, PitConfig, check_claims, verify_ex
 X1, X2, X3 = (Var("x", i) for i in (1, 2, 3))
 
 # SHA-256 of the nullstellensatz-cert/3 documents of the formulas whose /1
-# and /2 documents test_refute pins, taken when refute first wrote /3.
-SHUFFLED_FORMULAS_V3_SHA256 = "18b38818c28a23ef7e2a763654d79371db3f3f9ecb45f7e2748c14428b570cdd"
+# and /2 documents test_refute pins, taken when refute first wrote /3 and
+# the shuffled formulas' and P - 2's taken again when C was composed
+# hash-consed: the same tables, some composed lines in another order.
+SHUFFLED_FORMULAS_V3_SHA256 = "2865ab9a4f0ad284fb4b80856296664d7144718238894a10a0bb01c9cb099701"
 PRODUCT_DAGS_V3_SHA256 = "9f87c410d3e152ef098332de9468140545ec851290240c36310f834120f686a2"
 SHIFT_V3_SHA256 = {
     "-2": "8e13eb5d39f5c34751a96dd8b114888329382be7c94e66e47aee4c169f8b3a03",
@@ -40,8 +42,8 @@ SHIFT_V3_SHA256 = {
 # depth of their C.
 SIZE_DEPTH = {3: (635, 17), 4: (1481, 23)}
 P_MINUS_2_V3_SHA256 = {
-    3: "c7cdf19f4c0b35248c709768f1ecd39b47c7c9f1399d962304ac0ebaead55d04",
-    4: "dcc0948730a87bf2d4c2931ce4ad664ae8811af931a1142485d7f98a9cf90b89",
+    3: "a4eabc6c68512df775223c2a5165516844c86bad27721ab0c79821c1a86018b9",
+    4: "5d670a500b737152fd2fc7a0eff62c4ca2b2224320b963f70a423d3c8192f2e9",
 }
 
 
