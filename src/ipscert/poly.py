@@ -69,6 +69,10 @@ from typing import Iterator, Mapping
 # Variable namespaces: problem inputs (x, u, z), gadget controls (y, w),
 # split selectors (v), and verifier placeholders (fresh).
 NAMESPACES = ("fresh", "u", "v", "w", "x", "y", "z")
+# The namespace of the unknowns the exact verifier puts for gates (verify's
+# lemma check): Var makes them, but parse_var reads none, so no document
+# or circuit text can name one.
+RESERVED_NS = "lemma"
 
 # Dense-size guard: no operation may produce more than this many terms.
 TERM_GUARD = 1 << 24
@@ -108,7 +112,8 @@ class Var:
     """An interned variable: namespace plus structured index tuple.
 
     Index elements are nonnegative ints or short ASCII identifiers (e.g.
-    ("w", (1, 4, "top"))), so that parse_var(v.name) is v.  Instances are
+    ("w", (1, 4, "top"))), so that parse_var(v.name) is v outside
+    RESERVED_NS.  Instances are
     interned and cannot be copied, so equality is identity and a Var hashes
     by identity; _key gives the order.
     """
@@ -121,7 +126,7 @@ class Var:
         cached = cls._cache.get(cache_key)
         if cached is not None:
             return cached
-        if ns not in NAMESPACES:
+        if ns not in NAMESPACES and ns != RESERVED_NS:
             raise ValueError(f"unknown variable namespace {ns!r}")
         if not idx:
             raise ValueError("variable index must be nonempty")

@@ -38,23 +38,29 @@ axioms.  C(x, 0) = 0, and C(x, F(x)) = (c0 + c1*f')(f' + shift) - c1*(f'^2
 - f') = 1 exactly.  At the default shift -2, C = -(f'+1)/2 z_0 + C_out/2.
 Its claimed size and depth are those of the DAG it reaches, each gate once.
 
-The nullstellensatz-cert/3 document writes the certificate's gate table
+The nullstellensatz-cert/4 document writes the certificate's gate table
 once: every gate the circuits reach on one line, the starting gates (the
 formula's own) first, and each circuit (the instance, and C, the one
 cofactor) as one line "OUTPUT g<k>" naming its root's line; the
 placeholder fresh<k> stands for axiom k.  Read back, it is one table
 again, in which the instance lays out as the same text and C measures the
-same.  The older documents pair each axiom with a cofactor, the E and F
-that setting one placeholder of C to 1 and the rest to 0 gives, and are
-still read: nullstellensatz-cert/2 wrote one table in the same way, and
-nullstellensatz-cert/1 each root as the text lines of its standalone
-formula, read line by line into one hash-consed table.
+same.  Its last field, lemmas, lists ["g<s>", "g<c>"] for each certified
+gate s, ascending, whose certificate c = C_s is a composed gate that C
+reaches (the lowest s when two share one C_s; no leaf or literal, whose
+C_s is a placeholder or CONST 0).  verify --mode exact checks each lemma,
+c(x, F(x)) = s^2 - s, over s's arguments cut to unknowns, in place of
+expanding C(x, F(x)) whole (see verify).  The older documents are still
+read: nullstellensatz-cert/3 is /4 without lemmas, and /2 and /1 pair
+each axiom with a cofactor, the E and F that setting one placeholder of C
+to 1 and the rest to 0 gives, /2 in one table written in the same way
+and /1 each root as the text lines of its standalone formula, read line
+by line into one hash-consed table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
@@ -75,8 +81,10 @@ from .instances import inverse_differences
 from .poly import Var, format_poly, parse_frac, parse_poly, parse_var, take_slot
 
 BUILDER_TAG = "ipscert-refute/2"
-FORMAT = "nullstellensatz-cert/3"
-OLDER_FORMATS = ("nullstellensatz-cert/2", "nullstellensatz-cert/1")   # read, not written
+FORMAT = "nullstellensatz-cert/4"
+OLDER_FORMATS = ("nullstellensatz-cert/3", "nullstellensatz-cert/2",
+                 "nullstellensatz-cert/1")   # read, not written
+LINEAR_FORMATS = (FORMAT, "nullstellensatz-cert/3")
 
 # Namespace of the placeholders of a linear certificate: fresh<k> stands
 # for axiom k.
@@ -208,11 +216,14 @@ class NullstellensatzCertificate:
     text.  `table` lays each root out as the text of its standalone formula
     (its lines()).
 
-    A linear certificate (IPS_LIN, the nullstellensatz-cert/3 document) has
-    one cofactor, the root of C(x, z): the placeholder fresh<k> stands for
-    axiom k, C is homogeneous of degree 1 in the placeholders, so C(x, 0) = 0,
-    and C(x, F(x)) = 1 with each placeholder replaced by its axiom.  Any
-    other certificate (the /1 and /2 documents) pairs each axiom with a
+    A linear certificate (IPS_LIN, the nullstellensatz-cert/4 and /3
+    documents) has one cofactor, the root of C(x, z): the placeholder
+    fresh<k> stands for axiom k, C is homogeneous of degree 1 in the
+    placeholders, so C(x, 0) = 0, and C(x, F(x)) = 1 with each placeholder
+    replaced by its axiom.  Its lemmas (written in /4 only) pair a gate s
+    with the gate C_s claimed to certify it, C_s(x, F(x)) = s^2 - s, which
+    verify_exact checks one by one instead of expanding C(x, F(x)) whole.
+    Any other certificate (the /1 and /2 documents) pairs each axiom with a
     cofactor, sum(cofactor * axiom) = 1, and no cofactor mentions a
     placeholder.  There is one claimed metric per cofactor.
     """
@@ -226,6 +237,11 @@ class NullstellensatzCertificate:
     builder: str = BUILDER_TAG
     written_as_poly: frozenset = frozenset()   # indices of axioms written as "poly"
     linear: bool = False
+    lemmas: tuple = ()      # ((s, C_s), ...) as gate ids, of a linear certificate
+    # (root of C, axiom count, verdict) of verify's degree pass over C, kept
+    # so that check_claims and a verifier run it once; dataclasses.replace
+    # starts a certificate without it.
+    degree_checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def total_size(self) -> int:
@@ -259,6 +275,11 @@ def assemble_refutation(cprime: Circuit,
     gate_square_certificates composes in, hash-consed as
     certificate_from_json lays a document's table in (so C measures here as
     read back), with the Boolean axioms after.
+
+    The lemmas are (s, C_s) for each certified gate s, ascending, whose
+    C_s is a composed gate with arguments that C reaches, the lowest s
+    kept when two share one C_s: no leaf or literal, whose C_s is a
+    placeholder or CONST 0.
     """
     shift = Fraction(shift)
     c0, c1 = inverse_differences(1, -shift)
@@ -270,6 +291,11 @@ def assemble_refutation(cprime: Circuit,
                                              b.var(Var(PLACEHOLDER_NS, 0))])]),
                   b.prod([b.const(-c1), certs[out]])])
     reached = set(b._reach(root))
+    lemmas: dict = {}        # C_s -> s, the lowest s first
+    for s in sorted(certs):
+        c = certs[s]
+        if c in reached and c not in b._starting and b.gate(c).args:
+            lemmas.setdefault(c, s)
     order = sorted([v for v in z if z[v] in reached], key=lambda v: (v.ns == "y", v._key))
     b.rename({z[v]: Var(PLACEHOLDER_NS, k)
               for k, v in enumerate(order + [v for v in z if z[v] not in reached], 1)})
@@ -283,6 +309,7 @@ def assemble_refutation(cprime: Circuit,
         shift=shift,
         written_as_poly=frozenset(range(1, len(axioms))),
         linear=True,
+        lemmas=tuple((s, c) for c, s in lemmas.items()),
     )
 
 
@@ -306,17 +333,22 @@ def _json_object(pairs: list, pad: str) -> str:
 
 
 def certificate_to_json(cert: NullstellensatzCertificate) -> str:
-    """The nullstellensatz-cert/3 document of a linear certificate, byte for
+    """The nullstellensatz-cert/4 document of a linear certificate, byte for
     byte as json.dumps(doc, indent=2) writes it: the gate table that the
     circuits reach, written once (CircuitBuilder.write_table), and each
     circuit, C the one cofactor, as the line that names its root; an axiom
-    in written_as_poly as its polynomial's text."""
+    in written_as_poly as its polynomial's text; last the lemmas, each the
+    pair of table lines ["g<s>", "g<C_s>"].  The circuits of a certificate
+    assemble_refutation makes reach its lemmas' gates, so the table is the
+    one its /3 document wrote, and the document that one with the lemmas
+    added."""
     if not cert.linear:
         raise ValueError("only a linear certificate is written; /1 and /2 are read only")
     polys = cert.written_as_poly
     circuits = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in polys] + [*cert.cofactors]
-    starting, table, positions = cert.table.write_table(circuits)
-    at = dict(zip(circuits, positions))
+    gates = [g for pair in cert.lemmas for g in pair]
+    starting, table, positions = cert.table.write_table(circuits + gates)
+    at = dict(zip(circuits + gates, positions))
 
     def circuit(root: int, pad: str) -> str:
         return _json_list([_str(f"OUTPUT g{at[root]}")], pad)
@@ -342,6 +374,8 @@ def certificate_to_json(cert: NullstellensatzCertificate) -> str:
         ("axioms", _json_list(axioms, "  ")),
         ("cofactors", _json_list([circuit(r, "    ") for r in cert.cofactors], "  ")),
         ("metrics", _json_list(metrics, "  ")),
+        ("lemmas", _json_list([_json_list([_str(f"g{at[g]}") for g in pair], "    ")
+                               for pair in cert.lemmas], "  ")),
     ], "") + "\n"
 
 
@@ -358,9 +392,10 @@ def _text_lines(lines: list) -> list:
     return lines if split == lines else split
 
 
-def _table_roots(doc: dict, table: CircuitBuilder):
-    """Lay a /2 or /3 document's gate table into table as it is parsed; returns
-    the reader of a circuit, one line "OUTPUT g<k>" naming a table gate."""
+def _table_roots(doc: dict, table: CircuitBuilder) -> tuple:
+    """Lay a /2, /3 or /4 document's gate table into table as it is parsed;
+    returns the reader of a circuit, one line "OUTPUT g<k>" naming a table
+    gate, and of a lemma, two gate names of the table."""
     starting = _field(doc, "starting", kind=int)
     names = _field(doc, "table", kind=list,
                    parse=lambda lines: table.read_table(_text_lines(lines), starting))
@@ -368,15 +403,23 @@ def _table_roots(doc: dict, table: CircuitBuilder):
         raise ValueError(f"certificate document: field starting: {starting} is not "
                          f"between 0 and the table's {len(names)} gates")
 
+    def gate(name: str) -> int:
+        if name not in names:
+            raise ValueError(f"{name!r} is not a gate of the table")
+        return names[name]
+
     def root(lines: list) -> int:
         words = lines[0].split() if len(lines) == 1 and isinstance(lines[0], str) else ()
         if len(words) != 2 or words[0] != "OUTPUT":
             raise ValueError("not one line OUTPUT g<k>")
-        if words[1] not in names:
-            raise ValueError(f"{words[1]!r} is not a gate of the table")
-        return names[words[1]]
+        return gate(words[1])
 
-    return root
+    def lemma(pair: list) -> tuple:
+        if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
+            raise ValueError("not two gate names [\"g<s>\", \"g<c>\"]")
+        return gate(pair[0]), gate(pair[1])
+
+    return root, lemma
 
 
 def boolean_axiom_label(label: str) -> tuple:
@@ -418,19 +461,23 @@ def _axiom_poly(label: str, text: str):
 
 
 def certificate_from_json(text: str) -> NullstellensatzCertificate:
-    """Read a nullstellensatz-cert/3 document (one cofactor, C) or a /2
-    document, its table laid in as it is parsed (CircuitBuilder.read_table),
-    or a /1 document, every circuit parsed once and laid into one
-    hash-consed table (CircuitBuilder.read); all through the one parser of
-    circuit text."""
+    """Read a nullstellensatz-cert/4 or /3 document (one cofactor, C; /4 with
+    its lemmas, /3 with none) or a /2 document, its table laid in as it is
+    parsed (CircuitBuilder.read_table), or a /1 document, every circuit
+    parsed once and laid into one hash-consed table (CircuitBuilder.read);
+    all through the one parser of circuit text.  A lemma names two gates of
+    the table; a lemmas field is refused in any document but /4 and
+    required in /4."""
     doc = json.loads(text)
     version = doc.get("format") if isinstance(doc, dict) else None
     if version not in (FORMAT, *OLDER_FORMATS):
         raise ValueError("certificate document: field format is not one of "
                          + ", ".join((FORMAT, *OLDER_FORMATS)))
     table = CircuitBuilder()
+    if version != FORMAT and "lemmas" in doc:
+        raise ValueError(f"certificate document: field lemmas is not read in {version}")
     if version != "nullstellensatz-cert/1":
-        read = _table_roots(doc, table)
+        read, lemma = _table_roots(doc, table)
     else:
         def read(lines: list) -> int:
             return table.read(_text_lines(lines))
@@ -444,7 +491,9 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         polys[k] = _field(ax, "poly", f"axioms[{k}].poly", str, parse=partial(_axiom_poly, label))
         axioms.append((label, None))
     cofactors = tuple(_field(doc, "cofactors", kind=list, item=list, parse=read))
-    if version == FORMAT and len(cofactors) != 1:
+    lemmas = tuple(_field(doc, "lemmas", kind=list, item=list, parse=lemma)
+                   if version == FORMAT else ())
+    if version in LINEAR_FORMATS and len(cofactors) != 1:
         raise ValueError(f"certificate document: field cofactors has {len(cofactors)} "
                          "entries; a linear certificate has one, its root C")
     for k, p in polys.items():   # poly texts last, so that no circuit's gate id moves
@@ -470,5 +519,6 @@ def certificate_from_json(text: str) -> NullstellensatzCertificate:
         shift=shift,
         builder=_field(doc, "builder", kind=str) if "builder" in doc else BUILDER_TAG,
         written_as_poly=frozenset(polys),
-        linear=version == FORMAT,
+        linear=version in LINEAR_FORMATS,
+        lemmas=lemmas,
     )

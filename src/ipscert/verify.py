@@ -8,7 +8,17 @@ sum(cofactor * axiom) = 1.  The linear identity is the table with each
 placeholder pointed at its axiom's root, built by one ascending pass that
 lays the gates above placeholders in again (_substituted).
 
-verify_exact expands the linear identity once.  A per-pair certificate is
+verify_exact checks the linear identity gate by gate when the certificate
+lists lemmas (a nullstellensatz-cert/4 document): each lemma (s, C_s)
+claims C_s(x, F(x)) = s^2 - s and is checked by one small expansion in
+which s's arguments and the other listed gates are unknowns A_{s'}, the
+C_{s'} of earlier lemmas are A_{s'}^2 - A_{s'} and each placeholder is its
+axiom; then C so expanded must be 1.  Setting A_{s'} := s'(x) is a ring
+homomorphism, so by induction over the lemmas this proves C(x, F(x)) = 1
+whatever gates the list names.  A lemma or a last check that fails, or
+trips the guard, sends the certificate to the full expansion, which
+expands the linear identity once and gives every report it gave before
+lemmas, verdict, detail and witness alike.  A per-pair certificate is
 summed pair by pair, with the placeholder discipline: cofactors may not
 mention the reserved placeholder namespace, so the induced substitution
 circuit sum_k placeholder_k * cofactor_k vanishes at placeholder zero and
@@ -39,7 +49,9 @@ docstring).  ipscert verify runs it first, in both modes (verify
 --instance FILE gives the circuit).  verify_exact and verify_pit check the
 identity, and first that it refutes the axioms at all: a linear
 certificate's C must be homogeneous of degree 1 in the placeholders, so
-that C(x, 0) = 0 (_shape_error).
+that C(x, 0) = 0 (_shape_error).  That pass over C runs once per
+certificate: its verdict is kept on the certificate (degree_checked), so
+check_claims and the verifier after it share it.
 
 boolean_image enumerates the value set of a circuit over the Boolean cube,
 exhaustively when the variable count is small and by seeded sampling
@@ -63,9 +75,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 
-from .circuit import (ADD, CONST, MUL, VAR, Circuit, _is_scaled_wire, _sweep, circuit_sha256,
-                      compile_evaluator, expand)
-from .poly import TERM_GUARD, SparsePoly, _Accumulator, format_frac, frac_mod, subset_transform
+from .circuit import (ADD, CONST, MUL, VAR, Circuit, _expand, _is_scaled_wire, _sweep,
+                      circuit_sha256, compile_evaluator, expand)
+from .poly import (RESERVED_NS, TERM_GUARD, ResourceLimitError, SparsePoly, Var, _Accumulator,
+                   boolean_axiom, format_frac, frac_mod, fresh_slots, subset_transform)
 from .refute import (PLACEHOLDER_NS, NullstellensatzCertificate, boolean_axiom_label,
                      is_boolean_axiom)
 
@@ -171,8 +184,14 @@ def _nonzero_witness(p: SparsePoly) -> dict:
 
 def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
     """Check the certificate's identity by exact expansion: C(x, F(x)) = 1
-    for a linear certificate, expanded once (_substituted), and otherwise
-    sum(cofactor * axiom) = 1, pair by pair.
+    for a linear certificate, and otherwise sum(cofactor * axiom) = 1, pair
+    by pair.
+
+    A linear certificate with lemmas (a /4 document) is checked gate by
+    gate first (_lemmas_hold, see the module docstring).  If a lemma or the
+    last check fails, or trips the guard, or the certificate has no lemmas,
+    C(x, F(x)) is expanded once (_substituted), and that expansion gives
+    the report, as it would without lemmas.
 
     Pair by pair, a cofactor root that is a scaled wire MUL(CONST c, x) with
     c != 0 is expanded as x, and x * (c * axiom) is summed: c moves onto the
@@ -189,6 +208,9 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
     error = _shape_error(cert)
     if error is not None:
         return error
+    work = {"expansions": 2 * len(cert.axioms)}
+    if cert.linear and _lemmas_hold(cert):
+        return VerifyReport("verified-exact", work=work)
     if cert.linear:
         b, root = _substituted(cert)
         residual = b.expand(root) - SparsePoly.constant(1)
@@ -208,7 +230,6 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         total.add(SparsePoly.constant(-1))
         residual = total.result()
         detail = "sum(cofactor * axiom) - 1 is not the zero polynomial"
-    work = {"expansions": 2 * len(cert.axioms)}
     if residual.is_zero():
         return VerifyReport("verified-exact", work=work)
     return VerifyReport("refuted", detail=detail, witness=_nonzero_witness(residual), work=work)
@@ -218,13 +239,19 @@ def _shape_error(cert: NullstellensatzCertificate) -> VerifyReport | None:
     """The error report of a certificate whose identity proves nothing: one
     with the wrong number of cofactors (one, C, when it is linear, and
     otherwise one per axiom), or a linear one whose C is not homogeneous of
-    degree 1 in the placeholders (_degree_error), without which
+    degree 1 in the placeholders (_degree_error, run once per certificate
+    and C: its verdict is kept in cert.degree_checked), without which
     C(x, F(x)) = 1 does not refute the axioms."""
     if cert.linear and len(cert.cofactors) != 1:
         return VerifyReport("error", detail="a linear certificate has one cofactor, C")
     if not cert.linear and len(cert.axioms) != len(cert.cofactors):
         return VerifyReport("error", detail="axiom/cofactor list length mismatch")
-    error = _degree_error(cert) if cert.linear else None
+    if not cert.linear:
+        return None
+    key = (cert.cofactors[0], len(cert.axioms))
+    if cert.degree_checked is None or cert.degree_checked[:2] != key:
+        cert.degree_checked = (*key, _degree_error(cert))
+    error = cert.degree_checked[2]
     if error is not None:
         return VerifyReport("error", detail=f"cofactors[0]: {error}")
     return None
@@ -357,6 +384,100 @@ def _degree_error(cert: NullstellensatzCertificate) -> str | None:
     if degree[root] != 1:
         return f"g{root}: C has degree 0 in the placeholders"
     return None
+
+
+def _lemmas_hold(cert: NullstellensatzCertificate) -> bool:
+    """Whether a linear certificate's lemmas prove C(x, F(x)) = 1 (see the
+    module docstring), checked one by one in order and then C itself, each by
+    one expansion with cuts in a slot table of its own (_LemmaCheck);
+    False when there are none, when a lemma's gate s is a leaf, when an
+    axiom reaches a placeholder, or when an expansion trips the guard.
+    Lemma (s, c) holds when c expands to A^2 - A, A being s expanded over
+    its arguments' expansions."""
+    lemmas, gates = cert.lemmas, cert.table._gates
+    if not lemmas or any(not gates[s].args for s, _ in lemmas):
+        return False
+    check = _LemmaCheck(cert)
+    if any(v.ns == PLACEHOLDER_NS for v in check.laid.values()):
+        return False
+    others = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in check.laid]
+    for i in _sweep(gates, others):
+        if gates[i].op == VAR and gates[i].var.ns == PLACEHOLDER_NS:
+            return False
+    try:
+        for s, c in lemmas:
+            with fresh_slots():
+                polys = check.expand([c, *gates[s].args])
+                a = _expand(gates, (s,), s, {x: polys[x] for x in gates[s].args})
+                if polys[c] != a * a - a:
+                    return False
+            check.proven.setdefault(c, s)
+        with fresh_slots():
+            root = cert.cofactors[0]
+            return check.expand([root])[root] == 1
+    except ResourceLimitError:
+        return False
+
+
+class _LemmaCheck:
+    """Expansions of a linear certificate's gates with cuts, for the lemma
+    check: a gate c that a lemma (s, c) has proven is A_s^2 - A_s, else a
+    lemma's gate s is the unknown A_s (Var(RESERVED_NS, s)), and a
+    placeholder fresh<k> naming an axiom is axiom k, expanded with the same
+    cuts (a Boolean axiom laid as refute.is_boolean_axiom reads it is
+    v^2 - v); every other gate is expanded over its arguments
+    (circuit._expand).
+
+    Setting each A_s to s's own polynomial, with each placeholder pointed at
+    its axiom, is a ring homomorphism that maps every gate's expansion here
+    to its expansion in C(x, F(x)), once each proven c expands so: s^2 - s.
+    By induction over the lemmas in order, then, lemmas that hold and a C
+    that expands to 1 here prove C(x, F(x)) = 1, for any list of the
+    table's gates, as long as no axiom reaches a placeholder (a gate s
+    under an axiom is then its own polynomial there too)."""
+
+    def __init__(self, cert: NullstellensatzCertificate):
+        self.gates, self.axioms = cert.table._gates, cert.axioms
+        self.unknowns = {s: Var(RESERVED_NS, s) for s, _ in cert.lemmas}
+        self.proven: dict = {}   # c -> s, of each lemma that holds
+        self.laid = {k: v for k, (label, ax) in enumerate(cert.axioms)
+                     for v in [boolean_axiom_label(label)[0]]
+                     if is_boolean_axiom(cert.table, ax, v)}   # axiom k -> its v
+
+    def expand(self, roots: list) -> dict:
+        """{gate id: polynomial} of the gates the roots reach, not entering
+        a cut, in the current slot table."""
+        gates, proven, unknowns = self.gates, self.proven, self.unknowns
+        polys: dict = {}
+        top = max(roots)
+        reached = bytearray(top + 1)
+        for r in roots:
+            reached[r] = 1
+        ids: list = []
+        i = top
+        while i >= 0:            # _sweep, not entering a cut
+            if i in proven:
+                polys[i] = boolean_axiom(unknowns[proven[i]])
+            elif i in unknowns:
+                polys[i] = SparsePoly.variable(unknowns[i])
+            else:
+                ids.append(i)
+                for a in gates[i].args:
+                    reached[a] = 1
+            i -= 1
+            if not reached[i]:
+                i = reached.rfind(1, 0, i)
+        ids.reverse()
+        for i in ids:
+            g = gates[i]
+            k = _axiom_of(g.var, len(self.axioms)) if g.op == VAR else None
+            if k in self.laid:
+                polys[i] = boolean_axiom(self.laid[k])
+            elif k is not None:
+                ax = self.axioms[k][1]
+                polys[i] = self.expand([ax])[ax]
+        _expand(gates, [i for i in ids if i not in polys], top, polys)
+        return polys
 
 
 def _substituted(cert: NullstellensatzCertificate) -> tuple:

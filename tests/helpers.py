@@ -580,12 +580,15 @@ def refutation_v2(cprime: Circuit, shift=Fraction(-2)) -> NullstellensatzCertifi
         shift=shift, builder=BUILDER_TAG_V2, written_as_poly=frozenset(range(1, len(axioms))))
 
 
-def certificate_to_json_v2(cert: NullstellensatzCertificate) -> str:
+def certificate_to_json_v2(cert: NullstellensatzCertificate,
+                           version: str = "nullstellensatz-cert/2") -> str:
     """The reference writer of the nullstellensatz-cert/2 document, which
     certificate_from_json still reads: the gate table the circuits reach,
     written once (CircuitBuilder.write_table), each circuit the one line
     "OUTPUT g<k>" naming its root's line, and an axiom in written_as_poly
-    as its polynomial's text."""
+    as its polynomial's text.  Given a linear certificate and version /3,
+    the nullstellensatz-cert/3 document refute wrote before /4: the same
+    fields, C the one cofactor (certificate_to_json_v3)."""
     table, polys = cert.table, cert.written_as_poly
     circuits = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in polys] + [*cert.cofactors]
     starting, lines, positions = table.write_table(circuits)
@@ -596,7 +599,7 @@ def certificate_to_json_v2(cert: NullstellensatzCertificate) -> str:
         return written if is_boolean_axiom(table, root, v) else format_poly(table.expand(root))
 
     doc = {
-        "format": "nullstellensatz-cert/2",
+        "format": version,
         "builder": cert.builder,
         "shift": f"{cert.shift.numerator}/{cert.shift.denominator}",
         "instance_sha256": cert.instance_sha256,
@@ -609,6 +612,14 @@ def certificate_to_json_v2(cert: NullstellensatzCertificate) -> str:
         "metrics": [{"size": m.size, "depth": m.depth} for m in cert.claimed_metrics],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def certificate_to_json_v3(cert: NullstellensatzCertificate) -> str:
+    """The reference writer of the nullstellensatz-cert/3 document of a
+    linear certificate, which certificate_from_json still reads: the /4
+    document that refute writes, without its lemmas."""
+    assert cert.linear
+    return certificate_to_json_v2(cert, "nullstellensatz-cert/3")
 
 
 def point_placeholders(b: CircuitBuilder, roots, images: dict) -> tuple:
@@ -815,7 +826,8 @@ def mutate_certificate(rng: random.Random, cert: NullstellensatzCertificate,
 
     base is MutationBase(cert), made here if not given; only the mutated
     cofactor is written and read.  The claimed metrics are measured again,
-    so every claim of the document but the identity still holds."""
+    so every claim of the document but the identity still holds.
+    mutate_lemmas changes a linear certificate's lemmas instead."""
     if cert.linear:
         return _mutate_linear(rng, cert, seed)
     base = base or MutationBase(cert)
@@ -868,6 +880,51 @@ def _mutate_linear(rng: random.Random, cert: NullstellensatzCertificate,
         if compile_evaluator(identity)(columns, 1, prime) != [1]:
             return mutant
     raise AssertionError("could not find a semantics-changing mutation")
+
+
+LEMMA_MUTATIONS = ("drop", "swap", "reorder", "foreign", "literal")
+
+
+def mutate_lemmas(rng: random.Random, doc: dict) -> tuple:
+    """(kind, text): the nullstellensatz-cert/4 document doc, a dict, with
+    one change of the kind to its lemmas, which leaves every other claim
+    as it was: drop entry j, swap its two gates, move it to another place
+    in the list, point one of its gates at a foreign gate (another gate of
+    the table, or as often a name g<k> past the table's last line, which
+    the reader refuses naming lemmas[j]), or cut at a literal: put before
+    entry j a lemma that certifies a literal gate 1 - y of the table by
+    y's placeholder, which holds, and makes that literal an unknown of
+    every later check."""
+    d = copy.deepcopy(doc)
+    lemmas, table = d["lemmas"], d["table"]
+    lines = dict(line.split(" = ", 1) for line in table)
+    placeholder = {f"VAR {ax['label'].partition('^')[0]}": f"VAR {PLACEHOLDER_NS}{k}"
+                   for k, ax in enumerate(d["axioms"])}
+    line_of = {rhs: g for g, rhs in lines.items()}
+    literals = []            # [1 - y, y's placeholder]
+    for g, rhs in lines.items():
+        words = rhs.split()
+        if words[0] == "ADD" and len(words) == 3 and lines[words[1]] == "CONST 1/1":
+            negated = lines[words[2]].split()
+            if negated[0] == "MUL" and len(negated) == 3 and lines[negated[1]] == "CONST -1/1":
+                z = line_of.get(placeholder.get(lines[negated[2]]))
+                if z is not None:
+                    literals.append([g, z])
+    kinds = [kind for kind in LEMMA_MUTATIONS
+             if (kind != "reorder" or len(lemmas) > 1) and (kind != "literal" or literals)]
+    kind = rng.choice(kinds)
+    j = rng.randrange(len(lemmas))
+    if kind == "drop":
+        del lemmas[j]
+    elif kind == "swap":
+        lemmas[j].reverse()
+    elif kind == "reorder":
+        lemmas.insert(rng.choice([k for k in range(len(lemmas)) if k != j]), lemmas.pop(j))
+    elif kind == "foreign":
+        lemmas[j][rng.randrange(2)] = f"g{rng.randrange(len(table)) + rng.choice((0, len(table)))}"
+    else:
+        lemmas.insert(j, rng.choice(literals))
+    return kind, json.dumps(d, indent=2) + "\n"
 
 
 def boolean_axiom_as_circuit(doc: dict, k: int, v: Var) -> None:

@@ -950,7 +950,7 @@ def test_an_old_v1_document_verifies_against_its_instance(tmp_path, capsys):
                          "--mode", mode]) == 0
             reports.append(capsys.readouterr().out)
     assert reports[:2] == reports[2:]
-    assert json.loads((tmp_path / "third.json").read_text())["format"] == "nullstellensatz-cert/3"
+    assert json.loads((tmp_path / "third.json").read_text())["format"] == "nullstellensatz-cert/4"
 
 
 # The certificate of the CI chain at shift -2, as refute wrote it as /2:

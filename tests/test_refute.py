@@ -1018,8 +1018,9 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
     # naming a line, a field or a gate: never a KeyError, IndexError or
     # TypeError.  read_table and the reference reader read every mutant
     # alike: the same table and {token: id} map, or the same message.  The
-    # /2 documents of the per-pair reference are mutated, then the /3
-    # documents refute writes of the same formulas.
+    # /2 documents of the per-pair reference are mutated, then the /4
+    # documents refute writes of the same formulas, whose exact reports
+    # with their lemmas are those of the full expansion.
     rng = random.Random(2027)
     docs = [small_doc()]
     circuits = [gadgetize(normalize_layered(c))[0] for c in build_corpus(2027, 3)]
@@ -1042,7 +1043,9 @@ def test_seeded_mutants_of_v2_documents_raise_only_value_errors(monkeypatch):
                 claims = check_claims(cert)
                 if claims is None:
                     verified += verify_pit(cert, cfg).verdict == "verified-probabilistic"
-                    verify_exact(cert)
+                    report = verify_exact(cert).to_jsonable()
+                    full = dataclasses.replace(cert, lemmas=())
+                    assert not cert.lemmas or report == verify_exact(full).to_jsonable()
                 else:
                     assert named.search(claims.detail), claims.detail
             except ValueError as exc:
