@@ -397,13 +397,10 @@ def _lemmas_hold(cert: NullstellensatzCertificate) -> bool:
     lemmas, gates = cert.lemmas, cert.table._gates
     if not lemmas or any(not gates[s].args for s, _ in lemmas):
         return False
-    check = _LemmaCheck(cert)
-    if any(v.ns == PLACEHOLDER_NS for v in check.laid.values()):
+    if any(gates[i].op == VAR and gates[i].var.ns == PLACEHOLDER_NS
+           for i in _sweep(gates, [ax for _, ax in cert.axioms])):
         return False
-    others = [ax for k, (_, ax) in enumerate(cert.axioms) if k not in check.laid]
-    for i in _sweep(gates, others):
-        if gates[i].op == VAR and gates[i].var.ns == PLACEHOLDER_NS:
-            return False
+    check = _LemmaCheck(cert)
     try:
         for s, c in lemmas:
             with fresh_slots():

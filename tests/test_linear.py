@@ -442,6 +442,18 @@ def test_no_lemma_list_verifies_a_refuted_identity(transformed01):
             assert outcome in ("refused", "refuted")
 
 
+def test_an_axiom_that_reaches_a_placeholder_is_left_to_the_full_expansion():
+    # The cut expansions put axiom k for fresh<k>, so an axiom that reaches
+    # a placeholder, here axiom 0 its own, would expand without end.
+    cert = assemble_refutation(small_instance())
+    z0 = next(i for i, g in enumerate(cert.table._gates)
+              if g.op == VAR and g.var is Var(PLACEHOLDER_NS, 0))
+    forged = dataclasses.replace(cert, axioms=((cert.axioms[0][0], z0), *cert.axioms[1:]))
+    assert forged.lemmas and not _lemmas_hold(forged)
+    assert verify_exact(forged).to_jsonable() == full_report(forged)
+    assert full_report(forged)["verdict"] == "refuted"
+
+
 BAD_LEMMAS = [
     (lambda doc: doc["lemmas"].__setitem__(1, ["g1"]),
      r"field lemmas\[1\]: not two gate names \[\"g<s>\", \"g<c>\"\]"),
