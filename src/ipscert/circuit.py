@@ -190,8 +190,7 @@ class CircuitBuilder:
     marking pass (an argument has a lower id than its gate) and walked in
     ascending id order (see _sweep), once for all the roots metrics() is
     given, which measures each gate once by the rule of its kind, and once
-    per group of roots expand_each() is given, where a gate an earlier group
-    expanded is not expanded again; only subcircuit() copies a root out.
+    per root expand() is given; only subcircuit() copies a root out.
     """
 
     def __init__(self, gates: Sequence[Gate] = ()):
@@ -539,24 +538,6 @@ class CircuitBuilder:
     def expand(self, root: int) -> SparsePoly:
         """The polynomial of root, expanding each gate it reaches once."""
         return _expand(self._gates, _sweep(self._gates, (root,)), root, {})
-
-    def expand_each(self, groups: Sequence[Sequence[int]]):
-        """Yield the polynomials of each group of roots, in order, group by
-        group: each group's gates are swept once, and each gate the groups
-        reach is expanded once, by the first group whose sweep reaches it,
-        and kept until the last such group has been yielded."""
-        gates = self._gates
-        sweeps = [_sweep(gates, roots) for roots in groups]
-        last: dict = {}          # gate id -> the last group whose sweep reaches it
-        for k, ids in enumerate(sweeps):
-            last.update(dict.fromkeys(ids, k))
-        polys: dict = {}
-        for k, (roots, ids) in enumerate(zip(groups, sweeps)):
-            _expand(gates, [i for i in ids if i not in polys], roots[-1], polys)
-            yield [polys[r] for r in roots]
-            for i in ids:
-                if last[i] == k:
-                    del polys[i]
 
 
 class SharingBuilder(CircuitBuilder):

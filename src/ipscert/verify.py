@@ -22,10 +22,8 @@ lemmas, verdict, detail and witness alike.  A per-pair certificate is
 summed pair by pair, with the placeholder discipline: cofactors may not
 mention the reserved placeholder namespace, so the induced substitution
 circuit sum_k placeholder_k * cofactor_k vanishes at placeholder zero and
-is linear in every placeholder.  Each gate the pairs reach is expanded
-once, by the first pair that reaches it, and kept until the last.  A
-cofactor's scalar moves onto its axiom: a root MUL(CONST c, x), c != 0,
-adds x * (c * axiom).
+is linear in every placeholder.  Each pair is expanded on its own, its
+axiom and cofactor over one sweep of the two roots.
 
 verify_pit evaluates the same identity at seeded uniform points over a
 large prime field (default: the 62-bit prime 2^62 - 57).  A false accept
@@ -75,7 +73,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 
-from .circuit import (ADD, CONST, MUL, VAR, Circuit, _expand, _is_scaled_wire, _sweep,
+from .circuit import (ADD, CONST, MUL, VAR, Circuit, _expand, _sweep,
                       circuit_sha256, compile_evaluator, expand)
 from .poly import (RESERVED_NS, TERM_GUARD, ResourceLimitError, SparsePoly, Var, _Accumulator,
                    boolean_axiom, format_frac, frac_mod, fresh_slots, subset_transform)
@@ -85,11 +83,16 @@ from .refute import (PLACEHOLDER_NS, NullstellensatzCertificate, boolean_axiom_l
 # 2^62 - 57, the largest 62-bit prime; comfortably above 2^61.
 DEFAULT_PIT_PRIME = 4611686018427387847
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes.  Miller-Rabin to these bases is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson & Webster, Math. Comp. 2017); PitConfig takes no prime from
+# there on.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    """Miller-Rabin to the bases _MR_BASES: deterministic for n < _MR_BOUND."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -124,6 +127,9 @@ class PitConfig:
     def __post_init__(self):
         if self.prime == 2:
             raise ValueError("prime 2 is excluded (the constructions divide by 2)")
+        if self.prime >= _MR_BOUND:
+            raise ValueError(f"prime {self.prime} is not below {_MR_BOUND}, the bound under "
+                             "which the primality test is exact")
         if not is_probable_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if self.trials < 1:
@@ -193,17 +199,11 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
     C(x, F(x)) is expanded once (_substituted), and that expansion gives
     the report, as it would without lemmas.
 
-    Pair by pair, a cofactor root that is a scaled wire MUL(CONST c, x) with
-    c != 0 is expanded as x, and x * (c * axiom) is summed: c moves onto the
-    axiom, so a large x is not copied to scale it.  The pairs are expanded
-    in order, each over one sweep of its axiom and expanded root
-    (CircuitBuilder.expand_each): a gate two pairs share, or an axiom and
-    its cofactor (the instance's f' and the functional refutation
-    c0 + c1*f'), is expanded once and kept until the last pair that reaches
-    it.  So each pair's placeholder check, the guard of its expansion and
-    its term of the sum come in the order of expanding each pair alone.
-    The placeholder check reads the variables of the expanded root, which
-    for c != 0 are those of the cofactor.  Either way work counts two
+    Pair by pair, in order, the axiom and the cofactor are expanded over
+    one sweep of the two roots, so a gate they share (the instance's f' and
+    the functional refutation c0 + c1*f') is expanded once; a cofactor that
+    mentions a placeholder is refused before the next pair is expanded, and
+    cofactor * axiom is added to the sum.  Either way work counts two
     expansions per axiom, as verify_pit counts its evaluations."""
     error = _shape_error(cert)
     if error is not None:
@@ -216,17 +216,16 @@ def verify_exact(cert: NullstellensatzCertificate) -> VerifyReport:
         residual = b.expand(root) - SparsePoly.constant(1)
         detail = "cofactors[0]: C(x, F(x)) - 1 is not the zero polynomial"
     else:
-        table = cert.table
-        scaled = [_scaled_root(table, cf) for cf in cert.cofactors]
-        expanded = table.expand_each([(ax, root) for (_, ax), (_, root)
-                                      in zip(cert.axioms, scaled)])
+        gates = cert.table._gates
         total = _Accumulator()
-        for (label, _), (scale, _), (ax_p, cf_p) in zip(cert.axioms, scaled, expanded):
+        for (label, ax), cf in zip(cert.axioms, cert.cofactors):
+            polys: dict = {}
+            cf_p = _expand(gates, _sweep(gates, (ax, cf)), cf, polys)
             for v in cf_p.variables():
                 if v.ns == PLACEHOLDER_NS:
                     return VerifyReport("error", detail=f"cofactor of {label} mentions "
                                                         f"placeholder variable {v.name}")
-            total.add_product(cf_p, ax_p if scale == 1 else ax_p * scale)
+            total.add_product(cf_p, polys[ax])
         total.add(SparsePoly.constant(-1))
         residual = total.result()
         detail = "sum(cofactor * axiom) - 1 is not the zero polynomial"
@@ -255,19 +254,6 @@ def _shape_error(cert: NullstellensatzCertificate) -> VerifyReport | None:
     if error is not None:
         return VerifyReport("error", detail=f"cofactors[0]: {error}")
     return None
-
-
-def _scaled_root(table, cf: int) -> tuple:
-    """(c, x) when the root cf is a scaled wire MUL(CONST c, x) with c != 0,
-    otherwise (1, cf)."""
-    gates = table._gates
-    x = _is_scaled_wire(gates, gates[cf])
-    if x is not None:
-        a, b = gates[cf].args
-        c = gates[b if a == x else a].const
-        if c != 0:
-            return c, x
-    return 1, cf
 
 
 def check_claims(cert: NullstellensatzCertificate,

@@ -21,6 +21,8 @@ from ipscert.circuit import (
     CONST,
     MUL,
     CircuitBuilder,
+    _expand,
+    _sweep,
     eval_circuit,
     expand,
     measure,
@@ -133,10 +135,13 @@ def test_criterion_4_certificate_identities(transformed01):
         b, certs, placeholders = gate_square_certificates(cprime, gids)
         # Each C_g with its placeholders pointed at their Boolean axioms; the
         # table starts from cprime's gates: each gate and C_g(x, v^2 - v) are
-        # one group, and every gate they reach is expanded once.
+        # expanded over one sweep of all their roots, each gate once.
         images = {z: b.boolean_axiom(v) for v, z in placeholders.items()}
         table, roots = point_placeholders(b, [certs[gid] for gid in gids], images)
-        for gid, (g, rhs) in zip(gids, table.expand_each(list(zip(gids, roots)))):
+        polys: dict = {}
+        _expand(table._gates, _sweep(table._gates, [*gids, *roots]), gids[-1], polys)
+        for gid, root in zip(gids, roots):
+            g, rhs = polys[gid], polys[root]
             mg = measure(subcircuit(cprime, gid))
             m = b.metrics([certs[gid]])[0]
             assert m.size <= 100 * mg.size ** 4

@@ -761,29 +761,6 @@ def test_boolean_axiom_gates_are_those_poly_lays_in(slot):
     assert made.metrics([got]) == laid.metrics([want])
 
 
-def test_expand_each_expands_each_gate_once_over_all_groups(monkeypatch):
-    # Each group's polynomials are its roots' own; a gate two groups reach
-    # is expanded by the first and kept for the later ones.
-    b = CircuitBuilder()
-    x, y = b.var(X1), b.var(X2)
-    s = b.add([x, y])
-    sq = b.mul([s, s])
-    groups = [(x, sq), (b.mul([sq, y]), s), (b.add([sq, b.const(-1)]), sq), (y, y)]
-    expanded: list = []
-    real = circuit_module._expand
-
-    def counting(gates, order, output, polys):
-        order = list(order)
-        expanded.extend(order)
-        return real(gates, order, output, polys)
-
-    monkeypatch.setattr(circuit_module, "_expand", counting)
-    got = list(b.expand_each(groups))
-    monkeypatch.undo()
-    assert got == [[b.expand(r) for r in roots] for roots in groups]
-    assert sorted(expanded) == sorted(set(expanded)) == list(range(len(b._gates)))
-
-
 def test_fits_counts_the_layout_before_writing_it():
     # fits says whether a root lays out to no more gate lines than the
     # table holds: its gates and the lines of text read() was given, which

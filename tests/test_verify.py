@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (build_corpus, certificate_of, certificate_to_json_v2, ci_chain_certificate,
-                     formal_degree, identity_circuit, laid_out, mutate_certificate, pointwise,
-                     random_dag_circuit, random_layered_formula, ref_evaluate,
-                     ref_evaluate_mod, reference_bad_constant, reference_verify_exact,
-                     refutation_v2, shift_certificates, total_degree)
+from helpers import (build_corpus, certificate_of, certificate_to_json_v1, certificate_to_json_v2,
+                     ci_chain_certificate, formal_degree, identity_circuit, laid_out,
+                     mutate_certificate, pointwise, random_dag_circuit, random_layered_formula,
+                     ref_evaluate, ref_evaluate_mod, reference_bad_constant,
+                     reference_verify_exact, refutation_v2, shift_certificates, total_degree)
 
 from ipscert import verify as verify_module
 from ipscert.circuit import (
@@ -51,6 +52,7 @@ from ipscert.verify import (
 )
 
 X1, X2 = Var("x", 1), Var("x", 2)
+V2_DOCUMENT = os.path.join(os.path.dirname(__file__), "cert-v2-chain.json")
 
 
 def leaf_certificate():
@@ -63,6 +65,11 @@ def test_default_prime_is_a_62_bit_prime():
     assert is_probable_prime(DEFAULT_PIT_PRIME)
 
 
+# The least strong pseudoprimes to the first 12 and to the first 13 prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 def test_pit_config_validation():
     with pytest.raises(ValueError, match="not prime"):
         PitConfig(prime=2 ** 61)
@@ -70,6 +77,24 @@ def test_pit_config_validation():
         PitConfig(prime=2)
     with pytest.raises(ValueError, match="trials"):
         PitConfig(trials=0)
+    # psi_12 passes the bases 2..37 and is caught by base 41; psi_13 passes
+    # the bases 2..41 too, so the test is exact only below it, and no prime
+    # from there on (2^89 - 1 is one) is taken.
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_probable_prime(PSI_12)
+    with pytest.raises(ValueError, match="not prime"):
+        PitConfig(prime=PSI_12)
+    for prime in (PSI_13, PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"not below {PSI_13}"):
+            PitConfig(prime=prime)
+    assert PitConfig(prime=DEFAULT_PIT_PRIME).prime == DEFAULT_PIT_PRIME
+
+
+def test_is_probable_prime_agrees_with_trial_division_below_10_to_the_5():
+    divisors = [d for d in range(2, 317) if all(d % e for e in range(2, d))]   # 317^2 > 10^5
+    for n in range(10 ** 5):
+        assert is_probable_prime(n) == (n > 1 and all(n % d for d in divisors if d * d <= n))
 
 
 def test_verify_exact_hand_example():
@@ -119,14 +144,23 @@ def assert_exact_matches_reference(cert):
 
 
 def test_verify_exact_matches_the_root_by_root_reference(transformed01):
-    # verify_exact moves each cofactor's scalar onto its axiom and expands
-    # the instance with its cofactor over one sweep; every report must be
-    # the one of expanding each root as it is.
+    # verify_exact expands each axiom with its cofactor over one sweep of
+    # the two roots; every report must be the one of expanding each root on
+    # its own, on the certificates as built and as read back from /1 and /2
+    # documents, whose tables the reader lays out differently.
     certs = [refutation_v2(cp) for _, cp, _ in transformed01[::10]]
     certs += list(shift_certificates()) + [ci_chain_certificate()]
     for cert in certs:
         assert assert_exact_matches_reference(cert).verdict == "verified-exact"
-        assert_exact_matches_reference(certificate_from_json(certificate_to_json_v2(cert)))
+        for write in (certificate_to_json_v1, certificate_to_json_v2):
+            read = certificate_from_json(write(cert))
+            assert assert_exact_matches_reference(read).verdict == "verified-exact"
+    # The CI chain's /2 document with the scalar of cofactor 0 forged.
+    with open(V2_DOCUMENT) as f:
+        text = f.read()
+    assert text.count('= CONST -1/2"') == 1
+    forged = certificate_from_json(text.replace('= CONST -1/2"', '= CONST -1/3"'))
+    assert assert_exact_matches_reference(forged).verdict == "refuted"
     rng = random.Random(43)
     verdicts = set()
     for i in range(40):
@@ -220,8 +254,8 @@ def test_verify_exact_scaled_roots_match_the_reference(scaled, c):
     else:
         assert report.verdict == "error"
         assert report.detail == "cofactor of f mentions placeholder variable fresh1"
-    # Without a placeholder: the scalar rides on the axiom, which shares
-    # x1 with the scaled root, and the residual keeps its witness.
+    # Without a placeholder: the axiom shares x1 with the scaled root, and
+    # the residual keeps its witness.
     x = cadd(cvar(X1), cconst(-1))
     report = assert_exact_matches_reference(certificate_of(axioms, (scaled(c, x), cconst(1))))
     assert report.verdict == ("verified-exact" if c == 0 else "refuted")
